@@ -45,6 +45,12 @@ per-step latency ratio (floor-enforced >= 1.5x by
 ``benchmarks/test_perf_train.py``) and the exact loss/metric identity
 of the two legs.
 
+``--plan-cache`` records what a session open costs the engine in
+absolute milliseconds: a cold compile of the four plan kinds a
+partial-distillation session touches against a hand-over of the
+process-wide shared plans to a second instance, with the machine
+fingerprint.
+
 ``--obs`` benchmarks telemetry overhead: the serve-many deployment run
 disarmed and then with the full telemetry stack armed (metrics registry
 + span tracing + per-plan-step engine timing, server and clients),
@@ -78,6 +84,7 @@ from repro.experiments.perf import (  # noqa: E402
     append_record,
     format_fleet_record,
     format_obs_record,
+    format_plan_cache_record,
     format_pool_record,
     format_record,
     format_serve_many_record,
@@ -87,6 +94,7 @@ from repro.experiments.perf import (  # noqa: E402
     measure_engine_speedup,
     measure_fleet_throughput,
     measure_obs_overhead,
+    measure_plan_cache,
     measure_pool_throughput,
     measure_serve_many_churn,
     measure_serve_many_throughput,
@@ -154,6 +162,10 @@ def main() -> int:
                              "(forward + generated adjoint) against the "
                              "interpreted autograd loop (floor: >= 1.5x "
                              "per-step, with bit-identical losses)")
+    parser.add_argument("--plan-cache", action="store_true",
+                        help="record cold plan compiles vs hand-overs of "
+                             "the shared plans (absolute ms per plan kind "
+                             "at 64x96, with the machine fingerprint)")
     parser.add_argument("--obs", action="store_true",
                         help="benchmark telemetry overhead: the serve-many "
                              "deployment with metrics + tracing + engine "
@@ -191,6 +203,9 @@ def main() -> int:
             pr=args.pr,
         )
         summary = format_train_record(record)
+    elif args.plan_cache:
+        record = measure_plan_cache(width=args.width, pr=args.pr)
+        summary = format_plan_cache_record(record)
     elif args.obs:
         record = measure_obs_overhead(
             num_frames=args.frames or 32,

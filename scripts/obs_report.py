@@ -218,6 +218,26 @@ def format_engine_step_table(snapshot) -> str:
     return "\n".join(lines)
 
 
+def format_plan_cache_row(snapshot) -> str:
+    """The process-wide engine plan cache in one line: how many plans
+    were compiled (``miss``), how many plan requests from fresh model
+    instances an existing plan answered (``hit``), and how often a plan
+    changed hands between instances (``rebind``).  Returns "" when no
+    armed process asked for a plan."""
+    counters = snapshot.get("counters", {})
+    hit, miss, rebind = (
+        int(counters.get(f"engine.plan_cache.{name}", 0))
+        for name in ("hit", "miss", "rebind")
+    )
+    if not hit + miss:
+        return ""
+    return (
+        f"engine plan cache: {miss} compiled, {hit} reused "
+        f"({100 * hit / (hit + miss):.0f}% of {hit + miss} requests), "
+        f"{rebind} hand-overs"
+    )
+
+
 def load_artifacts(directory: pathlib.Path):
     """All ``obs-*.json`` payloads in ``directory``, sorted by source."""
     artifacts = []
@@ -263,10 +283,11 @@ def main() -> int:
         merged = merge_snapshots(snapshots)
         print(format_snapshot_table(merged, title="merged metrics"))
         print()
-        engine_table = format_engine_step_table(merged)
-        if engine_table:
-            print(engine_table)
-            print()
+        for extra in (format_engine_step_table(merged),
+                      format_plan_cache_row(merged)):
+            if extra:
+                print(extra)
+                print()
     fleet_table = format_fleet_table(artifacts)
     if fleet_table:
         print(fleet_table)

@@ -43,6 +43,18 @@ if grep -rn "REPRO_ENGINE_FULL" . \
   echo "FAIL: REPRO_ENGINE_FULL escape hatch reintroduced" >&2
   exit 1
 fi
+# Same rule for the plan cache (ISSUE 12): plans are compiled once per
+# architecture per process and rebound, unconditionally — no env var
+# may switch the per-instance compile path back on, and the
+# weight_static plan attribute (never true for any kernel) stays gone.
+if grep -rnIE "REPRO_[A-Z_]*PLAN|weight_static" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: plan-cache escape hatch or weight_static reintroduced" >&2
+  exit 1
+fi
 # Docs smoke (ISSUE 5): the protocol spec cannot drift from wire.py
 # (the doc-sync test also runs inside the suite above; this re-run
 # keeps the gate explicit and costs under a second), and every fenced

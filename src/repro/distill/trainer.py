@@ -121,9 +121,9 @@ class _CompiledStepRunner:
         self.weight_map = weight_map
         #: True when the plan holds a forward primed *by this runner*
         #: with the current weights (a stale pending forward could have
-        #: survived on the cached plan from a previous key frame).
+        #: survived on the cached plan from a previous key frame; one
+        #: left by another session does not survive the hand-over).
         self._primed = False
-        train_plan.has_pending_forward = False
 
     def step(self) -> float:
         if not self._primed:

@@ -6,8 +6,10 @@ geometry.  That is the right tool for training research code and the
 wrong tool for the steady-state loop, where the same network runs over
 thousands of frames at a fixed geometry.
 
-This package compiles a model's forward pass **once per (shape, width)
-geometry** into a flat list of fused NumPy kernels:
+This package compiles a model's forward pass **once per architecture
+and geometry, per process** (:mod:`repro.engine.plan_cache` — every
+instance of that architecture rebinds the one plan to its own layers)
+into a flat list of fused NumPy kernels:
 
 * ``Conv2d`` lowers to a cached flat-index gather + one GEMM into a
   preallocated scratch buffer, with bias add and ReLU fused in place;
@@ -20,9 +22,7 @@ geometry** into a flat list of fused NumPy kernels:
 Executing a plan allocates **zero** ``Tensor`` objects.  Kernels read
 parameters and buffers from the live modules at execution time, so
 weight updates (optimizer steps, ``apply_state_dict``) are picked up
-without recompilation; only *weight-static* plans — none are built
-today — must be dropped on a state-dict load, which
-:meth:`repro.nn.module.Module.invalidate_plans` handles.
+without recompilation.
 
 :mod:`repro.engine.training` extends the same machinery to Algorithm
 1's update step: the forward is a compiled plan, and

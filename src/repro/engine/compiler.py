@@ -10,10 +10,23 @@
   :class:`~repro.engine.kernels.UntraceableError` — callers fall back
   to the autograd path, so compilation failures are never fatal.
 
-A :class:`CompiledPlan` is geometry-specific: it validates input shapes
-and returns output buffers that remain valid until the same plan runs
-again (callers that need persistence copy — the distillation trainer
-copies its cached front-end features once per key frame).
+A :class:`CompiledPlan` is geometry-specific and weight-free: kernels
+read parameters and buffers through a ``step.module`` reference at
+execution time and capture nothing else that belongs to one model
+instance.  That is what lets :mod:`repro.engine.plan_cache` keep *one*
+plan per (architecture, kind, geometry) for the whole process and hand
+it from instance to instance with :meth:`CompiledPlan.bind`.
+
+Buffer lifetime: a plan validates input shapes and returns output
+buffers that remain valid **until any plan of the same cache key runs
+in this process** — the same instance's next call, or any other
+same-architecture instance's.  The same holds for the gradient views a
+train step installs on ``Parameter.grad``.  Callers that need
+persistence copy or reduce at once (``predict`` takes an argmax, the
+distillation trainer copies its cached front-end features once per key
+frame, the optimizer consumes gradients before the next step).  The
+runtime is non-threaded — no two sessions ever execute a plan at once —
+so "at once" is all a caller has to do.
 """
 
 from __future__ import annotations
@@ -192,12 +205,10 @@ def build_steps(
 class CompiledPlan:
     """A geometry-specialised, zero-Tensor forward executor.
 
-    ``weight_static`` is False: kernels read module parameters at
-    execution time, so weight updates never stale a plan (see
-    ``Module.invalidate_plans``).
+    Kernels read module parameters at execution time, so weight updates
+    never stale a plan, and :meth:`bind` can point the same plan at
+    another instance of the same architecture.
     """
-
-    weight_static = False
 
     def __init__(
         self,
@@ -212,9 +223,29 @@ class CompiledPlan:
         self._input_shapes = [slot_shapes[s] for s in input_slots]
         self._output_slots = output_slots
         self.num_kernels = len(steps)
+        #: Everything holding a layer reference (``site.module``): the
+        #: conv / batch-norm kernels.  :meth:`bind` re-points them.
+        self.sites: list = [s for s in steps if hasattr(s, "module")]
+        #: Token of the :class:`~repro.engine.plan_cache.PlanHandle`
+        #: the sites point at; ``None`` while they still point at the
+        #: traced instance (or at nothing, after :meth:`release`).
+        self.owner = None
+
+    def bind(self, modules: Sequence) -> None:
+        """Point every site at ``modules`` (one layer per site, in
+        :attr:`sites` order) — a hand-over to another instance."""
+        for site, module in zip(self.sites, modules):
+            site.module = module
+
+    def release(self) -> None:
+        """Drop every layer reference, so a plan whose last user is
+        gone keeps no model alive."""
+        for site in self.sites:
+            site.module = None
 
     def run(self, *inputs: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Execute the plan; returned buffers are valid until the next run."""
+        """Execute the plan; returned buffers are valid until the next
+        run of this plan, by anyone (see the module docstring)."""
         if len(inputs) != len(self._input_slots):
             raise ValueError(
                 f"plan takes {len(self._input_slots)} inputs, got {len(inputs)}"
@@ -255,6 +286,12 @@ def compile_plan(
     per-sample outputs are bit-identical to each session's own ``n = 1``
     plan.  Callers cache batched and per-session plans under distinct
     keys (plan kind + input shapes), so both coexist on one module.
+
+    This is the one place a trace happens: :mod:`repro.engine.plan_cache`
+    calls it (through this module, at call time) once per structural
+    key, and every later instance of the architecture rebinds the
+    result instead of tracing again.  Called directly, the returned
+    plan stays bound to the layers ``fn`` ran through.
     """
     records, inputs, outputs = trace_forward(fn, example_inputs)
     steps, shapes, input_slots, output_slots = build_steps(

@@ -109,9 +109,11 @@ class CompiledTrainStep:
     the (cached) input features, evaluates the weighted cross-entropy,
     and runs the generated adjoint plan, installing gradients on the
     trainable parameters.  Returns the loss value.
-    """
 
-    weight_static = False
+    Like the forward plan it composes, a step belongs to an
+    architecture rather than to an instance: :meth:`bind` hands it to
+    another instance's layers (see :mod:`repro.engine.plan_cache`).
+    """
 
     def __init__(self, fn: Callable, example_inputs: Sequence[np.ndarray]) -> None:
         records, inputs, outputs = trace_forward(fn, example_inputs)
@@ -148,6 +150,13 @@ class CompiledTrainStep:
         self._logits_id = id(outputs[0])
         self._step_of_record = step_of_record
         self._slot_shapes = shapes
+        # The trace records reach layers too (the adjoint generator
+        # reads their parameters' live freeze flags), so a hand-over
+        # re-points them along with the kernels.
+        self.sites: list = self._plan.sites + [
+            rec for rec in records if rec.kind == "module"
+        ]
+        self.owner = None
         self._leaf_params = leaf_parameters(records)
         self._adjoint_sig: Optional[tuple] = None
         #: The generated backward pass, a CompiledPlan of vjp steps
@@ -157,6 +166,33 @@ class CompiledTrainStep:
         #: True when forward state (activations, saved columns, pending
         #: BN statistics) is valid and awaiting finish_step().
         self.has_pending_forward = False
+
+    def bind(self, modules: Sequence) -> None:
+        """Hand the step over to ``modules`` (one layer per site, in
+        :attr:`sites` order).
+
+        Nothing of the previous owner may survive: a forward it left
+        pending and the batch-norm statistics deferred with it are
+        dropped, and the adjoint is brought in line with the new
+        owner's freeze state *here*, not lazily in :meth:`finish_step`
+        — a partial-mode student and a full-mode one share this step,
+        and callers may inspect :attr:`adjoint` before stepping.
+        """
+        for site, module in zip(self.sites, modules):
+            site.module = module
+        self._leaf_params = leaf_parameters(self._records)
+        self.has_pending_forward = False
+        for bn in self._bn_steps:
+            bn._pending_stats = None
+        if self._adjoint_sig != self._requires_sig():
+            self._build_adjoint()
+
+    def release(self) -> None:
+        """Drop every layer and parameter reference (see
+        :meth:`CompiledPlan.release`)."""
+        for site in self.sites:
+            site.module = None
+        self._leaf_params = []
 
     def _requires_sig(self) -> tuple:
         return tuple(p.requires_grad for p in self._leaf_params)

@@ -409,6 +409,142 @@ def format_train_record(record: Dict) -> str:
     )
 
 
+def machine_fingerprint() -> Dict[str, object]:
+    """What a timing in absolute units depends on besides the code:
+    cores, CPU model, python, numpy and its BLAS build."""
+    import os
+
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in fh
+                 if line.startswith("model name")), cpu,
+            )
+    except OSError:
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": cpu,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+    }
+
+
+def measure_plan_cache(
+    width: float = 0.5, repeats: int = 5, pr: Optional[str] = None
+) -> Dict:
+    """What a session open costs the engine, in absolute milliseconds.
+
+    For each plan kind a partial-distillation session touches
+    (``forward`` n=1, ``serve`` n=4, ``front``, ``train_back``) at the
+    bench geometry: a **cold** ``engine_plan`` on an empty process-wide
+    cache (trace, kernel build, scratch allocation, GEMM stability
+    probes — what every session paid before plans were shared) against
+    a **hand-over** — a second same-architecture instance's
+    ``engine_plan`` plus the rebind its first call performs.  Every
+    sample is kept; the headline is the ratio of the summed medians.
+    """
+    from repro.engine import plan_cache
+    from repro.engine.kernels import wide_gemm_column_stable
+    from repro.models.student import StudentNet, partial_freeze
+
+    h, w = _FRAME_HW
+    frame = (1, 3, h, w)
+    probe = StudentNet(width=width)
+    feats = tuple(
+        f.shape for f in probe.engine_plan("front", (frame,)).run(
+            np.zeros(frame, np.float32)
+        )
+    )
+    kinds = {
+        "forward": (frame,),
+        "serve": ((4, 3, h, w),),
+        "front": (frame,),
+        "train_back": feats,
+    }
+    cold: Dict[str, List[float]] = {kind: [] for kind in kinds}
+    warm: Dict[str, List[float]] = {kind: [] for kind in kinds}
+    for rep in range(repeats):
+        plan_cache.clear()
+        wide_gemm_column_stable.cache_clear()
+        first = StudentNet(width=width, seed=2 * rep)
+        second = StudentNet(width=width, seed=2 * rep + 1)
+        for student in (first, second):
+            partial_freeze(student)
+        for kind, shapes in kinds.items():
+            t0 = time.perf_counter()
+            handle = first.engine_plan(kind, shapes)
+            cold[kind].append(1000 * (time.perf_counter() - t0))
+            handle.bound()
+            t0 = time.perf_counter()
+            second.engine_plan(kind, shapes).bound()
+            warm[kind].append(1000 * (time.perf_counter() - t0))
+
+    def leg(samples: Dict[str, List[float]]) -> Dict:
+        out = {
+            kind: {
+                "median_ms": round(float(np.median(ms)), 4),
+                "samples_ms": [round(m, 4) for m in ms],
+            }
+            for kind, ms in samples.items()
+        }
+        out["total_median_ms"] = round(
+            sum(entry["median_ms"] for entry in out.values()), 4
+        )
+        return out
+
+    cold_leg, warm_leg = leg(cold), leg(warm)
+    return {
+        **record_meta("plan-cache", pr),
+        "protocol": {
+            "student_width": width,
+            "frame_hw": list(_FRAME_HW),
+            "kinds": {kind: [list(s) for s in shapes] for kind, shapes in kinds.items()},
+            "repeats": repeats,
+        },
+        "cold_compile": cold_leg,
+        "hand_over": warm_leg,
+        "speedup": round(
+            cold_leg["total_median_ms"] / warm_leg["total_median_ms"], 1
+        ),
+        "fingerprint": machine_fingerprint(),
+    }
+
+
+def format_plan_cache_record(record: Dict) -> str:
+    """One-paragraph human summary of a plan-cache record."""
+    proto, fp = record["protocol"], record["fingerprint"]
+    cold, warm = record["cold_compile"], record["hand_over"]
+    lines = [
+        f"plan cache — engine cost of a session open, width "
+        f"{proto['student_width']} at {proto['frame_hw'][0]}x"
+        f"{proto['frame_hw'][1]} (median of {proto['repeats']}, ms):"
+    ]
+    for kind in proto["kinds"]:
+        lines.append(
+            f"  {kind:<10} cold compile {cold[kind]['median_ms']:9.2f}"
+            f"   hand-over {warm[kind]['median_ms']:7.3f}"
+        )
+    lines.append(
+        f"  {'all four':<10} cold compile {cold['total_median_ms']:9.2f}"
+        f"   hand-over {warm['total_median_ms']:7.3f}"
+        f"   ({record['speedup']}x)"
+    )
+    lines.append(
+        f"  on {fp['nproc']} x {fp['cpu_model']}, python {fp['python']}, "
+        f"numpy {fp['numpy']}, {fp['blas']}\n"
+    )
+    return "\n".join(lines)
+
+
 def measure_pool_throughput(
     num_sessions: int = 16,
     num_frames: int = 64,

@@ -54,8 +54,8 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
-        #: (kind, shapes) -> compiled plan | None; see :meth:`engine_plan`
-        #: and :meth:`invalidate_plans`.
+        #: (kind, shapes) -> this instance's handle on a shared plan |
+        #: None; see :meth:`engine_plan` and :meth:`invalidate_plans`.
         object.__setattr__(self, "_engine_plans", {})
 
     # ------------------------------------------------------------------
@@ -195,10 +195,6 @@ class Module:
             elif name in buffer_owners:
                 module, b_name = buffer_owners[name]
                 module.set_buffer(b_name, value)
-        # Loading rebinds parameter/buffer arrays: engine plans that read
-        # weights at execution time stay fresh automatically, but any
-        # weight-static plan must not survive the load.
-        self.invalidate_plans(weight_static_only=True)
 
     # ------------------------------------------------------------------
     # Compiled-engine plan cache
@@ -215,77 +211,51 @@ class Module:
         return {"forward": self.forward, "serve": self.forward}
 
     def engine_plan(self, kind: str, shapes: Tuple[Tuple[int, ...], ...]):
-        """Fetch (compiling on first use) the engine plan for a geometry.
+        """Fetch this instance's handle on the engine plan for a geometry.
+
+        Plans belong to the *architecture*, not the instance: the
+        process keeps one per (structure, kind, shapes) in
+        :mod:`repro.engine.plan_cache`, compiled by whichever instance
+        asks first, and every instance gets a thin
+        :class:`~repro.engine.plan_cache.PlanHandle` that points the
+        shared plan at its own layers whenever the plan last ran for
+        someone else.  The handle is kept on the instance, so the hot
+        path is one dict lookup.  Output buffers (and the gradient
+        views a train step installs) are valid until *any* instance
+        runs the same plan — copy or reduce at once.
 
         Returns ``None`` when the engine is disabled or the traced
         graph is not compilable — callers fall back to the autograd
-        path.  Failed compilations are cached so the trace is not
-        retried per frame.  Keys embed both kind and shapes, so a
-        module's own ``n = 1`` plans and the serving pool's batched
-        plans coexist in one cache.
+        path.  Failed compilations are cached process-wide too, so the
+        trace is retried neither per frame nor per session.  Keys embed
+        both kind and shapes, so a module's own ``n = 1`` plans and the
+        serving pool's batched plans coexist.
         """
         from repro import engine
 
         if not engine.is_enabled():
             return None
         key = (kind, shapes)
-        cache = self._engine_plans
-        if key in cache:
-            return cache[key]
-        from repro.engine.compiler import compile_plan
-        from repro.engine.kernels import UntraceableError
-        from repro.engine.training import CompiledTrainStep
+        handles = self._engine_plans
+        if key not in handles:
+            from repro.engine import plan_cache
 
-        fns = self._engine_fns()
-        if kind not in fns:
-            raise KeyError(f"{type(self).__name__} has no {kind!r} engine plan")
-        examples = tuple(np.zeros(shape, dtype=np.float32) for shape in shapes)
-        # Trace in eval mode: tracing runs one real forward, and doing
-        # it in train mode would perturb batch-norm running statistics.
-        was_training = self.training
-        self.eval()
-        try:
-            if kind.startswith("train"):
-                plan = CompiledTrainStep(fns[kind], examples)
-            elif kind.endswith("serve"):
-                # "serve", "soft_serve", ...: multi-sample plans whose
-                # per-sample batch-norm statistics keep every sample in
-                # an n > 1 run bit-identical to its own n = 1 run.
-                plan = compile_plan(fns[kind], examples, per_sample_stats=True)
-            else:
-                plan = compile_plan(fns[kind], examples)
-        except UntraceableError:
-            plan = None
-        finally:
-            self.train(was_training)
-        cache[key] = plan
-        return plan
+            handles[key] = plan_cache.acquire(self, kind, shapes)
+        return handles[key]
 
-    def invalidate_plans(self, weight_static_only: bool = False) -> None:
-        """Drop compiled engine plans cached on this module tree.
+    def invalidate_plans(self) -> None:
+        """Drop this module tree's handles on shared engine plans.
 
-        With ``weight_static_only`` (the ``load_state_dict`` /
-        ``apply_state_dict`` hook), only plans that captured weight
-        values at compile time are dropped.  The kernels built today
-        read parameters and buffers from the live modules at execution
-        time (``weight_static = False``), so routine weight updates cost
-        no recompilation; a full invalidation is available for
-        structural changes and tests.
+        Never needed for weight updates (optimizer steps,
+        ``load_state_dict``, ``apply_state_dict``): kernels read
+        parameters and buffers from the live layers at execution time.
+        It is for structural edits — swapping a layer, changing a
+        stride: the next :meth:`engine_plan` re-derives the structural
+        signature and lands on the plan of the edited architecture.
+        The shared plans themselves stay with the process.
         """
         for _, module in self.named_modules():
-            cache = getattr(module, "_engine_plans", None)
-            if not cache:
-                continue
-            if weight_static_only:
-                stale = [
-                    key
-                    for key, plan in cache.items()
-                    if plan is not None and getattr(plan, "weight_static", False)
-                ]
-                for key in stale:
-                    del cache[key]
-            else:
-                cache.clear()
+            module._engine_plans.clear()
 
     # ------------------------------------------------------------------
     # Call protocol

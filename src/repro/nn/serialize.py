@@ -194,8 +194,3 @@ def apply_state_dict(module: Module, update: Dict[str, np.ndarray]) -> None:
             mod.set_buffer(b_name, value)
         else:
             raise KeyError(f"update contains unknown entry {name!r}")
-    # Applying an update rebinds parameter/buffer arrays.  Compiled
-    # engine plans read weights from the live modules at execution time
-    # and stay fresh; any weight-static plan must be dropped here so a
-    # client never infers with stale compiled weights.
-    module.invalidate_plans(weight_static_only=True)

@@ -140,11 +140,9 @@ class Client:
         return _PendingUpdate(reply, ready_at, index), record
 
     def _apply_update(self, pending: _PendingUpdate) -> None:
-        # ApplyUpdate rebinds parameter arrays; apply_state_dict keeps
-        # the compiled engine honest by dropping any weight-static plan
-        # (plans built today read live weights per call and survive, so
-        # the very next predict infers with the fresh weights — see
-        # Module.invalidate_plans and the stale-weight regression test).
+        # ApplyUpdate rebinds parameter arrays; engine plans read live
+        # weights per call, so the very next predict infers with the
+        # fresh weights (see the stale-weight regression test).
         apply_state_dict(self.student, pending.reply.update)
         if self.weight_version is not None:
             self.weight_version = state_dict_digest(

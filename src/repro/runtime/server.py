@@ -131,9 +131,9 @@ class Server:
         """Run Algorithm 1 on ``frame`` and package the reply.
 
         Training may end with a rollback to the best checkpoint, which
-        rebinds the trainable parameter arrays; the apply_state_dict
-        inside the trainer drops weight-static engine plans, so the
-        server-side student's compiled predicts never go stale.
+        rebinds the trainable parameter arrays; engine plans read
+        weights through the live layers per call, so the server-side
+        student's compiled predicts never go stale.
         """
         result = self.trainer.train(frame, pseudo_label, max_updates=max_updates)
         partial_payload = (

@@ -406,7 +406,6 @@ class SharedTeacherSegment:
                 # and the attribute pointing at the shared view.
                 module._buffers[b_name] = view
                 object.__setattr__(module, b_name, view)
-        teacher.invalidate_plans(weight_static_only=True)
         found = state_dict_digest(teacher.state_dict())
         if found != self.digest:
             raise ValueError(

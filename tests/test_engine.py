@@ -1,19 +1,35 @@
 """Tests for the compiled inference engine (plan compiler + kernels)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import engine
 from repro.autograd.tensor import Tensor, no_grad
+from repro.engine import plan_cache, tracer
 from repro.engine.compiler import CompiledPlan, compile_plan
 from repro.engine.kernels import UntraceableError
-from repro.models.student import StudentNet
+from repro.engine.training import CompiledTrainStep
+from repro.models.student import StudentNet, partial_freeze
+from repro.models.teacher import TeacherNet
+from repro.nn.layers import BatchNorm2d
 from repro.nn.serialize import apply_state_dict, state_dict_diff
 
 
 def autograd_logits(student, x):
     with engine.disabled(), no_grad():
         return student.forward(Tensor(x)).data
+
+
+@pytest.fixture
+def fresh_plan_cache():
+    """An empty process-wide plan cache, for tests that count compiles
+    (and emptied again after, so a forced failure cannot outlive them)."""
+    plan_cache.clear()
+    yield
+    plan_cache.clear()
 
 
 class TestForwardEquivalence:
@@ -94,7 +110,9 @@ class TestPlanMechanics:
         with pytest.raises(UntraceableError):
             compile_plan(fn, (np.zeros((1, 2, 4, 4), np.float32),))
 
-    def test_failed_compiles_are_cached_as_none(self, monkeypatch, rng):
+    def test_failed_compiles_are_cached_as_none(
+        self, monkeypatch, fresh_plan_cache
+    ):
         student = StudentNet(width=0.25, seed=0)
         student.eval()
 
@@ -111,6 +129,11 @@ class TestPlanMechanics:
         assert student.engine_plan("forward", ((1, 3, 16, 16),)) is None
         assert student.engine_plan("forward", ((1, 3, 16, 16),)) is None
         assert len(calls) == 1  # the trace is not retried per frame
+        # ... nor per session: the failure is cached under the
+        # structural key, so another instance does not trace either.
+        other = StudentNet(width=0.25, seed=5)
+        assert other.engine_plan("forward", ((1, 3, 16, 16),)) is None
+        assert len(calls) == 1
         monkeypatch.setattr(compiler_mod, "compile_plan", original)
 
     def test_plan_buffers_reused_between_runs(self, rng):
@@ -166,24 +189,6 @@ class TestInvalidation:
             p.data -= 0.05 * rng.normal(size=p.data.shape).astype(np.float32)
         np.testing.assert_array_equal(plan.run(x)[0], autograd_logits(student, x))
 
-    def test_weight_static_plans_are_dropped_on_apply(self):
-        student = StudentNet(width=0.25, seed=0)
-
-        class DummyStatic:
-            weight_static = True
-
-        class DummyDynamic:
-            weight_static = False
-
-        student._engine_plans[("static", ())] = DummyStatic()
-        dynamic = DummyDynamic()
-        student._engine_plans[("dynamic", ())] = dynamic
-        apply_state_dict(student, {})
-        assert ("static", ()) not in student._engine_plans
-        # Weight-dynamic plans survive routine updates (no recompiles in
-        # the steady-state loop).
-        assert student._engine_plans[("dynamic", ())] is dynamic
-
     def test_full_invalidation_clears_cache(self):
         student = StudentNet(width=0.25, seed=0)
         student.eval()
@@ -200,5 +205,280 @@ class TestCompiledPlanDirect:
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
         plan = compile_plan(student.forward, (x,))
         assert isinstance(plan, CompiledPlan)
-        assert plan.weight_static is False
         np.testing.assert_allclose(plan.run(x)[0], autograd_logits(student, x), atol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# One plan per architecture, handed between instances (plan_cache)
+# ----------------------------------------------------------------------
+_HW = (16, 24)
+
+
+def _private_plan(model, kind, shapes):
+    """What ``engine_plan`` built before plans were shared: a plan
+    traced on, and for ever bound to, this one instance."""
+    fn = model._engine_fns()[kind]
+    examples = tuple(np.zeros(shape, np.float32) for shape in shapes)
+    was_training = model.training
+    model.eval()
+    try:
+        if kind.startswith("train"):
+            return CompiledTrainStep(fn, examples)
+        return compile_plan(fn, examples, per_sample_stats=kind.endswith("serve"))
+    finally:
+        model.train(was_training)
+
+
+def _assert_same_state(got, want, grads):
+    """``grads`` only right after a step: installed gradients are views
+    of plan scratch, valid until anyone runs the same plan again."""
+    for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+        if grads:
+            assert (a.grad is None) == (b.grad is None), name
+            if a.grad is not None:
+                assert a.grad.tobytes() == b.grad.tobytes(), name
+    for (name, a), (_, b) in zip(got.named_buffers(), want.named_buffers()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestSharedPlans:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_instances_match_private_plans(self, seed):
+        # Same-structure models with different weights, freeze states
+        # and training flags share every plan; whatever order their
+        # calls interleave in, each must compute exactly what a plan
+        # compiled for it alone computes — outputs, losses, gradients,
+        # committed batch-norm buffers, bit for bit.
+        rng = np.random.default_rng(seed)
+
+        def student(s, freeze, training):
+            pair = []
+            for _ in range(2):
+                net = StudentNet(width=0.25, seed=s)
+                if freeze:
+                    partial_freeze(net)
+                net.train(training)
+                pair.append(net)
+            return pair
+
+        def teacher(s, training):
+            pair = [TeacherNet(width=8, seed=s) for _ in range(2)]
+            for net in pair:
+                net.train(training)
+            return pair
+
+        x1, x2 = (1, 3, *_HW), (2, 3, *_HW)
+        probe = StudentNet(width=0.25, seed=0)
+        feat_shapes = tuple(
+            f.shape for f in probe.engine_plan("front", (x1,)).run(np.zeros(x1, np.float32))
+        )
+        student_kinds = {
+            "forward": (x1,), "serve": (x2,), "front": (x1,),
+            "train_back": feat_shapes, "train_full": (x1,),
+        }
+        teacher_kinds = {"forward": (x1,), "serve": (x2,), "soft": (x1,)}
+        models = [
+            (*student(11, True, True), student_kinds),
+            (*student(12, False, False), student_kinds),
+            (*student(13, True, False), student_kinds),
+            (*student(14, False, True), student_kinds),
+            (*teacher(21, False), teacher_kinds),
+            (*teacher(22, True), teacher_kinds),
+        ]
+        private = {
+            (i, kind): _private_plan(twin, kind, shapes)
+            for i, (_, twin, kinds) in enumerate(models)
+            for kind, shapes in kinds.items()
+        }
+        # The sharing under test is real: one plan per (class, kind).
+        for kind, shapes in student_kinds.items():
+            shared = {id(m.engine_plan(kind, shapes)._plan) for m, _, k in models if k is student_kinds}
+            assert len(shared) == 1, kind
+
+        for _ in range(60):
+            i = int(rng.integers(len(models)))
+            model, twin, kinds = models[i]
+            kind = list(kinds)[int(rng.integers(len(kinds)))]
+            shapes = kinds[kind]
+            shared, own = model.engine_plan(kind, shapes), private[i, kind]
+            inputs = tuple(rng.normal(size=s).astype(np.float32) for s in shapes)
+            if kind.startswith("train"):
+                target = rng.integers(0, 9, size=(1, *_HW))
+                weight_map = rng.uniform(0.5, 2.0, size=(1, *_HW)).astype(np.float32)
+                for net in (model, twin):
+                    net.zero_grad()
+                if rng.integers(2):
+                    # The split protocol the trainer uses: a forward
+                    # for the metric, finished as the next step.
+                    got_logits = shared.forward_only(inputs).copy()
+                    assert got_logits.tobytes() == own.forward_only(inputs).tobytes()
+                    got = shared.finish_step(target, weight_map)
+                    want = own.finish_step(target, weight_map)
+                else:
+                    got = shared.run(inputs, target, weight_map)
+                    want = own.run(inputs, target, weight_map)
+                assert got == want
+                _assert_same_state(model, twin, grads=True)
+                for net in (model, twin):
+                    for p in net.trainable_parameters():
+                        if p.grad is not None:
+                            p.data -= np.float32(0.05) * p.grad
+            else:
+                got, want = shared.run(*inputs), own.run(*inputs)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), kind
+        for (model, twin, _), training in zip(
+            models, (True, False, False, True, False, True)
+        ):
+            _assert_same_state(model, twin, grads=False)
+            assert model.training is training  # never part of a plan
+
+    def test_stale_forward_does_not_survive_a_hand_over(self, rng):
+        a, b = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
+        x = rng.normal(size=(1, 3, *_HW)).astype(np.float32)
+        target = rng.integers(0, 9, size=(1, *_HW))
+        plan_a = a.engine_plan("train_full", (x.shape,))
+        plan_b = b.engine_plan("train_full", (x.shape,))
+        plan_a.forward_only((x,))
+        with pytest.raises(RuntimeError):
+            plan_b.finish_step(target, None)  # a's activations, not b's
+        plan_a.forward_only((x,))
+        plan_b.run((x,), target, None)
+        with pytest.raises(RuntimeError):
+            plan_a.finish_step(target, None)  # b ran in between
+        before = {n: buf.copy() for n, buf in a.named_buffers()}
+        plan_a.forward_only((x,))
+        plan_b.forward_only((x,))  # takes the plan; a's deferred stats go
+        plan_b.finish_step(target, None)
+        for name, buf in a.named_buffers():
+            assert buf.tobytes() == before[name].tobytes(), name
+
+    def test_adjoint_follows_the_owner_at_hand_over(self):
+        # A partial-mode and a full-mode student share "train_full";
+        # the schedule must be the owner's before any step runs.
+        full, part = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
+        partial_freeze(part)
+        shapes = ((1, 3, *_HW),)
+        plan_full = full.engine_plan("train_full", shapes)
+        plan_part = part.engine_plan("train_full", shapes)
+        n_full = len(plan_full.adjoint._steps)
+        assert n_full == plan_full.num_kernels + 1
+        assert len(plan_part.adjoint._steps) < n_full
+        assert len(plan_full.adjoint._steps) == n_full
+
+    def test_fresh_model_on_a_dead_models_address(self, rng):
+        # Regression: an owner identified by id() let a new student
+        # that landed on a dead student's address run (and train) the
+        # dead student's layers.
+        frame = rng.normal(size=(3, *_HW)).astype(np.float32)
+        first = StudentNet(width=0.25, seed=1)
+        first.predict(frame)
+        address = id(first)
+        del first
+        gc.collect()
+        for attempt in range(64):
+            fresh = StudentNet(width=0.25, seed=2 + attempt)
+            if id(fresh) == address:
+                break
+        with engine.disabled():
+            want = fresh.predict(frame)
+        np.testing.assert_array_equal(fresh.predict(frame), want)
+        plan = fresh.engine_plan("forward", ((1, 3, *_HW),))
+        assert plan.bound().sites[0].module is fresh.in1
+
+    def test_different_structures_never_share(self, rng):
+        x = rng.normal(size=(1, 3, *_HW)).astype(np.float32)
+        base = StudentNet(width=0.25, seed=1)
+        wider = StudentNet(width=0.5, seed=1)
+        running = StudentNet(width=0.25, seed=1)
+        for _, module in running.named_modules():
+            if isinstance(module, BatchNorm2d):
+                module.use_batch_stats_in_eval = False
+        unpadded = StudentNet(width=0.25, seed=1)
+        unpadded.out1.padding = (0, 0)
+        shapes = (x.shape,)
+        plans = [m.engine_plan("forward", shapes) for m in (base, wider, running)]
+        plans.append(base.engine_plan("forward", ((1, 3, 32, 24),)))
+        plans.append(base.engine_plan("front", shapes))
+        plans.append(unpadded.engine_plan("forward", shapes))
+        assert len({id(p._plan) for p in plans}) == len(plans)
+        twin = StudentNet(width=0.25, seed=9)
+        assert twin.engine_plan("forward", shapes)._plan is plans[0]._plan
+        for model in (base, wider, running, unpadded, twin):
+            model.eval()
+            (got,) = model.engine_plan("forward", shapes).run(x)
+            assert got.tobytes() == autograd_logits(model, x).tobytes()
+
+    def test_second_instance_traces_nothing(self, monkeypatch, fresh_plan_cache):
+        traces = []
+        capture = tracer.capture
+
+        def counting():
+            traces.append(1)
+            return capture()
+
+        monkeypatch.setattr(tracer, "capture", counting)
+        first, second = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
+        kinds = {
+            "forward": ((1, 3, *_HW),), "serve": ((2, 3, *_HW),),
+            "front": ((1, 3, *_HW),), "train_full": ((1, 3, *_HW),),
+        }
+        for kind, shapes in kinds.items():
+            assert first.engine_plan(kind, shapes) is not None
+        assert len(traces) == len(kinds)
+        for kind, shapes in kinds.items():
+            assert second.engine_plan(kind, shapes) is not None
+        second.invalidate_plans()
+        assert second.engine_plan("forward", kinds["forward"]) is not None
+        assert len(traces) == len(kinds)
+
+    def test_dropped_models_are_not_kept_alive(self, rng):
+        x = rng.normal(size=(1, 3, *_HW)).astype(np.float32)
+        target = rng.integers(0, 9, size=(1, *_HW))
+        models = [StudentNet(width=0.25, seed=s) for s in (1, 2)]
+        models.append(TeacherNet(width=8, seed=3))
+        watched = []
+        for model in models:
+            model.engine_plan("forward", (x.shape,)).run(x)
+            if isinstance(model, StudentNet):
+                model.engine_plan("train_full", (x.shape,)).run((x,), target, None)
+            watched += [weakref.ref(m) for _, m in model.named_modules()]
+            watched += [weakref.ref(p) for p in model.parameters()]
+        models[0].invalidate_plans()
+        del model, models
+        gc.collect()
+        assert not [ref for ref in watched if ref() is not None]
+
+    def test_cache_counters_when_armed(self, fresh_plan_cache, rng):
+        import importlib.util
+        import pathlib
+
+        from repro import obs
+
+        spec = importlib.util.spec_from_file_location(
+            "obs_report",
+            pathlib.Path(__file__).resolve().parent.parent / "scripts" / "obs_report.py",
+        )
+        obs_report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(obs_report)
+
+        frame = rng.normal(size=(3, *_HW)).astype(np.float32)
+        a, b = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
+        obs.arm(metrics=True)
+        try:
+            for model in (a, b, a, a, b):
+                model.predict(frame)
+            counters = obs.snapshot()["counters"]
+            row = obs_report.format_plan_cache_row(obs.snapshot())
+        finally:
+            obs.disarm()
+        assert counters["engine.plan_cache.miss"] == 1
+        assert counters["engine.plan_cache.hit"] == 1
+        assert counters["engine.plan_cache.rebind"] == 4  # a b a (a) b
+        assert row == (
+            "engine plan cache: 1 compiled, 1 reused (50% of 2 requests), "
+            "4 hand-overs"
+        )
+        assert obs_report.format_plan_cache_row({}) == ""

@@ -143,7 +143,7 @@ class TestThreeConsumerSchedulePin:
         assert len(steps) == plan.num_kernels + 1
         inner = [s._inner for s in steps[1:]]
         assert len(set(map(id, inner))) == len(inner)
-        assert set(map(id, inner)) == set(map(id, plan._steps))
+        assert set(map(id, inner)) == set(map(id, plan.bound()._steps))
 
     def test_schedule_is_not_reversed_lowering_order(self, train_step):
         # The whole point of the generator: autograd's traversal is NOT
@@ -152,7 +152,7 @@ class TestThreeConsumerSchedulePin:
         # sums are being reordered silently.
         _, plan = train_step
         adjoint_order = [id(s._inner) for s in plan.adjoint._steps[1:]]
-        reversed_order = [id(s) for s in reversed(plan._steps)]
+        reversed_order = [id(s) for s in reversed(plan.bound()._steps)]
         assert adjoint_order != reversed_order
 
     @pytest.mark.parametrize("skip", ["s1", "s2"])
@@ -165,7 +165,7 @@ class TestThreeConsumerSchedulePin:
         block = student.sb2 if skip == "s1" else student.sb3
         # concat([s5, s1]) is the later of the two concats in trace
         # order; concat([s4, s2]) the earlier.
-        concat_steps = [s for s in plan._steps if type(s).__name__ == "ConcatStep"]
+        concat_steps = [s for s in plan.bound()._steps if type(s).__name__ == "ConcatStep"]
         assert len(concat_steps) == 2
         concat_inner = concat_steps[1] if skip == "s1" else concat_steps[0]
 
