@@ -7,10 +7,7 @@ pipe server process, on the broadcast frame workload — with per-session
 ``RunStats`` bit-identical across both paths.  ISSUE 5 adds the churn
 variant: the same floor must hold when the server starts with an empty
 blueprint table and every session is negotiated over the wire (ADMIT),
-i.e. dynamic admission must not eat the multiplexing win.  ISSUE 7
-adds the batching floor: with the neural teacher, the batched
-gather → batch → scatter sweep must beat the same mux serving key
-frames inline (the in-record unbatched A/B) by >= 1.2x at N = 4.
+i.e. dynamic admission must not eat the multiplexing win.
 Regenerate manually with::
 
     PYTHONPATH=src python scripts/bench_perf.py --serve-many 4
@@ -44,6 +41,14 @@ def test_multiplexed_beats_dedicated_pipe_servers(results_sink):
     # sessions are observably the same sessions.
     assert record["bit_identical"]
     assert record["multiplexed"]["server_processes"] == 1
+    # The broadcast population's duplicate key frames are labelled and
+    # distilled once each, by digest, with no wait for co-arrival.
+    counters = record["multiplexed"]["serve_counters"]
+    assert record["protocol"]["teacher"] == "neural"
+    assert counters["label_hits"] > 0 and counters["hits"] > 0
+    assert counters["key_frames"] == (
+        counters["label_hits"] + counters["label_misses"]
+    )
     # The acceptance floor (ISSUE 4): >= 2x over N dedicated pipe
     # servers.  Measured ~2.5x at N=4 and ~2.8x at N=6 quiet on a
     # single core (the win is cross-process shared distillation;
@@ -69,40 +74,4 @@ def test_wire_admitted_sessions_keep_the_floor(results_sink):
     assert record["churn"] is True
     assert record["multiplexed"]["server_processes"] == 1
     assert record["speedup"] >= 2.0
-    append_record(record)
-
-
-@pytest.mark.benchmark(group="perf_serve_many")
-def test_batched_sweeps_beat_unbatched_mux(results_sink):
-    """The ISSUE-7 batching floor, at the recorded N = 4: one batched
-    cohort serve (duplicates pseudo-labelled once, distinct frames
-    stacked through one per-sample-statistics teacher forward) must
-    beat the same multiplexed deployment serving key frames inline,
-    >= 1.2x with the neural teacher — and stay bit-identical to both
-    the unbatched mux and the dedicated baseline."""
-    record = measure_serve_many_throughput(num_clients=4)
-    if record["batch_speedup"] < 1.2:
-        # One remeasure on a marginal miss, same discipline as the
-        # storm bench's recovery passes: a heavyweight mid-suite pytest
-        # process can contend a sweep into straggling past the gather
-        # window (measured 1.34-1.47x quiet, 1.18x observed mid-suite
-        # once); correctness assertions below still run on the final
-        # record either way.
-        record = measure_serve_many_throughput(num_clients=4)
-    text = format_serve_many_record(record)
-    print(text)
-    results_sink(text)
-
-    assert record["bit_identical"]
-    assert record["protocol"]["teacher"] == "neural"
-    assert record["multiplexed_unbatched"]["bit_identical_to_batched"]
-    # The runtime's route counters must surface through the report
-    # pipe and obey the batching invariant.
-    counters = record["multiplexed"]["serve_counters"]
-    assert counters["predicts"] == (
-        counters["batched_frames"] + counters["deduped_frames"]
-        + counters["single_frames"]
-    )
-    assert counters["cohorts"] >= 1
-    assert record["batch_speedup"] >= 1.2
     append_record(record)

@@ -12,7 +12,7 @@ Usage::
         [--width 0.5] [--category fixed-animals] [--output BENCH_PERF.json]
 
 ``--pool N`` switches to the multi-session serving benchmark instead:
-N sessions of one stream served by the cooperative pool (batched
+N sessions of one stream served by the cooperative pool (deduplicated
 predicts + memoised distillation) against the same N sessions run
 sequentially, recording pooled frames/sec, the amortisation route
 counters, and the bit-identity check.
@@ -26,17 +26,16 @@ RunStats verified bit-identical across the two paths.  Adding
 starts with an empty blueprint table and every client negotiates its
 session over the wire (ADMIT), so the recorded speedup includes the
 full wire-negotiated admission cost.  The blueprinted variant runs a
-neural teacher by default and also measures the unbatched mux as an
-in-record A/B (``batch_speedup``); ``--no-batch`` serves key frames
-inline per connection (the PR-6 path) instead.
+neural teacher by default; the record's ``serve_counters`` show the
+shared memo labelling and distilling duplicate key frames once.
 
 ``--fleet K`` benchmarks the sharded server fleet: K runtime processes
-behind one SO_REUSEPORT front door serving two paced tenant groups
-with incompatible key-frame cadences, against ONE multiplexed runtime
-serving the same 8 clients — per-session RunStats bit-identical, the
-speedup floor-enforced >= 1.4x by ``benchmarks/test_perf_fleet.py``.
-On a single core the number measures tenant isolation (placement keeps
-each shard's gather cohorts homogeneous), not parallelism.
+behind one SO_REUSEPORT front door serving two unpaced tenant groups
+with nothing to share, against ONE multiplexed runtime serving the
+same 8 clients — per-session RunStats bit-identical, five alternating
+legs each, the ratio of medians floor-enforced >= 0.8x by
+``benchmarks/test_perf_fleet.py`` (placement plus a second server core
+on a box whose cores the 8 client processes already fill).
 
 ``--train`` benchmarks the full-mode compiled train step: the same
 key-frame distillation loop run through interpreted autograd and then
@@ -46,7 +45,7 @@ per-step latency ratio (floor-enforced >= 1.5x by
 of the two legs.
 
 ``--plan-cache`` records what a session open costs the engine in
-absolute milliseconds: a cold compile of the four plan kinds a
+absolute milliseconds: a cold compile of the plan kinds a
 partial-distillation session touches against a hand-over of the
 process-wide shared plans to a second instance, with the machine
 fingerprint.
@@ -131,12 +130,6 @@ def main() -> int:
                         help="with --serve-many: start the server with no "
                              "blueprints and have every client negotiate "
                              "its session over the wire (dynamic admission)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="with --serve-many: serve key frames inline "
-                             "per connection (the PR-6 path) instead of "
-                             "gathering each sweep's key frames into one "
-                             "batched teacher inference; also skips the "
-                             "in-record unbatched A/B")
     parser.add_argument("--serve-teacher", default="neural",
                         choices=("neural", "oracle"),
                         help="teacher for the blueprinted --serve-many "
@@ -147,7 +140,7 @@ def main() -> int:
     parser.add_argument("--fleet", type=int, default=None, metavar="K",
                         help="benchmark K fleet shards behind one front "
                              "door vs one multiplexed runtime on the "
-                             "two-tenant paced workload (8 clients)")
+                             "two-tenant workload (8 clients)")
     parser.add_argument("--storm", default=None, metavar="NAME",
                         choices=("churn-storm", "thundering-herd",
                                  "slow-loris", "scene-cut-burst"),
@@ -234,7 +227,6 @@ def main() -> int:
             pretrain_steps=args.pretrain_steps,
             transport=args.serve_transport,
             pr=args.pr,
-            batch=not args.no_batch,
         )
         if args.churn:
             record = measure_serve_many_churn(**kwargs)

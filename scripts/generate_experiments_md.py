@@ -419,7 +419,7 @@ def section_serving():
             f2(rec["sequential"]["frames_per_s"]),
             f2(rec["pool"]["frames_per_s"]),
             f2(rec["speedup"]),
-            counters.get("deduped_frames", 0) + counters.get("batched_frames", 0),
+            counters.get("deduped_frames", 0),
             counters.get("distill_hits", 0),
             "yes" if rec["pool_bit_identical"] else "NO",
         ])

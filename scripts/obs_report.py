@@ -162,7 +162,8 @@ def format_fleet_table(artifacts) -> str:
         ("placed", "fleet.placed"),
         ("redirected", "fleet.redirects"),
         ("admitted", "admission.accepted"),
-        ("cohorts", "serve.cohorts"),
+        ("key frames", "serve.key_frames"),
+        ("memo hits", "serve.memo.hits"),
     )
     rows = [("shard", *(label for label, _ in columns))]
     totals = [0] * len(columns)

@@ -99,8 +99,13 @@ def main() -> int:
         assert report["exit_reason"] == "quiesced", report["exit_reason"]
         snapshot = report.get("metrics")
         assert snapshot, "armed server report carries no metrics snapshot"
-        cohorts = snapshot["counters"].get("serve.cohorts", 0)
-        assert cohorts >= 1, f"server counted {cohorts} cohorts"
+        counters = snapshot["counters"]
+        key_frames = counters.get("serve.key_frames", 0)
+        assert key_frames >= 1, f"server counted {key_frames} key frames"
+        memo = counters.get("serve.memo.hits", 0) + counters.get("serve.memo.misses", 0)
+        assert memo == key_frames, (
+            f"memo saw {memo} of {key_frames} key frames"
+        )
         assert snapshot["histograms"].get("sweep.duration_s", {}).get("count", 0) > 0, (
             "no sweep duration observations in the armed server snapshot"
         )

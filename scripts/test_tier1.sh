@@ -38,7 +38,7 @@ timeout 300 python scripts/smoke_obs.py
 # ROADMAP.md) and the issue text itself.
 if grep -rn "REPRO_ENGINE_FULL" . \
     --exclude-dir=.git --exclude-dir=.hypothesis \
-    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: REPRO_ENGINE_FULL escape hatch reintroduced" >&2
   exit 1
@@ -50,9 +50,25 @@ fi
 if grep -rnIE "REPRO_[A-Z_]*PLAN|weight_static" . \
     --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
     --exclude-dir=raw \
-    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: plan-cache escape hatch or weight_static reintroduced" >&2
+  exit 1
+fi
+# Same rule for the co-arrival serving layer (ISSUE 13): key frames
+# are served inline and deduplicated by digest, unconditionally — the
+# gather window, the cohort server, the stacked n > 1 serve plans and
+# the switches that selected them must not come back.  Word-bounded so
+# video/codec.py's raw_bits_per_sample stays legal; bench/ is frozen
+# (its README and probes describe the tree it was written against)
+# and BENCH_PERF.json is the historical record (old fleet records name
+# the window they were measured under).
+if grep -rnIE "gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: co-arrival serving path (gather window / cohort / stacked serve) reintroduced" >&2
   exit 1
 fi
 # Docs smoke (ISSUE 5): the protocol spec cannot drift from wire.py

@@ -74,14 +74,9 @@ def build_steps(
     inputs: Tuple[Tensor, ...],
     outputs: Tuple[Tensor, ...],
     training: bool,
-    per_sample_stats: bool = False,
     with_lowering: bool = False,
 ) -> tuple:
     """Lower trace records to kernel steps.
-
-    ``per_sample_stats`` builds batch-norm steps that compute their
-    batch statistics per sample (the multi-session serving semantics;
-    see :class:`~repro.engine.kernels.BatchNormStep`).
 
     Returns ``(steps, slot_shapes, input_slots, output_slots)``; with
     ``with_lowering`` a fifth element is appended: the record-to-step
@@ -145,12 +140,11 @@ def build_steps(
             if isinstance(module, Conv2d):
                 step = ConvStep(
                     module, in_slots[0], len(shapes), shapes[in_slots[0]],
-                    fuse_relu, training, per_sample=per_sample_stats,
+                    fuse_relu, training,
                 )
             elif isinstance(module, BatchNorm2d):
                 step = BatchNormStep(
                     module, in_slots[0], len(shapes), shapes[in_slots[0]], training,
-                    per_sample=per_sample_stats,
                 )
             else:
                 raise UntraceableError(
@@ -274,18 +268,9 @@ class CompiledPlan:
 
 
 def compile_plan(
-    fn: Callable,
-    example_inputs: Sequence[np.ndarray],
-    per_sample_stats: bool = False,
+    fn: Callable, example_inputs: Sequence[np.ndarray]
 ) -> CompiledPlan:
     """Compile ``fn`` (a model forward) for the example inputs' geometry.
-
-    ``per_sample_stats`` selects per-sample batch-norm statistics: the
-    serving layer uses it to compile *batched* plans (one ``n > 1``
-    forward over frames stacked from independent client sessions) whose
-    per-sample outputs are bit-identical to each session's own ``n = 1``
-    plan.  Callers cache batched and per-session plans under distinct
-    keys (plan kind + input shapes), so both coexist on one module.
 
     This is the one place a trace happens: :mod:`repro.engine.plan_cache`
     calls it (through this module, at call time) once per structural
@@ -295,6 +280,6 @@ def compile_plan(
     """
     records, inputs, outputs = trace_forward(fn, example_inputs)
     steps, shapes, input_slots, output_slots = build_steps(
-        records, inputs, outputs, training=False, per_sample_stats=per_sample_stats
+        records, inputs, outputs, training=False
     )
     return CompiledPlan(steps, shapes, input_slots, output_slots)

@@ -31,7 +31,6 @@ instance of the same architecture (:mod:`repro.engine.plan_cache`).
 
 from __future__ import annotations
 
-import functools
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -56,45 +55,8 @@ def _set_grad(param, value: np.ndarray) -> None:
         param.grad += value
 
 
-@functools.lru_cache(maxsize=None)
-def wide_gemm_column_stable(oc: int, K: int, n: int, L: int) -> bool:
-    """Whether one ``(oc, K) @ (K, n*L)`` GEMM equals ``n`` per-sample
-    ``(oc, K) @ (K, L)`` GEMMs bitwise.
-
-    BLAS dispatches on shapes, so one probe with deterministic data
-    settles the geometry for all inputs — and for the whole process:
-    the student's repeated blocks share a handful of GEMM geometries,
-    so the verdict is memoised on the shape alone.
-    """
-    rng = np.random.default_rng(0)
-    w = rng.uniform(-1.0, 1.0, (oc, K)).astype(np.float32)
-    cols = rng.uniform(-1.0, 1.0, (K, n * L)).astype(np.float32)
-    wide = np.empty((oc, n * L), np.float32)
-    np.dot(w, cols, out=wide)
-    narrow = np.empty((oc, L), np.float32)
-    b = np.empty((K, L), np.float32)
-    for i in range(n):
-        lo = i * L
-        np.copyto(b, cols[:, lo : lo + L])
-        np.dot(w, b, out=narrow)
-        if not np.array_equal(wide[:, lo : lo + L], narrow):
-            return False
-    return True
-
-
 class ConvStep:
-    """conv2d [+ bias] [+ fused ReLU] via cached-index gather and GEMM.
-
-    ``per_sample`` (serving plans) guarantees that every sample of an
-    ``n > 1`` batch gets bit-identical output to the ``n = 1`` plan's
-    GEMM on that sample alone.  BLAS picks its kernel from the operand
-    shapes, so per-column equality of the wide batched GEMM is a
-    property of the geometry, not the data: the constructor asks
-    :func:`wide_gemm_column_stable` and keeps the single wide GEMM when
-    stable, otherwise runs one narrow GEMM per sample through
-    contiguous scratch (exactly the ``n = 1`` call) and scatters the
-    results.
-    """
+    """conv2d [+ bias] [+ fused ReLU] via cached-index gather and GEMM."""
 
     def __init__(
         self,
@@ -104,7 +66,6 @@ class ConvStep:
         in_shape: Sequence[int],
         fuse_relu: bool,
         training: bool,
-        per_sample: bool = False,
     ) -> None:
         n, c, h, w = in_shape
         kh, kw = module.kernel_size
@@ -180,13 +141,6 @@ class ConvStep:
             else self._out_mat.reshape(self.oc, n, self.oh, self.ow).transpose(1, 0, 2, 3)
         )
         self._saved_cols: Optional[np.ndarray] = None
-        self._gemm_per_sample = False
-        if per_sample and n > 1 and not wide_gemm_column_stable(
-            self.oc, self.K, n, self.L
-        ):
-            self._gemm_per_sample = True
-            self._b_scratch = np.empty((self.K, self.L), np.float32)
-            self._o_scratch = np.empty((self.oc, self.L), np.float32)
         if training:
             self._mask = np.empty(self.out_shape, bool) if fuse_relu else None
             self._gpre = np.empty(self.out_shape, np.float32) if fuse_relu else None
@@ -255,14 +209,7 @@ class ConvStep:
         cols = self._gather(env[self.in_slot])
         self._saved_cols = cols
         w_mat = self.module.weight.data.reshape(self.oc, self.K)
-        if self._gemm_per_sample:
-            for i in range(self.n):
-                lo = i * self.L
-                np.copyto(self._b_scratch, cols[:, lo : lo + self.L])
-                np.dot(w_mat, self._b_scratch, out=self._o_scratch)
-                self._out_mat[:, lo : lo + self.L] = self._o_scratch
-        else:
-            np.dot(w_mat, cols, out=self._out_mat)
+        np.dot(w_mat, cols, out=self._out_mat)
         bias = self.module.bias
         if bias is not None:
             self._out_mat += bias.data[:, None]
@@ -327,35 +274,20 @@ class BatchNormStep:
     with ``use_batch_stats_in_eval`` (the ShadowTutor student always is)
     and otherwise fold the running statistics — re-read per call, so a
     state-dict load needs no recompile.
-
-    ``per_sample`` selects the multi-session serving semantics: batch
-    statistics are computed per *sample* rather than across the whole
-    batch, so a plan over n stacked frames from n independent client
-    sessions normalises each frame exactly as that client's own n = 1
-    plan would.  Each sample's channel planes are contiguous in both
-    layouts, so the per-plane pairwise reductions match bit for bit —
-    the batched-serving equivalence tests pin this down.
     """
 
-    def __init__(
-        self, module, in_slot, out_slot, in_shape, training: bool,
-        per_sample: bool = False,
-    ) -> None:
+    def __init__(self, module, in_slot, out_slot, in_shape, training: bool) -> None:
         n, c, h, w = in_shape
         if c != module.num_features:
             raise UntraceableError(
                 f"batchnorm expects {module.num_features} channels, got {c}"
             )
-        if per_sample and training:
-            raise UntraceableError("per-sample batchnorm is inference-only")
         self.module = module
         self.in_slot, self.out_slot = in_slot, out_slot
-        self.n = n
         self.c = c
         self.n_elem = n * h * w
         self.out_shape = tuple(in_shape)
         self._training = training
-        self._per_sample = per_sample and n > 1
         self._xhat = np.empty(self.out_shape, np.float32)
         self.out = np.empty(self.out_shape, np.float32)
         self._inv_std: Optional[np.ndarray] = None
@@ -364,9 +296,6 @@ class BatchNormStep:
         #: post-update metric leaves no trace, exactly like the seed
         #: loop's separate eval predict).
         self._pending_stats: Optional[tuple] = None
-        if self._per_sample:
-            self._mean_ns = np.empty((n, c, 1, 1), np.float32)
-            self._var_ns = np.empty((n, c, 1, 1), np.float32)
         if training:
             self._tmp = np.empty(self.out_shape, np.float32)
             self._tmp2 = np.empty(self.out_shape, np.float32)
@@ -375,25 +304,16 @@ class BatchNormStep:
         m = self.module
         x = env[self.in_slot]
         c = self.c
-        if self._per_sample and m.use_batch_stats_in_eval:
-            # One reduction per sample over its contiguous channel
-            # planes — bit-identical to each frame's own n = 1 forward.
-            for i in range(self.n):
-                self._mean_ns[i, :, 0, 0] = x[i].mean(axis=(1, 2))
-                self._var_ns[i, :, 0, 0] = x[i].var(axis=(1, 2))
-            mean_b: np.ndarray = self._mean_ns
-            var_b: np.ndarray = self._var_ns
+        if self._training or m.use_batch_stats_in_eval:
+            mean = x.mean(axis=(0, 2, 3))
+            var = x.var(axis=(0, 2, 3))
+            if self._training:
+                self._pending_stats = (mean, var)
         else:
-            if self._training or m.use_batch_stats_in_eval:
-                mean = x.mean(axis=(0, 2, 3))
-                var = x.var(axis=(0, 2, 3))
-                if self._training:
-                    self._pending_stats = (mean, var)
-            else:
-                mean = m.running_mean
-                var = m.running_var
-            mean_b = mean.reshape(1, c, 1, 1)
-            var_b = var.reshape(1, c, 1, 1)
+            mean = m.running_mean
+            var = m.running_var
+        mean_b = mean.reshape(1, c, 1, 1)
+        var_b = var.reshape(1, c, 1, 1)
         inv_std = 1.0 / np.sqrt(var_b + m.eps)
         np.subtract(x, mean_b, out=self._xhat)
         self._xhat *= inv_std

@@ -104,11 +104,6 @@ def _compile(root, fn, kind: str, shapes) -> Optional[Tuple[object, Tuple[str, .
         # test that wraps them counts every real compile.
         if kind.startswith("train"):
             plan = training.CompiledTrainStep(fn, examples)
-        elif kind.endswith("serve"):
-            # "serve", "soft_serve", ...: multi-sample plans whose
-            # per-sample batch-norm statistics keep every sample in an
-            # n > 1 run bit-identical to its own n = 1 run.
-            plan = compiler.compile_plan(fn, examples, per_sample_stats=True)
         else:
             plan = compiler.compile_plan(fn, examples)
         path_of = {id(module): path for path, module in root.named_modules()}

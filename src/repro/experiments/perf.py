@@ -444,16 +444,15 @@ def measure_plan_cache(
     """What a session open costs the engine, in absolute milliseconds.
 
     For each plan kind a partial-distillation session touches
-    (``forward`` n=1, ``serve`` n=4, ``front``, ``train_back``) at the
-    bench geometry: a **cold** ``engine_plan`` on an empty process-wide
-    cache (trace, kernel build, scratch allocation, GEMM stability
-    probes — what every session paid before plans were shared) against
+    (``forward``, ``front``, ``train_back``) at the bench geometry: a
+    **cold** ``engine_plan`` on an empty process-wide cache (trace,
+    kernel build, scratch allocation — what every session paid before
+    plans were shared) against
     a **hand-over** — a second same-architecture instance's
     ``engine_plan`` plus the rebind its first call performs.  Every
     sample is kept; the headline is the ratio of the summed medians.
     """
     from repro.engine import plan_cache
-    from repro.engine.kernels import wide_gemm_column_stable
     from repro.models.student import StudentNet, partial_freeze
 
     h, w = _FRAME_HW
@@ -466,7 +465,6 @@ def measure_plan_cache(
     )
     kinds = {
         "forward": (frame,),
-        "serve": ((4, 3, h, w),),
         "front": (frame,),
         "train_back": feats,
     }
@@ -474,7 +472,6 @@ def measure_plan_cache(
     warm: Dict[str, List[float]] = {kind: [] for kind in kinds}
     for rep in range(repeats):
         plan_cache.clear()
-        wide_gemm_column_stable.cache_clear()
         first = StudentNet(width=width, seed=2 * rep)
         second = StudentNet(width=width, seed=2 * rep + 1)
         for student in (first, second):
@@ -534,7 +531,7 @@ def format_plan_cache_record(record: Dict) -> str:
             f"   hand-over {warm[kind]['median_ms']:7.3f}"
         )
     lines.append(
-        f"  {'all four':<10} cold compile {cold['total_median_ms']:9.2f}"
+        f"  {'all':<10} cold compile {cold['total_median_ms']:9.2f}"
         f"   hand-over {warm['total_median_ms']:7.3f}"
         f"   ({record['speedup']}x)"
     )
@@ -558,8 +555,7 @@ def measure_pool_throughput(
     ``num_sessions`` clients watch the *same* pre-rendered stream — the
     broadcast case the pool is built to amortise: key-frame distillation
     is memoised across sessions and non-key-frame predicts are served
-    once per distinct (weights, frame) pair, with the batched ``n > 1``
-    engine plan covering groups of distinct frames.  The baseline is the
+    once per distinct (weights, frame) pair.  The baseline is the
     same ``num_sessions`` sessions run sequentially, one full
     single-session run each.  Per-session results are verified
     bit-identical between the two paths and recorded in the output.
@@ -757,7 +753,6 @@ def _serve_many_benchmark(
     frame_hw: Tuple[int, int],
     pr: Optional[str],
     churn: bool,
-    batch: bool = True,
     teacher: str = "neural",
 ) -> Dict:
     """Shared core of the serve-many benchmarks.
@@ -773,12 +768,9 @@ def _serve_many_benchmark(
     identical and the trajectory stays comparable.
 
     ``teacher`` selects the server's teacher (``"neural"`` puts real
-    per-key-frame GEMMs on the serve path — the cost sweep batching
-    amortises; ``"oracle"`` is the label-function stand-in earlier PRs
-    benched).  ``batch`` arms/disarms the runtime's gather → batch →
-    scatter sweep; the blueprinted variant with ``batch=True``
-    additionally measures the *unbatched* mux as an in-record A/B
-    (``multiplexed_unbatched``/``batch_speedup`` — the ISSUE-7 floor).
+    per-key-frame GEMMs on the serve path — the cost the shared label
+    memo pays once per distinct frame; ``"oracle"`` is the
+    label-function stand-in earlier PRs benched).
     Churn is oracle-only: the ADMIT wire frame cannot describe a
     neural teacher.
     """
@@ -829,7 +821,7 @@ def _serve_many_benchmark(
                 client.server.close()
         return time.perf_counter() - start, stats
 
-    def run_multiplexed(batch_sweeps: bool) -> Tuple[float, list, Optional[Dict]]:
+    def run_multiplexed() -> Tuple[float, list, Optional[Dict]]:
         blueprints = (
             [] if churn else
             [SessionBlueprint(config, frame_hw) for _ in range(num_clients)]
@@ -837,7 +829,7 @@ def _serve_many_benchmark(
         start = time.perf_counter()
         handle = start_server(
             blueprints, transport=transport, n_clients=num_clients,
-            idle_timeout_s=120.0, batch=batch_sweeps,
+            idle_timeout_s=120.0,
         )
         try:
             if churn:
@@ -859,7 +851,7 @@ def _serve_many_benchmark(
         return wall, stats, report.get("serve_counters")
 
     dedicated_wall, dedicated_stats = run_dedicated()
-    mux_wall, mux_stats, mux_counters = run_multiplexed(batch)
+    mux_wall, mux_stats, mux_counters = run_multiplexed()
 
     identical = all(
         a.signature(include_label=False) == b.signature(include_label=False)
@@ -876,7 +868,6 @@ def _serve_many_benchmark(
         "pretrain_steps": pretrain_steps,
         "transport": transport,
         "teacher": teacher,
-        "batch": batch,
     }
     record = {
         **record_meta("serve-many-churn" if churn else "serve-many", pr),
@@ -906,22 +897,6 @@ def _serve_many_benchmark(
     if churn:
         record["churn"] = True
         protocol["admission"] = "wire-negotiated (empty blueprint table)"
-    if batch and not churn:
-        # In-record A/B: the same mux deployment with sweep batching
-        # off — the PR-6 serve-inline path — so every record carries
-        # its own batching headline (floor-enforced >= 1.2x at N=4).
-        unbatched_wall, unbatched_stats, _ = run_multiplexed(False)
-        identical_unbatched = all(
-            a.signature(include_label=False) == b.signature(include_label=False)
-            for a, b in zip(unbatched_stats, mux_stats)
-        )
-        record["multiplexed_unbatched"] = {
-            "wall_time_s": round(unbatched_wall, 3),
-            "frames_per_s": round(total_frames / unbatched_wall, 3),
-            "bit_identical_to_batched": identical_unbatched,
-        }
-        record["batch_speedup"] = round(unbatched_wall / mux_wall, 3)
-        record["bit_identical"] = identical and identical_unbatched
     return record
 
 
@@ -934,7 +909,6 @@ def measure_serve_many_throughput(
     transport: str = "shm",
     frame_hw: Tuple[int, int] = _FRAME_HW,
     pr: Optional[str] = None,
-    batch: bool = True,
     teacher: str = "neural",
 ) -> Dict:
     """Benchmark multiplexed serving against dedicated server processes.
@@ -965,14 +939,14 @@ def measure_serve_many_throughput(
     ``benchmarks/test_perf_serve_many.py``.
 
     By default the teacher is the neural :class:`~repro.models.teacher.
-    TeacherNet` (real per-key-frame GEMMs — the serve cost ISSUE-7's
-    sweep batching amortises) and ``batch=True`` additionally runs the
-    unbatched mux, recording the in-record ``batch_speedup`` A/B
-    (floor-enforced at >= 1.2x for N = 4).
+    TeacherNet` (real per-key-frame GEMMs): the broadcast population's
+    duplicate key frames are labelled and distilled once through the
+    shared memo, which the record's ``serve_counters`` show
+    (``label_hits`` / ``hits``).
     """
     return _serve_many_benchmark(
         num_clients, num_frames, width, category, pretrain_steps,
-        transport, frame_hw, pr, churn=False, batch=batch, teacher=teacher,
+        transport, frame_hw, pr, churn=False, teacher=teacher,
     )
 
 
@@ -985,7 +959,6 @@ def measure_serve_many_churn(
     transport: str = "shm",
     frame_hw: Tuple[int, int] = _FRAME_HW,
     pr: Optional[str] = None,
-    batch: bool = True,
 ) -> Dict:
     """Benchmark *dynamically admitted* serving against dedicated servers.
 
@@ -1003,13 +976,11 @@ def measure_serve_many_churn(
 
     The teacher stays the oracle: the ADMIT wire frame (v4) carries
     only the oracle's noise field, so a wire-negotiated session cannot
-    describe a neural teacher.  No unbatched A/B either — churn records
-    measure admission cost, not batching; ``batch`` still selects which
-    runtime path serves the measured run.
+    describe a neural teacher.
     """
     return _serve_many_benchmark(
         num_clients, num_frames, width, category, pretrain_steps,
-        transport, frame_hw, pr, churn=True, batch=batch, teacher="oracle",
+        transport, frame_hw, pr, churn=True, teacher="oracle",
     )
 
 
@@ -1379,104 +1350,8 @@ def format_storm_record(record: Dict) -> str:
 # ----------------------------------------------------------------------
 # Fleet benchmark: K shards behind one front door vs one runtime
 # ----------------------------------------------------------------------
-def _paced_client_main(address, config, frame_hw, video_key, num_frames,
-                       label, interval_s, result_conn) -> None:
-    """Client process whose frame source is wall-clock paced.
-
-    Identical to :func:`repro.serving.runtime._client_process_main`
-    except the video generator sleeps ``interval_s`` before yielding
-    each frame — a camera delivering frames at a real cadence instead
-    of a tight loop.  Because the client dispatches key frames
-    synchronously, any time the *server* spends holding its key reply
-    (a gather window waiting on another tenant's cohort) lands directly
-    on this client's wall clock — which is exactly the head-of-line
-    cost the fleet bench measures.
-    """
-    import dataclasses as _dc
-    import os
-
-    from repro import obs
-    from repro.serving.runtime import AdmissionError
-    from repro.video.dataset import CATEGORY_BY_KEY
-
-    obs.arm_from_env(source=f"client-{os.getpid()}")
-    try:
-        config = _dc.replace(config, attach=address)
-        client = build_session(config, frame_hw)
-        try:
-            video = make_category_video(
-                CATEGORY_BY_KEY[video_key], height=frame_hw[0],
-                width=frame_hw[1],
-            )
-            video.reset()
-
-            def paced():
-                for frame in video.frames(num_frames):
-                    time.sleep(interval_s)
-                    yield frame
-
-            with obs.span("client_session", label=label, frames=num_frames):
-                stats = client.run(paced(), label=label)
-        finally:
-            client.server.close()
-        result_conn.send(("ok", stats))
-    except AdmissionError as exc:
-        result_conn.send(("rejected", (exc.reason, exc.retry_after)))
-    except BaseException as exc:  # surfaced in the parent, not swallowed
-        try:
-            result_conn.send(("error", repr(exc)))
-        finally:
-            raise
-    finally:
-        obs.export_artifacts()
-        result_conn.close()
-
-
-def _run_paced_clients(handle, jobs, timeout_s: float = 300.0) -> list:
-    """Run one paced client process per job against ``handle``.
-
-    ``jobs`` is a list of ``(config, frame_hw, video_key, num_frames,
-    label, interval_s)`` tuples, one per connection slot in order;
-    ``handle`` is either a :class:`~repro.serving.runtime.ServerHandle`
-    or a :class:`~repro.serving.fleet.FleetHandle` (both expose
-    ``admit_address``).  Returns the per-job ``RunStats`` list.
-    """
-    import multiprocessing as mp
-
-    workers = []
-    for slot, (config, frame_hw, video_key, num_frames, label,
-               interval_s) in enumerate(jobs):
-        parent_conn, child_conn = mp.Pipe(duplex=False)
-        address = handle.admit_address(slot)
-        proc = mp.Process(
-            target=_paced_client_main,
-            args=(address, config, frame_hw, video_key, num_frames,
-                  label, interval_s, child_conn),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        workers.append((proc, parent_conn))
-
-    results = []
-    deadline = time.monotonic() + timeout_s
-    try:
-        for slot, (proc, conn) in enumerate(workers):
-            budget = max(0.0, deadline - time.monotonic())
-            if not conn.poll(budget):
-                raise TimeoutError(f"paced client {slot} produced no result")
-            status, payload = conn.recv()
-            if status != "ok":
-                raise RuntimeError(f"paced client {slot} failed: {payload}")
-            results.append(payload)
-    finally:
-        for proc, conn in workers:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            conn.close()
-    return results
+#: Alternating (single runtime, fleet) leg pairs per fleet record.
+_FLEET_LEGS = 5
 
 
 def measure_fleet_throughput(
@@ -1486,32 +1361,35 @@ def measure_fleet_throughput(
     category: str = "fixed-people",
     pretrain_steps: int = 10,
     frame_hw: Tuple[int, int] = (24, 32),
-    gather_window_s: float = 0.25,
     pr: Optional[str] = None,
 ) -> Dict:
     """Benchmark a sharded socket fleet against one multiplexed runtime.
 
-    The workload is two tenants with incompatible cadences: group A is
-    ``group_clients[0]`` paced clients on a tight fixed stride (key
-    frame every 2 frames, 35 ms frame cadence), group B is
-    ``group_clients[1]`` clients on a slow fixed stride (key every 4
-    frames, 100 ms cadence — one key per 400 ms, *past* the gather
-    window).  Every client within a group submits a byte-identical
-    ADMIT blueprint, so the fleet's affinity placement co-locates each
-    group on one shard and least-loaded spreads the two groups across
-    shards.
+    The workload is two tenants with nothing to share: group A is
+    ``group_clients[0]`` client processes on a tight fixed stride (key
+    frame every 2 of 60 frames), group B is ``group_clients[1]``
+    clients on a slow one (key every 4 of 21 frames).  Every client
+    within a group submits a byte-identical ADMIT blueprint, so the
+    fleet's affinity placement co-locates each group on one shard and
+    least-loaded spreads the two groups across shards.  Clients run
+    unpaced — each sends its next key frame the moment the last reply
+    is applied — so both legs are bound by how fast key frames are
+    served, and the wall clock includes spawning the client processes.
+    A leg lasts well under a second, so the two legs alternate
+    ``_FLEET_LEGS`` times and the record keeps every sample; the headline
+    is the ratio of the median walls.
 
-    On the single runtime the batched-serve cohort rule holds group A's
-    key replies until group B's cohort arrives or the gather window
-    lapses — and since B's key cadence exceeds the window, A's cohorts
-    wait out the *full* window, round after round.  Because clients
-    dispatch key frames synchronously, that wait lands on A's wall
-    clock every key frame.  The fleet
-    isolates the tenants: each shard's cohort is exactly one group, so
-    each group runs at its own cadence.  On the single-core CI box the
-    recorded ``speedup`` therefore measures *tenant isolation*, not
-    parallelism — the ISSUE-10 acceptance number, floor-enforced at
-    >= 1.4x by ``benchmarks/test_perf_fleet.py``.
+    What the recorded ``speedup`` measures is therefore placement plus
+    a second server core: on the one runtime both tenants queue behind
+    one event loop, in the fleet each has its own.  With
+    ``sum(group_clients)`` client processes already contending for the
+    box's cores (2 here) a second server process has little idle CPU to
+    claim: fourteen records here read 0.90–1.20x (0.90x and 1.02x
+    inside full benchmark-suite runs, 0.98–1.07x and 1.01–1.20x in two
+    standalone sets hours apart; a leg's own samples spread ±15 %).
+    So the floor ``benchmarks/test_perf_fleet.py`` enforces is "a fleet
+    costs little", pinned below that spread: >= 0.8x of the single
+    runtime.
 
     Per-session ``RunStats`` are verified bit-identical between fleet
     and single runtime (placement must never change what any session
@@ -1519,7 +1397,7 @@ def measure_fleet_throughput(
     (placed / redirects / final ledger loads).
     """
     from repro.serving.fleet import start_fleet
-    from repro.serving.runtime import start_server
+    from repro.serving.runtime import run_churn_processes, start_server
     from repro.video.dataset import CATEGORY_BY_KEY
 
     if category not in CATEGORY_BY_KEY:
@@ -1535,58 +1413,54 @@ def measure_fleet_throughput(
             pretrain_steps=pretrain_steps,
         )
 
-    config_a = group_config(2)   # tight tenant: key every 2 frames
-    config_b = group_config(4)   # slow tenant: key every 4 frames
-    # Both paced streams span ~2.1 s of wall clock.  A's key cadence
-    # (every 70 ms) is far inside the gather window; B's (every 400 ms)
-    # is *beyond* it, so on the shared runtime every one of A's key
-    # cohorts waits out the full window for B stragglers that are not
-    # coming — the stall the fleet deletes.
-    jobs = (
-        [(config_a, frame_hw, category, 60, f"a{i}", 0.035)
-         for i in range(group_clients[0])]
-        + [(config_b, frame_hw, category, 21, f"b{i}", 0.100)
-           for i in range(group_clients[1])]
-    )
+    groups = {
+        "a": {"clients": group_clients[0], "stride": 2, "num_frames": 60},
+        "b": {"clients": group_clients[1], "stride": 4, "num_frames": 21},
+    }
+    jobs = [
+        (0.0, group_config(group["stride"]), frame_hw, category,
+         group["num_frames"], f"{name}{i}")
+        for name, group in groups.items() for i in range(group["clients"])
+    ]
     num_clients = len(jobs)
-    total_frames = sum(job[3] for job in jobs)
+    total_frames = sum(job[4] for job in jobs)
     # Warm the parent-side pretrain cache (the servers pay their own).
-    pretrained_student(width, config_a.student_seed, pretrain_steps, frame_hw)
+    pretrained_student(width, jobs[0][1].student_seed, pretrain_steps, frame_hw)
 
-    def run_single() -> Tuple[float, list]:
-        handle = start_server(
-            [], transport="socket", n_clients=num_clients,
-            idle_timeout_s=120.0, gather_window_s=gather_window_s,
-        )
+    def run(handle) -> Tuple[float, list]:
         try:
             start = time.perf_counter()
-            stats = _run_paced_clients(handle, jobs, timeout_s=300.0)
+            stats = run_churn_processes(handle, jobs, timeout_s=300.0)
             wall = time.perf_counter() - start
         finally:
             handle.close()
         return wall, stats
 
-    def run_fleet() -> Tuple[float, list, Dict]:
-        handle = start_fleet(
+    single_walls: List[float] = []
+    fleet_walls: List[float] = []
+    identical = True
+    for _ in range(_FLEET_LEGS):
+        single_wall, single_stats = run(start_server(
+            [], transport="socket", n_clients=num_clients,
+            idle_timeout_s=120.0,
+        ))
+        fleet_handle = start_fleet(
             n_shards, transport="socket", n_clients=num_clients,
-            idle_timeout_s=120.0, gather_window_s=gather_window_s,
+            idle_timeout_s=120.0,
         )
-        try:
-            start = time.perf_counter()
-            stats = _run_paced_clients(handle, jobs, timeout_s=300.0)
-            wall = time.perf_counter() - start
-        finally:
-            handle.close()
-        return wall, stats, handle.fleet_report or {}
-
-    single_wall, single_stats = run_single()
-    fleet_wall, fleet_stats, fleet_report = run_fleet()
-
-    identical = all(
-        a.signature(include_label=False) == b.signature(include_label=False)
-        for a, b in zip(fleet_stats, single_stats)
-    )
-    record = {
+        fleet_wall, fleet_stats = run(fleet_handle)
+        single_walls.append(single_wall)
+        fleet_walls.append(fleet_wall)
+        identical = identical and all(
+            a.signature(include_label=False) == b.signature(include_label=False)
+            for a, b in zip(fleet_stats, single_stats)
+        )
+    # Placement accounting of the last fleet leg (every leg places the
+    # same population).
+    fleet_report = fleet_handle.fleet_report or {}
+    single_wall = float(np.median(single_walls))
+    fleet_wall = float(np.median(fleet_walls))
+    return {
         **record_meta("fleet", pr),
         "kind": "fleet",
         "protocol": {
@@ -1594,25 +1468,22 @@ def measure_fleet_throughput(
             "category": category,
             "n_shards": n_shards,
             "num_clients": num_clients,
-            "groups": {
-                "a": {"clients": group_clients[0], "stride": 2,
-                      "num_frames": 60, "interval_s": 0.035},
-                "b": {"clients": group_clients[1], "stride": 4,
-                      "num_frames": 21, "interval_s": 0.100},
-            },
+            "groups": groups,
             "student_width": width,
             "frame_hw": list(frame_hw),
             "pretrain_steps": pretrain_steps,
-            "gather_window_s": gather_window_s,
             "transport": "socket",
+            "repeats": _FLEET_LEGS,
         },
         "single_runtime": {
             "wall_time_s": round(single_wall, 3),
+            "samples_s": [round(w, 3) for w in single_walls],
             "frames_per_s": round(total_frames / single_wall, 3),
             "server_processes": 1,
         },
         "fleet": {
             "wall_time_s": round(fleet_wall, 3),
+            "samples_s": [round(w, 3) for w in fleet_walls],
             "frames_per_s": round(total_frames / fleet_wall, 3),
             "server_processes": n_shards,
             "placed": fleet_report.get("placed"),
@@ -1622,13 +1493,8 @@ def measure_fleet_throughput(
         },
         "speedup": round(single_wall / fleet_wall, 3),
         "bit_identical": identical,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
+        "fingerprint": machine_fingerprint(),
     }
-    return record
 
 
 def format_fleet_record(record: Dict) -> str:
@@ -1638,11 +1504,11 @@ def format_fleet_record(record: Dict) -> str:
     fleet = record["fleet"]
     return (
         f"fleet perf — {proto['n_shards']} shards, {proto['num_clients']} "
-        f"paced clients in 2 tenant groups ({proto['transport']}):\n"
-        f"  single runtime: {single['wall_time_s']:.2f}s "
-        f"({single['frames_per_s']:.1f} f/s)\n"
-        f"  fleet:          {fleet['wall_time_s']:.2f}s "
-        f"({fleet['frames_per_s']:.1f} f/s)\n"
+        f"client processes in 2 tenant groups ({proto['transport']}):\n"
+        f"  single runtime: median {single['wall_time_s']:.2f}s "
+        f"({single['frames_per_s']:.1f} f/s) of {single['samples_s']}\n"
+        f"  fleet:          median {fleet['wall_time_s']:.2f}s "
+        f"({fleet['frames_per_s']:.1f} f/s) of {fleet['samples_s']}\n"
         f"  speedup {record['speedup']:.2f}x, bit-identical: "
         f"{record['bit_identical']}\n"
         f"  placement: {fleet['placed']} placed, {fleet['redirects']} "
@@ -1657,24 +1523,16 @@ def format_serve_many_record(record: Dict) -> str:
     dedicated, mux = record["dedicated_pipe"], record["multiplexed"]
     flavour = "admitted over the wire" if record.get("churn") else "blueprinted"
     teacher = proto.get("teacher", "oracle")
-    batched = "batched" if proto.get("batch", False) else "unbatched"
     lines = (
         f"serve-many perf — {proto['num_clients']} client processes "
         f"({flavour}) x {proto['num_frames']} frames ({proto['category']}, "
         f"width {proto['student_width']}, {proto['transport']}, "
-        f"{teacher} teacher, {batched} sweeps):\n"
+        f"{teacher} teacher):\n"
         f"  dedicated pipe servers ({dedicated['server_processes']} procs): "
         f"{dedicated['wall_time_s']:.2f}s ({dedicated['frames_per_s']:.1f} f/s)\n"
         f"  multiplexed (1 server proc): {mux['wall_time_s']:.2f}s "
         f"({mux['frames_per_s']:.1f} f/s) -> {record['speedup']:.2f}x\n"
     )
-    if "multiplexed_unbatched" in record:
-        unbatched = record["multiplexed_unbatched"]
-        lines += (
-            f"  unbatched mux A/B: {unbatched['wall_time_s']:.2f}s "
-            f"({unbatched['frames_per_s']:.1f} f/s) -> batching "
-            f"{record['batch_speedup']:.2f}x\n"
-        )
     if "serve_counters" in mux:
         counters = mux["serve_counters"]
         lines += f"  serve counters: {counters}\n"
@@ -1737,8 +1595,7 @@ def format_pool_record(record: Dict) -> str:
         f"  wall: {seq['wall_time_s']:.2f}s sequential -> "
         f"{pool['wall_time_s']:.2f}s pooled ({record['speedup']:.2f}x, "
         f"{pool['frames_per_s']:.1f} frames/s)\n"
-        f"  routes: {counters.get('batched_frames', 0)} batched, "
-        f"{counters.get('deduped_frames', 0)} deduped, "
+        f"  routes: {counters.get('deduped_frames', 0)} deduped, "
         f"{counters.get('single_frames', 0)} single; distillation "
         f"{counters.get('distill_hits', 0)} hits / "
         f"{counters.get('distill_misses', 0)} misses\n"

@@ -169,12 +169,11 @@ class StudentNet(Module):
     # ------------------------------------------------------------------
     def _engine_fns(self):
         """Traced callables by plan kind (see :meth:`Module.engine_plan`):
-        the base ``"forward"`` / ``"serve"`` vocabulary plus ``"front"``
-        / ``"back"`` (either side of the freeze boundary) and
-        ``"train_back"`` / ``"train_full"`` (fused train steps)."""
+        the base ``"forward"`` plus ``"front"`` / ``"back"`` (either
+        side of the freeze boundary) and ``"train_back"`` /
+        ``"train_full"`` (fused train steps)."""
         return {
             "forward": self.forward,
-            "serve": self.forward,
             "front": self.forward_front,
             "back": self.forward_back,
             "train_back": self.forward_back,
@@ -198,26 +197,6 @@ class StudentNet(Module):
         with no_grad():
             logits = self.forward(Tensor(x))
         return logits.data.argmax(axis=1)[0]
-
-    def predict_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Segment ``(n, 3, H, W)`` stacked frames -> ``(n, H, W)`` preds.
-
-        The serving pool's batched fast path: one compiled ``n > 1``
-        forward with per-sample batch-norm statistics, bit-identical per
-        sample to :meth:`predict` on each frame alone.  Falls back to a
-        per-frame :meth:`predict` loop (the exact single-session path)
-        when the engine is off or the geometry is not compilable.
-        """
-        x = np.ascontiguousarray(frames, dtype=np.float32)
-        if x.ndim != 4:
-            raise ValueError(f"predict_batch expects (n, c, h, w), got {x.shape}")
-        if x.shape[0] == 1:
-            return self.predict(x)[None]
-        plan = self.engine_plan("serve", (tuple(x.shape),))
-        if plan is not None:
-            (logits,) = plan.run(x)
-            return logits.argmax(axis=1)
-        return np.stack([self.predict(f) for f in x])
 
 
 def partial_freeze(student: StudentNet) -> float:

@@ -147,26 +147,9 @@ class TeacherNet(Module):
         self.train(was_training)
         return logits.data.argmax(axis=1)[0]
 
-    def infer_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Argmax segmentation of an ``(n, 3, H, W)`` stack.
-
-        Routes through the engine's ``"serve"`` plan, whose per-sample
-        batch-norm statistics and column-stable GEMMs make every sample
-        bit-identical to its own :meth:`infer` — that is what lets the
-        serving runtime coalesce a sweep's key frames into one teacher
-        forward without breaking the RunStats-bit-identity bar.  The
-        fallback (engine disabled / untraceable) infers per frame.
-        """
-        plan = self.engine_plan("serve", (tuple(frames.shape),))
-        if plan is not None:
-            (logits,) = plan.run(frames)
-            return logits.argmax(axis=1)
-        return np.stack([self.infer(frame) for frame in frames])
-
     def _engine_fns(self):
         fns = super()._engine_fns()
         fns["soft"] = self._soft_forward
-        fns["soft_serve"] = self._soft_forward
         return fns
 
     def _soft_forward(self, x: Tensor) -> Tensor:
@@ -196,16 +179,3 @@ class TeacherNet(Module):
             probs = F.softmax(self.forward(Tensor(x)), axis=1)
         self.train(was_training)
         return probs.data[0]
-
-    def soft_infer_batch(self, frames: np.ndarray) -> np.ndarray:
-        """Class probabilities for an ``(n, 3, H, W)`` stack.
-
-        The ``"soft_serve"`` plan is the soft-target analogue of
-        :meth:`infer_batch`: per-sample statistics keep each sample
-        bit-identical to its own :meth:`soft_infer`.
-        """
-        plan = self.engine_plan("soft_serve", (tuple(frames.shape),))
-        if plan is not None:
-            (probs,) = plan.run(frames)
-            return probs.copy()
-        return np.stack([self.soft_infer(frame) for frame in frames])

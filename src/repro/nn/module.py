@@ -202,13 +202,11 @@ class Module:
     def _engine_fns(self) -> Dict[str, Callable]:
         """Traced callables by plan kind.
 
-        The base vocabulary is ``"forward"`` (the whole module) and
-        ``"serve"`` (the whole module with per-sample batch-norm
-        statistics — the multi-session batched-inference semantics);
+        The base vocabulary is ``"forward"`` (the whole module);
         subclasses extend it with partial forwards and train steps
         (:class:`~repro.models.student.StudentNet` does).
         """
-        return {"forward": self.forward, "serve": self.forward}
+        return {"forward": self.forward}
 
     def engine_plan(self, kind: str, shapes: Tuple[Tuple[int, ...], ...]):
         """Fetch this instance's handle on the engine plan for a geometry.
@@ -227,9 +225,7 @@ class Module:
         Returns ``None`` when the engine is disabled or the traced
         graph is not compilable — callers fall back to the autograd
         path.  Failed compilations are cached process-wide too, so the
-        trace is retried neither per frame nor per session.  Keys embed
-        both kind and shapes, so a module's own ``n = 1`` plans and the
-        serving pool's batched plans coexist.
+        trace is retried neither per frame nor per session.
         """
         from repro import engine
 

@@ -6,7 +6,7 @@ telemetry is disarmed (the default):
 
 >>> from repro import obs
 >>> if obs.enabled():
-...     obs.counter("serve.cohorts").inc()
+...     obs.counter("serve.key_frames").inc()
 
 Arming is per process.  :func:`arm` flips it programmatically;
 :func:`arm_from_env` reads the ``REPRO_OBS`` environment variable so

@@ -172,7 +172,7 @@ class MetricsRegistry:
     """One process's named instruments, snapshot-able as plain JSON.
 
     Instruments are get-or-create by flat name (dots delimit informal
-    namespaces: ``serve.cohorts``, ``shm.wait_s``).  A name belongs to
+    namespaces: ``serve.key_frames``, ``shm.wait_s``).  A name belongs to
     exactly one kind for the registry's lifetime; reusing it across
     kinds raises, loudly, because a silent re-kind would corrupt merges.
     """

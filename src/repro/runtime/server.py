@@ -73,28 +73,10 @@ class Server:
         """Whether the server runs the paper's partial distillation."""
         return self.config.mode is DistillMode.PARTIAL
 
-    @property
-    def work_version(self) -> Optional[Any]:
-        """Content digest proving this server's student-weight state.
-
-        Delegates to the attached work cache's digest chain (see
-        :class:`repro.serving.shared.SharedDistillation`): two servers
-        with equal versions provably hold identical weights, which is
-        what lets the serving runtime group their key frames into one
-        batched teacher forward.  ``None`` — no cache attached, or the
-        chain cannot cover the outcome (carried-over optimizer state) —
-        means "nothing provable": callers must treat the session as
-        diverged and serve it alone.
-        """
-        if self.work_cache is None or not self.config.reset_optimizer_state:
-            return None
-        return self.work_cache.version(self)
-
     # ------------------------------------------------------------------
     def handle_key_frame(
         self, frame: np.ndarray, label: Optional[np.ndarray] = None,
         max_updates: Optional[int] = None,
-        pseudo_label: Optional[np.ndarray] = None,
     ) -> Tuple[ServerReply, TrainResult]:
         """Process one key frame: teacher inference + student training.
 
@@ -103,19 +85,15 @@ class Server:
         serve's distillation steps (the overload layer's degraded
         serve); capped serves bypass the work cache — its digest chain
         assumes every serve ran the configured budget.
-
-        ``pseudo_label`` lets a caller supply the teacher's output
-        externally — the multiplexing runtime batches teacher inference
-        across a sweep's cohort and hands each session its slice, while
-        distillation below stays per-session.  The contract is that the
-        supplied array is exactly what ``self.teacher.infer(frame,
-        label)`` would return (the batched serve plans are bit-identical
-        per sample), so the two paths are indistinguishable.
         """
-        if pseudo_label is None:
-            pseudo_label = self.teacher.infer(frame, label)
         if self.work_cache is not None and max_updates is None:
-            return self.work_cache.distill(self, frame, pseudo_label)
+            pseudo_label, frame_digest = self.work_cache.pseudo_label(
+                self.teacher, frame, label
+            )
+            return self.work_cache.distill(
+                self, frame, pseudo_label, frame_digest
+            )
+        pseudo_label = self.teacher.infer(frame, label)
         out = self.distill(frame, pseudo_label, max_updates=max_updates)
         if max_updates is not None and hasattr(self, "_shared_work_version"):
             # The capped serve mutated the student outside the shared

@@ -12,13 +12,12 @@ Work is amortised across sessions wherever it is *provably* identical:
 
 * :class:`~repro.serving.batched.BatchedPredictor` gathers every
   session due for a non-key-frame predict on the current tick, groups
-  them by weight version and frame geometry, and runs each group
-  through one compiled ``n > 1`` engine plan with per-sample batch-norm
-  statistics — bit-identical, per sample, to each session's own n = 1
-  plan.  Sessions whose students have diverged fall back to their own
-  per-session predict.
+  them by weight version and frame geometry, and predicts each group's
+  bitwise-duplicate frames once.  Distinct frames and sessions whose
+  students have diverged run their own per-session predict.
 * :class:`~repro.serving.shared.SharedDistillation` memoises
-  server-side key-frame training across sessions that submit bitwise
+  server-side key-frame work — the neural teacher's pseudo-label and
+  the distillation that follows — across sessions that submit bitwise
   identical work (the broadcast scenario: many viewers of one stream).
 
 Identity is tracked with content-digest chains
@@ -34,7 +33,8 @@ bit-identical ``RunStats`` to N independent single-session runs.
 process boundaries: an event-driven :class:`~repro.serving.runtime.
 ServerRuntime` multiplexes N client connections (shm rings or TCP
 sockets) through one server process — one teacher, per-session
-server-side students, shared distillation — with per-session
+server-side students, shared distillation, every key frame served in
+the sweep that received it — with per-session
 ``RunStats`` bit-identical to the in-process pool.  Sessions are not
 fixed at spawn: a client can dial a running server and negotiate a
 brand-new session over the wire (ADMIT/REJECT, wire v3 — see
@@ -64,7 +64,7 @@ sharding moves sessions between processes, never changes what any of
 them computes.
 """
 
-from repro.serving.batched import BatchedPredictor, BatchedTeacher
+from repro.serving.batched import BatchedPredictor
 from repro.serving.fleet import (
     FleetAddress,
     FleetHandle,
@@ -101,7 +101,6 @@ from repro.serving.storms import STORM_NAMES, StormPlan, StormReport, run_storm,
 __all__ = [
     "AdmissionError",
     "BatchedPredictor",
-    "BatchedTeacher",
     "FleetAddress",
     "FleetHandle",
     "FleetLedger",

@@ -1,120 +1,41 @@
-"""Batched inference across weight-identical sessions.
+"""Shared predicts across weight-identical sessions.
 
 On every pool tick, all sessions due for a non-key-frame predict hand
 their frames to one :class:`BatchedPredictor` call.  Frames are grouped
 by ``(weight_version, frame geometry)``: equal weight versions prove
 equal student weights (content-digest chains, see
-:func:`repro.nn.serialize.state_dict_digest`), so the whole group can
-be served by one student's compiled plan.  Within a group:
-
-* bitwise-duplicate frames (the broadcast scenario) are predicted once
-  and fanned out — identical inputs through identical weights are the
-  same computation;
-* the remaining unique frames are stacked into one ``n > 1`` forward
-  through the group leader's ``"serve"`` engine plan, whose per-sample
-  batch-norm statistics and column-stable GEMMs make every sample
-  bit-identical to that session's own ``n = 1`` predict.
-
-Sessions whose students have diverged (no group partner) fall back to
-their own per-session predict — the exact single-session path.  Every
-route therefore produces the same prediction the session would have
-computed alone, which is what lets the pool promise bit-identical
-``RunStats``.
-
-:class:`BatchedTeacher` is the same gather/stack/scatter discipline
-applied to *key-frame teacher inference*: the multiplexing
-:class:`~repro.serving.runtime.ServerRuntime` collects every key frame
-that arrived within one poll sweep, groups the cohort by teacher
-identity, weight version and frame geometry, and serves each group's
-distinct frames through one stacked ``infer_batch`` — per-session
-distillation then proceeds on the shared pseudo-labels.  Both classes
-ride the shared cohort planners (:func:`plan_cohort`,
-:func:`iter_pow2_chunks`) so the grouping semantics cannot drift.
+:func:`repro.nn.serialize.state_dict_digest`), so within a group
+bitwise-duplicate frames (the broadcast scenario) are predicted once
+and fanned out — identical inputs through identical weights are the
+same computation.  Every distinct frame, and every session whose
+student has diverged (no group partner), runs its own per-session
+predict — the exact single-session path.  Every route therefore
+produces the same prediction the session would have computed alone,
+which is what lets the pool promise bit-identical ``RunStats``.
 
 Route-counter invariant (property-tested): at every point — including
 after an exception aborts a call midway — ``predicts`` equals
-``batched_frames + deduped_frames + single_frames``.  Counters are
-advanced only when a frame's result is actually resolved, and a
-duplicate is counted ``dedup`` only after its representative served.
+``deduped_frames + single_frames``.  Counters are advanced only when a
+frame's result is actually resolved, and a duplicate is counted
+``dedup`` only after its representative served.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.serialize import array_digest
 
 
-def plan_cohort(
-    digests: Sequence[str], indices: Optional[Sequence[int]] = None
-) -> Tuple[List[int], Dict[int, List[int]]]:
-    """Collapse content-duplicate cohort members.
-
-    ``digests`` are the members' content digests in arrival order;
-    ``indices`` optionally relabels positions (defaults to ``0..n-1``).
-    Returns ``(order, fanout)``: ``order`` holds one *representative*
-    index per distinct digest in first-arrival order, and ``fanout``
-    maps each representative to the indices of its duplicates (possibly
-    empty).  The mapping is an explicit digest → representative table,
-    so a duplicate can never be fanned out from the wrong
-    representative regardless of insertion order.
-    """
-    if indices is None:
-        indices = range(len(digests))
-    rep_by_digest: Dict[str, int] = {}
-    order: List[int] = []
-    fanout: Dict[int, List[int]] = {}
-    for index, digest in zip(indices, digests):
-        rep = rep_by_digest.get(digest)
-        if rep is None:
-            rep_by_digest[digest] = index
-            order.append(index)
-            fanout[index] = []
-        else:
-            fanout[rep].append(index)
-    return order, fanout
-
-
-def iter_pow2_chunks(count: int) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start, size)`` power-of-two sub-batches covering
-    ``count`` items, largest first.
-
-    Every distinct batch size compiles (and permanently caches) its own
-    serve plan with n-scaled scratch; bucketing bounds the set of plan
-    geometries a long-lived cohort with drifting sizes can create to
-    ``log2(N)`` instead of ``N``.
-    """
-    start = 0
-    while start < count:
-        size = 1 << ((count - start).bit_length() - 1)
-        yield start, size
-        start += size
-
-
 class BatchedPredictor:
-    """Gather/stack/scatter predictor over pooled sessions.
+    """Gather/dedup/scatter predictor over pooled sessions."""
 
-    Parameters
-    ----------
-    batch:
-        Stack unique weight-sharing frames into ``n > 1`` compiled
-        forwards.  Off, every frame is predicted individually (still
-        deduplicated when ``dedup`` is on).
-    dedup:
-        Serve bitwise-identical frames within a weight group from one
-        predict.
-    """
-
-    def __init__(self, batch: bool = True, dedup: bool = True) -> None:
-        self.batch = batch
-        self.dedup = dedup
+    def __init__(self) -> None:
         #: Route counters (BENCH-relevant): how each frame was served.
         self.counters: Dict[str, int] = {
             "predicts": 0,          # frames served in total
-            "batch_runs": 0,        # n > 1 compiled forwards executed
-            "batched_frames": 0,    # frames served by an n > 1 forward
             "deduped_frames": 0,    # frames served from a duplicate's predict
             "single_frames": 0,     # frames served by their own n = 1 predict
         }
@@ -147,166 +68,32 @@ class BatchedPredictor:
     # ------------------------------------------------------------------
     def _serve_group(self, items, group, preds, routes) -> None:
         counters = self.counters
-        leader_client = items[group[0]][0]
 
-        # Collapse bitwise-duplicate frames first: `order` keeps one
-        # representative index per distinct frame, `fanout` the copies.
-        if self.dedup and len(group) > 1:
-            order, fanout = plan_cohort(
-                [array_digest(items[i][1]) for i in group], indices=group
-            )
-        else:
-            order = list(group)
-            fanout = {i: [] for i in order}
-
-        if self.batch and len(order) > 1:
-            # Serve in power-of-two sub-batches, largest first.
-            for start, size in iter_pow2_chunks(len(order)):
-                chunk = order[start : start + size]
-                if size == 1:
-                    self._serve_single(items, chunk[0], preds, routes)
-                    continue
-                stacked = np.stack([items[i][1] for i in chunk])
-                batch = leader_client.student.predict_batch(stacked)
-                counters["predicts"] += size
-                counters["batch_runs"] += 1
-                counters["batched_frames"] += size
-                tag = f"batch:{size}"
-                for pos, i in enumerate(chunk):
-                    preds[i] = batch[pos]
-                    routes[i] = tag
-        else:
-            for i in order:
+        # Collapse bitwise-duplicate frames through an explicit digest ->
+        # representative table (first arrival represents); a lone frame
+        # has no partner and is not digested.
+        rep_by_digest: Dict[str, int] = {}
+        dups: List[Tuple[int, int]] = []
+        for i in group:
+            rep = i
+            if len(group) > 1:
+                rep = rep_by_digest.setdefault(array_digest(items[i][1]), i)
+            if rep == i:
                 self._serve_single(items, i, preds, routes)
+            else:
+                dups.append((i, rep))
 
-        # Fan out only now: a representative that failed (or fell back)
-        # above raised before any duplicate was recorded as served, so
-        # the counters stay consistent on every exception path.
-        for rep, dups in fanout.items():
-            for i in dups:
-                preds[i] = preds[rep]
-                routes[i] = "dedup"
-                counters["predicts"] += 1
-                counters["deduped_frames"] += 1
+        # Fan out only now: a representative that failed above raised
+        # before any duplicate was recorded as served, so the counters
+        # stay consistent on every exception path.
+        for i, rep in dups:
+            preds[i] = preds[rep]
+            routes[i] = "dedup"
+            counters["predicts"] += 1
+            counters["deduped_frames"] += 1
 
     def _serve_single(self, items, i, preds, routes) -> None:
         preds[i] = items[i][0].student.predict(items[i][1])
-        routes[i] = "single"
-        self.counters["predicts"] += 1
-        self.counters["single_frames"] += 1
-
-
-class BatchedTeacher:
-    """Gather/stack/scatter pseudo-labelling over a key-frame cohort.
-
-    The runtime-side twin of :class:`BatchedPredictor`: items are
-    ``(teacher, version, frame, label)`` tuples — one per key frame the
-    poll sweep gathered.  Grouping key is ``(teacher identity, version,
-    frame geometry)``: the *same teacher object* proves identical
-    teacher weights (the runtime shares one stateless teacher instance
-    per spec), and ``version`` is the session's server-side weight
-    digest chain — sessions whose students have diverged carry
-    different versions and therefore never share a group, which keeps
-    the diverged-weight fallback per-session.  Items with ``version
-    None`` (no work cache, broken chain after a degraded serve) route
-    per-item — the exact single path.
-
-    Within a group, bitwise-duplicate ``(frame, label)`` pairs share
-    one inference, and the distinct frames stack through the teacher's
-    ``infer_batch`` when it has one (neural teachers: the engine's
-    per-sample-statistics ``"serve"`` plans make every sample
-    bit-identical to its own ``n = 1`` infer).  Teachers without
-    ``infer_batch`` (the oracle) serve their distinct frames per item.
-    """
-
-    def __init__(self, batch: bool = True, dedup: bool = True) -> None:
-        self.batch = batch
-        self.dedup = dedup
-        #: Route counters, same invariant as :class:`BatchedPredictor`:
-        #: ``predicts == batched + deduped + single`` at all times.
-        self.counters: Dict[str, int] = {
-            "predicts": 0,
-            "batch_runs": 0,
-            "batched_frames": 0,
-            "deduped_frames": 0,
-            "single_frames": 0,
-        }
-
-    def infer(
-        self,
-        items: Sequence[
-            Tuple[object, Optional[str], np.ndarray, Optional[np.ndarray]]
-        ],
-    ) -> Tuple[List[np.ndarray], List[str]]:
-        """Pseudo-label a cohort; returns (labels, route tags) in input
-        order."""
-        labels: List[Optional[np.ndarray]] = [None] * len(items)
-        routes: List[str] = [""] * len(items)
-
-        groups: Dict[Tuple[int, str, Tuple[int, ...]], List[int]] = {}
-        for i, (teacher, version, frame, _label) in enumerate(items):
-            if version is None:
-                self._serve_single(items, i, labels, routes)
-                continue
-            key = (id(teacher), version, tuple(frame.shape))
-            groups.setdefault(key, []).append(i)
-
-        for group in groups.values():
-            self._serve_group(items, group, labels, routes)
-        return labels, routes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _digest(frame: np.ndarray, label: Optional[np.ndarray]) -> str:
-        # The label rides the dedup key even for teachers that ignore
-        # it: treating equal-frame/different-label items as distinct is
-        # always safe, merely less shared.
-        digest = array_digest(frame)
-        return digest if label is None else f"{digest}|{array_digest(label)}"
-
-    def _serve_group(self, items, group, labels, routes) -> None:
-        counters = self.counters
-        teacher = items[group[0]][0]
-
-        if self.dedup and len(group) > 1:
-            order, fanout = plan_cohort(
-                [self._digest(items[i][2], items[i][3]) for i in group],
-                indices=group,
-            )
-        else:
-            order = list(group)
-            fanout = {i: [] for i in order}
-
-        infer_batch = getattr(teacher, "infer_batch", None)
-        if self.batch and infer_batch is not None and len(order) > 1:
-            for start, size in iter_pow2_chunks(len(order)):
-                chunk = order[start : start + size]
-                if size == 1:
-                    self._serve_single(items, chunk[0], labels, routes)
-                    continue
-                stacked = np.stack([items[i][2] for i in chunk])
-                batch = infer_batch(stacked)
-                counters["predicts"] += size
-                counters["batch_runs"] += 1
-                counters["batched_frames"] += size
-                tag = f"batch:{size}"
-                for pos, i in enumerate(chunk):
-                    labels[i] = batch[pos]
-                    routes[i] = tag
-        else:
-            for i in order:
-                self._serve_single(items, i, labels, routes)
-
-        for rep, dups in fanout.items():
-            for i in dups:
-                labels[i] = labels[rep]
-                routes[i] = "dedup"
-                counters["predicts"] += 1
-                counters["deduped_frames"] += 1
-
-    def _serve_single(self, items, i, labels, routes) -> None:
-        teacher, _version, frame, label = items[i]
-        labels[i] = teacher.infer(frame, label)
         routes[i] = "single"
         self.counters["predicts"] += 1
         self.counters["single_frames"] += 1

@@ -1,12 +1,12 @@
 """Sharded server fleet behind one front door.
 
 One :class:`~repro.serving.runtime.ServerRuntime` process is a single
-event loop: one core's worth of teacher inference and distillation, one
-gather/batch/scatter cadence shared by every tenant it serves.  A
-*fleet* runs K of those runtimes as sibling shard processes behind a
-single advertised attachment point, so tenant populations with nothing
-to share — different teachers, different key-frame cadences — stop
-paying for each other's cohort rhythm:
+event loop: one core's worth of teacher inference and distillation,
+queued behind one another for every tenant it serves.  A *fleet* runs
+K of those runtimes as sibling shard processes behind a single
+advertised attachment point, so tenant populations with nothing to
+share — different teachers, different streams — stop queueing behind
+each other's key frames and get a second server core:
 
 * **Front door.**  For the socket transport every shard binds the same
   (host, port) with ``SO_REUSEPORT`` (:func:`repro.transport.socket
@@ -816,8 +816,6 @@ def start_fleet(
     idle_timeout_s: float = 120.0,
     max_sessions: Optional[int] = None,
     overload=None,
-    batch: bool = True,
-    gather_window_s: float = 0.05,
     obs_config=None,
     timeout_s: float = 120.0,
     ledger_capacity: int = 512,
@@ -856,8 +854,6 @@ def start_fleet(
         max_sessions=max_sessions,
         admit=True,
         overload=overload,
-        batch=batch,
-        gather_window_s=gather_window_s,
         obs_config=obs_config,
     )
     try:

@@ -98,7 +98,7 @@ class PoolResult:
     stats: List[RunStats]
     #: Deterministic interleaving trace: one ``(tick, session, frame,
     #: route)`` row per processed frame, where route is ``"key"``,
-    #: ``"single"``, ``"dedup"`` or ``"batch:<n>"``.
+    #: ``"single"`` or ``"dedup"``.
     schedule: List[Tuple[int, int, int, str]]
     #: BENCH-relevant counters: ticks, predictor routes, shared-
     #: distillation hits/misses.
@@ -108,30 +108,15 @@ class PoolResult:
 class SessionPool:
     """Cooperative multi-session serving runtime.
 
-    Parameters
-    ----------
-    batch_predicts:
-        Stack weight-identical non-key-frame predicts into ``n > 1``
-        compiled forwards.
-    share_server_work:
-        Memoise bitwise-identical key-frame distillation across
-        sessions (the fan-out scenario).
-    dedup_identical_frames:
-        Serve bitwise-duplicate frames within a weight group from one
-        predict.
-
-    All three switches only change *how* results are computed, never
-    their values; with a single spec the pool degenerates to the plain
-    sequential client loop (``run_shadowtutor`` is exactly that).
+    Bitwise-identical key-frame work is memoised across sessions (the
+    fan-out scenario) and bitwise-duplicate frames within a weight
+    group are served from one predict; both only change *how* results
+    are computed, never their values.  With a single spec the pool
+    degenerates to the plain sequential client loop
+    (``run_shadowtutor`` is exactly that).
     """
 
-    def __init__(
-        self,
-        specs: Sequence[SessionSpec],
-        batch_predicts: bool = True,
-        share_server_work: bool = True,
-        dedup_identical_frames: bool = True,
-    ) -> None:
+    def __init__(self, specs: Sequence[SessionSpec]) -> None:
         if not specs:
             raise ValueError("SessionPool needs at least one SessionSpec")
         # Stateful per-session components must never be shared between
@@ -147,14 +132,11 @@ class SessionPool:
             if len(owned) != len(set(owned)):
                 raise ValueError(f"two specs share one {attr} instance; {hint}")
         self.specs = list(specs)
-        self.batch_predicts = batch_predicts
-        self.share_server_work = share_server_work
-        self.dedup_identical_frames = dedup_identical_frames
 
     # ------------------------------------------------------------------
     def _build_sessions(self) -> List[_PooledSession]:
         pooled = len(self.specs) > 1
-        shared = SharedDistillation() if (pooled and self.share_server_work) else None
+        shared = SharedDistillation() if pooled else None
         sessions: List[_PooledSession] = []
         try:
             self._build_into(sessions, shared, pooled)
@@ -193,7 +175,7 @@ class SessionPool:
                 # Memoised distillation needs the server's trainer in
                 # this process; sessions on a real transport (remote
                 # server, see SessionConfig.transport) keep their own.
-                if shared is not None and hasattr(client.server, "distill"):
+                if hasattr(client.server, "distill"):
                     client.server.work_cache = shared
             client.begin(
                 spec.label
@@ -221,9 +203,7 @@ class SessionPool:
                     close()
 
     def _run(self, sessions: List[_PooledSession]) -> PoolResult:
-        predictor = BatchedPredictor(
-            batch=self.batch_predicts, dedup=self.dedup_identical_frames
-        )
+        predictor = BatchedPredictor()
         scheduler = TickScheduler()
         for s in sessions:
             if s.spec.num_frames > 0:
@@ -252,7 +232,7 @@ class SessionPool:
                 cohort.append((s, frame, gt_label, is_key))
 
             # Phase 2: key frames predict on their own session; the
-            # cohort's non-key frames share one batched-predictor call.
+            # cohort's non-key frames share one predictor call.
             preds: Dict[int, np.ndarray] = {}
             routes: Dict[int, str] = {}
             non_key = [(s, frame) for s, frame, _, is_key in cohort if not is_key]

@@ -10,10 +10,15 @@ clients.  This module is that shape:
   students and polls every client connection in a single, non-threaded
   event loop (in the spirit of event-driven real-time interpreters):
   each sweep visits connections in a fixed order and serves at most one
-  message per connection, so scheduling is fair and deterministic.
-  Bitwise-identical key-frame work from different client *processes*
-  routes through one :class:`~repro.serving.shared.SharedDistillation`
-  cache, exactly as the in-process pool shares it between sessions.
+  message per connection, so scheduling is fair and deterministic.  A
+  key frame is served in the sweep that received it — Algorithm 4
+  blocks the device on its one update in flight, so no handler ever
+  holds a frame hoping for company.  Bitwise-identical key-frame work
+  from different client *processes* (pseudo-labelling and distillation
+  alike) routes through one
+  :class:`~repro.serving.shared.SharedDistillation` memo, exactly as
+  the in-process pool shares it between sessions: duplicates are found
+  by content digest, whenever they arrive.
 * the session protocol — HELLO/ACCEPT opens a *blueprinted* session on
   a connection (one link can carry many: a pooled client process runs
   all its sessions over a single connection), ADMIT/ACCEPT negotiates
@@ -77,10 +82,14 @@ _NAP_S = 50e-6
 _NAP_MAX_S = 1e-3
 
 #: Cap on one doorbell select: the runtime still has its own clocks to
-#: honour (idle deadline, reaper, cohort straggler window), and the
-#: bounded wait doubles as the lost-wakeup safety net — the waiting
-#: flags are plain stores, so a bell can race past an arming sweep.
+#: honour (idle deadline, reaper), and the bounded wait doubles as the
+#: lost-wakeup safety net — the waiting flags are plain stores, so a
+#: bell can race past an arming sweep.
 _DOORBELL_WAIT_MAX_S = 0.25
+
+#: The :class:`~repro.serving.shared.SharedDistillation` counters the
+#: runtime report carries (and, armed, mirrors as ``serve.memo.*``).
+_MEMO_COUNTERS = ("hits", "misses", "label_hits", "label_misses")
 
 
 # ----------------------------------------------------------------------
@@ -312,17 +321,6 @@ class ServerRuntime:
         receive budgets, idle-session reaping).  ``None`` — the default
         — is byte-for-byte the pre-v4 server: no tracker, no budget, no
         reaper, bit-identical RunStats.
-    batch:
-        Coalesce the key frames that arrive within one poll sweep into
-        batched teacher inference (gather → batch → scatter; see
-        :class:`~repro.serving.batched.BatchedTeacher`): frames are
-        grouped by teacher identity, weight version and geometry, each
-        group's distinct frames run as one stacked forward through the
-        engine's per-sample-statistics serve plans, and replies fan
-        back out in ascending-session order.  Every route is
-        bit-identical to the per-session serve, so this only changes
-        cost; ``False`` restores the serve-inline-per-connection PR-6
-        path exactly.
     """
 
     def __init__(
@@ -333,8 +331,6 @@ class ServerRuntime:
         max_sessions: Optional[int] = None,
         admit: bool = True,
         overload=None,
-        batch: bool = True,
-        gather_window_s: float = 0.05,
         fleet=None,
         teachers=None,
     ) -> None:
@@ -378,42 +374,18 @@ class ServerRuntime:
         #: session id -> placement key, for releasing the ledger claim
         #: when the session ends.
         self._fleet_keys: Dict[int, int] = {}
-        self.batch = batch
-        #: How long a gathered cohort waits for stragglers before it is
-        #: served.  A cohort covering every live frame-sending session
-        #: is served immediately (the common case once a broadcast
-        #: population is in phase); otherwise the hold gives clients
-        #: still computing their segment a chance to join — and because
-        #: the cohort's replies fan out together, one held cohort
-        #: re-synchronises a population that serve latency had pulled
-        #: out of phase.  The default is sized to an inter-key-frame
-        #: client segment; it only costs latency when sessions are
-        #: genuinely staggered, and bit-identity holds for any cohort
-        #: composition.  Overload-armed runtimes ignore the window
-        #: entirely (same-sweep arrivals still batch): untrusted
-        #: populations with divergent strides would pay the hold as
-        #: pure probe latency.
-        self.gather_window_s = gather_window_s
-        #: When the previous cohort flushed (monotonic), for the
-        #: missed-flush rule — see :meth:`_cohort_ripe`.
-        self._last_flush_t: Optional[float] = None
-        from repro.serving.batched import BatchedTeacher
-
-        self._batched_teacher = BatchedTeacher() if batch else None
         #: The runtime's metrics registry.  With telemetry armed
         #: (:func:`repro.obs.arm` / ``REPRO_OBS``) this *is* the
         #: process registry, so runtime instruments merge with every
         #: other armed layer; disarmed, a local always-on registry
-        #: still carries the cohort accounting ``serve_counters`` and
-        #: the runtime report expose — counting a handful of integers
-        #: per cohort is free next to one teacher forward.
+        #: still carries the handful of integers the runtime report
+        #: exposes (key frames served, fleet placements, overload
+        #: levels).
         self.metrics = (
             obs.registry() if obs.enabled()
             else MetricsRegistry(source="server")
         )
-        self._c_cohorts = self.metrics.counter("serve.cohorts")
-        self._c_cohort_frames = self.metrics.counter("serve.cohort_frames")
-        self._g_max_cohort = self.metrics.gauge("serve.max_cohort")
+        self._c_key_frames = self.metrics.counter("serve.key_frames")
         self._sessions: Dict[int, _LiveSession] = {}
         self._ended: set = set()
         #: Blueprinted ids that have not ended yet — the runtime's
@@ -441,15 +413,13 @@ class ServerRuntime:
     # ------------------------------------------------------------------
     @property
     def serve_counters(self) -> Dict[str, int]:
-        """Gather/batch/scatter sweep statistics ("cohort" = the key
-        frames one poll sweep coalesced into batched inference) in the
-        dict shape the runtime report has always carried — now a view
-        over the metrics registry rather than a parallel dict."""
-        return {
-            "cohorts": self._c_cohorts.value,
-            "cohort_frames": self._c_cohort_frames.value,
-            "max_cohort": int(self._g_max_cohort.value),
-        }
+        """Key frames served, and how many of them the shared memo
+        spared a teacher forward (``label_*``) or a distillation
+        (``hits`` / ``misses``) — the runtime report's accounting."""
+        memo = self._work_cache.counters if self._work_cache is not None else {}
+        counters = {"key_frames": self._c_key_frames.value}
+        counters.update((name, memo.get(name, 0)) for name in _MEMO_COUNTERS)
+        return counters
 
     def _note_admission(self, reason: Optional[str] = None) -> None:
         """Armed-only admission accounting (observes, never decides)."""
@@ -465,8 +435,8 @@ class ServerRuntime:
         oracle is stateless, and a neural teacher is deterministic from
         ``(width, seed)`` and never trained at serve time — so every
         session describing the same spec shares one instance (which is
-        also what lets the batched sweep group their key frames by
-        teacher identity).  Noisy oracles hold RNG state and stay
+        also what lets the shared memo label a key frame once for every
+        session that submits it).  Noisy oracles hold RNG state and stay
         per-session, matching the independent teachers of an
         in-process pool.
         """
@@ -699,11 +669,9 @@ class ServerRuntime:
         return live
 
     def _serve_key_frame(self, connection, session_id: int, live, frame,
-                         label, pseudo_label=None) -> None:
-        """The per-session half of one key-frame serve: distillation,
-        degradation, reply.  ``pseudo_label`` is the teacher output when
-        the batched sweep computed it already; ``None`` runs the
-        session's own teacher inline (the PR-6 path)."""
+                         label) -> None:
+        """One key-frame serve, inline: teacher inference, distillation
+        (degraded under load), reply."""
         ctl = self._overload
         armed = obs.enabled()
         t0 = time.monotonic() if armed else 0.0
@@ -716,16 +684,14 @@ class ServerRuntime:
                 # The pristine path — bit-identical to an in-process
                 # run, taken always when overload control is off and
                 # whenever the load level is 0 with it on.
-                reply, _ = live.server.handle_key_frame(
-                    frame, label, pseudo_label=pseudo_label
-                )
+                reply, _ = live.server.handle_key_frame(frame, label)
             else:
                 # Degraded serve: fewer distillation steps, and the
                 # reported metric floored so the client's Algorithm-2
                 # stride policy stretches its stride — load shed at the
                 # source, recovering when the tracker's level drops.
                 reply, _ = live.server.handle_key_frame(
-                    frame, label, max_updates=budget, pseudo_label=pseudo_label
+                    frame, label, max_updates=budget
                 )
                 reply = dataclasses.replace(
                     reply,
@@ -735,6 +701,7 @@ class ServerRuntime:
                 )
             connection.send_tagged(session_id, reply)
         live.frames_served += 1
+        self._c_key_frames.inc()
         if armed:
             # Per-session timeline — the metric each serve reported and
             # the degradation it ran under — is the record ROADMAP
@@ -746,143 +713,30 @@ class ServerRuntime:
                 -1 if budget is None else budget,
             ])
 
-    def _cohort_ripe(self, cohort, cohort_deadline, framers) -> Optional[str]:
-        """Why the gathered cohort should be served now, or ``None``.
-
-        ``"full"`` when every live frame-sending session is represented
-        (the whole lockstep fleet has arrived — waiting longer buys
-        nothing); ``"window"`` when the straggler window has expired.
-        Sessions that never sent a FRAME (a never-BYE ghost under
-        attack, a joiner still pre-training) do not gate ripeness: they
-        would hold every honest reply for the full window.
-
-        The end-of-sweep check additionally applies the *missed-flush*
-        rule (``_missed_flush``): a lone key frame whose cohort opened
-        within a grace period of the previous flush just missed its
-        bus — its cohort-mates were released moments ago and are now
-        mid-stride, so holding it a full window cannot buy a batch,
-        only latency.  Serving it immediately also re-merges a
-        population that a premature flush pulled out of phase: the
-        straggler's *next* key frame lands inside its peers' open
-        window instead of perpetually trailing it.
-        """
-        if (
-            len({entry[0] for entry in cohort})
-            >= sum(1 for sid in self._sessions if sid in framers)
-        ):
-            return "full"
-        if time.monotonic() >= cohort_deadline:
-            return "window"
-        return None
-
-    def _missed_flush(self, cohort, cohort_t0) -> bool:
-        """Whether the lone gathered key frame just missed a flush.
-
-        Checked only at the end of a sweep (never mid-sweep), so a
-        synchronised burst that lands just after a flush still gathers
-        into one cohort before the rule is consulted.
-        """
-        return (
-            len(cohort) == 1
-            and cohort_t0 is not None
-            and self._last_flush_t is not None
-            and cohort_t0 - self._last_flush_t
-            <= 0.2 * self.gather_window_s
-        )
-
-    def _serve_cohort(self, cohort, closed: set, reason: str = "full",
-                      gather_t0: Optional[float] = None) -> None:
-        """Scatter phase of one batched sweep.
-
-        ``cohort`` holds ``(session_id, connection index, connection,
-        live, frame, label)`` for every key frame the sweep gathered.
-        Teacher inference runs first, batched across the whole cohort
-        (grouped by teacher identity + weight version + geometry — see
-        :class:`~repro.serving.batched.BatchedTeacher`); distillation
-        and replies then proceed per session in deterministic
-        ascending-session order.  Any order is provably equivalent —
-        each session's serve depends only on its own state and the
-        shared work cache, whose memoised outcomes are order-independent
-        — but a fixed order keeps scheduling deterministic.
-
-        Degraded budgets are computed here, after the gather: identical
-        to computing them inline because the load tracker's level only
-        moves at sweep boundaries.
-        """
-        ctl = self._overload
-        recv_budget_s = None if ctl is None else ctl.config.recv_budget_s
-        self._c_cohorts.inc()
-        self._c_cohort_frames.inc(len(cohort))
-        self._g_max_cohort.maximum(len(cohort))
-        if obs.enabled():
-            obs.counter(f"serve.flush.{reason}").inc()
-            obs.histogram("serve.cohort_size").observe(float(len(cohort)))
-            if gather_t0 is not None:
-                obs.histogram("serve.gather_s").observe(
-                    time.monotonic() - gather_t0
-                )
-        items = [
-            (live.server.teacher, live.server.work_version, frame, label)
-            for _sid, _index, _connection, live, frame, label in cohort
-        ]
-        with obs.span("teacher_batch", frames=len(cohort), flush=reason):
-            labels, _routes = self._batched_teacher.infer(items)
-        for pos in sorted(range(len(cohort)), key=lambda p: cohort[p][0]):
-            session_id, index, connection, live, frame, label = cohort[pos]
-            if index in closed or session_id not in self._sessions:
-                # An earlier cohort member's reply write blew the send
-                # budget and tore this connection (and its sessions)
-                # down mid-scatter; the client is gone, not waiting.
-                continue
-            try:
-                self._serve_key_frame(
-                    connection, session_id, live, frame, label,
-                    pseudo_label=labels[pos],
-                )
-            except TimeoutError:
-                if recv_budget_s is None:
-                    raise
-                self._teardown_connection(index, connection, closed,
-                                          "send-budget")
-                continue
-            if ctl is not None:
-                ctl.served()
-        # The scatter is the population's shared unblock point: clients
-        # held here resume their streams together.  Remember when, so a
-        # key frame that *just* missed this flush is recognised as a
-        # straggler rather than held for a fresh window.
-        self._last_flush_t = time.monotonic()
-
-    def route_counters(self) -> Dict[str, int]:
-        """Cohort statistics merged with the batched teacher's route
-        counters (``predicts``/``batch_runs``/``batched_frames``/
-        ``deduped_frames``/``single_frames``) — how the sweep batching
-        actually served key frames.  With ``batch=False`` only the
-        (all-zero) cohort statistics appear."""
-        counters = dict(self.serve_counters)
-        if self._batched_teacher is not None:
-            counters.update(self._batched_teacher.counters)
-        return counters
-
     # ------------------------------------------------------------------
     def _teardown_connection(self, index: int, connection, closed: set,
-                             reason: str) -> None:
-        """Typed unilateral teardown of one connection.
+                             reason: Optional[str] = None) -> None:
+        """End one connection: the one place a link's sessions end with
+        it and its endpoint is released.
 
-        Ends every session the link carried (recording ``reason`` per
-        session), marks the connection closed for the drain rule, and
-        releases the endpoint *now* — per-client rings are dropped the
-        moment their client is known dead or hostile, not held mapped
-        until process exit.  Nothing is sent: the peer is unreachable
-        (dead) or misbehaving (slow-loris), and a farewell write could
-        block on its unserviced ring.
+        Ends every session the link carried, marks the connection
+        closed for the drain rule, and releases the endpoint *now* —
+        per-client rings are dropped the moment their client is gone,
+        not held mapped until process exit.  ``reason`` types a
+        unilateral teardown (recorded per session and per connection);
+        ``None`` is the clean close — the peer sent its sentinel — and
+        records nothing.  Nothing is sent either way: the peer has
+        left, is unreachable (dead) or misbehaving (slow-loris), and a
+        farewell write could block on its unserviced ring.
         """
         for sid, live in list(self._sessions.items()):
             if live.connection is connection:
                 self._end_session(sid)
-                self.teardowns[sid] = reason
+                if reason is not None:
+                    self.teardowns[sid] = reason
         closed.add(index)
-        self.connection_teardowns[index] = reason
+        if reason is not None:
+            self.connection_teardowns[index] = reason
         close = getattr(connection, "close", None)
         if close is not None:
             try:
@@ -965,7 +819,7 @@ class ServerRuntime:
         )
 
     def _doorbell_nap(self, connections, closed, idle_deadline,
-                      next_reap, cohort_deadline, listener=None) -> bool:
+                      next_reap, listener=None) -> bool:
         """Park the idle sweep on the connections' pollable doorbells.
 
         Every open connection must expose a pollable ``doorbell_fd`` —
@@ -1007,8 +861,6 @@ class ServerRuntime:
             wake = idle_deadline
             if next_reap is not None:
                 wake = min(wake, next_reap)
-            if cohort_deadline is not None:
-                wake = min(wake, cohort_deadline)
             timeout = max(0.0, min(wake - time.monotonic(),
                                    _DOORBELL_WAIT_MAX_S))
             _select.select(fds + listener_fds, [], [], timeout)
@@ -1024,12 +876,9 @@ class ServerRuntime:
         sweep of the loop first admits any pending connection, then
         visits every open connection in arrival order and serves at
         most one message from each — fair, deterministic, no threads.
-        In batch mode (the default) the sweep is gather → batch →
-        scatter: key frames are collected while the sweep visits
-        connections, coalesced into batched teacher inference at the
-        sweep's end (:meth:`_serve_cohort`), and replied to in
-        ascending-session order.  Returns key frames served per
-        session id.
+        Every message, key frames included, is handled before the next
+        connection is polled: no clock decides *when* to serve.
+        Returns key frames served per session id.
         """
         connections: List[Any] = []
         closed: set = set()
@@ -1045,29 +894,10 @@ class ServerRuntime:
         next_reap = (
             time.monotonic() + reap_idle_s if reap_idle_s is not None else None
         )
-        #: The gathered key frames (batch mode): emptied into
-        #: :meth:`_serve_cohort` when the cohort is ripe — immediately
-        #: once every live frame-sending session has one queued, else after a
-        #: short straggler window (clients in broadcast lockstep arrive
-        #: within ~ms of each other; the window is small next to one
-        #: key-frame serve, and bit-identity holds for any cohort
-        #: composition, so the heuristic only moves the batching win).
-        cohort: List[tuple] = []
-        cohort_deadline: Optional[float] = None
-        #: When the oldest queued cohort frame arrived — the gather
-        #: latency the flush histogram observes (telemetry only).
-        cohort_t0: Optional[float] = None
         #: Armed once at loop entry: arming mid-run is not supported,
         #: and a per-sweep module-global check would be the only
         #: disarmed cost of the whole sweep instrumentation.
         armed = obs.enabled()
-        #: Session ids that have ever sent a FRAME.  Cohort ripeness
-        #: counts only these: an admitted session that never serves key
-        #: frames (a never-BYE ghost under attack, a joiner still
-        #: pre-training) must not hold every probe's cohort open for
-        #: the full straggler window.  Ids are never reused, so the set
-        #: only grows; ripeness intersects it with the live table.
-        framers: set = set()
         while not self._quiesced(connections, closed, expected,
                                  getattr(listener, "draining", None)):
             sweep_t0 = time.monotonic() if armed else 0.0
@@ -1107,62 +937,12 @@ class ServerRuntime:
                     progressed = True
                     continue
                 if msg is None:
-                    # Connection sentinel: every session still open on
-                    # this link ends with it, and the endpoint is
-                    # released immediately (an abnormal death that
-                    # still managed EOF lands here too — rings must
-                    # not stay mapped until process exit).
-                    for sid, live in list(self._sessions.items()):
-                        if live.connection is connection:
-                            self._end_session(sid)
-                    closed.add(index)
-                    close = getattr(connection, "close", None)
-                    if close is not None:
-                        try:
-                            close()
-                        except Exception:
-                            pass
+                    # Connection sentinel: the clean close (an abnormal
+                    # death that still managed EOF lands here too).
+                    self._teardown_connection(index, connection, closed)
                     progressed = True
                     continue
                 conn_active[index] = time.monotonic()
-                if self.batch and isinstance(msg, tuple):
-                    # Gather: key frames wait for the end of the sweep
-                    # so the whole cohort can batch through one teacher
-                    # forward; control frames stay inline below.
-                    live = self._require_session(session_id)
-                    live.last_active = conn_active[index]
-                    frame, label = msg
-                    cohort.append(
-                        (session_id, index, connection, live, frame, label)
-                    )
-                    framers.add(session_id)
-                    if cohort_deadline is None:
-                        # An overload-armed runtime never holds a
-                        # cohort: the straggler window is a throughput
-                        # optimisation for a cooperative lockstep
-                        # fleet, and untrusted populations with
-                        # divergent strides would pay it as pure probe
-                        # latency (same-sweep arrivals still batch).
-                        window = (
-                            0.0 if ctl is not None else self.gather_window_s
-                        )
-                        cohort_t0 = time.monotonic()
-                        cohort_deadline = cohort_t0 + window
-                    ripe = self._cohort_ripe(cohort, cohort_deadline, framers)
-                    if ripe:
-                        # Ripe mid-sweep (every live framer represented,
-                        # or a zero/expired window): serve NOW rather
-                        # than after the remaining connections poll — a
-                        # blocking slow peer later in the sweep must not
-                        # add its recv budget to this reply's latency.
-                        self._serve_cohort(cohort, closed, reason=ripe,
-                                           gather_t0=cohort_t0)
-                        cohort = []
-                        cohort_deadline = None
-                        cohort_t0 = None
-                    served_this_sweep += 1
-                    progressed = True
-                    continue
                 try:
                     self._handle(connection, session_id, msg)
                 except TimeoutError:
@@ -1174,20 +954,6 @@ class ServerRuntime:
                                               "send-budget")
                 served_this_sweep += 1
                 progressed = True
-            ripe = (
-                self._cohort_ripe(cohort, cohort_deadline, framers)
-                if cohort else None
-            )
-            if ripe is None and cohort and self._missed_flush(cohort, cohort_t0):
-                ripe = "missed-flush"
-            if ripe:
-                # Batch + scatter: one stacked teacher inference per
-                # weight-equal group, replies in ascending-session order.
-                self._serve_cohort(cohort, closed, reason=ripe,
-                                   gather_t0=cohort_t0)
-                cohort = []
-                cohort_deadline = None
-                cohort_t0 = None
             if ctl is not None:
                 ctl.observe_sweep(served_this_sweep)
             if armed and progressed:
@@ -1224,7 +990,7 @@ class ServerRuntime:
                     + (f" (listener expects {expected})" if expected else "")
                 )
             if self._doorbell_nap(connections, closed, idle_deadline,
-                                  next_reap, cohort_deadline, listener):
+                                  next_reap, listener):
                 continue
             time.sleep(nap)
             nap = min(2 * nap, _NAP_MAX_S)
@@ -1232,14 +998,13 @@ class ServerRuntime:
 
 
 def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
-                   max_sessions, admit, overload=None, batch=True,
-                   gather_window_s=0.05, report_conn=None,
+                   max_sessions, admit, overload=None, report_conn=None,
                    obs_config=None, fleet=None, teachers=None,
                    obs_source="server") -> None:
     """Server-process entry point for :func:`start_server`.
 
     ``report_conn`` (a pipe back to the spawning process) receives one
-    final report — frames served, batched-serve route counters, typed
+    final report — frames served, serve/memo counters, typed
     teardowns, a typed ``exit_reason``, and the runtime's metrics
     snapshot (plus Chrome trace events when tracing is armed) — so
     benches and tests can read the runtime's accounting without sharing
@@ -1259,7 +1024,6 @@ def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
         runtime = ServerRuntime(
             blueprints, share_work=share_work, idle_timeout_s=idle_timeout_s,
             max_sessions=max_sessions, admit=admit, overload=overload,
-            batch=batch, gather_window_s=gather_window_s,
             fleet=fleet, teachers=teachers,
         )
         runtime.run(listener)
@@ -1270,6 +1034,10 @@ def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
         exit_reason = f"error:{type(exc).__name__}"
         raise
     finally:
+        counters = runtime.serve_counters if runtime is not None else {}
+        if counters and obs.enabled():
+            for name in _MEMO_COUNTERS:
+                obs.counter(f"serve.memo.{name}").inc(counters[name])
         if report_conn is not None:
             try:
                 report = {
@@ -1278,10 +1046,7 @@ def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
                         dict(runtime.frames_served)
                         if runtime is not None else {}
                     ),
-                    "serve_counters": (
-                        runtime.route_counters()
-                        if runtime is not None else {}
-                    ),
+                    "serve_counters": counters,
                     "teardowns": (
                         dict(runtime.teardowns)
                         if runtime is not None else {}
@@ -1573,8 +1338,8 @@ class ServerHandle:
         #: allowance for a large (trace-bearing) report still in the
         #: pipe buffer, not a wait on the runtime.
         self.report_timeout_s = report_timeout_s
-        #: The runtime's final accounting (frames served, batched-serve
-        #: route counters, typed teardowns, exit reason, metrics
+        #: The runtime's final accounting (frames served, serve/memo
+        #: counters, typed teardowns, exit reason, metrics
         #: snapshot), populated by :meth:`close`.  ``None`` before
         #: close; after close it is *always* a dict — a server that
         #: died without reporting yields the typed :data:`REPORT_LOST`
@@ -1705,8 +1470,6 @@ def start_server(
     max_sessions: Optional[int] = None,
     admit: bool = True,
     overload=None,
-    batch: bool = True,
-    gather_window_s: float = 0.05,
     obs_config=None,
     report_timeout_s: float = 5.0,
     **options,
@@ -1719,15 +1482,13 @@ def start_server(
     blueprinted session or ADMIT a new one (``blueprints`` may be
     empty for a pure-admission server).  ``max_sessions`` caps the
     concurrently open sessions (REJECT past it); ``admit=False``
-    restores the fixed-at-spawn PR-4 behaviour; ``batch=False``
-    restores per-session inline key-frame serves and
-    ``gather_window_s`` tunes how long a partial cohort waits for
-    stragglers (see :class:`ServerRuntime`).  ``options`` pass through
-    to the transport's ``serve_many`` (ring geometry, timeouts).
+    restores the fixed-at-spawn PR-4 behaviour.  ``options`` pass
+    through to the transport's ``serve_many`` (ring geometry,
+    timeouts).
 
     The returned handle's :attr:`~ServerHandle.runtime_report` (read at
     :meth:`~ServerHandle.close`) carries the runtime's final accounting
-    — frames served, batched-serve route counters, typed teardowns, a
+    — frames served, serve/memo counters, typed teardowns, a
     typed exit reason, and the runtime's metrics snapshot.
     ``obs_config`` arms telemetry in the server process explicitly
     (``None`` defers to the inherited ``REPRO_OBS`` environment);
@@ -1747,8 +1508,6 @@ def start_server(
         max_sessions=max_sessions,
         admit=admit,
         overload=overload,
-        batch=batch,
-        gather_window_s=gather_window_s,
         report_conn=report_send,
         obs_config=obs_config,
     )
@@ -1929,7 +1688,7 @@ def _client_process_main(address, config, frame_hw, video_key, num_frames,
             video.reset()
             # The client's one span: its whole session on the shared
             # monotonic axis, so the merged trace shows each client's
-            # stream bracketing the server's serve/teacher_batch spans.
+            # stream bracketing the server's serve spans.
             with obs.span("client_session", label=label, frames=num_frames):
                 stats = client.run(video.frames(num_frames), label=label)
         finally:

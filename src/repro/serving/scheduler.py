@@ -38,8 +38,8 @@ class TickScheduler:
         """Pop every session due at the earliest tick, in session order.
 
         All sessions sharing the pool's earliest tick form one
-        *cohort*: they advance together, which is what creates the
-        batched-inference opportunity.
+        *cohort*: they advance together, which is what lets one
+        predictor call see their duplicate frames side by side.
         """
         if not self._heap:
             raise IndexError("no events scheduled")

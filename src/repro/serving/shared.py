@@ -28,27 +28,35 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.models.teacher import TeacherNet
 from repro.nn.serialize import (
     array_digest,
     clone_state_dict,
     state_dict_digest,
 )
 
+_LABEL_MEMO_SIZE = 64  # a key frame's duplicates arrive close behind it
+
 
 class SharedDistillation:
     """Memo table for :meth:`repro.runtime.server.Server.distill`.
 
     Attach by assigning to ``server.work_cache``; the server then routes
-    every key frame through :meth:`distill`.
+    every key frame through :meth:`pseudo_label` and :meth:`distill`.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str, str], tuple] = {}
-        self.counters: Dict[str, int] = {"calls": 0, "hits": 0, "misses": 0}
+        #: (teacher, frame digest, label digest) -> pseudo-label (FIFO).
+        self._labels: Dict[tuple, np.ndarray] = {}
+        self.counters: Dict[str, int] = {
+            "calls": 0, "hits": 0, "misses": 0,
+            "label_hits": 0, "label_misses": 0,
+        }
 
     # ------------------------------------------------------------------
     def _fingerprint(self, server) -> str:
@@ -71,20 +79,35 @@ class SharedDistillation:
             server._shared_work_version = version
         return version
 
-    def version(self, server) -> str:
-        """Public read of the server's work version (forcing the lazy
-        seed digest if the chain has not started).
-
-        Forcing is safe at any time: each server's chain advances only
-        through its own serves, so reading it between serves returns
-        exactly the value the next :meth:`distill` would derive.  The
-        serving runtime uses this as the weight-equality grouping key
-        for batched teacher inference.
-        """
-        return self._version(server)
-
     # ------------------------------------------------------------------
-    def distill(self, server, frame: np.ndarray, pseudo_label: np.ndarray):
+    def pseudo_label(
+        self, teacher, frame: np.ndarray, label: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[str]]:
+        """``teacher.infer(frame, label)``, once per distinct key frame.
+
+        Returns the label and the frame digest when one was taken (for
+        :meth:`distill` to reuse).  Only neural teachers are memoised,
+        decided by type (an oracle is the identity on its label, a noisy
+        one holds RNG state), and their weights must not change after
+        the first call.  The shared array is read-only.
+        """
+        if not isinstance(teacher, TeacherNet):
+            return teacher.infer(frame, label), None
+        frame_digest = array_digest(frame)
+        key = (teacher, frame_digest, None if label is None else array_digest(label))
+        out = self._labels.get(key)
+        if out is None:
+            self.counters["label_misses"] += 1
+            if len(self._labels) >= _LABEL_MEMO_SIZE:
+                del self._labels[next(iter(self._labels))]
+            out = self._labels[key] = teacher.infer(frame, label)
+            out.flags.writeable = False
+        else:
+            self.counters["label_hits"] += 1
+        return out, frame_digest
+
+    def distill(self, server, frame: np.ndarray, pseudo_label: np.ndarray,
+                frame_digest: Optional[str] = None):
         """Serve one key frame's training, memoised across servers."""
         self.counters["calls"] += 1
         if not server.config.reset_optimizer_state:
@@ -93,7 +116,8 @@ class SharedDistillation:
             return server.distill(frame, pseudo_label)
 
         version = self._version(server)
-        frame_digest = array_digest(frame)
+        if frame_digest is None:
+            frame_digest = array_digest(frame)
         label_digest = array_digest(pseudo_label)
         key = (version, frame_digest, label_digest)
         entry = self._entries.get(key)

@@ -128,11 +128,11 @@ def _thundering_herd(rng: random.Random, seed: int, frames: int) -> StormPlan:
     # refills under retry pressure (~4 refusals per token) rather than
     # deadlocking an idle server whose clock otherwise stands still.
     # Fourteen clients in a 20 ms dial window with a 3-retry budget:
-    # sized to outnumber capacity x retries even though batched sweeps
-    # (cohort dedup + shared distillation) cycle herd sessions through
-    # the three slots far faster than the PR-6 inline path did — the
-    # herd must still overflow the retry budget for the storm to prove
-    # admission control sheds, not merely delays.
+    # sized to outnumber capacity x retries even though the shared memo
+    # (duplicate key frames labelled and distilled once) cycles herd
+    # sessions through the three slots quickly — the herd must still
+    # overflow the retry budget for the storm to prove admission
+    # control sheds, not merely delays.
     return StormPlan(
         name="thundering-herd", seed=seed, jobs=jobs,
         loris_slots=(), ghost_slots=(), max_sessions=3,

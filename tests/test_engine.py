@@ -224,7 +224,7 @@ def _private_plan(model, kind, shapes):
     try:
         if kind.startswith("train"):
             return CompiledTrainStep(fn, examples)
-        return compile_plan(fn, examples, per_sample_stats=kind.endswith("serve"))
+        return compile_plan(fn, examples)
     finally:
         model.train(was_training)
 
@@ -268,16 +268,16 @@ class TestSharedPlans:
                 net.train(training)
             return pair
 
-        x1, x2 = (1, 3, *_HW), (2, 3, *_HW)
+        x1 = (1, 3, *_HW)
         probe = StudentNet(width=0.25, seed=0)
         feat_shapes = tuple(
             f.shape for f in probe.engine_plan("front", (x1,)).run(np.zeros(x1, np.float32))
         )
         student_kinds = {
-            "forward": (x1,), "serve": (x2,), "front": (x1,),
+            "forward": (x1,), "front": (x1,),
             "train_back": feat_shapes, "train_full": (x1,),
         }
-        teacher_kinds = {"forward": (x1,), "serve": (x2,), "soft": (x1,)}
+        teacher_kinds = {"forward": (x1,), "soft": (x1,)}
         models = [
             (*student(11, True, True), student_kinds),
             (*student(12, False, False), student_kinds),
@@ -422,7 +422,7 @@ class TestSharedPlans:
         monkeypatch.setattr(tracer, "capture", counting)
         first, second = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
         kinds = {
-            "forward": ((1, 3, *_HW),), "serve": ((2, 3, *_HW),),
+            "forward": ((1, 3, *_HW),),
             "front": ((1, 3, *_HW),), "train_full": ((1, 3, *_HW),),
         }
         for kind, shapes in kinds.items():

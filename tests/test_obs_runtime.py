@@ -78,17 +78,19 @@ class TestArmedServing:
         assert report["exit_reason"] == "quiesced"
         snapshot = report["metrics"]
         assert snapshot["source"] == "server"
-        assert snapshot["counters"]["serve.cohorts"] >= 1
-        assert snapshot["counters"]["admission.accepted"] == self.N
+        counters = snapshot["counters"]
+        assert counters["serve.key_frames"] >= 1
+        assert counters["admission.accepted"] == self.N
         assert snapshot["histograms"]["sweep.duration_s"]["count"] >= 1
         assert snapshot["histograms"]["serve.serve_s"]["count"] >= 1
-        assert snapshot["histograms"]["serve.cohort_size"]["count"] >= 1
-        # Flush reasons partition the cohort count.
-        flushes = sum(
-            v for k, v in snapshot["counters"].items()
-            if k.startswith("serve.flush.")
+        # Memo outcomes partition the key-frame count, armed mirror and
+        # report dict alike.
+        assert (
+            counters["serve.memo.hits"] + counters["serve.memo.misses"]
+            == counters["serve.key_frames"]
+            == report["serve_counters"]["key_frames"]
         )
-        assert flushes == snapshot["counters"]["serve.cohorts"]
+        assert counters["serve.memo.hits"] == report["serve_counters"]["hits"]
         # Per-session serve timeline rode the report too.
         assert snapshot["series"]["session.serve"]
         # Tracing was armed: the report carries server spans.
@@ -112,9 +114,11 @@ class TestArmedServing:
     def test_disarmed_report_still_carries_serve_accounting(self):
         _, report = self._serve("shm", None)
         # Disarmed, the runtime's local always-on registry still counts
-        # cohorts — the report shape is arming-independent.
+        # key frames — the report shape is arming-independent.
         snapshot = report["metrics"]
-        assert snapshot["counters"]["serve.cohorts"] >= 1
+        assert snapshot["counters"]["serve.key_frames"] >= 1
+        assert "serve.memo.hits" not in snapshot["counters"]
+        assert report["serve_counters"]["hits"] >= 1
         assert "trace" not in report
 
 

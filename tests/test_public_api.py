@@ -131,3 +131,39 @@ class TestTopLevelAll:
                 if not (obj.__doc__ and obj.__doc__.strip()):
                     undocumented.append(name)
         assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+class TestServingSignatures:
+    """The serving entry points take exactly these parameters: a knob
+    that comes back has to come back here first."""
+
+    PINNED = {
+        "repro.serving.runtime:ServerRuntime": (
+            "blueprints", "share_work", "idle_timeout_s", "max_sessions",
+            "admit", "overload", "fleet", "teachers",
+        ),
+        "repro.serving.runtime:start_server": (
+            "blueprints", "transport", "n_clients", "share_work",
+            "idle_timeout_s", "max_sessions", "admit", "overload",
+            "obs_config", "report_timeout_s", "options",
+        ),
+        "repro.serving.fleet:start_fleet": (
+            "n_shards", "transport", "n_clients", "shared_teacher",
+            "share_work", "idle_timeout_s", "max_sessions", "overload",
+            "obs_config", "timeout_s", "ledger_capacity",
+            "report_timeout_s", "shm_options",
+        ),
+        "repro.serving.pool:SessionPool": ("specs",),
+        "repro.serving.batched:BatchedPredictor": (),
+        "repro.runtime.server:Server.handle_key_frame": (
+            "self", "frame", "label", "max_updates",
+        ),
+    }
+
+    @pytest.mark.parametrize("target", sorted(PINNED))
+    def test_exact_parameter_list(self, target):
+        module, _, path = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert tuple(inspect.signature(obj).parameters) == self.PINNED[target]

@@ -82,6 +82,115 @@ class TestHandleKeyFrame:
         assert last >= first
 
 
+class TestLabelMemo:
+    """``SharedDistillation`` labels a distinct key frame once."""
+
+    N = 3
+
+    @staticmethod
+    def _counting(teacher):
+        calls = []
+        infer = teacher.infer
+        teacher.infer = lambda frame, label=None: (
+            calls.append(1) or infer(frame, label)
+        )
+        return calls
+
+    def _servers(self, teacher, shared):
+        return [
+            Server(StudentNet(width=0.25, seed=3), teacher,
+                   DistillConfig(max_updates=2), work_cache=shared)
+            for _ in range(self.N)
+        ]
+
+    def test_identical_frames_infer_once_and_match_unshared(self):
+        from repro.nn.serialize import state_dict_digest
+        from repro.serving.shared import SharedDistillation
+
+        frame, _ = key_frame()
+        teacher = TeacherNet(width=8, seed=2)
+        calls = self._counting(teacher)
+        shared = SharedDistillation()
+        replies = [
+            s.handle_key_frame(frame.copy())[0]
+            for s in self._servers(teacher, shared)
+        ]
+        assert len(calls) == 1
+        assert shared.counters["label_misses"] == 1
+        assert shared.counters["label_hits"] == self.N - 1
+        assert shared.counters["hits"] == self.N - 1
+        for reply, server in zip(
+            replies, self._servers(TeacherNet(width=8, seed=2), None)
+        ):
+            want, _ = server.handle_key_frame(frame)
+            assert state_dict_digest(reply.update) == state_dict_digest(want.update)
+            assert (reply.metric, reply.steps, reply.initial_metric) == (
+                want.metric, want.steps, want.initial_metric
+            )
+
+    def test_different_label_is_a_different_entry(self):
+        from repro.serving.shared import SharedDistillation
+
+        frame, label = key_frame()
+        teacher = TeacherNet(width=8, seed=2)
+        calls = self._counting(teacher)
+        shared = SharedDistillation()
+        shared.pseudo_label(teacher, frame, label)
+        shared.pseudo_label(teacher, frame, label + 1)
+        shared.pseudo_label(teacher, frame, None)
+        assert len(calls) == 3 and shared.counters["label_hits"] == 0
+        shared.pseudo_label(teacher, frame, label.copy())
+        assert len(calls) == 3 and shared.counters["label_hits"] == 1
+
+    def test_all_distinct_traffic_cannot_grow_the_table(self):
+        from repro.serving import shared as shared_mod
+
+        frame, _ = key_frame()
+        teacher = TeacherNet(width=8, seed=2)
+        calls = self._counting(teacher)
+        shared = shared_mod.SharedDistillation()
+        for i in range(shared_mod._LABEL_MEMO_SIZE + 1):
+            shared.pseudo_label(teacher, frame + np.float32(i), None)
+        assert len(shared._labels) == shared_mod._LABEL_MEMO_SIZE
+        # The newest entry still hits; the oldest was dropped.
+        shared.pseudo_label(teacher, frame + np.float32(i), None)
+        assert shared.counters["label_hits"] == 1
+        shared.pseudo_label(teacher, frame, None)
+        assert len(calls) == shared_mod._LABEL_MEMO_SIZE + 2
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_oracles_are_never_memoised(self, noise):
+        from repro.serving.shared import SharedDistillation
+
+        frame, label = key_frame()
+        teacher = OracleTeacher(noise)
+        calls = self._counting(teacher)
+        shared = SharedDistillation()
+        for server in self._servers(teacher, shared):
+            server.handle_key_frame(frame, label)
+        assert len(calls) == self.N
+        assert shared.counters["label_hits"] == 0
+        assert shared.counters["label_misses"] == 0
+
+    def test_training_never_mutates_the_memoised_label(self):
+        from repro.serving.shared import SharedDistillation
+
+        frame, _ = key_frame()
+        teacher = TeacherNet(width=8, seed=2)
+        shared = SharedDistillation()
+        servers = self._servers(teacher, shared)
+        servers[0].handle_key_frame(frame)
+        memoised, _ = shared.pseudo_label(teacher, frame, None)
+        before = memoised.copy()
+        assert not memoised.flags.writeable
+        # A server whose weights differ trains on the same array.
+        other = Server(StudentNet(width=0.25, seed=9), teacher,
+                       DistillConfig(max_updates=2), work_cache=shared)
+        _, result = other.handle_key_frame(frame)
+        assert result.steps > 0 and shared.counters["misses"] == 2
+        np.testing.assert_array_equal(memoised, before)
+
+
 def _client_driver(server_student_seed=5, num_key_frames=3):
     """Build the messages a client would send."""
     video = SyntheticVideo(VideoConfig(seed=1, height=32, width=48,

@@ -1,107 +1,17 @@
-"""Engine batch equivalence: compiled ``n > 1`` serving forwards must be
-bit-identical to stacking ``n`` single-frame forwards, across every
-geometry the student emits (both widths, odd spatial sizes).  This is
-the numerical contract the batched predictor and the whole pooled
-runtime stand on."""
+"""The pooled predictor: frames are grouped by proven weight equality,
+bitwise duplicates within a group are predicted once, and every route
+returns exactly what the session's own predict would."""
 
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.models.student import StudentNet
-from repro.serving.batched import BatchedPredictor, BatchedTeacher
-
-#: (height, width) geometries: the experiment default, the fast test
-#: size, and odd (non-power-of-two) spatial sizes that force BLAS onto
-#: different kernels.
-GEOMETRIES = [(32, 48), (64, 96), (36, 44), (20, 28)]
-WIDTHS = [0.25, 0.5]
+from repro.serving.batched import BatchedPredictor
 
 
 def random_frames(n, hw, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, (n, 3, *hw)).astype(np.float32)
-
-
-class TestServePlanBitIdentity:
-    @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("hw", GEOMETRIES)
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_logits_match_single_frame_plans(self, width, hw, n):
-        student = StudentNet(width=width, seed=0)
-        student.eval()
-        frames = random_frames(n, hw)
-        single_plan = student.engine_plan("forward", ((1, 3, *hw),))
-        serve_plan = student.engine_plan("serve", ((n, 3, *hw),))
-        assert single_plan is not None and serve_plan is not None
-        (batched,) = serve_plan.run(frames)
-        batched = batched.copy()  # plan buffers are reused across runs
-        for i in range(n):
-            (single,) = single_plan.run(frames[i : i + 1])
-            np.testing.assert_array_equal(
-                batched[i], single[0],
-                err_msg=f"sample {i} of {n} at {hw}, width {width}",
-            )
-
-    @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("hw", GEOMETRIES)
-    def test_predict_batch_matches_stacked_predicts(self, width, hw):
-        student = StudentNet(width=width, seed=0)
-        student.eval()
-        frames = random_frames(6, hw, seed=11)
-        singles = np.stack([student.predict(f) for f in frames])
-        np.testing.assert_array_equal(student.predict_batch(frames), singles)
-
-    def test_batched_matches_autograd_per_sample(self):
-        """The chain closes: batched serve == single plan == autograd."""
-        student = StudentNet(width=0.25, seed=0)
-        student.eval()
-        frames = random_frames(3, (32, 48), seed=3)
-        batched = student.predict_batch(frames)
-        with engine.disabled():
-            autograd = np.stack([student.predict(f) for f in frames])
-        np.testing.assert_array_equal(batched, autograd)
-
-    def test_engine_disabled_fallback_is_exact(self):
-        student = StudentNet(width=0.25, seed=0)
-        student.eval()
-        frames = random_frames(4, (32, 48), seed=5)
-        with engine.disabled():
-            preds = student.predict_batch(frames)
-            singles = np.stack([student.predict(f) for f in frames])
-        np.testing.assert_array_equal(preds, singles)
-
-
-class TestPlanCacheCoexistence:
-    def test_serve_and_forward_plans_coexist(self):
-        """Per-session (n = 1) and pool (n > 1) plans live side by side
-        in one module cache under distinct (kind, shapes) keys."""
-        student = StudentNet(width=0.25, seed=0)
-        student.eval()
-        hw = (32, 48)
-        p1 = student.engine_plan("forward", ((1, 3, *hw),))
-        p4 = student.engine_plan("serve", ((4, 3, *hw),))
-        p8 = student.engine_plan("serve", ((8, 3, *hw),))
-        assert p1 is not None and p4 is not None and p8 is not None
-        assert len({id(p1), id(p4), id(p8)}) == 3
-        # Cached: same key returns the same object, no recompilation.
-        assert student.engine_plan("forward", ((1, 3, *hw),)) is p1
-        assert student.engine_plan("serve", ((4, 3, *hw),)) is p4
-
-    def test_serve_plan_survives_weight_update(self):
-        """Serve plans read live weights: an updated student batch-
-        predicts with the fresh weights, identically to its own
-        fresh single predicts."""
-        student = StudentNet(width=0.25, seed=0)
-        student.eval()
-        frames = random_frames(3, (32, 48), seed=9)
-        student.predict_batch(frames)  # compile with the old weights
-        state = {
-            k: v + 0.01 * np.sign(v) for k, v in student.state_dict().items()
-        }
-        student.load_state_dict(state)
-        singles = np.stack([student.predict(f) for f in frames])
-        np.testing.assert_array_equal(student.predict_batch(frames), singles)
 
 
 class TestBatchedPredictor:
@@ -116,18 +26,19 @@ class TestBatchedPredictor:
         return FakeClient(student, version)
 
     def test_groups_by_weight_version(self):
-        frames = random_frames(4, (32, 48))
+        """One frame submitted under two weight versions: duplicates
+        share a predict only inside a version group."""
+        frames = random_frames(1, (32, 48))
         a = self._client("v1")
         b = self._client("v1")
         c = self._client("v2")
         predictor = BatchedPredictor()
         preds, routes = predictor.predict(
-            [(a, frames[0]), (b, frames[1]), (c, frames[2])]
+            [(a, frames[0]), (b, frames[0]), (c, frames[0])]
         )
-        assert routes[0].startswith("batch:2") and routes[1].startswith("batch:2")
-        assert routes[2] == "single"
-        assert predictor.counters["batched_frames"] == 2
-        assert predictor.counters["single_frames"] == 1
+        assert routes == ["single", "dedup", "single"]
+        assert predictor.counters["deduped_frames"] == 1
+        assert predictor.counters["single_frames"] == 2
 
     def test_untracked_versions_never_share(self):
         frames = random_frames(2, (32, 48))
@@ -158,7 +69,7 @@ class TestBatchedPredictor:
 
     def test_counters_sum_even_after_midway_exception(self):
         """The route-counter invariant the bench reports depend on:
-        ``predicts == batched + deduped + single`` at every point —
+        ``predicts == deduped + single`` at every point —
         including after an exception aborts a call midway (the old
         code counted a duplicate at gather time, so its representative
         failing left a dedup that never produced a prediction)."""
@@ -173,9 +84,6 @@ class TestBatchedPredictor:
                     raise RuntimeError("boom")
                 return frame.sum(axis=0)
 
-            def predict_batch(self, frames):
-                raise RuntimeError("boom")
-
         class FakeClient:
             def __init__(self, student, weight_version):
                 self.student = student
@@ -183,22 +91,20 @@ class TestBatchedPredictor:
 
         def check(predictor):
             c = predictor.counters
-            assert c["predicts"] == (
-                c["batched_frames"] + c["deduped_frames"] + c["single_frames"]
-            )
+            assert c["predicts"] == c["deduped_frames"] + c["single_frames"]
 
         frames = random_frames(2, (8, 12))
         # Duplicates whose representative's predict explodes: no frame
         # may be recorded served.
         student = ExplodingStudent(fuse=0)
         items = [(FakeClient(student, "v1"), frames[0]) for _ in range(3)]
-        predictor = BatchedPredictor(batch=False)
+        predictor = BatchedPredictor()
         with pytest.raises(RuntimeError, match="boom"):
             predictor.predict(items)
         check(predictor)
         assert predictor.counters["deduped_frames"] == 0
 
-        # A batch run that explodes after some singles resolved.
+        # A group whose predict explodes after some singles resolved.
         student = ExplodingStudent(fuse=1)
         items = [(FakeClient(student, None), frames[0]),
                  (FakeClient(student, "v1"), frames[0]),
@@ -208,136 +114,3 @@ class TestBatchedPredictor:
             predictor.predict(items)
         check(predictor)
         assert predictor.counters["predicts"] == 1  # only the None-version single
-
-
-class TestTeacherBatchInference:
-    """TeacherNet's stacked inference is bit-identical per sample."""
-
-    def _teacher_and_frames(self, n=5, hw=(16, 24), width=8):
-        from repro.models.teacher import TeacherNet
-
-        rng = np.random.default_rng(11)
-        teacher = TeacherNet(width=width, seed=2)
-        frames = rng.random((n, 3, *hw))
-        return teacher, frames
-
-    def test_infer_batch_matches_per_frame_infer(self):
-        teacher, frames = self._teacher_and_frames()
-        singles = np.stack([teacher.infer(f) for f in frames])
-        np.testing.assert_array_equal(teacher.infer_batch(frames), singles)
-
-    def test_soft_infer_batch_matches_per_frame(self):
-        teacher, frames = self._teacher_and_frames(n=3)
-        singles = np.stack([teacher.soft_infer(f) for f in frames])
-        np.testing.assert_array_equal(teacher.soft_infer_batch(frames), singles)
-
-    def test_engine_disabled_fallback_is_exact(self):
-        from repro.models.teacher import TeacherNet
-
-        teacher, frames = self._teacher_and_frames(n=3)
-        with_engine = teacher.infer_batch(frames)
-        with engine.disabled():
-            fallback_teacher = TeacherNet(width=8, seed=2)
-            fallback = fallback_teacher.infer_batch(frames)
-        np.testing.assert_array_equal(with_engine, fallback)
-
-
-class TestBatchedTeacher:
-    """The runtime-side cohort labeller (gather → batch → scatter)."""
-
-    def _neural(self):
-        from repro.models.teacher import TeacherNet
-
-        return TeacherNet(width=8, seed=2)
-
-    def test_cohort_groups_by_teacher_version_and_geometry(self):
-        rng = np.random.default_rng(3)
-        teacher = self._neural()
-        small = [rng.random((3, 16, 24)) for _ in range(2)]
-        big = rng.random((3, 32, 48))
-        batched = BatchedTeacher()
-        labels, routes = batched.infer([
-            (teacher, "v1", small[0], None),
-            (teacher, "v1", small[1], None),
-            (teacher, "v1", big, None),       # other geometry: own route
-            (teacher, "v2", small[0], None),  # diverged weights: own route
-            (teacher, None, small[1], None),  # broken chain: single path
-        ])
-        assert routes[0] == routes[1] == "batch:2"
-        assert routes[2] == routes[3] == routes[4] == "single"
-        for (t, _v, frame, _l), label in zip([
-            (teacher, None, small[0], None),
-            (teacher, None, small[1], None),
-            (teacher, None, big, None),
-            (teacher, None, small[0], None),
-            (teacher, None, small[1], None),
-        ], labels):
-            np.testing.assert_array_equal(label, t.infer(frame))
-        c = batched.counters
-        assert c["predicts"] == 5
-        assert c["predicts"] == (
-            c["batched_frames"] + c["deduped_frames"] + c["single_frames"]
-        )
-
-    def test_duplicate_key_frames_share_one_inference(self):
-        rng = np.random.default_rng(4)
-        teacher = self._neural()
-        frame = rng.random((3, 16, 24))
-        batched = BatchedTeacher()
-        labels, routes = batched.infer(
-            [(teacher, "v1", frame.copy(), None) for _ in range(3)]
-        )
-        assert sorted(routes) == ["dedup", "dedup", "single"]
-        assert batched.counters["deduped_frames"] == 2
-        ref = teacher.infer(frame)
-        for label in labels:
-            np.testing.assert_array_equal(label, ref)
-
-    def test_oracle_without_infer_batch_serves_per_item(self):
-        from repro.models.teacher import OracleTeacher
-
-        rng = np.random.default_rng(5)
-        teacher = OracleTeacher()
-        frames = [rng.random((3, 8, 12)) for _ in range(2)]
-        labels_in = [rng.integers(0, 4, (8, 12)) for _ in range(2)]
-        batched = BatchedTeacher()
-        labels, routes = batched.infer([
-            (teacher, "v1", frames[0], labels_in[0]),
-            (teacher, "v1", frames[1], labels_in[1]),
-        ])
-        assert routes == ["single", "single"]
-        assert batched.counters["batch_runs"] == 0
-        for got, want in zip(labels, labels_in):
-            np.testing.assert_array_equal(got, want)
-
-    def test_label_rides_the_dedup_key(self):
-        """Equal frames with different labels must not share an
-        inference (the oracle's output depends on the label)."""
-        from repro.models.teacher import OracleTeacher
-
-        rng = np.random.default_rng(6)
-        teacher = OracleTeacher()
-        frame = rng.random((3, 8, 12))
-        la, lb = (rng.integers(0, 4, (8, 12)) for _ in range(2))
-        batched = BatchedTeacher()
-        labels, routes = batched.infer([
-            (teacher, "v1", frame.copy(), la),
-            (teacher, "v1", frame.copy(), lb),
-        ])
-        assert routes == ["single", "single"]
-        np.testing.assert_array_equal(labels[0], la)
-        np.testing.assert_array_equal(labels[1], lb)
-
-    def test_counters_sum_even_after_midway_exception(self):
-        class ExplodingTeacher:
-            def infer(self, frame, label=None):
-                raise RuntimeError("boom")
-
-        teacher = ExplodingTeacher()
-        frame = np.ones((3, 8, 12))
-        batched = BatchedTeacher()
-        with pytest.raises(RuntimeError, match="boom"):
-            batched.infer([(teacher, "v1", frame, None)] * 3)
-        c = batched.counters
-        assert c["predicts"] == 0
-        assert c["deduped_frames"] == 0

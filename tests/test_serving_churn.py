@@ -80,32 +80,29 @@ class TestChurnProcesses:
             )
 
 
-class TestChurnTimesBatching:
-    """ISSUE 7: sweep batching under churn.
+class TestChurnTimesSharing:
+    """The digest memo under churn.
 
-    Mid-run admission lands sessions into sweeps already gathering
-    cohorts, early departure removes a session between gather and
-    serve of later cohorts, and a weight-diverged session (different
-    student seed) must fall back to its own group — all bit-identical
-    to in-process references, batched or not.
+    Mid-run admission lands sessions next to twins already sharing
+    work, early departure ends a session others were sharing with, and
+    a weight-diverged session (different student seed) shares nothing —
+    all bit-identical to in-process references.
     """
 
-    @pytest.mark.parametrize("transport,batch",
-                             [("shm", True), ("shm", False), ("socket", True)])
-    def test_churned_population_bit_identical(self, transport, batch):
+    @pytest.mark.parametrize("transport", ["shm", "socket"])
+    def test_churned_population_bit_identical(self, transport):
         diverged = _config(width=0.25, student_seed=5)
         jobs = [
-            # Two broadcast twins that can actually share cohorts...
+            # Two broadcast twins that can actually share work...
             (0.0, _config(), _HW, "fixed-people", 10, "a"),
             (0.0, _config(), _HW, "fixed-people", 10, "b"),
-            # ...a weight-diverged session (separate group, fallback)...
+            # ...a weight-diverged session (nothing provable to share)...
             (0.2, diverged, _HW, "fixed-people", 8, "c"),
-            # ...a late joiner that departs early (mid-cohort BYE).
+            # ...a late joiner that departs early.
             (0.6, _config(width=0.3), _HW, "fixed-people", 5, "d"),
         ]
         handle = start_server(
             [], transport=transport, n_clients=len(jobs), idle_timeout_s=60,
-            batch=batch,
         )
         try:
             stats = run_churn_processes(handle, jobs, timeout_s=300)
@@ -117,13 +114,15 @@ class TestChurnTimesBatching:
             assert got.signature(include_label=False) == ref.signature(
                 include_label=False
             )
-        if batch:
-            counters = handle.runtime_report["serve_counters"]
-            assert counters["predicts"] == (
-                counters["batched_frames"] + counters["deduped_frames"]
-                + counters["single_frames"]
-            )
-            assert counters["cohort_frames"] == counters["predicts"]
+        report = handle.runtime_report
+        assert sorted(report["frames_served"].values()) == sorted(
+            s.num_key_frames for s in stats
+        )
+        counters = report["serve_counters"]
+        assert counters["key_frames"] == sum(s.num_key_frames for s in stats)
+        assert counters["hits"] + counters["misses"] == counters["key_frames"]
+        # Only the twins hold equal weights on equal frames.
+        assert counters["hits"] == stats[0].num_key_frames
 
 
 class TestAdmissionOverOneConnection:

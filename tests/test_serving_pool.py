@@ -103,49 +103,6 @@ class TestPooledEqualsSingle:
         # Shared training really ran once per distinct key frame.
         assert counters["distill_misses"] == pooled.stats[0].num_key_frames
 
-    @pytest.mark.parametrize(
-        "batch,share,dedup",
-        [(False, False, False), (True, False, False), (False, True, True)],
-    )
-    def test_amortisation_switches_never_change_results(self, batch, share, dedup):
-        """The switches select *how* results are computed, never what
-        they are."""
-        rng = np.random.default_rng(77)
-        params = [random_session(rng, i) for i in range(4)]
-
-        def run_pool(**kwargs):
-            specs = [
-                SessionSpec(
-                    video=make_video(seed), num_frames=16, config=config, label=label
-                )
-                for seed, config, label in params
-            ]
-            return SessionPool(specs, **kwargs).run()
-
-        default = run_pool()
-        variant = run_pool(
-            batch_predicts=batch,
-            share_server_work=share,
-            dedup_identical_frames=dedup,
-        )
-        for a, b in zip(default.stats, variant.stats):
-            assert signature(a) == signature(b)
-
-    def test_batched_route_is_exercised_before_divergence(self):
-        """Sessions with equal widths share weights until their first
-        update lands, so early non-key frames of distinct streams really
-        flow through the n > 1 compiled plan."""
-        config = SessionConfig(student_width=0.25, pretrain_steps=PRETRAIN_STEPS)
-        specs = [
-            SessionSpec(video=make_video(seed), num_frames=12, config=config)
-            for seed in (1, 2, 3, 4)
-        ]
-        result = SessionPool(specs, dedup_identical_frames=False).run()
-        assert result.counters["batched_frames"] > 0
-        assert result.counters["batch_runs"] > 0
-        routes = {route for _, _, _, route in result.schedule}
-        assert any(r.startswith("batch:") for r in routes)
-
     def test_run_shadowtutor_is_the_n1_pool_case(self):
         """N = 1 keeps the classic path: no digest bookkeeping, no
         shared caches, identical output object shape."""

@@ -131,13 +131,14 @@ class TestPooledAttachment:
         assert mux.key_frames[0].down_bytes == inproc.key_frames[0].down_bytes
 
 
-class TestBatchedSweeps:
-    """ISSUE 7: gather → batch → scatter key-frame serving.
+class TestInlineServe:
+    """Every key frame is served in the sweep that received it; what
+    sessions share, they share through the digest memo.
 
-    A mixed population — identical twins (dedup/batch candidates), a
-    different student width, a neural teacher, a different frame
-    geometry — must produce bit-identical per-session ``RunStats``
-    whether sweeps are batched or not, over shm and sockets.
+    A mixed population — identical twins (memo candidates), a different
+    student width, a neural teacher, a different frame geometry — must
+    produce per-session ``RunStats`` bit-identical to the in-process
+    pool, over shm and sockets.
     """
 
     FRAMES = 8
@@ -151,8 +152,8 @@ class TestBatchedSweeps:
             (_config(), (32, 48)),   # identical twins: the broadcast pair
             (_config(), (32, 48)),
             (wide, (32, 48)),        # mixed width: separate weight version
-            (neural, (32, 48)),      # neural teacher: stacked infer path
-            (_config(), (36, 44)),   # mixed geometry: separate group
+            (neural, (32, 48)),      # neural teacher: the label memo's route
+            (_config(), (36, 44)),   # mixed geometry: nothing shared
         ]
 
     def _reference_stats(self):
@@ -168,16 +169,13 @@ class TestBatchedSweeps:
         ]
         return SessionPool(specs).run().stats
 
-    @pytest.mark.parametrize(
-        "transport,batch",
-        [("shm", True), ("shm", False), ("socket", True), ("socket", False)],
-    )
-    def test_mixed_population_bit_identical(self, transport, batch):
+    @pytest.mark.parametrize("transport", ["shm", "socket"])
+    def test_mixed_population_bit_identical(self, transport):
         population = self._population()
         blueprints = [SessionBlueprint(c, hw) for c, hw in population]
         handle = start_server(
             blueprints, transport=transport, n_clients=len(population),
-            idle_timeout_s=60, batch=batch,
+            idle_timeout_s=60,
         )
         try:
             jobs = [
@@ -192,46 +190,107 @@ class TestBatchedSweeps:
             assert got.signature(include_label=False) == ref.signature(
                 include_label=False
             )
-
-    def test_runtime_report_surfaces_route_counters(self):
-        blueprints = [SessionBlueprint(_config(), _HW) for _ in range(3)]
-        handle = start_server(blueprints, transport="shm", n_clients=3,
-                              idle_timeout_s=60)
-        try:
-            jobs = [
-                (_config(), _HW, "fixed-people", self.FRAMES, f"s{i}")
-                for i in range(3)
-            ]
-            run_client_processes(handle, jobs, timeout_s=180)
-        finally:
-            handle.close()
         report = handle.runtime_report
-        assert report is not None
+        served = report["frames_served"]
+        assert [served[i] for i in range(len(stats))] == [
+            s.num_key_frames for s in stats
+        ]
         counters = report["serve_counters"]
-        assert counters["predicts"] == (
-            counters["batched_frames"] + counters["deduped_frames"]
-            + counters["single_frames"]
-        )
-        assert counters["cohorts"] >= 1
-        assert counters["cohort_frames"] == counters["predicts"]
-        assert counters["max_cohort"] <= 3
-        assert sum(report["frames_served"].values()) == counters["predicts"]
+        assert counters["key_frames"] == sum(served.values())
+        assert counters["hits"] + counters["misses"] == counters["key_frames"]
+        # The twins train once per distinct key frame between them...
+        assert counters["hits"] == stats[0].num_key_frames
+        # ...and the lone neural session's labels are all first sights
+        # (oracle sessions never touch the label memo).
+        assert counters["label_hits"] == 0
+        assert counters["label_misses"] == stats[3].num_key_frames
 
-    def test_unbatched_runtime_reports_no_cohorts(self):
-        handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=60, batch=False,
+
+class _ScriptedConnection:
+    """A process-free link: messages are fed by the test, every
+    ``poll`` / ``recv`` / ``send`` lands in a shared event log."""
+
+    def __init__(self, name, log, on_send=None):
+        self.name, self.log, self.on_send = name, log, on_send
+        self.inbox = []
+        self.closed = False
+
+    def poll(self):
+        self.log.append(("poll", self.name))
+        assert len(self.log) < 10_000, "the loop is spinning, not serving"
+        return bool(self.inbox)
+
+    def recv_tagged(self):
+        session, msg = self.inbox.pop(0)
+        self.log.append(("recv", self.name, session, type(msg).__name__))
+        return session, msg
+
+    def send_tagged(self, session, obj):
+        self.log.append(("send", self.name, session, type(obj).__name__))
+        if self.on_send is not None:
+            self.on_send(session, obj)
+
+    def close(self):
+        self.closed = True
+
+
+class _ScriptedListener:
+    def __init__(self, connections):
+        self.pending = list(connections)
+        self.expected = len(connections)
+
+    def poll_accept(self):
+        return self.pending.pop(0) if self.pending else None
+
+
+class TestRunLoopScripted:
+    def test_key_frames_are_served_where_they_arrive(self, monkeypatch):
+        """Two sessions on one link, the second FRAME offered only
+        after the first reply was written, a third session that never
+        frames, and a silent second link: every key frame is answered
+        before any connection is polled again — on a frozen clock, so
+        no timer can be what decided to serve."""
+        import types
+
+        from repro.runtime.server import ServerReply
+        from repro.serving import runtime as runtime_module
+        from repro.transport import wire
+
+        monkeypatch.setattr(runtime_module, "time", types.SimpleNamespace(
+            monotonic=lambda: 0.0, sleep=lambda seconds: None,
+        ))
+        frames = list(_video().frames(2))
+        log = []
+
+        def on_send(session, obj):
+            if not isinstance(obj, ServerReply):
+                return
+            if session == 0:
+                busy.inbox.append((1, frames[1]))
+            else:
+                busy.inbox.extend(
+                    [(sid, wire.Bye(sid)) for sid in range(3)] + [(0, None)]
+                )
+                quiet.inbox.append((0, None))
+
+        busy = _ScriptedConnection("busy", log, on_send)
+        quiet = _ScriptedConnection("quiet", log)
+        busy.inbox.extend(
+            [(sid, wire.Hello(sid)) for sid in range(3)] + [(0, frames[0])]
         )
-        try:
-            run_client_processes(
-                handle, [(_config(), _HW, "fixed-people", 6, "s0")],
-                timeout_s=120,
-            )
-        finally:
-            handle.close()
-        counters = handle.runtime_report["serve_counters"]
-        assert counters["cohorts"] == 0
-        assert "predicts" not in counters  # no BatchedTeacher armed
+        runtime = ServerRuntime(
+            [SessionBlueprint(_config(), _HW) for _ in range(3)], admit=False,
+        )
+        served = runtime.run(_ScriptedListener([busy, quiet]))
+
+        assert served == {0: 1, 1: 1, 2: 0}
+        assert busy.closed and quiet.closed
+        assert runtime.teardowns == {} and runtime.connection_teardowns == {}
+        key_frames = [i for i, e in enumerate(log) if e[0] == "recv" and e[3] == "tuple"]
+        assert len(key_frames) == 2
+        for i in key_frames:
+            assert log[i + 1] == ("send", "busy", log[i][2], "ServerReply")
+        assert runtime.serve_counters["key_frames"] == 2
 
 
 class TestHandshakeAndErrors:

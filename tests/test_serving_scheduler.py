@@ -117,17 +117,3 @@ class TestPoolDeterminism:
         forced_stats = result.stats[1]
         delays = [f.update_delay for f in forced_stats.frames if f.update_delay]
         assert delays and all(d == 2 for d in delays)
-
-    def test_interleaving_is_stable_under_amortisation_switches(self):
-        """Switching sharing/batching off changes route tags, never the
-        (tick, session, frame) interleaving."""
-        a = SessionPool(mixed_specs()).run()
-        b = SessionPool(
-            mixed_specs(),
-            batch_predicts=False,
-            share_server_work=False,
-            dedup_identical_frames=False,
-        ).run()
-        assert [(t, s, f) for t, s, f, _ in a.schedule] == [
-            (t, s, f) for t, s, f, _ in b.schedule
-        ]

@@ -141,7 +141,7 @@ class TestPoolOverRealTransports:
             SessionSpec(video=_video(), num_frames=8, config=_config("shm"))
             for _ in range(2)
         ]
-        pool = SessionPool(specs, share_server_work=True)
+        pool = SessionPool(specs)
         result = pool.run()
         assert result.counters.get("distill_calls", 0) == 0
         assert len(result.stats) == 2
