@@ -61,10 +61,10 @@ def test_multiplexed_beats_dedicated_pipe_servers(results_sink):
 
 @pytest.mark.benchmark(group="perf_serve_many")
 def test_wire_admitted_sessions_keep_the_floor(results_sink):
-    """The ISSUE-5 churn floor: sessions admitted over the wire (no
-    blueprint table at all) must not regress below the >= 2x
-    serve-many floor — admission is a handshake cost, not a per-frame
-    one, so the multiplexing win must survive it."""
+    """The ISSUE-5 churn floor: sessions admitted over the wire must
+    not regress below the >= 2x serve-many floor — admission is a
+    handshake cost, not a per-frame one, so the multiplexing win must
+    survive it (oracle teacher, as this record has always run)."""
     record = measure_serve_many_churn(num_clients=6)
     text = format_serve_many_record(record)
     print(text)

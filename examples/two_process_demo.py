@@ -15,11 +15,10 @@ This demo runs the *real* thing in two shapes:
   N client connections in a single event loop, and shares bitwise-
   identical distillation work across client *processes*.  Each client
   process streams its own video category.
-* ``--late-joiners K`` — dynamic admission: the server starts with an
-  **empty blueprint table** and every client process negotiates its
-  session over the wire (ADMIT, docs/PROTOCOL.md); the last K clients
-  dial in staggered, *after* the server is already mid-run serving the
-  others — the mobile-clients-coming-and-going deployment.
+* ``--late-joiners K`` — every client process admits its session over
+  the wire (ADMIT, docs/PROTOCOL.md); the last K clients dial in
+  staggered, *after* the server is already mid-run serving the others
+  — the mobile-clients-coming-and-going deployment.
 
 Run::
 
@@ -118,15 +117,10 @@ def run_dedicated(args) -> None:
 
 
 def run_multiplexed(args) -> None:
-    """The 1-server/N-client deployment — blueprinted (ISSUE 4) or
-    wire-admitted with late joiners (ISSUE 5)."""
+    """The 1-server/N-client deployment: every client admits its
+    session over the wire, optionally with late joiners."""
     from repro.runtime.session import SessionConfig
-    from repro.serving.runtime import (
-        SessionBlueprint,
-        run_churn_processes,
-        run_client_processes,
-        start_server,
-    )
+    from repro.serving.runtime import run_churn_processes, start_server
 
     hw = (64, 96)
     config = SessionConfig(distill=DistillConfig(**_DISTILL))
@@ -135,35 +129,23 @@ def run_multiplexed(args) -> None:
     ))
 
     late = args.late_joiners
-    blueprints = (
-        [] if late else
-        [SessionBlueprint(config, hw) for _ in range(args.clients)]
-    )
     start = time.perf_counter()
     handle = start_server(
-        blueprints, transport=args.transport, n_clients=args.clients,
-        idle_timeout_s=300,
+        transport=args.transport, n_clients=args.clients, idle_timeout_s=300,
     )
     print(f"multiplexing server pid={handle.process.pid} over "
-          f"{args.transport}, serving {args.clients} client process(es)"
-          + (f" — no blueprints, every session ADMITted over the wire, "
-             f"{late} joining late" if late else ""))
+          f"{args.transport}, serving {args.clients} client process(es), "
+          f"every session ADMITted over the wire"
+          + (f", {late} joining late" if late else ""))
     try:
-        if late:
-            # Stagger the last K clients: they dial a server that is
-            # already serving the others and negotiate mid-run.
-            jobs = [
-                (max(0.0, 1.5 * (i - (args.clients - late) + 1)),
-                 config, hw, category, args.frames, category)
-                for i, category in enumerate(categories)
-            ]
-            stats = run_churn_processes(handle, jobs, timeout_s=600)
-        else:
-            jobs = [
-                (config, hw, category, args.frames, category)
-                for category in categories
-            ]
-            stats = run_client_processes(handle, jobs, timeout_s=600)
+        # Stagger the last K clients: they dial a server that is
+        # already serving the others and admit mid-run.
+        jobs = [
+            (max(0.0, 1.5 * (i - (args.clients - late) + 1)),
+             config, hw, category, args.frames, category)
+            for i, category in enumerate(categories)
+        ]
+        stats = run_churn_processes(handle, jobs, timeout_s=600)
     finally:
         handle.close()
     wall = time.perf_counter() - start
@@ -192,10 +174,9 @@ def main() -> None:
                         help="client processes served by ONE server process "
                              "(shm/socket only; default 4)")
     parser.add_argument("--late-joiners", type=int, default=0, metavar="K",
-                        help="run with an empty blueprint table (every "
-                             "session ADMITted over the wire) and have the "
-                             "last K clients dial in staggered, against the "
-                             "already-running server (shm/socket only)")
+                        help="have the last K clients dial in staggered, "
+                             "against the already-running server "
+                             "(shm/socket only)")
     args = parser.parse_args()
 
     if args.transport == "pipe":

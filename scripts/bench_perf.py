@@ -21,13 +21,12 @@ counters, and the bit-identity check.
 server process serving N concurrent client processes (over
 ``--serve-transport``, shm by default) against the same N sessions
 each spawning a dedicated pipe server process, with per-session
-RunStats verified bit-identical across the two paths.  Adding
-``--churn`` switches to the dynamic-admission variant: the server
-starts with an empty blueprint table and every client negotiates its
-session over the wire (ADMIT), so the recorded speedup includes the
-full wire-negotiated admission cost.  The blueprinted variant runs a
-neural teacher by default; the record's ``serve_counters`` show the
-shared memo labelling and distilling duplicate key frames once.
+RunStats verified bit-identical across the two paths.  Every client
+admits its session over the wire (ADMIT), so the recorded speedup
+includes the admission cost.  The teacher is neural by default and the
+record's ``serve_counters`` show the shared memo labelling and
+distilling duplicate key frames once; adding ``--churn`` produces the
+oracle-teacher ``serve-many-churn`` record instead.
 
 ``--fleet K`` benchmarks the sharded server fleet: K runtime processes
 behind one SO_REUSEPORT front door serving two unpaced tenant groups
@@ -127,16 +126,13 @@ def main() -> int:
                         help="transport for the multiplexed side of "
                              "--serve-many (default: shm)")
     parser.add_argument("--churn", action="store_true",
-                        help="with --serve-many: start the server with no "
-                             "blueprints and have every client negotiate "
-                             "its session over the wire (dynamic admission)")
+                        help="with --serve-many: produce the oracle-teacher "
+                             "serve-many-churn record")
     parser.add_argument("--serve-teacher", default="neural",
                         choices=("neural", "oracle"),
-                        help="teacher for the blueprinted --serve-many "
-                             "variant (default: neural — real per-key-frame "
-                             "GEMMs; --churn always uses the oracle because "
-                             "the ADMIT wire frame cannot describe a neural "
-                             "teacher)")
+                        help="teacher for --serve-many (default: neural — "
+                             "real per-key-frame GEMMs; --churn always uses "
+                             "the oracle)")
     parser.add_argument("--fleet", type=int, default=None, metavar="K",
                         help="benchmark K fleet shards behind one front "
                              "door vs one multiplexed runtime on the "

@@ -482,7 +482,7 @@ def section_serve_many():
         "tight key-frame cadence): N standalone client *processes* served "
         "by ONE multiplexing server process (`repro.serving.runtime."
         "ServerRuntime` — event-driven, session-tagged wire frames, "
-        "HELLO/ACCEPT/BYE handshake) over per-client shm rings or TCP "
+        "ADMIT/ACCEPT/BYE handshake) over per-client shm rings or TCP "
         "sockets, against the same N sessions each spawning a dedicated "
         "pipe server (the PR-3 deployment).  Bitwise-identical key-frame "
         "work from different client processes trains once through the "

@@ -48,11 +48,7 @@ def run_armed_serve_many(directory: pathlib.Path, n_clients: int = 2,
     from repro import obs
     from repro.distill.config import DistillConfig
     from repro.runtime.session import SessionConfig
-    from repro.serving.runtime import (
-        SessionBlueprint,
-        run_client_processes,
-        start_server,
-    )
+    from repro.serving.runtime import run_client_processes, start_server
 
     config = SessionConfig(
         distill=DistillConfig(max_updates=4, threshold=0.7,
@@ -67,9 +63,8 @@ def run_armed_serve_many(directory: pathlib.Path, n_clients: int = 2,
     os.environ[obs.ENV_FEATURES] = "metrics,trace"
     os.environ[obs.ENV_DIR] = str(directory)
     try:
-        blueprints = [SessionBlueprint(config, hw) for _ in range(n_clients)]
-        handle = start_server(blueprints, transport="shm",
-                              n_clients=n_clients, idle_timeout_s=120)
+        handle = start_server(transport="shm", n_clients=n_clients,
+                              idle_timeout_s=120)
         try:
             jobs = [
                 (config, hw, "fixed-people", num_frames, f"obs{i}")

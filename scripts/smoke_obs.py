@@ -25,11 +25,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro import obs  # noqa: E402
 from repro.distill.config import DistillConfig  # noqa: E402
 from repro.runtime.session import SessionConfig, run_shadowtutor  # noqa: E402
-from repro.serving.runtime import (  # noqa: E402
-    SessionBlueprint,
-    run_client_processes,
-    start_server,
-)
+from repro.serving.runtime import run_client_processes, start_server  # noqa: E402
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video  # noqa: E402
 
 N_CLIENTS = 2
@@ -61,10 +57,8 @@ def main() -> int:
         os.environ[obs.ENV_FEATURES] = "metrics,trace,engine"
         os.environ[obs.ENV_DIR] = tmp
         try:
-            blueprints = [SessionBlueprint(_config(), HW) for _ in range(N_CLIENTS)]
             handle = start_server(
-                blueprints, transport="shm", n_clients=N_CLIENTS,
-                idle_timeout_s=120,
+                transport="shm", n_clients=N_CLIENTS, idle_timeout_s=120,
                 obs_config=obs.ObsConfig(metrics=True, trace=True, engine=True),
             )
             try:

@@ -18,11 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.distill.config import DistillConfig  # noqa: E402
 from repro.runtime.session import SessionConfig, run_shadowtutor  # noqa: E402
-from repro.serving.runtime import (  # noqa: E402
-    SessionBlueprint,
-    run_client_processes,
-    start_server,
-)
+from repro.serving.runtime import run_client_processes, start_server  # noqa: E402
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video  # noqa: E402
 
 N_CLIENTS = 4
@@ -46,10 +42,8 @@ def main() -> int:
         NUM_FRAMES, _config(), label="smoke",
     )
     for transport in ("shm", "socket"):
-        blueprints = [SessionBlueprint(_config(), HW) for _ in range(N_CLIENTS)]
         handle = start_server(
-            blueprints, transport=transport, n_clients=N_CLIENTS,
-            idle_timeout_s=120,
+            transport=transport, n_clients=N_CLIENTS, idle_timeout_s=120,
         )
         try:
             jobs = [

@@ -10,7 +10,7 @@ armed:
   will ever arrive) plus a never-BYE ghost session, beside honest
   clients;
 * ``thundering-herd`` — an admission flood against the token bucket,
-  every refusal a typed v4 REJECT carrying a ``retry_after`` hint.
+  every refusal a typed REJECT carrying a ``retry_after`` hint.
 
 Asserts the ISSUE-6 no-wedge contract: the server drains the storm and
 exits 0, every honest job resolves (served or typed-rejected, never

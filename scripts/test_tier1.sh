@@ -71,6 +71,18 @@ if grep -rnIE "gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sa
   echo "FAIL: co-arrival serving path (gather window / cohort / stacked serve) reintroduced" >&2
   exit 1
 fi
+# Same rule for the second handshake (ISSUE 14): ADMIT is the only way
+# to open a session and VERSION the only dialect a decoder accepts —
+# HELLO, the server-side blueprint table, the `admit` / `share_work`
+# switches and the v2-v4 decoders must not come back.
+if grep -rnIE "_REJECT_HEAD_V[0-9]|_V2_KINDS|\bKIND_HELLO\b|wire\.Hello|\bopen_session\b|_open_session|admit_ticket|admit_address|_pending_blueprints|REJECT_(DISABLED|UNKNOWN_SESSION|SESSION_IN_USE)|share_work" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: HELLO / blueprint-table / legacy wire-version path reintroduced" >&2
+  exit 1
+fi
 # Docs smoke (ISSUE 5): the protocol spec cannot drift from wire.py
 # (the doc-sync test also runs inside the suite above; this re-run
 # keeps the gate explicit and costs under a second), and every fenced

@@ -761,35 +761,21 @@ def _serve_many_benchmark(
     each spawning its own dedicated pipe server process (per-session
     spawn, per-process pre-training, pickled payloads), run back to
     back.  Multiplexed side: ONE server process serving ``num_clients``
-    concurrent client processes over ``transport`` — with a blueprint
-    table (``churn=False``) or with every session negotiated over the
-    wire (``churn=True``).  The two variants differ *only* in how the
-    multiplexed side attaches, so their records stay structurally
-    identical and the trajectory stays comparable.
+    concurrent client processes over ``transport``, every session
+    admitted over the wire.  ``churn`` only names the record
+    (``serve-many-churn`` vs ``serve-many``): the two differ in their
+    teacher alone and both stay so each BENCH_PERF trajectory continues.
 
     ``teacher`` selects the server's teacher (``"neural"`` puts real
     per-key-frame GEMMs on the serve path — the cost the shared label
     memo pays once per distinct frame; ``"oracle"`` is the
     label-function stand-in earlier PRs benched).
-    Churn is oracle-only: the ADMIT wire frame cannot describe a
-    neural teacher.
     """
-    from repro.serving.runtime import (
-        SessionBlueprint,
-        run_churn_processes,
-        run_client_processes,
-        start_server,
-    )
+    from repro.serving.runtime import run_client_processes, start_server
     from repro.video.dataset import CATEGORY_BY_KEY
 
     if category not in CATEGORY_BY_KEY:
         raise KeyError(f"unknown LVS category {category!r}")
-    if churn and teacher != "oracle":
-        raise ValueError(
-            "churn benches negotiate sessions over the ADMIT wire frame, "
-            f"which cannot describe a {teacher!r} teacher — use the "
-            "blueprinted variant"
-        )
     config = SessionConfig(
         distill=DistillConfig(
             max_updates=8, threshold=0.999, min_stride=2, max_stride=4
@@ -822,28 +808,16 @@ def _serve_many_benchmark(
         return time.perf_counter() - start, stats
 
     def run_multiplexed() -> Tuple[float, list, Optional[Dict]]:
-        blueprints = (
-            [] if churn else
-            [SessionBlueprint(config, frame_hw) for _ in range(num_clients)]
-        )
         start = time.perf_counter()
         handle = start_server(
-            blueprints, transport=transport, n_clients=num_clients,
-            idle_timeout_s=120.0,
+            transport=transport, n_clients=num_clients, idle_timeout_s=120.0,
         )
         try:
-            if churn:
-                jobs = [
-                    (0.0, config, frame_hw, category, num_frames, f"c{index}")
-                    for index in range(num_clients)
-                ]
-                stats = run_churn_processes(handle, jobs, timeout_s=600.0)
-            else:
-                jobs = [
-                    (config, frame_hw, category, num_frames, f"m{index}")
-                    for index in range(num_clients)
-                ]
-                stats = run_client_processes(handle, jobs, timeout_s=600.0)
+            jobs = [
+                (config, frame_hw, category, num_frames, f"m{index}")
+                for index in range(num_clients)
+            ]
+            stats = run_client_processes(handle, jobs, timeout_s=600.0)
         finally:
             handle.close()
         wall = time.perf_counter() - start
@@ -896,7 +870,7 @@ def _serve_many_benchmark(
         record["multiplexed"]["serve_counters"] = mux_counters
     if churn:
         record["churn"] = True
-        protocol["admission"] = "wire-negotiated (empty blueprint table)"
+        protocol["admission"] = "wire-negotiated"
     return record
 
 
@@ -960,23 +934,16 @@ def measure_serve_many_churn(
     frame_hw: Tuple[int, int] = _FRAME_HW,
     pr: Optional[str] = None,
 ) -> Dict:
-    """Benchmark *dynamically admitted* serving against dedicated servers.
+    """The oracle-teacher serve-many record (``serve-many-churn``).
 
-    Same workload and baseline as :func:`measure_serve_many_throughput`,
-    but the multiplexed server starts with an **empty blueprint table**:
-    every client process dials the running server and negotiates its
-    session over the wire (the ISSUE-5 ADMIT handshake), so the
-    recorded ``speedup`` includes the full cost of wire-negotiated
-    admission — blueprint encode/decode, server-side session
-    construction mid-loop, and the churn-tolerant drain rule.  Clients
-    join with no artificial stagger (the measurement is admission
-    overhead, not sleep time); departures interleave naturally as
-    clients finish.  Floor-enforced alongside the blueprinted variant
-    at >= 2x by ``benchmarks/test_perf_serve_many.py``.
-
-    The teacher stays the oracle: the ADMIT wire frame (v4) carries
-    only the oracle's noise field, so a wire-negotiated session cannot
-    describe a neural teacher.
+    Same workload, baseline and handshake as
+    :func:`measure_serve_many_throughput` — every client process dials
+    the running server and admits its session over the wire, so the
+    recorded ``speedup`` includes blueprint encode/decode, server-side
+    session construction mid-loop and the churn-tolerant drain rule —
+    with the label-function teacher this record has always used, which
+    keeps its trajectory comparable.  Floor-enforced at >= 2x by
+    ``benchmarks/test_perf_serve_many.py``.
     """
     return _serve_many_benchmark(
         num_clients, num_frames, width, category, pretrain_steps,
@@ -1011,11 +978,7 @@ def measure_obs_overhead(
     import os
 
     from repro import obs
-    from repro.serving.runtime import (
-        SessionBlueprint,
-        run_client_processes,
-        start_server,
-    )
+    from repro.serving.runtime import run_client_processes, start_server
     from repro.video.dataset import CATEGORY_BY_KEY
 
     if category not in CATEGORY_BY_KEY:
@@ -1029,7 +992,6 @@ def measure_obs_overhead(
         teacher_arch="neural",
     )
     pretrained_student(width, config.student_seed, pretrain_steps, frame_hw)
-    blueprints = [SessionBlueprint(config, frame_hw) for _ in range(num_clients)]
     jobs = [
         (config, frame_hw, category, num_frames, f"o{index}")
         for index in range(num_clients)
@@ -1042,7 +1004,7 @@ def measure_obs_overhead(
         try:
             start = time.perf_counter()
             handle = start_server(
-                blueprints, transport=transport, n_clients=num_clients,
+                transport=transport, n_clients=num_clients,
                 idle_timeout_s=120.0,
             )
             try:
@@ -1208,7 +1170,7 @@ def measure_storm(
         for slot in plan.loris_slots:
             proc = mp.Process(
                 target=storms_mod._loris_main,
-                args=(handle.admit_address(storm_base + slot), 60.0),
+                args=(handle.address(storm_base + slot), 60.0),
                 daemon=True,
             )
             proc.start()
@@ -1216,7 +1178,7 @@ def measure_storm(
         for slot in plan.ghost_slots:
             proc = mp.Process(
                 target=storms_mod._ghost_main,
-                args=(handle.admit_address(storm_base + slot), 2, 60.0),
+                args=(handle.address(storm_base + slot), 2, 60.0),
                 daemon=True,
             )
             proc.start()
@@ -1521,11 +1483,10 @@ def format_serve_many_record(record: Dict) -> str:
     """One-paragraph human summary of a serve-many record."""
     proto = record["protocol"]
     dedicated, mux = record["dedicated_pipe"], record["multiplexed"]
-    flavour = "admitted over the wire" if record.get("churn") else "blueprinted"
     teacher = proto.get("teacher", "oracle")
     lines = (
-        f"serve-many perf — {proto['num_clients']} client processes "
-        f"({flavour}) x {proto['num_frames']} frames ({proto['category']}, "
+        f"{record['name']} perf — {proto['num_clients']} client processes "
+        f"x {proto['num_frames']} frames ({proto['category']}, "
         f"width {proto['student_width']}, {proto['transport']}, "
         f"{teacher} teacher):\n"
         f"  dedicated pipe servers ({dedicated['server_processes']} procs): "

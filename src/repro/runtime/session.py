@@ -67,12 +67,11 @@ class SessionConfig:
     #: ``SessionTicket`` from :meth:`ServerHandle.ticket` (shares the
     #: handle's connection — the pooled-client case) or a picklable
     #: ``SessionAddress`` from :meth:`ServerHandle.address` (dials its
-    #: own connection — a standalone client process).  Either kind with
-    #: ``session=None`` (``admit_ticket``/``admit_address``) joins a
-    #: server that never blueprinted this session: ``build_session``
-    #: ships this config over the wire in an ADMIT frame and the server
-    #: instantiates it mid-run (dynamic admission).  Takes precedence
-    #: over ``transport``, which describes spawning a dedicated server.
+    #: own connection — a standalone client process).  Either way
+    #: ``build_session`` ships the session's blueprint (this config,
+    #: or the one a ``ticket(i)`` carries) over the wire in an ADMIT
+    #: frame and the server instantiates it.  Takes precedence over
+    #: ``transport``, which describes spawning a dedicated server.
     attach: Optional[object] = None
 
 

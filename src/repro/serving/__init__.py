@@ -35,15 +35,16 @@ ServerRuntime` multiplexes N client connections (shm rings or TCP
 sockets) through one server process — one teacher, per-session
 server-side students, shared distillation, every key frame served in
 the sweep that received it — with per-session
-``RunStats`` bit-identical to the in-process pool.  Sessions are not
-fixed at spawn: a client can dial a running server and negotiate a
-brand-new session over the wire (ADMIT/REJECT, wire v3 — see
+``RunStats`` bit-identical to the in-process pool.  There is one way
+to open a session: a client ships its blueprint to the running server
+in an ADMIT frame and is ACCEPTed (with a server-assigned id and the
+initial weights) or REJECTed with a typed reason (see
 ``docs/PROTOCOL.md``), bounded by a capacity policy and drained by a
 churn-tolerant exit rule.
 
 :mod:`repro.serving.overload` hardens that front door for untrusted
 traffic: a deterministic token-bucket admission limiter over the
-runtime's tick clock (wire-v4 REJECTs carry typed ``retry_after``
+runtime's tick clock (REJECTs carry typed ``retry_after``
 hints), a per-sweep load tracker whose graduated levels cap
 distillation budgets and stretch client strides under pressure, a
 per-connection receive budget against slow-loris peers, and an
@@ -56,7 +57,7 @@ puts K whole runtimes behind one front door (``SO_REUSEPORT`` fan-in
 for sockets, an accept-and-handoff director for shm rings) with
 admission-time placement — least-loaded plus blueprint affinity,
 recorded in a shared-memory claim ledger so placement is a pure
-function of admission order — wire-v5 ``redirect`` REJECTs naming the
+function of admission order — ``redirect`` REJECTs naming the
 owning shard, and one read-only digest-checked teacher weight segment
 shared by every shard.  The fleet battery in
 ``tests/test_serving_fleet.py`` pins the same invariant as the pool's:

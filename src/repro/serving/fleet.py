@@ -27,7 +27,7 @@ each other's key frames and get a second server core:
 
 * **Redirects.**  A socket shard that receives an ADMIT belonging
   elsewhere answers with the typed ``redirect`` REJECT carrying the
-  target shard (wire v5); the client re-dials that shard's *direct*
+  target shard; the client re-dials that shard's *direct*
   port and re-ADMITs — no fresh negotiation state, the same blueprint
   crosses again (the follow loop lives in
   :func:`repro.serving.runtime.attach_session`).
@@ -583,18 +583,21 @@ def _director_main(pairs, timeout_s: float, ledger: FleetLedger,
         for index, transport in enumerate(transports):
             if done[index] or not transport.poll():
                 continue
-            tag, msg = transport.recv_tagged()
+            try:
+                tag, msg = transport.recv_tagged()
+                detail = "fleet front door accepts ADMIT only"
+            except wire.MalformedBlueprint as exc:
+                tag, msg, detail = 0, exc, str(exc)
             done[index] = True
             progressed = True
             if msg is None:
                 continue  # the client left before admitting; discard
             if not isinstance(msg, wire.Admit):
-                # The front door negotiates, never serves: a HELLO
-                # (or worse) cannot be routed because placement keys
-                # off the ADMIT blueprint.
+                # The front door negotiates, never serves: anything but
+                # a well-formed ADMIT cannot be routed because
+                # placement keys off the blueprint.
                 transport.send_tagged(tag, wire.Reject(
-                    0, wire.REJECT_MALFORMED,
-                    "fleet front door accepts ADMIT only",
+                    0, wire.REJECT_MALFORMED, detail,
                 ))
                 continue
             target = ledger.place(placement_key(msg), None)
@@ -658,7 +661,7 @@ def _shard_entry(shard: int, listener, ledger: FleetLedger, teacher_seg,
     if teacher_seg is not None:
         teachers = {teacher_seg.spec_key: teacher_seg.build_teacher()}
     _runtime_entry(
-        listener, [],
+        listener,
         fleet=FleetMember(shard, ledger),
         teachers=teachers,
         report_conn=report_conn,
@@ -672,10 +675,8 @@ class FleetHandle:
 
     Duck-types the slice of :class:`~repro.serving.runtime
     .ServerHandle` the standalone-client drivers use
-    (:meth:`admit_address`), so ``run_churn_processes`` and the bench
-    harnesses drive a fleet exactly like a single server.  Fleets are
-    pure-admission: there are no blueprints, so ``address``/tickets
-    are a :class:`TypeError` by design.
+    (:meth:`address`), so ``run_churn_processes`` and the bench
+    harnesses drive a fleet exactly like a single server.
     """
 
     def __init__(self, transport: str, n_shards: int, processes,
@@ -707,23 +708,17 @@ class FleetHandle:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def admit_address(self, slot: int, admit_retries: int = 0,
-                      retry_seed: Optional[int] = None) -> FleetAddress:
+    def address(self, slot: int, admit_retries: int = 0,
+                retry_seed: Optional[int] = None) -> FleetAddress:
         """Picklable attachment point for one standalone client: dial
-        the front door, negotiate by ADMIT, follow redirects."""
+        the front door, ADMIT, follow redirects."""
         if self._link is not None:
             info = self._link.address(slot)
         else:
             info = self._front_info
         seed = slot if retry_seed is None else retry_seed
-        return FleetAddress(self.transport, info, None, admit_retries,
-                            seed, shards=self._shard_infos)
-
-    def address(self, *args, **kwargs):
-        raise TypeError(
-            "fleets are pure-admission: there are no blueprinted "
-            "sessions to address; use admit_address"
-        )
+        return FleetAddress(self.transport, info, admit_retries, seed,
+                            shards=self._shard_infos)
 
     def ledger_snapshot(self) -> Dict[str, Any]:
         return self._ledger.snapshot()
@@ -812,7 +807,6 @@ def start_fleet(
     n_clients: int = 1,
     *,
     shared_teacher: Optional[Tuple[int, int]] = None,
-    share_work: bool = True,
     idle_timeout_s: float = 120.0,
     max_sessions: Optional[int] = None,
     overload=None,
@@ -849,10 +843,8 @@ def start_fleet(
         if shared_teacher is not None else None
     )
     runtime_kwargs = dict(
-        share_work=share_work,
         idle_timeout_s=idle_timeout_s,
         max_sessions=max_sessions,
-        admit=True,
         overload=overload,
         obs_config=obs_config,
     )

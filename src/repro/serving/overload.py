@@ -1,7 +1,7 @@
 """Overload control for the multiplexing server runtime (ISSUE 6).
 
 PR 5 gave :class:`~repro.serving.runtime.ServerRuntime` a front door
-(wire-v3 ADMIT/REJECT) whose only defense against hostile or bursty
+(ADMIT/REJECT) whose only defense against hostile or bursty
 traffic was the ``max_sessions`` cliff.  This module supplies the
 graduated alternative — three pure, deterministic pieces the runtime
 composes, each testable without a server process:
@@ -12,7 +12,7 @@ composes, each testable without a server process:
     function of work actually done, never of wall-clock races.  When
     the bucket is empty the admission is refused with a typed
     ``retry_after`` hint (ticks until a token exists), which rides the
-    wire-v4 REJECT body back to the client.
+    REJECT body back to the client.
 
 :class:`LoadTracker`
     A per-sweep queue-depth estimator.  Each poll sweep the runtime
@@ -181,8 +181,8 @@ class OverloadConfig:
     """Knobs for the runtime's overload-control layer.
 
     Everything defaults to *off* (``None`` / ``False``): a runtime
-    built without an explicit config behaves exactly like the pre-v4
-    server, which is what keeps the RunStats bit-identity harness
+    built without an explicit config has no overload layer at all,
+    which is what keeps the RunStats bit-identity harness
     green.  Storm benches construct one with the controls they are
     exercising.
     """

@@ -19,28 +19,24 @@ clients.  This module is that shape:
   :class:`~repro.serving.shared.SharedDistillation` memo, exactly as
   the in-process pool shares it between sessions: duplicates are found
   by content digest, whenever they arrive.
-* the session protocol — HELLO/ACCEPT opens a *blueprinted* session on
-  a connection (one link can carry many: a pooled client process runs
-  all its sessions over a single connection), ADMIT/ACCEPT negotiates
-  a **brand-new** session against a running server (the blueprint
-  crosses the wire, the server assigns the id), REJECT refuses either
-  with a typed reason code, BYE ends a session, and the ``None``
-  sentinel closes a connection.  Session ids tag every wire frame
-  (:mod:`repro.transport.wire` version 3; the normative spec is
-  ``docs/PROTOCOL.md``).
-* dynamic admission — the runtime no longer fixes its session
-  population at spawn: a client that was never blueprinted can dial a
-  running server mid-run, ship its blueprint in an ADMIT frame, and be
-  served exactly as a blueprinted session would be (same pre-trained
-  checkpoint, same deterministic trainer — so its ``RunStats`` stay
-  bit-identical to an in-process run).  A configurable capacity policy
-  (``max_sessions``) bounds concurrently open sessions; admission past
-  it is REJECTed with the ``capacity`` reason, loudly and cleanly.
-  The exit condition is a quiesce/drain rule that tolerates churn:
-  the runtime exits once every blueprinted session has ended, no
-  session remains open, and the listener's whole provisioned
-  connection population has come and gone — not when some fixed
-  session roster is done.
+* the session protocol — there is one way in: a client ships its
+  session's blueprint in an ADMIT frame and the server builds the
+  student, assigns the session id (0, 1, 2, ... in acceptance order)
+  and answers ACCEPT plus the initial weights (Algorithm 3's initial
+  send), or REJECT with a typed reason code; BYE ends a session and
+  the ``None`` sentinel closes a connection.  One link can carry many
+  sessions (a pooled client process runs all of its sessions over a
+  single connection), so session ids tag every wire frame
+  (:mod:`repro.transport.wire`; the normative spec is
+  ``docs/PROTOCOL.md``).  An admitted session uses the same
+  pre-trained checkpoint and deterministic trainer an in-process one
+  would, so its ``RunStats`` stay bit-identical to an in-process run.
+* capacity and drain — a configurable policy (``max_sessions``) bounds
+  concurrently open sessions; admission past it is REJECTed with the
+  ``capacity`` reason, loudly and cleanly.  The exit condition
+  tolerates churn: the runtime exits once no session remains open and
+  the listener's whole provisioned connection population has come and
+  gone — not when some fixed session roster is done.
 * the client side — :class:`MuxConnection` demultiplexes tagged
   replies into per-session queues; :class:`MuxRemoteServer` gives
   :class:`~repro.runtime.client.Client` the same server surface
@@ -128,11 +124,8 @@ def serve_endpoint(server, endpoint: Endpoint, initial_send: bool = True) -> int
 class SessionBlueprint:
     """Everything the server process needs to build one session's
     server half: the session's configuration and frame geometry.
-
-    Blueprint index == session id: a client's HELLO names the blueprint
-    it wants served, so both sides agree on widths, seeds and
-    distillation settings without shipping configuration over the wire.
-    """
+    It reaches the server as an ADMIT frame (:func:`admit_message` /
+    :meth:`from_admit`)."""
 
     config: Any                       #: :class:`~repro.runtime.session.SessionConfig`
     frame_hw: Tuple[int, int]
@@ -204,10 +197,9 @@ def admit_message(config, frame_hw: Tuple[int, int]) -> wire.Admit:
     :meth:`SessionBlueprint.from_admit`.  Only server-relevant fields
     cross: latency/network simulation, message-size accounting and
     forced delays are client-side knobs the replies do not depend on.
-    Since wire v5 the frame carries the full teacher spec
-    (arch/width/seed), so a wire-negotiated session can describe a
-    neural teacher — what lets a whole fleet population, which is
-    always admitted over the wire, share one teacher.
+    The frame carries the full teacher spec (arch/width/seed), so a
+    session can describe a neural teacher — what lets a whole fleet
+    population share one.
     """
     distill = config.distill
     return wire.Admit(
@@ -224,14 +216,14 @@ def admit_message(config, frame_hw: Tuple[int, int]) -> wire.Admit:
         lr=distill.lr,
         reset_optimizer_state=distill.reset_optimizer_state,
         teacher_boundary_noise=config.teacher_boundary_noise,
-        teacher_arch=getattr(config, "teacher_arch", "oracle"),
-        teacher_width=int(getattr(config, "teacher_width", 48)),
-        teacher_seed=int(getattr(config, "teacher_seed", 0)),
+        teacher_arch=config.teacher_arch,
+        teacher_width=int(config.teacher_width),
+        teacher_seed=int(config.teacher_seed),
     )
 
 
 class AdmissionError(RuntimeError):
-    """A running server refused this client's HELLO or ADMIT.
+    """A running server refused this client's ADMIT.
 
     Carries the wire-level :class:`~repro.transport.wire.Reject` so
     callers can branch on :attr:`code` (e.g. retry elsewhere on
@@ -253,8 +245,9 @@ class AdmissionError(RuntimeError):
             f", retry after {reject.retry_after} ms"
             if reject.retry_after is not None else ""
         )
-        shard = getattr(reject, "shard", None)
-        target = f" -> shard {shard}" if shard is not None else ""
+        target = (
+            f" -> shard {reject.shard}" if reject.shard is not None else ""
+        )
         super().__init__(
             f"server refused {context} ({reject.reason}{detail}{after}{target})"
         )
@@ -262,14 +255,14 @@ class AdmissionError(RuntimeError):
         self.code = reject.code
         self.reason = reject.reason
         self.retry_after = reject.retry_after
-        self.shard = shard
+        self.shard = reject.shard
 
     @property
     def retryable(self) -> bool:
         """True when the refusal is about the server's *current* load
         (capacity/overloaded) — conditions a later retry can outlive.
-        Structural refusals (malformed blueprint, admission disabled,
-        unknown session) can never succeed by waiting."""
+        Structural refusals (malformed blueprint, redirect) can never
+        succeed by waiting."""
         return self.code in (wire.REJECT_CAPACITY, wire.REJECT_OVERLOADED)
 
 
@@ -290,73 +283,43 @@ class ServerRuntime:
 
     Parameters
     ----------
-    blueprints:
-        Pre-provisioned session blueprints, indexed by session id
-        (HELLO names one of these).  May be empty: a pure-admission
-        server starts with no sessions at all and builds its whole
-        population from ADMIT frames.
-    share_work:
-        Attach one :class:`~repro.serving.shared.SharedDistillation` to
-        every per-session server, so bitwise-identical key-frame work
-        submitted by different client processes trains once.  Replies
-        are provably identical either way, so this only changes cost.
     idle_timeout_s:
         Hard deadline on a completely idle loop (no accepts, no
         messages): a lost client population raises ``TimeoutError``
         instead of wedging the server process forever.
     max_sessions:
-        Capacity policy: the most sessions (blueprinted + admitted)
-        allowed *open at once*.  A HELLO or ADMIT past the cap is
-        REJECTed with the ``capacity`` reason; a session ending frees
-        its slot.  ``None`` means unbounded (the wire header's u16
-        session id is the only ceiling).
-    admit:
-        Accept ADMIT frames (dynamic session admission).  With it off,
-        an ADMIT is REJECTed with the ``admission-disabled`` reason and
-        the runtime serves only its blueprint table, as in PR 4.
+        Capacity policy: the most sessions allowed *open at once*.
+        An ADMIT past the cap is REJECTed with the ``capacity``
+        reason; a session ending frees its slot.  ``None`` means
+        unbounded (the wire header's u16 session id is the only
+        ceiling).
     overload:
         An :class:`~repro.serving.overload.OverloadConfig` enabling the
         graduated overload-control layer (token-bucket admission with
         ``retry_after`` hints, load-adaptive strides, per-connection
         receive budgets, idle-session reaping).  ``None`` — the default
-        — is byte-for-byte the pre-v4 server: no tracker, no budget, no
-        reaper, bit-identical RunStats.
+        — means no tracker, no budget, no reaper: bit-identical
+        RunStats.
     """
 
     def __init__(
         self,
-        blueprints: List[SessionBlueprint] = (),
-        share_work: bool = True,
         idle_timeout_s: float = 120.0,
         max_sessions: Optional[int] = None,
-        admit: bool = True,
         overload=None,
         fleet=None,
         teachers=None,
     ) -> None:
-        if not blueprints and not admit:
-            raise ValueError(
-                "a ServerRuntime with admission disabled needs at least "
-                "one SessionBlueprint (it could never serve anything)"
-            )
-        if len(blueprints) > wire.MAX_SESSION:
-            raise ValueError("more sessions than the wire header can tag")
         if max_sessions is not None and max_sessions < 1:
             raise ValueError("max_sessions must be at least 1 (or None)")
-        self.blueprints = list(blueprints)
         self.idle_timeout_s = idle_timeout_s
         self.max_sessions = max_sessions
-        self.admit = admit
         from repro.serving.shared import SharedDistillation
 
-        # With admission on the population can always grow past one
-        # session; a fixed single-blueprint server would pay cache
-        # inserts nothing can ever share.
-        self._work_cache = (
-            SharedDistillation()
-            if share_work and (admit or len(self.blueprints) > 1)
-            else None
-        )
+        #: One memo for every per-session server, so bitwise-identical
+        #: key-frame work submitted by different client processes
+        #: labels and trains once (replies are identical either way).
+        self._work_cache = SharedDistillation()
         #: Shared teacher instances keyed by (arch, width, seed) spec.
         #: ``teachers`` pre-seeds the cache — a fleet shard injects its
         #: copy-on-never teachers aliased onto the fleet's read-only
@@ -387,13 +350,10 @@ class ServerRuntime:
         )
         self._c_key_frames = self.metrics.counter("serve.key_frames")
         self._sessions: Dict[int, _LiveSession] = {}
-        self._ended: set = set()
-        #: Blueprinted ids that have not ended yet — the runtime's
-        #: standing commitment; admitted sessions come and go freely.
-        self._pending_blueprints = set(range(len(self.blueprints)))
-        #: Next candidate id for an admitted session (blueprint ids are
-        #: reserved forever, even after their sessions end).
-        self._next_dynamic = len(self.blueprints)
+        #: Next session id to assign: 0, 1, 2, ... in acceptance order,
+        #: never reused, so demux queues and ``frames_served`` records
+        #: stay unambiguous for the whole runtime lifetime.
+        self._next_session = 0
         #: (served key frames per session id) — populated by :meth:`run`.
         self.frames_served: Dict[int, int] = {}
         from repro.serving.overload import OverloadController
@@ -416,7 +376,7 @@ class ServerRuntime:
         """Key frames served, and how many of them the shared memo
         spared a teacher forward (``label_*``) or a distillation
         (``hits`` / ``misses``) — the runtime report's accounting."""
-        memo = self._work_cache.counters if self._work_cache is not None else {}
+        memo = self._work_cache.counters
         counters = {"key_frames": self._c_key_frames.value}
         counters.update((name, memo.get(name, 0)) for name in _MEMO_COUNTERS)
         return counters
@@ -442,14 +402,10 @@ class ServerRuntime:
         """
         from repro.runtime.session import build_teacher
 
-        arch = getattr(config, "teacher_arch", "oracle")
+        arch = config.teacher_arch
         if arch == "oracle" and config.teacher_boundary_noise != 0.0:
             return build_teacher(config)
-        key = (
-            arch,
-            getattr(config, "teacher_width", None),
-            getattr(config, "teacher_seed", None),
-        )
+        key = (arch, config.teacher_width, config.teacher_seed)
         teacher = self._shared_teachers.get(key)
         if teacher is None:
             teacher = build_teacher(config)
@@ -488,10 +444,11 @@ class ServerRuntime:
             return self._hint_ms(self._overload.capacity_hint())
         return self._hint_ms(self._DEFAULT_CAPACITY_HINT)
 
-    def _start_session(self, session_id: int, connection,
-                       blueprint: SessionBlueprint) -> None:
-        """Build the server half of one session and complete its
-        handshake: ACCEPT tagged with the id, then the initial STATE."""
+    def _start_session(self, connection, blueprint: SessionBlueprint) -> int:
+        """Build the server half of one session, assign it the next id
+        and complete its handshake: ACCEPT tagged with the id, then the
+        initial STATE.  A blueprint that breaks model construction
+        raises ``ValueError`` before an id is spent."""
         from repro.runtime.server import Server
         from repro.runtime.session import pretrained_student
 
@@ -504,128 +461,77 @@ class ServerRuntime:
             student, self._teacher_for(config), config.distill, config.sizes,
             work_cache=self._work_cache,
         )
+        session_id = self._next_session
+        self._next_session += 1
         self._sessions[session_id] = _LiveSession(server, connection)
         connection.send_tagged(session_id, wire.Accept(session_id))
         connection.send_tagged(session_id, dict(server.student.state_dict()))
         self._note_admission()
+        return session_id
 
-    def _open_session(self, session_id: int, connection) -> None:
-        """HELLO path: open a blueprinted session by its table index."""
-        if not 0 <= session_id < len(self.blueprints):
-            connection.send_tagged(session_id, wire.Reject(
-                session_id, wire.REJECT_UNKNOWN_SESSION,
-                f"no blueprint {session_id} "
-                f"(table has {len(self.blueprints)})",
-            ))
-            self._note_admission("unknown-session")
-            return
-        if session_id in self._sessions or session_id in self._ended:
-            connection.send_tagged(session_id, wire.Reject(
-                session_id, wire.REJECT_SESSION_IN_USE,
-                "session is already open" if session_id in self._sessions
-                else "session already ran and ended",
-            ))
-            self._note_admission("session-in-use")
-            return
-        if self._at_capacity():
-            connection.send_tagged(session_id, wire.Reject(
-                session_id, wire.REJECT_CAPACITY,
-                f"{len(self._sessions)}/{self.max_sessions} sessions open",
-                retry_after=self._capacity_hint(),
-            ))
-            self._note_admission("capacity")
-            return
-        self._start_session(session_id, connection, self.blueprints[session_id])
+    def _refuse(self, connection, code: int, detail: str,
+                fleet_key: Optional[int] = None, **hint) -> None:
+        """The one refusal path: undo the fleet ledger claim (if one
+        was taken), answer REJECT on session 0 — the requester owns no
+        session id yet — and account for it."""
+        if fleet_key is not None:
+            self._fleet.abort(fleet_key)
+        connection.send_tagged(0, wire.Reject(0, code, detail, **hint))
+        self._note_admission(wire.REJECT_REASONS[code])
 
     def _admit_session(self, connection, admit: wire.Admit) -> None:
-        """ADMIT path: negotiate a brand-new session mid-run.
-
-        The server assigns the id (never reusing one, so demux queues
-        and ``frames_served`` records stay unambiguous for the whole
-        runtime lifetime) and answers on session 0 with a REJECT when
-        it cannot — the requester owns no session id yet.
-        """
-        if not self.admit:
-            connection.send_tagged(0, wire.Reject(
-                0, wire.REJECT_DISABLED,
-                "this server only serves its spawn-time blueprints",
-            ))
-            self._note_admission("disabled")
-            return
+        """Open a session: validate the blueprint, assign the next id,
+        answer ACCEPT + initial STATE — or refuse."""
         if self._overload is not None:
             hint = self._overload.admit()
             if hint is not None:
-                connection.send_tagged(0, wire.Reject(
-                    0, wire.REJECT_OVERLOADED,
+                self._refuse(
+                    connection, wire.REJECT_OVERLOADED,
                     "admission token bucket is empty",
                     retry_after=self._hint_ms(hint),
-                ))
-                self._note_admission("overloaded")
+                )
                 return
         # Fleet placement sits between overload shedding and local
         # capacity: an overloaded shard refuses before consulting the
-        # ledger (nothing was claimed, nothing to undo), while every
-        # refusal *after* this point must abort the ledger claim so a
-        # failed admission never leaves a phantom load on this shard.
+        # ledger (nothing was claimed, nothing to undo); every refusal
+        # after this point passes ``fleet_key`` so a failed admission
+        # never leaves a phantom load on this shard.
         fleet_key = None
         if self._fleet is not None:
             fleet_key = self._fleet.placement_key(admit)
             target = self._fleet.place(fleet_key)
             if target != self._fleet.shard:
-                connection.send_tagged(0, wire.Reject(
-                    0, wire.REJECT_REDIRECT,
-                    f"session belongs on shard {target}",
-                    shard=target,
-                ))
+                # The claim now belongs to ``target``: nothing to abort.
                 self.metrics.counter("fleet.redirects").inc()
-                self._note_admission("redirect")
+                self._refuse(
+                    connection, wire.REJECT_REDIRECT,
+                    f"session belongs on shard {target}", shard=target,
+                )
                 return
         if self._at_capacity():
-            if fleet_key is not None:
-                self._fleet.abort(fleet_key)
-            connection.send_tagged(0, wire.Reject(
-                0, wire.REJECT_CAPACITY,
+            self._refuse(
+                connection, wire.REJECT_CAPACITY,
                 f"{len(self._sessions)}/{self.max_sessions} sessions open",
-                retry_after=self._capacity_hint(),
-            ))
-            self._note_admission("capacity")
+                fleet_key, retry_after=self._capacity_hint(),
+            )
+            return
+        if self._next_session > wire.MAX_SESSION:
+            self._refuse(
+                connection, wire.REJECT_CAPACITY,
+                "u16 session-id space exhausted for this runtime", fleet_key,
+            )
             return
         try:
-            blueprint = SessionBlueprint.from_admit(admit)
-        except (ValueError, wire.WireError) as exc:
-            if fleet_key is not None:
-                self._fleet.abort(fleet_key)
-            connection.send_tagged(0, wire.Reject(
-                0, wire.REJECT_MALFORMED, str(exc),
-            ))
-            self._note_admission("malformed")
-            return
-        session_id = self._next_dynamic
-        if session_id > wire.MAX_SESSION:
-            if fleet_key is not None:
-                self._fleet.abort(fleet_key)
-            connection.send_tagged(0, wire.Reject(
-                0, wire.REJECT_CAPACITY,
-                "u16 session-id space exhausted for this runtime",
-            ))
-            self._note_admission("capacity")
-            return
-        self._next_dynamic += 1
-        try:
-            self._start_session(session_id, connection, blueprint)
+            session_id = self._start_session(
+                connection, SessionBlueprint.from_admit(admit)
+            )
         except ValueError as exc:
-            # A blueprint that passed field validation can still break
-            # model construction (e.g. a width too small to yield any
-            # channels).  A wire-supplied blueprint must never crash
-            # the server other clients depend on — REJECT instead.
-            # The burned id is fine: ids are never reused anyway.
-            self._sessions.pop(session_id, None)
-            if fleet_key is not None:
-                self._fleet.abort(fleet_key)
-            connection.send_tagged(0, wire.Reject(
-                0, wire.REJECT_MALFORMED, str(exc),
-            ))
-            self._note_admission("malformed")
+            # Semantic validation, or a blueprint that passed it and
+            # still broke model construction (e.g. a width too small
+            # to yield any channels).  A wire-supplied blueprint must
+            # never crash the server other clients depend on.
+            self._refuse(connection, wire.REJECT_MALFORMED, str(exc),
+                         fleet_key)
             return
         if fleet_key is not None:
             self._fleet_keys[session_id] = fleet_key
@@ -635,16 +541,12 @@ class ServerRuntime:
         live = self._sessions.pop(session_id, None)
         if live is not None:
             self.frames_served[session_id] = live.frames_served
-            self._ended.add(session_id)
-            self._pending_blueprints.discard(session_id)
         fleet_key = self._fleet_keys.pop(session_id, None)
         if fleet_key is not None and self._fleet is not None:
             self._fleet.release(fleet_key)
 
     def _handle(self, connection, session_id: int, msg) -> None:
-        if isinstance(msg, wire.Hello):
-            self._open_session(session_id, connection)
-        elif isinstance(msg, wire.Admit):
+        if isinstance(msg, wire.Admit):
             self._admit_session(connection, msg)
         elif isinstance(msg, wire.Bye):
             self._end_session(session_id)
@@ -780,12 +682,9 @@ class ServerRuntime:
     def _quiesced(self, connections: List[Any], closed: set,
                   expected: Optional[int],
                   draining: Optional[bool] = None) -> bool:
-        """The churn-tolerant drain rule (replaces PR 4's "every
-        blueprinted session BYEd"): the runtime may exit only once
+        """The churn-tolerant drain rule: the runtime may exit only once
 
-        * every blueprinted session has ended (the spawn-time
-          commitment still holds),
-        * no session — blueprinted or admitted — remains open,
+        * no session remains open,
         * at least one connection was ever accepted, every accepted
           connection has closed, **and** the listener's provisioned
           population (``listener.expected``) has fully come and gone.
@@ -806,13 +705,11 @@ class ServerRuntime:
             # with zero connections may exit the moment nothing is
             # open here.
             return draining and (
-                not self._pending_blueprints
-                and not self._sessions
+                not self._sessions
                 and len(closed) == len(connections)
             )
         return (
-            not self._pending_blueprints
-            and not self._sessions
+            not self._sessions
             and bool(connections)
             and len(closed) == len(connections)
             and (expected is None or len(connections) >= expected)
@@ -917,8 +814,11 @@ class ServerRuntime:
                     continue
                 try:
                     session_id, msg = connection.recv_tagged()
+                except wire.MalformedBlueprint as exc:
+                    # Well-framed, so the link is intact: refused below.
+                    session_id, msg = 0, exc
                 except (ConnectionError, EOFError):
-                    # A vanished peer closes its connection; corrupt
+                    # A vanished peer closes its connection; other corrupt
                     # frames (WireError) propagate instead — the server
                     # must die loudly on corruption, not report the
                     # link's sessions as cleanly completed.
@@ -944,7 +844,11 @@ class ServerRuntime:
                     continue
                 conn_active[index] = time.monotonic()
                 try:
-                    self._handle(connection, session_id, msg)
+                    if isinstance(msg, wire.MalformedBlueprint):
+                        self._refuse(connection, wire.REJECT_MALFORMED,
+                                     str(msg))
+                    else:
+                        self._handle(connection, session_id, msg)
                 except TimeoutError:
                     if recv_budget_s is None:
                         raise
@@ -983,8 +887,7 @@ class ServerRuntime:
             if time.monotonic() > idle_deadline:
                 raise TimeoutError(
                     f"server runtime idle for {self.idle_timeout_s}s before "
-                    f"quiescing: {len(self._pending_blueprints)} blueprint(s) "
-                    f"never served, {len(self._sessions)} session(s) open, "
+                    f"quiescing: {len(self._sessions)} session(s) open, "
                     f"{len(connections) - len(closed)} of {len(connections)} "
                     f"connection(s) still up"
                     + (f" (listener expects {expected})" if expected else "")
@@ -997,10 +900,9 @@ class ServerRuntime:
         return dict(self.frames_served)
 
 
-def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
-                   max_sessions, admit, overload=None, report_conn=None,
-                   obs_config=None, fleet=None, teachers=None,
-                   obs_source="server") -> None:
+def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
+                   report_conn=None, obs_config=None, fleet=None,
+                   teachers=None, obs_source="server") -> None:
     """Server-process entry point for :func:`start_server`.
 
     ``report_conn`` (a pipe back to the spawning process) receives one
@@ -1022,9 +924,8 @@ def _runtime_entry(listener, blueprints, share_work, idle_timeout_s,
     exit_reason = "quiesced"
     try:
         runtime = ServerRuntime(
-            blueprints, share_work=share_work, idle_timeout_s=idle_timeout_s,
-            max_sessions=max_sessions, admit=admit, overload=overload,
-            fleet=fleet, teachers=teachers,
+            idle_timeout_s=idle_timeout_s, max_sessions=max_sessions,
+            overload=overload, fleet=fleet, teachers=teachers,
         )
         runtime.run(listener)
     except TimeoutError:
@@ -1102,38 +1003,11 @@ class MuxConnection:
         return queue.popleft()
 
     # ------------------------------------------------------------------
-    def _initial_state(self, session: int) -> Dict[str, Any]:
-        state = self.recv_for(session)
-        if not isinstance(state, dict):
-            raise RuntimeError(
-                f"session {session} initial state was {type(state).__name__}"
-            )
-        return state
-
-    def open_session(self, session: int) -> Dict[str, Any]:
-        """HELLO → ACCEPT → initial state; returns the state dict."""
-        self.send_tagged(session, wire.Hello(session))
-        msg = self.recv_for(session)
-        if isinstance(msg, wire.Reject):
-            raise AdmissionError(msg, context=f"session {session}")
-        if isinstance(msg, wire.Bye):
-            # Pre-v3 servers refused a HELLO with a bare BYE.
-            raise RuntimeError(
-                f"server refused session {session} (unknown, duplicate, or "
-                "already ended)"
-            )
-        if not isinstance(msg, wire.Accept):
-            raise RuntimeError(
-                f"handshake for session {session} got {type(msg).__name__}, "
-                "expected Accept"
-            )
-        return self._initial_state(session)
-
     def admit_session(self, admit: wire.Admit) -> Tuple[int, Dict[str, Any]]:
         """ADMIT → ACCEPT(id)/REJECT → initial state.
 
-        Negotiates a brand-new session against the running server and
-        returns ``(session_id, initial_state)`` — the id is *assigned
+        Opens a session on the running server and returns
+        ``(session_id, initial_state)`` — the id is *assigned
         by the server*, so the answer cannot be awaited on a known
         session queue: the first ACCEPT/REJECT control frame to arrive
         answers the ADMIT (at most one admission is in flight per
@@ -1151,7 +1025,13 @@ class MuxConnection:
                         f"admission ACCEPT tagged {tag} names session "
                         f"{msg.session}"
                     )
-                return msg.session, self._initial_state(msg.session)
+                state = self.recv_for(tag)
+                if not isinstance(state, dict):
+                    raise RuntimeError(
+                        f"session {tag} initial state was "
+                        f"{type(state).__name__}"
+                    )
+                return tag, state
             self._queues.setdefault(tag, deque()).append(msg)
 
     def close_session(self, session: int) -> None:
@@ -1244,7 +1124,7 @@ class MuxRemoteServer:
 
     def recv_initial_state(self):
         raise RuntimeError(
-            "the initial state arrives during MuxConnection.open_session"
+            "the initial state arrives during MuxConnection.admit_session"
         )
 
     def handle_key_frame(self, frame, label=None):
@@ -1275,27 +1155,20 @@ class SessionAddress:
     """Picklable attachment point for one session on a running server.
 
     Put it in :attr:`~repro.runtime.session.SessionConfig.attach` in
-    any process: ``build_session`` dials the transport, opens the
-    session, and returns a normal :class:`~repro.runtime.client.Client`
-    whose connection it owns.
-
-    ``session`` names a blueprinted session to HELLO; ``None`` means
-    *negotiate*: ``build_session`` ships its own configuration to the
-    running server in an ADMIT frame and serves whatever session id the
-    server assigns — how a client that was never blueprinted joins
-    mid-run.
+    any process: ``build_session`` dials the transport, ships its own
+    configuration to the running server in an ADMIT frame, and returns
+    a normal :class:`~repro.runtime.client.Client` (serving whatever
+    session id the server assigned) whose connection it owns.
 
     ``admit_retries`` bounds a seeded retry loop around the ADMIT
     handshake: a *retryable* refusal (capacity/overloaded) is retried
     up to that many times, sleeping the server's ``retry_after`` hint
-    (scaled to seconds, jittered by ``retry_seed``) between attempts —
-    no hot spinning, no unbounded waits.  Structural refusals raise
-    immediately regardless.
+    (jittered by ``retry_seed``) between attempts — no hot spinning, no
+    unbounded waits.  Structural refusals raise immediately regardless.
     """
 
     transport: str
     info: Any
-    session: Optional[int] = None
     admit_retries: int = 0
     retry_seed: int = 0
 
@@ -1305,13 +1178,15 @@ class SessionTicket:
     """In-process attachment point: sessions with tickets from one
     handle share that handle's single parent-side connection — how a
     :class:`~repro.serving.pool.SessionPool` runs all its sessions over
-    one link to one server process.  ``session=None`` negotiates a new
-    session over that shared connection (ADMIT) instead of opening a
-    blueprinted one (HELLO).  ``admit_retries``/``retry_seed`` bound
-    the same seeded retry loop :class:`SessionAddress` documents."""
+    one link to one server process.  ``admit`` is the ADMIT frame to
+    send: a blueprint the handle was started with
+    (:meth:`ServerHandle.ticket` with an index), or ``None`` to admit
+    the attaching client's own configuration.
+    ``admit_retries``/``retry_seed`` bound the same seeded retry loop
+    :class:`SessionAddress` documents."""
 
     handle: "ServerHandle"
-    session: Optional[int] = None
+    admit: Optional[wire.Admit] = None
     admit_retries: int = 0
     retry_seed: int = 0
 
@@ -1325,12 +1200,15 @@ REPORT_LOST = "report-lost"
 class ServerHandle:
     """Owner's view of a spawned :class:`ServerRuntime` process."""
 
-    def __init__(self, transport: str, link, process, n_sessions: int,
+    def __init__(self, transport: str, link, process,
+                 blueprints: List[SessionBlueprint] = (),
                  report_conn=None, report_timeout_s: float = 5.0) -> None:
         self.transport = transport
         self.link = link
         self.process = process
-        self.n_sessions = n_sessions
+        #: Sessions :meth:`ticket` can name by index.  They stay in
+        #: this process: the server learns of one when its ADMIT lands.
+        self.blueprints = list(blueprints)
         self._parent_connection: Optional[MuxConnection] = None
         self._report_conn = report_conn
         #: How long :meth:`close` waits on the report pipe.  The
@@ -1348,41 +1226,36 @@ class ServerHandle:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def ticket(self, session: int) -> SessionTicket:
-        """Attachment point for a blueprinted session run in *this*
-        process."""
-        self._check_session(session)
-        return SessionTicket(self, session)
+    def ticket(self, session: Optional[int] = None, admit_retries: int = 0,
+               retry_seed: int = 0) -> SessionTicket:
+        """Attachment point for a session run in *this* process, over
+        the handle's shared parent connection.  ``ticket(i)`` admits
+        the session blueprint ``i`` describes; ``ticket()`` admits the
+        attaching client's own configuration."""
+        admit = None
+        if session is not None:
+            if not 0 <= session < len(self.blueprints):
+                raise IndexError(
+                    f"no blueprint {session}: the server was started "
+                    f"with {len(self.blueprints)}"
+                )
+            blueprint = self.blueprints[session]
+            admit = admit_message(blueprint.config, blueprint.frame_hw)
+        return SessionTicket(self, admit, admit_retries, retry_seed)
 
-    def admit_ticket(self, admit_retries: int = 0,
-                     retry_seed: int = 0) -> SessionTicket:
-        """Attachment point that *negotiates* a brand-new session over
-        this handle's shared parent connection (ADMIT handshake)."""
-        return SessionTicket(self, None, admit_retries, retry_seed)
-
-    def address(self, session: int, slot: Optional[int] = None) -> SessionAddress:
-        """Picklable attachment point for a standalone client process.
-
-        ``slot`` selects the per-client connection (defaults to the
-        session id — the 1:1 layout of the N-process deployment).
-        """
-        self._check_session(session)
-        info = self.link.address(session if slot is None else slot)
-        return SessionAddress(self.transport, info, session)
-
-    def admit_address(self, slot: int, admit_retries: int = 0,
-                      retry_seed: Optional[int] = None) -> SessionAddress:
-        """Picklable attachment point for a standalone client process
-        that was *not* blueprinted: the client dials connection
-        ``slot`` and negotiates its session over the wire (ADMIT), so
-        it can join a server that is already mid-run.  ``admit_retries``
-        opts the client into the bounded retry loop on retryable
-        refusals; the jitter seed defaults to the slot, so every
-        client in a herd backs off on its own deterministic schedule.
+    def address(self, slot: int, admit_retries: int = 0,
+                retry_seed: Optional[int] = None) -> SessionAddress:
+        """Picklable attachment point for a standalone client process:
+        the client dials connection ``slot`` and admits its own
+        configuration, so it can join a server that is already
+        mid-run.  ``admit_retries`` opts the client into the bounded
+        retry loop on retryable refusals; the jitter seed defaults to
+        the slot, so every client in a herd backs off on its own
+        deterministic schedule.
         """
         info = self.link.address(slot)
         seed = slot if retry_seed is None else retry_seed
-        return SessionAddress(self.transport, info, None, admit_retries, seed)
+        return SessionAddress(self.transport, info, admit_retries, seed)
 
     def parent_connection(self) -> MuxConnection:
         """The single in-process connection every ticket shares (claims
@@ -1390,13 +1263,6 @@ class ServerHandle:
         if self._parent_connection is None:
             self._parent_connection = MuxConnection(self.link.connect(0))
         return self._parent_connection
-
-    def _check_session(self, session: int) -> None:
-        if not 0 <= session < self.n_sessions:
-            raise IndexError(
-                f"no session {session}: the server was started with "
-                f"{self.n_sessions} blueprint(s)"
-            )
 
     # ------------------------------------------------------------------
     def close(self, join_timeout_s: float = 30.0,
@@ -1465,10 +1331,8 @@ def start_server(
     blueprints: List[SessionBlueprint] = (),
     transport: str = "shm",
     n_clients: int = 1,
-    share_work: bool = True,
     idle_timeout_s: float = 120.0,
     max_sessions: Optional[int] = None,
-    admit: bool = True,
     overload=None,
     obs_config=None,
     report_timeout_s: float = 5.0,
@@ -1478,11 +1342,11 @@ def start_server(
 
     ``n_clients`` is the number of *connections* (client processes, or
     1 for a pool running every session over the parent's connection);
-    sessions are a separate dimension — any connection can HELLO any
-    blueprinted session or ADMIT a new one (``blueprints`` may be
-    empty for a pure-admission server).  ``max_sessions`` caps the
-    concurrently open sessions (REJECT past it); ``admit=False``
-    restores the fixed-at-spawn PR-4 behaviour.  ``options`` pass
+    sessions are a separate dimension — any connection can ADMIT any
+    number of them.  ``blueprints`` never leaves this process: it is
+    what ``handle.ticket(i)`` names by index (may be empty — clients
+    then admit their own configurations).  ``max_sessions`` caps the
+    concurrently open sessions (REJECT past it).  ``options`` pass
     through to the transport's ``serve_many`` (ring geometry,
     timeouts).
 
@@ -1502,11 +1366,8 @@ def start_server(
     report_recv, report_send = mp.Pipe(duplex=False)
     target = functools.partial(
         _runtime_entry,
-        blueprints=list(blueprints),
-        share_work=share_work,
         idle_timeout_s=idle_timeout_s,
         max_sessions=max_sessions,
-        admit=admit,
         overload=overload,
         report_conn=report_send,
         obs_config=obs_config,
@@ -1521,7 +1382,7 @@ def start_server(
         raise
     report_send.close()
     return ServerHandle(
-        transport, link, process, len(blueprints), report_conn=report_recv,
+        transport, link, process, blueprints, report_conn=report_recv,
         report_timeout_s=report_timeout_s,
     )
 
@@ -1540,7 +1401,7 @@ _RETRY_SLEEP_MAX_S = 1.0
 _MAX_REDIRECTS = 4
 
 
-def _admit_with_retry(connection, config, frame_hw, attach):
+def _admit_with_retry(connection, admit, attach):
     """ADMIT with the bounded, seeded retry loop of the attach points.
 
     Each retryable refusal (``AdmissionError.retryable``) sleeps the
@@ -1554,14 +1415,13 @@ def _admit_with_retry(connection, config, frame_hw, attach):
     """
     import random
 
-    retries = getattr(attach, "admit_retries", 0)
-    rng = random.Random(getattr(attach, "retry_seed", 0))
+    rng = random.Random(attach.retry_seed)
     attempt = 0
     while True:
         try:
-            return connection.admit_session(admit_message(config, frame_hw))
+            return connection.admit_session(admit)
         except AdmissionError as exc:
-            if attempt >= retries or not exc.retryable:
+            if attempt >= attach.admit_retries or not exc.retryable:
                 raise
             attempt += 1
             hint_ms = exc.retry_after if exc.retry_after is not None else 1
@@ -1576,10 +1436,9 @@ def attach_session(config, frame_hw, stride_policy):
 
     A :class:`SessionTicket` shares its handle's parent connection; a
     :class:`SessionAddress` dials its own connection and owns it.
-    Either kind with ``session=None`` *negotiates*: the session's
-    blueprint (derived from ``config`` and ``frame_hw``) crosses the
-    wire in an ADMIT frame and the server assigns the id — the client
-    needs no spawn-time blueprint at all.
+    Either way the session's blueprint (the one the ticket carries,
+    else derived from ``config`` and ``frame_hw``) crosses the wire in
+    an ADMIT frame and the server assigns the id.
 
     A fleet address (a :class:`SessionAddress` whose ``shards`` tuple
     is populated) adds the redirect-follow loop: a shard answering the
@@ -1595,11 +1454,11 @@ def attach_session(config, frame_hw, stride_policy):
     attach = config.attach
     if isinstance(attach, SessionTicket):
         connection = attach.handle.parent_connection()
-        session = attach.session
+        admit = attach.admit or admit_message(config, frame_hw)
         owns = False
     elif isinstance(attach, SessionAddress):
         connection = MuxConnection(registry.connect(attach.transport, attach.info))
-        session = attach.session
+        admit = admit_message(config, frame_hw)
         owns = True
     else:
         raise TypeError(
@@ -1607,32 +1466,29 @@ def attach_session(config, frame_hw, stride_policy):
             f"got {type(attach).__name__}"
         )
     try:
-        if session is None:
-            redirects = 0
-            while True:
-                try:
-                    session, initial_state = _admit_with_retry(
-                        connection, config, frame_hw, attach
-                    )
-                    break
-                except AdmissionError as exc:
-                    shards = getattr(attach, "shards", ())
-                    if (
-                        exc.code != wire.REJECT_REDIRECT
-                        or exc.shard is None
-                        or not owns
-                        or not shards
-                        or not 0 <= exc.shard < len(shards)
-                        or redirects >= _MAX_REDIRECTS
-                    ):
-                        raise
-                    redirects += 1
-                    connection.close()
-                    connection = MuxConnection(registry.connect(
-                        attach.transport, shards[exc.shard]
-                    ))
-        else:
-            initial_state = connection.open_session(session)
+        redirects = 0
+        while True:
+            try:
+                session, initial_state = _admit_with_retry(
+                    connection, admit, attach
+                )
+                break
+            except AdmissionError as exc:
+                shards = getattr(attach, "shards", ())
+                if (
+                    exc.code != wire.REJECT_REDIRECT
+                    or exc.shard is None
+                    or not owns
+                    or not shards
+                    or not 0 <= exc.shard < len(shards)
+                    or redirects >= _MAX_REDIRECTS
+                ):
+                    raise
+                redirects += 1
+                connection.close()
+                connection = MuxConnection(registry.connect(
+                    attach.transport, shards[exc.shard]
+                ))
         remote = MuxRemoteServer(
             connection, session, config.distill, config.sizes,
             owns_connection=owns,
@@ -1713,25 +1569,25 @@ def run_client_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0):
     """Run one standalone client *process* per job against ``handle``.
 
     ``jobs`` is a list of ``(config, frame_hw, video_key, num_frames,
-    label)`` tuples, one per session id in order.  Returns the
-    per-session ``RunStats`` list.  This is the deployment the ISSUE's
-    acceptance names: one server process, N client processes.
+    label)`` tuples, one per connection slot in order; every client
+    starts at once.  Returns the per-job ``RunStats`` list.  This is
+    the deployment the ISSUE's acceptance names: one server process, N
+    client processes.
     """
-    jobs = [(0.0, *job) for job in jobs]
-    return _run_processes(handle, jobs, timeout_s, admit=False)
+    return _run_processes(handle, [(0.0, *job) for job in jobs], timeout_s)
 
 
 def run_churn_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0,
                         admit_retries: int = 0, outcomes: bool = False,
                         slot_offset: int = 0):
-    """Run staggered, dynamically-admitted client processes.
+    """Run staggered client processes.
 
     ``jobs`` is a list of ``(delay_s, config, frame_hw, video_key,
     num_frames, label)`` tuples, one per connection slot in order: each
     client process sleeps ``delay_s``, *then* dials the running server
-    and negotiates its session over the wire (ADMIT — no blueprint
-    existed at spawn).  Different delays and frame counts interleave
-    joins and departures; returns the per-job ``RunStats`` list.
+    and admits its session mid-run.  Different delays and frame counts
+    interleave joins and departures; returns the per-job ``RunStats``
+    list.
 
     ``admit_retries`` arms every client's bounded seeded retry loop
     (jitter seed = its slot).  ``outcomes=True`` is the storm harness's
@@ -1742,12 +1598,11 @@ def run_churn_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0,
     clients (the storm bench's idle/storm/recovery phases) can share
     one server without claiming the same slot twice.
     """
-    return _run_processes(handle, jobs, timeout_s, admit=True,
-                          admit_retries=admit_retries, outcomes=outcomes,
-                          slot_offset=slot_offset)
+    return _run_processes(handle, jobs, timeout_s, admit_retries, outcomes,
+                          slot_offset)
 
 
-def _run_processes(handle: ServerHandle, jobs, timeout_s: float, admit: bool,
+def _run_processes(handle: ServerHandle, jobs, timeout_s: float,
                    admit_retries: int = 0, outcomes: bool = False,
                    slot_offset: int = 0):
     import multiprocessing as mp
@@ -1756,14 +1611,10 @@ def _run_processes(handle: ServerHandle, jobs, timeout_s: float, admit: bool,
     for slot, (delay_s, config, frame_hw, video_key, num_frames,
                label) in enumerate(jobs, start=slot_offset):
         parent_conn, child_conn = mp.Pipe(duplex=False)
-        address = (
-            handle.admit_address(slot, admit_retries=admit_retries)
-            if admit else handle.address(slot)
-        )
         proc = mp.Process(
             target=_client_process_main,
-            args=(address, config, frame_hw, video_key, num_frames,
-                  label, child_conn, delay_s),
+            args=(handle.address(slot, admit_retries), config, frame_hw,
+                  video_key, num_frames, label, child_conn, delay_s),
             daemon=True,
         )
         proc.start()

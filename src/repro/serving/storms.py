@@ -348,7 +348,7 @@ def run_storm(
         for slot in plan.loris_slots:
             proc = mp.Process(
                 target=_loris_main,
-                args=(handle.admit_address(slot), loris_hold_s),
+                args=(handle.address(slot), loris_hold_s),
                 daemon=True,
             )
             proc.start()
@@ -356,7 +356,7 @@ def run_storm(
         for slot in plan.ghost_slots:
             proc = mp.Process(
                 target=_ghost_main,
-                args=(handle.admit_address(slot), 2, loris_hold_s),
+                args=(handle.address(slot), 2, loris_hold_s),
                 daemon=True,
             )
             proc.start()

@@ -18,7 +18,7 @@ abstraction the runtime already speaks:
   :class:`~repro.network.dynamic.DynamicNetworkModel` schedules or
   replayed over real transports.
 
-Wire frames carry a session tag and a HELLO/ACCEPT/BYE handshake, so
+Wire frames carry a session tag and an ADMIT/ACCEPT/BYE handshake, so
 one link can serve many sessions — the multiplexed one-server/N-client
 deployment lives in :mod:`repro.serving.runtime` on top of the
 ``serve_many`` capability the shm and socket transports register.

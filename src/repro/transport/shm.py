@@ -375,8 +375,12 @@ class ShmRing:
         first = self._payloads[slot][:n]
         total = wire.peek_total(first)
         if total <= n:
-            session, obj = wire.decode_tagged(first)
-            self._release()
+            try:
+                session, obj = wire.decode_tagged(first)
+            finally:
+                # Also on a decode error: a malformed ADMIT blueprint is
+                # answered with a REJECT, so the ring must stay usable.
+                self._release()
             return session, obj, total
         # Reassemble a fragmented message.
         if obs.enabled():

@@ -357,14 +357,14 @@ class SocketManyLink:
 
         TCP connections are interchangeable, so the slot only bounds
         the count; the server pairs connections with sessions through
-        the HELLO handshake, not by arrival order.
+        the ADMIT handshake, not by arrival order.
         """
         del slot
         return connect_address((self.host, self.port, self._timeout_s))
 
     def address(self, slot: int):
         """Picklable connect info (identical for every slot — TCP
-        clients are distinguished by their HELLO, not their address)."""
+        clients are distinguished by their ADMIT, not their address)."""
         del slot
         return (self.host, self.port, self._timeout_s)
 

@@ -13,14 +13,12 @@ kind           payload
 ``REPLY``      :class:`~repro.runtime.server.ServerReply` (metric,
                steps, initial metric, update diff)
 ``PRED``       a teacher prediction (the naive-offloading downlink)
-``HELLO``      connection handshake: a client asks the multiplexing
-               server to start session ``header.session``
-``ACCEPT``     the server's answer to ``HELLO`` or ``ADMIT``
+``ACCEPT``     the server's answer to an ``ADMIT`` it grants
 ``BYE``        ends one session without closing the connection
-``ADMIT``      a client asks a *running* server to create a brand-new
-               session from the serialized blueprint in the body
-``REJECT``     the server refuses a ``HELLO``/``ADMIT`` with a typed
-               reason code (capacity, malformed blueprint, ...)
+``ADMIT``      a client asks a running server to create a session
+               from the serialized blueprint in the body
+``REJECT``     the server refuses an ``ADMIT`` with a typed reason
+               code (capacity, malformed blueprint, ...)
 =============  ====================================================
 
 Every message is ``MAGIC | version | kind | u16 session | u64
@@ -32,43 +30,24 @@ self-delimiting: the shared-memory ring fragments large messages
 across slots and reassembles them by reading the first fragment's
 header.
 
-The ``session`` field (version 2) lets *one* link carry many
-interleaved sessions: the multiplexing :class:`~repro.serving.runtime.
-ServerRuntime` serves N clients from one process, and a pooled client
-process runs N sessions over one connection.  Point-to-point callers
-leave it at 0; the HELLO/ACCEPT/BYE handshake opens and closes
-individual sessions while SHUTDOWN still closes the whole connection.
+The ``session`` field lets *one* link carry many interleaved sessions:
+the multiplexing :class:`~repro.serving.runtime.ServerRuntime` serves
+N clients from one process, and a pooled client process runs N
+sessions over one connection.  Point-to-point callers leave it at 0.
 
-Version 3 adds dynamic session admission: an ``ADMIT`` frame carries a
+There is one way to open a session: an ``ADMIT`` frame carries a
 pickle-free session blueprint (student geometry, stride policy,
-distillation mode, seeds — every field a typed 0-d array through the
-same ``write_array`` framing STATE bodies use), so a client that was
-never blueprinted at spawn can negotiate a new session with a running
-server; the server answers ``ACCEPT`` tagged with the session id *it*
-assigned, or ``REJECT`` with a reason code.  A decoder accepts
-version-2 frames unchanged (the header layout is identical and every
-v2 kind kept its code), but the v3-only kinds are invalid in a frame
-claiming version 2.
+distillation mode, seeds, the teacher spec — every field a typed 0-d
+array through the same ``write_array`` framing STATE bodies use); the
+server answers ``ACCEPT`` tagged with the session id *it* assigned,
+followed by the initial STATE, or ``REJECT`` with a reason code, an
+optional ``retry_after`` hint (load refusals) and an optional
+``shard`` (a fleet shard's ``redirect``).  ``BYE`` ends a session;
+SHUTDOWN closes the whole connection.
 
-Version 4 extends ``REJECT`` with overload control: a new
-``overloaded`` reason code and an optional typed ``retry_after`` hint
-(measured in server ticks — one tick per message the runtime serves),
-so a refused client can back off for a load-derived interval instead
-of guessing.  The header layout is unchanged; version-2 and version-3
-frames still decode (a v3 ``REJECT`` body simply has no hint), and
-v4-only syntax — the hint field — never appears in frames claiming an
-older version.
-
-Version 5 is the fleet extension: an ``ADMIT`` blueprint now names its
-*teacher* (architecture code, width, seed) so a negotiated session can
-run against a neural teacher — the fleet shares one read-only copy of
-those weights across shard processes via a shm segment — and ``REJECT``
-grows a typed ``redirect`` reason plus an optional ``shard`` field: a
-shard that is not the placement target of an ADMIT answers
-``REJECT(redirect, shard=k)`` and the client re-dials shard ``k``
-directly, without a fresh negotiation round.  v2–v4 frames still
-decode (older REJECT bodies carry no shard; older ADMIT blueprints
-default to the shared oracle teacher).
+There is one dialect: a decoder accepts exactly :data:`VERSION`, the
+version every encoder stamps.  Kind 5 (the retired ``HELLO``) and
+REJECT codes 1 / 2 / 5 stay reserved — never renumbered, never reused.
 
 The normative byte-level spec lives in ``docs/PROTOCOL.md``;
 ``tests/test_protocol_doc.py`` asserts this module and that document
@@ -95,41 +74,31 @@ from repro.nn.serialize import array_wire_nbytes, read_array, write_array
 from repro.runtime.server import ServerReply
 
 MAGIC = b"ST"
-VERSION = 5
+VERSION = 6
 
 KIND_SHUTDOWN = 0
 KIND_STATE = 1
 KIND_FRAME = 2
 KIND_REPLY = 3
 KIND_PRED = 4
-KIND_HELLO = 5
-KIND_ACCEPT = 6
+KIND_ACCEPT = 6  # kind 5 is retired (reserved)
 KIND_BYE = 7
 KIND_ADMIT = 8
 KIND_REJECT = 9
 
-_KINDS = frozenset(range(10))
-#: Kinds a version-2 frame may carry (v3 added ADMIT/REJECT).
-_V2_KINDS = frozenset(range(8))
-_CONTROL_KINDS = frozenset(
-    (KIND_HELLO, KIND_ACCEPT, KIND_BYE, KIND_ADMIT, KIND_REJECT)
-)
+_CONTROL_KINDS = frozenset((KIND_ACCEPT, KIND_BYE, KIND_ADMIT, KIND_REJECT))
+_KINDS = frozenset(range(5)) | _CONTROL_KINDS
 
-#: REJECT reason codes (the ``code`` field of :class:`Reject`).
-REJECT_UNKNOWN_SESSION = 1   #: HELLO for an id outside the blueprint table
-REJECT_SESSION_IN_USE = 2    #: HELLO for an id already open or already ended
+#: REJECT reason codes (the ``code`` field of :class:`Reject`); codes
+#: 1, 2 and 5 are retired (reserved).
 REJECT_CAPACITY = 3          #: admission refused: server at max_sessions
 REJECT_MALFORMED = 4         #: ADMIT blueprint failed validation
-REJECT_DISABLED = 5          #: server runs with dynamic admission off
-REJECT_OVERLOADED = 6        #: admission refused: token bucket empty (v4)
-REJECT_REDIRECT = 7          #: admit elsewhere: body names the target shard (v5)
+REJECT_OVERLOADED = 6        #: admission refused: token bucket empty
+REJECT_REDIRECT = 7          #: admit elsewhere: body names the target shard
 
 REJECT_REASONS = {
-    REJECT_UNKNOWN_SESSION: "unknown-session",
-    REJECT_SESSION_IN_USE: "session-in-use",
     REJECT_CAPACITY: "capacity",
     REJECT_MALFORMED: "malformed-blueprint",
-    REJECT_DISABLED: "admission-disabled",
     REJECT_OVERLOADED: "overloaded",
     REJECT_REDIRECT: "redirect",
 }
@@ -144,23 +113,10 @@ MAX_SESSION = 0xFFFF
 _REPLY_HEAD = struct.Struct("<ddI")  # metric, initial_metric, steps
 _COUNT = struct.Struct("<I")
 _NAME_LEN = struct.Struct("<H")
-#: v5 REJECT body head: code, detail byte length, has_retry_after,
+#: REJECT body head: code, detail byte length, has_retry_after,
 #: retry_after, has_shard, shard (each value 0 and ignored when its
 #: flag byte is 0).
 _REJECT_HEAD = struct.Struct("<HHBQBH")
-#: The v4 REJECT body head (no shard field) — kept so v4 frames from
-#: older peers still decode.
-_REJECT_HEAD_V4 = struct.Struct("<HHBQ")
-#: The v3 REJECT body head (code, detail byte length) — kept so v3
-#: frames from older peers still decode.
-_REJECT_HEAD_V3 = struct.Struct("<HH")
-
-
-@dataclasses.dataclass(frozen=True)
-class Hello:
-    """Client → server: open session ``session`` on this connection."""
-
-    session: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,7 +136,7 @@ class Bye:
 
 @dataclasses.dataclass(frozen=True)
 class Admit:
-    """Client → server: create a brand-new session from this blueprint.
+    """Client → server: create a session from this blueprint.
 
     Carries everything the server needs to build the session's server
     half — the student's geometry and seed, the frame geometry, and the
@@ -209,9 +165,9 @@ class Admit:
     lr: float
     reset_optimizer_state: bool
     teacher_boundary_noise: float = 0.0
-    teacher_arch: str = "oracle"       #: "oracle" | "neural" (v5)
-    teacher_width: int = 48            #: neural teacher width (v5)
-    teacher_seed: int = 0              #: neural teacher init seed (v5)
+    teacher_arch: str = "oracle"       #: "oracle" | "neural"
+    teacher_width: int = 48            #: neural teacher width
+    teacher_seed: int = 0              #: neural teacher init seed
 
     _FLOAT_FIELDS = ("student_width", "threshold", "lr",
                      "teacher_boundary_noise")
@@ -220,9 +176,6 @@ class Admit:
                    "teacher_width", "teacher_seed")
     _MODES = ("partial", "full")
     _TEACHER_ARCHS = ("oracle", "neural")
-    #: The v5 additions, absent as a block from v3/v4 blueprints (which
-    #: decode with the defaults above — the shared oracle teacher).
-    _TEACHER_FIELDS = ("teacher_arch", "teacher_width", "teacher_seed")
 
     def to_state(self) -> "OrderedDict[str, np.ndarray]":
         """Blueprint as named 0-d arrays — the exact STATE body framing,
@@ -241,73 +194,56 @@ class Admit:
 
     @classmethod
     def from_state(cls, state: Dict[str, np.ndarray]) -> "Admit":
-        """Inverse of :meth:`to_state`; raises :class:`WireError` on a
-        malformed blueprint (missing/unknown fields, bad mode or
-        teacher-arch code).  A blueprint missing *all three* teacher
-        fields is a v3/v4 one and decodes with the default teacher; a
-        blueprint with only some of them is malformed."""
+        """Inverse of :meth:`to_state`; raises
+        :class:`MalformedBlueprint` on missing/unknown fields or a bad
+        mode / teacher-arch code."""
         got = set(state)
         expected = set(cls._FLOAT_FIELDS) | set(cls._INT_FIELDS) | {
             "mode", "reset_optimizer_state", "teacher_arch",
         }
-        teacher_fields = set(cls._TEACHER_FIELDS)
-        legacy = not (got & teacher_fields)
-        if legacy:
-            expected -= teacher_fields
         if got != expected:
             missing = sorted(expected - got)
             unknown = sorted(got - expected)
-            raise WireError(
+            raise MalformedBlueprint(
                 f"malformed ADMIT blueprint: missing fields {missing}, "
                 f"unknown fields {unknown}"
             )
-        mode_code = int(np.asarray(state["mode"]).reshape(()))
-        if not 0 <= mode_code < len(cls._MODES):
-            raise WireError(
-                f"malformed ADMIT blueprint: unknown mode code {mode_code}"
-            )
-        kwargs: Dict[str, object] = {"mode": cls._MODES[mode_code]}
+        kwargs: Dict[str, object] = {}
+        for name, choices in (("mode", cls._MODES),
+                              ("teacher_arch", cls._TEACHER_ARCHS)):
+            code = int(np.asarray(state[name]).reshape(()))
+            if not 0 <= code < len(choices):
+                raise MalformedBlueprint(
+                    f"malformed ADMIT blueprint: unknown {name} code {code}"
+                )
+            kwargs[name] = choices[code]
         for name in cls._FLOAT_FIELDS:
             kwargs[name] = float(np.asarray(state[name]).reshape(()))
         for name in cls._INT_FIELDS:
-            if legacy and name in teacher_fields:
-                continue
             kwargs[name] = int(np.asarray(state[name]).reshape(()))
         kwargs["reset_optimizer_state"] = bool(
             int(np.asarray(state["reset_optimizer_state"]).reshape(()))
         )
-        if not legacy:
-            arch_code = int(np.asarray(state["teacher_arch"]).reshape(()))
-            if not 0 <= arch_code < len(cls._TEACHER_ARCHS):
-                raise WireError(
-                    f"malformed ADMIT blueprint: unknown teacher-arch "
-                    f"code {arch_code}"
-                )
-            kwargs["teacher_arch"] = cls._TEACHER_ARCHS[arch_code]
         return cls(**kwargs)
 
 
 @dataclasses.dataclass(frozen=True)
 class Reject:
-    """Server → client: HELLO/ADMIT refused.
+    """Server → client: ADMIT refused.
 
     ``code`` is one of the ``REJECT_*`` constants; ``detail`` is a
-    short human-readable elaboration (UTF-8, at most 64 KiB).  For a
-    refused ADMIT the session field echoes the request's (0 — no id
-    was ever assigned); for a refused HELLO it names the session the
-    client asked for.
+    short human-readable elaboration (UTF-8, at most 64 KiB).  The
+    session field is 0 — no id was ever assigned.
 
-    ``retry_after`` (version 4) is an optional hint, in server ticks
-    (one tick per served message), after which a retry has a chance of
-    succeeding — the overload layer stamps it on ``capacity`` and
-    ``overloaded`` refusals.  ``None`` means the server offered no
-    hint; frames from v3 peers always decode with ``None``.
+    ``retry_after`` is an optional hint, in wall-clock milliseconds,
+    after which a retry has a chance of succeeding — the server stamps
+    it on ``capacity`` and ``overloaded`` refusals.  ``None`` means the
+    server offered no hint.
 
-    ``shard`` (version 5) is the placement target of a ``redirect``
-    refusal: the fleet shard that answered is not where this session
-    belongs, and the client SHOULD re-send the same ADMIT to shard
-    ``shard`` directly.  ``None`` on every other reason code; frames
-    from v3/v4 peers always decode with ``None``.
+    ``shard`` is the placement target of a ``redirect`` refusal: the
+    fleet shard that answered is not where this session belongs, and
+    the client SHOULD re-send the same ADMIT to shard ``shard``
+    directly.  ``None`` on every other reason code.
     """
 
     session: int
@@ -325,7 +261,7 @@ class Reject:
 #: Messages the format understands (see module docstring).
 Message = Union[
     None, Dict[str, np.ndarray], Tuple, ServerReply, np.ndarray,
-    Hello, Accept, Bye, Admit, Reject,
+    Accept, Bye, Admit, Reject,
 ]
 
 
@@ -333,13 +269,19 @@ class WireError(ValueError):
     """A buffer does not hold a well-formed wire message."""
 
 
+class MalformedBlueprint(WireError):
+    """A well-framed ADMIT whose blueprint fails structural validation.
+
+    The frame itself was consumed whole, so the link is still usable:
+    the server answers ``REJECT(malformed-blueprint)`` instead of dying
+    as it does on frame-level corruption."""
+
+
 def _kind_of(obj: Message) -> int:
     if obj is None:
         return KIND_SHUTDOWN
     if isinstance(obj, ServerReply):
         return KIND_REPLY
-    if isinstance(obj, Hello):
-        return KIND_HELLO
     if isinstance(obj, Accept):
         return KIND_ACCEPT
     if isinstance(obj, Bye):
@@ -516,14 +458,10 @@ def peek_header(buf: memoryview) -> Tuple[int, int, int]:
     magic, version, kind, session, total = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r}")
-    if version not in (2, 3, 4, VERSION):
+    if version != VERSION:
         raise WireError(f"unsupported wire version {version}")
     if kind not in _KINDS:
         raise WireError(f"unknown message kind {kind}")
-    if version == 2 and kind not in _V2_KINDS:
-        raise WireError(
-            f"message kind {kind} needs wire version 3, frame claims {version}"
-        )
     if total < HEADER_NBYTES:
         raise WireError(f"declared total length {total} is smaller than a header")
     return kind, session, total
@@ -549,8 +487,6 @@ def decode_tagged(buf: Union[bytes, bytearray, memoryview]) -> Tuple[int, Messag
     offset = HEADER_NBYTES
     if kind == KIND_SHUTDOWN:
         return session, None
-    if kind == KIND_HELLO:
-        return session, Hello(session)
     if kind == KIND_ACCEPT:
         return session, Accept(session)
     if kind == KIND_BYE:
@@ -559,26 +495,11 @@ def decode_tagged(buf: Union[bytes, bytearray, memoryview]) -> Tuple[int, Messag
         state, _ = _read_state(buf, offset)
         return session, Admit.from_state(state)
     if kind == KIND_REJECT:
-        # The REJECT body grew the retry_after hint in v4 and the
-        # shard field in v5; frames from older peers carry the shorter
-        # historical layouts.
-        shard = None
-        if buf[2] >= 5:
-            (code, detail_len, has_retry, retry_raw,
-             has_shard, shard_raw) = _REJECT_HEAD.unpack_from(buf, offset)
-            offset += _REJECT_HEAD.size
-            retry_after = int(retry_raw) if has_retry else None
-            shard = int(shard_raw) if has_shard else None
-        elif buf[2] == 4:
-            code, detail_len, has_retry, retry_raw = _REJECT_HEAD_V4.unpack_from(
-                buf, offset
-            )
-            offset += _REJECT_HEAD_V4.size
-            retry_after = int(retry_raw) if has_retry else None
-        else:
-            code, detail_len = _REJECT_HEAD_V3.unpack_from(buf, offset)
-            offset += _REJECT_HEAD_V3.size
-            retry_after = None
+        (code, detail_len, has_retry, retry_raw,
+         has_shard, shard_raw) = _REJECT_HEAD.unpack_from(buf, offset)
+        offset += _REJECT_HEAD.size
+        retry_after = int(retry_raw) if has_retry else None
+        shard = int(shard_raw) if has_shard else None
         detail = bytes(buf[offset : offset + detail_len]).decode()
         return session, Reject(session, int(code), detail, retry_after, shard)
     if kind == KIND_STATE:

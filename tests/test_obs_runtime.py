@@ -14,7 +14,6 @@ from repro.distill.config import DistillConfig
 from repro.runtime.session import SessionConfig, run_shadowtutor
 from repro.serving.runtime import (
     REPORT_LOST,
-    SessionBlueprint,
     run_client_processes,
     start_server,
 )
@@ -53,10 +52,9 @@ class TestArmedServing:
     FRAMES = 8
 
     def _serve(self, transport, obs_config):
-        blueprints = [SessionBlueprint(_config(), _HW) for _ in range(self.N)]
         handle = start_server(
-            blueprints, transport=transport, n_clients=self.N,
-            idle_timeout_s=60, obs_config=obs_config,
+            transport=transport, n_clients=self.N, idle_timeout_s=60,
+            obs_config=obs_config,
         )
         try:
             jobs = [
@@ -125,8 +123,7 @@ class TestArmedServing:
 class TestAbnormalExitReports:
     def test_idle_timeout_reaches_report(self):
         handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=0.3,
+            transport="shm", n_clients=1, idle_timeout_s=0.3,
         )
         handle.process.join(timeout=30)
         handle.close()
@@ -140,8 +137,7 @@ class TestAbnormalExitReports:
         # max_sessions=0 is rejected inside the server process, before
         # a runtime exists; the report must still arrive, typed.
         handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=60, max_sessions=0,
+            transport="shm", n_clients=1, idle_timeout_s=60, max_sessions=0,
         )
         handle.process.join(timeout=30)
         handle.close()
@@ -152,8 +148,7 @@ class TestAbnormalExitReports:
 
     def test_killed_server_surfaces_report_lost_marker(self):
         handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=60,
+            transport="shm", n_clients=1, idle_timeout_s=60,
         )
         # SIGKILL: no finally runs in the child, so no report can ever
         # arrive — close() must synthesise the typed marker, fast.
@@ -167,8 +162,7 @@ class TestAbnormalExitReports:
 
     def test_report_timeout_default_is_configurable(self):
         handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=60, report_timeout_s=0.4,
+            transport="shm", n_clients=1, idle_timeout_s=60, report_timeout_s=0.4,
         )
         assert handle.report_timeout_s == 0.4
         handle.process.kill()

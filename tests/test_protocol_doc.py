@@ -13,7 +13,6 @@ import re
 import struct
 
 import numpy as np
-import pytest
 
 from repro.transport import wire
 
@@ -55,6 +54,11 @@ def _code(cell: str) -> str:
     return cell.strip("`")
 
 
+def _live(rows):
+    """Rows of a code table minus the *retired, reserved* ones."""
+    return [r for r in rows if "retired" not in r[-1]]
+
+
 def _header_offsets(fmt: str):
     """(offset, size) per field of a struct format, in order."""
     fields = re.findall(r"\d*[a-zA-Z]", fmt.lstrip("<"))
@@ -72,8 +76,7 @@ class TestCoreConstants:
 
     def test_doc_has_all_marked_tables(self):
         assert set(TABLES) == {
-            "constants", "header-v3", "header-v1", "kinds",
-            "admit-fields", "reject-codes",
+            "constants", "header", "kinds", "admit-fields", "reject-codes",
         }
 
     def test_magic(self):
@@ -92,56 +95,40 @@ class TestCoreConstants:
         assert self.rows()["header struct"] == wire._HEADER.format
 
 
-class TestHeaderLayouts:
-    def _check(self, table_name, fmt, field_names):
-        rows = TABLES[table_name]
-        assert [_code(r[2]) for r in rows] == field_names
-        expected = _header_offsets(fmt)
+class TestHeaderLayout:
+    def test_layout_matches_implementation(self):
+        rows = TABLES["header"]
+        assert [_code(r[2]) for r in rows] == [
+            "magic", "version", "kind", "session", "total_len",
+        ]
+        expected = _header_offsets(wire._HEADER.format)
         for row, (offset, size) in zip(rows, expected):
-            assert int(row[0]) == offset, f"{table_name}: {row[2]} offset"
-            assert int(row[1]) == size, f"{table_name}: {row[2]} size"
-        assert sum(s for _, s in expected) == struct.calcsize(fmt)
-
-    def test_v3_layout_matches_implementation(self):
-        self._check(
-            "header-v3", wire._HEADER.format,
-            ["magic", "version", "kind", "session", "total_len"],
-        )
-        assert struct.calcsize(wire._HEADER.format) == wire.HEADER_NBYTES
-
-    def test_v1_layout_is_the_recorded_history(self):
-        self._check(
-            "header-v1", "<2sBBQ",
-            ["magic", "version", "kind", "total_len"],
-        )
-        assert struct.calcsize("<2sBBQ") == 12
+            assert int(row[0]) == offset, f"{row[2]} offset"
+            assert int(row[1]) == size, f"{row[2]} size"
+        assert sum(s for _, s in expected) == wire.HEADER_NBYTES
 
 
 class TestKindCodes:
     def rows(self):
-        return {
-            _code(r[1]): (int(r[0]), r[2]) for r in TABLES["kinds"]
-        }
+        return {_code(r[1]): int(r[0]) for r in _live(TABLES["kinds"])}
 
     def test_every_documented_kind_matches_the_code(self):
-        rows = self.rows()
-        for name, (code, _) in rows.items():
+        for name, code in self.rows().items():
             assert getattr(wire, f"KIND_{name}") == code, name
 
     def test_kind_space_is_exactly_the_documented_one(self):
-        doc_codes = {code for code, _ in self.rows().values()}
-        assert doc_codes == set(wire._KINDS)
+        assert set(self.rows().values()) == set(wire._KINDS)
         impl_kinds = {
             n for n in dir(wire) if n.startswith("KIND_")
         }
         assert impl_kinds == {f"KIND_{name}" for name in self.rows()}
 
-    def test_since_column_matches_the_v2_kind_set(self):
-        for name, (code, since) in self.rows().items():
-            if since in ("v1", "v2"):
-                assert code in wire._V2_KINDS, name
-            else:
-                assert since == "v3" and code not in wire._V2_KINDS, name
+    def test_retired_codes_stay_reserved(self):
+        """§7: a retired code is neither live nor reassigned."""
+        codes = [int(r[0]) for r in TABLES["kinds"]]
+        assert codes == list(range(len(codes)))  # no gap, no duplicate
+        retired = set(codes) - set(self.rows().values())
+        assert retired == {5} and not retired & wire._KINDS
 
 
 class TestAdmitBlueprintFields:
@@ -168,16 +155,19 @@ class TestAdmitBlueprintFields:
 class TestRejectCodes:
     def test_reason_table_matches_implementation_exactly(self):
         documented = {
-            int(r[0]): _code(r[1]) for r in TABLES["reject-codes"]
+            int(r[0]): _code(r[1]) for r in _live(TABLES["reject-codes"])
         }
         assert documented == wire.REJECT_REASONS
+        codes = [int(r[0]) for r in TABLES["reject-codes"]]
+        assert codes == list(range(1, len(codes) + 1))
+        assert set(codes) - set(documented) == {1, 2, 5}  # retired, reserved
 
 
 class TestDocExamplesAreHonest:
     """The spec's claims that are cheap to execute, executed."""
 
     def test_empty_body_kinds_are_exactly_header_nbytes(self):
-        for msg in (None, wire.Hello(1), wire.Accept(1), wire.Bye(1)):
+        for msg in (None, wire.Accept(1), wire.Bye(1)):
             assert wire.encoded_nbytes(msg) == wire.HEADER_NBYTES
 
     def test_admit_body_is_a_state_body(self):
@@ -193,7 +183,7 @@ class TestDocExamplesAreHonest:
         assert as_admit[wire.HEADER_NBYTES:] == as_state[wire.HEADER_NBYTES:]
 
     def test_reject_body_layout(self):
-        # v5 body head: u16 code | u16 detail_len | u8 flag | u64 hint
+        # body head: u16 code | u16 detail_len | u8 flag | u64 hint
         #             | u8 shard flag | u16 shard.
         head = struct.Struct("<HHBQBH")
         reject = wire.Reject(5, wire.REJECT_OVERLOADED, "dry", retry_after=17)
@@ -221,23 +211,6 @@ class TestDocExamplesAreHonest:
          has_shard, shard) = head.unpack_from(body, 0)
         assert code == wire.REJECT_REDIRECT
         assert (has_shard, shard) == (1, 3)
-
-    def test_v4_reject_still_decodes_without_a_shard(self):
-        """§7: a v4 REJECT body (no shard tail) decodes with
-        ``shard`` None — the historical layout stays live."""
-        detail = "dry".encode()
-        body = wire._REJECT_HEAD_V4.pack(
-            wire.REJECT_OVERLOADED, len(detail), 1, 17
-        )
-        total = wire.HEADER_NBYTES + len(body) + len(detail)
-        buf = bytearray(total)
-        wire._HEADER.pack_into(buf, 0, wire.MAGIC, 4, wire.KIND_REJECT,
-                               9, total)
-        buf[wire.HEADER_NBYTES:] = body + detail
-        session, out = wire.decode_tagged(buf)
-        assert session == 9
-        assert out == wire.Reject(9, wire.REJECT_OVERLOADED, "dry", 17, None)
-        assert out.shard is None
 
     def test_retryable_codes_are_exactly_3_and_6(self):
         """§4.6: capacity and overloaded are the retryable refusals."""

@@ -139,19 +139,17 @@ class TestServingSignatures:
 
     PINNED = {
         "repro.serving.runtime:ServerRuntime": (
-            "blueprints", "share_work", "idle_timeout_s", "max_sessions",
-            "admit", "overload", "fleet", "teachers",
+            "idle_timeout_s", "max_sessions", "overload", "fleet", "teachers",
         ),
         "repro.serving.runtime:start_server": (
-            "blueprints", "transport", "n_clients", "share_work",
-            "idle_timeout_s", "max_sessions", "admit", "overload",
-            "obs_config", "report_timeout_s", "options",
+            "blueprints", "transport", "n_clients", "idle_timeout_s",
+            "max_sessions", "overload", "obs_config", "report_timeout_s",
+            "options",
         ),
         "repro.serving.fleet:start_fleet": (
             "n_shards", "transport", "n_clients", "shared_teacher",
-            "share_work", "idle_timeout_s", "max_sessions", "overload",
-            "obs_config", "timeout_s", "ledger_capacity",
-            "report_timeout_s", "shm_options",
+            "idle_timeout_s", "max_sessions", "overload", "obs_config",
+            "timeout_s", "ledger_capacity", "report_timeout_s", "shm_options",
         ),
         "repro.serving.pool:SessionPool": ("specs",),
         "repro.serving.batched:BatchedPredictor": (),

@@ -1,11 +1,11 @@
-"""End-to-end churn tests for dynamic session admission (ISSUE 5).
+"""End-to-end churn tests for session admission (ISSUE 5).
 
 The acceptance property: a session admitted into a *running*
 ``ServerRuntime`` mid-run — over both shm and socket — yields
 ``RunStats`` bit-identical to the same blueprint run in-process, with
 joins and departures interleaved.  Also covers admission over a shared
-parent connection (pool of negotiated sessions on one link), the mixed
-blueprint + admitted population, server-assigned session ids, and the
+parent connection (pool of admitted sessions on one link), the two
+kinds of ticket, server-assigned session ids, and the
 capacity policy's free-a-slot-and-retry behaviour.  ISSUE 6 adds the
 typed refusal metadata (``AdmissionError.retryable`` / ``retry_after``)
 and the bounded seeded retry loop behind ``admit_retries``.
@@ -127,8 +127,8 @@ class TestChurnTimesSharing:
 
 class TestAdmissionOverOneConnection:
     def test_pool_of_admitted_sessions_identical_to_inproc_pool(self):
-        """N sessions negotiated over ONE shared connection (no
-        blueprint table at all) match the in-process pool bitwise."""
+        """N sessions admitted over ONE shared connection (each from
+        its own config) match the in-process pool bitwise."""
         def specs(attach_of=None):
             built = []
             for key, width in [("fixed-people", 0.25), ("moving-animals", 0.3)]:
@@ -144,7 +144,7 @@ class TestAdmissionOverOneConnection:
         handle = start_server([], transport="shm", n_clients=1,
                               idle_timeout_s=60)
         try:
-            remote = SessionPool(specs(attach_of=handle.admit_ticket)).run()
+            remote = SessionPool(specs(attach_of=handle.ticket)).run()
         finally:
             handle.close()
         assert handle.process.exitcode == 0
@@ -153,46 +153,33 @@ class TestAdmissionOverOneConnection:
                 include_label=False
             )
 
-    def test_mixed_blueprint_and_admitted_population(self):
-        """A blueprinted session (HELLO) and an admitted one (ADMIT)
-        coexist on one server; the admitted id never collides with the
-        blueprint table."""
-        blueprinted = _config(width=0.25)
-        admitted = _config(width=0.3, mode=DistillMode.FULL)
+    def test_ticket_by_index_and_by_own_config_are_the_same_session(self):
+        """``ticket(i)`` sends blueprint ``i``'s ADMIT, ``ticket()``
+        the client's own: the same config either way is the same
+        session, bit-identical to in-process; ids count accepts."""
+        config = _config(width=0.3, mode=DistillMode.FULL)
         handle = start_server(
-            [SessionBlueprint(blueprinted, _HW)], transport="shm",
+            [SessionBlueprint(config, _HW)], transport="shm",
             n_clients=1, idle_timeout_s=60,
         )
         try:
-            via_hello = build_session(
-                dataclasses.replace(blueprinted, attach=handle.ticket(0)), _HW
-            )
-            via_admit = build_session(
-                dataclasses.replace(admitted, attach=handle.admit_ticket()), _HW
-            )
-            assert via_hello.server.session == 0
-            assert via_admit.server.session == 1  # first id past the table
-            try:
-                video = _video()
-                video.reset()
-                hello_stats = via_hello.run(video.frames(6), label="h")
-            finally:
-                via_hello.server.close()
-            try:
-                video = _video("moving-animals")
-                video.reset()
-                admit_stats = via_admit.run(video.frames(6), label="m")
-            finally:
-                via_admit.server.close()
+            stats = []
+            for session, ticket in enumerate([handle.ticket(0), handle.ticket()]):
+                client = build_session(
+                    dataclasses.replace(config, attach=ticket), _HW
+                )
+                assert client.server.session == session
+                try:
+                    video = _video()
+                    video.reset()
+                    stats.append(client.run(video.frames(6), label="t"))
+                finally:
+                    client.server.close()
         finally:
             handle.close()
         assert handle.process.exitcode == 0
-        assert hello_stats.signature(include_label=False) == _reference(
-            blueprinted, 6
-        ).signature(include_label=False)
-        assert admit_stats.signature(include_label=False) == run_shadowtutor(
-            _video("moving-animals"), 6, admitted, label="ref"
-        ).signature(include_label=False)
+        reference = _reference(config, 6).signature(include_label=False)
+        assert [s.signature(include_label=False) for s in stats] == [reference] * 2
 
 
 class TestCapacityPolicy:
@@ -203,41 +190,20 @@ class TestCapacityPolicy:
                               max_sessions=1, idle_timeout_s=60)
         try:
             first = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()), _HW
+                dataclasses.replace(_config(), attach=handle.ticket()), _HW
             )
             with pytest.raises(AdmissionError, match="capacity") as excinfo:
                 build_session(
-                    dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                    dataclasses.replace(_config(), attach=handle.ticket()),
                     _HW,
                 )
             assert excinfo.value.reason == "capacity"
             first.server.close()  # BYE frees the slot
             retry = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()), _HW
+                dataclasses.replace(_config(), attach=handle.ticket()), _HW
             )
             assert retry.server.session == 1  # ids are never reused
             retry.server.close()
-        finally:
-            handle.close()
-        assert handle.process.exitcode == 0
-
-    def test_admission_disabled_server_rejects_admit(self):
-        handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, admit=False, idle_timeout_s=60,
-        )
-        try:
-            with pytest.raises(AdmissionError, match="admission-disabled"):
-                build_session(
-                    dataclasses.replace(_config(), attach=handle.admit_ticket()),
-                    _HW,
-                )
-            # The blueprinted path still works; serving it lets the
-            # runtime quiesce.
-            client = build_session(
-                dataclasses.replace(_config(), attach=handle.ticket(0)), _HW
-            )
-            client.server.close()
         finally:
             handle.close()
         assert handle.process.exitcode == 0
@@ -259,14 +225,14 @@ class TestAdmissionRetry:
         )
         try:
             occupant = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                dataclasses.replace(_config(), attach=handle.ticket()),
                 _HW,
             )
             # The bucket held one token; the next ADMIT is a typed,
             # retryable refusal with a ticks-until-token hint.
             with pytest.raises(AdmissionError, match="overloaded") as excinfo:
                 build_session(
-                    dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                    dataclasses.replace(_config(), attach=handle.ticket()),
                     _HW,
                 )
             assert excinfo.value.reason == "overloaded"
@@ -277,17 +243,17 @@ class TestAdmissionRetry:
             handle.close()
         assert handle.process.exitcode == 0
 
-    def test_capacity_refusal_is_retryable_disabled_is_not(self):
+    def test_capacity_refusal_is_retryable_malformed_is_not(self):
         handle = start_server([], transport="shm", n_clients=1,
                               max_sessions=1, idle_timeout_s=60)
         try:
             occupant = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                dataclasses.replace(_config(), attach=handle.ticket()),
                 _HW,
             )
             with pytest.raises(AdmissionError, match="capacity") as excinfo:
                 build_session(
-                    dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                    dataclasses.replace(_config(), attach=handle.ticket()),
                     _HW,
                 )
             assert excinfo.value.retryable
@@ -295,28 +261,24 @@ class TestAdmissionRetry:
             occupant.server.close()
         finally:
             handle.close()
-        disabled = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, admit=False, idle_timeout_s=60,
-        )
+        handle = start_server([], transport="shm", n_clients=1,
+                              idle_timeout_s=60)
         try:
             with pytest.raises(AdmissionError) as excinfo:
                 build_session(
                     dataclasses.replace(
-                        _config(), attach=disabled.admit_ticket(admit_retries=5)
+                        _config(width=-1.0),
+                        attach=handle.ticket(admit_retries=5),
                     ),
                     _HW,
                 )
             # Structural refusals are NOT retryable: the retry budget
             # must not burn five sleeps on a server that said "never".
-            assert excinfo.value.reason == "admission-disabled"
+            assert excinfo.value.reason == "malformed-blueprint"
             assert not excinfo.value.retryable
-            client = build_session(
-                dataclasses.replace(_config(), attach=disabled.ticket(0)), _HW
-            )
-            client.server.close()
         finally:
-            disabled.close()
+            handle.close()
+        assert handle.process.exitcode == 0
 
     def test_bounded_retry_admits_once_occupant_departs(self):
         import threading
@@ -325,7 +287,7 @@ class TestAdmissionRetry:
                               max_sessions=1, idle_timeout_s=60)
         try:
             occupant = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                dataclasses.replace(_config(), attach=handle.ticket()),
                 _HW,
             )
             # Free the slot ~0.5s in; the waiting client's seeded retry
@@ -337,7 +299,7 @@ class TestAdmissionRetry:
                 retry = build_session(
                     dataclasses.replace(
                         _config(),
-                        attach=handle.admit_ticket(admit_retries=20,
+                        attach=handle.ticket(admit_retries=20,
                                                    retry_seed=3),
                     ),
                     _HW,
@@ -355,7 +317,7 @@ class TestAdmissionRetry:
                               max_sessions=1, idle_timeout_s=60)
         try:
             occupant = build_session(
-                dataclasses.replace(_config(), attach=handle.admit_ticket()),
+                dataclasses.replace(_config(), attach=handle.ticket()),
                 _HW,
             )
             # Nobody ever departs: two retries, then the typed error
@@ -364,7 +326,7 @@ class TestAdmissionRetry:
                 build_session(
                     dataclasses.replace(
                         _config(),
-                        attach=handle.admit_ticket(admit_retries=2),
+                        attach=handle.ticket(admit_retries=2),
                     ),
                     _HW,
                 )

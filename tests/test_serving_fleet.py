@@ -321,7 +321,7 @@ class TestFleetEndToEnd:
                 [config_a, config_b, config_a, config_b]
             ):
                 attach = dataclasses.replace(
-                    config, attach=handle.admit_address(slot)
+                    config, attach=handle.address(slot)
                 )
                 clients.append(build_session(attach, _HW))
             assert handle.ledger_snapshot() == {
@@ -360,7 +360,7 @@ class TestFleetEndToEnd:
 
             from repro.serving.runtime import _client_process_main
 
-            front = handle.admit_address(0)
+            front = handle.address(0)
             owner = handle._ledger.place(
                 placement_key(_admit(config)), None
             )
@@ -404,14 +404,11 @@ class TestFleetEndToEnd:
         assert handle.fleet_report["redirects"] >= 1
         assert handle.fleet_report["placed"] == 2
 
-    def test_fleets_are_pure_admission(self):
+    def test_fleet_address_knows_its_shards(self):
         handle = start_fleet(1, transport="socket", idle_timeout_s=30)
         try:
-            with pytest.raises(TypeError, match="pure-admission"):
-                handle.address(0)
-            address = handle.admit_address(0)
+            address = handle.address(0)
             assert isinstance(address, FleetAddress)
-            assert address.session is None
             assert len(address.shards) == 1
         finally:
             handle.close()

@@ -4,7 +4,7 @@ The acceptance property: one server process serves N concurrent client
 *processes* — over shm rings and over TCP sockets — with per-session
 ``RunStats`` bit-identical to the equivalent in-process ``SessionPool``
 run.  Also covers the pooled-attachment path (N sessions over one
-connection), the HELLO/ACCEPT/BYE handshake's error branches, and the
+connection), the ADMIT/ACCEPT/BYE handshake's error branches, and the
 moved single-endpoint serve loop.
 """
 
@@ -18,6 +18,7 @@ from repro.serving.pool import SessionPool, SessionSpec
 from repro.serving.runtime import (
     ServerRuntime,
     SessionBlueprint,
+    admit_message,
     run_client_processes,
     start_server,
 )
@@ -55,9 +56,8 @@ class TestNClientProcesses:
 
     @pytest.mark.parametrize("transport", ["shm", "socket"])
     def test_multiplexed_processes_bit_identical_to_pool(self, transport):
-        blueprints = [SessionBlueprint(_config(), _HW) for _ in range(self.N)]
         handle = start_server(
-            blueprints, transport=transport, n_clients=self.N, idle_timeout_s=60
+            transport=transport, n_clients=self.N, idle_timeout_s=60
         )
         try:
             jobs = [
@@ -172,10 +172,8 @@ class TestInlineServe:
     @pytest.mark.parametrize("transport", ["shm", "socket"])
     def test_mixed_population_bit_identical(self, transport):
         population = self._population()
-        blueprints = [SessionBlueprint(c, hw) for c, hw in population]
         handle = start_server(
-            blueprints, transport=transport, n_clients=len(population),
-            idle_timeout_s=60,
+            transport=transport, n_clients=len(population), idle_timeout_s=60,
         )
         try:
             jobs = [
@@ -191,10 +189,11 @@ class TestInlineServe:
                 include_label=False
             )
         report = handle.runtime_report
+        # Ids are assigned in arrival order, which client processes race for.
         served = report["frames_served"]
-        assert [served[i] for i in range(len(stats))] == [
+        assert sorted(served.values()) == sorted(
             s.num_key_frames for s in stats
-        ]
+        )
         counters = report["serve_counters"]
         assert counters["key_frames"] == sum(served.values())
         assert counters["hits"] + counters["misses"] == counters["key_frames"]
@@ -276,14 +275,14 @@ class TestRunLoopScripted:
         busy = _ScriptedConnection("busy", log, on_send)
         quiet = _ScriptedConnection("quiet", log)
         busy.inbox.extend(
-            [(sid, wire.Hello(sid)) for sid in range(3)] + [(0, frames[0])]
+            [(0, admit_message(_config(), _HW))] * 3 + [(0, frames[0])]
         )
-        runtime = ServerRuntime(
-            [SessionBlueprint(_config(), _HW) for _ in range(3)], admit=False,
-        )
+        runtime = ServerRuntime()
         served = runtime.run(_ScriptedListener([busy, quiet]))
 
         assert served == {0: 1, 1: 1, 2: 0}
+        # The k-th accepted ADMIT is session k.
+        assert [e[2] for e in log if e[0] == "send" and e[3] == "Accept"] == [0, 1, 2]
         assert busy.closed and quiet.closed
         assert runtime.teardowns == {} and runtime.connection_teardowns == {}
         key_frames = [i for i, e in enumerate(log) if e[0] == "recv" and e[3] == "tuple"]
@@ -292,40 +291,40 @@ class TestRunLoopScripted:
             assert log[i + 1] == ("send", "busy", log[i][2], "ServerReply")
         assert runtime.serve_counters["key_frames"] == 2
 
+    def test_drain_waits_for_the_links_sentinel(self):
+        """One accepted link whose only session came and went is not a
+        drained population: the link may still ADMIT again."""
+        from repro.transport import wire
+
+        link = _ScriptedConnection("link", [])
+        runtime = ServerRuntime()
+        connections, closed = [link], set()
+        runtime._handle(link, 0, admit_message(_config(), _HW))
+        assert not runtime._quiesced(connections, closed, 1)
+        runtime._handle(link, 0, wire.Bye(0))
+        assert not runtime._sessions
+        assert not runtime._quiesced(connections, closed, 1)
+        runtime._teardown_connection(0, link, closed)
+        assert runtime._quiesced(connections, closed, 1)
+
 
 class TestHandshakeAndErrors:
-    def test_unknown_session_is_refused(self):
+    def test_ticket_index_past_the_blueprints_raises(self):
         handle = start_server(
             [SessionBlueprint(_config(), _HW)], transport="shm",
             n_clients=1, idle_timeout_s=60,
         )
         try:
-            with pytest.raises(IndexError, match="session"):
-                handle.ticket(5)
+            with pytest.raises(IndexError, match="blueprint"):
+                handle.ticket(1)
+            # The valid blueprint still admits after the refusal.
             connection = handle.parent_connection()
-            with pytest.raises(RuntimeError, match="refused"):
-                connection.open_session(3)
-            # The valid session still works after the refusal.
-            state = connection.open_session(0)
-            assert isinstance(state, dict) and state
-            connection.close_session(0)
+            session, state = connection.admit_session(handle.ticket(0).admit)
+            assert session == 0 and isinstance(state, dict) and state
+            connection.close_session(session)
         finally:
             handle.close()
         assert handle.process.exitcode == 0
-
-    def test_duplicate_hello_is_refused(self):
-        handle = start_server(
-            [SessionBlueprint(_config(), _HW)], transport="shm",
-            n_clients=1, idle_timeout_s=60,
-        )
-        try:
-            connection = handle.parent_connection()
-            connection.open_session(0)
-            with pytest.raises(RuntimeError, match="refused"):
-                connection.open_session(0)
-            connection.close_session(0)
-        finally:
-            handle.close()
 
     def test_attach_rejects_custom_teacher(self):
         from repro.models.teacher import OracleTeacher
@@ -338,10 +337,11 @@ class TestHandshakeAndErrors:
             config = dataclasses.replace(_config(), attach=handle.ticket(0))
             with pytest.raises(ValueError, match="teacher"):
                 build_session(config, _HW, teacher=OracleTeacher())
-            # Unblock shutdown: the refused build never opened session 0.
+            # Unblock shutdown: the refused build never reached the server.
             connection = handle.parent_connection()
-            connection.open_session(0)
-            connection.close_session(0)
+            connection.close_session(
+                connection.admit_session(handle.ticket(0).admit)[0]
+            )
         finally:
             handle.close()
 
@@ -350,15 +350,10 @@ class TestHandshakeAndErrors:
         with pytest.raises(TypeError, match="attach"):
             build_session(config, _HW)
 
-    def test_runtime_validates_blueprints(self):
-        """Zero blueprints is legal for a pure-admission server (ISSUE
-        5), but a server that can neither serve blueprints nor admit
-        anyone could never do anything — still a hard error."""
-        with pytest.raises(ValueError, match="Blueprint"):
-            ServerRuntime([], admit=False)
+    def test_runtime_validates_max_sessions(self):
         with pytest.raises(ValueError, match="max_sessions"):
-            ServerRuntime([], max_sessions=0)
-        ServerRuntime([])  # pure-admission runtime constructs fine
+            ServerRuntime(max_sessions=0)
+        ServerRuntime()
 
     def test_blueprint_strips_attach(self):
         """A blueprint made from an attached config must not make the

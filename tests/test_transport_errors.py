@@ -9,13 +9,14 @@ admission-era paths: a malformed ADMIT blueprint is REJECTed (never
 crashes the server other clients depend on), REJECT reason codes
 round-trip the wire, and a client dialing a capacity-exhausted server
 gets a clean typed error with no wedged ring or leaked shm segment.
-ISSUE 6 adds the overload-era paths: the v4 REJECT ``retry_after``
-hint round-trips (and v3 REJECT frames still decode), and a client
+ISSUE 6 adds the overload-era paths: the REJECT ``retry_after``
+hint round-trips, and a client
 killed with ``SIGKILL`` mid-run is torn down by the receive budget /
 idle reaper without wedging the server or leaking its shm segments.
 """
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -76,15 +77,18 @@ class TestWireDecodeErrors:
         with pytest.raises(wire.WireError, match="smaller than a header"):
             wire.decode(bad)
 
-    def test_unknown_version(self):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
+    def test_any_version_but_ours_is_refused(self, version):
+        assert version != wire.VERSION
         bad = bytearray(self._frame())
-        bad[2] = wire.VERSION + 41
+        bad[2] = version
         with pytest.raises(wire.WireError, match="version"):
             wire.decode(bad)
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("kind", [5, 250])  # 5: the retired HELLO
+    def test_unknown_kind(self, kind):
         bad = bytearray(self._frame())
-        bad[3] = 250
+        bad[3] = kind
         with pytest.raises(wire.WireError, match="kind"):
             wire.decode(bad)
 
@@ -93,21 +97,20 @@ class TestWireDecodeErrors:
             wire.encode(None, session=wire.MAX_SESSION + 1)
 
     def test_control_messages_roundtrip_with_session(self):
-        for ctl in (wire.Hello(3), wire.Accept(3), wire.Bye(65535)):
+        for ctl in (wire.Accept(3), wire.Bye(65535)):
             session, out = wire.decode_tagged(wire.encode(ctl))
             assert out == ctl
             assert session == ctl.session
 
-    def test_v2_frames_still_decode_but_not_v3_kinds(self):
-        """The v2 header layout is unchanged, so v2 frames decode; a v2
-        frame claiming a v3-only kind is structurally impossible."""
-        legacy = bytearray(wire.encode(wire.Bye(9)))
-        legacy[2] = 2
-        assert wire.decode(legacy) == wire.Bye(9)
-        bad = bytearray(wire.encode(_admit()))
-        bad[2] = 2
-        with pytest.raises(wire.WireError, match="version 3"):
-            wire.decode(bad)
+
+def _shm_segments():
+    # Only multiprocessing.shared_memory segments (psm_ prefix):
+    # unrelated processes creating other /dev/shm entries while a test
+    # runs must not fail it.
+    shm_dir = pathlib.Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return None
+    return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
 
 
 def _admit(**overrides):
@@ -119,6 +122,17 @@ def _admit(**overrides):
     )
     fields.update(overrides)
     return wire.Admit(**fields)
+
+
+def _damaged_admit(damage):
+    """A well-framed ADMIT whose body is ``damage(blueprint state)``."""
+    class Damaged(wire.Admit):
+        def to_state(self):
+            state = super().to_state()
+            damage(state)
+            return state
+
+    return Damaged(**dataclasses.asdict(_admit()))
 
 
 class TestAdmissionErrors:
@@ -168,16 +182,28 @@ class TestAdmissionErrors:
         with pytest.raises(wire.WireError, match="detail"):
             wire.encode(wire.Reject(0, wire.REJECT_CAPACITY, "x" * 70000))
 
-    def test_semantically_bad_blueprint_is_rejected_not_fatal(self):
-        """A structurally valid ADMIT whose values are nonsense must
-        REJECT with malformed-blueprint — the server keeps serving."""
+    @pytest.mark.parametrize("transport", ["shm", "socket"])
+    def test_semantically_bad_blueprint_is_rejected_not_fatal(self, transport):
+        """An ADMIT whose field set or codes are wrong, or whose values
+        are nonsense, must REJECT with malformed-blueprint — the link
+        stays usable and the server keeps serving."""
         from repro.runtime.session import SessionConfig, build_session
         from repro.serving.runtime import AdmissionError, start_server
 
-        handle = start_server([], transport="shm", n_clients=1,
+        before = _shm_segments()
+        handle = start_server([], transport=transport, n_clients=1,
                               idle_timeout_s=60)
         try:
             connection = handle.parent_connection()
+            for damage, detail in (
+                (lambda state: state.pop("lr"), "missing fields"),
+                (lambda state: state.update(surprise=np.int64(1)),
+                 "unknown fields"),
+                (lambda state: state.update(mode=np.uint8(200)), "mode code"),
+            ):
+                with pytest.raises(AdmissionError, match=detail) as excinfo:
+                    connection.admit_session(_damaged_admit(damage))
+                assert excinfo.value.reason == "malformed-blueprint"
             with pytest.raises(AdmissionError, match="malformed-blueprint"):
                 connection.admit_session(_admit(student_width=-1.0))
             with pytest.raises(AdmissionError, match="malformed-blueprint"):
@@ -189,24 +215,26 @@ class TestAdmissionErrors:
                 # server-side model construction (spatial dims must
                 # divide by 4): construction failures REJECT too.
                 connection.admit_session(_admit(frame_h=1, frame_w=1))
-            # The server survived both: a good admission still works.
+            # The server survived them all: a good admission still
+            # works, on the same connection.
             config = dataclasses.replace(
                 SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.admit_ticket(),
+                attach=handle.ticket(),
             )
             client = build_session(config, (32, 48))
             client.server.close()
         finally:
             handle.close()
         assert handle.process.exitcode == 0
+        assert handle.runtime_report["exit_reason"] == "quiesced"
+        if before is not None:
+            assert not _shm_segments() - before
 
     def test_capacity_exhausted_dial_is_clean(self):
         """A standalone client process dialing a full server gets a
         typed capacity error; nothing wedges and the parent unlinks
         every shm segment it created."""
         import multiprocessing as mp
-        import pathlib
-
         from repro.runtime.session import SessionConfig, build_session
         from repro.serving.runtime import start_server
 
@@ -225,28 +253,19 @@ class TestAdmissionErrors:
             finally:
                 result_conn.close()
 
-        def shm_segments():
-            # Only multiprocessing.shared_memory segments (psm_ prefix):
-            # unrelated processes creating other /dev/shm entries while
-            # this test runs must not fail it.
-            shm_dir = pathlib.Path("/dev/shm")
-            if not shm_dir.is_dir():
-                return None
-            return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
-        before = shm_segments()
+        before = _shm_segments()
         handle = start_server([], transport="shm", n_clients=2,
                               max_sessions=1, idle_timeout_s=60)
         try:
             config = dataclasses.replace(
                 SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.admit_ticket(),
+                attach=handle.ticket(),
             )
             occupant = build_session(config, (32, 48))
             parent_conn, child_conn = mp.Pipe(duplex=False)
             proc = mp.Process(
                 target=_dial_full_server,
-                args=(handle.admit_address(1), child_conn), daemon=True,
+                args=(handle.address(1), child_conn), daemon=True,
             )
             proc.start()
             child_conn.close()
@@ -259,12 +278,12 @@ class TestAdmissionErrors:
             handle.close()
         assert handle.process.exitcode == 0
         if before is not None:
-            leaked = shm_segments() - before
+            leaked = _shm_segments() - before
             assert not leaked, f"leaked shm segments: {leaked}"
 
 
 class TestOverloadWire:
-    """ISSUE 6 satellite: the v4 REJECT ``retry_after`` hint."""
+    """ISSUE 6 satellite: the REJECT ``retry_after`` hint."""
 
     def test_retry_after_roundtrips(self):
         for hint in (None, 0, 1, 64, 0xFFFFFFFFFFFFFFFF):
@@ -279,22 +298,6 @@ class TestOverloadWire:
             wire.encode(wire.Reject(0, wire.REJECT_OVERLOADED,
                                     retry_after=2 ** 64))
 
-    def test_v3_reject_still_decodes(self):
-        """A REJECT from a v3 peer carries the shorter historical body
-        (no retry_after field); it must decode with ``retry_after``
-        None, not shear into the detail bytes."""
-        detail = "server full".encode()
-        body = wire._REJECT_HEAD_V3.pack(wire.REJECT_CAPACITY, len(detail))
-        total = wire.HEADER_NBYTES + len(body) + len(detail)
-        buf = bytearray(total)
-        wire._HEADER.pack_into(buf, 0, wire.MAGIC, 3, wire.KIND_REJECT,
-                               5, total)
-        buf[wire.HEADER_NBYTES:] = body + detail
-        session, out = wire.decode_tagged(buf)
-        assert session == 5
-        assert out == wire.Reject(5, wire.REJECT_CAPACITY, "server full", None)
-        assert out.retry_after is None
-
 
 class TestClientDeath:
     """ISSUE 6 satellite: SIGKILL a client mid-run; the server must tear
@@ -303,8 +306,6 @@ class TestClientDeath:
 
     def test_sigkill_mid_frame_does_not_wedge_server(self):
         import multiprocessing as mp
-        import pathlib
-
         from repro.runtime.session import SessionConfig, build_session
         from repro.serving.overload import OverloadConfig
         from repro.serving.runtime import start_server
@@ -327,13 +328,7 @@ class TestClientDeath:
             started.close()
             client.run(_make_video().frames(10_000), label="victim")
 
-        def shm_segments():
-            shm_dir = pathlib.Path("/dev/shm")
-            if not shm_dir.is_dir():
-                return None
-            return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
-        before = shm_segments()
+        before = _shm_segments()
         handle = start_server(
             [], transport="shm", n_clients=2, idle_timeout_s=60,
             overload=OverloadConfig(recv_budget_s=0.5, reap_idle_s=1.0),
@@ -342,7 +337,7 @@ class TestClientDeath:
             recv_end, send_end = mp.Pipe(duplex=False)
             victim = mp.Process(
                 target=_victim_main,
-                args=(handle.admit_address(0), send_end), daemon=True,
+                args=(handle.address(0), send_end), daemon=True,
             )
             victim.start()
             send_end.close()
@@ -355,7 +350,7 @@ class TestClientDeath:
             # completion while the dead slot is budget/reaper-collected.
             config = dataclasses.replace(
                 SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.admit_address(1),
+                attach=handle.address(1),
             )
             survivor = build_session(config, (32, 48))
             stats = survivor.run(_make_video().frames(6), label="survivor")
@@ -365,7 +360,7 @@ class TestClientDeath:
             handle.close()
         assert handle.process.exitcode == 0
         if before is not None:
-            leaked = shm_segments() - before
+            leaked = _shm_segments() - before
             assert not leaked, f"leaked shm segments: {leaked}"
 
 
@@ -377,8 +372,6 @@ class TestShardDeath:
     all unlink at close."""
 
     def test_sigkill_one_shard_survivors_keep_serving(self):
-        import pathlib
-
         from repro.runtime.session import SessionConfig, build_session
         from repro.serving.fleet import start_fleet
         from repro.serving.runtime import REPORT_LOST
@@ -391,24 +384,18 @@ class TestShardDeath:
             video.reset()
             return video
 
-        def shm_segments():
-            shm_dir = pathlib.Path("/dev/shm")
-            if not shm_dir.is_dir():
-                return None
-            return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
         config = SessionConfig(
             student_width=0.25, pretrain_steps=5, teacher_arch="neural",
             teacher_width=8, teacher_seed=0,
         )
-        before = shm_segments()
+        before = _shm_segments()
         handle = start_fleet(2, transport="socket", idle_timeout_s=60,
                              shared_teacher=(8, 0))
         try:
             # The first tenant lands on shard 0 (least-loaded, lowest
             # index) — deterministically on the shard that survives.
             occupant = build_session(
-                dataclasses.replace(config, attach=handle.admit_address(0)),
+                dataclasses.replace(config, attach=handle.address(0)),
                 (32, 48),
             )
             handle.processes[1].kill()  # SIGKILL: no goodbye
@@ -421,7 +408,7 @@ class TestShardDeath:
             # (the dead shard's reuseport socket died with it, so the
             # front door routes every dial to the survivor).
             joiner = build_session(
-                dataclasses.replace(config, attach=handle.admit_address(0)),
+                dataclasses.replace(config, attach=handle.address(0)),
                 (32, 48),
             )
             joiner_stats = joiner.run(_make_video().frames(4), label="joiner")
@@ -435,7 +422,7 @@ class TestShardDeath:
         assert reasons[1] == REPORT_LOST
         assert handle.fleet_report["frames_served"][0] > 0
         if before is not None:
-            leaked = shm_segments() - before
+            leaked = _shm_segments() - before
             assert not leaked, f"leaked shm segments: {leaked}"
 
 
