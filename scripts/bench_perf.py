@@ -19,10 +19,11 @@ counters, and the bit-identity check.
 
 ``--serve-many N`` benchmarks the multiplexed ServerRuntime: one
 server process serving N concurrent client processes (over
-``--serve-transport``, shm by default) against the same N sessions
-each spawning a dedicated pipe server process, with per-session
-RunStats verified bit-identical across the two paths.  Every client
-admits its session over the wire (ADMIT), so the recorded speedup
+``--serve-transport``, shm by default) against the same N sessions run
+in-process back to back — five alternating legs each, every sample
+kept, absolute frames/s beside the ratio of medians, per-session
+RunStats verified bit-identical across the two legs.  Every client
+admits its session over the wire (ADMIT), so the multiplexed wall
 includes the admission cost.  The teacher is neural by default and the
 record's ``serve_counters`` show the shared memo labelling and
 distilling duplicate key frames once; adding ``--churn`` produces the
@@ -59,16 +60,15 @@ Records are deduplicated on append by ``(name, pr, git_rev)`` — re-running
 a benchmark at the same revision replaces its record instead of
 stacking a duplicate; ``--migrate`` also collapses historical
 duplicates (keeping the latest measurement) and stamps the uniform
-top-level ``speedup`` field onto storm/transport records.
+top-level ``speedup`` field onto historical storm/transport records.
 
 Each invocation appends one schema-stamped record (``name``, ``pr``,
 ``git_rev``, timestamp), so the file accumulates the throughput
 trajectory across PRs; ``--migrate`` stamps the schema onto pre-schema
 records in place.  The benchmark suite
-(``benchmarks/test_perf_engine.py``, ``benchmarks/test_perf_pool.py``,
-``benchmarks/test_perf_transport.py``) uses the same measurements and
-enforces the >= 3x engine, >= 2x pooled-serving and >= 2x shm-transport
-floors.
+(``benchmarks/test_perf_engine.py``, ``benchmarks/test_perf_pool.py``)
+uses the same measurements and enforces the >= 3x engine and >= 2x
+pooled-serving floors.
 """
 
 import argparse
@@ -88,7 +88,6 @@ from repro.experiments.perf import (  # noqa: E402
     format_serve_many_record,
     format_storm_record,
     format_train_record,
-    format_transport_record,
     measure_engine_speedup,
     measure_fleet_throughput,
     measure_obs_overhead,
@@ -98,7 +97,6 @@ from repro.experiments.perf import (  # noqa: E402
     measure_serve_many_throughput,
     measure_storm,
     measure_train_speedup,
-    measure_transport_throughput,
     migrate_records,
 )
 
@@ -113,14 +111,10 @@ def main() -> int:
     parser.add_argument("--pool", type=int, default=None, metavar="N",
                         help="benchmark the serving pool with N sessions "
                              "of one stream instead of the engine speedup")
-    parser.add_argument("--transport", action="store_true",
-                        help="benchmark shm vs pipe payload throughput "
-                             "instead of the engine speedup "
-                             "(also: scripts/bench_transport.py)")
     parser.add_argument("--serve-many", type=int, default=None, metavar="N",
-                        help="benchmark 1 multiplexed server process vs N "
-                             "dedicated pipe server processes on the frame "
-                             "workload (N concurrent client processes)")
+                        help="benchmark 1 multiplexed server process "
+                             "serving N concurrent client processes vs the "
+                             "same N sessions in-process back to back")
     parser.add_argument("--serve-transport", default="shm",
                         choices=("shm", "socket"),
                         help="transport for the multiplexed side of "
@@ -181,10 +175,7 @@ def main() -> int:
         print(f"migrated {updated} pre-schema record(s) in {args.output}")
         return 0
 
-    if args.transport:
-        record = measure_transport_throughput(pr=args.pr)
-        summary = format_transport_record(record)
-    elif args.train:
+    if args.train:
         record = measure_train_speedup(
             num_frames=args.frames or 4,
             width=args.width,

@@ -445,9 +445,10 @@ def section_serve_many():
 
     Runs the broadcast frame workload at N = 1, 4, 8 client processes
     against one multiplexed server (shm and socket transports) and
-    against the dedicated-server-per-session pipe baseline, tabulating
-    aggregate frames/sec.  Every multiplexed session's RunStats is
-    verified bit-identical to the dedicated run.
+    against the same N sessions run in-process back to back, tabulating
+    aggregate frames/sec (median of the alternating legs).  Every
+    multiplexed session's RunStats is verified bit-identical to the
+    in-process run.
     """
     from repro.experiments.perf import measure_serve_many_throughput
 
@@ -465,15 +466,15 @@ def section_serve_many():
         shm_rec = per_transport["shm"]
         rows.append([
             f"1 x {n}",
-            f2(shm_rec["dedicated_pipe"]["frames_per_s"]),
+            f2(shm_rec["sequential_inproc"]["frames_per_s"]),
             f2(shm_rec["multiplexed"]["frames_per_s"]),
             f2(per_transport["socket"]["multiplexed"]["frames_per_s"]),
             f2(shm_rec["speedup"]),
             "yes" if identical else "NO",
         ])
     table = md_table(
-        ["server x clients", "dedicated pipe f/s", "mux shm f/s",
-         "mux socket f/s", "speedup (shm)", "bit-identical"],
+        ["server x clients", "in-process f/s", "mux shm f/s",
+         "mux socket f/s", "mux / in-process (shm)", "bit-identical"],
         rows,
     )
     return (
@@ -483,13 +484,15 @@ def section_serve_many():
         "by ONE multiplexing server process (`repro.serving.runtime."
         "ServerRuntime` — event-driven, session-tagged wire frames, "
         "ADMIT/ACCEPT/BYE handshake) over per-client shm rings or TCP "
-        "sockets, against the same N sessions each spawning a dedicated "
-        "pipe server (the PR-3 deployment).  Bitwise-identical key-frame "
+        "sockets, against the same N sessions run in one process back "
+        "to back (nothing spawned, nothing shared; medians of "
+        "alternating legs).  Bitwise-identical key-frame "
         "work from different client processes trains once through the "
         "shared-distillation cache; per-session RunStats stay "
-        "bit-identical to the dedicated runs (enforced by "
+        "bit-identical to the in-process runs (enforced by "
         "`tests/test_serving_runtime.py`, `scripts/smoke_serve_many.py` "
-        "and `benchmarks/test_perf_serve_many.py`, >= 2x floor at N=4).\n"
+        "and `benchmarks/test_perf_serve_many.py`, whose ratio floor is "
+        "pinned below the recorded spread at N=4).\n"
     )
 
 
@@ -573,7 +576,7 @@ def section_churn():
         "draining their slots for the capacity policy.  Every admitted "
         "session's RunStats is bit-identical to the same configuration "
         "run in-process (enforced end to end by "
-        "`tests/test_serving_churn.py` and the >= 2x churn floor in "
+        "`tests/test_serving_churn.py` and the churn record in "
         "`benchmarks/test_perf_serve_many.py`).\n"
     )
 

@@ -8,8 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 python -m pytest -x -q "$@"
-# Two-process smoke: a tiny session over the shared-memory transport
-# must match the in-process run bit for bit.  Hard timeout so a ring
+# Two-process smoke: a tiny session on a one-session server process
+# over the shared-memory transport must match the in-process run bit
+# for bit.  Hard timeout so a ring
 # handshake regression fails the gate instead of hanging it.
 timeout 300 python scripts/smoke_transport.py
 # Multi-client smoke: one multiplexed server process serving 4 client
@@ -81,6 +82,19 @@ if grep -rnIE "_REJECT_HEAD_V[0-9]|_V2_KINDS|\bKIND_HELLO\b|wire\.Hello|\bopen_s
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: HELLO / blueprint-table / legacy wire-version path reintroduced" >&2
+  exit 1
+fi
+# Same rule for the second out-of-process deployment (ISSUE 15): every
+# session whose server half lives in another process is an ADMIT on a
+# ServerRuntime — the dedicated server-per-session path, the pickled
+# pipe transport and the non-blocking request mirror of the link API
+# must not come back.
+if grep -rnIE "serve_endpoint|\bRemoteServer\b|RemoteTrainResult|_SessionChannel|PipeTransport|spawn_pipe_pair|comm\.mp|SimulatedChannel|\bisend\b|\birecv\b|_build_remote_session" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: dedicated-server / pipe-transport / isend-irecv path reintroduced" >&2
   exit 1
 fi
 # Docs smoke (ISSUE 5): the protocol spec cannot drift from wire.py

@@ -1,34 +1,19 @@
 """MPI-like communication layer (the paper used OpenMPI).
 
-Algorithms 3 and 4 are written against this interface: blocking
-``send``/``recv`` plus non-blocking ``isend``/``irecv`` returning
-:class:`~repro.comm.interface.Request` handles with ``test()`` /
-``wait()`` — mirroring mpi4py's lowercase-object-communication idioms.
+:class:`~repro.comm.interface.Endpoint` is the blocking ``send`` /
+``recv`` pair every link implements — mirroring mpi4py's
+lowercase-object-communication idioms.  Algorithm 4 keeps at most one
+update in flight, which the client models on the simulated clock
+itself (``repro.runtime.client``), so the interface carries no
+non-blocking half.
 
-Transports implementing the interface:
-
-* :class:`~repro.comm.inproc.SimulatedChannel` — deterministic
-  in-process transport whose delivery times come from the discrete-event
-  clock and the :class:`~repro.network.model.NetworkModel`.
-* :class:`~repro.comm.mp.PipeTransport` — a real two-process transport
-  over ``multiprocessing`` pipes (pickled payloads, legacy baseline).
-* :class:`~repro.transport.shm.ShmTransport` — the zero-copy
-  shared-memory ring speaking the pickle-free wire format.
-
-All three are name-registered in :mod:`repro.transport.registry`
-(``"inproc"``, ``"pipe"``, ``"shm"``), which is how runners, examples
-and benchmarks select a link.
+The transports implementing it live in :mod:`repro.transport`
+(:class:`~repro.transport.shm.ShmTransport`,
+:class:`~repro.transport.socket.SocketTransport`, and the
+:class:`~repro.transport.link.ShapedEndpoint` wrapper), name-registered
+in :mod:`repro.transport.registry` (``"shm"``, ``"socket"``).
 """
 
-from repro.comm.interface import Endpoint, Request
-from repro.comm.inproc import SimulatedChannel, SimulatedEndpoint
-from repro.comm.mp import PipeTransport, spawn_pipe_pair
+from repro.comm.interface import Endpoint
 
-__all__ = [
-    "Endpoint",
-    "Request",
-    "SimulatedChannel",
-    "SimulatedEndpoint",
-    "PipeTransport",
-    "spawn_pipe_pair",
-]
+__all__ = ["Endpoint"]

@@ -3,23 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Tuple
-
-
-class Request(abc.ABC):
-    """Handle for a non-blocking operation (mpi4py ``Request`` analogue)."""
-
-    @abc.abstractmethod
-    def test(self) -> bool:
-        """Return True when the operation has completed (non-blocking)."""
-
-    @abc.abstractmethod
-    def wait(self) -> Any:
-        """Block until completion; returns the payload for receives."""
-
-    @abc.abstractmethod
-    def payload(self) -> Any:
-        """The received payload (valid only after completion)."""
+from typing import Any
 
 
 class Endpoint(abc.ABC):
@@ -32,11 +16,3 @@ class Endpoint(abc.ABC):
     @abc.abstractmethod
     def recv(self) -> Any:
         """Blocking receive of the next message."""
-
-    @abc.abstractmethod
-    def isend(self, obj: Any, nbytes: int) -> Request:
-        """Non-blocking send (Algorithm 4's ``ToServerAsync``)."""
-
-    @abc.abstractmethod
-    def irecv(self) -> Request:
-        """Non-blocking receive (Algorithm 4's ``FromServerAsync``)."""

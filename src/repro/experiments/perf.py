@@ -627,120 +627,8 @@ def measure_pool_throughput(
     }
 
 
-def _transport_echo_ack(endpoint) -> None:
-    """Child side of the transport benchmark: ack every payload."""
-    ack = np.empty(0, np.uint8)
-    while True:
-        msg = endpoint.recv()
-        if msg is None:
-            break
-        endpoint.send(ack, ack.nbytes)
-
-
-def _flood(transport: str, payload, payload_nbytes: int, count: int, **options) -> float:
-    """Round-trip ``count`` payloads through a spawned child; returns MB/s.
-
-    Every message is fully delivered and decoded child-side before its
-    ack, so the figure includes the real serialize/copy/deserialize
-    cost of the transport, not just producer-side buffering.
-    """
-    from repro.transport.registry import spawn_server
-
-    endpoint, proc = spawn_server(transport, _transport_echo_ack, **options)
-    try:
-        for _ in range(6):  # warm-up: fault in every ring slot, prime the pickler
-            endpoint.send(payload, payload_nbytes)
-            endpoint.recv()
-        best = float("inf")
-        for _ in range(2):  # best of two passes: wall clock is load-sensitive
-            start = time.perf_counter()
-            for _ in range(count):
-                endpoint.send(payload, payload_nbytes)
-                endpoint.recv()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        try:
-            if hasattr(endpoint, "timeout_s"):
-                endpoint.timeout_s = min(endpoint.timeout_s, 5.0)
-            endpoint.send(None, 1)
-        except Exception:
-            pass  # a wedged ring must not mask the measurement error
-        proc.join(timeout=30)
-        close = getattr(endpoint, "close", None)
-        if close is not None:
-            close()
-    return count * payload_nbytes / 1e6 / best
-
-
-def measure_transport_throughput(
-    num_messages: int = 32,
-    frame_hw: Tuple[int, int] = (720, 1280),
-    pr: Optional[str] = None,
-) -> Dict:
-    """Benchmark shm vs pipe on the paper's two big payloads.
-
-    Frames are HD-scale uint8 images (Table 4's 2.637 MB uplink
-    payload, rounded up to raw 720p RGB); updates are the real partial
-    state-dict diff of a width-1.0 student (~0.4 MB).  The pipe pickles
-    each payload through a ``multiprocessing.Pipe``; the shm ring
-    copies it once into shared memory via the wire format.  The
-    recorded ``speedup_frame`` is the ISSUE-3 acceptance number
-    (floor-enforced at >= 2x by ``benchmarks/test_perf_transport.py``).
-    """
-    from repro.models.student import StudentNet, partial_freeze
-    from repro.nn.serialize import state_dict_diff
-
-    rng = np.random.default_rng(0)
-    frame = rng.integers(0, 256, (3, *frame_hw), dtype=np.uint8)
-    frame_msg = (frame, None)
-    student = StudentNet(width=1.0, seed=0)
-    partial_freeze(student)
-    update = dict(state_dict_diff(student, trainable_only=True))
-    update_nbytes = int(sum(a.nbytes for a in update.values()))
-
-    shm_options = dict(slots=4, slot_nbytes=4 << 20)  # frame fits one slot
-    results: Dict[str, Dict[str, float]] = {}
-    for name in ("pipe", "shm"):
-        options = shm_options if name == "shm" else {}
-        results[name] = {
-            "frame_mb_s": round(
-                _flood(name, frame_msg, frame.nbytes, num_messages, **options), 1
-            ),
-            "update_mb_s": round(
-                _flood(name, update, update_nbytes, num_messages, **options), 1
-            ),
-        }
-
-    return {
-        **record_meta("transport-frames", pr),
-        "kind": "transport",
-        "protocol": {
-            "num_messages": num_messages,
-            "frame_nbytes": int(frame.nbytes),
-            "update_nbytes": update_nbytes,
-            "frame_hw": list(frame_hw),
-            "shm_ring": dict(shm_options),
-        },
-        "pipe": results["pipe"],
-        "shm": results["shm"],
-        # The uniform trajectory headline (= speedup_frame, the ISSUE-3
-        # acceptance number) — every record kind carries "speedup" so
-        # consumers need no per-name special cases.
-        "speedup": round(
-            results["shm"]["frame_mb_s"] / results["pipe"]["frame_mb_s"], 2
-        ),
-        "speedup_frame": round(
-            results["shm"]["frame_mb_s"] / results["pipe"]["frame_mb_s"], 2
-        ),
-        "speedup_update": round(
-            results["shm"]["update_mb_s"] / results["pipe"]["update_mb_s"], 2
-        ),
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-    }
+#: Alternating (in-process, multiplexed) leg pairs per serve-many record.
+_SERVE_MANY_LEGS = 5
 
 
 def _serve_many_benchmark(
@@ -757,12 +645,17 @@ def _serve_many_benchmark(
 ) -> Dict:
     """Shared core of the serve-many benchmarks.
 
-    Dedicated baseline: ``num_clients`` sessions served the PR-3 way,
-    each spawning its own dedicated pipe server process (per-session
-    spawn, per-process pre-training, pickled payloads), run back to
-    back.  Multiplexed side: ONE server process serving ``num_clients``
-    concurrent client processes over ``transport``, every session
-    admitted over the wire.  ``churn`` only names the record
+    In-process leg: the ``num_clients`` sessions run in this process,
+    back to back, each with its own server half — no process spawned,
+    nothing on a wire, nothing shared.  It is both the bit-identity
+    reference and the baseline an operator without a server process
+    would actually run.  Multiplexed leg: ONE server process serving
+    ``num_clients`` concurrent client processes over ``transport``,
+    every session admitted over the wire; its wall includes spawning
+    the server and the clients.  The legs alternate
+    ``_SERVE_MANY_LEGS`` times and the record keeps every sample; the
+    headline ``speedup`` is the ratio of the median walls, beside each
+    leg's absolute frames/s.  ``churn`` only names the record
     (``serve-many-churn`` vs ``serve-many``): the two differ in their
     teacher alone and both stay so each BENCH_PERF trajectory continues.
 
@@ -784,27 +677,20 @@ def _serve_many_benchmark(
         pretrain_steps=pretrain_steps,
         teacher_arch=teacher,
     )
-    # Warm the parent-side pretrain cache (the servers pay their own).
+    # Pre-training is a one-time cost per process tree: the forked
+    # server and clients inherit this cache entry.
     pretrained_student(width, config.student_seed, pretrain_steps, frame_hw)
 
-    def run_dedicated() -> Tuple[float, list]:
-        import dataclasses as _dc
-
-        from repro.video.dataset import make_category_video
-
-        pipe_config = _dc.replace(config, transport="pipe")
+    def run_sequential() -> Tuple[float, list]:
         start = time.perf_counter()
         stats = []
         for index in range(num_clients):
             video = make_category_video(
                 CATEGORY_BY_KEY[category], height=frame_hw[0], width=frame_hw[1]
             )
-            client = build_session(pipe_config, frame_hw)
-            try:
-                video.reset()
-                stats.append(client.run(video.frames(num_frames), label=f"d{index}"))
-            finally:
-                client.server.close()
+            video.reset()
+            client = build_session(config, frame_hw)
+            stats.append(client.run(video.frames(num_frames), label=f"s{index}"))
         return time.perf_counter() - start, stats
 
     def run_multiplexed() -> Tuple[float, list, Optional[Dict]]:
@@ -824,13 +710,20 @@ def _serve_many_benchmark(
         report = handle.runtime_report or {}
         return wall, stats, report.get("serve_counters")
 
-    dedicated_wall, dedicated_stats = run_dedicated()
-    mux_wall, mux_stats, mux_counters = run_multiplexed()
-
-    identical = all(
-        a.signature(include_label=False) == b.signature(include_label=False)
-        for a, b in zip(mux_stats, dedicated_stats)
-    )
+    sequential_walls: List[float] = []
+    mux_walls: List[float] = []
+    identical = True
+    for _ in range(_SERVE_MANY_LEGS):
+        sequential_wall, sequential_stats = run_sequential()
+        mux_wall, mux_stats, mux_counters = run_multiplexed()
+        sequential_walls.append(sequential_wall)
+        mux_walls.append(mux_wall)
+        identical = identical and all(
+            a.signature(include_label=False) == b.signature(include_label=False)
+            for a, b in zip(mux_stats, sequential_stats)
+        )
+    sequential_wall = float(np.median(sequential_walls))
+    mux_wall = float(np.median(mux_walls))
     total_frames = num_clients * num_frames
     protocol = {
         "scheme": "partial",
@@ -842,31 +735,32 @@ def _serve_many_benchmark(
         "pretrain_steps": pretrain_steps,
         "transport": transport,
         "teacher": teacher,
+        "repeats": _SERVE_MANY_LEGS,
     }
     record = {
         **record_meta("serve-many-churn" if churn else "serve-many", pr),
         "kind": "serve_many",
         "protocol": protocol,
-        "dedicated_pipe": {
-            "wall_time_s": round(dedicated_wall, 3),
-            "frames_per_s": round(total_frames / dedicated_wall, 3),
-            "server_processes": num_clients,
+        "sequential_inproc": {
+            "wall_time_s": round(sequential_wall, 3),
+            "samples_s": [round(w, 3) for w in sequential_walls],
+            "frames_per_s": round(total_frames / sequential_wall, 3),
+            "server_processes": 0,
         },
         "multiplexed": {
             "wall_time_s": round(mux_wall, 3),
+            "samples_s": [round(w, 3) for w in mux_walls],
             "frames_per_s": round(total_frames / mux_wall, 3),
             "server_processes": 1,
             "client_processes": num_clients,
         },
-        "speedup": round(dedicated_wall / mux_wall, 3),
+        "speedup": round(sequential_wall / mux_wall, 3),
         "bit_identical": identical,
-        "platform": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
+        "fingerprint": machine_fingerprint(),
     }
     if mux_counters:
+        # Serve counters of the last multiplexed leg (every leg serves
+        # the same population).
         record["multiplexed"]["serve_counters"] = mux_counters
     if churn:
         record["churn"] = True
@@ -885,38 +779,35 @@ def measure_serve_many_throughput(
     pr: Optional[str] = None,
     teacher: str = "neural",
 ) -> Dict:
-    """Benchmark multiplexed serving against dedicated server processes.
+    """Benchmark one server process against the same sessions in-process.
 
     Multiplexed: ONE server process (:class:`~repro.serving.runtime.
     ServerRuntime`) serves ``num_clients`` concurrent client processes
-    over ``transport`` — the ISSUE-4 deployment.  Baseline: the same
-    ``num_clients`` sessions served the PR-3 way, each spawning its own
-    dedicated pipe server process.  Each session runs the real frame
-    workload: ``num_frames`` frames of one category stream with every
-    key frame crossing the transport as actual pixels.
+    over ``transport``.  Baseline: the same ``num_clients`` sessions
+    run in this process back to back, nothing spawned and nothing
+    shared.  Each session runs the real frame workload: ``num_frames``
+    frames of one category stream, and on the multiplexed leg every
+    key frame crosses the transport as actual pixels.
 
-    The workload is the broadcast fan-out scenario the multiplexed
-    server exists to amortise — N viewers of one stream with a tight
-    key-frame cadence (min_stride 2, max_stride 4, the paper's
-    MAX_UPDATES = 8), so server-side distillation is the dominant cost
-    and the runtime's cross-process work sharing carries the speedup.
-    The dedicated baseline runs its N sessions back to back — exactly
-    how the PR-3 deployment serves N users from one operator process —
-    so on the single-core CI box the recorded speedup isolates the
-    sharing; on a multi-core box the concurrent client processes add
-    predict parallelism the sequential baseline does not get, and the
-    number stops being a pure sharing measurement.
+    The workload is the broadcast fan-out scenario — N viewers of one
+    stream with a tight key-frame cadence (min_stride 2, max_stride 4,
+    the paper's MAX_UPDATES = 8) — so the server's shared memo spares
+    ``N - 1`` of every ``N`` distillations (the record's
+    ``serve_counters`` show them) while the in-process leg runs all of
+    them.  What the multiplexed leg pays for that is 1 + N processes to
+    spawn and schedule: on this 2-core box, with numpy's BLAS threads
+    multiplied by 1 + N processes, it comes out near parity (see
+    ``benchmarks/test_perf_serve_many.py`` for the recorded spread).
+    The ratio is a cost-of-deployment reading, not a sharing one.
 
     Per-session ``RunStats`` are verified bit-identical between the two
-    paths (and hence to the in-process run); the recorded ``speedup``
-    is the acceptance number, floor-enforced at >= 2x by
-    ``benchmarks/test_perf_serve_many.py``.
+    legs, every alternation; ``benchmarks/test_perf_serve_many.py``
+    pins the ratio's floor below its recorded spread.
 
     By default the teacher is the neural :class:`~repro.models.teacher.
     TeacherNet` (real per-key-frame GEMMs): the broadcast population's
     duplicate key frames are labelled and distilled once through the
-    shared memo, which the record's ``serve_counters`` show
-    (``label_hits`` / ``hits``).
+    shared memo (``label_hits`` / ``hits``).
     """
     return _serve_many_benchmark(
         num_clients, num_frames, width, category, pretrain_steps,
@@ -939,11 +830,9 @@ def measure_serve_many_churn(
     Same workload, baseline and handshake as
     :func:`measure_serve_many_throughput` — every client process dials
     the running server and admits its session over the wire, so the
-    recorded ``speedup`` includes blueprint encode/decode, server-side
+    multiplexed wall includes blueprint encode/decode, server-side
     session construction mid-loop and the churn-tolerant drain rule —
-    with the label-function teacher this record has always used, which
-    keeps its trajectory comparable.  Floor-enforced at >= 2x by
-    ``benchmarks/test_perf_serve_many.py``.
+    with the label-function teacher this record has always used.
     """
     return _serve_many_benchmark(
         num_clients, num_frames, width, category, pretrain_steps,
@@ -1482,23 +1371,24 @@ def format_fleet_record(record: Dict) -> str:
 def format_serve_many_record(record: Dict) -> str:
     """One-paragraph human summary of a serve-many record."""
     proto = record["protocol"]
-    dedicated, mux = record["dedicated_pipe"], record["multiplexed"]
+    inproc, mux = record["sequential_inproc"], record["multiplexed"]
     teacher = proto.get("teacher", "oracle")
     lines = (
         f"{record['name']} perf — {proto['num_clients']} client processes "
         f"x {proto['num_frames']} frames ({proto['category']}, "
         f"width {proto['student_width']}, {proto['transport']}, "
         f"{teacher} teacher):\n"
-        f"  dedicated pipe servers ({dedicated['server_processes']} procs): "
-        f"{dedicated['wall_time_s']:.2f}s ({dedicated['frames_per_s']:.1f} f/s)\n"
-        f"  multiplexed (1 server proc): {mux['wall_time_s']:.2f}s "
-        f"({mux['frames_per_s']:.1f} f/s) -> {record['speedup']:.2f}x\n"
+        f"  in-process, back to back: median {inproc['wall_time_s']:.2f}s "
+        f"({inproc['frames_per_s']:.1f} f/s) of {inproc['samples_s']}\n"
+        f"  multiplexed (1 server proc): median {mux['wall_time_s']:.2f}s "
+        f"({mux['frames_per_s']:.1f} f/s) of {mux['samples_s']}"
+        f" -> {record['speedup']:.2f}x\n"
     )
     if "serve_counters" in mux:
         counters = mux["serve_counters"]
         lines += f"  serve counters: {counters}\n"
     lines += (
-        f"  per-session stats bit-identical across paths: "
+        f"  per-session stats bit-identical across legs: "
         f"{record['bit_identical']}\n"
     )
     return lines
@@ -1524,23 +1414,6 @@ def format_obs_record(record: Dict) -> str:
         f"(exit {armed['server_exit_reason']})\n"
         f"  per-session stats bit-identical across legs: "
         f"{record['bit_identical']}\n"
-    )
-
-
-def format_transport_record(record: Dict) -> str:
-    """One-paragraph human summary of a transport record."""
-    proto = record["protocol"]
-    return (
-        f"transport perf — {proto['num_messages']} messages round-tripped "
-        f"to a server process:\n"
-        f"  frame ({proto['frame_nbytes'] / 1e6:.2f} MB): "
-        f"pipe {record['pipe']['frame_mb_s']:.0f} MB/s -> "
-        f"shm {record['shm']['frame_mb_s']:.0f} MB/s "
-        f"({record['speedup_frame']:.2f}x)\n"
-        f"  update ({proto['update_nbytes'] / 1e6:.2f} MB): "
-        f"pipe {record['pipe']['update_mb_s']:.0f} MB/s -> "
-        f"shm {record['shm']['update_mb_s']:.0f} MB/s "
-        f"({record['speedup_update']:.2f}x)\n"
     )
 
 

@@ -5,9 +5,10 @@ pseudo-label, run Algorithm 1 (student training) on the server-side
 student copy, and send back only the updated part of the student plus
 the post-distillation metric.
 
-The server is written against the :class:`~repro.comm.interface.Endpoint`
-abstraction so the same class drives both the simulated single-process
-runs and the real two-process pipe transport.  For pooled serving
+This class is the pure per-key-frame core: it owns no link and no
+loop.  In-process sessions call it directly; out of process,
+:class:`~repro.serving.runtime.ServerRuntime` holds one per admitted
+session and drives them all from one event loop.  For pooled serving
 (:mod:`repro.serving`), an optional *work cache* can be attached: when
 several sessions submit bitwise-identical distillation work (same
 weights, same frame, same pseudo-label — the broadcast/fan-out serving
@@ -23,7 +24,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.interface import Endpoint
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import StudentTrainer, TrainResult
 from repro.models.student import StudentNet
@@ -140,18 +140,3 @@ class Server:
         (Previously computed inside the client, which duplicated the
         server's knowledge of its own distillation mode.)"""
         return latency.t_ti + result.steps * latency.t_sd(self.is_partial)
-
-    # ------------------------------------------------------------------
-    def serve(self, endpoint: Endpoint, initial_send: bool = True) -> int:
-        """Blocking single-endpoint server loop (delegates).
-
-        The loop itself lives in :func:`repro.serving.runtime.
-        serve_endpoint` — this class keeps only the pure per-key-frame
-        core of Algorithm 3, so the same ``Server`` drives simulated
-        runs, the dedicated-process path, and the multiplexing
-        :class:`~repro.serving.runtime.ServerRuntime` (which serves N
-        clients' worth of these protocols from one event loop).
-        """
-        from repro.serving.runtime import serve_endpoint
-
-        return serve_endpoint(self, endpoint, initial_send=initial_send)

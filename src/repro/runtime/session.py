@@ -54,24 +54,19 @@ class SessionConfig:
     teacher_arch: str = "oracle"
     teacher_width: int = 48
     teacher_seed: int = 0
-    #: Which registered transport carries the client/server protocol:
-    #: ``"inproc"`` (default) keeps the server in-process as before;
-    #: ``"pipe"`` / ``"shm"`` / ``"socket"`` spawn a *dedicated* server
-    #: process and speak Algorithm 3 over the selected link (see
-    #: ``repro.transport``).  Simulated timing is identical either way —
-    #: the transport moves the actual payloads, the discrete-event
-    #: clock models the link.
-    transport: str = "inproc"
-    #: Attachment point on a running *multiplexed* server (one server
-    #: process, N clients — :mod:`repro.serving.runtime`): a
-    #: ``SessionTicket`` from :meth:`ServerHandle.ticket` (shares the
-    #: handle's connection — the pooled-client case) or a picklable
-    #: ``SessionAddress`` from :meth:`ServerHandle.address` (dials its
-    #: own connection — a standalone client process).  Either way
-    #: ``build_session`` ships the session's blueprint (this config,
-    #: or the one a ``ticket(i)`` carries) over the wire in an ADMIT
-    #: frame and the server instantiates it.  Takes precedence over
-    #: ``transport``, which describes spawning a dedicated server.
+    #: ``None`` (default) keeps the server half in this process.
+    #: Otherwise an attachment point on a running server process
+    #: (:func:`repro.serving.runtime.start_server` — one process, any
+    #: number of sessions): a ``SessionTicket`` from
+    #: :meth:`ServerHandle.ticket` (shares the handle's connection —
+    #: the pooled-client case) or a picklable ``SessionAddress`` from
+    #: :meth:`ServerHandle.address` (dials its own connection — a
+    #: standalone client process).  Either way ``build_session`` ships
+    #: the session's blueprint (this config, or the one a ``ticket(i)``
+    #: carries) over the wire in an ADMIT frame and the server
+    #: instantiates it.  Simulated timing is identical in or out of
+    #: process — the link moves the actual payloads, the
+    #: discrete-event clock models the network.
     attach: Optional[object] = None
 
 
@@ -79,9 +74,9 @@ def build_teacher(config: SessionConfig) -> Teacher:
     """Construct the teacher a config describes — deterministically.
 
     The factory is the single place that maps the config's teacher
-    fields to a model object, so the in-process path, the dedicated
-    server process, and the multiplexed runtime cannot drift: each
-    rebuilds bit-identical teachers from the same three numbers.
+    fields to a model object, so the in-process path and the server
+    runtime cannot drift: each rebuilds bit-identical teachers from the
+    same three numbers.
     """
     if config.teacher_arch == "oracle":
         return OracleTeacher(config.teacher_boundary_noise)
@@ -123,64 +118,6 @@ def pretrained_student(
     return student
 
 
-def _remote_server_main(endpoint, config: SessionConfig, frame_hw) -> None:
-    """Algorithm 3 in a spawned server process (any real transport).
-
-    Builds the same deterministic server a local session would get —
-    same pre-trained checkpoint, same teacher rebuilt from the config's
-    teacher fields — so replies (and
-    therefore the client's ``RunStats``) are identical to the
-    in-process run.
-    """
-    student = pretrained_student(
-        config.student_width, config.student_seed, config.pretrain_steps, frame_hw
-    )
-    Server(student, build_teacher(config), config.distill, config.sizes).serve(
-        endpoint
-    )
-
-
-def _build_remote_session(
-    config: SessionConfig,
-    frame_hw: Tuple[int, int],
-    stride_policy: Optional[StridePolicy],
-) -> Client:
-    """Spawn a server process over ``config.transport`` and wire a
-    client to it through :class:`~repro.transport.remote.RemoteServer`."""
-    import functools
-
-    from repro.transport.registry import spawn_server
-    from repro.transport.remote import RemoteServer
-
-    endpoint, proc = spawn_server(
-        config.transport,
-        functools.partial(_remote_server_main, config=config, frame_hw=frame_hw),
-    )
-    remote = RemoteServer(endpoint, config.distill, config.sizes, process=proc)
-    try:
-        # The client's student comes over the wire (Algorithm 3's
-        # initial send), proving the state-dict path end to end; the
-        # values equal the shared pre-trained checkpoint, so behaviour
-        # matches inproc.
-        student = StudentNet(width=config.student_width, seed=config.student_seed)
-        student.load_state_dict(remote.recv_initial_state())
-        return Client(
-            student,
-            remote,
-            config.distill,
-            latency=config.latency,
-            network=config.network,
-            sizes=config.sizes,
-            stride_policy=stride_policy,
-            forced_delay_frames=config.forced_delay_frames,
-        )
-    except BaseException:
-        # A handshake failure (dead child, timeout) must not leak the
-        # spawned process or its shared-memory segments.
-        remote.close(join_timeout_s=5.0)
-        raise
-
-
 def build_session(
     config: SessionConfig,
     frame_hw: Tuple[int, int],
@@ -191,35 +128,25 @@ def build_session(
 
     The single factory behind :func:`run_shadowtutor`, the serving
     pool, and the perf benchmark — one place constructs sessions, so
-    the pooled path cannot drift from the single-session path.  With a
-    real transport in ``config.transport``, the server half lives in a
-    spawned process and the pair speaks the wire protocol instead of a
-    method call; with ``config.attach`` set, the session joins a
-    running *multiplexed* server instead of spawning its own (one
-    server process, N clients — see :mod:`repro.serving.runtime`).
-    Either way callers must ``client.server.close()`` when done
-    (:meth:`SessionPool.run` and :func:`run_shadowtutor` do).
+    the pooled path cannot drift from the single-session path.  Two
+    ways: with ``config.attach`` set the session is ADMITted on a
+    running server process (:mod:`repro.serving.runtime`) and the pair
+    speaks the wire protocol instead of a method call; otherwise both
+    halves live here.  An attached client's proxy must be closed when
+    done — ``client.server.close()`` ends the session (BYE);
+    :meth:`SessionPool.run` and :func:`run_shadowtutor` do it.
     """
     if config.attach is not None:
         if teacher is not None:
             raise ValueError(
                 "custom teacher objects cannot cross a process boundary; "
-                "the multiplexed server rebuilds the teacher from the "
-                "config's teacher fields "
-                "(use transport='inproc' for custom teachers)"
+                "the server process rebuilds the teacher from the "
+                "config's teacher fields (run in-process, attach=None, "
+                "for custom teachers)"
             )
         from repro.serving.runtime import attach_session
 
         return attach_session(config, frame_hw, stride_policy)
-    if config.transport != "inproc":
-        if teacher is not None:
-            raise ValueError(
-                "custom teacher objects cannot cross a process boundary; "
-                "remote transports rebuild the teacher from the config's "
-                "teacher fields "
-                "(use transport='inproc' for custom teachers)"
-            )
-        return _build_remote_session(config, frame_hw, stride_policy)
     # Both server and client start from the same pre-trained checkpoint.
     server_student = pretrained_student(
         config.student_width, config.student_seed, config.pretrain_steps, frame_hw

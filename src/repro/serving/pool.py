@@ -141,8 +141,9 @@ class SessionPool:
         try:
             self._build_into(sessions, shared, pooled)
         except BaseException:
-            # A failure building session k must not leak the server
-            # processes sessions 0..k-1 already spawned.
+            # A failure building session k must not leave sessions
+            # 0..k-1 open on their server (an attached proxy's close
+            # is its BYE).
             for s in sessions:
                 close = getattr(s.client.server, "close", None)
                 if close is not None:
@@ -173,8 +174,8 @@ class SessionPool:
                     client.student.state_dict()
                 )
                 # Memoised distillation needs the server's trainer in
-                # this process; sessions on a real transport (remote
-                # server, see SessionConfig.transport) keep their own.
+                # this process; attached sessions (SessionConfig.attach)
+                # share the server process's memo instead.
                 if hasattr(client.server, "distill"):
                     client.server.work_cache = shared
             client.begin(
@@ -188,10 +189,11 @@ class SessionPool:
         """Drive every session to completion; returns per-session stats,
         the interleaving trace, and the amortisation counters.
 
-        Sessions on a real transport own a server process each; those
-        are shut down (sentinel, join, unlink) on the way out, success
-        or failure — including servers already spawned when building a
-        later session fails."""
+        Attached sessions (``SessionConfig.attach``) are ended on
+        their server (BYE) on the way out, success or failure —
+        including sessions already admitted when building a later one
+        fails.  The server process itself belongs to whoever holds its
+        ``ServerHandle``."""
         sessions: List[_PooledSession] = []
         try:
             sessions = self._build_sessions()

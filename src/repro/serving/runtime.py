@@ -1,10 +1,10 @@
-"""Event-driven multiplexing server: one process, N client processes.
+"""Event-driven server process: one loop, any number of sessions.
 
-PR 3 made the client/server split real, but each session still got a
-*dedicated* server process (``Server.serve`` blocking on one endpoint).
-ShadowTutor's economics come from the opposite shape: one GPU server
-amortizing teacher inference and distillation across many mobile
-clients.  This module is that shape:
+Every session whose server half lives in another process is an ADMIT on
+a :class:`ServerRuntime` — one session or hundreds, the deployment is
+the same.  ShadowTutor's economics are one GPU server amortizing
+teacher inference and distillation across many mobile clients; this
+module is that shape:
 
 * :class:`ServerRuntime` — owns one teacher plus per-client server-side
   students and polls every client connection in a single, non-threaded
@@ -39,20 +39,17 @@ clients.  This module is that shape:
   gone — not when some fixed session roster is done.
 * the client side — :class:`MuxConnection` demultiplexes tagged
   replies into per-session queues; :class:`MuxRemoteServer` gives
-  :class:`~repro.runtime.client.Client` the same server surface
-  :class:`~repro.transport.remote.RemoteServer` does, so a session
-  served by the multiplexed runtime produces *identical* ``RunStats``
-  to the in-process run — the property the e2e tests and the tier-1
-  smoke script pin down.
+  :class:`~repro.runtime.client.Client` the three calls it makes on
+  its server (``handle_key_frame`` / ``service_time`` /
+  ``reply_bytes``) over the tagged wire protocol, so a session served
+  by the runtime produces *identical* ``RunStats`` to the in-process
+  run — the property the e2e tests and the tier-1 smoke script pin
+  down.
 * :func:`start_server` / :class:`ServerHandle` — spawn the runtime over
   any transport with the ``serve_many`` capability (``shm`` rings, TCP
   ``socket``) and hand out attachment points: tickets for sessions in
   this process (:meth:`ServerHandle.ticket`), picklable addresses for
   standalone client processes (:meth:`ServerHandle.address`).
-
-``serve_endpoint`` is the old single-endpoint blocking loop, moved here
-from ``Server.serve`` so :class:`~repro.runtime.server.Server` keeps
-only the pure per-key-frame core (Algorithm 3).
 """
 
 from __future__ import annotations
@@ -65,8 +62,10 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.comm.interface import Endpoint
+from repro.distill.config import DistillMode
+from repro.network.messages import MessageSizes
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.server import ServerReply
 from repro.transport import wire
 
 #: The event loop's idle behaviour mirrors the shm ring's: yield first
@@ -86,35 +85,6 @@ _DOORBELL_WAIT_MAX_S = 0.25
 #: The :class:`~repro.serving.shared.SharedDistillation` counters the
 #: runtime report carries (and, armed, mirrors as ``serve.memo.*``).
 _MEMO_COUNTERS = ("hits", "misses", "label_hits", "label_misses")
-
-
-# ----------------------------------------------------------------------
-# The old Algorithm-3 blocking loop (moved out of Server.serve)
-# ----------------------------------------------------------------------
-def serve_endpoint(server, endpoint: Endpoint, initial_send: bool = True) -> int:
-    """Blocking single-endpoint server loop (Algorithm 3 verbatim).
-
-    Sends the initial student weights, then loops on key frames until a
-    ``None`` sentinel arrives.  Returns the number of key frames
-    served.  This is the dedicated-server-per-session path; the
-    multiplexed :class:`ServerRuntime` below serves N of these
-    protocols from one process.
-    """
-    from repro.nn.serialize import state_dict_bytes
-
-    if initial_send:
-        state = dict(server.student.state_dict())
-        endpoint.send(state, state_dict_bytes(state))
-    served = 0
-    while True:
-        msg = endpoint.recv()
-        if msg is None:
-            break
-        frame, label = msg
-        reply, _ = server.handle_key_frame(frame, label)
-        endpoint.send(reply, server.reply_bytes())
-        served += 1
-    return served
 
 
 # ----------------------------------------------------------------------
@@ -1035,6 +1005,10 @@ class MuxConnection:
             self._queues.setdefault(tag, deque()).append(msg)
 
     def close_session(self, session: int) -> None:
+        """BYE, and forget the session's queue: ids are never reused,
+        so a pooled link would otherwise keep one per session ever
+        opened."""
+        self._queues.pop(session, None)
         try:
             self.send_tagged(session, wire.Bye(session))
         except Exception:
@@ -1054,38 +1028,16 @@ class MuxConnection:
             close()
 
 
-class _SessionChannel(Endpoint):
-    """A session-scoped endpoint view over a :class:`MuxConnection` —
-    what lets :class:`~repro.transport.remote.RemoteServer` speak the
-    multiplexed protocol unchanged."""
-
-    def __init__(self, connection: MuxConnection, session: int) -> None:
-        self._connection = connection
-        self.session = session
-
-    def send(self, obj: Any, nbytes: int) -> None:
-        del nbytes
-        self._connection.send_tagged(self.session, obj)
-
-    def recv(self) -> Any:
-        return self._connection.recv_for(self.session)
-
-    def isend(self, obj: Any, nbytes: int):
-        raise NotImplementedError("mux sessions use the blocking protocol")
-
-    def irecv(self):
-        raise NotImplementedError("mux sessions use the blocking protocol")
-
-
 class MuxRemoteServer:
     """Per-session server proxy on a multiplexed connection.
 
-    Same surface as :class:`~repro.transport.remote.RemoteServer` (the
-    client only calls ``handle_key_frame`` / ``service_time`` /
-    ``reply_bytes``), but ``close`` ends *this session* (BYE) rather
-    than the server process — N sessions share one server.  A proxy
-    that owns its connection (a standalone client process) also closes
-    the connection on the way out.
+    The three calls :class:`~repro.runtime.client.Client` makes on its
+    server — ``handle_key_frame`` / ``service_time`` / ``reply_bytes``
+    — with the key frame crossing the link as a tagged wire frame.
+    ``close`` ends *this session* (BYE), never the server process: any
+    number of sessions share one server.  A proxy that owns its
+    connection (a standalone client process) also closes the
+    connection on the way out.
     """
 
     def __init__(
@@ -1096,49 +1048,45 @@ class MuxRemoteServer:
         sizes=None,
         owns_connection: bool = False,
     ) -> None:
-        from repro.transport.remote import RemoteServer
-
-        self._proxy = RemoteServer(
-            _SessionChannel(connection, session), config, sizes
-        )
         self.connection = connection
         self.session = session
+        self.config = config
+        self.sizes = sizes or MessageSizes.paper()
         self.owns_connection = owns_connection
-        #: Pool compatibility: memoised distillation lives server-side.
-        self.work_cache = None
-        #: Pool compatibility: no dedicated process to reap per session.
-        self.process = None
         self._closed = False
 
     @property
-    def config(self):
-        return self._proxy.config
-
-    @property
-    def sizes(self):
-        return self._proxy.sizes
-
-    @property
     def is_partial(self) -> bool:
-        return self._proxy.is_partial
-
-    def recv_initial_state(self):
-        raise RuntimeError(
-            "the initial state arrives during MuxConnection.admit_session"
-        )
+        """Whether the remote peer runs partial distillation."""
+        return self.config.mode is DistillMode.PARTIAL
 
     def handle_key_frame(self, frame, label=None):
-        return self._proxy.handle_key_frame(frame, label)
+        """Ship one key frame to the server; blocks for its reply.
+
+        Returns ``(reply, reply)``: the second slot is what
+        :meth:`service_time` reads ``steps`` from, and the reply
+        carries it.
+        """
+        self.connection.send_tagged(self.session, (frame, label))
+        reply = self.connection.recv_for(self.session)
+        if not isinstance(reply, ServerReply):
+            raise RuntimeError(
+                f"server sent {type(reply).__name__}, expected ServerReply"
+            )
+        return reply, reply
 
     def service_time(self, result, latency) -> float:
-        return self._proxy.service_time(result, latency)
+        """Same simulated pipeline cost as the in-process server."""
+        return latency.t_ti + result.steps * latency.t_sd(self.is_partial)
 
     def reply_bytes(self) -> int:
-        return self._proxy.reply_bytes()
+        """Paper-scale wire size of the student update (Table 4)."""
+        if self.is_partial:
+            return self.sizes.student_diff_partial
+        return self.sizes.student_full
 
-    def close(self, join_timeout_s: float = 30.0) -> None:
+    def close(self) -> None:
         """End the session; close the connection too if we own it."""
-        del join_timeout_s  # the server process outlives its sessions
         if self._closed:
             return
         self._closed = True

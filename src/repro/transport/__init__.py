@@ -1,15 +1,15 @@
-"""Zero-copy transport subsystem for the real client/server split.
+"""Transport subsystem for the real client/server split.
 
-Three layers behind the :class:`~repro.comm.interface.Endpoint`
-abstraction the runtime already speaks:
+Four modules behind the :class:`~repro.comm.interface.Endpoint`
+abstraction:
 
 * :mod:`repro.transport.wire` — a versioned, pickle-free binary wire
   format for every message of :mod:`repro.network.messages`, with
   measured on-the-wire sizes that reconcile against ``MessageSizes``;
 * :mod:`repro.transport.shm` — a shared-memory slot ring
   (sequence-counter handshakes, no locks or threads) that moves frame
-  and update payloads between processes with a single producer-side
-  copy into shared memory;
+  and update payloads between processes with one producer-side copy
+  into shared memory and one consumer-side copy out of it;
 * :mod:`repro.transport.socket` — the same wire frames over TCP for
   cross-host serving;
 * :mod:`repro.transport.link` — trace-driven link shaping: bundled
@@ -23,10 +23,8 @@ one link can serve many sessions — the multiplexed one-server/N-client
 deployment lives in :mod:`repro.serving.runtime` on top of the
 ``serve_many`` capability the shm and socket transports register.
 
-:mod:`repro.transport.registry` names the transports (``inproc``,
-``pipe``, ``shm``, ``socket``) so runners and examples select the link
-with a string; :mod:`repro.transport.remote` adapts any real endpoint
-to the server surface :class:`~repro.runtime.client.Client` consumes.
+:mod:`repro.transport.registry` names the transports (``shm``,
+``socket``) so runners and examples select the link with a string.
 """
 
 from repro.transport.link import (
@@ -53,7 +51,6 @@ from repro.transport.registry import (
     serve_many,
     spawn_server,
 )
-from repro.transport.remote import RemoteServer
 from repro.transport.shm import ShmManyLink, ShmRing, ShmTransport, spawn_shm_pair
 from repro.transport.socket import SocketManyLink, SocketTransport
 
@@ -78,7 +75,6 @@ __all__ = [
     "register_transport",
     "serve_many",
     "spawn_server",
-    "RemoteServer",
     "ShmManyLink",
     "ShmRing",
     "ShmTransport",

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.comm.interface import Endpoint, Request
+from repro.comm.interface import Endpoint
 from repro.network.dynamic import DynamicNetworkModel
 from repro.network.model import directed_transfer_time
 
@@ -246,36 +246,6 @@ def bundled_trace_pair(name: str) -> "LinkTracePair":
         ) from None
 
 
-class _ShapedRecvRequest(Request):
-    """Inner receive plus the modeled transfer-time hold."""
-
-    def __init__(self, shaper: "ShapedEndpoint", inner: Request) -> None:
-        self._shaper = shaper
-        self._inner = inner
-        self._ready_at: Optional[float] = None
-
-    def _arm(self) -> None:
-        if self._ready_at is None:
-            self._ready_at = self._shaper._delivery_time(
-                self._shaper._measured_nbytes()
-            )
-
-    def test(self) -> bool:
-        if not self._inner.test():
-            return False
-        self._arm()
-        return self._shaper._clock() >= self._ready_at
-
-    def wait(self) -> Any:
-        payload = self._inner.wait()
-        self._arm()
-        self._shaper._sleep_until(self._ready_at)
-        return payload
-
-    def payload(self) -> Any:
-        return self._inner.payload()
-
-
 class ShapedEndpoint(Endpoint):
     """Replay a :class:`LinkTrace` on top of a real transport.
 
@@ -283,8 +253,7 @@ class ShapedEndpoint(Endpoint):
     per the compiled schedule, where ``nbytes`` is the transport's
     measured wire size (``last_recv_nbytes``) — the local hop itself is
     microseconds, so the hold *is* the modeled link.  Sends pass
-    through untouched (the peer shapes its own receive side), keeping
-    the client's asynchronous dispatch semantics intact.
+    through untouched (the peer shapes its own receive side).
 
     ``clock`` / ``sleep`` are injectable for deterministic tests.
     """
@@ -299,7 +268,7 @@ class ShapedEndpoint(Endpoint):
         if not hasattr(inner, "last_recv_nbytes"):
             raise TypeError(
                 "ShapedEndpoint needs a transport that measures wire sizes "
-                "(e.g. ShmTransport); the pickled pipe transport does not"
+                "(last_recv_nbytes, e.g. ShmTransport)"
             )
         self.inner = inner
         self.trace = trace
@@ -328,16 +297,10 @@ class ShapedEndpoint(Endpoint):
     def send(self, obj: Any, nbytes: int) -> None:
         self.inner.send(obj, nbytes)
 
-    def isend(self, obj: Any, nbytes: int) -> Request:
-        return self.inner.isend(obj, nbytes)
-
     def recv(self) -> Any:
         payload = self.inner.recv()
         self._sleep_until(self._delivery_time(self._measured_nbytes()))
         return payload
-
-    def irecv(self) -> Request:
-        return _ShapedRecvRequest(self, self.inner.irecv())
 
     def close(self) -> None:
         close = getattr(self.inner, "close", None)

@@ -6,24 +6,21 @@ select the link with a string instead of importing a specific module:
 =========  ==========================================================
 name       what
 =========  ==========================================================
-``inproc`` deterministic simulated channel on the discrete-event
-           clock (:class:`repro.comm.inproc.SimulatedChannel`)
-``pipe``   real two-process transport, pickled over a
-           ``multiprocessing.Pipe`` (the legacy baseline)
 ``shm``    shared-memory slot ring with the pickle-free wire format
-           (:mod:`repro.transport.shm`) — frames cross zero-copy
+           (:mod:`repro.transport.shm`) — a frame costs one
+           producer-side copy into the slot
 ``socket`` length-prefixed wire frames over TCP
            (:mod:`repro.transport.socket`) — cross-host serving
 =========  ==========================================================
 
 Each entry provides ``make_pair()`` (a connected endpoint pair in this
-process) and, for the real transports, ``spawn(target)`` (start
-``target(endpoint)`` in a child process and return the parent-side
-endpoint plus the process handle).  Multiplexing-capable transports
-additionally provide ``serve_many(target, n_clients)`` — one server
-process, N client connections — and ``connect(info)``, which turns a
-picklable per-client address into a live endpoint in any process (how
-standalone client processes reach a multiplexed server).
+process), ``spawn(target)`` (start ``target(endpoint)`` in a child
+process and return the parent-side endpoint plus the process handle),
+``serve_many(target, n_clients)`` — one server process, N client
+connections, what :func:`repro.serving.runtime.start_server` rides —
+and ``connect(info)``, which turns a picklable per-client address into
+a live endpoint in any process (how standalone client processes reach
+the server).
 ``register_transport`` is public: a deployment can plug in RDMA or a
 message bus without touching the runtime, which only ever sees
 :class:`~repro.comm.interface.Endpoint`.
@@ -36,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 
 class StaticListener:
-    """Listener over pre-created connections (shm rings, pipes).
+    """Listener over pre-created connections (shm rings).
 
     The server runtime polls ``poll_accept`` exactly like a socket
     listener; here every connection already exists, so each call hands
@@ -116,8 +113,8 @@ def make_pair(name: str, **options):
 def spawn_server(name: str, target: Callable, **options):
     """Start ``target(endpoint)`` in a subprocess over transport ``name``.
 
-    Returns ``(parent_endpoint, process)``; raises for transports that
-    only exist inside one process (``inproc``).
+    Returns ``(parent_endpoint, process)``; raises for a registered
+    transport that cannot cross a process boundary.
     """
     definition = get_transport(name)
     if definition.spawn is None:
@@ -129,8 +126,8 @@ def serve_many(name: str, target: Callable, n_clients: int, **options):
     """Start ``target(listener)`` in one server process multiplexing
     ``n_clients`` connections over transport ``name``.
 
-    Returns ``(link, process)``; raises for transports without the
-    multiplexing capability (``inproc``, ``pipe``).
+    Returns ``(link, process)``; raises for a registered transport
+    without the multiplexing capability.
     """
     definition = get_transport(name)
     if definition.serve_many is None:
@@ -151,33 +148,10 @@ def connect(name: str, info):
 # ----------------------------------------------------------------------
 # Built-in transports
 # ----------------------------------------------------------------------
-def _inproc_pair(clock=None, network=None, accountant=None):
-    from repro.comm.inproc import SimulatedChannel
-    from repro.network.model import NetworkModel
-    from repro.runtime.clock import SimClock
-
-    channel = SimulatedChannel(
-        clock or SimClock(), network or NetworkModel(), accountant
-    )
-    return channel.client, channel.server
-
-
 def _register_builtins() -> None:
-    from repro.comm import mp as comm_mp
     from repro.transport import shm
     from repro.transport import socket as socket_transport
 
-    register_transport(TransportDef(
-        name="inproc",
-        description="simulated channel on the discrete-event clock",
-        make_pair=_inproc_pair,
-    ))
-    register_transport(TransportDef(
-        name="pipe",
-        description="two-process pickled multiprocessing.Pipe (legacy)",
-        make_pair=lambda **kw: comm_mp.spawn_pipe_pair(),
-        spawn=lambda target, **kw: comm_mp.run_in_subprocess(target),
-    ))
     register_transport(TransportDef(
         name="shm",
         description="shared-memory slot ring, pickle-free wire format",

@@ -1,10 +1,8 @@
-"""Shared-memory ring transport: zero-copy frames across processes.
+"""Shared-memory ring transport: one copy in, one copy out.
 
-The pipe transport pickles whole frames and state dicts through a
-``multiprocessing.Pipe`` — every payload is serialized into a bytes
-object, pushed through a kernel buffer, and unpickled on the far side.
-This module replaces that with a pair of single-producer /
-single-consumer rings living in ``multiprocessing.shared_memory``:
+A link is a pair of single-producer / single-consumer rings living in
+``multiprocessing.shared_memory`` — no payload is pickled or pushed
+through a kernel buffer:
 
 * each ring is a sequence table plus N fixed-size slots;
 * the producer encodes a message **directly into the slot** with the
@@ -68,7 +66,7 @@ from typing import Any, Callable, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.comm.interface import Endpoint, Request
+from repro.comm.interface import Endpoint
 from repro.transport import wire
 
 #: Default ring geometry: 4 slots of 1 MiB holds a reduced-resolution
@@ -446,51 +444,12 @@ class ShmRing:
             pass
 
 
-class _CompletedSend(Request):
-    """Ring sends complete once the payload is published."""
-
-    def __init__(self, obj: Any) -> None:
-        self._obj = obj
-
-    def test(self) -> bool:
-        return True
-
-    def wait(self) -> Any:
-        return self._obj
-
-    def payload(self) -> Any:
-        return self._obj
-
-
-class _ShmRecvRequest(Request):
-    """Polls the receive ring for the next message."""
-
-    def __init__(self, transport: "ShmTransport") -> None:
-        self._transport = transport
-        self._payload: Any = None
-        self._done = False
-
-    def test(self) -> bool:
-        if not self._done and self._transport._rx.poll():
-            self._payload = self._transport.recv()
-            self._done = True
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._payload = self._transport.recv()
-            self._done = True
-        return self._payload
-
-    def payload(self) -> Any:
-        return self._payload
-
-
 class ShmTransport(Endpoint):
     """Endpoint over a (tx, rx) pair of shared-memory rings.
 
-    Implements the same blocking/non-blocking surface as the other
-    transports; ``last_recv_nbytes`` exposes the measured on-the-wire
+    Blocking ``send`` / ``recv`` plus the multiplexing surface
+    (``poll`` / ``send_tagged`` / ``recv_tagged``); ``last_recv_nbytes``
+    exposes the measured on-the-wire
     size of the most recent receive, which the trace-driven link shaper
     (:class:`repro.transport.link.ShapedEndpoint`) uses to replay
     recorded bandwidth on real transfers.
@@ -540,13 +499,6 @@ class ShmTransport(Endpoint):
         session, obj, measured = self._rx.recv_message_tagged(self.timeout_s)
         self.last_recv_nbytes = measured
         return session, obj
-
-    def isend(self, obj: Any, nbytes: int) -> Request:
-        self.send(obj, nbytes)
-        return _CompletedSend(obj)
-
-    def irecv(self) -> Request:
-        return _ShmRecvRequest(self)
 
     def close(self) -> None:
         self._tx.close()
@@ -599,8 +551,8 @@ def run_in_subprocess(
 ) -> Tuple[ShmTransport, mp.Process]:
     """Start ``target(endpoint)`` in a child process over shm rings.
 
-    Mirrors :func:`repro.comm.mp.run_in_subprocess`: returns the
-    parent-side endpoint and the process handle; the caller joins the
+    Returns the parent-side endpoint and the process handle; the
+    caller joins the
     process when the protocol finishes and then closes the endpoint
     (which unlinks the segments).
     """

@@ -7,12 +7,12 @@ GPU-server-in-the-cloud deployment — needs.  Each message is one wire
 frame; the header's ``total_len`` delimits the stream, so framing costs
 nothing beyond the 14-byte header the other transports already pay.
 
-Three entry points mirror the other real transports:
+Three entry points mirror the shm transport's:
 
 * :func:`make_pair` — a connected endpoint pair on a local socketpair
   (tests, benchmarks);
 * :func:`run_in_subprocess` — spawn ``target(endpoint)`` in a child
-  that dials back to the parent (the single-session remote path);
+  that dials back to the parent (one raw endpoint, no session layer);
 * :func:`serve_many` — one server process ``accept()``-ing N client
   connections for the multiplexing
   :class:`~repro.serving.runtime.ServerRuntime`; clients connect from
@@ -31,55 +31,14 @@ import socket as _socket
 import time
 from typing import Any, Callable, Optional, Tuple
 
-from repro.comm.interface import Endpoint, Request
+from repro.comm.interface import Endpoint
 from repro.transport import wire
-
-
-class _CompletedSend(Request):
-    """Socket sends complete once ``sendall`` returns (kernel-buffered)."""
-
-    def __init__(self, obj: Any) -> None:
-        self._obj = obj
-
-    def test(self) -> bool:
-        return True
-
-    def wait(self) -> Any:
-        return self._obj
-
-    def payload(self) -> Any:
-        return self._obj
-
-
-class _SocketRecvRequest(Request):
-    """Polls the socket for the next message."""
-
-    def __init__(self, transport: "SocketTransport") -> None:
-        self._transport = transport
-        self._payload: Any = None
-        self._done = False
-
-    def test(self) -> bool:
-        if not self._done and self._transport.poll():
-            self._payload = self._transport.recv()
-            self._done = True
-        return self._done
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._payload = self._transport.recv()
-            self._done = True
-        return self._payload
-
-    def payload(self) -> Any:
-        return self._payload
 
 
 class SocketTransport(Endpoint):
     """Endpoint speaking wire frames over a connected stream socket.
 
-    Implements the same blocking/non-blocking surface as the other
-    transports plus the multiplexing surface (``poll`` /
+    Blocking ``send`` / ``recv`` plus the multiplexing surface (``poll`` /
     ``send_tagged`` / ``recv_tagged``); ``last_recv_nbytes`` exposes
     measured wire sizes for the trace-driven link shaper.
     """
@@ -170,13 +129,6 @@ class SocketTransport(Endpoint):
         return self._recv_frame()
 
     # ------------------------------------------------------------------
-    def isend(self, obj: Any, nbytes: int) -> Request:
-        self.send(obj, nbytes)
-        return _CompletedSend(obj)
-
-    def irecv(self) -> Request:
-        return _SocketRecvRequest(self)
-
     def close(self) -> None:
         try:
             self._sock.close()
@@ -208,8 +160,8 @@ def run_in_subprocess(
 ) -> Tuple[SocketTransport, mp.Process]:
     """Start ``target(endpoint)`` in a child that dials back over TCP.
 
-    Mirrors the pipe/shm spawners: returns the parent-side endpoint and
-    the process handle.
+    Mirrors the shm spawner: returns the parent-side endpoint and the
+    process handle.
     """
     listener = _socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()

@@ -442,7 +442,7 @@ def encode_into(obj: Message, buf: memoryview, session: int = 0) -> int:
 
 
 def encode(obj: Message, session: int = 0) -> bytes:
-    """Encode ``obj`` into a fresh bytes object (tests, sockets, pipes)."""
+    """Encode ``obj`` into a fresh bytes object (tests, sockets)."""
     buf = bytearray(encoded_nbytes(obj))
     encode_into(obj, memoryview(buf), session=session)
     return bytes(buf)

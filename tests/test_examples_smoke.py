@@ -40,8 +40,10 @@ class TestExamples:
         assert "real-time 7 FPS" in out
 
     def test_two_process_demo(self):
-        out = run_example("two_process_demo.py", "--frames", "30")
-        assert "received initial student" in out
+        """One client: the classic two-process deployment."""
+        out = run_example("two_process_demo.py", "--frames", "30",
+                          "--clients", "1")
+        assert "serving 1 client process(es)" in out
         assert "exited with code 0" in out
 
     def test_two_process_demo_multiplexed(self):

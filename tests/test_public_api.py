@@ -50,14 +50,12 @@ PUBLIC_MODULES = [
     "repro.network.dynamic",
     "repro.comm",
     "repro.comm.interface",
-    "repro.comm.inproc",
-    "repro.comm.mp",
     "repro.transport",
     "repro.transport.wire",
     "repro.transport.shm",
+    "repro.transport.socket",
     "repro.transport.link",
     "repro.transport.registry",
-    "repro.transport.remote",
     "repro.runtime",
     "repro.runtime.clock",
     "repro.runtime.stats",
@@ -71,6 +69,10 @@ PUBLIC_MODULES = [
     "repro.serving.scheduler",
     "repro.serving.batched",
     "repro.serving.shared",
+    "repro.serving.runtime",
+    "repro.serving.fleet",
+    "repro.serving.overload",
+    "repro.serving.storms",
     "repro.obs",
     "repro.obs.metrics",
     "repro.obs.trace",
@@ -156,6 +158,12 @@ class TestServingSignatures:
         "repro.runtime.server:Server.handle_key_frame": (
             "self", "frame", "label", "max_updates",
         ),
+        "repro.runtime.session:build_session": (
+            "config", "frame_hw", "teacher", "stride_policy",
+        ),
+        "repro.serving.runtime:MuxRemoteServer.handle_key_frame": (
+            "self", "frame", "label",
+        ),
     }
 
     @pytest.mark.parametrize("target", sorted(PINNED))
@@ -165,3 +173,23 @@ class TestServingSignatures:
         for part in path.split("."):
             obj = getattr(obj, part)
         assert tuple(inspect.signature(obj).parameters) == self.PINNED[target]
+
+    def test_session_config_fields(self):
+        """How a session reaches its server is ``attach`` or nothing:
+        no transport selector lives on the config."""
+        import dataclasses
+
+        from repro.runtime.session import SessionConfig
+
+        assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
+            "distill", "latency", "network", "sizes", "student_width",
+            "student_seed", "pretrain_steps", "forced_delay_frames",
+            "teacher_boundary_noise", "teacher_arch", "teacher_width",
+            "teacher_seed", "attach",
+        )
+
+    def test_endpoint_abstract_methods(self):
+        """A link is blocking send / recv; there is no request half."""
+        from repro.comm.interface import Endpoint
+
+        assert Endpoint.__abstractmethods__ == {"send", "recv"}

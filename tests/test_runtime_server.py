@@ -1,10 +1,10 @@
 """Tests for the server (Algorithm 3): teacher inference, training,
-update payloads, and the live serve loop over the pipe transport."""
+update payloads, and the live protocol against a one-session
+``ServerRuntime`` process."""
 
 import numpy as np
 import pytest
 
-from repro.comm.mp import run_in_subprocess
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet
 from repro.models.teacher import OracleTeacher, TeacherNet
@@ -198,24 +198,35 @@ def _client_driver(server_student_seed=5, num_key_frames=3):
     return [next(iter(video.frames(1))) for _ in range(num_key_frames)]
 
 
-def _serve_entry(endpoint):
-    server = Server(StudentNet(width=0.25, seed=5), OracleTeacher(),
-                    DistillConfig(max_updates=2))
-    server.serve(endpoint)
-
-
 class TestServeLoop:
     def test_protocol_over_real_processes(self):
-        endpoint, proc = run_in_subprocess(_serve_entry)
+        """Algorithm 3 end to end, frame by frame: a server process
+        hosting exactly one session is the dedicated server."""
+        from repro.runtime.server import ServerReply
+        from repro.runtime.session import SessionConfig
+        from repro.serving.runtime import admit_message, start_server
+
+        config = SessionConfig(distill=DistillConfig(max_updates=2),
+                               student_width=0.25, student_seed=5,
+                               pretrain_steps=0)
+        handle = start_server(transport="shm", n_clients=1,
+                              idle_timeout_s=60.0)
         try:
-            initial = endpoint.recv()  # initial student weights
-            assert isinstance(initial, dict) and initial
+            connection = handle.parent_connection()
+            session, initial = connection.admit_session(
+                admit_message(config, (32, 48))
+            )
+            assert session == 0
+            assert isinstance(initial, dict) and initial  # Alg. 3's first send
             for frame, label in _client_driver():
-                endpoint.send((frame, label), nbytes=frame.nbytes)
-                reply = endpoint.recv()
+                connection.send_tagged(session, (frame, label))
+                reply = connection.recv_for(session)
+                assert isinstance(reply, ServerReply)
                 assert 0.0 <= reply.metric <= 1.0
                 assert reply.update
+            connection.close_session(session)
         finally:
-            endpoint.send(None, nbytes=1)
-            proc.join(timeout=30)
-        assert proc.exitcode == 0
+            handle.close()
+        assert handle.process.exitcode == 0
+        assert handle.runtime_report["exit_reason"] == "quiesced"
+        assert handle.runtime_report["frames_served"] == {0: 3}

@@ -5,7 +5,7 @@ The acceptance property: one server process serves N concurrent client
 ``RunStats`` bit-identical to the equivalent in-process ``SessionPool``
 run.  Also covers the pooled-attachment path (N sessions over one
 connection), the ADMIT/ACCEPT/BYE handshake's error branches, and the
-moved single-endpoint serve loop.
+client-side demultiplexer's bookkeeping.
 """
 
 import dataclasses
@@ -363,47 +363,35 @@ class TestHandshakeAndErrors:
         assert blueprint.config.attach is None
 
 
-class TestMovedServeLoop:
-    def test_serve_endpoint_is_the_serve_implementation(self):
-        """Server.serve delegates to the moved loop — same protocol,
-        same counts (the dedicated-process e2e tests cover the rest)."""
-        from repro.models.student import StudentNet
-        from repro.models.teacher import OracleTeacher
-        from repro.runtime.server import Server
-        from repro.serving.runtime import serve_endpoint
-        from repro.transport.shm import spawn_shm_pair
-
+class TestMuxConnectionQueues:
+    def test_admit_bye_cycles_leave_no_queue_behind(self):
+        """Session ids are never reused, so a queue that outlived its
+        BYE would be one leaked deque per session ever opened on a
+        pooled link."""
         video = _video()
         video.reset()
-        frames = list(video.frames(2))
-
-        def run_one(use_method):
-            a, b = spawn_shm_pair(slots=8, slot_nbytes=1 << 20, timeout_s=10.0)
-            server = Server(
-                StudentNet(width=0.25, seed=3), OracleTeacher(),
-                DistillConfig(max_updates=2),
-            )
-            try:
-                import threading
-
-                served = []
-                loop = (
-                    (lambda: served.append(server.serve(b)))
-                    if use_method
-                    else (lambda: served.append(serve_endpoint(server, b)))
-                )
-                thread = threading.Thread(target=loop)
-                thread.start()
-                initial = a.recv()
-                assert initial
-                for frame, label in frames:
-                    a.send((frame, label), nbytes=frame.nbytes)
-                    reply = a.recv()
-                    assert reply.update
-                a.send(None, nbytes=1)
-                thread.join(timeout=30)
-                return served[0]
-            finally:
-                b.close(), a.close()
-
-        assert run_one(True) == run_one(False) == len(frames)
+        frame, label = next(iter(video.frames(1)))
+        admit = admit_message(_config(), _HW)
+        cycles = 5
+        handle = start_server(transport="shm", n_clients=1, idle_timeout_s=60)
+        try:
+            connection = handle.parent_connection()
+            for expected in range(cycles):
+                session, _ = connection.admit_session(admit)
+                assert session == expected
+                connection.send_tagged(session, (frame, label))
+                assert connection.recv_for(session).update
+                connection.close_session(session)
+                assert connection._queues == {}
+            # A fresh session on the same link still gets its replies.
+            session, _ = connection.admit_session(admit)
+            connection.send_tagged(session, (frame, label))
+            assert connection.recv_for(session).update
+            connection.close_session(session)
+            assert connection._queues == {}
+        finally:
+            handle.close()
+        assert handle.process.exitcode == 0
+        assert handle.runtime_report["frames_served"] == {
+            sid: 1 for sid in range(cycles + 1)
+        }

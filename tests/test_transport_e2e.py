@@ -1,32 +1,35 @@
 """End-to-end transport property tests.
 
-The subsystem's core contract (ISSUE-3 acceptance): a full ShadowTutor
-session whose server lives in another OS process, reached over the
-shared-memory ring with the pickle-free wire format, produces
-``RunStats`` *identical* to the in-process run.  Also covers the pipe
-transport through the same registry wiring, and the serving pool over
-remote sessions.
+The subsystem's core contract: a full ShadowTutor session whose server
+half lives in another OS process — a one-session ``ServerRuntime``
+reached by ticket over the shared-memory ring or a TCP socket, speaking
+the pickle-free wire format — produces ``RunStats`` *identical* to the
+in-process run.  Also covers the serving pool over attached sessions
+and that nothing (process, ``/dev/shm`` segment) outlives the handle.
 """
 
+import contextlib
 import dataclasses
+import os
 
 import pytest
 
 from repro.distill.config import DistillConfig, DistillMode
 from repro.runtime.session import SessionConfig, build_session, run_shadowtutor
 from repro.serving.pool import SessionPool, SessionSpec
+from repro.serving.runtime import start_server
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 _HW = (32, 48)
+_TRANSPORTS = ["shm", "socket"]
 
 
-def _config(transport, mode=DistillMode.PARTIAL):
+def _config(mode=DistillMode.PARTIAL):
     return SessionConfig(
         distill=DistillConfig(max_updates=4, threshold=0.7,
                               min_stride=4, max_stride=16, mode=mode),
         student_width=0.25,
         pretrain_steps=10,
-        transport=transport,
     )
 
 
@@ -34,114 +37,148 @@ def _video(key="fixed-people"):
     return make_category_video(CATEGORY_BY_KEY[key], height=_HW[0], width=_HW[1])
 
 
-def _run(transport, num_frames=20, **kw):
-    return run_shadowtutor(_video(), num_frames, _config(transport, **kw), label="t")
+def _shm_segments():
+    # Only multiprocessing.shared_memory segments (psm_ prefix):
+    # unrelated /dev/shm entries appearing mid-test must not fail it.
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+@contextlib.contextmanager
+def _one_session_server(transport):
+    """A server process provisioned for one connection; on the way out
+    it must have exited cleanly and left no shared-memory segment."""
+    before = _shm_segments()
+    handle = start_server(transport=transport, n_clients=1, idle_timeout_s=60)
+    try:
+        yield handle
+    finally:
+        handle.close()
+    assert not handle.process.is_alive()
+    assert handle.process.exitcode == 0
+    assert _shm_segments() - before == set()
+
+
+def _run(transport=None, num_frames=20, **kw):
+    config = _config(**kw)
+    if transport is None:
+        return run_shadowtutor(_video(), num_frames, config, label="t")
+    with _one_session_server(transport) as handle:
+        config = dataclasses.replace(config, attach=handle.ticket())
+        return run_shadowtutor(_video(), num_frames, config, label="t")
 
 
 class TestSessionOverRealTransports:
-    def test_shm_session_identical_to_inproc(self):
-        """The acceptance property: identical RunStats over shm."""
-        inproc = _run("inproc")
-        shm = _run("shm")
-        assert shm.signature() == inproc.signature()
+    @pytest.mark.parametrize("transport", _TRANSPORTS)
+    def test_session_identical_to_inproc(self, transport):
+        """The acceptance property: identical RunStats out of process."""
+        assert _run(transport).signature() == _run().signature()
 
-    def test_pipe_session_identical_to_inproc(self):
-        inproc = _run("inproc")
-        pipe = _run("pipe")
-        assert pipe.signature() == inproc.signature()
-
-    def test_full_distillation_over_shm(self):
-        inproc = _run("inproc", num_frames=12, mode=DistillMode.FULL)
-        shm = _run("shm", num_frames=12, mode=DistillMode.FULL)
-        assert shm.signature() == inproc.signature()
+    @pytest.mark.parametrize("transport", _TRANSPORTS)
+    def test_full_distillation(self, transport):
+        inproc = _run(num_frames=12, mode=DistillMode.FULL)
+        remote = _run(transport, num_frames=12, mode=DistillMode.FULL)
+        assert remote.signature() == inproc.signature()
         # Full-mode replies carry the whole student: paper-scale
         # accounting must reflect that on the remote path too.
-        assert shm.key_frames[0].down_bytes == inproc.key_frames[0].down_bytes
+        assert remote.key_frames[0].down_bytes == inproc.key_frames[0].down_bytes
 
     def test_remote_rejects_custom_teacher(self):
         from repro.models.teacher import OracleTeacher
 
-        with pytest.raises(ValueError, match="teacher"):
-            build_session(_config("shm"), _HW, teacher=OracleTeacher())
+        with _one_session_server("shm") as handle:
+            config = dataclasses.replace(_config(), attach=handle.ticket())
+            with pytest.raises(ValueError, match="teacher"):
+                build_session(config, _HW, teacher=OracleTeacher())
+            # The refusal happens before anything is dialled; the same
+            # config without the teacher is admitted (and its BYE plus
+            # the link's sentinel let the server drain).
+            build_session(config, _HW).server.close()
 
     def test_unknown_transport_raises(self):
         with pytest.raises(KeyError, match="available"):
-            _run("carrier-pigeon", num_frames=4)
+            start_server(transport="carrier-pigeon", n_clients=1)
 
-    def test_remote_server_process_is_reaped(self):
-        """run_shadowtutor (the N = 1 pool) closes the spawned server."""
-        client = build_session(_config("shm"), _HW)
-        proc = client.server.process
-        assert proc is not None and proc.is_alive()
-        client.begin("t")
-        video = _video()
-        video.reset()
-        for index, (frame, label) in enumerate(video.frames(6)):
-            client.process_frame(frame, label, index)
-        client.finish()
-        client.server.close()
-        assert not proc.is_alive()
-        assert proc.exitcode == 0
-        client.server.close()  # idempotent
+    def test_server_process_is_reaped_on_close(self):
+        """The session's close is its BYE; the handle's close ends the
+        process — exit 0, no segment left, idempotent."""
+        with _one_session_server("shm") as handle:
+            config = dataclasses.replace(_config(), attach=handle.ticket())
+            client = build_session(config, _HW)
+            assert handle.process.is_alive()
+            client.begin("t")
+            video = _video()
+            video.reset()
+            for index, (frame, label) in enumerate(video.frames(6)):
+                client.process_frame(frame, label, index)
+            client.finish()
+            client.server.close()
+            client.server.close()  # idempotent
+            assert handle.process.is_alive()  # outlives its sessions
+            handle.close()
+            handle.close()  # idempotent
+        assert handle.runtime_report["exit_reason"] == "quiesced"
 
 
 class TestPoolOverRealTransports:
-    def test_pooled_shm_sessions_identical_to_inproc_pool(self):
-        """Two remote-server sessions in the pool behave exactly like
-        the same two sessions pooled in-process."""
+    @pytest.mark.parametrize("transport", _TRANSPORTS)
+    def test_pooled_sessions_identical_to_inproc_pool(self, transport):
+        """Two sessions of different width over ONE link behave exactly
+        like the same two sessions pooled in-process."""
 
-        def specs(transport):
+        def specs(attach=None):
             return [
                 SessionSpec(video=_video(), num_frames=10,
-                            config=_config(transport)),
+                            config=dataclasses.replace(
+                                _config(), attach=attach and attach())),
                 SessionSpec(video=_video("moving-animals"), num_frames=10,
                             config=dataclasses.replace(
-                                _config(transport), student_width=0.3)),
+                                _config(), student_width=0.3,
+                                attach=attach and attach())),
             ]
 
-        local = SessionPool(specs("inproc")).run()
-        remote = SessionPool(specs("shm")).run()
+        local = SessionPool(specs()).run()
+        with _one_session_server(transport) as handle:
+            remote = SessionPool(specs(handle.ticket)).run()
         for a, b in zip(local.stats, remote.stats):
             assert a.signature(include_label=False) == b.signature(
                 include_label=False
             )
 
-    def test_pool_build_failure_reaps_spawned_servers(self):
-        """If building a later session fails, servers already spawned
-        for earlier sessions are shut down, not leaked."""
+    def test_pool_build_failure_ends_admitted_sessions(self):
+        """If building a later session fails, the sessions already
+        admitted are ended (BYE), so the server drains and exits 0
+        instead of idling into its timeout."""
         from repro.models.teacher import OracleTeacher
 
-        specs = [
-            SessionSpec(video=_video(), num_frames=4, config=_config("shm")),
-            SessionSpec(video=_video(), num_frames=4, config=_config("shm"),
-                        teacher=OracleTeacher()),  # remote + custom teacher
-        ]
-        pool = SessionPool(specs)
-        procs_before = __import__("multiprocessing").active_children()
-        with pytest.raises(ValueError, match="teacher"):
-            pool.run()
-        # The first spec's server process must be gone.
-        import time
-
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            leaked = [
-                p for p in __import__("multiprocessing").active_children()
-                if p not in procs_before
+        with _one_session_server("shm") as handle:
+            attached = dataclasses.replace(_config(), attach=handle.ticket())
+            specs = [
+                SessionSpec(video=_video(), num_frames=4, config=attached),
+                SessionSpec(video=_video(), num_frames=4, config=attached,
+                            teacher=OracleTeacher()),  # attached + custom
             ]
-            if not leaked:
-                break
-            time.sleep(0.05)
-        assert not leaked
+            with pytest.raises(ValueError, match="teacher"):
+                SessionPool(specs).run()
+            assert handle.parent_connection()._queues == {}
+        assert handle.runtime_report["exit_reason"] == "quiesced"
+        assert handle.runtime_report["frames_served"] == {0: 0}
 
-    def test_pool_skips_shared_distillation_for_remote_sessions(self):
-        """Remote servers keep their own trainer: the pool must not
-        attach the in-process work cache to them."""
-        specs = [
-            SessionSpec(video=_video(), num_frames=8, config=_config("shm"))
-            for _ in range(2)
-        ]
-        pool = SessionPool(specs)
-        result = pool.run()
+    def test_attached_sessions_share_the_servers_memo(self):
+        """The in-process work cache is not attached to proxies — the
+        memo that spares duplicate distillations lives server-side."""
+        with _one_session_server("shm") as handle:
+            specs = [
+                SessionSpec(video=_video(), num_frames=8,
+                            config=dataclasses.replace(
+                                _config(), attach=handle.ticket()))
+                for _ in range(2)
+            ]
+            result = SessionPool(specs).run()
         assert result.counters.get("distill_calls", 0) == 0
         assert len(result.stats) == 2
+        counters = handle.runtime_report["serve_counters"]
+        assert counters["hits"] > 0
+        assert counters["hits"] + counters["misses"] == counters["key_frames"]

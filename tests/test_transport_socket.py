@@ -2,7 +2,7 @@
 
 Same contracts the shm ring is held to: bitwise message round trips,
 measured wire sizes, clean spawn/join of a server child, and a full
-ShadowTutor session over ``SessionConfig(transport="socket")`` with
+ShadowTutor session ADMITted on a one-session TCP server process with
 ``RunStats`` identical to the in-process run.
 """
 
@@ -70,18 +70,6 @@ class TestSocketPair:
         finally:
             b.close()
 
-    def test_nonblocking_requests(self):
-        a, b = make_pair(timeout_s=10.0)
-        try:
-            req = b.irecv()
-            assert not req.test()
-            a.send(np.ones(3, np.float32), 12)
-            got = req.wait()
-            np.testing.assert_array_equal(got, np.ones(3))
-            assert req.payload() is got
-        finally:
-            b.close(), a.close()
-
 
 def _echo_server(endpoint):
     while True:
@@ -118,20 +106,29 @@ class TestSubprocess:
 
 class TestSessionOverSocket:
     def test_socket_session_identical_to_inproc(self):
-        """The transport contract: a dedicated-server session over TCP
-        produces RunStats identical to the in-process run."""
+        """The transport contract: a session ADMITted on a one-session
+        server process over TCP produces RunStats identical to the
+        in-process run."""
+        from repro.serving.runtime import start_server
 
-        def run(transport):
+        def run(attach=None):
             config = SessionConfig(
                 distill=DistillConfig(max_updates=4, threshold=0.7,
                                       min_stride=4, max_stride=16),
                 student_width=0.25,
                 pretrain_steps=10,
-                transport=transport,
+                attach=attach,
             )
             video = make_category_video(
                 CATEGORY_BY_KEY["fixed-people"], height=32, width=48
             )
             return run_shadowtutor(video, 16, config, label="t")
 
-        assert run("socket").signature() == run("inproc").signature()
+        handle = start_server(transport="socket", n_clients=1,
+                              idle_timeout_s=60)
+        try:
+            remote = run(handle.ticket())
+        finally:
+            handle.close()
+        assert handle.process.exitcode == 0
+        assert remote.signature() == run().signature()
