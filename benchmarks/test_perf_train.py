@@ -1,40 +1,29 @@
 """Benchmark: compiled full-mode train step vs interpreted autograd.
 
-The ISSUE-9 acceptance floor: with the escape hatch gone, full-mode
-distillation rides the compiled forward + generated adjoint plan, and
-each optimisation step must be >= 1.5x faster than the define-by-run
-loop — while producing bit-identical losses, steps, and metrics (the
-speedup is only admissible because the answer does not move).  The
-measured record is appended to ``BENCH_PERF.json`` (repo root);
-regenerate manually with::
+The ISSUE-9 acceptance floor: full-mode distillation rides the compiled
+forward + generated adjoint plan, and each optimisation step must be
+>= 1.5x faster than the define-by-run loop — while producing
+bit-identical losses, steps, and metrics (the speedup is only
+admissible because the answer does not move).  Regenerate manually
+with::
 
-    PYTHONPATH=src python scripts/bench_perf.py --train
+    PYTHONPATH=src python scripts/bench_perf.py train-step
 """
 
 import pytest
 
-from repro.experiments.perf import (
-    append_record,
-    format_train_record,
-    measure_train_speedup,
-)
-
 pytestmark = pytest.mark.perf
 
 
-@pytest.mark.benchmark(group="perf_train")
-def test_train_step_speedup(scale, results_sink):
-    record = measure_train_speedup(width=scale.student_width)
-    text = format_train_record(record)
-    print(text)
-    results_sink(text)
-
+def _check(record):
     # The adjoint plan replays autograd's accumulation order exactly:
-    # losses and metrics must match bit for bit, not approximately.
+    # steps, losses and metrics must match bit for bit, every run.
     assert record["bit_identical"]
-    assert record["engine_path"]["steps"] > 0
-    # The acceptance floor (ISSUE 9): >= 1.5x per optimisation step.
-    assert record["speedup"] >= 1.5
-    # Append only after the floor holds, so a failing (e.g. heavily
-    # loaded) run cannot pollute the committed perf trajectory.
-    append_record(record)
+    assert record["legs"]["engine"]["ops"] > 0
+
+
+@pytest.mark.benchmark(group="perf_train")
+def test_train_step_speedup(scale, run_perf):
+    # Both legs take the same number of steps (bit-identical), so the
+    # wall ratio is the per-step ratio.
+    run_perf("train-step", {"ratio": 1.5}, _check, width=scale.student_width)

@@ -295,108 +295,71 @@ def section_link_traces(scale):
     )
 
 
-def section_perf():
-    """Wall-clock trajectory of the compiled engine (BENCH_PERF.json)."""
-    import json
+def leg_cell(leg):
+    """A leg in absolute units: median ± IQR seconds and its rate."""
+    cell = f"{leg['median_s']:.3f} ± {leg['iqr_s']:.3f}"
+    if "frames_per_s" in leg:
+        cell += f" ({leg['frames_per_s']:.1f} f/s)"
+    if "ms_per_op" in leg:
+        cell += f" ({leg['ms_per_op']:.2f} ms/op)"
+    return cell
 
-    from repro.experiments.perf import DEFAULT_RESULTS_PATH
 
-    if not DEFAULT_RESULTS_PATH.exists():
-        return (
-            "## Wall-clock performance (compiled engine)\n\n"
-            "No BENCH_PERF.json yet — generate with "
-            "`PYTHONPATH=src python scripts/bench_perf.py`.\n"
-        )
-    records = json.loads(DEFAULT_RESULTS_PATH.read_text())
-    engine_records = [r for r in records if r.get("name") == "engine-table3"]
-    rows = []
-    for rec in engine_records[-8:]:
-        proto = rec["protocol"]
-        rows.append([
-            f"{rec.get('pr', '?')} {rec.get('git_rev', '?')}",
-            f"{proto['num_frames']}@{proto['student_width']}",
-            f2(rec["seed_path"]["wall_fps"]),
-            f2(rec["engine_path"]["wall_fps"]),
-            f2(rec["speedup"]),
-            f2(rec["engine_path"]["predict_ms"]),
-            f2(rec["engine_path"]["distill_step_ms"]),
-            "yes" if rec["argmax_identical"] else "NO",
-        ])
-    table = md_table(
-        ["run", "frames@width", "seed fps", "engine fps", "speedup",
-         "predict ms", "step ms", "argmax ="],
-        rows,
-    )
-    # Headline trajectory: every record carries a uniform top-level
-    # "speedup" (the deduplicating append + --migrate stamp it), so this
-    # table needs no per-benchmark field knowledge.
-    traj_rows = [
-        [rec.get("name", "?"), rec.get("pr", "?"), rec.get("git_rev", "?"),
-         f2(rec["speedup"]) if isinstance(rec.get("speedup"), (int, float))
-         else "-"]
-        for rec in records[-12:]
+def perf_rows(records):
+    """Table rows for uniform perf records (``repro.experiments.perf``):
+    each leg in absolute units, then the per-pair ratio — read
+    generically from ``legs`` / ``ratio``, whatever the scenario."""
+    return [
+        [f"{rec['pr']} {rec['git_rev']}"]
+        + [leg_cell(leg) for leg in rec["legs"].values()]
+        + [f"{rec['ratio']['median']:.2f}x ± {rec['ratio']['iqr']:.2f}",
+           {True: "yes", False: "NO", None: "-"}[rec["bit_identical"]]]
+        for rec in records
     ]
-    trajectory = md_table(["benchmark", "pr", "rev", "headline speedup"],
-                          traj_rows)
-    return (
-        "## Wall-clock performance (compiled engine)\n\n" + table +
-        "\n\nReal wall-clock FPS of the 250-frame Table-3 partial "
-        "protocol, seed autograd path vs compiled engine.  Each "
-        "`scripts/bench_perf.py` run appends a record to BENCH_PERF.json "
-        "(deduplicated by benchmark, PR and revision) so the trajectory "
-        "accumulates across PRs; `benchmarks/test_perf_engine.py` "
-        "enforces the >= 3x floor and argmax-identical predictions.\n\n"
-        "### Benchmark trajectory (latest records)\n\n" + trajectory + "\n"
+
+
+def perf_table(records):
+    legs = [f"{leg} s (median ± IQR)" for leg in records[0]["legs"]]
+    of = records[0]["ratio"]["of"]
+    return md_table(
+        ["run"] + legs + [f"{of[0]} / {of[1]}", "bit ="], perf_rows(records)
     )
 
 
-def section_train():
-    """Full-mode train-step trajectory (the generated adjoint plan)."""
+def section_perf():
+    """Wall-clock trajectory (BENCH_PERF.json): one table per scenario,
+    every one rendered by the same generic reader."""
     import json
 
     from repro.experiments.perf import DEFAULT_RESULTS_PATH
 
-    header = "## Full-mode train step (generated adjoint)\n\n"
-    prose = (
-        "\n\nPer-optimisation-step wall time of full-mode key-frame "
-        "distillation: the interpreted define-by-run loop vs the "
-        "compiled forward plus the *generated adjoint* plan, whose "
-        "schedule replays autograd's reversed depth-first traversal — "
-        "so the losses, step counts, and metrics of the two paths are "
-        "compared bit for bit (`bit =`), not approximately.  Regenerate "
-        "with `scripts/bench_perf.py --train`; "
-        "`benchmarks/test_perf_train.py` enforces the >= 1.5x floor.\n"
-    )
+    header = "## Wall-clock performance (BENCH_PERF.json)\n\n"
     if not DEFAULT_RESULTS_PATH.exists():
         return (
             header + "No BENCH_PERF.json yet — generate with "
-            "`PYTHONPATH=src python scripts/bench_perf.py --train`.\n"
+            "`PYTHONPATH=src python scripts/bench_perf.py <scenario>`.\n"
         )
-    records = json.loads(DEFAULT_RESULTS_PATH.read_text())
-    train_records = [r for r in records if r.get("name") == "train-step"]
-    if not train_records:
-        return (
-            header + "No train-step records yet — generate with "
-            "`PYTHONPATH=src python scripts/bench_perf.py --train`.\n"
-        )
-    rows = []
-    for rec in train_records[-8:]:
-        proto = rec["protocol"]
-        rows.append([
-            f"{rec.get('pr', '?')} {rec.get('git_rev', '?')}",
-            f"{proto['num_frames']}x{proto['max_updates']}"
-            f"@{proto['student_width']}",
-            f2(rec["seed_path"]["step_ms"]),
-            f2(rec["engine_path"]["step_ms"]),
-            f2(rec["speedup"]),
-            "yes" if rec["bit_identical"] else "NO",
-        ])
-    table = md_table(
-        ["run", "frames x steps @ width", "autograd step ms",
-         "adjoint step ms", "speedup", "bit ="],
-        rows,
+    by_name = {}
+    for rec in json.loads(DEFAULT_RESULTS_PATH.read_text()):
+        by_name.setdefault(rec["name"], []).append(rec)
+    tables = "\n\n".join(
+        f"### {name}\n\n" + perf_table(records[-8:])
+        for name, records in by_name.items()
     )
-    return header + table + prose
+    return (
+        header + tables +
+        "\n\nEvery record is alternating legs on one runner "
+        "(`repro.experiments.perf.compare`): wall seconds per leg as "
+        "median ± IQR over all kept samples, the headline the median of "
+        "per-pair ratios (first leg over second: how many times faster "
+        "the second is), `bit =` whether every run of every leg produced "
+        "identical `RunStats` signatures / losses.  Each "
+        "`scripts/bench_perf.py <scenario>` run adds a record "
+        "(replacing one with the same benchmark, PR and revision); the "
+        "`benchmarks/test_perf_*.py` files enforce the floors — engine "
+        ">= 3x with argmax-identical predictions, the generated-adjoint "
+        "train step >= 1.5x with bit-identical losses.\n"
+    )
 
 
 def section_serving():
@@ -407,36 +370,34 @@ def section_serving():
     sequentially.  N = 1 is the degenerate pool (``run_shadowtutor``
     itself), so its speedup is the pool's orchestration overhead.
     """
-    from repro.experiments.perf import measure_pool_throughput
+    from repro.experiments.perf import pool_fanout
 
     frames = int(os.environ.get("REPRO_POOL_FRAMES", "48"))
-    rows = []
-    for n in (1, 4, 16):
-        rec = measure_pool_throughput(num_sessions=n, num_frames=frames)
-        counters = rec["pool"]["counters"]
-        rows.append([
-            n,
-            f2(rec["sequential"]["frames_per_s"]),
-            f2(rec["pool"]["frames_per_s"]),
-            f2(rec["speedup"]),
-            counters.get("deduped_frames", 0),
-            counters.get("distill_hits", 0),
-            "yes" if rec["pool_bit_identical"] else "NO",
-        ])
+    records = [
+        pool_fanout(num_sessions=n, num_frames=frames) for n in (1, 4, 16)
+    ]
+    rows = [
+        [rec["protocol"]["num_sessions"]] + row[1:] + [
+            rec["legs"]["pooled"]["counters"].get("deduped_frames", 0),
+            rec["legs"]["pooled"]["counters"].get("distill_hits", 0),
+        ]
+        for rec, row in zip(records, perf_rows(records))
+    ]
     table = md_table(
-        ["sessions", "sequential f/s", "pooled f/s", "speedup",
-         "shared predicts", "shared distills", "bit-identical"],
+        ["sessions", "sequential s (median ± IQR)", "pooled s (median ± IQR)",
+         "sequential / pooled", "bit-identical", "shared predicts",
+         "shared distills"],
         rows,
     )
     return (
         "## Serving — sessions-per-box scaling\n\n" + table +
         f"\n\nFan-out scenario: N sessions of one {frames}-frame stream "
-        "(width 0.5) served by the cooperative session pool — batched "
-        "`n > 1` compiled predicts for weight-identical sessions, "
-        "duplicate frames served once, key-frame distillation memoised "
-        "across identical submissions.  Every pooled session's RunStats "
-        "is bit-identical to its sequential twin (enforced by "
-        "`tests/test_serving_pool.py` and `benchmarks/test_perf_pool.py`).\n"
+        "(width 0.5) served by the cooperative session pool — duplicate "
+        "frames within a weight group served from one predict, key-frame "
+        "distillation memoised across identical submissions.  Every "
+        "pooled session's RunStats is bit-identical to its sequential "
+        "twin (enforced by `tests/test_serving_pool.py` and "
+        "`benchmarks/test_perf_pool.py`).\n"
     )
 
 
@@ -450,31 +411,26 @@ def section_serve_many():
     multiplexed session's RunStats is verified bit-identical to the
     in-process run.
     """
-    from repro.experiments.perf import measure_serve_many_throughput
+    from repro.experiments.perf import serve_many
 
     frames = int(os.environ.get("REPRO_SERVE_MANY_FRAMES", "24"))
     rows = []
     for n in (1, 4, 8):
-        per_transport = {}
-        identical = True
-        for transport in ("shm", "socket"):
-            rec = measure_serve_many_throughput(
-                num_clients=n, num_frames=frames, transport=transport
-            )
-            per_transport[transport] = rec
-            identical = identical and rec["bit_identical"]
-        shm_rec = per_transport["shm"]
+        shm, sock = (
+            serve_many(num_clients=n, num_frames=frames, transport=transport)
+            for transport in ("shm", "socket")
+        )
         rows.append([
             f"1 x {n}",
-            f2(shm_rec["sequential_inproc"]["frames_per_s"]),
-            f2(shm_rec["multiplexed"]["frames_per_s"]),
-            f2(per_transport["socket"]["multiplexed"]["frames_per_s"]),
-            f2(shm_rec["speedup"]),
-            "yes" if identical else "NO",
+            f2(shm["legs"]["in-process"]["frames_per_s"]),
+            f2(shm["legs"]["multiplexed"]["frames_per_s"]),
+            f2(sock["legs"]["multiplexed"]["frames_per_s"]),
+            f"{shm['ratio']['median']:.2f}x ± {shm['ratio']['iqr']:.2f}",
+            "yes" if shm["bit_identical"] and sock["bit_identical"] else "NO",
         ])
     table = md_table(
         ["server x clients", "in-process f/s", "mux shm f/s",
-         "mux socket f/s", "mux / in-process (shm)", "bit-identical"],
+         "mux socket f/s", "in-process / mux wall (shm)", "bit-identical"],
         rows,
     )
     return (
@@ -501,7 +457,7 @@ def section_churn():
     the wire.
 
     Runs N client processes against ONE multiplexed server (shm) that
-    starts with an **empty blueprint table**: every session is
+    knows no session until its ADMIT lands: every session is
     negotiated mid-run through the ADMIT handshake
     (docs/PROTOCOL.md §5).  K of the N join late (staggered dials
     against an already-serving runtime) and L leave early (shorter
@@ -568,16 +524,15 @@ def section_churn():
         "## Serving — session churn (dynamic admission)\n\n" + table +
         f"\n\nChurn scenario over shm ({frames} frames for stayers, "
         f"{frames // 2} for early leavers, width "
-        f"{config.student_width}): the server starts with NO session "
-        "blueprints — every client process dials the running "
+        f"{config.student_width}): every client process dials the running "
         "`ServerRuntime` and negotiates its session over the wire "
         "(ADMIT/ACCEPT, docs/PROTOCOL.md), with late joiners admitted "
         "while earlier sessions are mid-stream and early leavers "
         "draining their slots for the capacity policy.  Every admitted "
         "session's RunStats is bit-identical to the same configuration "
         "run in-process (enforced end to end by "
-        "`tests/test_serving_churn.py` and the churn record in "
-        "`benchmarks/test_perf_serve_many.py`).\n"
+        "`tests/test_serving_churn.py` and "
+        "`scripts/smoke_serve_many.py`).\n"
     )
 
 
@@ -587,32 +542,27 @@ def section_observability():
     timing in the server and every client process), with the
     bit-identity invariant checked across the legs.
     """
-    from repro.experiments.perf import measure_obs_overhead
+    from repro.experiments.perf import obs_overhead
 
     frames = int(os.environ.get("REPRO_OBS_FRAMES", "24"))
-    record = measure_obs_overhead(num_frames=frames)
-    armed, disarmed = record["armed"], record["disarmed"]
-    table = md_table(
-        ["leg", "wall s", "frames/s", "server instruments", "trace events"],
-        [
-            ["disarmed", disarmed["wall_time_s"], disarmed["frames_per_s"],
-             "-", "-"],
-            ["armed (metrics,trace,engine)", armed["wall_time_s"],
-             armed["frames_per_s"],
-             armed["server_counters"] + armed["server_histograms"],
-             armed["server_trace_events"]],
-        ],
-    )
+    record = obs_overhead(num_frames=frames)
+    armed = record["legs"]["armed"]
+    delta = record["checks"]["armed_minus_disarmed_cpu_s"]
     return (
-        "## Observability — telemetry overhead\n\n" + table +
+        "## Observability — telemetry overhead\n\n"
+        + perf_table([record]) +
         f"\n\nOne multiplexed server serving "
         f"{record['protocol']['num_clients']} client processes x "
-        f"{frames} frames (shm, neural teacher), run disarmed and then "
+        f"{frames} frames (shm, neural teacher), alternately disarmed and "
         "with the full ISSUE-8 telemetry stack armed via `REPRO_OBS="
-        "metrics,trace,engine`: armed throughput is "
-        f"**{record['speedup']}x** the disarmed leg (floor >= 0.9x, "
-        "enforced by `benchmarks/test_perf_obs.py`) and per-session "
-        "RunStats are "
+        f"{record['protocol']['armed']}` "
+        f"({armed['telemetry_counters'] + armed['telemetry_histograms']} "
+        f"server instruments, {armed['trace_events']} trace events).  "
+        f"Armed minus disarmed CPU time: median {delta['median']} s "
+        f"(IQR {delta['iqr']}) over {len(delta['per_pair'])} pairs — "
+        f"**{record['checks']['cpu_overhead']}**; the throughput floor is "
+        ">= 0.9x (`benchmarks/test_perf_obs.py`).  Per-session RunStats "
+        "are "
         + ("**bit-identical**" if record["bit_identical"] else
            "**NOT bit-identical (BUG)**") +
         " across the legs — telemetry records wall-clock but never "
@@ -648,7 +598,6 @@ def main() -> None:
         section_figure4(scale),
         section_link_traces(scale),
         section_perf(),
-        section_train(),
         section_serving(),
         section_serve_many(),
         section_churn(),

@@ -61,12 +61,10 @@ fi
 # gather window, the cohort server, the stacked n > 1 serve plans and
 # the switches that selected them must not come back.  Word-bounded so
 # video/codec.py's raw_bits_per_sample stays legal; bench/ is frozen
-# (its README and probes describe the tree it was written against)
-# and BENCH_PERF.json is the historical record (old fleet records name
-# the window they were measured under).
+# (its README and probes describe the tree it was written against).
 if grep -rnIE "gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts" . \
     --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
-    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude-dir=raw --exclude-dir=bench \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: co-arrival serving path (gather window / cohort / stacked serve) reintroduced" >&2
@@ -78,7 +76,7 @@ fi
 # switches and the v2-v4 decoders must not come back.
 if grep -rnIE "_REJECT_HEAD_V[0-9]|_V2_KINDS|\bKIND_HELLO\b|wire\.Hello|\bopen_session\b|_open_session|admit_ticket|admit_address|_pending_blueprints|REJECT_(DISABLED|UNKNOWN_SESSION|SESSION_IN_USE)|share_work" . \
     --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
-    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude-dir=raw --exclude-dir=bench \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: HELLO / blueprint-table / legacy wire-version path reintroduced" >&2
@@ -91,12 +89,29 @@ fi
 # must not come back.
 if grep -rnIE "serve_endpoint|\bRemoteServer\b|RemoteTrainResult|_SessionChannel|PipeTransport|spawn_pipe_pair|comm\.mp|SimulatedChannel|\bisend\b|\birecv\b|_build_remote_session" . \
     --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
-    --exclude-dir=raw --exclude-dir=bench --exclude=BENCH_PERF.json \
+    --exclude-dir=raw --exclude-dir=bench \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: dedicated-server / pipe-transport / isend-irecv path reintroduced" >&2
   exit 1
 fi
+# Same rule for the perf-measurement duplicates (ISSUE 16): a scenario
+# is legs + data on the one `compare` core — the per-scenario formatters,
+# the record-schema patcher and its headline shim, the oracle-teacher
+# duplicate of the serve-many record and the engine's import-time env
+# switch must not come back (engine.disabled() is the reference switch).
+if grep -rnIE -e "measure_serve_many_churn|serve-many-churn|migrate_records|_headline_speedup|format_(train|plan_cache|storm|fleet|serve_many|obs|pool)_record|--migrate|\bREPRO_ENGINE\b" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: retired perf-measurement name or REPRO_ENGINE env switch reintroduced" >&2
+  exit 1
+fi
+# CLI smoke (ISSUE 16): no test imports scripts/bench_perf.py, so run
+# its cheapest scenario (a few seconds) into a throwaway file (in a
+# fresh directory: an existing empty file is not a trajectory).
+timeout 120 python scripts/bench_perf.py plan-cache --output "$(mktemp -d)/perf.json"
 # Docs smoke (ISSUE 5): the protocol spec cannot drift from wire.py
 # (the doc-sync test also runs inside the suite above; this re-run
 # keeps the gate explicit and costs under a second), and every fenced

@@ -33,21 +33,19 @@ reversed depth-first postorder so multi-consumer gradient accumulation
 identically to the define-by-run loop.  Both distillation modes ride
 the compiled step unconditionally.
 
-The engine is enabled by default; set ``REPRO_ENGINE=0`` (or call
-:func:`set_enabled`) to fall back to the pure autograd seed path —
-the perf benchmark uses exactly that switch to measure the speedup.
+The engine is always on in a deployment.  :func:`disabled` /
+:func:`set_enabled` fall back to the pure autograd path for the code
+that needs the reference: the bit-identity tests and the perf
+scenarios' ``autograd`` legs.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 
 from repro.engine import tracer  # noqa: F401  (dependency-free submodule)
 
-_FALSY = ("0", "false", "off", "no")
-
-_ENABLED = os.environ.get("REPRO_ENGINE", "1").strip().lower() not in _FALSY
+_ENABLED = True
 
 
 def is_enabled() -> bool:

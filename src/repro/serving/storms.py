@@ -30,8 +30,8 @@ Scenarios
 
 :func:`run_storm` executes a plan against a spawned server and returns
 a :class:`StormReport` of typed outcomes; it never raises on refusals
-or client failures — a wedged no-control baseline is a *result* the
-benchmarks record, not a harness crash.
+or client failures — a wedged no-control baseline is a *result* to
+record, not a harness crash.
 """
 
 from __future__ import annotations
@@ -310,6 +310,46 @@ class StormReport:
         return dataclasses.asdict(self)
 
 
+def start_attackers(plan: StormPlan, handle, hold_s: float,
+                    slot_base: int = 0) -> List:
+    """Start the plan's slow-loris and ghost processes against
+    ``handle`` (their slots offset by ``slot_base``); the caller
+    terminates and joins them."""
+    import multiprocessing as mp
+
+    attackers = [
+        mp.Process(
+            target=main, daemon=True,
+            args=(handle.address(slot_base + slot), *args),
+        )
+        for main, slots, args in (
+            (_loris_main, plan.loris_slots, (hold_s,)),
+            (_ghost_main, plan.ghost_slots, (2, hold_s)),
+        )
+        for slot in slots
+    ]
+    for proc in attackers:
+        proc.start()
+    return attackers
+
+
+def tally_outcomes(outcomes) -> Dict:
+    """Count ``run_churn_processes(outcomes=True)`` results: completed
+    jobs, typed refusals by reason (and how many carried a
+    ``retry_after`` hint), crashed or hung jobs."""
+    rejected = [payload for status, payload in outcomes if status == "rejected"]
+    reasons: Dict[str, int] = {}
+    for reason, _ in rejected:
+        reasons[reason] = reasons.get(reason, 0) + 1
+    return {
+        "ok": sum(1 for status, _ in outcomes if status == "ok"),
+        "rejected": len(rejected),
+        "errors": sum(1 for status, _ in outcomes if status == "error"),
+        "reject_reasons": reasons,
+        "hinted": sum(1 for _, retry_after in rejected if retry_after is not None),
+    }
+
+
 def run_storm(
     plan: StormPlan,
     transport: str = "shm",
@@ -322,16 +362,14 @@ def run_storm(
     """Execute ``plan`` against a freshly spawned server.
 
     ``control=False`` is the no-control baseline: the same traffic
-    against a server without the overload layer (benchmarks record the
-    difference; for the adversarial storms the baseline *wedges*).
+    against a server without the overload layer (for the adversarial
+    storms the baseline *wedges*).
     Refusals and client failures are collected, never raised.
     ``job_timeout_s`` overrides the plan's honest-client deadline —
     baselines use a short one so a wedge is recorded, not waited out.
     Extra keyword arguments pass through to ``start_server`` (transport
     ``timeout_s``, ring geometry, ...).
     """
-    import multiprocessing as mp
-
     from repro.serving.runtime import run_churn_processes, start_server
 
     handle = start_server(
@@ -341,26 +379,11 @@ def run_storm(
         idle_timeout_s=idle_timeout_s,
         **server_options,
     )
-    attackers: List[mp.Process] = []
+    attackers: List = []
     started = time.monotonic()
     outcomes: List[Tuple[str, object]] = []
     try:
-        for slot in plan.loris_slots:
-            proc = mp.Process(
-                target=_loris_main,
-                args=(handle.address(slot), loris_hold_s),
-                daemon=True,
-            )
-            proc.start()
-            attackers.append(proc)
-        for slot in plan.ghost_slots:
-            proc = mp.Process(
-                target=_ghost_main,
-                args=(handle.address(slot), 2, loris_hold_s),
-                daemon=True,
-            )
-            proc.start()
-            attackers.append(proc)
+        attackers = start_attackers(plan, handle, loris_hold_s)
         try:
             outcomes = run_churn_processes(
                 handle, list(plan.jobs),
@@ -377,28 +400,19 @@ def run_storm(
             proc.join(timeout=5.0)
         handle.close()
 
-    ok = [payload for status, payload in outcomes if status == "ok"]
-    rejected = [payload for status, payload in outcomes if status == "rejected"]
-    errors = sum(1 for status, _ in outcomes if status == "error")
-    reasons: Dict[str, int] = {}
-    hinted = 0
-    for reason, retry_after in rejected:
-        reasons[reason] = reasons.get(reason, 0) + 1
-        if retry_after is not None:
-            hinted += 1
+    tally = tally_outcomes(outcomes)
     return StormReport(
         name=plan.name,
         seed=plan.seed,
         transport=transport,
         control=control,
-        ok=len(ok),
-        rejected=len(rejected),
-        errors=errors,
-        reject_reasons=reasons,
-        hinted=hinted,
-        frames_ok=sum(stats.num_key_frames for stats in ok),
+        **tally,
+        frames_ok=sum(
+            payload.num_key_frames for status, payload in outcomes
+            if status == "ok"
+        ),
         wall_s=wall_s,
         server_exit=handle.process.exitcode,
-        wedged=handle.process.exitcode != 0 or errors > 0,
+        wedged=handle.process.exitcode != 0 or tally["errors"] > 0,
         runtime_report=handle.runtime_report,
     )
