@@ -108,6 +108,18 @@ if grep -rnIE -e "measure_serve_many_churn|serve-many-churn|migrate_records|_hea
   echo "FAIL: retired perf-measurement name or REPRO_ENGINE env switch reintroduced" >&2
   exit 1
 fi
+# Same rule for the trainer's middle tier (ISSUE 17): there are two
+# step runners — compiled, autograd.  The cached-front autograd runner
+# could only be reached when `train_back` failed to compile where
+# `back`, a trace of the same function, succeeded.
+if grep -rnI "_CachedFrontStepRunner" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: the trainer's cached-front middle tier reintroduced" >&2
+  exit 1
+fi
 # CLI smoke (ISSUE 16): no test imports scripts/bench_perf.py, so run
 # its cheapest scenario (a few seconds) into a throwaway file (in a
 # fresh directory: an existing empty file is not a trajectory).

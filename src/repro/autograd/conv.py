@@ -3,10 +3,16 @@
 The student and teacher networks are fully convolutional, so convolution
 is the single hottest kernel in the whole reproduction.  Following the
 scientific-Python optimization guidance, the implementation lowers each
-convolution to one large GEMM: patches are gathered with a strided
-``im2col`` (pure fancy-indexing, no Python loops over pixels) and the
-kernel is applied with a single ``matmul``.  The backward pass reuses the
-same column geometry with ``np.add.at`` scatter for ``col2im``.
+convolution to one large GEMM: patches are gathered by ``im2col`` with
+one fancy-index read through cached index arrays (no Python loops over
+pixels) and the kernel is applied with a single ``matmul``.  The
+backward pass scatters through the same column geometry: ``col2im`` is
+one strided float64 ``+=`` per kernel tap and a single downcast.
+
+This module is the *reference*: :mod:`repro.engine.kernels` reproduces
+``im2col`` / ``col2im`` byte for byte on preallocated scratch, and the
+property tests in ``tests/test_engine.py`` compare against the
+functions here.
 """
 
 from __future__ import annotations

@@ -16,12 +16,16 @@ Hot-loop strategy (the engine integration): with the paper's freeze
 boundary, the frozen front-end's activations for the key frame are
 constant across all optimisation steps, so they are computed **once**
 through the compiled engine and reused — freeze-boundary activation
-caching.  Each step then runs a compiled forward+backward over just the
-trainable back-end (:class:`repro.engine.training.CompiledTrainStep`),
-the forward-pass twin of PartialBackward.  Every tier degrades
-gracefully: compiled step -> cached-front autograd -> the original
-full-forward autograd loop (also used when the engine is disabled, and
-measured as the seed baseline by ``scripts/bench_perf.py``).
+caching.  Everything after that is the compiled train step over just
+the trainable back-end (:class:`repro.engine.training.CompiledTrainStep`),
+the forward-pass twin of PartialBackward: its forward scores the key
+frame *before* any update (the metric that gates the loop) and the same
+activations are step 1's forward, so a trained key frame costs one
+front pass and no forward it does not use.  There are two tiers:
+compiled, or — for a freeze boundary that leaves the front trainable,
+a model that is not a ``StudentNet``, or the engine disabled — the
+original full-forward autograd loop (measured as the seed baseline by
+``scripts/bench_perf.py``).
 """
 
 from __future__ import annotations
@@ -71,47 +75,22 @@ class _AutogradStepRunner:
         return self.student.predict(self.frame)
 
 
-class _CachedFrontStepRunner(_AutogradStepRunner):
-    """Cached front-end features + autograd back-end (partial mode).
-
-    Used when the back-end geometry fails to compile; still skips the
-    frozen front-end's forward on every step.
-    """
-
-    def __init__(self, student, feats, back_plan, frame, target, weight_map) -> None:
-        super().__init__(student, frame, None, target, weight_map)
-        self.feats = feats
-        self.back_plan = back_plan
-
-    def step(self) -> float:
-        inputs = tuple(Tensor(f) for f in self.feats)
-        logits = self.student.forward_back(*inputs)
-        loss = weighted_cross_entropy(logits, self.target, self.weight_map)
-        loss.backward()
-        return loss.item()
-
-    def predict(self) -> np.ndarray:
-        if self.back_plan is not None:
-            (logits,) = self.back_plan.run(*self.feats)
-            return logits.argmax(axis=1)[0]
-        with no_grad():
-            logits = self.student.forward_back(*(Tensor(f) for f in self.feats))
-        return logits.data.argmax(axis=1)[0]
-
-
 class _CompiledStepRunner:
     """Fully compiled train step (back-end with cached feats, or the
     whole student in full mode — ``inputs`` is whatever the plan eats).
 
-    The per-step metric predict is merged into the next step's forward:
-    with fixed inputs, the eval prediction after update ``i`` and the
-    training forward of update ``i + 1`` are the same computation
-    (identical inputs and weights; batch-norm always normalises with
-    batch statistics here).  ``predict()`` therefore runs the train
-    plan's forward with running-stat commits deferred, and the
-    following ``step()`` reuses those activations — halving the loop's
-    forward count while leaving every observable (losses, metrics,
-    committed buffers) bit-identical to the seed loop.
+    Every metric predict is merged into the next step's forward: with
+    fixed inputs, the eval prediction after update ``i`` (``i = 0``
+    being the pre-update metric that gates the loop) and the training
+    forward of update ``i + 1`` are the same computation (identical
+    inputs and weights; batch-norm always normalises with batch
+    statistics here).  ``predict()`` therefore runs the train plan's
+    forward with running-stat commits deferred, and the following
+    ``step()`` reuses those activations — halving the loop's forward
+    count while leaving every observable (losses, metrics, committed
+    buffers) bit-identical to the seed loop.  A predict no step
+    follows (the student already beats THRESHOLD, or the loop ended)
+    commits nothing.
     """
 
     def __init__(self, train_plan, inputs, target, weight_map) -> None:
@@ -197,30 +176,22 @@ class StudentTrainer:
         return (s1.data, s2.data, s4.data)
 
     def _make_step_runner(self, frame: np.ndarray, x4: np.ndarray, target, weight_map):
-        """Pick the fastest step implementation valid for the current
-        freeze configuration; every tier preserves Algorithm 1 exactly."""
+        """The compiled step where the freeze configuration allows it,
+        else the autograd loop; both preserve Algorithm 1 exactly."""
         student = self.student
         from repro import engine
 
         if engine.is_enabled() and isinstance(student, StudentNet):
+            kind, inputs = None, (x4,)
             if self._front_fully_frozen():
-                feats = self._front_features(x4)
-                shapes = tuple(tuple(f.shape) for f in feats)
-                train_plan = student.engine_plan("train_back", shapes)
+                kind, inputs = "train_back", self._front_features(x4)
+            elif self.trainable_fraction == 1.0:
+                kind = "train_full"
+            if kind is not None:
+                shapes = tuple(tuple(a.shape) for a in inputs)
+                train_plan = student.engine_plan(kind, shapes)
                 if train_plan is not None:
-                    return _CompiledStepRunner(train_plan, feats, target, weight_map)
-                # Fallback tier only: the eval back plan is not needed
-                # (or compiled) when the train step is available.
-                back_plan = student.engine_plan("back", shapes)
-                return _CachedFrontStepRunner(
-                    student, feats, back_plan, frame, target, weight_map
-                )
-            if self.trainable_fraction == 1.0:
-                train_plan = student.engine_plan("train_full", (tuple(x4.shape),))
-                if train_plan is not None:
-                    return _CompiledStepRunner(
-                        train_plan, (x4,), target, weight_map
-                    )
+                    return _CompiledStepRunner(train_plan, inputs, target, weight_map)
         return _AutogradStepRunner(student, frame, Tensor(x4), target, weight_map)
 
     # ------------------------------------------------------------------
@@ -249,15 +220,18 @@ class StudentTrainer:
         weight_map = lvs_weight_map(target)
 
         student.eval()
-        pred = student.predict(frame)
-        best_metric = mean_iou(pred, label)
+        # The runner's first predict is the pre-update metric; on the
+        # compiled tier it is also step 1's forward.  When the student
+        # already beats THRESHOLD it stays an unprimed pending forward
+        # on the plan, which the next key frame's runner ignores.
+        runner = self._make_step_runner(frame, x4, target, weight_map)
+        best_metric = mean_iou(runner.predict(), label)
         initial_metric = best_metric
         best_state = None
         losses: List[float] = []
         steps = 0
 
         if best_metric < cfg.threshold:
-            runner = self._make_step_runner(frame, x4, target, weight_map)
             student.train()
             for _ in range(budget):
                 self._optimizer.zero_grad()

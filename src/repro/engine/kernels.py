@@ -3,7 +3,7 @@
 Each kernel is a *step*: it reads input activations from the shared
 ``env`` slot table, writes its output into a buffer it owns, and (when
 built for training) can push gradients backwards through the same
-geometry.  All geometry work — gather indices, padded buffers, GEMM
+geometry.  All geometry work — per-tap views, padded buffers, GEMM
 scratch — happens once at build time; executing a step is pure array
 math with no per-call allocation on the main path.
 
@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.autograd.conv import _out_dim
+from repro.autograd.tensor import sum_2x2_windows
 
 
 class UntraceableError(RuntimeError):
@@ -56,7 +57,12 @@ def _set_grad(param, value: np.ndarray) -> None:
 
 
 class ConvStep:
-    """conv2d [+ bias] [+ fused ReLU] via cached-index gather and GEMM."""
+    """conv2d [+ bias] [+ fused ReLU] via per-tap gather and GEMM.
+
+    im2col and col2im run over a list of kernel *taps* built once from
+    the geometry (:meth:`_tap_views`); a tap is one copy into — or one
+    float64 ``+=`` out of — the column matrix.
+    """
 
     def __init__(
         self,
@@ -90,46 +96,23 @@ class ConvStep:
         #: 1x1 stride-1 unpadded convs are pure channel mixes: the GEMM
         #: reads the input through a reshape view, no gather at all.
         self.is_1x1 = kh == 1 and kw == 1 and stride == 1 and ph == 0 and pw == 0
-
+        #: Stride-1 convs at n == 1 whose output is as wide as their
+        #: input (every 3x3 / 3x1 / 1x3 of the student and teacher but
+        #: the stride-2 stems) take the flat taps of :meth:`_tap_views`.
+        self.flat = (
+            not self.is_1x1 and n == 1 and stride == 1 and kw == 2 * pw + 1
+        )
+        # Column scratch in im2col layout: axis order (c, kh, kw, n, L)
+        # flattens to the same (C*kh*kw, N*L) matrix autograd builds.
+        grid = (c, kh, kw, n, self.L)
         if self.is_1x1:
-            self._xp = None
             self._cols = None if n == 1 else np.empty((self.K, n * self.L), np.float32)
         else:
-            if ph or pw:
-                # For n > 1 the padded scratch lives in the same
-                # channel-major layout as the conv/add/concat output
-                # buffers feeding it, so the interior fill and the tap
-                # copies below are layout-aligned (plain memcpys) rather
-                # than full transposes.  Values are unaffected.
-                if n == 1:
-                    self._xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), np.float32)
-                else:
-                    self._xp = np.zeros(
-                        (c, n, h + 2 * ph, w + 2 * pw), np.float32
-                    ).transpose(1, 0, 2, 3)
-                self._xp_interior = self._xp[:, :, ph : ph + h, pw : pw + w]
-            else:
-                self._xp = None
-            # Column scratch in im2col layout: axis order (c, kh, kw, [n,] L)
-            # flattens to the same (C*kh*kw, N*L) matrix autograd builds.
-            # It is filled with one strided slice copy per kernel tap —
-            # ~4x faster than a fancy-index gather of the same elements.
-            if n == 1:
-                self._cols3d = np.empty((c, kh, kw, self.L), np.float32)
-                self._dsts = [
-                    [self._cols3d[:, i, j].reshape(c, self.oh, self.ow) for j in range(kw)]
-                    for i in range(kh)
-                ]
-            else:
-                self._cols3d = np.empty((c, kh, kw, n, self.L), np.float32)
-                self._dsts = [
-                    [
-                        self._cols3d[:, i, j].reshape(c, n, self.oh, self.ow)
-                        for j in range(kw)
-                    ]
-                    for i in range(kh)
-                ]
-            self._cols = self._cols3d.reshape(self.K, n * self.L)
+            cols_grid = np.empty(grid, np.float32)
+            self._cols = cols_grid.reshape(self.K, n * self.L)
+            self._xp, self._xp_interior, self._taps = self._tap_views(
+                cols_grid, np.float32
+            )
         self._out_mat = np.empty((self.oc, n * self.L), np.float32)
         # The NCHW output is a free view of the GEMM result; for n > 1 it
         # is the same transposed view autograd produces, so downstream
@@ -150,34 +133,73 @@ class ConvStep:
                 np.empty((self.oc, n * self.L), np.float32) if n > 1 else None
             )
             if not self.is_1x1:
-                # col2im as the inverse of the slice-copy gather: one
-                # strided += per kernel tap into a padded scratch image.
-                # float64 accumulation + downcast in autograd's col2im
-                # tap order keeps input gradients bit-identical to the
-                # define-by-run backward (and to the seed's bincount).
-                self._gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), np.float64)
-                self._gxp_interior = self._gxp[:, :, ph : ph + h, pw : pw + w]
+                # col2im accumulates in float64 and downcasts once, as
+                # autograd's does (see :meth:`_scatter`).
+                self._gxp, self._gxp_interior, self._gtaps = self._tap_views(
+                    self._gcols.reshape(grid), np.float64
+                )
                 self._gx32 = np.empty((n, c, h, w), np.float32)
-                grid = (c, kh, kw, self.L) if n == 1 else (c, kh, kw, n, self.L)
-                gcols_grid = self._gcols.reshape(grid)
-                if n == 1:
-                    self._gsrcs = [
-                        [
-                            gcols_grid[:, i, j].reshape(c, self.oh, self.ow)
-                            for j in range(kw)
-                        ]
-                        for i in range(kh)
-                    ]
-                else:
-                    self._gsrcs = [
-                        [
-                            gcols_grid[:, i, j]
-                            .reshape(c, n, self.oh, self.ow)
-                            .transpose(1, 0, 2, 3)
-                            for j in range(kw)
-                        ]
-                        for i in range(kh)
-                    ]
+
+    def _tap_views(self, cols_grid: np.ndarray, dtype) -> tuple:
+        """``(scratch, interior, taps)`` for one direction of the conv.
+
+        ``scratch`` is a zeroed padded image of ``dtype``, ``interior``
+        its ``(n, c, h, w)`` unpadded view, and ``taps`` lists, in
+        im2col order (kh, then kw), ``(window, col, wrapped)``: the
+        cells of ``scratch`` tap ``(i, j)`` touches, the rows of the
+        column matrix they map to, and the cells of ``col`` to zero.
+
+        *Slice taps* (any geometry): the image is padded on all four
+        sides and a window is its strided ``(n, c, oh, ow)`` slice;
+        ``wrapped`` is ``None``.
+
+        *Flat taps* (``self.flat``): the image is padded vertically
+        only, so its row pitch is ``w`` — the column matrix's — and
+        output cell ``y*w + x`` of tap ``(i, j)`` sits at flat offset
+        ``(y*w + x) + i*w + j``.  A window is then one contiguous
+        ``(c, L)`` run of the scratch (``pw`` cells of slack at either
+        end keep the corner taps in bounds), several times cheaper to
+        move than ``oh`` short rows.  It runs over the row ends where
+        the padded image has its zero columns, so the ``|j - pw|``
+        cells per row that *wrapped* into a neighbouring row are zeroed
+        in ``col``: after the copy when gathering (they are padding),
+        before the add when scattering (autograd's col2im crops them).
+        Adding that ``+0.0`` is the identity — a float64 sum that
+        starts at ``+0.0`` can never hold ``-0.0`` — and no other value,
+        tap order or rounding step differs from the slice taps.
+        """
+        n, c, h, w = self.x_shape
+        kh, kw, ph, pw, s = self.kh, self.kw, self.ph, self.pw, self.stride
+        oh, ow, L = self.oh, self.ow, self.L
+        taps = []
+        if self.flat:
+            scratch = np.zeros((c, (h + 2 * ph) * w + 2 * pw), dtype)
+            lo = pw + ph * w
+            interior = scratch[:, lo : lo + h * w].reshape(1, c, h, w)
+            for i in range(kh):
+                for j in range(kw):
+                    col = cols_grid[:, i, j, 0]
+                    rows, dx = col.reshape(c, oh, w), j - pw
+                    wrapped = (
+                        rows[:, :, :-dx] if dx < 0
+                        else rows[:, :, max(w - dx, 0) :] if dx else None
+                    )
+                    off = i * w + j
+                    taps.append((scratch[:, off : off + L], col, wrapped))
+        else:
+            # Channel-major like the conv/add/concat buffers on either
+            # side, so for n > 1 the interior fill and the tap copies
+            # are layout-aligned rather than full transposes.
+            scratch = np.zeros(
+                (c, n, h + 2 * ph, w + 2 * pw), dtype
+            ).transpose(1, 0, 2, 3)
+            interior = scratch[:, :, ph : ph + h, pw : pw + w]
+            for i in range(kh):
+                for j in range(kw):
+                    window = scratch[:, :, i : i + s * oh : s, j : j + s * ow : s]
+                    col = cols_grid[:, i, j].reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
+                    taps.append((window, col, None))
+        return scratch, interior, taps
 
     # ------------------------------------------------------------------
     def _gather(self, x: np.ndarray) -> np.ndarray:
@@ -190,20 +212,25 @@ class ConvStep:
                 self._cols, x.transpose(1, 0, 2, 3).reshape(self.c, n * L)
             )
             return self._cols
-        if self._xp is not None:
-            self._xp_interior[...] = x
-            src = self._xp
-        else:
-            src = x
-        s, oh, ow = self.stride, self.oh, self.ow
-        for i in range(self.kh):
-            for j in range(self.kw):
-                tap = src[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                if n == 1:
-                    np.copyto(self._dsts[i][j], tap[0])
-                else:
-                    np.copyto(self._dsts[i][j], tap.transpose(1, 0, 2, 3))
+        self._xp_interior[...] = x
+        for window, col, wrapped in self._taps:
+            np.copyto(col, window)
+            if wrapped is not None:
+                wrapped[...] = 0.0
         return self._cols
+
+    def _scatter(self) -> np.ndarray:
+        """col2im of ``_gcols``: one float64 ``+=`` per tap into the
+        zeroed scratch, in autograd's col2im tap order, then one
+        downcast — bit-identical to the define-by-run input gradient
+        (and to the seed's bincount)."""
+        self._gxp.fill(0.0)
+        for window, col, wrapped in self._gtaps:
+            if wrapped is not None:
+                wrapped[...] = 0.0
+            window += col
+        np.copyto(self._gx32, self._gxp_interior)
+        return self._gx32
 
     def forward(self, env: List[np.ndarray]) -> None:
         cols = self._gather(env[self.in_slot])
@@ -252,17 +279,9 @@ class ConvStep:
                     gx = self._gcols.reshape(self.c, self.n, self.h, self.w).swapaxes(0, 1)
                 gin += gx
             else:
-                self._gxp.fill(0.0)
-                s, oh, ow = self.stride, self.oh, self.ow
-                for i in range(self.kh):
-                    for j in range(self.kw):
-                        self._gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += (
-                            self._gsrcs[i][j]
-                        )
                 # Downcast before accumulating, matching autograd's
                 # col2im (f32(sum64) then a float32 add).
-                np.copyto(self._gx32, self._gxp_interior)
-                gin += self._gx32
+                gin += self._scatter()
 
 
 class BatchNormStep:
@@ -493,26 +512,34 @@ class AvgPool2dStep:
 
 
 class Upsample2xStep:
-    """Nearest-neighbour 2x upsampling through a strided view."""
+    """Nearest-neighbour 2x upsampling as strided copies.
+
+    Forward fills the even rows (two column-strided copies) and then
+    duplicates them into the odd rows; backward is
+    :func:`repro.autograd.tensor.sum_2x2_windows`, the one definition
+    of the window sum's float32 order that autograd uses too.
+    """
 
     def __init__(self, in_slot, out_slot, in_shape, training) -> None:
         n, c, h, w = in_shape
         self.in_slot, self.out_slot = in_slot, out_slot
         self.out_shape = (n, c, 2 * h, 2 * w)
         self.out = np.empty(self.out_shape, np.float32)
-        self._view6 = self.out.reshape(n, c, h, 2, w, 2)
-        self._grid = (n, c, h, 2, w, 2)
+        self._even, self._odd = self.out[:, :, 0::2], self.out[:, :, 1::2]
         self._gsum = np.empty(in_shape, np.float32) if training else None
+        self._gtmp = np.empty(in_shape, np.float32) if training else None
 
     def forward(self, env) -> None:
-        self._view6[...] = env[self.in_slot][:, :, :, None, :, None]
+        x = env[self.in_slot]
+        self._even[..., 0::2] = x
+        self._even[..., 1::2] = x
+        self._odd[...] = self._even
         env[self.out_slot] = self.out
 
     def backward(self, env, gbufs) -> None:
         gin = gbufs[self.in_slot]
         if gin is not None:
-            gbufs[self.out_slot].reshape(self._grid).sum(axis=(3, 5), out=self._gsum)
-            gin += self._gsum
+            gin += sum_2x2_windows(gbufs[self.out_slot], self._gsum, self._gtmp)
 
 
 class SoftmaxStep:

@@ -482,3 +482,131 @@ class TestSharedPlans:
             "4 hand-overs"
         )
         assert obs_report.format_plan_cache_row({}) == ""
+
+
+def _adversarial(rng, shape):
+    """float32 values chosen to expose any change of order or rounding:
+    exponents spread over 2**80 (so a float64 sum of a few of them is
+    inexact and order-sensitive), both zeros, and subnormals."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    x *= np.float32(2.0) ** rng.integers(-40, 40, shape).astype(np.float32)
+    kind = rng.random(shape)
+    x[kind < 0.08] = 0.0
+    x[(kind >= 0.08) & (kind < 0.16)] = -0.0
+    x[(kind >= 0.16) & (kind < 0.20)] = np.float32(1e-42)
+    x[(kind >= 0.20) & (kind < 0.24)] = np.float32(-3e-45)
+    return x
+
+
+def _conv_step(rng, n, c, h, w, kernel, padding, stride, training=True):
+    from repro.engine.kernels import ConvStep
+    from repro.nn.layers import Conv2d
+
+    module = Conv2d(c, 2, kernel, stride=stride, padding=padding, rng=rng)
+    return ConvStep(module, 0, 1, (n, c, h, w), fuse_relu=False, training=training)
+
+
+class TestConvTapsAreExact:
+    """ConvStep's gather / scatter equal ``autograd.conv.im2col`` /
+    ``col2im`` byte for byte — the flat taps on adversarial values, and
+    the geometries that must stay on slice taps."""
+
+    # (kernel, padding) pairs whose output is as wide as the input.
+    FLAT = [
+        ((3, 3), (1, 1)), ((3, 1), (1, 0)), ((1, 3), (0, 1)), ((5, 5), (2, 2)),
+        ((1, 5), (0, 2)), ((1, 7), (0, 3)), ((3, 3), (0, 1)), ((3, 3), (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("kernel,padding", FLAT)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_taps_match_autograd(self, kernel, padding, seed):
+        from repro.autograd.conv import col2im, im2col
+
+        rng = np.random.default_rng(1000 * seed + 10 * kernel[0] + kernel[1])
+        c = int(rng.choice([1, 3, 12, 64]))
+        h = int(rng.integers(max(1, kernel[0] - 2 * padding[0]), 14))
+        w = int(rng.integers(1, 15))  # odd and even, narrower than the pad too
+        step = _conv_step(rng, 1, c, h, w, kernel, padding, 1)
+        assert step.flat
+        for _ in range(2):  # twice: the scratch must not remember a run
+            x = _adversarial(rng, (1, c, h, w))
+            want = im2col(x, *kernel, *padding, 1)
+            assert step._gather(x).tobytes() == want.tobytes()
+            gcols = _adversarial(rng, want.shape)
+            want = np.ascontiguousarray(col2im(gcols, x.shape, *kernel, *padding, 1))
+            step._gcols[...] = gcols
+            assert step._scatter().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,kernel,padding,stride",
+        [
+            (1, (3, 3), (1, 1), 2),   # stride 2
+            (3, (3, 3), (1, 1), 1),   # n > 1
+            (1, (3, 3), (1, 0), 1),   # pad that changes the width
+            (1, (3, 3), (1, 2), 1),
+            (2, (1, 3), (0, 0), 2),
+        ],
+    )
+    def test_other_geometries_keep_slice_taps_and_still_match(
+        self, rng, n, kernel, padding, stride
+    ):
+        from repro.autograd.conv import col2im, im2col
+
+        step = _conv_step(rng, n, 5, 9, 10, kernel, padding, stride)
+        assert not step.flat
+        x = _adversarial(rng, (n, 5, 9, 10))
+        want = im2col(x, *kernel, *padding, stride)
+        assert step._gather(x).tobytes() == want.tobytes()
+        gcols = _adversarial(rng, want.shape)
+        want = np.ascontiguousarray(col2im(gcols, x.shape, *kernel, *padding, stride))
+        step._gcols[...] = gcols
+        assert step._scatter().tobytes() == want.tobytes()
+
+    def test_every_student_conv_but_the_stems_is_flat(self, rng):
+        student = StudentNet(width=0.25, seed=0)
+        plan = compile_plan(student.forward, (np.zeros((1, 3, *_HW), np.float32),))
+        convs = [s for s in plan._steps if hasattr(s, "is_1x1")]
+        assert [s.stride for s in convs if not (s.flat or s.is_1x1)] == [2, 2]
+        assert sum(s.flat for s in convs) == 6 * 3 + 2
+
+
+class TestUpsampleIsExact:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_step_matches_autograd(self, rng, n):
+        from repro.engine.kernels import Upsample2xStep
+
+        shape = (n, 5, 6, 7)
+        step = Upsample2xStep(0, 1, shape, training=True)
+        for _ in range(2):
+            x = _adversarial(rng, shape)
+            g = _adversarial(rng, step.out_shape)
+            t = Tensor(x, requires_grad=True)
+            out = t.upsample2x()
+            out.backward(g)
+            env = [x, None]
+            step.forward(env)
+            assert env[1].tobytes() == out.data.tobytes()
+            gbufs = [np.zeros(shape, np.float32), g]
+            step.backward(env, gbufs)
+            # The engine adds into a +0.0 buffer, autograd installs the
+            # first gradient as is: compare after the same ``0.0 +``.
+            assert gbufs[0].tobytes() == (np.float32(0.0) + t.grad).tobytes()
+
+    def test_window_sum_order(self, rng):
+        """``sum_2x2_windows`` is ``((g00 + g01) + 0.0) + (g10 + g11)``
+        in float32 — the order NumPy's two-axis reduce used when it was
+        ``upsample2x``'s backward, whose ``+0.0`` start turns a window
+        of four ``-0.0`` into ``+0.0``."""
+        from repro.autograd.tensor import sum_2x2_windows
+
+        g = _adversarial(rng, (2, 3, 4, 6))
+        g[0, 0, :2, :2] = -0.0
+        got = sum_2x2_windows(g)
+        out, tmp = np.empty_like(got), np.empty_like(got)
+        assert sum_2x2_windows(g, out, tmp) is out
+        assert out.tobytes() == got.tobytes()
+        for n, c, y, x in np.ndindex(got.shape):
+            q = g[n, c, 2 * y : 2 * y + 2, 2 * x : 2 * x + 2]
+            want = ((q[0, 0] + q[0, 1]) + np.float32(0.0)) + (q[1, 0] + q[1, 1])
+            assert got[n, c, y, x].tobytes() == want.tobytes()
+        assert not np.signbit(got[0, 0, 0, 0])

@@ -1,4 +1,4 @@
-"""Parity tests: cached-front / compiled training vs the seed autograd loop.
+"""Parity tests: compiled training vs the seed autograd loop.
 
 Algorithm 1's observable behaviour (losses, steps, metrics, the weights
 the server ships) must not change when the trainer routes through the
@@ -11,6 +11,8 @@ those buffers are dead state (the student normalises with batch
 statistics and frozen-module buffers are never communicated).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro import engine
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import (
     StudentTrainer,
-    _CachedFrontStepRunner,
+    _AutogradStepRunner,
     _CompiledStepRunner,
 )
 from repro.models.student import StudentNet
@@ -96,14 +98,12 @@ class TestPartialParity:
         trainer = StudentTrainer(student, DistillConfig())
         x4 = frame[None]
         runner = trainer._make_step_runner(frame, x4, label[None], None)
-        assert isinstance(runner, (_CompiledStepRunner, _CachedFrontStepRunner))
-        # The paper boundary compiles: expect the fully compiled tier.
-        assert isinstance(runner, _CompiledStepRunner)
+        # The paper boundary compiles: exactly the compiled tier.
+        assert type(runner) is _CompiledStepRunner
 
-    def test_cached_front_fallback_matches(self, frame_and_label):
-        """If the compiled train step is unavailable the trainer still
-        caches the front-end and trains via autograd, with identical
-        results."""
+    def test_uncompilable_step_falls_back_to_autograd(self, frame_and_label):
+        """There are two tiers: if the train step is unavailable the
+        trainer runs the full autograd loop, with identical results."""
         frame, label = frame_and_label
         ref, _ = run_training(DistillMode.PARTIAL, False, frame, label)
 
@@ -111,12 +111,14 @@ class TestPartialParity:
         trainer = StudentTrainer(
             student, DistillConfig(max_updates=6, threshold=0.97)
         )
-        # Pre-poison the train-step cache so only the autograd fallback
-        # tier is available.
+        # Pre-poison the train-step cache so only the autograd tier is
+        # available.
         x4 = frame[None]
         feats = trainer._front_features(x4)
         shapes = tuple(tuple(f.shape) for f in feats)
         student._engine_plans[("train_back", shapes)] = None
+        runner = trainer._make_step_runner(frame, x4, label[None], None)
+        assert type(runner) is _AutogradStepRunner
         got = trainer.train(frame, label)
         assert ref.steps == got.steps
         np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
@@ -236,3 +238,97 @@ class TestCompiledGradients:
                 np.testing.assert_allclose(
                     p.grad, ref_grads[name], rtol=1e-5, atol=1e-7, err_msg=name
                 )
+
+
+def _frames(count):
+    video = SyntheticVideo(VideoConfig(seed=5, height=32, width=48,
+                                       num_objects=3, class_pool=(1, 2)))
+    return list(video.frames(count))
+
+
+def _state_bytes(trainer):
+    """Everything a key frame may change: weights, buffers, Adam state."""
+    student, adam = trainer.student, trainer._optimizer
+    state = {k: v.tobytes() for k, v in student.state_dict().items()}
+    for name, p in student.named_parameters():
+        st = adam.state.get(id(p))
+        if st is not None:
+            state[f"adam.{name}"] = (st["m"].tobytes(), st["v"].tobytes(), st["t"])
+    return state
+
+
+def _key_frame_sequence(mode, enabled, interleave=False):
+    """Trained, zero-step, trained-on-another-frame; optionally with a
+    second session's trainer taking the shared plan after each."""
+    (f0, l0), (f1, l1), (f2, l2) = _frames(3)
+    previous = engine.set_enabled(enabled)
+    try:
+        trainer = StudentTrainer(
+            StudentNet(width=0.5, seed=1),
+            DistillConfig(mode=mode, max_updates=4, threshold=0.99,
+                          reset_optimizer_state=False),
+        )
+        other = StudentTrainer(
+            StudentNet(width=0.5, seed=2),
+            DistillConfig(mode=mode, max_updates=2, threshold=0.99),
+        )
+        results, states = [], []
+        for frame, label, threshold in ((f0, l0, 0.99), (f1, l1, 1e-6), (f2, l2, 0.99)):
+            trainer.config = dataclasses.replace(trainer.config, threshold=threshold)
+            states.append(_state_bytes(trainer))
+            results.append(trainer.train(frame, label))
+            if interleave:
+                other.train(f1, l1)
+        states.append(_state_bytes(trainer))
+    finally:
+        engine.set_enabled(previous)
+    return results, states
+
+
+def _comparable(state, mode):
+    """Partial mode never replays the frozen front-end per step, so its
+    running stats are dead state the two paths may disagree on."""
+    if mode is DistillMode.FULL:
+        return state
+    return {
+        k: v for k, v in state.items()
+        if not (k.startswith(FROZEN_BUFFER_PREFIXES) and "running_" in k)
+    }
+
+
+@pytest.mark.parametrize("mode", [DistillMode.PARTIAL, DistillMode.FULL])
+class TestOneForwardPerKeyFrame:
+    """``train()`` takes the pre-update metric from the step runner's
+    forward, which is also step 1's — or nobody's, on a zero-step key
+    frame."""
+
+    def test_sequence_matches_the_autograd_loop(self, mode):
+        ref_results, ref_states = _key_frame_sequence(mode, enabled=False)
+        got_results, got_states = _key_frame_sequence(mode, enabled=True)
+        assert [r.steps for r in got_results] == [4, 0, 4]
+        for ref, got in zip(ref_results, got_results):
+            assert (ref.steps, ref.metric, ref.initial_metric, ref.improved) == (
+                got.steps, got.metric, got.initial_metric, got.improved
+            )
+            np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
+        for ref, got in zip(ref_states, got_states):
+            assert _comparable(ref, mode) == _comparable(got, mode)
+
+    def test_zero_step_key_frame_changes_nothing(self, mode):
+        results, states = _key_frame_sequence(mode, enabled=True)
+        assert results[1].steps == 0 and results[1].losses == []
+        assert results[1].metric == results[1].initial_metric
+        assert any(k.startswith("adam.") for k in states[1])
+        assert states[1] == states[2]  # weights, running stats, Adam
+
+    def test_pending_forward_is_not_reused(self, mode):
+        """The zero-step key frame leaves its forward pending on the
+        shared plan; the next key frame (another frame) must run its
+        own — alone, or after another session took the plan."""
+        alone, alone_states = _key_frame_sequence(mode, enabled=True)
+        mixed, mixed_states = _key_frame_sequence(mode, enabled=True, interleave=True)
+        assert alone == mixed
+        assert alone_states == mixed_states
+        # ... and the stale forward really was another frame's: a
+        # trainer that had reused it would have scored f1, not f2.
+        assert alone[2].initial_metric != alone[1].initial_metric
