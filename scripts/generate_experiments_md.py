@@ -246,10 +246,8 @@ def section_link_traces(scale):
     """Trace-driven bandwidth runs (``repro.transport.link``).
 
     The bundled LTE/Wi-Fi-style traces compile into
-    ``DynamicNetworkModel`` schedules, so a simulated run rides the
-    same recorded link a real two-process run would replay through
-    ``ShapedEndpoint``.  Compares each scenario against the paper's
-    static 80 Mbps testbed link.
+    ``DynamicNetworkModel`` schedules for the simulated link.  Compares
+    each scenario against the paper's static 80 Mbps testbed link.
     """
     from repro.network.model import NetworkModel
     from repro.runtime.session import SessionConfig, run_shadowtutor
@@ -288,10 +286,7 @@ def section_link_traces(scale):
         "asynchronous inference rides through LTE-grade fluctuation with "
         "little throughput loss — blocking waits stay small because "
         "updates overlap on-device inference (section 6.4's robustness "
-        "claim, now driven by named scenarios).  The same `LinkTrace` "
-        "objects replay over the real shm transport via "
-        "`repro.transport.link.ShapedEndpoint`, so simulated and "
-        "two-process runs consume identical network scenarios.\n"
+        "claim, now driven by named scenarios).\n"
     )
 
 

@@ -113,8 +113,7 @@ def run_armed_fleet(directory: pathlib.Path, n_shards: int = 2,
     os.environ[obs.ENV_FEATURES] = "metrics,trace"
     os.environ[obs.ENV_DIR] = str(directory)
     try:
-        handle = start_fleet(n_shards, transport="shm",
-                             n_clients=n_clients, idle_timeout_s=120)
+        handle = start_fleet(n_shards, idle_timeout_s=120)
         try:
             # Two blueprint keys across the clients, so placement both
             # spreads (distinct keys) and sticks (repeats).

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Tier-1 smoke test: a 2-shard fleet behind one front door.
 
-Starts a ``start_fleet(2)`` shm fleet sharing one read-only neural
+Starts a ``start_fleet(2)`` fleet sharing one read-only neural
 teacher segment and churns four standalone client *processes* through
-its front door — two tenant groups with different student widths, so
-placement must both spread (distinct blueprints) and stick (affinity
-for repeats).  Every session's ``RunStats`` must be bit-identical to
+its SO_REUSEPORT front door — two tenant groups with different student
+widths, so placement must both spread (distinct blueprints) and stick
+(affinity for repeats).  Every session's ``RunStats`` must be bit-identical to
 the same session run in-process, both shards must drain to
 ``quiesced``, the placement ledger must drain to zero claims, and no
-shm segment (rings or teacher weights) may leak.  This is the ISSUE-10
+shm segment (the teacher weights) may leak.  This is the ISSUE-10
 acceptance deployment, checked in seconds so the fleet path cannot
 silently rot.  ``scripts/test_tier1.sh`` runs this under a hard
 timeout after the pytest suite.
@@ -63,10 +63,7 @@ def main() -> int:
         )
         for width in set(widths)
     }
-    handle = start_fleet(
-        N_SHARDS, transport="shm", n_clients=N_CLIENTS,
-        shared_teacher=TEACHER, idle_timeout_s=120,
-    )
+    handle = start_fleet(N_SHARDS, shared_teacher=TEACHER, idle_timeout_s=120)
     try:
         jobs = [
             (0.1 * i, _config(width), HW, CATEGORY, NUM_FRAMES, f"smoke{i}")

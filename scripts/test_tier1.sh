@@ -22,11 +22,11 @@ timeout 300 python scripts/smoke_serve_many.py
 # typed-rejected with retry hints, attackers torn down, no shm leak.
 # Hard timeout: a wedged server fails the gate, not hangs it.
 timeout 300 python scripts/smoke_storm.py
-# Fleet smoke (ISSUE 10): two shm shards behind one front door sharing
-# a read-only teacher segment must serve a churned 4-client population
-# bit-identically to in-process runs, drain both shards to "quiesced",
-# drain the placement ledger, and leak no shm segment.  Hard timeout:
-# a wedged director or shard fails the gate, not hangs it.
+# Fleet smoke (ISSUE 10): two shards behind one SO_REUSEPORT front
+# door sharing a read-only teacher segment must serve a churned
+# 4-client population bit-identically to in-process runs, drain both
+# shards to "quiesced", drain the placement ledger, and leak no shm
+# segment.  Hard timeout: a wedged shard fails the gate, not hangs it.
 timeout 300 python scripts/smoke_fleet.py
 # Observability smoke (ISSUE 8): a fully-armed serve-many run must
 # stay bit-identical to the disarmed in-process run and must yield a
@@ -59,8 +59,7 @@ fi
 # Same rule for the co-arrival serving layer (ISSUE 13): key frames
 # are served inline and deduplicated by digest, unconditionally — the
 # gather window, the cohort server, the stacked n > 1 serve plans and
-# the switches that selected them must not come back.  Word-bounded so
-# video/codec.py's raw_bits_per_sample stays legal; bench/ is frozen
+# the switches that selected them must not come back.  bench/ is frozen
 # (its README and probes describe the tree it was written against).
 if grep -rnIE "gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts" . \
     --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
@@ -118,6 +117,19 @@ if grep -rnI "_CachedFrontStepRunner" . \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
     --exclude=test_tier1.sh; then
   echo "FAIL: the trainer's cached-front middle tier reintroduced" >&2
+  exit 1
+fi
+# Same rule for the fleet's second front door and the code only its
+# own tests called (ISSUE 20): `redirect` is the only hand-off, a
+# transport is one of two modules in a table, `Endpoint` lives in
+# repro.transport — the shm director, the wall-clock link shaper, the
+# plug-in registry and the options that had one value must not come back.
+if grep -rnIE "_director_main|_HandoffListener|_ReplayTransport|_start_shm_fleet|ShapedEndpoint|shape_endpoint_pair|last_recv_nbytes|register_transport|TransportDef|repro\.comm|ledger_capacity|shm_options" . \
+    --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
+    --exclude-dir=raw --exclude-dir=bench \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md \
+    --exclude=test_tier1.sh; then
+  echo "FAIL: shm fleet director / link shaper / plug-in registry / repro.comm reintroduced" >&2
   exit 1
 fi
 # CLI smoke (ISSUE 16): no test imports scripts/bench_perf.py, so run

@@ -15,11 +15,8 @@ from repro.analysis.traces import (
     summarize_run,
 )
 from repro.analysis.ascii_plot import ascii_plot
-from repro.analysis.per_class import StreamConfusion, stream_confusion
 
 __all__ = [
-    "StreamConfusion",
-    "stream_confusion",
     "accuracy_timeline",
     "delay_histogram",
     "keyframe_intervals",

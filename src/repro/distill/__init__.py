@@ -1,24 +1,11 @@
-"""Online knowledge distillation (paper Algorithm 1 and section 4.2),
-plus the section-7 teacher extensions (ensemble / data distillation)."""
+"""Online knowledge distillation (paper Algorithm 1 and section 4.2)."""
 
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import StudentTrainer, TrainResult
-from repro.distill.ensembles import (
-    DataDistillationTeacher,
-    EnsembleTeacher,
-    HorizontalFlip,
-    IdentityTransform,
-    Shift,
-)
 
 __all__ = [
     "DistillConfig",
     "DistillMode",
     "StudentTrainer",
     "TrainResult",
-    "DataDistillationTeacher",
-    "EnsembleTeacher",
-    "HorizontalFlip",
-    "IdentityTransform",
-    "Shift",
 ]

@@ -53,12 +53,11 @@ idle-session reaper — all off by default, bit-identical when disabled.
 proves it: named storm scenarios, each a pure function of a seed.
 
 :mod:`repro.serving.fleet` scales the runtime out: ``start_fleet``
-puts K whole runtimes behind one front door (``SO_REUSEPORT`` fan-in
-for sockets, an accept-and-handoff director for shm rings) with
-admission-time placement — least-loaded plus blueprint affinity,
+puts K whole runtimes behind one front door (every shard binds the
+same TCP port with ``SO_REUSEPORT``) with admission-time placement — least-loaded plus blueprint affinity,
 recorded in a shared-memory claim ledger so placement is a pure
 function of admission order — ``redirect`` REJECTs naming the
-owning shard, and one read-only digest-checked teacher weight segment
+owning shard (the only hand-off), and one read-only digest-checked teacher weight segment
 shared by every shard.  The fleet battery in
 ``tests/test_serving_fleet.py`` pins the same invariant as the pool's:
 sharding moves sessions between processes, never changes what any of

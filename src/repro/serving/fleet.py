@@ -6,16 +6,13 @@ queued behind one another for every tenant it serves.  A *fleet* runs
 K of those runtimes as sibling shard processes behind a single
 advertised attachment point, so tenant populations with nothing to
 share — different teachers, different streams — stop queueing behind
-each other's key frames and get a second server core:
+each other's key frames, and a shard that dies takes only its own
+sessions with it.  That isolation is the fleet's rent: on two cores
+K = 2 measures ~1.0x of one runtime (``scripts/bench_perf.py fleet``).
 
-* **Front door.**  For the socket transport every shard binds the same
-  (host, port) with ``SO_REUSEPORT`` (:func:`repro.transport.socket
-  .bind_reuseport`) and the kernel sprays incoming dials across the
-  shard processes.  For shm — where a ring pair is physically wired to
-  one process — a tiny *director* process owns the front-door slots,
-  reads exactly one frame (the ADMIT) from each new client, places it,
-  and hands the live ring pair to the chosen shard (cursor handoff:
-  the shard resumes the ring exactly where the director stopped).
+* **Front door.**  Every shard binds the same (host, port) with
+  ``SO_REUSEPORT`` (:func:`repro.transport.socket.bind_reuseport`) and
+  the kernel sprays incoming dials across the shard processes.
 
 * **Placement.**  Admission-time, not load-balancer-time: the ADMIT
   blueprint *is* the placement key (:func:`placement_key`), so every
@@ -25,11 +22,11 @@ each other's key frames and get a second server core:
   the admission sequence (:class:`PlacementPolicy`); the cross-process
   :class:`FleetLedger` realises the same function over shared memory.
 
-* **Redirects.**  A socket shard that receives an ADMIT belonging
-  elsewhere answers with the typed ``redirect`` REJECT carrying the
-  target shard; the client re-dials that shard's *direct*
-  port and re-ADMITs — no fresh negotiation state, the same blueprint
-  crosses again (the follow loop lives in
+* **Redirects.**  A shard that receives an ADMIT belonging elsewhere
+  answers with the typed ``redirect`` REJECT carrying the target
+  shard — the only hand-off there is; the client re-dials that shard's
+  *direct* port and re-ADMITs — no fresh negotiation state, the same
+  blueprint crosses again (the follow loop lives in
   :func:`repro.serving.runtime.attach_session`).
 
 * **Shared teacher.**  A neural teacher is deterministic from
@@ -64,6 +61,7 @@ __all__ = [
     "placement_key",
     "PlacementPolicy",
     "FleetLedger",
+    "LedgerFull",
     "FleetMember",
     "SharedTeacherSegment",
     "FleetAddress",
@@ -104,12 +102,11 @@ class PlacementPolicy:
     to its stored shard and a novel key to the least-loaded shard
     (lowest index on ties), counting one load per session *on the
     shard that will actually serve it*.  Reservations make redirects
-    single-count: when the placing shard is not the target (a socket
-    shard about to answer ``redirect``, or the shm director routing a
-    handoff), the target's load is counted immediately and one
-    *reservation* is parked on the entry — the re-ADMIT that later
-    arrives at the target consumes the reservation instead of counting
-    again.  ``release``/``abort`` undo one count; an entry vanishes
+    single-count: when the placing shard is not the target (it is
+    about to answer ``redirect``), the target's load is counted
+    immediately and one *reservation* is parked on the entry — the
+    re-ADMIT that later arrives at the target consumes the reservation
+    instead of counting again.  ``release``/``abort`` undo one count; an entry vanishes
     when its last claim drains, so a fully-departed tenant may be
     placed afresh.
 
@@ -127,12 +124,11 @@ class PlacementPolicy:
         self.entries: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
-    def place(self, key: int, caller: Optional[int] = None) -> int:
+    def place(self, key: int, caller: int) -> int:
         """Route ``key`` and account for one session's load.
 
-        ``caller`` is the shard consulting the ledger (``None`` for
-        the shm director, which never serves anything itself).
-        Returns the shard the session belongs on.
+        ``caller`` is the shard consulting the ledger.  Returns the
+        shard the session belongs on.
         """
         entry = self.entries.get(key)
         if entry is None:
@@ -178,15 +174,25 @@ class PlacementPolicy:
         }
 
 
+class LedgerFull(RuntimeError):
+    """Every ledger entry holds another open blueprint: the ADMIT that
+    needed a new one is refused (``REJECT(capacity)``), nothing is
+    claimed, and entries free up as tenants drain."""
+
+
+#: Distinct blueprints a fleet can have open at once.
+_LEDGER_CAPACITY = 512
+
+
 class FleetLedger:
     """:class:`PlacementPolicy` over process-shared memory.
 
     A fixed-capacity linear-probed table of ``(key, shard, claims,
     reservations)`` int64 cells plus a per-shard load vector, all in
     fork-inherited ``multiprocessing`` shared arrays under one lock —
-    every shard process (and the shm director) sees one consistent
-    placement state, and decisions stay a pure function of the
-    admission order because the lock serialises the ops.
+    every shard process sees one consistent placement state, and
+    decisions stay a pure function of the admission order because the
+    lock serialises the ops.
 
     A claim whose client dies between redirect and re-dial leaks its
     reservation (and one load count) until the table entry drains —
@@ -196,7 +202,7 @@ class FleetLedger:
 
     _FIELDS = 4  # key, shard, claims, reservations
 
-    def __init__(self, n_shards: int, capacity: int = 512) -> None:
+    def __init__(self, n_shards: int, capacity: int = _LEDGER_CAPACITY) -> None:
         import multiprocessing as mp
 
         if n_shards < 1:
@@ -212,19 +218,19 @@ class FleetLedger:
     # ------------------------------------------------------------------
     def _find(self, key: int) -> int:
         """Index of ``key``'s cell, or of the empty cell where it would
-        be inserted.  Raises when the table is full of other keys."""
+        be inserted.  Raises :class:`LedgerFull` when every cell holds
+        another key."""
         start = key % self.capacity
         for step in range(self.capacity):
             index = (start + step) % self.capacity
             cell = index * self._FIELDS
             if self._table[cell] in (key, 0):
                 return index
-        raise RuntimeError(
-            f"fleet ledger full ({self.capacity} keys); "
-            "raise ledger_capacity"
+        raise LedgerFull(
+            f"fleet ledger full: {self.capacity} distinct blueprints open"
         )
 
-    def place(self, key: int, caller: Optional[int] = None) -> int:
+    def place(self, key: int, caller: int) -> int:
         with self._lock:
             index = self._find(key)
             cell = index * self._FIELDS
@@ -435,196 +441,12 @@ class SharedTeacherSegment:
 
 
 # ----------------------------------------------------------------------
-# shm front door: the director and the handoff listener
-# ----------------------------------------------------------------------
-class _ReplayTransport:
-    """A transport with a replay prefix.
-
-    The shm director consumed the client's first frame (the ADMIT it
-    placed); the shard's runtime must still *see* that frame to run
-    the admission machinery, so the handed-off transport replays it
-    before delegating to the live rings.  Everything else — doorbells,
-    timeouts, close — passes straight through.
-    """
-
-    def __init__(self, inner, replay: List[Tuple[int, Any]]) -> None:
-        self._inner = inner
-        self._pending = list(replay)
-
-    @property
-    def timeout_s(self) -> float:
-        return self._inner.timeout_s
-
-    @timeout_s.setter
-    def timeout_s(self, value: float) -> None:
-        self._inner.timeout_s = value
-
-    def poll(self) -> bool:
-        return bool(self._pending) or self._inner.poll()
-
-    def recv_tagged(self) -> Tuple[int, Any]:
-        if self._pending:
-            return self._pending.pop(0)
-        return self._inner.recv_tagged()
-
-    def send_tagged(self, session: int, obj: Any) -> None:
-        self._inner.send_tagged(session, obj)
-
-    def doorbell_fd(self) -> Optional[int]:
-        # A pending replay is an immediately-readable message: the
-        # park must not sleep on the ring while it waits.
-        if self._pending:
-            return None
-        return self._inner.doorbell_fd()
-
-    def arm_doorbell(self) -> bool:
-        if self._pending:
-            return False
-        return self._inner.arm_doorbell()
-
-    def disarm_doorbell(self) -> None:
-        self._inner.disarm_doorbell()
-
-    def close(self) -> None:
-        self._inner.close()
-
-
-class _HandoffListener:
-    """A shm shard's accept surface: connections arrive as handoff
-    messages from the director, drain orders from the owner.
-
-    ``expected`` is ``None`` — a fleet shard has no provisioned
-    population (clients arrive by placement, or never); the runtime's
-    ``draining`` quiesce variant governs exit instead.
-    """
-
-    expected = None
-
-    def __init__(self, handoff_conn, control_conn, timeout_s: float) -> None:
-        self._handoff = handoff_conn
-        self._control = control_conn
-        self._timeout_s = timeout_s
-        self.draining = False
-
-    def _poll_control(self) -> None:
-        if self._control is None or self.draining:
-            return
-        try:
-            if self._control.poll(0):
-                self._control.recv()  # the only message is "drain"
-                self.draining = True
-        except (EOFError, OSError):
-            self.draining = True
-
-    def poll_accept(self):
-        from repro.transport.shm import ShmRing, ShmTransport
-
-        self._poll_control()
-        if self._handoff is None:
-            return None
-        try:
-            if not self._handoff.poll(0):
-                return None
-            (up_desc, down_desc, up_cursors, down_cursors,
-             replay) = self._handoff.recv()
-        except (EOFError, OSError):
-            # The director exited: no further handoffs will arrive,
-            # but open connections keep serving — only the owner's
-            # drain order (or its death) ends the shard.
-            self._handoff = None
-            return None
-        transport = ShmTransport(
-            tx=ShmRing.attach(down_desc, down_cursors),
-            rx=ShmRing.attach(up_desc, up_cursors),
-            timeout_s=self._timeout_s,
-        )
-        return _ReplayTransport(transport, [replay])
-
-    def doorbell_fds(self) -> List[int]:
-        fds = []
-        if self._handoff is not None:
-            fds.append(self._handoff.fileno())
-        if self._control is not None and not self.draining:
-            fds.append(self._control.fileno())
-        return fds
-
-    def close(self) -> None:
-        pass  # pipes are owned by the fleet, not the listener
-
-
-def _director_main(pairs, timeout_s: float, ledger: FleetLedger,
-                   handoff_conns, control_conn) -> None:
-    """Accept-and-handoff front door for an shm fleet.
-
-    Owns nothing: it polls the front-door ring pairs the parent
-    created, reads exactly one frame from each newly-active pair, and
-    either hands the live rings (with cursors and the consumed ADMIT)
-    to the placed shard or answers the protocol violation itself.
-    Exits on the owner's drain order; the rings outlive it (the parent
-    unlinks them at fleet close).
-    """
-    import select as _select
-
-    from repro.transport.shm import ShmTransport
-
-    transports = [
-        ShmTransport(tx=down, rx=up, timeout_s=timeout_s)
-        for up, down in pairs
-    ]
-    done = [False] * len(transports)
-    while True:
-        try:
-            if control_conn.poll(0):
-                control_conn.recv()
-                return
-        except (EOFError, OSError):
-            return  # a dead owner is a drain order too
-        progressed = False
-        for index, transport in enumerate(transports):
-            if done[index] or not transport.poll():
-                continue
-            try:
-                tag, msg = transport.recv_tagged()
-                detail = "fleet front door accepts ADMIT only"
-            except wire.MalformedBlueprint as exc:
-                tag, msg, detail = 0, exc, str(exc)
-            done[index] = True
-            progressed = True
-            if msg is None:
-                continue  # the client left before admitting; discard
-            if not isinstance(msg, wire.Admit):
-                # The front door negotiates, never serves: anything but
-                # a well-formed ADMIT cannot be routed because
-                # placement keys off the blueprint.
-                transport.send_tagged(tag, wire.Reject(
-                    0, wire.REJECT_MALFORMED, detail,
-                ))
-                continue
-            target = ledger.place(placement_key(msg), None)
-            up, down = pairs[index]
-            try:
-                handoff_conns[target].send((
-                    up.describe(), down.describe(),
-                    transport._rx.cursors(), transport._tx.cursors(),
-                    (tag, msg),
-                ))
-            except (BrokenPipeError, OSError):
-                # The placed shard is gone; this client cannot be
-                # served, but the rest of the fleet must keep going.
-                continue
-        if not progressed:
-            # Park on the owner's control pipe between sweeps; the
-            # bound keeps handoff latency low without spinning.
-            _select.select([control_conn.fileno()], [], [], 0.005)
-
-
-# ----------------------------------------------------------------------
 # Fleet owner surface
 # ----------------------------------------------------------------------
 from repro.serving.runtime import (  # noqa: E402  (cycle-free: runtime
-    REPORT_LOST,                      # never imports fleet at module level)
-    SessionAddress,
+    SessionAddress,                   # never imports fleet at module level)
     _runtime_entry,
+    collect_report,
 )
 
 
@@ -634,17 +456,14 @@ class FleetAddress(SessionAddress):
     fleet's direct per-shard endpoints.
 
     ``info`` dials the shared front door; ``shards[k]`` dials shard
-    ``k`` directly — the re-dial target of a ``redirect`` REJECT.
-    An empty ``shards`` (the shm fleet: rings cannot be re-dialled,
-    the director pins instead of redirecting) disables the follow
-    loop."""
+    ``k`` directly — the re-dial target of a ``redirect`` REJECT."""
 
     shards: tuple = ()
 
 
 def _shard_entry(shard: int, listener, ledger: FleetLedger, teacher_seg,
                  report_conn, runtime_kwargs: Dict[str, Any],
-                 close_first=()) -> None:
+                 close_first) -> None:
     """Entry point of one shard process: alias the shared teacher,
     join the ledger, and run the ordinary server runtime.
 
@@ -679,13 +498,10 @@ class FleetHandle:
     harnesses drive a fleet exactly like a single server.
     """
 
-    def __init__(self, transport: str, n_shards: int, processes,
+    def __init__(self, n_shards: int, processes,
                  report_conns, control_conns, ledger: FleetLedger,
                  teacher_seg: Optional[SharedTeacherSegment],
-                 front_info, shard_infos: tuple, link=None,
-                 director=None, director_control=None,
-                 report_timeout_s: float = 5.0) -> None:
-        self.transport = transport
+                 front_info, shard_infos: tuple) -> None:
         self.n_shards = n_shards
         self.processes = list(processes)
         self._report_conns = list(report_conns)
@@ -694,10 +510,6 @@ class FleetHandle:
         self._teacher_seg = teacher_seg
         self._front_info = front_info
         self._shard_infos = tuple(shard_infos)
-        self._link = link
-        self._director = director
-        self._director_control = director_control
-        self.report_timeout_s = report_timeout_s
         #: Per-shard runtime reports, populated by :meth:`close` (a
         #: shard that died without reporting yields the typed
         #: :data:`~repro.serving.runtime.REPORT_LOST` marker).
@@ -711,13 +523,10 @@ class FleetHandle:
     def address(self, slot: int, admit_retries: int = 0,
                 retry_seed: Optional[int] = None) -> FleetAddress:
         """Picklable attachment point for one standalone client: dial
-        the front door, ADMIT, follow redirects."""
-        if self._link is not None:
-            info = self._link.address(slot)
-        else:
-            info = self._front_info
+        the front door, ADMIT, follow redirects.  Every slot dials the
+        same address; ``slot`` only seeds the retry jitter."""
         seed = slot if retry_seed is None else retry_seed
-        return FleetAddress(self.transport, info, admit_retries, seed,
+        return FleetAddress("socket", self._front_info, admit_retries, seed,
                             shards=self._shard_infos)
 
     def ledger_snapshot(self) -> Dict[str, Any]:
@@ -743,34 +552,11 @@ class FleetHandle:
             return
         self._closed = True
         deadline = time.monotonic() + join_timeout_s
-        if self._director_control is not None:
-            self._drain(self._director_control)
-        if self._director is not None:
-            self._join(self._director, deadline)
         for conn in self._control_conns:
             self._drain(conn)
         for process in self.processes:
             self._join(process, deadline)
-        reports: List[Dict[str, Any]] = []
-        for conn in self._report_conns:
-            report = None
-            try:
-                if conn.poll(self.report_timeout_s):
-                    report = conn.recv()
-            except (EOFError, OSError):
-                pass
-            finally:
-                conn.close()
-            if report is None:
-                report = {
-                    "exit_reason": REPORT_LOST,
-                    "report_lost": True,
-                    "frames_served": {},
-                    "serve_counters": {},
-                    "teardowns": {},
-                    "metrics": None,
-                }
-            reports.append(report)
+        reports = [collect_report(conn) for conn in self._report_conns]
         self.shard_reports = reports
 
         def _counter(report, name):
@@ -789,8 +575,6 @@ class FleetHandle:
             ],
             "loads": self._ledger.snapshot()["loads"],
         }
-        if self._link is not None:
-            self._link.close()  # parent owns the ring segments
         if self._teacher_seg is not None:
             self._teacher_seg.close()
 
@@ -803,8 +587,6 @@ class FleetHandle:
 
 def start_fleet(
     n_shards: int,
-    transport: str = "socket",
-    n_clients: int = 1,
     *,
     shared_teacher: Optional[Tuple[int, int]] = None,
     idle_timeout_s: float = 120.0,
@@ -812,32 +594,20 @@ def start_fleet(
     overload=None,
     obs_config=None,
     timeout_s: float = 120.0,
-    ledger_capacity: int = 512,
-    report_timeout_s: float = 5.0,
-    **shm_options,
 ) -> FleetHandle:
     """Spawn ``n_shards`` runtime processes behind one front door.
 
-    ``transport="socket"``: every shard binds the advertised port with
-    ``SO_REUSEPORT`` plus its own direct port; the kernel sprays dials,
-    misplaced ADMITs are redirected.  ``transport="shm"``: the parent
-    pre-creates ``n_clients`` front-door ring pairs and a director
-    process places each client's first ADMIT, handing the live rings to
-    the chosen shard (pin, no redirect).  ``shared_teacher=(width,
-    seed)`` materialises that neural teacher once in a read-only,
-    digest-checked shm segment every shard aliases.  Remaining knobs
-    pass through to each shard's :class:`~repro.serving.runtime
-    .ServerRuntime` unchanged.
+    Every shard binds the advertised port with ``SO_REUSEPORT`` plus
+    its own direct port; the kernel sprays dials, misplaced ADMITs are
+    redirected.  ``shared_teacher=(width, seed)`` materialises that
+    neural teacher once in a read-only, digest-checked shm segment
+    every shard aliases.  ``timeout_s`` bounds every link's blocking
+    I/O; the remaining knobs pass through to each shard's
+    :class:`~repro.serving.runtime.ServerRuntime` unchanged.
     """
-    import multiprocessing as mp
-
     if n_shards < 1:
         raise ValueError("a fleet needs at least one shard")
-    if transport not in ("socket", "shm"):
-        raise ValueError(
-            f"fleet transport must be 'socket' or 'shm', got {transport!r}"
-        )
-    ledger = FleetLedger(n_shards, capacity=ledger_capacity)
+    ledger = FleetLedger(n_shards)
     teacher_seg = (
         SharedTeacherSegment(*shared_teacher)
         if shared_teacher is not None else None
@@ -849,14 +619,8 @@ def start_fleet(
         obs_config=obs_config,
     )
     try:
-        if transport == "socket":
-            return _start_socket_fleet(
-                mp, n_shards, ledger, teacher_seg, runtime_kwargs,
-                timeout_s, report_timeout_s,
-            )
-        return _start_shm_fleet(
-            mp, n_shards, n_clients, ledger, teacher_seg, runtime_kwargs,
-            timeout_s, report_timeout_s, shm_options,
+        return _spawn_shards(
+            n_shards, ledger, teacher_seg, runtime_kwargs, timeout_s
         )
     except BaseException:
         if teacher_seg is not None:
@@ -864,8 +628,10 @@ def start_fleet(
         raise
 
 
-def _start_socket_fleet(mp, n_shards, ledger, teacher_seg, runtime_kwargs,
-                        timeout_s, report_timeout_s) -> FleetHandle:
+def _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs,
+                  timeout_s) -> FleetHandle:
+    import multiprocessing as mp
+
     from repro.transport.socket import FleetSocketListener, bind_reuseport
 
     fronts = [bind_reuseport()]
@@ -913,67 +679,6 @@ def _start_socket_fleet(mp, n_shards, ledger, teacher_seg, runtime_kwargs,
         report_conns.append(report_recv)
         control_conns.append(control_send)
     return FleetHandle(
-        "socket", n_shards, processes, report_conns, control_conns,
+        n_shards, processes, report_conns, control_conns,
         ledger, teacher_seg, (host, port, timeout_s), shard_infos,
-        report_timeout_s=report_timeout_s,
-    )
-
-
-def _start_shm_fleet(mp, n_shards, n_clients, ledger, teacher_seg,
-                     runtime_kwargs, timeout_s, report_timeout_s,
-                     shm_options) -> FleetHandle:
-    from repro.transport.shm import (
-        DEFAULT_SLOT_NBYTES,
-        DEFAULT_SLOTS,
-        ShmManyLink,
-        ShmRing,
-    )
-
-    if n_clients < 1:
-        raise ValueError("an shm fleet needs at least one client slot")
-    slots = shm_options.pop("slots", DEFAULT_SLOTS)
-    slot_nbytes = shm_options.pop("slot_nbytes", DEFAULT_SLOT_NBYTES)
-    if shm_options:
-        raise TypeError(f"unknown shm options {sorted(shm_options)}")
-    pairs = [
-        (ShmRing(slots, slot_nbytes), ShmRing(slots, slot_nbytes))
-        for _ in range(n_clients)
-    ]
-    link = ShmManyLink(pairs, timeout_s)
-    processes, report_conns, control_conns, handoff_sends = [], [], [], []
-    for shard in range(n_shards):
-        control_recv, control_send = mp.Pipe(duplex=False)
-        handoff_recv, handoff_send = mp.Pipe(duplex=False)
-        report_recv, report_send = mp.Pipe(duplex=False)
-        listener = _HandoffListener(handoff_recv, control_recv, timeout_s)
-        process = mp.Process(
-            target=_shard_entry,
-            args=(shard, listener, ledger, teacher_seg, report_send,
-                  runtime_kwargs),
-            daemon=True,
-        )
-        process.start()
-        control_recv.close()
-        handoff_recv.close()
-        report_send.close()
-        processes.append(process)
-        report_conns.append(report_recv)
-        control_conns.append(control_send)
-        handoff_sends.append(handoff_send)
-    director_control_recv, director_control_send = mp.Pipe(duplex=False)
-    director = mp.Process(
-        target=_director_main,
-        args=(pairs, timeout_s, ledger, handoff_sends,
-              director_control_recv),
-        daemon=True,
-    )
-    director.start()
-    director_control_recv.close()
-    for conn in handoff_sends:
-        conn.close()  # the director's copies stay open
-    return FleetHandle(
-        "shm", n_shards, processes, report_conns, control_conns,
-        ledger, teacher_seg, None, (), link=link, director=director,
-        director_control=director_control_send,
-        report_timeout_s=report_timeout_s,
     )

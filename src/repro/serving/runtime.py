@@ -468,8 +468,19 @@ class ServerRuntime:
         # never leaves a phantom load on this shard.
         fleet_key = None
         if self._fleet is not None:
+            from repro.serving.fleet import LedgerFull
+
             fleet_key = self._fleet.placement_key(admit)
-            target = self._fleet.place(fleet_key)
+            try:
+                target = self._fleet.place(fleet_key)
+            except LedgerFull as exc:
+                # Nothing was claimed, so nothing to abort; entries free
+                # up as tenants drain, hence the retryable code.
+                self._refuse(
+                    connection, wire.REJECT_CAPACITY, str(exc),
+                    retry_after=self._capacity_hint(),
+                )
+                return
             if target != self._fleet.shard:
                 # The claim now belongs to ``target``: nothing to abort.
                 self.metrics.counter("fleet.redirects").inc()
@@ -1139,10 +1150,40 @@ class SessionTicket:
     retry_seed: int = 0
 
 
-#: ``exit_reason`` of the typed marker report :meth:`ServerHandle.close`
-#: synthesises when the server process never delivered its own report
+#: ``exit_reason`` of the typed marker report a handle's ``close``
+#: synthesises when a server process never delivered its own report
 #: (killed before the runtime's finally, or the poll deadline passed).
 REPORT_LOST = "report-lost"
+
+#: How long ``close`` waits on a report pipe.  The process has already
+#: been joined by then, so this is a drain allowance for a large
+#: (trace-bearing) report still in the pipe buffer, not a wait on the
+#: runtime.
+REPORT_TIMEOUT_S = 5.0
+
+
+def collect_report(conn, timeout_s: float = REPORT_TIMEOUT_S) -> Dict[str, Any]:
+    """Drain one joined server process's report pipe and close it.
+
+    A report that never arrives is surfaced as the typed
+    :data:`REPORT_LOST` marker dict — callers branch on
+    ``report["exit_reason"]`` instead of guessing what a ``None`` meant.
+    """
+    try:
+        if conn.poll(timeout_s):
+            return conn.recv()
+    except (EOFError, OSError):
+        pass  # died without reporting — marked lost below
+    finally:
+        conn.close()
+    return {
+        "exit_reason": REPORT_LOST,
+        "report_lost": True,
+        "frames_served": {},
+        "serve_counters": {},
+        "teardowns": {},
+        "metrics": None,
+    }
 
 
 class ServerHandle:
@@ -1150,7 +1191,7 @@ class ServerHandle:
 
     def __init__(self, transport: str, link, process,
                  blueprints: List[SessionBlueprint] = (),
-                 report_conn=None, report_timeout_s: float = 5.0) -> None:
+                 report_conn=None) -> None:
         self.transport = transport
         self.link = link
         self.process = process
@@ -1159,11 +1200,6 @@ class ServerHandle:
         self.blueprints = list(blueprints)
         self._parent_connection: Optional[MuxConnection] = None
         self._report_conn = report_conn
-        #: How long :meth:`close` waits on the report pipe.  The
-        #: process has already been joined by then, so this is a drain
-        #: allowance for a large (trace-bearing) report still in the
-        #: pipe buffer, not a wait on the runtime.
-        self.report_timeout_s = report_timeout_s
         #: The runtime's final accounting (frames served, serve/memo
         #: counters, typed teardowns, exit reason, metrics
         #: snapshot), populated by :meth:`close`.  ``None`` before
@@ -1214,7 +1250,7 @@ class ServerHandle:
 
     # ------------------------------------------------------------------
     def close(self, join_timeout_s: float = 30.0,
-              report_timeout_s: Optional[float] = None) -> None:
+              report_timeout_s: float = REPORT_TIMEOUT_S) -> None:
         """Close the parent connection, join the server, release the
         transport.  Idempotent.
 
@@ -1225,11 +1261,9 @@ class ServerHandle:
         bounded and a straggler is terminated before the transport is
         released.
 
-        ``report_timeout_s`` overrides the handle's report-pipe drain
-        allowance for this close only.  A report that never arrives is
-        surfaced as the typed :data:`REPORT_LOST` marker dict — callers
-        branch on ``report["exit_reason"]`` instead of guessing what a
-        ``None`` meant.
+        ``report_timeout_s`` bounds the report-pipe drain
+        (:func:`collect_report`); a report that never arrives becomes
+        the typed :data:`REPORT_LOST` marker dict.
         """
         if self._closed:
             return
@@ -1242,30 +1276,10 @@ class ServerHandle:
                 self.process.terminate()
                 self.process.join(timeout=5.0)
         if self._report_conn is not None:
-            wait_s = (
-                self.report_timeout_s if report_timeout_s is None
-                else report_timeout_s
+            self.runtime_report = collect_report(
+                self._report_conn, report_timeout_s
             )
-            try:
-                # The runtime sends its report on exit; by this point
-                # the process has been joined, so the read is a drain,
-                # not a wait.
-                if self._report_conn.poll(wait_s):
-                    self.runtime_report = self._report_conn.recv()
-            except (EOFError, OSError):
-                pass  # died without reporting — marked lost below
-            finally:
-                self._report_conn.close()
-                self._report_conn = None
-            if self.runtime_report is None:
-                self.runtime_report = {
-                    "exit_reason": REPORT_LOST,
-                    "report_lost": True,
-                    "frames_served": {},
-                    "serve_counters": {},
-                    "teardowns": {},
-                    "metrics": None,
-                }
+            self._report_conn = None
         self.link.close()
 
     def __enter__(self) -> "ServerHandle":
@@ -1283,7 +1297,6 @@ def start_server(
     max_sessions: Optional[int] = None,
     overload=None,
     obs_config=None,
-    report_timeout_s: float = 5.0,
     **options,
 ) -> ServerHandle:
     """Spawn one multiplexing server process.
@@ -1303,8 +1316,7 @@ def start_server(
     — frames served, serve/memo counters, typed teardowns, a
     typed exit reason, and the runtime's metrics snapshot.
     ``obs_config`` arms telemetry in the server process explicitly
-    (``None`` defers to the inherited ``REPRO_OBS`` environment);
-    ``report_timeout_s`` sets the handle's report-pipe drain allowance.
+    (``None`` defers to the inherited ``REPRO_OBS`` environment).
     """
     import functools
     import multiprocessing as mp
@@ -1331,7 +1343,6 @@ def start_server(
     report_send.close()
     return ServerHandle(
         transport, link, process, blueprints, report_conn=report_recv,
-        report_timeout_s=report_timeout_s,
     )
 
 
@@ -1427,7 +1438,6 @@ def attach_session(config, frame_hw, stride_policy):
                     exc.code != wire.REJECT_REDIRECT
                     or exc.shard is None
                     or not owns
-                    or not shards
                     or not 0 <= exc.shard < len(shards)
                     or redirects >= _MAX_REDIRECTS
                 ):

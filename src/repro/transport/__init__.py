@@ -1,7 +1,7 @@
 """Transport subsystem for the real client/server split.
 
-Four modules behind the :class:`~repro.comm.interface.Endpoint`
-abstraction:
+Four modules behind the :class:`~repro.transport.endpoint.Endpoint`
+abstraction (blocking ``send`` / ``recv``):
 
 * :mod:`repro.transport.wire` — a versioned, pickle-free binary wire
   format for every message of :mod:`repro.network.messages`, with
@@ -12,73 +12,62 @@ abstraction:
   into shared memory and one consumer-side copy out of it;
 * :mod:`repro.transport.socket` — the same wire frames over TCP for
   cross-host serving;
-* :mod:`repro.transport.link` — trace-driven link shaping: bundled
+* :mod:`repro.transport.link` — trace-driven link scenarios: bundled
   LTE/Wi-Fi-style bandwidth traces plus a generator (symmetric, or
   per-direction asymmetric pairs), compiled into simulated
-  :class:`~repro.network.dynamic.DynamicNetworkModel` schedules or
-  replayed over real transports.
+  :class:`~repro.network.dynamic.DynamicNetworkModel` schedules.
 
 Wire frames carry a session tag and an ADMIT/ACCEPT/BYE handshake, so
 one link can serve many sessions — the multiplexed one-server/N-client
 deployment lives in :mod:`repro.serving.runtime` on top of the
-``serve_many`` capability the shm and socket transports register.
+``serve_many`` entry point of the shm and socket modules.
 
-:mod:`repro.transport.registry` names the transports (``shm``,
+:mod:`repro.transport.registry` names the two transports (``shm``,
 ``socket``) so runners and examples select the link with a string.
 """
 
+from repro.transport.endpoint import Endpoint
 from repro.transport.link import (
     BUNDLED_TRACE_PAIRS,
     BUNDLED_TRACES,
     AsymmetricNetworkModel,
     LinkTrace,
     LinkTracePair,
-    ShapedEndpoint,
     bundled_trace,
     bundled_trace_pair,
     generate_trace,
     lte_updown_pair,
-    shape_endpoint_pair,
 )
 from repro.transport.registry import (
-    StaticListener,
-    TransportDef,
     available_transports,
     connect,
-    get_transport,
     make_pair,
-    register_transport,
     serve_many,
     spawn_server,
 )
-from repro.transport.shm import ShmManyLink, ShmRing, ShmTransport, spawn_shm_pair
+from repro.transport.shm import ShmManyLink, ShmRing, ShmTransport, StaticListener
 from repro.transport.socket import SocketManyLink, SocketTransport
 
 __all__ = [
     "AsymmetricNetworkModel",
     "BUNDLED_TRACE_PAIRS",
     "BUNDLED_TRACES",
+    "Endpoint",
     "LinkTrace",
     "LinkTracePair",
-    "ShapedEndpoint",
     "bundled_trace",
     "bundled_trace_pair",
     "generate_trace",
     "lte_updown_pair",
-    "shape_endpoint_pair",
     "StaticListener",
-    "TransportDef",
     "available_transports",
     "connect",
-    "get_transport",
     "make_pair",
-    "register_transport",
     "serve_many",
     "spawn_server",
     "ShmManyLink",
     "ShmRing",
     "ShmTransport",
-    "spawn_shm_pair",
     "SocketManyLink",
     "SocketTransport",
 ]

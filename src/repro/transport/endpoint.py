@@ -1,4 +1,10 @@
-"""Abstract communication interface (mpi4py-flavoured)."""
+"""The link interface every transport implements (mpi4py-flavoured:
+the paper used OpenMPI).
+
+Blocking ``send`` / ``recv`` only: Algorithm 4 keeps at most one update
+in flight, which the client models on the simulated clock itself
+(``repro.runtime.client``), so there is no non-blocking half.
+"""
 
 from __future__ import annotations
 

@@ -1,10 +1,9 @@
-"""Trace-driven link shaping: recorded bandwidth replayed everywhere.
+"""Trace-driven link scenarios: recorded bandwidth for the simulated link.
 
 The paper evaluates over a rate-limited mobile link (80 Mbps Wi-Fi in
 the testbed, LTE in the motivating deployment).  Our simulator already
 supports time-varying bandwidth (:class:`repro.network.dynamic.
-DynamicNetworkModel`); this module makes *scenarios* first-class so the
-same recorded link drives both worlds:
+DynamicNetworkModel`); this module makes *scenarios* first-class:
 
 * :class:`LinkTrace` — a named sequence of ``(time_s, bandwidth_mbps)``
   samples, with bundled LTE- and Wi-Fi-style traces plus a seeded
@@ -12,23 +11,19 @@ same recorded link drives both worlds:
   shape of cellular bandwidth recordings);
 * :meth:`LinkTrace.to_network_model` — compiles a trace into a
   ``DynamicNetworkModel`` schedule, so a *simulated* run consumes the
-  scenario through the usual ``Client(network=...)`` path;
-* :class:`ShapedEndpoint` — wraps a *real* transport endpoint and
-  withholds each received message until the trace says its bytes could
-  have arrived, using the transport's measured on-the-wire sizes
-  (``last_recv_nbytes``), so a two-process run replays the same
-  scenario on the wall clock.
+  scenario through the usual ``Client(network=...)`` path (Figure 4 and
+  the link-trace table);
+* :class:`LinkTracePair` — separate uplink and downlink traces,
+  compiled into a direction-aware :class:`AsymmetricNetworkModel`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Any, Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.comm.interface import Endpoint
 from repro.network.dynamic import DynamicNetworkModel
 from repro.network.model import directed_transfer_time
 
@@ -199,9 +194,7 @@ class LinkTracePair:
     Mobile links are asymmetric — LTE uplink (where the key frames go)
     runs far below the downlink carrying the small weight updates.  The
     pair compiles into an :class:`AsymmetricNetworkModel` for simulated
-    runs and shapes both endpoints of a real transport via
-    :func:`shape_endpoint_pair`, so the same recorded asymmetry drives
-    both worlds — exactly like the symmetric :class:`LinkTrace`.
+    runs, exactly like the symmetric :class:`LinkTrace`.
     """
 
     name: str
@@ -244,85 +237,3 @@ def bundled_trace_pair(name: str) -> "LinkTracePair":
         raise KeyError(
             f"unknown trace pair {name!r}; bundled: {sorted(BUNDLED_TRACE_PAIRS)}"
         ) from None
-
-
-class ShapedEndpoint(Endpoint):
-    """Replay a :class:`LinkTrace` on top of a real transport.
-
-    Receives are withheld until ``arrival + transfer_time(nbytes, t)``
-    per the compiled schedule, where ``nbytes`` is the transport's
-    measured wire size (``last_recv_nbytes``) — the local hop itself is
-    microseconds, so the hold *is* the modeled link.  Sends pass
-    through untouched (the peer shapes its own receive side).
-
-    ``clock`` / ``sleep`` are injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        inner: Endpoint,
-        trace: LinkTrace,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if not hasattr(inner, "last_recv_nbytes"):
-            raise TypeError(
-                "ShapedEndpoint needs a transport that measures wire sizes "
-                "(last_recv_nbytes, e.g. ShmTransport)"
-            )
-        self.inner = inner
-        self.trace = trace
-        self._model = trace.to_network_model()
-        self._clock = clock
-        self._sleep = sleep
-        self._epoch = clock()
-
-    # ------------------------------------------------------------------
-    def _measured_nbytes(self) -> int:
-        return int(self.inner.last_recv_nbytes or 0)
-
-    def _delivery_time(self, nbytes: int) -> float:
-        now = self._clock()
-        elapsed = now - self._epoch
-        return now + self._model.transfer_time(nbytes, elapsed)
-
-    def _sleep_until(self, t: float) -> None:
-        while True:
-            remaining = t - self._clock()
-            if remaining <= 0:
-                return
-            self._sleep(remaining)
-
-    # ------------------------------------------------------------------
-    def send(self, obj: Any, nbytes: int) -> None:
-        self.inner.send(obj, nbytes)
-
-    def recv(self) -> Any:
-        payload = self.inner.recv()
-        self._sleep_until(self._delivery_time(self._measured_nbytes()))
-        return payload
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
-
-def shape_endpoint_pair(
-    client_endpoint: Endpoint,
-    server_endpoint: Endpoint,
-    pair: LinkTracePair,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Tuple[ShapedEndpoint, ShapedEndpoint]:
-    """Replay an asymmetric scenario over a real transport pair.
-
-    Shaping is receive-side, so each endpoint gets the trace of the
-    direction it *receives*: the client's receives are the downlink
-    (weight updates), the server's receives are the uplink (key
-    frames).  Returns ``(shaped_client, shaped_server)``.
-    """
-    return (
-        ShapedEndpoint(client_endpoint, pair.down, clock=clock, sleep=sleep),
-        ShapedEndpoint(server_endpoint, pair.up, clock=clock, sleep=sleep),
-    )

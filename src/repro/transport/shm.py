@@ -66,8 +66,8 @@ from typing import Any, Callable, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.comm.interface import Endpoint
 from repro.transport import wire
+from repro.transport.endpoint import Endpoint
 
 #: Default ring geometry: 4 slots of 1 MiB holds a reduced-resolution
 #: frame in one slot and fragments HD-scale payloads across a few.
@@ -201,7 +201,7 @@ class ShmRing:
         )
 
     @classmethod
-    def attach(cls, desc: tuple, cursors: Tuple[int, int] = (0, 0)) -> "ShmRing":
+    def attach(cls, desc: tuple) -> "ShmRing":
         name, slots, slot_nbytes, pub_fd, rel_fd, cookie = desc
         ring = cls(slots=slots, slot_nbytes=slot_nbytes, name=name)
         # Adopt the doorbells only when the fd numbers are known to
@@ -212,19 +212,7 @@ class ShmRing:
         if cookie == _LINEAGE:
             ring._pub_fd = pub_fd
             ring._rel_fd = rel_fd
-        # Cursor handoff: the fleet's shm director consumes a ring's
-        # first message (the ADMIT it places) and then hands the ring
-        # to a shard — which must resume at the director's cursors, not
-        # at zero, or it would re-await sequence numbers already
-        # consumed.  The shared sequence table carries the truth; the
-        # cursors are the attaching side's position in it.
-        ring._head, ring._tail = cursors
         return ring
-
-    def cursors(self) -> Tuple[int, int]:
-        """(head, tail) — this side's position in the ring, for
-        :meth:`attach`-time restoration after a connection handoff."""
-        return self._head, self._tail
 
     # ------------------------------------------------------------------
     def _await_seq(self, index: int, want: int, deadline: float) -> None:
@@ -448,28 +436,20 @@ class ShmTransport(Endpoint):
     """Endpoint over a (tx, rx) pair of shared-memory rings.
 
     Blocking ``send`` / ``recv`` plus the multiplexing surface
-    (``poll`` / ``send_tagged`` / ``recv_tagged``); ``last_recv_nbytes``
-    exposes the measured on-the-wire
-    size of the most recent receive, which the trace-driven link shaper
-    (:class:`repro.transport.link.ShapedEndpoint`) uses to replay
-    recorded bandwidth on real transfers.
+    (``poll`` / ``send_tagged`` / ``recv_tagged``).
     """
 
     def __init__(self, tx: ShmRing, rx: ShmRing, timeout_s: float = 120.0) -> None:
         self._tx = tx
         self._rx = rx
         self.timeout_s = timeout_s
-        #: Wire size of the last message received (None before any).
-        self.last_recv_nbytes: Optional[int] = None
 
     def send(self, obj: Any, nbytes: int) -> None:
         del nbytes  # the wire format measures the real size itself
         self._tx.send_message(obj, self.timeout_s)
 
     def recv(self) -> Any:
-        obj, measured = self._rx.recv_message(self.timeout_s)
-        self.last_recv_nbytes = measured
-        return obj
+        return self._rx.recv_message(self.timeout_s)[0]
 
     # -- multiplexing surface (one link, many sessions) ----------------
     def poll(self) -> bool:
@@ -496,8 +476,7 @@ class ShmTransport(Endpoint):
 
     def recv_tagged(self) -> Tuple[int, Any]:
         """Receive the next message as ``(session, payload)``."""
-        session, obj, measured = self._rx.recv_message_tagged(self.timeout_s)
-        self.last_recv_nbytes = measured
+        session, obj, _ = self._rx.recv_message_tagged(self.timeout_s)
         return session, obj
 
     def close(self) -> None:
@@ -505,7 +484,7 @@ class ShmTransport(Endpoint):
         self._rx.close()
 
 
-def spawn_shm_pair(
+def make_pair(
     slots: int = DEFAULT_SLOTS,
     slot_nbytes: int = DEFAULT_SLOT_NBYTES,
     timeout_s: float = 120.0,
@@ -570,6 +549,33 @@ def run_in_subprocess(
 # ----------------------------------------------------------------------
 # Multi-client serving: per-client rings, one server-side multiplexer
 # ----------------------------------------------------------------------
+class StaticListener:
+    """Listener over pre-created connections (shm rings).
+
+    The server runtime polls ``poll_accept`` exactly like a socket
+    listener; here every connection already exists, so each call hands
+    out the next one until the set is exhausted.
+
+    Listener contract (what the runtime's churn-tolerant drain rule
+    consumes): ``poll_accept()`` returns a new connection or ``None``,
+    and ``expected`` is the provisioned connection population — the
+    runtime refuses to quiesce until that many connections have been
+    accepted *and* closed, so a late joiner (a client that dials a
+    pre-created slot long after spawn) always finds the server alive.
+    """
+
+    def __init__(self, endpoints) -> None:
+        self._pending = list(endpoints)
+        self.expected = len(self._pending)
+
+    def poll_accept(self):
+        """Next pre-created connection, or None once all are handed out."""
+        return self._pending.pop(0) if self._pending else None
+
+    def close(self) -> None:
+        self._pending = []
+
+
 class ShmManyLink:
     """Parent-side handle of a 1-server / N-client shm deployment.
 
@@ -634,8 +640,6 @@ def connect_address(info) -> ShmTransport:
 
 
 def _serve_many_entry(target, pair_descs, timeout_s: float) -> None:
-    from repro.transport.registry import StaticListener
-
     endpoints = [
         ShmTransport(
             tx=ShmRing.attach(down_desc), rx=ShmRing.attach(up_desc),
@@ -661,9 +665,9 @@ def serve_many(
     ``n_clients`` ring pairs.
 
     The listener yields one server-side endpoint per client slot (a
-    :class:`~repro.transport.registry.StaticListener` — all rings are
-    pre-created, so "accepting" is instant and deterministic).  Returns
-    the parent-side :class:`ShmManyLink` and the process handle.
+    :class:`StaticListener` — all rings are pre-created, so "accepting"
+    is instant and deterministic).  Returns the parent-side
+    :class:`ShmManyLink` and the process handle.
     """
     if n_clients < 1:
         raise ValueError("serve_many needs at least one client slot")

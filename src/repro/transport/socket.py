@@ -31,16 +31,15 @@ import socket as _socket
 import time
 from typing import Any, Callable, Optional, Tuple
 
-from repro.comm.interface import Endpoint
 from repro.transport import wire
+from repro.transport.endpoint import Endpoint
 
 
 class SocketTransport(Endpoint):
     """Endpoint speaking wire frames over a connected stream socket.
 
     Blocking ``send`` / ``recv`` plus the multiplexing surface (``poll`` /
-    ``send_tagged`` / ``recv_tagged``); ``last_recv_nbytes`` exposes
-    measured wire sizes for the trace-driven link shaper.
+    ``send_tagged`` / ``recv_tagged``).
     """
 
     def __init__(self, sock: _socket.socket, timeout_s: float = 120.0) -> None:
@@ -50,8 +49,6 @@ class SocketTransport(Endpoint):
             pass  # AF_UNIX socketpair has no TCP level
         self._sock = sock
         self.timeout_s = timeout_s
-        #: Wire size of the last message received (None before any).
-        self.last_recv_nbytes: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _recv_exact(self, n: int, deadline: float) -> bytes:
@@ -81,9 +78,7 @@ class SocketTransport(Endpoint):
         header = self._recv_exact(wire.HEADER_NBYTES, deadline)
         _, _, total = wire.peek_header(memoryview(header))
         body = self._recv_exact(total - wire.HEADER_NBYTES, deadline)
-        session, obj = wire.decode_tagged(header + body)
-        self.last_recv_nbytes = total
-        return session, obj
+        return wire.decode_tagged(header + body)
 
     # ------------------------------------------------------------------
     def send(self, obj: Any, nbytes: int) -> None:

@@ -159,13 +159,3 @@ class TestAbnormalExitReports:
         assert report is not None, "close() left runtime_report = None"
         assert report["exit_reason"] == REPORT_LOST
         assert report["report_lost"] is True
-
-    def test_report_timeout_default_is_configurable(self):
-        handle = start_server(
-            transport="shm", n_clients=1, idle_timeout_s=60, report_timeout_s=0.4,
-        )
-        assert handle.report_timeout_s == 0.4
-        handle.process.kill()
-        handle.process.join(timeout=30)
-        handle.close()  # uses the handle default, no per-call override
-        assert handle.runtime_report["exit_reason"] == REPORT_LOST

@@ -307,6 +307,46 @@ class TestRunLoopScripted:
         runtime._teardown_connection(0, link, closed)
         assert runtime._quiesced(connections, closed, 1)
 
+    def test_full_placement_ledger_refuses_instead_of_killing_the_shard(self):
+        """Any client can mint a new placement key (vary ``threshold``),
+        so running out of ledger entries must cost that client a
+        retryable REJECT(capacity) — not every session on the shard."""
+        from repro.runtime.server import ServerReply
+        from repro.serving.fleet import FleetLedger, FleetMember
+        from repro.transport import wire
+
+        def admit(threshold):
+            config = _config()
+            return admit_message(dataclasses.replace(
+                config,
+                distill=dataclasses.replace(config.distill, threshold=threshold),
+            ), _HW)
+
+        frames = list(_video().frames(1))
+        log, replies = [], []
+        link = _ScriptedConnection(
+            "link", log, lambda session, obj: replies.append((session, obj))
+        )
+        link.inbox.extend(
+            [(0, admit(t)) for t in (0.6, 0.7, 0.8)]
+            + [(sid, frames[0]) for sid in (0, 1)]
+            + [(sid, wire.Bye(sid)) for sid in (0, 1)] + [(0, None)]
+        )
+        ledger = FleetLedger(n_shards=1, capacity=2)
+        runtime = ServerRuntime(fleet=FleetMember(0, ledger))
+        served = runtime.run(_ScriptedListener([link]))
+
+        rejects = [obj for _, obj in replies if isinstance(obj, wire.Reject)]
+        assert [(r.code, r.retry_after is not None) for r in rejects] == [
+            (wire.REJECT_CAPACITY, True)
+        ]
+        assert "ledger full" in rejects[0].detail
+        # The two open sessions kept serving past the refusal ...
+        assert served == {0: 1, 1: 1}
+        assert [s for s, obj in replies if isinstance(obj, ServerReply)] == [0, 1]
+        # ... and nothing was claimed for the refused one.
+        assert ledger.snapshot() == {"loads": [0], "entries": {}}
+
 
 class TestHandshakeAndErrors:
     def test_ticket_index_past_the_blueprints_raises(self):

@@ -22,43 +22,22 @@ import numpy as np
 import pytest
 
 from repro.transport import registry, wire
-from repro.transport.shm import ShmRing, spawn_shm_pair
-
-
-@pytest.fixture
-def pair_only():
-    """A registered transport with none of the optional capabilities
-    (what a plug-in that only implements ``make_pair`` looks like)."""
-    name = "pair-only"
-    registry.register_transport(registry.TransportDef(
-        name=name, description="test", make_pair=lambda **kw: (1, 2)
-    ))
-    try:
-        yield name
-    finally:
-        registry._REGISTRY.pop(name)
+from repro.transport.shm import ShmRing, make_pair
 
 
 class TestRegistryErrors:
     def test_typo_message_lists_every_available_transport(self):
-        with pytest.raises(KeyError) as excinfo:
-            registry.get_transport("smh")  # classic transposition
-        message = str(excinfo.value)
-        assert "smh" in message
-        for name in ("shm", "socket"):
-            assert name in message
-
-    def test_spawn_without_the_capability_names_the_transport(self, pair_only):
-        with pytest.raises(ValueError, match=pair_only):
-            registry.spawn_server(pair_only, lambda endpoint: None)
-
-    def test_serve_many_without_the_capability_refused(self, pair_only):
-        with pytest.raises(ValueError, match=pair_only):
-            registry.serve_many(pair_only, lambda listener: None, n_clients=2)
-
-    def test_connect_without_the_capability_refused(self, pair_only):
-        with pytest.raises(ValueError, match=pair_only):
-            registry.connect(pair_only, ("nowhere", 0))
+        for call in (
+            lambda name: registry.make_pair(name),
+            lambda name: registry.spawn_server(name, lambda endpoint: None),
+            lambda name: registry.serve_many(name, lambda listener: None, 2),
+            lambda name: registry.connect(name, ("nowhere", 0)),
+        ):
+            with pytest.raises(KeyError) as excinfo:
+                call("smh")  # classic transposition
+            message = str(excinfo.value)
+            assert "smh" in message
+            assert str(["shm", "socket"]) in message
 
 
 class TestWireDecodeErrors:
@@ -403,8 +382,7 @@ class TestShardDeath:
             teacher_width=8, teacher_seed=0,
         )
         before = _shm_segments()
-        handle = start_fleet(2, transport="socket", idle_timeout_s=60,
-                             shared_teacher=(8, 0))
+        handle = start_fleet(2, idle_timeout_s=60, shared_teacher=(8, 0))
         try:
             # The first tenant lands on shard 0 (least-loaded, lowest
             # index) — deterministically on the shard that survives.
@@ -442,7 +420,7 @@ class TestShardDeath:
 
 class TestShmTimeouts:
     def test_recv_timeout_names_the_stuck_slot(self):
-        a, b = spawn_shm_pair(slots=2, slot_nbytes=4096, timeout_s=0.1)
+        a, b = make_pair(slots=2, slot_nbytes=4096, timeout_s=0.1)
         try:
             with pytest.raises(TimeoutError, match="slot"):
                 b.recv()
@@ -450,7 +428,7 @@ class TestShmTimeouts:
             b.close(), a.close()
 
     def test_send_timeout_when_peer_never_drains(self):
-        a, b = spawn_shm_pair(slots=2, slot_nbytes=4096, timeout_s=0.1)
+        a, b = make_pair(slots=2, slot_nbytes=4096, timeout_s=0.1)
         try:
             payload = np.zeros(64, np.uint8)
             a.send(payload, 64)

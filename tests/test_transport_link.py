@@ -2,24 +2,21 @@
 
 Traces validate and compile into ``DynamicNetworkModel`` schedules;
 the generator is deterministic per seed; the bundled scenarios exist;
-``ShapedEndpoint`` replays a trace over a real transport (driven here
-by an injected fake clock, so the test is deterministic).
+asymmetric pairs compile into a direction-aware model the client's
+timing consumes.
 """
 
-import numpy as np
 import pytest
 
 from repro.network.dynamic import DynamicNetworkModel
 from repro.transport.link import (
     BUNDLED_TRACES,
     LinkTrace,
-    ShapedEndpoint,
     bundled_trace,
     generate_trace,
     lte_trace,
     wifi_trace,
 )
-from repro.transport.shm import spawn_shm_pair
 
 
 class TestLinkTrace:
@@ -81,75 +78,6 @@ class TestLinkTrace:
             bundled_trace("5g-lab")
         # The LTE scenario is genuinely harsher than the Wi-Fi one.
         assert bundled_trace("lte-drive").min_mbps < bundled_trace("wifi-cafe").min_mbps
-
-
-class _FakeTime:
-    """Deterministic clock: sleep() advances it exactly."""
-
-    def __init__(self) -> None:
-        self.now = 100.0
-        self.sleeps = []
-
-    def clock(self) -> float:
-        return self.now
-
-    def sleep(self, dt: float) -> None:
-        self.sleeps.append(dt)
-        self.now += dt
-
-
-class TestShapedEndpoint:
-    def _shaped_pair(self, trace, fake):
-        # Slots sized so the 1 MB test payload fits the ring with both
-        # endpoints on one thread (see spawn_shm_pair's note).
-        a, b = spawn_shm_pair(slots=4, slot_nbytes=1 << 20, timeout_s=5.0)
-        shaped = ShapedEndpoint(b, trace, clock=fake.clock, sleep=fake.sleep)
-        return a, b, shaped
-
-    def test_recv_held_for_modeled_transfer_time(self):
-        from repro.transport import wire
-
-        fake = _FakeTime()
-        trace = LinkTrace("t", ((0.0, 8.0),), base_latency_s=0.0)  # 1 MB/s
-        a, b, shaped = self._shaped_pair(trace, fake)
-        try:
-            payload = np.zeros(1_000_000, np.uint8)
-            nbytes = wire.encoded_nbytes(payload)
-            a.send(payload, payload.nbytes)
-            before = fake.now
-            out = shaped.recv()
-            assert out.tobytes() == payload.tobytes()
-            # 8 Mbps moves the measured wire bytes in nbytes*8/8e6 s.
-            assert fake.now - before == pytest.approx(nbytes * 8 / 8e6)
-        finally:
-            b.close(), a.close()
-
-    def test_sends_pass_through_unshaped(self):
-        fake = _FakeTime()
-        trace = LinkTrace("t", ((0.0, 1.0),), base_latency_s=0.0)  # slow link
-        a, b, shaped = self._shaped_pair(trace, fake)
-        try:
-            shaped.send(np.ones(4, np.float32), 16)  # shaped side sends freely
-            assert fake.sleeps == []
-            a.recv()
-        finally:
-            b.close(), a.close()
-
-    def test_requires_size_measuring_transport(self):
-        from repro.comm.interface import Endpoint
-
-        class Unmeasured(Endpoint):
-            """A link that never reports ``last_recv_nbytes``."""
-
-            def send(self, obj, nbytes):
-                pass
-
-            def recv(self):
-                return None
-
-        trace = LinkTrace("t", ((0.0, 1.0),))
-        with pytest.raises(TypeError, match="measures wire sizes"):
-            ShapedEndpoint(Unmeasured(), trace)
 
 
 class TestAsymmetricPairs:
@@ -219,37 +147,3 @@ class TestAsymmetricPairs:
         assert slow_up.total_time_s != slow_down.total_time_s
         # Identical serving decisions either way — only timing moves.
         assert slow_up.num_key_frames >= 1
-
-    def test_shape_endpoint_pair_shapes_each_direction(self):
-        from repro.transport import wire
-        from repro.transport.link import LinkTracePair, shape_endpoint_pair
-
-        fake = _FakeTime()
-        pair = LinkTracePair(
-            "t",
-            up=LinkTrace("up", ((0.0, 8.0),), base_latency_s=0.0),     # 1 MB/s
-            down=LinkTrace("down", ((0.0, 80.0),), base_latency_s=0.0),  # 10 MB/s
-        )
-        client_ep, server_ep = spawn_shm_pair(
-            slots=4, slot_nbytes=1 << 20, timeout_s=5.0
-        )
-        shaped_client, shaped_server = shape_endpoint_pair(
-            client_ep, server_ep, pair, clock=fake.clock, sleep=fake.sleep
-        )
-        try:
-            payload = np.zeros(1_000_000, np.uint8)
-            nbytes = wire.encoded_nbytes(payload)
-
-            # Uplink (client -> server) held at the slow uplink rate.
-            shaped_client.send(payload, payload.nbytes)
-            before = fake.now
-            shaped_server.recv()
-            assert fake.now - before == pytest.approx(nbytes * 8 / 8e6)
-
-            # Downlink (server -> client) held at the fast downlink rate.
-            shaped_server.send(payload, payload.nbytes)
-            before = fake.now
-            shaped_client.recv()
-            assert fake.now - before == pytest.approx(nbytes * 8 / 80e6)
-        finally:
-            server_ep.close(), client_ep.close()

@@ -13,14 +13,14 @@ import pytest
 
 from repro.runtime.server import ServerReply
 from repro.transport import registry
-from repro.transport.shm import ShmRing, ShmTransport, run_in_subprocess, spawn_shm_pair
+from repro.transport.shm import ShmRing, ShmTransport, run_in_subprocess, make_pair
 
 
 def _pair(**kw):
     kw.setdefault("slots", 4)
     kw.setdefault("slot_nbytes", 1 << 16)
     kw.setdefault("timeout_s", 10.0)
-    return spawn_shm_pair(**kw)
+    return make_pair(**kw)
 
 
 class TestRing:
@@ -55,7 +55,6 @@ class TestRing:
             got_frame, got_label = b.recv()
             assert got_frame.tobytes() == frame.tobytes()
             assert got_label.tobytes() == label.tobytes()
-            assert b.last_recv_nbytes > frame.nbytes
         finally:
             b.close(), a.close()
 
@@ -102,20 +101,6 @@ class TestRing:
             ShmRing(slots=1)
         with pytest.raises(ValueError):
             ShmRing(slot_nbytes=8)
-
-
-class TestEndpoint:
-    def test_measured_sizes_match_wire(self):
-        from repro.transport import wire
-
-        a, b = _pair()
-        try:
-            msg = {"w": np.ones((4, 4), np.float32)}
-            a.send(msg, nbytes=64)
-            b.recv()
-            assert b.last_recv_nbytes == wire.encoded_nbytes(msg)
-        finally:
-            b.close(), a.close()
 
 
 def _echo_server(endpoint):
@@ -174,7 +159,7 @@ class TestRegistry:
 
     def test_unknown_transport_lists_available(self):
         with pytest.raises(KeyError, match="shm"):
-            registry.get_transport("rdma")
+            registry.make_pair("rdma")
 
     def test_make_pair_shm(self):
         a, b = registry.make_pair("shm", slots=2, slot_nbytes=4096, timeout_s=5.0)
@@ -183,17 +168,6 @@ class TestRegistry:
             np.testing.assert_array_equal(b.recv(), np.ones(2))
         finally:
             b.close(), a.close()
-
-    def test_custom_transport_registration(self):
-        definition = registry.TransportDef(
-            name="test-loop", description="test", make_pair=lambda **kw: (1, 2)
-        )
-        registry.register_transport(definition)
-        try:
-            assert registry.make_pair("test-loop") == (1, 2)
-            assert "test-loop" in registry.available_transports()
-        finally:
-            registry._REGISTRY.pop("test-loop")
 
 
 @pytest.mark.skipif(not hasattr(os, "eventfd"), reason="eventfd is Linux-only")

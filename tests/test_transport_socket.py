@@ -30,18 +30,6 @@ class TestSocketPair:
         finally:
             b.close(), a.close()
 
-    def test_measured_sizes_match_wire(self):
-        from repro.transport import wire
-
-        a, b = make_pair(timeout_s=10.0)
-        try:
-            msg = {"w": np.ones((4, 4), np.float32)}
-            a.send(msg, nbytes=64)
-            b.recv()
-            assert b.last_recv_nbytes == wire.encoded_nbytes(msg)
-        finally:
-            b.close(), a.close()
-
     def test_tagged_messages_and_poll(self):
         a, b = make_pair(timeout_s=10.0)
         try:
@@ -99,9 +87,12 @@ class TestSubprocess:
 
     def test_registered_in_registry(self):
         assert "socket" in registry.available_transports()
-        definition = registry.get_transport("socket")
-        assert definition.spawn is not None
-        assert definition.serve_many is not None
+        a, b = registry.make_pair("socket", timeout_s=5.0)
+        try:
+            assert isinstance(a, SocketTransport)
+            assert isinstance(b, SocketTransport)
+        finally:
+            a.close(), b.close()
 
 
 class TestSessionOverSocket:
