@@ -83,7 +83,20 @@ def test_thundering_herd_floors(run_perf, transport):
 def test_slow_loris_floors(run_perf, transport):
     # The one remeasure-on-miss left: a stalled peer costs every sweep
     # a fixed receive budget, so this ratio sits *on* its floor on a
-    # 2-core box (0.48-0.53x).  ROADMAP item 2 (a reactor that cannot
-    # be blocked) raises the floor and deletes this.
+    # 2-core box.  ROADMAP item 3 (a reactor that cannot be blocked)
+    # raises the floor and deletes this.
+    #
+    # probe_frames: the attack costs *seconds* (a receive budget per
+    # staller, plus the storm clients' start-up CPU), so the ratio is
+    # about how long a probe wave lasts, not how many frames it has.
+    # Since the idle server stopped spinning against its clients (PR
+    # 19), 256 frames take half the time they did — idle 0.45 -> 0.36 s
+    # and the storm wave 0.96 -> 0.89 s, both faster, which reads
+    # 0.47x -> 0.40x.  512 frames is the ~0.8 s wave the 0.25 s budget
+    # was sized against (storms.py).  Only this floor moves: `storm()`
+    # keeps its 256-frame default, so the thundering-herd floors and
+    # the `bench_perf.py storm-*` records are the unedited protocol
+    # (slow-loris is recorded there below its floor).  Re-specifying
+    # this floor in absolute time is filed as a benchmark PR.
     run_perf("storm-slow-loris", _FLOORS, _check_loris, attempts=2,
-             seed=0, transport=transport)
+             seed=0, transport=transport, probe_frames=512)

@@ -13,6 +13,6 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy>=1.22", "scipy>=1.8"],
 )

@@ -22,7 +22,7 @@ the one place a floor is decided and :func:`append_record` the one
 writer of ``BENCH_PERF.json``.  ``SCENARIOS`` maps a record name to the
 function that builds its legs (``scripts/bench_perf.py <name>`` runs
 one; ``benchmarks/test_perf_*.py`` pin the floors).  Folding this onto
-``bench/``'s core is ROADMAP item 3.
+``bench/``'s core is ROADMAP item 6.
 """
 
 from __future__ import annotations

@@ -106,8 +106,9 @@ class LoadTracker:
     """Per-sweep queue-depth estimator with graduated load levels.
 
     Feed :meth:`observe` the number of connections that had work
-    pending at the top of each poll sweep (idle sweeps report 0, which
-    is what makes load *decay* and the runtime recover).  ``ewma``
+    pending at the top of each poll sweep, and call :meth:`reset` when
+    a sweep found nothing anywhere and the loop goes to sleep (a
+    sleeping loop has no run of empty sweeps to decay with).  ``ewma``
     smooths the trace; the level is ``floor(ewma / high_water)``
     clamped to ``max_level`` — both are monotone non-decreasing in a
     pointwise-heavier trace, which is the property the stride
@@ -140,6 +141,10 @@ class LoadTracker:
         if level > self.peak_level:
             self.peak_level = level
         return level
+
+    def reset(self) -> None:
+        """Nothing is pending anywhere: the load is gone, not decaying."""
+        self.ewma = 0.0
 
     @property
     def level(self) -> int:

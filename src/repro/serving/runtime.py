@@ -68,20 +68,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.server import ServerReply
 from repro.transport import wire
 
-#: The event loop's idle behaviour mirrors the shm ring's: yield first
-#: (hand the core to a client that is about to produce work), then nap
-#: with exponential backoff — an idle server must not steal the core
-#: its clients are using to compute the next key frame.
-_YIELD_SWEEPS = 256
-_NAP_S = 50e-6
-_NAP_MAX_S = 1e-3
-
-#: Cap on one doorbell select: the runtime still has its own clocks to
-#: honour (idle deadline, reaper), and the bounded wait doubles as the
-#: lost-wakeup safety net — the waiting flags are plain stores, so a
-#: bell can race past an arming sweep.
-_DOORBELL_WAIT_MAX_S = 0.25
-
 #: The :class:`~repro.serving.shared.SharedDistillation` counters the
 #: runtime report carries (and, armed, mirrors as ``serve.memo.*``).
 _MEMO_COUNTERS = ("hits", "misses", "label_hits", "label_misses")
@@ -696,56 +682,25 @@ class ServerRuntime:
             and (expected is None or len(connections) >= expected)
         )
 
-    def _doorbell_nap(self, connections, closed, idle_deadline,
-                      next_reap, listener=None) -> bool:
-        """Park the idle sweep on the connections' pollable doorbells.
+    def _park(self, connections, closed, listener, wake: float) -> None:
+        """Sleep an idle sweep until there is something to sweep for.
 
-        Every open connection must expose a pollable ``doorbell_fd`` —
-        shm rings ring an eventfd, sockets are their own level-triggered
-        fd — one connection without (a spawn-severed ring) and this
-        returns False, leaving the blind-nap backoff in charge for
-        everyone.  A listener exposing ``doorbell_fds()`` (a listening
-        socket, a fleet control pipe) joins the select so pending
-        *accepts* also wake the park — which is what lets a fleet shard
-        with zero connections sleep instead of spinning on
-        ``poll_accept``.  The select wakes the sweep the microsecond
-        any client publishes, instead of after a nap quantum; its
-        timeout is the earliest of the runtime's own clocks, capped by
-        the lost-wakeup safety bound.
+        One ``select`` over every open connection's ``doorbell_fd()``
+        and the listener's ``doorbell_fds()`` (pending accepts, a
+        fleet's drain order), until ``wake`` — the earlier of the
+        runtime's own clocks.  Safe straight after a sweep in which
+        every ``poll()`` answered False: that leaves each fd unreadable
+        until something new arrives (a socket has no bytes; an empty
+        ring drained its bell and looked again), so whatever arrived
+        since makes the ``select`` return at once.
         """
-        fds = []
-        open_conns = []
-        for index, connection in enumerate(connections):
-            if index in closed:
-                continue
-            fd_of = getattr(connection, "doorbell_fd", None)
-            fd = fd_of() if fd_of is not None else None
-            if fd is None:
-                return False
-            open_conns.append(connection)
-            fds.append(fd)
-        listener_fds = []
-        fds_of = getattr(listener, "doorbell_fds", None)
-        if fds_of is not None:
-            listener_fds = [fd for fd in fds_of() if fd is not None]
-        if not fds and not listener_fds:
-            return False
-        armed = [c for c in open_conns if c.arm_doorbell()]
-        try:
-            # Arm-then-recheck: a publish that raced the arming saw no
-            # waiting flag and rang no bell.
-            if any(c.poll() for c in open_conns):
-                return True
-            wake = idle_deadline
-            if next_reap is not None:
-                wake = min(wake, next_reap)
-            timeout = max(0.0, min(wake - time.monotonic(),
-                                   _DOORBELL_WAIT_MAX_S))
-            _select.select(fds + listener_fds, [], [], timeout)
-        finally:
-            for connection in armed:
-                connection.disarm_doorbell()
-        return True
+        fds = [
+            connection.doorbell_fd()
+            for index, connection in enumerate(connections)
+            if index not in closed
+        ]
+        fds += listener.doorbell_fds()
+        _select.select(fds, [], [], max(0.0, wake - time.monotonic()))
 
     def run(self, listener) -> Dict[int, int]:
         """Serve until the population drains (see :meth:`_quiesced`).
@@ -762,8 +717,6 @@ class ServerRuntime:
         closed: set = set()
         expected = getattr(listener, "expected", None)
         idle_deadline = time.monotonic() + self.idle_timeout_s
-        sweeps = 0
-        nap = _NAP_S
         ctl = self._overload
         recv_budget_s = None if ctl is None else ctl.config.recv_budget_s
         reap_idle_s = None if ctl is None else ctl.config.reap_idle_s
@@ -842,8 +795,8 @@ class ServerRuntime:
             if ctl is not None:
                 ctl.observe_sweep(served_this_sweep)
             if armed and progressed:
-                # Idle sweeps are the nap loop's business; timing them
-                # would drown the histogram in backoff noise.
+                # Idle sweeps are the park's business; timing them
+                # would drown the histogram in wake-up noise.
                 obs.histogram("sweep.duration_s").observe(
                     time.monotonic() - sweep_t0
                 )
@@ -858,12 +811,6 @@ class ServerRuntime:
                 next_reap = time.monotonic() + reap_idle_s / 4
             if progressed:
                 idle_deadline = time.monotonic() + self.idle_timeout_s
-                sweeps = 0
-                nap = _NAP_S
-                continue
-            sweeps += 1
-            if sweeps < _YIELD_SWEEPS:
-                time.sleep(0)
                 continue
             if time.monotonic() > idle_deadline:
                 raise TimeoutError(
@@ -873,11 +820,13 @@ class ServerRuntime:
                     f"connection(s) still up"
                     + (f" (listener expects {expected})" if expected else "")
                 )
-            if self._doorbell_nap(connections, closed, idle_deadline,
-                                  next_reap, listener):
-                continue
-            time.sleep(nap)
-            nap = min(2 * nap, _NAP_MAX_S)
+            if ctl is not None:
+                ctl.tracker.reset()
+            self._park(
+                connections, closed, listener,
+                idle_deadline if next_reap is None
+                else min(idle_deadline, next_reap),
+            )
         return dict(self.frames_served)
 
 

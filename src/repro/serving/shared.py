@@ -39,7 +39,15 @@ from repro.nn.serialize import (
     state_dict_digest,
 )
 
-_LABEL_MEMO_SIZE = 64  # a key frame's duplicates arrive close behind it
+_MEMO_SIZE = 64  # per memo: a key frame's duplicates arrive close behind it
+
+
+def _remember(memo: dict, key, value):
+    """Insert into a FIFO-bounded memo (dicts keep insertion order)."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 class SharedDistillation:
@@ -50,6 +58,8 @@ class SharedDistillation:
     """
 
     def __init__(self) -> None:
+        #: (work version, frame digest, label digest) -> (post-training
+        #: state, reply, result) (FIFO).
         self._entries: Dict[Tuple[str, str, str], tuple] = {}
         #: (teacher, frame digest, label digest) -> pseudo-label (FIFO).
         self._labels: Dict[tuple, np.ndarray] = {}
@@ -98,9 +108,7 @@ class SharedDistillation:
         out = self._labels.get(key)
         if out is None:
             self.counters["label_misses"] += 1
-            if len(self._labels) >= _LABEL_MEMO_SIZE:
-                del self._labels[next(iter(self._labels))]
-            out = self._labels[key] = teacher.infer(frame, label)
+            out = _remember(self._labels, key, teacher.infer(frame, label))
             out.flags.writeable = False
         else:
             self.counters["label_hits"] += 1
@@ -126,11 +134,11 @@ class SharedDistillation:
             self.counters["misses"] += 1
             reply, result = server.distill(frame, pseudo_label)
             post_state = clone_state_dict(server.student.state_dict())
-            self._entries[key] = (
+            _remember(self._entries, key, (
                 post_state,
                 dataclasses.replace(reply, update=clone_state_dict(reply.update)),
                 dataclasses.replace(result, losses=list(result.losses)),
-            )
+            ))
         else:
             self.counters["hits"] += 1
             post_state, stored_reply, stored_result = entry

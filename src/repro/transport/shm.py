@@ -20,28 +20,28 @@ through a kernel buffer:
 
 Messages larger than a slot are fragmented over consecutive slots; the
 wire header's total length on the first fragment tells the reader how
-many to reassemble.  Both sides spin briefly, then sleep on an
-``os.eventfd`` *doorbell*: each ring carries a publish doorbell (rung
-by the producer for a waiting consumer) and a release doorbell (rung
-by the consumer for a waiting producer), plus two shared waiting-flag
-words so the fast path pays one flag load instead of a syscall.  The
-doorbell fds are plain pollable file descriptors, so a server
-multiplexing many rings can ``select`` on all of them at once instead
-of napping (see ``ShmTransport.doorbell_fd``).  Where ``os.eventfd``
-is unavailable — or the peer was ``spawn``-ed rather than forked, so
-the fd numbers in the descriptor belong to some other process's fd
-table (detected via a per-import lineage cookie) — the wait degrades
-to the original 50 µs exponential naps.  Either way a hard deadline
-makes a lost peer raise ``TimeoutError`` instead of hanging a test
-run.
+many to reassemble.
 
-The doorbell is a latency optimisation, not the correctness story:
-pure-Python stores give no StoreLoad ordering between "peer sets its
-waiting flag" and "we read it after publishing", so a wakeup can be
-lost.  The waiter therefore re-checks the sequence after raising its
-flag and bounds every ``select`` by a nap-scale timeout — the nap
-schedule is the safety net, the doorbell just makes the common case
-wake in microseconds.
+There is one way to wait.  Each ring carries two ``os.eventfd``
+*doorbells* — publish and release — and the rule is: **whoever stores
+a sequence counter then rings, always; whoever waits checks the
+counter, sleeps in one ``select`` on the bell until its own deadline,
+drains the bell and checks again.**  An eventfd is a *counter*,
+readable from the first ring until it is read: a ring that lands
+before the waiter sleeps makes the ``select`` return at once, so no
+wakeup can be lost and nothing has to survive one — no spinning, no
+waiting flags, no bounded naps.  A drain is always followed by a
+check, so a bell left over from a consumed message costs one extra
+pass, never a missed one.  A server multiplexing many rings sleeps in
+one ``select`` over all their bells (``ShmTransport.doorbell_fd``); a
+waiting peer costs no CPU; a lost peer raises ``TimeoutError`` at the
+caller's deadline.
+
+The fd *numbers* in a ring descriptor mean something only to the
+creator and its ``fork`` children.  Attaching from anywhere else (a
+``spawn``-ed child) raises, as does building a ring where
+``os.eventfd`` does not exist (Linux, Python >= 3.10): use the
+``socket`` transport there.
 
 Memory-ordering scope: publication relies on the payload stores being
 visible before the sequence-counter store, which plain (fence-free)
@@ -74,50 +74,29 @@ from repro.transport.endpoint import Endpoint
 DEFAULT_SLOTS = 4
 DEFAULT_SLOT_NBYTES = 1 << 20
 
-#: ``sleep(0)`` yields before escalating to naps: on a loaded (or
-#: single-core) box the yield hands the CPU straight to the peer that
-#: is producing our data — a pure hot spin would steal the very core
-#: the peer needs and add a scheduler quantum of latency per message.
-#: Naps back off exponentially from 50 µs to 1 ms: a short wait (the
-#: peer is mid-copy) still reacts in tens of microseconds, while a
-#: client blocked behind a 100 ms training call stops burning the very
-#: core the trainer needs — on a single-core box with N waiting
-#: clients, fixed-rate napping measurably slows the multiplexed server
-#: everyone is waiting for.
-_YIELD_SPINS = 512
-_NAP_S = 50e-6
-_NAP_MAX_S = 1e-3
-
-#: With a doorbell armed the wait is fd-driven, so the bounded select
-#: timeout (the lost-wakeup safety net) can back off further than a
-#: blind nap without costing latency in the common case.
-_DOORBELL_NAP_MAX_S = 20e-3
-
-#: Whether this platform has eventfd at all (Linux; Python >= 3.10).
-_HAVE_EVENTFD = hasattr(os, "eventfd")
-
 #: Per-import lineage cookie.  Doorbell fds in a ring descriptor are
 #: only meaningful to processes sharing the creator's fd table lineage
 #: — i.e. forked children, which inherit both the fd *and* this module
 #: global.  A spawned child re-imports the module, draws a fresh
-#: cookie, sees a mismatch, and falls back to naps instead of
+#: cookie, and :meth:`ShmRing.attach` refuses the descriptor instead of
 #: selecting on an fd number that belongs to someone else.
 _LINEAGE = os.urandom(8)
 
-#: Byte offsets of the shared waiting-flag words at the head of the
-#: segment: one u64 per role, set while that side is parked on its
-#: doorbell so the peer knows a publish/release must also ring.
-_FLAG_WORDS = 2
-_FLAGS_NBYTES = 8 * _FLAG_WORDS
-_PRODUCER_WAITING = 0
-_CONSUMER_WAITING = 1
+
+def _new_bell() -> int:
+    try:
+        return os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+    except AttributeError:
+        raise RuntimeError(
+            "the shm transport waits on os.eventfd (Linux, Python >= 3.10), "
+            "which this platform lacks: use transport='socket'"
+        ) from None
 
 
 def _ring_bell(fd: int) -> None:
-    """Best-effort eventfd signal (the nap bound covers any failure)."""
     try:
         os.eventfd_write(fd, 1)
-    except (BlockingIOError, OSError):  # pragma: no cover - overflow/close
+    except BlockingIOError:  # counter saturated: already readable
         pass
 
 
@@ -125,7 +104,7 @@ def _drain_bell(fd: int) -> None:
     """Reset an eventfd counter after a wakeup (or a stale ring)."""
     try:
         os.eventfd_read(fd)
-    except (BlockingIOError, OSError):
+    except BlockingIOError:  # nothing rung since the last drain
         pass
 
 
@@ -150,17 +129,22 @@ class ShmRing:
         self.slots = slots
         self.slot_nbytes = slot_nbytes
         self._stride = 8 + slot_nbytes  # u64 fragment length + payload
-        total = _FLAGS_NBYTES + 8 * slots + self._stride * slots
+        total = 8 * slots + self._stride * slots
+        # Doorbells: publish (producer rings, consumer sleeps on) and
+        # release (consumer rings, producer sleeps on).  Created by the
+        # owner — before the segment, so a platform without eventfd
+        # leaves nothing behind; attach() dups them.
         if name is None:
+            self._pub_fd = _new_bell()
+            self._rel_fd = _new_bell()
             self._shm = shared_memory.SharedMemory(create=True, size=total)
             self._owner = True
         else:
             self._shm = shared_memory.SharedMemory(name=name)
             self._owner = False
         buf = self._shm.buf
-        self._flags = np.ndarray((_FLAG_WORDS,), np.uint64, buf)
-        self._seq = np.ndarray((slots,), np.uint64, buf, _FLAGS_NBYTES)
-        base = _FLAGS_NBYTES + 8 * slots
+        self._seq = np.ndarray((slots,), np.uint64, buf)
+        base = 8 * slots
         self._lens = [
             np.ndarray((), np.uint64, buf, base + i * self._stride)
             for i in range(slots)
@@ -169,19 +153,8 @@ class ShmRing:
             buf[base + i * self._stride + 8 : base + (i + 1) * self._stride]
             for i in range(slots)
         ]
-        # Doorbells: publish (producer rings, consumer sleeps on) and
-        # release (consumer rings, producer sleeps on).  Created by the
-        # owner; attachers receive the fds through the descriptor when
-        # their fd-table lineage matches (fork), else run bell-less.
-        self._pub_fd: Optional[int] = None
-        self._rel_fd: Optional[int] = None
         if self._owner:
-            self._flags[:] = 0
             self._seq[:] = np.arange(slots, dtype=np.uint64)
-            if _HAVE_EVENTFD:
-                flags = os.EFD_NONBLOCK | os.EFD_CLOEXEC
-                self._pub_fd = os.eventfd(0, flags)
-                self._rel_fd = os.eventfd(0, flags)
         #: Producer/consumer cursors are process-local: each ring has
         #: exactly one producer and one consumer process.
         self._head = 0
@@ -203,15 +176,18 @@ class ShmRing:
     @classmethod
     def attach(cls, desc: tuple) -> "ShmRing":
         name, slots, slot_nbytes, pub_fd, rel_fd, cookie = desc
+        if cookie != _LINEAGE:
+            raise RuntimeError(
+                f"shm ring {name} was created outside this process's fork "
+                "lineage, so its doorbell fds mean nothing here: shm links "
+                "reach forked peers only — use transport='socket'"
+            )
         ring = cls(slots=slots, slot_nbytes=slot_nbytes, name=name)
-        # Adopt the doorbells only when the fd numbers are known to
-        # resolve in *this* process's fd table: same process, or a fork
-        # child of the creator (which inherited this module's cookie
-        # along with the fds).  A spawn child re-imported the module —
-        # fresh cookie, meaningless fd numbers — and keeps napping.
-        if cookie == _LINEAGE:
-            ring._pub_fd = pub_fd
-            ring._rel_fd = rel_fd
+        # Own dups of the bells (same counters): every publish rings, so
+        # an attacher in the creator's process must never hold an fd
+        # number the creator's close() has handed back to the kernel.
+        ring._pub_fd = os.dup(pub_fd)
+        ring._rel_fd = os.dup(rel_fd)
         return ring
 
     # ------------------------------------------------------------------
@@ -224,53 +200,26 @@ class ShmRing:
         # only now (the hot already-published path above pays nothing),
         # and only when telemetry is armed.
         t0 = time.monotonic() if obs.enabled() else None
-        producer = want == index  # else: consumer awaiting a publish
-        fd = self._rel_fd if producer else self._pub_fd
-        role = _PRODUCER_WAITING if producer else _CONSUMER_WAITING
-        flags = self._flags
-        spins = 0
-        nap = _NAP_S
+        # A producer awaits a release, a consumer a publish.
+        fd = self._rel_fd if want == index else self._pub_fd
         while seq[slot] != want:
-            spins += 1
-            if spins < _YIELD_SPINS:
-                time.sleep(0)
-                continue
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
                     f"shm ring handshake timed out waiting for slot {slot} "
                     f"(seq {int(seq[slot])}, want {want})"
                 )
-            if fd is not None:
-                # Park on the doorbell: declare the wait, re-check the
-                # sequence (the peer may have published between our
-                # check and the flag store — it would then skip the
-                # bell), and sleep on the fd.  The timeout is the
-                # lost-wakeup safety net, so it may back off further
-                # than a blind nap could afford.
-                flags[role] = 1
-                try:
-                    if seq[slot] == want:
-                        break
-                    wait = min(nap, max(0.0, deadline - time.monotonic()))
-                    _select.select([fd], [], [], wait)
-                    _drain_bell(fd)
-                finally:
-                    flags[role] = 0
-                nap = min(2 * nap, _DOORBELL_NAP_MAX_S)
-            else:
-                time.sleep(nap)
-                nap = min(2 * nap, _NAP_MAX_S)
+            _select.select([fd], [], [], remaining)
+            _drain_bell(fd)
         if t0 is not None:
             obs.counter("shm.waits").inc()
             obs.histogram("shm.wait_s").observe(time.monotonic() - t0)
 
     # -- producer side -------------------------------------------------
     def _publish(self, slot: int) -> None:
-        """Store the publish sequence; ring only for a parked consumer."""
         self._seq[slot] = self._head + 1
         self._head += 1
-        if self._pub_fd is not None and self._flags[_CONSUMER_WAITING]:
-            _ring_bell(self._pub_fd)
+        _ring_bell(self._pub_fd)
 
     def send_message(self, obj: wire.Message, timeout_s: float, session: int = 0) -> int:
         """Encode and publish one message; returns its wire size.
@@ -312,40 +261,29 @@ class ShmRing:
 
     # -- consumer side -------------------------------------------------
     def poll(self) -> bool:
-        """True when the next message's first fragment is published."""
-        return bool(self._seq[self._tail % self.slots] == self._tail + 1)
+        """True when the next message's first fragment is published.
+
+        An empty ring drains the publish bell and looks again before
+        answering False, so a caller may park on :attr:`doorbell_fd`
+        straight after: a later publish wakes the park, a bell left
+        over from a consumed message cannot make it spin.
+        """
+        slot = self._tail % self.slots
+        if self._seq[slot] == self._tail + 1:
+            return True
+        _drain_bell(self._pub_fd)
+        return bool(self._seq[slot] == self._tail + 1)
 
     @property
-    def doorbell_fd(self) -> Optional[int]:
-        """Pollable fd signalled on publish while the doorbell is armed
-        (None without eventfd or across a spawn boundary)."""
+    def doorbell_fd(self) -> int:
+        """Pollable fd, readable from a publish until the next drain."""
         return self._pub_fd
-
-    def arm_doorbell(self) -> bool:
-        """Declare this consumer parked: publishes now ring the bell.
-
-        Returns False when no doorbell is available; the caller must
-        then poll.  Re-check :meth:`poll` *after* arming — a publish
-        that raced the flag store rings no bell.
-        """
-        if self._pub_fd is None or self._flags is None:
-            return False
-        self._flags[_CONSUMER_WAITING] = 1
-        return True
-
-    def disarm_doorbell(self) -> None:
-        """Clear the parked flag and drain any pending bell edge."""
-        if self._flags is not None:
-            self._flags[_CONSUMER_WAITING] = 0
-        if self._pub_fd is not None:
-            _drain_bell(self._pub_fd)
 
     def _release(self) -> None:
         slot = self._tail % self.slots
         self._seq[slot] = self._tail + self.slots
         self._tail += 1
-        if self._rel_fd is not None and self._flags[_PRODUCER_WAITING]:
-            _ring_bell(self._rel_fd)
+        _ring_bell(self._rel_fd)
 
     def recv_message(self, timeout_s: float) -> Tuple[wire.Message, int]:
         """Consume one message; returns ``(payload, wire nbytes)``."""
@@ -393,25 +331,15 @@ class ShmRing:
         return session, obj, total
 
     # ------------------------------------------------------------------
-    def close(self, unlink: Optional[bool] = None) -> None:
-        """Drop the mapping; the creating side also unlinks the segment."""
+    def close(self) -> None:
+        """Drop the mapping and this ring's doorbell fds; the creating
+        side also unlinks the segment."""
         if self._shm is None:
             return
-        # The owner created the doorbell fds, so only the owner closes
-        # them — an in-process attacher shares the very same fd table
-        # entries (a fork child's copies die with the child).
-        if self._owner:
-            for fd in (self._pub_fd, self._rel_fd):
-                if fd is not None:
-                    try:
-                        os.close(fd)
-                    except OSError:  # pragma: no cover - already closed
-                        pass
-        self._pub_fd = None
-        self._rel_fd = None
+        os.close(self._pub_fd)
+        os.close(self._rel_fd)
         # Views into the shared buffer must die before the mmap can
         # close (CPython refcounting makes the drop immediate).
-        self._flags = None
         self._seq = None
         self._lens = None
         for view in self._payloads or ():
@@ -419,10 +347,10 @@ class ShmRing:
         self._payloads = None
         shm, self._shm = self._shm, None
         shm.close()
-        if unlink if unlink is not None else self._owner:
+        if self._owner:
             try:
                 shm.unlink()
-            except FileNotFoundError:  # peer already unlinked
+            except FileNotFoundError:  # removed from outside
                 pass
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
@@ -456,19 +384,10 @@ class ShmTransport(Endpoint):
         """True when a receive would not block."""
         return self._rx.poll()
 
-    def doorbell_fd(self) -> Optional[int]:
-        """Fd a sweep loop can ``select`` on for incoming messages, or
-        None when this link has no usable doorbell (no eventfd, or the
-        peer lives across a spawn boundary)."""
+    def doorbell_fd(self) -> int:
+        """Fd a sweep loop can ``select`` on for incoming messages: park
+        on it only straight after a False :meth:`poll`."""
         return self._rx.doorbell_fd
-
-    def arm_doorbell(self) -> bool:
-        """Arm the receive doorbell; re-check :meth:`poll` after arming
-        (a racing publish rings no bell).  False = no doorbell here."""
-        return self._rx.arm_doorbell()
-
-    def disarm_doorbell(self) -> None:
-        self._rx.disarm_doorbell()
 
     def send_tagged(self, session: int, obj: Any) -> None:
         """Send ``obj`` tagged with a session id (wire header field)."""
@@ -491,9 +410,10 @@ def make_pair(
 ) -> Tuple[ShmTransport, ShmTransport]:
     """Create a connected (client_endpoint, server_endpoint) pair.
 
-    The first endpoint owns the segments: close it last (its ``close``
-    unlinks).  Used in-process by the tests and as the building block of
-    :func:`run_in_subprocess`.
+    The first endpoint owns the segments (its ``close`` unlinks them);
+    the second holds its own mapping and doorbell fds, so either may
+    close first.  Used in-process by the tests and as the building
+    block of :func:`run_in_subprocess`.
 
     Note the ring buffers at most ``slots * slot_nbytes`` bytes: with
     both endpoints in one thread (tests), a blocking ``send`` larger
@@ -572,6 +492,10 @@ class StaticListener:
         """Next pre-created connection, or None once all are handed out."""
         return self._pending.pop(0) if self._pending else None
 
+    def doorbell_fds(self):
+        """Nothing to wake for: no connection arrives later."""
+        return []
+
     def close(self) -> None:
         self._pending = []
 
@@ -611,10 +535,10 @@ class ShmManyLink:
         self._claimed[slot] = True
 
     def connect(self, slot: int) -> ShmTransport:
-        """Client endpoint for ``slot``, used from the parent process."""
-        self._claim(slot)
-        up, down = self._pairs[slot]
-        return ShmTransport(tx=up, rx=down, timeout_s=self._timeout_s)
+        """Client endpoint for ``slot``, used from the parent process —
+        attached like any child's, so closing it unlinks nothing (the
+        server may not have mapped the segments yet)."""
+        return connect_address(self.address(slot))
 
     def address(self, slot: int):
         """Picklable connect info for ``slot`` (hand to a child process)."""

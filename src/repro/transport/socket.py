@@ -95,26 +95,10 @@ class SocketTransport(Endpoint):
         readable, _, _ = select.select([self._sock], [], [], 0)
         return bool(readable)
 
-    # -- doorbell surface (the runtime's idle-sweep park) --------------
-    def doorbell_fd(self) -> Optional[int]:
-        """The socket itself: readability is the doorbell.
-
-        Sockets are level-triggered in ``select`` — pending bytes keep
-        the fd readable — so unlike the shm ring there is nothing to
-        arm and no lost-wakeup window; the runtime's arm-then-recheck
-        dance degenerates to a plain select on the fd.
-        """
-        try:
-            fd = self._sock.fileno()
-        except OSError:
-            return None
-        return fd if fd >= 0 else None
-
-    def arm_doorbell(self) -> bool:
-        return False  # nothing to disarm: the fd is always level-triggered
-
-    def disarm_doorbell(self) -> None:
-        pass
+    def doorbell_fd(self) -> int:
+        """Fd a sweep loop can ``select`` on: the socket itself, readable
+        while bytes are pending."""
+        return self._sock.fileno()
 
     def send_tagged(self, session: int, obj: Any) -> None:
         self._sock.settimeout(self.timeout_s)
@@ -208,8 +192,7 @@ class SocketListener:
 
     def doorbell_fds(self):
         """Pollable accept fd(s) while the listener still expects
-        connections — a parked idle sweep must wake for a late dialler,
-        not discover it a select-timeout later."""
+        connections: a late dialler is what wakes a parked idle sweep."""
         return [] if self._sock is None else [self._sock.fileno()]
 
     def close(self) -> None:
@@ -228,7 +211,7 @@ class FleetSocketListener:
     per-shard *direct* listener that redirected clients re-dial (the
     target of a ``REJECT(redirect, shard=k)``).  The fleet has no
     provisioned population (``expected`` is None): shards accept until
-    the owner signals drain (:attr:`draining`, set by the fleet's
+    the owner signals drain (:attr:`draining`, read off the fleet's
     control pipe), which is the quiesce contract a fleet runtime uses
     in place of the come-and-gone population rule.
     """
@@ -243,22 +226,25 @@ class FleetSocketListener:
         self._socks = [front_sock, direct_sock]
         self._timeout_s = timeout_s
         self._control = control_conn
-        self.draining = False
+        self._draining = False
 
-    def _poll_control(self) -> None:
-        if self._control is None or self.draining:
-            return
-        try:
-            if self._control.poll(0):
-                self._control.recv()  # the only message is "drain"
-                self.draining = True
-        except (EOFError, OSError):
-            # A dead owner is a drain order too: serve out what's open
-            # and exit instead of idling into the timeout.
-            self.draining = True
+    @property
+    def draining(self) -> bool:
+        """Whether the owner has ordered the drain: the control pipe is
+        one of :meth:`doorbell_fds`, so the order wakes a parked shard
+        and the quiesce check that follows reads it here."""
+        if self._control is not None and not self._draining:
+            try:
+                if self._control.poll(0):
+                    self._control.recv()  # the only message is "drain"
+                    self._draining = True
+            except (EOFError, OSError):
+                # A dead owner is a drain order too: serve out what's
+                # open and exit instead of idling into the timeout.
+                self._draining = True
+        return self._draining
 
     def poll_accept(self) -> Optional[SocketTransport]:
-        self._poll_control()
         for sock in self._socks:
             if sock is None:
                 continue
@@ -271,7 +257,7 @@ class FleetSocketListener:
 
     def doorbell_fds(self):
         fds = [sock.fileno() for sock in self._socks if sock is not None]
-        if self._control is not None and not self.draining:
+        if self._control is not None and not self._draining:
             fds.append(self._control.fileno())
         return fds
 

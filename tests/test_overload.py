@@ -260,6 +260,22 @@ class TestOverloadController:
         # A metric already above the floor passes through untouched.
         assert ctl.degraded_metric(0.999, 0.7) == 0.999
 
+    def test_a_runtime_going_to_sleep_has_no_load(self):
+        """A loop that sleeps when idle runs no empty sweeps for the
+        EWMA to decay over: going idle zeroes it, and the next burst
+        starts from level 0."""
+        ctl = OverloadController(
+            OverloadConfig(degrade=True, high_water=1.0, ewma_alpha=0.05)
+        )
+        for _ in range(200):
+            ctl.observe_sweep(8)
+        assert ctl.level == 4
+        ctl.observe_sweep(0)  # one empty sweep barely moves it ...
+        assert ctl.level == 4
+        ctl.tracker.reset()   # ... nothing left anywhere does
+        assert ctl.level == 0 and ctl.tracker.ewma == 0.0
+        assert ctl.degraded_budget(8) is None
+
     def test_config_validation(self):
         for kwargs in (
             {"admission_rate": 0.0},

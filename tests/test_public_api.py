@@ -202,7 +202,7 @@ class TestEveryModuleHasACaller:
     ROOTS = {
         # The entry point: ``python -m repro.cli`` / setup.py's console script.
         "repro.cli",
-        # The paper-shape criteria ROADMAP item 5 gates on; evaluating
+        # The paper-shape criteria ROADMAP item 2 gates on; evaluating
         # them over seed ensembles is that item's work.
         "repro.experiments.validate",
     }

@@ -149,14 +149,43 @@ class TestLabelMemo:
         teacher = TeacherNet(width=8, seed=2)
         calls = self._counting(teacher)
         shared = shared_mod.SharedDistillation()
-        for i in range(shared_mod._LABEL_MEMO_SIZE + 1):
+        for i in range(shared_mod._MEMO_SIZE + 1):
             shared.pseudo_label(teacher, frame + np.float32(i), None)
-        assert len(shared._labels) == shared_mod._LABEL_MEMO_SIZE
+        assert len(shared._labels) == shared_mod._MEMO_SIZE
         # The newest entry still hits; the oldest was dropped.
         shared.pseudo_label(teacher, frame + np.float32(i), None)
         assert shared.counters["label_hits"] == 1
         shared.pseudo_label(teacher, frame, None)
-        assert len(calls) == shared_mod._LABEL_MEMO_SIZE + 2
+        assert len(calls) == shared_mod._MEMO_SIZE + 2
+
+    def test_all_distinct_key_frames_cannot_grow_the_distill_memo(self):
+        """Every miss stores a cloned student state plus the update, so
+        a long-lived server on a distinct stream must evict: same FIFO,
+        same bound as the label memo — and eviction must never change
+        what a session is served."""
+        from repro.nn.serialize import state_dict_digest
+        from repro.serving import shared as shared_mod
+
+        frame, label = key_frame()
+        shared = shared_mod.SharedDistillation()
+        memoised, twin = self._servers(OracleTeacher(), shared)[:2]
+        (plain,) = self._servers(OracleTeacher(), None)[:1]
+        wanted = []
+        for i in range(shared_mod._MEMO_SIZE + 3):
+            key = frame + np.float32(i) / 256
+            got, _ = memoised.handle_key_frame(key, label)
+            want, _ = plain.handle_key_frame(key, label)
+            wanted.append(state_dict_digest(want.update))
+            assert state_dict_digest(got.update) == wanted[-1]
+            assert (got.metric, got.steps) == (want.metric, want.steps)
+            assert len(shared._entries) <= shared_mod._MEMO_SIZE
+        assert shared.counters["misses"] == shared_mod._MEMO_SIZE + 3
+        # A twin starting that late finds the first entries evicted: it
+        # trains for itself and is served exactly the same.
+        got, _ = twin.handle_key_frame(frame, label)
+        assert shared.counters["hits"] == 0
+        assert state_dict_digest(got.update) == wanted[0]
+        assert len(shared._entries) == shared_mod._MEMO_SIZE
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_oracles_are_never_memoised(self, noise):

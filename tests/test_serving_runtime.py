@@ -9,6 +9,7 @@ client-side demultiplexer's bookkeeping.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.serving.runtime import (
     run_client_processes,
     start_server,
 )
+from repro.transport.shm import _drain_bell
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 _HW = (32, 48)
@@ -207,17 +209,34 @@ class TestInlineServe:
 
 class _ScriptedConnection:
     """A process-free link: messages are fed by the test, every
-    ``poll`` / ``recv`` / ``send`` lands in a shared event log."""
+    ``poll`` / ``recv`` / ``send`` lands in a shared event log.
 
-    def __init__(self, name, log, on_send=None):
+    Its doorbell is an eventfd nobody drains — always readable, so the
+    idle park returns at once and the script alone drives the loop —
+    unless built ``rung=False``: then it keeps the ring's contract (a
+    False ``poll`` has drained the bell) and the loop sleeps until
+    :meth:`publish` rings it."""
+
+    def __init__(self, name, log, on_send=None, rung=True):
         self.name, self.log, self.on_send = name, log, on_send
         self.inbox = []
         self.closed = False
+        self.rung = rung
+        self.bell = os.eventfd(int(rung), os.EFD_NONBLOCK)
 
     def poll(self):
         self.log.append(("poll", self.name))
         assert len(self.log) < 10_000, "the loop is spinning, not serving"
+        if not self.inbox and not self.rung:
+            _drain_bell(self.bell)
         return bool(self.inbox)
+
+    def doorbell_fd(self):
+        return self.bell
+
+    def publish(self, session, msg):
+        self.inbox.append((session, msg))
+        os.eventfd_write(self.bell, 1)
 
     def recv_tagged(self):
         session, msg = self.inbox.pop(0)
@@ -231,15 +250,27 @@ class _ScriptedConnection:
 
     def close(self):
         self.closed = True
+        os.close(self.bell)
 
 
 class _ScriptedListener:
-    def __init__(self, connections):
+    def __init__(self, connections, expected=None):
         self.pending = list(connections)
-        self.expected = len(connections)
+        self.expected = len(connections) if expected is None else expected
+        self.door = os.eventfd(0, os.EFD_NONBLOCK)
 
     def poll_accept(self):
-        return self.pending.pop(0) if self.pending else None
+        if not self.pending:
+            return None
+        _drain_bell(self.door)
+        return self.pending.pop(0)
+
+    def doorbell_fds(self):
+        return [self.door]
+
+    def dial(self, connection):
+        self.pending.append(connection)
+        os.eventfd_write(self.door, 1)
 
 
 class TestRunLoopScripted:
@@ -290,6 +321,38 @@ class TestRunLoopScripted:
         for i in key_frames:
             assert log[i + 1] == ("send", "busy", log[i][2], "ServerReply")
         assert runtime.serve_counters["key_frames"] == 2
+
+    def test_park_wakes_on_a_connection_and_on_the_listener(self):
+        """An idle runtime sleeps in one ``select`` with no cap but its
+        own clocks (60 s here) and no yield sweeps: a message published
+        0.2 s into the park, then a connection dialled 0.2 s after
+        that, are each served the moment they arrive."""
+        import threading
+        import time
+
+        log = []
+        early = _ScriptedConnection("early", log, rung=False)
+        late = _ScriptedConnection("late", log, rung=False)
+        late.inbox.append((0, None))
+        listener = _ScriptedListener([early], expected=2)
+        timers = [
+            threading.Timer(0.2, early.publish, (0, None)),
+            threading.Timer(0.4, listener.dial, (late,)),
+        ]
+        runtime = ServerRuntime(idle_timeout_s=60.0)
+        start = time.monotonic()
+        for timer in timers:
+            timer.start()
+        try:
+            runtime.run(listener)
+        finally:
+            for timer in timers:
+                timer.join()
+        elapsed = time.monotonic() - start
+        assert early.closed and late.closed
+        assert 0.35 < elapsed < 1.0
+        # accept, park, wake for the message, park, wake for the dial.
+        assert sum(e[0] == "poll" for e in log) <= 6
 
     def test_drain_waits_for_the_links_sentinel(self):
         """One accepted link whose only session came and went is not a

@@ -13,7 +13,9 @@ import pytest
 
 from repro.runtime.server import ServerReply
 from repro.transport import registry
-from repro.transport.shm import ShmRing, ShmTransport, run_in_subprocess, make_pair
+from repro.transport.shm import (
+    ShmManyLink, ShmRing, ShmTransport, make_pair, run_in_subprocess,
+)
 
 
 def _pair(**kw):
@@ -170,74 +172,163 @@ class TestRegistry:
             b.close(), a.close()
 
 
-@pytest.mark.skipif(not hasattr(os, "eventfd"), reason="eventfd is Linux-only")
-class TestDoorbell:
-    """The eventfd doorbells that replaced the blind nap escalation."""
-
-    def test_in_process_attach_adopts_fds(self):
-        ring = ShmRing(slots=2, slot_nbytes=4096)
+class TestManyLinkOwnsItsSegments:
+    def test_closing_the_parents_connection_unlinks_nothing(self):
+        """The parent's own endpoint is attached like any child's: the
+        forked server may not have mapped slot 0 yet when the parent is
+        done with it, so only ``ShmManyLink.close`` unlinks."""
+        pairs = [(ShmRing(2, 4096), ShmRing(2, 4096))]
+        descs = [ring.describe() for ring in pairs[0]]
+        link = ShmManyLink(pairs, timeout_s=5.0)
         try:
-            assert ring.doorbell_fd is not None
-            other = ShmRing.attach(ring.describe())
-            assert other.doorbell_fd == ring.doorbell_fd
-            other.close()
+            link.connect(0).close()
+            for desc in descs:
+                assert os.path.exists(f"/dev/shm/{desc[0]}")
+                ShmRing.attach(desc).close()
         finally:
-            ring.close()
+            link.close()
+        assert not any(os.path.exists(f"/dev/shm/{desc[0]}") for desc in descs)
 
-    def test_foreign_lineage_falls_back_to_naps(self):
+
+class TestDoorbell:
+    """One way to wait: the publisher always rings, the waiter parks in
+    one ``select`` until its own deadline."""
+
+    def test_attached_ring_owns_its_bells(self):
+        # Every publish rings, so an in-process attacher must not be
+        # left holding fd *numbers* the creator has closed: it gets its
+        # own dups of the same counters and outlives the creator.
+        ring = ShmRing(slots=2, slot_nbytes=4096)
+        other = ShmRing.attach(ring.describe())
+        theirs = {ring._pub_fd, ring._rel_fd}
+        assert not theirs & {other._pub_fd, other._rel_fd}
+        ring.close()
+        reused = os.pipe()  # takes over the numbers just closed
+        try:
+            assert theirs & set(reused)
+            payload = np.arange(3, dtype=np.int64)
+            other.send_message(payload, timeout_s=1.0)
+            assert select.select([other.doorbell_fd], [], [], 0)[0]
+            assert not select.select([reused[0]], [], [], 0)[0]
+            np.testing.assert_array_equal(other.recv_message(1.0)[0], payload)
+            assert not other.poll()
+        finally:
+            os.close(reused[0]), os.close(reused[1])
+            other.close()
+
+    def test_foreign_lineage_attach_raises(self):
         # A spawn child re-imports the module and draws a new cookie;
         # the fd numbers in the descriptor then belong to a foreign fd
-        # table and must be ignored, not selected on.
+        # table and must be refused, not selected on.
         ring = ShmRing(slots=2, slot_nbytes=4096)
         try:
             name, slots, nbytes, pub, rel, _cookie = ring.describe()
-            foreign = ShmRing.attach((name, slots, nbytes, pub, rel, b"\0" * 8))
-            assert foreign.doorbell_fd is None
-            assert not foreign.arm_doorbell()
-            # The ring still works, just bell-less.
-            ring.send_message(np.arange(3, dtype=np.int64), timeout_s=1.0)
-            out, _ = foreign.recv_message(timeout_s=1.0)
-            np.testing.assert_array_equal(out, np.arange(3))
-            foreign.close()
+            with pytest.raises(RuntimeError, match="socket"):
+                ShmRing.attach((name, slots, nbytes, pub, rel, b"\0" * 8))
         finally:
             ring.close()
 
-    def test_armed_bell_rings_on_publish(self):
+    def test_ring_without_eventfd_raises_and_leaves_no_segment(self, monkeypatch):
+        before = set(os.listdir("/dev/shm"))
+        monkeypatch.delattr(os, "eventfd")
+        with pytest.raises(RuntimeError, match="socket"):
+            ShmRing(slots=2, slot_nbytes=4096)
+        assert set(os.listdir("/dev/shm")) == before
+
+    def test_publish_always_rings(self):
+        # Nobody has declared a wait, and the bell still rings: the fd
+        # is readable from the publish until a False poll() drains it.
         a, b = _pair()
         try:
             fd = b.doorbell_fd()
-            assert fd is not None
-            assert b.arm_doorbell()
             assert not b.poll()
             payload = np.ones(4, np.float32)
             a.send(payload, payload.nbytes)
-            readable, _, _ = select.select([fd], [], [], 1.0)
-            assert readable == [fd]
-            b.disarm_doorbell()
+            assert select.select([fd], [], [], 1.0)[0] == [fd]
             np.testing.assert_array_equal(b.recv(), payload)
+            assert not b.poll()
+            assert select.select([fd], [], [], 0.0)[0] == []
+            a.send(payload, payload.nbytes)
+            assert select.select([fd], [], [], 1.0)[0] == [fd]
+            assert b.poll()
         finally:
             b.close(), a.close()
 
-    def test_unarmed_publish_skips_the_bell(self):
-        # The fast path must not pay an eventfd_write per message: with
-        # no waiter declared, publishing leaves the fd silent.
-        a, b = _pair()
+    def test_one_blocked_wait_is_one_select(self, monkeypatch):
+        """A consumer blocked on an empty ring sleeps: one ``select``,
+        no yields, until the publish wakes it."""
+        import threading
+        import time
+        import types
+
+        from repro.transport import shm
+
+        selects, sleeps = [], []
+
+        def counting_select(rlist, wlist, xlist, timeout):
+            selects.append(timeout)
+            return select.select(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(shm, "_select", types.SimpleNamespace(select=counting_select))
+        monkeypatch.setattr(shm, "time", types.SimpleNamespace(
+            monotonic=time.monotonic,
+            sleep=lambda s: (sleeps.append(s), time.sleep(s)),
+        ))
+        ring = ShmRing(slots=2, slot_nbytes=4096)
+        producer = ShmRing.attach(ring.describe())
+        payload = np.arange(3, dtype=np.int64)
+        timer = threading.Timer(
+            0.3, lambda: producer.send_message(payload, timeout_s=1.0)
+        )
         try:
-            fd = b.doorbell_fd()
-            a.send(np.ones(2, np.float32), 8)
-            readable, _, _ = select.select([fd], [], [], 0.0)
-            assert readable == []
-            b.recv()
+            timer.start()
+            start = time.monotonic()
+            out, _ = ring.recv_message(timeout_s=10.0)
+            waited = time.monotonic() - start
+            np.testing.assert_array_equal(out, payload)
         finally:
-            b.close(), a.close()
+            timer.join()
+            producer.close(), ring.close()
+        assert 0.25 < waited < 2.0
+        assert len(selects) == 1 and sleeps == []
+
+    def test_publish_racing_the_park_is_not_lost(self, monkeypatch):
+        """The race the waiting flags existed for: a publish landing
+        after the waiter's check and before its sleep.  The bell is a
+        counter, so the sleep — to the wait's own deadline, with no
+        safety-net nap — returns at once."""
+        import time
+        import types
+
+        from repro.transport import shm
+
+        ring = ShmRing(slots=2, slot_nbytes=4096)
+        producer = ShmRing.attach(ring.describe())
+        payload = np.arange(3, dtype=np.int64)
+        timeouts = []
+
+        def racing_select(rlist, wlist, xlist, timeout):
+            timeouts.append(timeout)
+            if len(timeouts) == 1:
+                producer.send_message(payload, timeout_s=1.0)
+            return select.select(rlist, wlist, xlist, timeout)
+
+        monkeypatch.setattr(shm, "_select", types.SimpleNamespace(select=racing_select))
+        try:
+            start = time.monotonic()
+            out, _ = ring.recv_message(timeout_s=5.0)
+            waited = time.monotonic() - start
+            np.testing.assert_array_equal(out, payload)
+        finally:
+            producer.close(), ring.close()
+        assert waited < 0.05
+        assert len(timeouts) == 1 and timeouts[0] > 4.0
 
     def test_fork_child_wakes_on_doorbell(self):
         # The cross-process path: the forked echo server's waits go
-        # through the inherited doorbell fds (same lineage cookie), and
-        # the protocol is indistinguishable from the nap version.
+        # through the inherited doorbell fds (same lineage cookie).
         endpoint, proc = run_in_subprocess(_echo_server, timeout_s=30.0)
         try:
-            assert endpoint.doorbell_fd() is not None
             frame = np.random.default_rng(7).random((3, 16, 16)).astype(np.float32)
             for _ in range(3):
                 endpoint.send(frame, nbytes=frame.nbytes)
