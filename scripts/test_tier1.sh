@@ -44,7 +44,8 @@ timeout 300 python scripts/smoke_obs.py
 #  ISSUE 14  ADMIT is the only way in, VERSION the only wire dialect
 #  ISSUE 15  every out-of-process session is an ADMIT on a ServerRuntime
 #  ISSUE 16  a perf scenario is legs + data on the one `compare` core
-#  ISSUE 17  two step runners: compiled, autograd
+#  ISSUE 17  two step runners: compiled, autograd (ISSUE 22: pre-training
+#            steps through the same two, chosen in make_step_runner)
 #  ISSUE 20  one fleet front door, two transports in a table
 #  ISSUE 21  one way to wait: the publisher always rings, the waiter
 #            parks in one select until its own deadline

@@ -21,11 +21,11 @@ the trainable back-end (:class:`repro.engine.training.CompiledTrainStep`),
 the forward-pass twin of PartialBackward: its forward scores the key
 frame *before* any update (the metric that gates the loop) and the same
 activations are step 1's forward, so a trained key frame costs one
-front pass and no forward it does not use.  There are two tiers:
-compiled, or — for a freeze boundary that leaves the front trainable,
-a model that is not a ``StudentNet``, or the engine disabled — the
-original full-forward autograd loop (measured as the seed baseline by
-``scripts/bench_perf.py``).
+front pass and no forward it does not use.  There are two step
+runners, chosen in :func:`make_step_runner` for Algorithm 1 and for
+pre-training alike: compiled, or — for a freeze boundary that leaves
+the front trainable, a model that is not a ``StudentNet``, or the
+engine disabled — the original full-forward autograd loop.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import engine
 from repro.autograd.tensor import Tensor, no_grad
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
@@ -58,9 +59,8 @@ class TrainResult:
 class _AutogradStepRunner:
     """The original define-by-run loop (seed path / universal fallback)."""
 
-    def __init__(self, student, frame, x, target, weight_map) -> None:
+    def __init__(self, student, x, target, weight_map) -> None:
         self.student = student
-        self.frame = frame
         self.x = x
         self.target = target
         self.weight_map = weight_map
@@ -72,7 +72,7 @@ class _AutogradStepRunner:
         return loss.item()
 
     def predict(self) -> np.ndarray:
-        return self.student.predict(self.frame)
+        return self.student.predict(self.x.data)
 
 
 class _CompiledStepRunner:
@@ -116,6 +116,51 @@ class _CompiledStepRunner:
         return logits.argmax(axis=1)[0]
 
 
+def _front_fully_frozen(student: StudentNet) -> bool:
+    """True when every parameter through SB4 is frozen, i.e. the
+    paper's freeze boundary (or a deeper one) is in effect and the
+    front-end activations are constants per key frame."""
+    front = set(StudentNet.FRONT_MODULES)
+    return not any(
+        p.requires_grad for name, p in student.named_parameters()
+        if name.split(".", 1)[0] in front
+    )
+
+
+def _front_features(student: StudentNet, x4: np.ndarray) -> tuple:
+    """Key-frame activations at the freeze boundary, computed once.
+
+    Engine plan buffers are reused across runs, so the features are
+    copied out — they must stay valid across the whole optimisation
+    loop while other plans (metric predicts) execute.
+    """
+    plan = student.engine_plan("front", (tuple(x4.shape),))
+    if plan is not None:
+        return tuple(np.array(f, copy=True) for f in plan.run(x4))
+    with no_grad():
+        s1, s2, s4 = student.forward_front(Tensor(x4))
+    return (s1.data, s2.data, s4.data)
+
+
+def make_step_runner(student, x4: np.ndarray, target, weight_map, plan_for=None):
+    """The compiled step where the model and its freeze state allow it,
+    else the autograd loop: the same steps bit for bit.  ``plan_for(kind,
+    shapes)`` supplies the train plan — by default the student's handle
+    on the process-wide one; pre-training passes a plan of its own."""
+    if engine.is_enabled() and isinstance(student, StudentNet):
+        kind, inputs = None, (x4,)
+        if _front_fully_frozen(student):
+            kind, inputs = "train_back", _front_features(student, x4)
+        elif student.trainable_fraction() == 1.0:
+            kind = "train_full"
+        if kind is not None:
+            shapes = tuple(tuple(a.shape) for a in inputs)
+            train_plan = (plan_for or student.engine_plan)(kind, shapes)
+            if train_plan is not None:
+                return _CompiledStepRunner(train_plan, inputs, target, weight_map)
+    return _AutogradStepRunner(student, Tensor(x4), target, weight_map)
+
+
 class StudentTrainer:
     """Owns the server-side student copy and runs Algorithm 1.
 
@@ -147,54 +192,6 @@ class StudentTrainer:
         self._optimizer = Adam(student.trainable_parameters(), lr=config.lr)
 
     # ------------------------------------------------------------------
-    def _front_fully_frozen(self) -> bool:
-        """True when every parameter through SB4 is frozen, i.e. the
-        paper's freeze boundary (or a deeper one) is in effect and the
-        front-end activations are constants per key frame."""
-        front = set(StudentNet.FRONT_MODULES)
-        saw_front = False
-        for name, p in self.student.named_parameters():
-            if name.split(".", 1)[0] in front:
-                saw_front = True
-                if p.requires_grad:
-                    return False
-        return saw_front
-
-    def _front_features(self, x4: np.ndarray) -> tuple:
-        """Key-frame activations at the freeze boundary, computed once.
-
-        Engine plan buffers are reused across runs, so the features are
-        copied out — they must stay valid across the whole optimisation
-        loop while other plans (metric predicts) execute.
-        """
-        student = self.student
-        plan = student.engine_plan("front", (tuple(x4.shape),))
-        if plan is not None:
-            return tuple(np.array(f, copy=True) for f in plan.run(x4))
-        with no_grad():
-            s1, s2, s4 = student.forward_front(Tensor(x4))
-        return (s1.data, s2.data, s4.data)
-
-    def _make_step_runner(self, frame: np.ndarray, x4: np.ndarray, target, weight_map):
-        """The compiled step where the freeze configuration allows it,
-        else the autograd loop; both preserve Algorithm 1 exactly."""
-        student = self.student
-        from repro import engine
-
-        if engine.is_enabled() and isinstance(student, StudentNet):
-            kind, inputs = None, (x4,)
-            if self._front_fully_frozen():
-                kind, inputs = "train_back", self._front_features(x4)
-            elif self.trainable_fraction == 1.0:
-                kind = "train_full"
-            if kind is not None:
-                shapes = tuple(tuple(a.shape) for a in inputs)
-                train_plan = student.engine_plan(kind, shapes)
-                if train_plan is not None:
-                    return _CompiledStepRunner(train_plan, inputs, target, weight_map)
-        return _AutogradStepRunner(student, frame, Tensor(x4), target, weight_map)
-
-    # ------------------------------------------------------------------
     def train(
         self, frame: np.ndarray, label: np.ndarray,
         max_updates: Optional[int] = None,
@@ -224,7 +221,7 @@ class StudentTrainer:
         # compiled tier it is also step 1's forward.  When the student
         # already beats THRESHOLD it stays an unprimed pending forward
         # on the plan, which the next key frame's runner ignores.
-        runner = self._make_step_runner(frame, x4, target, weight_map)
+        runner = make_step_runner(student, x4, target, weight_map)
         best_metric = mean_iou(runner.predict(), label)
         initial_metric = best_metric
         best_state = None

@@ -173,6 +173,14 @@ class PlanHandle:
         return self._plan.num_kernels
 
 
+def compile_transient(root, kind: str, shapes):
+    """A ``(kind, shapes)`` plan of ``root``'s own, outside the shared
+    table: its scratch (~130 MB for a full-mode step at 96x144) goes when
+    the caller drops it.  ``None`` when it does not compile."""
+    entry = _compile(root, root._engine_fns()[kind], kind, shapes)
+    return entry and entry[0]
+
+
 def acquire(root, kind: str, shapes) -> Optional[PlanHandle]:
     """``root``'s handle on the shared ``(kind, shapes)`` plan of its
     architecture, compiling it if this process has not yet; ``None``

@@ -20,9 +20,8 @@ cross-closure order (which decides how three-consumer skip tensors sum
 their float32 contributions) is simulated from
 :meth:`repro.autograd.tensor.Tensor.backward` rather than approximated.
 The parity tests in ``tests/test_engine_training.py`` and the property
-tests in ``tests/test_engine_adjoint.py`` assert this end to end, so
-the trainer uses the compiled step unconditionally in both modes — the
-old full-mode env-var escape hatch is gone.
+tests in ``tests/test_engine_adjoint.py`` assert this end to end, so the
+trainer steps through it in both modes and pre-training in full mode.
 
 The step writes gradients straight into ``Parameter.grad`` (scratch
 views — no per-step gradient allocation), so the existing optimizers

@@ -11,7 +11,7 @@
 
 from repro.models.student import StudentBlock, StudentNet, partial_freeze
 from repro.models.teacher import TeacherNet, OracleTeacher, Teacher
-from repro.models.pretrain import pretrain_student, pretrain_teacher, PretrainResult
+from repro.models.pretrain import pretrain_student, PretrainResult
 
 __all__ = [
     "StudentBlock",
@@ -21,6 +21,5 @@ __all__ = [
     "OracleTeacher",
     "Teacher",
     "pretrain_student",
-    "pretrain_teacher",
     "PretrainResult",
 ]

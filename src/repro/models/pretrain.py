@@ -16,14 +16,15 @@ distillation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Tuple
+import functools
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.engine import plan_cache
 from repro.nn.module import Module
 from repro.nn.optim import Adam
-from repro.segmentation.losses import weighted_cross_entropy
+from repro.segmentation.losses import lvs_weight_map
 from repro.segmentation.metrics import mean_iou
 from repro.video.dataset import SCENERY_CLASSES
 from repro.video.generator import SyntheticVideo, VideoConfig
@@ -87,18 +88,26 @@ def pretrain_student(
     to learn generic texture/class priors, not enough to excel on any
     particular stream (the "Wild" condition).
     """
+    # The steps run on the trainer's compiled / interpreted choice;
+    # imported here because distill/ builds on models/, whose package
+    # imports this module.
+    from repro.distill.trainer import make_step_runner
+
+    # The train plan is this call's own and dies with it: nothing asks
+    # for a full-mode step at this geometry again, and one left in the
+    # process-wide cache stays resident here and in every forked server.
+    own_plan = functools.cache(functools.partial(plan_cache.compile_transient, student))
     corpus = generic_corpus(height, width, seed)
     optimizer = Adam(student.trainable_parameters(), lr=lr)
     student.train()
     losses: List[float] = []
     for _ in range(steps):
         frame, label = next(corpus)
+        x4, target = frame[None], label[None]
+        runner = make_step_runner(student, x4, target, lvs_weight_map(target), own_plan)
         optimizer.zero_grad()
-        logits = student(Tensor(frame[None]))
-        loss = weighted_cross_entropy(logits, label[None])
-        loss.backward()
+        losses.append(runner.step())
         optimizer.step()
-        losses.append(loss.item())
 
     student.eval()
     mious = []
@@ -113,15 +122,3 @@ def pretrain_student(
         final_miou=float(np.mean(mious)),
         loss_history=losses,
     )
-
-
-def pretrain_teacher(
-    teacher: Module,
-    steps: int = 150,
-    lr: float = 2e-3,
-    height: int = 64,
-    width: int = 96,
-    seed: int = 4321,
-) -> PretrainResult:
-    """Pre-train the neural teacher (longer budget, same corpus)."""
-    return pretrain_student(teacher, steps=steps, lr=lr, height=height, width=width, seed=seed)

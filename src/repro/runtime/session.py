@@ -100,12 +100,12 @@ def pretrained_student(
 ) -> StudentNet:
     """Return a student loaded from the shared pre-trained checkpoint.
 
-    Every load deep-copies the checkpoint (``load_state_dict`` copies
-    parameters, and ``set_buffer`` copies buffers — it used to alias
-    them): many pooled sessions start from the same cache entry, and a
-    session mutating its weights or running statistics in place must
-    not corrupt the checkpoint every later session starts from.  The
-    cache-isolation regression test pins this down.
+    A miss pre-trains inline (the compiled full-mode step; seconds at
+    96x144, and whoever calls waits).  Every load deep-copies the
+    checkpoint (``load_state_dict`` and ``set_buffer`` both copy): many
+    pooled sessions start from the same cache entry, and one mutating
+    its weights or running statistics in place must not corrupt the
+    checkpoint every later session starts from.
     """
     key = (width, seed, steps, frame_hw)
     if key not in _PRETRAINED_CACHE:

@@ -22,6 +22,8 @@ from repro.distill.trainer import (
     StudentTrainer,
     _AutogradStepRunner,
     _CompiledStepRunner,
+    _front_features,
+    make_step_runner,
 )
 from repro.models.student import StudentNet
 from repro.segmentation.metrics import mean_iou
@@ -95,9 +97,9 @@ class TestPartialParity:
     def test_compiled_runner_selected(self, frame_and_label):
         frame, label = frame_and_label
         student = StudentNet(width=0.5, seed=1)
-        trainer = StudentTrainer(student, DistillConfig())
+        StudentTrainer(student, DistillConfig())  # applies the paper's boundary
         x4 = frame[None]
-        runner = trainer._make_step_runner(frame, x4, label[None], None)
+        runner = make_step_runner(student, x4, label[None], None)
         # The paper boundary compiles: exactly the compiled tier.
         assert type(runner) is _CompiledStepRunner
 
@@ -114,10 +116,10 @@ class TestPartialParity:
         # Pre-poison the train-step cache so only the autograd tier is
         # available.
         x4 = frame[None]
-        feats = trainer._front_features(x4)
+        feats = _front_features(student, x4)
         shapes = tuple(tuple(f.shape) for f in feats)
         student._engine_plans[("train_back", shapes)] = None
-        runner = trainer._make_step_runner(frame, x4, label[None], None)
+        runner = make_step_runner(student, x4, label[None], None)
         assert type(runner) is _AutogradStepRunner
         got = trainer.train(frame, label)
         assert ref.steps == got.steps
@@ -147,9 +149,9 @@ class TestFullModeParity:
         # back to autograd: the trainer has to pick the compiled tier.
         frame, label = frame_and_label
         student = StudentNet(width=0.5, seed=1)
-        trainer = StudentTrainer(student, DistillConfig(mode=DistillMode.FULL))
+        StudentTrainer(student, DistillConfig(mode=DistillMode.FULL))  # unfreezes
         x4 = frame[None]
-        runner = trainer._make_step_runner(frame, x4, label[None], None)
+        runner = make_step_runner(student, x4, label[None], None)
         assert isinstance(runner, _CompiledStepRunner)
 
     def test_full_mode_updates_bn_buffers(self, frame_and_label):
@@ -224,8 +226,8 @@ class TestCompiledGradients:
             loss.backward()
 
         got_student = StudentNet(width=0.5, seed=1)
-        trainer = StudentTrainer(got_student, DistillConfig())
-        runner = trainer._make_step_runner(frame, x4, target, wm)
+        StudentTrainer(got_student, DistillConfig())
+        runner = make_step_runner(got_student, x4, target, wm)
         got_student.train()
         compiled_loss = runner.step()
 

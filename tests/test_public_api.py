@@ -245,3 +245,32 @@ class TestEveryModuleHasACaller:
         assert not orphans, (
             f"imported by nothing but their own package __init__: {orphans}"
         )
+
+
+class TestOneInterpretedTrainingLoop:
+    """Outside ``repro.autograd`` a loss is back-propagated through the
+    define-by-run graph in exactly one place, the step runner both
+    Algorithm 1 and pre-training fall back to; everything else steps
+    through the compiled plan (whose kernels' ``backward(grad)`` take an
+    argument and are not this)."""
+
+    def test_backward_is_called_in_one_function(self):
+        callers = set()
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "backward"
+                    and not child.args and not child.keywords
+                ):
+                    callers.add(scope)
+                named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                visit(child, f"{scope}.{child.name}" if named else scope)
+
+        package = TestEveryModuleHasACaller.REPO / "src" / "repro"
+        for path in sorted(package.rglob("*.py")):
+            if "autograd" not in path.relative_to(package).parts:
+                visit(ast.parse(path.read_text()), path.stem)
+        assert callers == {"trainer._AutogradStepRunner.step"}
