@@ -21,7 +21,10 @@ the trainable back-end (:class:`repro.engine.training.CompiledTrainStep`),
 the forward-pass twin of PartialBackward: its forward scores the key
 frame *before* any update (the metric that gates the loop) and the same
 activations are step 1's forward, so a trained key frame costs one
-front pass and no forward it does not use.  There are two step
+front pass and no forward it does not use.  A key frame the student
+already beats THRESHOLD on pays for that one forward and nothing else:
+the loss weights, the optimizer reset and the checkpoint slots all sit
+behind the gate.  There are two step
 runners, chosen in :func:`make_step_runner` for Algorithm 1 and for
 pre-training alike: compiled, or — for a freeze boundary that leaves
 the front trainable, a model that is not a ``StudentNet``, or the
@@ -40,7 +43,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
 from repro.nn.optim import Adam
-from repro.nn.serialize import apply_state_dict, state_dict_diff
+from repro.nn.serialize import StateSlots
 from repro.segmentation.losses import lvs_weight_map, weighted_cross_entropy
 from repro.segmentation.metrics import mean_iou
 
@@ -57,7 +60,12 @@ class TrainResult:
 
 
 class _AutogradStepRunner:
-    """The original define-by-run loop (seed path / universal fallback)."""
+    """The original define-by-run loop (seed path / universal fallback).
+
+    The only reader of the modules' ``training`` flag (batch-norm
+    commits running statistics in train mode only), so it alone sets
+    it: train mode for a step, the caller's mode back afterwards.
+    """
 
     def __init__(self, student, x, target, weight_map) -> None:
         self.student = student
@@ -66,9 +74,12 @@ class _AutogradStepRunner:
         self.weight_map = weight_map
 
     def step(self) -> float:
+        was_training = self.student.training
+        self.student.train()
         logits = self.student(self.x)
         loss = weighted_cross_entropy(logits, self.target, self.weight_map)
         loss.backward()
+        self.student.train(was_training)
         return loss.item()
 
     def predict(self) -> np.ndarray:
@@ -190,6 +201,21 @@ class StudentTrainer:
             student.unfreeze()
             self.trainable_fraction = 1.0
         self._optimizer = Adam(student.trainable_parameters(), lr=config.lr)
+        #: Best-checkpoint slots, resolved per freeze signature (the
+        #: ablations move the boundary between calls; nothing else does).
+        self._params = student.parameters()
+        self._checkpoint: Optional[StateSlots] = None
+        self._checkpoint_sig: Optional[tuple] = None
+
+    def _checkpoint_slots(self) -> StateSlots:
+        """What training can change: trainable parameters plus the
+        buffers of unfrozen modules (batch-norm running stats).  The
+        frozen front-end never moves, so it is never snapshotted."""
+        sig = tuple(p.requires_grad for p in self._params)
+        if sig != self._checkpoint_sig:
+            self._checkpoint = StateSlots(self.student, trainable_only=True)
+            self._checkpoint_sig = sig
+        return self._checkpoint
 
     # ------------------------------------------------------------------
     def train(
@@ -209,19 +235,18 @@ class StudentTrainer:
             else max(1, min(max_updates, cfg.max_updates))
         )
         student = self.student
-        if cfg.reset_optimizer_state:
-            self._optimizer.reset_state()
 
         x4 = frame[None] if frame.ndim == 3 else frame
         target = label[None] if label.ndim == 2 else label
-        weight_map = lvs_weight_map(target)
 
         student.eval()
         # The runner's first predict is the pre-update metric; on the
         # compiled tier it is also step 1's forward.  When the student
         # already beats THRESHOLD it stays an unprimed pending forward
-        # on the plan, which the next key frame's runner ignores.
-        runner = make_step_runner(student, x4, target, weight_map)
+        # on the plan, which the next key frame's runner ignores — and
+        # nothing else was prepared: no loss weights, no optimizer
+        # reset, no checkpoint slots.
+        runner = make_step_runner(student, x4, target, None)
         best_metric = mean_iou(runner.predict(), label)
         initial_metric = best_metric
         best_state = None
@@ -229,32 +254,26 @@ class StudentTrainer:
         steps = 0
 
         if best_metric < cfg.threshold:
-            student.train()
+            runner.weight_map = lvs_weight_map(target)
+            if cfg.reset_optimizer_state:
+                self._optimizer.reset_state()
+            checkpoint = self._checkpoint_slots()
             for _ in range(budget):
                 self._optimizer.zero_grad()
                 losses.append(runner.step())
                 self._optimizer.step()
                 steps += 1
 
-                student.eval()
-                pred = runner.predict()
-                metric = mean_iou(pred, label)
-                student.train()
+                metric = mean_iou(runner.predict(), label)
                 if metric > best_metric:
                     best_metric = metric
-                    # Snapshot only what training can change: trainable
-                    # parameters plus the buffers of unfrozen modules
-                    # (batch-norm running stats).  The frozen front-end
-                    # never moves, so cloning the whole student per
-                    # improving step was pure overhead.
-                    best_state = state_dict_diff(student, trainable_only=True)
+                    best_state = checkpoint.copy()
                 if metric > cfg.threshold:
                     break
-            student.eval()
             # Roll back to the best checkpoint (Algorithm 1 returns
             # best_student, not the last iterate).
-            if best_state is not None and best_metric > initial_metric:
-                apply_state_dict(student, best_state)
+            if best_state is not None:
+                checkpoint.restore(best_state)
 
         return TrainResult(
             metric=best_metric,

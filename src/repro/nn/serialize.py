@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -141,12 +141,9 @@ def state_dict_bytes(state: Dict[str, np.ndarray]) -> int:
     return param_bytes(state.values())
 
 
-def state_dict_diff(
-    module: Module,
-    trainable_only: bool = True,
-    include_buffers: bool = True,
-) -> "OrderedDict[str, np.ndarray]":
-    """Extract the part of a module's state that must cross the network.
+class StateSlots:
+    """The part of a module's state that must cross the network, resolved
+    once: the parameters and buffers :func:`state_dict_diff` copies.
 
     With ``trainable_only`` (partial distillation), only unfrozen
     parameters are included — "it suffices to communicate only the
@@ -154,22 +151,57 @@ def state_dict_diff(
     of *unfrozen* BN layers also change during distillation, so they are
     included when ``include_buffers`` is set; frozen-layer buffers never
     change and are skipped.
+
+    Resolving walks the module tree, which costs more than copying the
+    back-end's few dozen small tensors; whoever copies the same slots
+    repeatedly (Algorithm 1's best-checkpoint snapshots) keeps the
+    object for as long as the freeze state stands.
     """
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    trainable_prefixes = set()
-    for name, p in module.named_parameters():
-        if trainable_only and not p.requires_grad:
-            continue
-        out[name] = np.array(p.data, copy=True)
+
+    def __init__(
+        self, module: Module, trainable_only: bool = True, include_buffers: bool = True
+    ) -> None:
+        self.params = [
+            (name, p) for name, p in module.named_parameters()
+            if p.requires_grad or not trainable_only
+        ]
         # module path, e.g. "sb5.conv1.weight" -> "sb5.conv1"
-        trainable_prefixes.add(name.rsplit(".", 1)[0] if "." in name else "")
-    if include_buffers:
-        for name, b in module.named_buffers():
-            prefix = name.rsplit(".", 1)[0] if "." in name else ""
-            if trainable_only and prefix not in trainable_prefixes:
-                continue
-            out[name] = np.array(b, copy=True)
-    return out
+        owners = {name.rpartition(".")[0] for name, _ in self.params}
+        #: ``(qualified name, owning module, buffer name)``
+        self.buffers = [
+            (f"{mod_name}.{b_name}" if mod_name else b_name, mod, b_name)
+            for mod_name, mod in module.named_modules()
+            if include_buffers and (mod_name in owners or not trainable_only)
+            for b_name in mod._buffers
+        ]
+        self.names = [name for name, _ in self.params] + [
+            name for name, _, _ in self.buffers
+        ]
+
+    def copy(self) -> List[np.ndarray]:
+        """Fresh copies of every slot, in :attr:`names` order."""
+        return [np.array(p.data, copy=True) for _, p in self.params] + [
+            np.array(mod._buffers[b_name], copy=True) for _, mod, b_name in self.buffers
+        ]
+
+    def restore(self, arrays: List[np.ndarray]) -> None:
+        """Put a :meth:`copy` back.  The parameter arrays are handed
+        over, not copied again: the caller gives the snapshot up."""
+        for (_, p), value in zip(self.params, arrays):
+            p.data = value
+        for (_, mod, b_name), value in zip(self.buffers, arrays[len(self.params):]):
+            mod.set_buffer(b_name, value)
+
+
+def state_dict_diff(
+    module: Module,
+    trainable_only: bool = True,
+    include_buffers: bool = True,
+) -> "OrderedDict[str, np.ndarray]":
+    """Extract (copy) the part of a module's state that must cross the
+    network — see :class:`StateSlots` for what that is."""
+    slots = StateSlots(module, trainable_only, include_buffers)
+    return OrderedDict(zip(slots.names, slots.copy()))
 
 
 def apply_state_dict(module: Module, update: Dict[str, np.ndarray]) -> None:

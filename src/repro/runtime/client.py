@@ -122,8 +122,11 @@ class Client:
         self._uplink_free_at = up_done
 
         # Real server-side computation happens here (teacher inference +
-        # Algorithm 1); only its *timing* is modelled.
-        reply, result = self.server.handle_key_frame(frame, label)
+        # Algorithm 1); only its *timing* is modelled.  The renderer's
+        # label goes along only for a teacher that reads it.
+        reply, result = self.server.handle_key_frame(
+            frame, label if self.server.teacher_reads_label else None
+        )
         server_time = self.server.service_time(result, self.latency)
         down_bytes = self.server.reply_bytes()
         down_start = up_done + server_time
@@ -142,12 +145,15 @@ class Client:
     def _apply_update(self, pending: _PendingUpdate) -> None:
         # ApplyUpdate rebinds parameter arrays; engine plans read live
         # weights per call, so the very next predict infers with the
-        # fresh weights (see the stale-weight regression test).
-        apply_state_dict(self.student, pending.reply.update)
-        if self.weight_version is not None:
-            self.weight_version = state_dict_digest(
-                pending.reply.update, prev=self.weight_version
-            )
+        # fresh weights (see the stale-weight regression test).  An
+        # empty update is a key frame that took no step: the weights,
+        # and so their version, stay.
+        if pending.reply.update:
+            apply_state_dict(self.student, pending.reply.update)
+            if self.weight_version is not None:
+                self.weight_version = state_dict_digest(
+                    pending.reply.update, prev=self.weight_version
+                )
         old_stride = self.stride_policy.stride
         self.stride_policy.update(pending.reply.metric)
         if obs.enabled():

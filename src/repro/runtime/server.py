@@ -3,7 +3,9 @@
 Per key frame received: run teacher inference to obtain the
 pseudo-label, run Algorithm 1 (student training) on the server-side
 student copy, and send back only the updated part of the student plus
-the post-distillation metric.
+the post-distillation metric.  When Algorithm 1 took no step (the
+student already beat THRESHOLD) the updated part is empty: the device
+holds those weights already.
 
 This class is the pure per-key-frame core: it owns no link and no
 loop.  In-process sessions call it directly; out of process,
@@ -27,7 +29,7 @@ import numpy as np
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import StudentTrainer, TrainResult
 from repro.models.student import StudentNet
-from repro.models.teacher import Teacher
+from repro.models.teacher import Teacher, TeacherNet
 from repro.network.messages import MessageSizes
 from repro.nn.serialize import state_dict_diff
 from repro.runtime.clock import LatencyModel
@@ -37,6 +39,7 @@ from repro.runtime.clock import LatencyModel
 class ServerReply:
     """Payload the server sends back per key frame."""
 
+    #: The student state the key frame changed; empty when ``steps == 0``.
     update: Dict[str, np.ndarray]
     metric: float
     steps: int
@@ -72,6 +75,13 @@ class Server:
     def is_partial(self) -> bool:
         """Whether the server runs the paper's partial distillation."""
         return self.config.mode is DistillMode.PARTIAL
+
+    @property
+    def teacher_reads_label(self) -> bool:
+        """Whether ``handle_key_frame``'s ``label`` reaches the teacher:
+        a neural teacher labels the frame itself, so a device has
+        nothing to send (it has no ground truth to begin with)."""
+        return not isinstance(self.teacher, TeacherNet)
 
     # ------------------------------------------------------------------
     def handle_key_frame(
@@ -111,15 +121,19 @@ class Server:
         Training may end with a rollback to the best checkpoint, which
         rebinds the trainable parameter arrays; engine plans read
         weights through the live layers per call, so the server-side
-        student's compiled predicts never go stale.
+        student's compiled predicts never go stale.  A key frame that
+        took no step changed nothing, so nothing is diffed.
         """
         result = self.trainer.train(frame, pseudo_label, max_updates=max_updates)
-        partial_payload = (
-            self.trainer.trainable_fraction < 1.0
-            if self._custom_freeze
-            else self.config.mode is DistillMode.PARTIAL
-        )
-        update = state_dict_diff(self.student, trainable_only=partial_payload)
+        if result.steps == 0:
+            update: Dict[str, np.ndarray] = {}
+        else:
+            partial_payload = (
+                self.trainer.trainable_fraction < 1.0
+                if self._custom_freeze
+                else self.config.mode is DistillMode.PARTIAL
+            )
+            update = state_dict_diff(self.student, trainable_only=partial_payload)
         reply = ServerReply(
             update=update,
             metric=result.metric,
@@ -129,7 +143,9 @@ class Server:
         return reply, result
 
     def reply_bytes(self) -> int:
-        """Wire size of the student update (paper-scale, Table 4)."""
+        """Wire size of the student update (paper-scale, Table 4).  The
+        simulated link carries it on every key frame, as the paper's
+        does; only the measured wire skips a zero-step key frame's."""
         if self.config.mode is DistillMode.PARTIAL:
             return self.sizes.student_diff_partial
         return self.sizes.student_full

@@ -8,7 +8,7 @@ background alone rather than being diluted by absent classes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -24,8 +24,27 @@ def confusion_matrix(
     if pred.shape != label.shape:
         raise ValueError(f"pred {pred.shape} vs label {label.shape}")
     mask = (label >= 0) & (label < num_classes)
-    idx = label[mask].astype(np.int64) * num_classes + pred[mask].astype(np.int64)
+    if not mask.all():
+        pred, label = pred[mask], label[mask]
+    idx = label.astype(np.int64) * num_classes
+    idx += pred.astype(np.int64, copy=False)
     return np.bincount(idx, minlength=num_classes**2).reshape(num_classes, num_classes)
+
+
+def _present_ious(
+    pred: np.ndarray, label: np.ndarray, num_classes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(classes, ious)`` of the classes present in ``label`` (Eq. 1).
+
+    A present class has at least one labelled pixel, so its union is
+    never empty: every IoU is one int64 / int64 division.
+    """
+    cm = confusion_matrix(pred, label, num_classes)
+    inter = cm.diagonal()
+    rows = cm.sum(axis=1)
+    union = rows + cm.sum(axis=0) - inter
+    present = np.flatnonzero(rows > 0)
+    return present, inter[present] / union[present]
 
 
 def iou_per_class(
@@ -34,14 +53,8 @@ def iou_per_class(
     num_classes: int = NUM_CLASSES,
 ) -> Dict[int, float]:
     """IoU for every class present in ``label`` (Eq. 1)."""
-    cm = confusion_matrix(pred, label, num_classes)
-    present = np.flatnonzero(cm.sum(axis=1) > 0)
-    out: Dict[int, float] = {}
-    for c in present:
-        inter = cm[c, c]
-        union = cm[c, :].sum() + cm[:, c].sum() - inter
-        out[int(c)] = float(inter / union) if union > 0 else 1.0
-    return out
+    classes, ious = _present_ious(pred, label, num_classes)
+    return dict(zip(classes.tolist(), ious.tolist()))
 
 
 def mean_iou(
@@ -50,10 +63,10 @@ def mean_iou(
     num_classes: int = NUM_CLASSES,
 ) -> float:
     """Mean IoU over classes present in the label; in [0, 1]."""
-    ious = iou_per_class(pred, label, num_classes)
-    if not ious:
+    _, ious = _present_ious(pred, label, num_classes)
+    if not ious.size:
         return 1.0
-    return float(np.mean(list(ious.values())))
+    return float(ious.mean())
 
 
 def pixel_accuracy(pred: np.ndarray, label: np.ndarray) -> float:

@@ -11,7 +11,8 @@ clock, sessions advance frame by frame) interleaves them.
 Work is amortised across sessions wherever it is *provably* identical:
 
 * :class:`~repro.serving.batched.BatchedPredictor` gathers every
-  session due for a non-key-frame predict on the current tick, groups
+  session due for a predict on the current tick (key frames too: their
+  update is still in flight), groups
   them by weight version and frame geometry, and predicts each group's
   bitwise-duplicate frames once.  Distinct frames and sessions whose
   students have diverged run their own per-session predict.

@@ -1,9 +1,11 @@
 """Shared predicts across weight-identical sessions.
 
-On every pool tick, all sessions due for a non-key-frame predict hand
-their frames to one :class:`BatchedPredictor` call.  Frames are grouped
-by ``(weight_version, frame geometry)``: equal weight versions prove
-equal student weights (content-digest chains, see
+On every pool tick, all due sessions hand their frames to one
+:class:`BatchedPredictor` call — key frames included: a key frame's
+update is still in flight when the device predicts, so weight-identical
+sessions at a key frame are as shareable as between key frames.  Frames
+are grouped by ``(weight_version, frame geometry)``: equal weight
+versions prove equal student weights (content-digest chains, see
 :func:`repro.nn.serialize.state_dict_digest`), so within a group
 bitwise-duplicate frames (the broadcast scenario) are predicted once
 and fanned out — identical inputs through identical weights are the
@@ -15,9 +17,11 @@ which is what lets the pool promise bit-identical ``RunStats``.
 
 Route-counter invariant (property-tested): at every point — including
 after an exception aborts a call midway — ``predicts`` equals
-``deduped_frames + single_frames``.  Counters are advanced only when a
-frame's result is actually resolved, and a duplicate is counted
-``dedup`` only after its representative served.
+``deduped_frames + single_frames + key_frames``.  Counters are advanced
+only when a frame's result is actually resolved, and a duplicate is
+counted only after its representative served.  A key frame is tagged
+and counted ``key`` however it was resolved, so the other two routes
+keep meaning "between key frames".
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.serialize import array_digest
+
+_COUNTER_OF_ROUTE = {
+    "single": "single_frames", "dedup": "deduped_frames", "key": "key_frames",
+}
 
 
 class BatchedPredictor:
@@ -38,19 +46,23 @@ class BatchedPredictor:
             "predicts": 0,          # frames served in total
             "deduped_frames": 0,    # frames served from a duplicate's predict
             "single_frames": 0,     # frames served by their own n = 1 predict
+            "key_frames": 0,        # key frames served, either way
         }
 
     def predict(
-        self, items: Sequence[Tuple[object, np.ndarray]]
+        self,
+        items: Sequence[Tuple[object, np.ndarray]],
+        key_flags: Sequence[bool] = (),
     ) -> Tuple[List[np.ndarray], List[str]]:
         """Serve ``(client, frame)`` pairs; returns (preds, route tags).
 
         ``client`` duck-types :class:`repro.runtime.client.Client`: it
-        exposes ``student`` and ``weight_version``.  Order of results
-        matches the input order.
+        exposes ``student`` and ``weight_version``.  ``key_flags[i]``
+        says whether ``items[i]`` is its session's key frame (none is,
+        by default).  Order of results matches the input order.
         """
         preds: List[Optional[np.ndarray]] = [None] * len(items)
-        routes: List[str] = [""] * len(items)
+        routes = ["key" if flag else "" for flag in key_flags] or [""] * len(items)
 
         groups: Dict[Tuple[str, Tuple[int, ...]], List[int]] = {}
         for i, (client, frame) in enumerate(items):
@@ -67,8 +79,6 @@ class BatchedPredictor:
 
     # ------------------------------------------------------------------
     def _serve_group(self, items, group, preds, routes) -> None:
-        counters = self.counters
-
         # Collapse bitwise-duplicate frames through an explicit digest ->
         # representative table (first arrival represents); a lone frame
         # has no partner and is not digested.
@@ -87,13 +97,16 @@ class BatchedPredictor:
         # before any duplicate was recorded as served, so the counters
         # stay consistent on every exception path.
         for i, rep in dups:
-            preds[i] = preds[rep]
-            routes[i] = "dedup"
-            counters["predicts"] += 1
-            counters["deduped_frames"] += 1
+            self._resolve(preds, routes, i, preds[rep], "dedup")
 
     def _serve_single(self, items, i, preds, routes) -> None:
-        preds[i] = items[i][0].student.predict(items[i][1])
-        routes[i] = "single"
+        self._resolve(
+            preds, routes, i, items[i][0].student.predict(items[i][1]), "single"
+        )
+
+    def _resolve(self, preds, routes, i, pred, route) -> None:
+        """Record frame ``i`` served; a key frame keeps its own tag."""
+        preds[i] = pred
+        routes[i] = route = routes[i] or route
         self.counters["predicts"] += 1
-        self.counters["single_frames"] += 1
+        self.counters[_COUNTER_OF_ROUTE[route]] += 1

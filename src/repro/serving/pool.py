@@ -10,8 +10,7 @@ advances them cooperatively on a shared virtual tick clock
    overdue-update application, key-frame dispatch, server training —
    memoised across sessions by
    :class:`~repro.serving.shared.SharedDistillation` when attached);
-2. key frames predict on their own session; all non-key frames of the
-   cohort go through the
+2. the cohort's frames, key frames included, go through the
    :class:`~repro.serving.batched.BatchedPredictor` in one call;
 3. every due session runs its timing/update/stats phase
    (``Client.post_predict``) and re-arms on the scheduler.
@@ -233,26 +232,17 @@ class SessionPool:
                 is_key = s.client.pre_predict(frame, gt_label, s.frames_done)
                 cohort.append((s, frame, gt_label, is_key))
 
-            # Phase 2: key frames predict on their own session; the
-            # cohort's non-key frames share one predictor call.
-            preds: Dict[int, np.ndarray] = {}
-            routes: Dict[int, str] = {}
-            non_key = [(s, frame) for s, frame, _, is_key in cohort if not is_key]
-            if non_key:
-                batch_preds, batch_routes = predictor.predict(
-                    [(s.client, frame) for s, frame in non_key]
-                )
-                for (s, _), pred, route in zip(non_key, batch_preds, batch_routes):
-                    preds[s.index], routes[s.index] = pred, route
-            for s, frame, _, is_key in cohort:
-                if is_key:
-                    preds[s.index] = s.client.student.predict(frame)
-                    routes[s.index] = "key"
+            # Phase 2: the whole cohort shares one predictor call (a key
+            # frame's update is still pending, so it shares like any other).
+            preds, routes = predictor.predict(
+                [(s.client, frame) for s, frame, _, _ in cohort],
+                [is_key for _, _, _, is_key in cohort],
+            )
 
             # Phase 3: timing/update/stats, then re-arm or finish.
-            for s, frame, gt_label, _ in cohort:
-                s.client.post_predict(preds[s.index], gt_label, s.frames_done)
-                schedule.append((tick, s.index, s.frames_done, routes[s.index]))
+            for (s, _, gt_label, _), pred, route in zip(cohort, preds, routes):
+                s.client.post_predict(pred, gt_label, s.frames_done)
+                schedule.append((tick, s.index, s.frames_done, route))
                 s.frames_done += 1
                 if s.frames_done < s.spec.num_frames:
                     scheduler.arm(tick + s.spec.tick_interval, s.index)

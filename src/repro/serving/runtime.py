@@ -1007,12 +1007,18 @@ class MuxRemoteServer:
         config,
         sizes=None,
         owns_connection: bool = False,
+        *,
+        teacher_reads_label: bool,
     ) -> None:
         self.connection = connection
         self.session = session
         self.config = config
         self.sizes = sizes or MessageSizes.paper()
         self.owns_connection = owns_connection
+        #: Whether the session's teacher reads the renderer label (the
+        #: admitted blueprint says: a neural one does not), i.e. whether
+        #: the client puts one in its FRAMEs.
+        self.teacher_reads_label = teacher_reads_label
         self._closed = False
 
     @property
@@ -1399,6 +1405,7 @@ def attach_session(config, frame_hw, stride_policy):
         remote = MuxRemoteServer(
             connection, session, config.distill, config.sizes,
             owns_connection=owns,
+            teacher_reads_label=admit.teacher_arch != "neural",
         )
         student = StudentNet(width=config.student_width, seed=config.student_seed)
         student.load_state_dict(initial_state)

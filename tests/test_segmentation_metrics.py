@@ -138,3 +138,67 @@ class TestPixelAccuracy:
         pred = np.array([0, 0, 1, 1])
         label = np.array([0, 1, 1, 0])
         assert pixel_accuracy(pred, label) == 0.5
+
+
+# ----------------------------------------------------------------------
+# Vectorised IoU == the per-class loop, to the last bit
+# ----------------------------------------------------------------------
+def _loop_confusion_matrix(pred, label, num_classes):
+    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for p, l in zip(np.asarray(pred).ravel(), np.asarray(label).ravel()):
+        if 0 <= l < num_classes:
+            cm[int(l), int(p)] += 1
+    return cm
+
+
+def _loop_iou_per_class(pred, label, num_classes):
+    """Eq. 1 as the metric was first written: one class at a time."""
+    cm = _loop_confusion_matrix(pred, label, num_classes)
+    out = {}
+    for c in np.flatnonzero(cm.sum(axis=1) > 0):
+        inter = cm[c, c]
+        union = cm[c, :].sum() + cm[:, c].sum() - inter
+        out[int(c)] = float(inter / union) if union > 0 else 1.0
+    return out
+
+
+def _loop_mean_iou(pred, label, num_classes):
+    ious = _loop_iou_per_class(pred, label, num_classes)
+    return float(np.mean(list(ious.values()))) if ious else 1.0
+
+
+class TestVectorisedIoUIsTheLoop:
+    @given(
+        seed=st.integers(0, 100_000),
+        num_classes=st.integers(1, 9),
+        pixels=st.integers(0, 60),
+        label_dtype=st.sampled_from([np.int64, np.int32, np.int8]),
+        # how far labels may stray outside [0, num_classes): 0 keeps
+        # them all valid, large makes most of them invalid
+        stray=st.sampled_from([0, 1, 3, 50]),
+        # few distinct predictions leave many classes absent
+        pred_classes=st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_same_classes(self, seed, num_classes, pixels, label_dtype,
+                                      stray, pred_classes):
+        rng = np.random.default_rng(seed)
+        label = rng.integers(-stray, num_classes + stray, size=pixels).astype(label_dtype)
+        pred = rng.integers(0, min(pred_classes, num_classes), size=pixels)
+        want = _loop_iou_per_class(pred, label, num_classes)
+        got = iou_per_class(pred, label, num_classes)
+        assert got == want and list(got) == list(want)
+        assert all(type(k) is int and type(v) is float for k, v in got.items())
+        assert np.array_equal(
+            confusion_matrix(pred, label, num_classes),
+            _loop_confusion_matrix(pred, label, num_classes),
+        )
+        m = mean_iou(pred, label, num_classes)
+        assert type(m) is float
+        assert m.hex() == _loop_mean_iou(pred, label, num_classes).hex()
+
+    def test_no_valid_label_scores_one(self):
+        label = np.full((4, 4), 200)
+        assert iou_per_class(np.zeros((4, 4), np.int64), label) == {}
+        assert mean_iou(np.zeros((4, 4), np.int64), label) == 1.0
+        assert mean_iou(np.zeros(0, np.int64), np.zeros(0, np.int64)) == 1.0

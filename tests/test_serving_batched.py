@@ -59,6 +59,26 @@ class TestBatchedPredictor:
         for p in preds:
             np.testing.assert_array_equal(p, ref)
 
+    def test_key_frames_share_like_any_frame_and_keep_their_tag(self):
+        """A key frame's update is still pending when it predicts, so a
+        weight-identical cohort's key frames are one predict; they are
+        tagged and counted ``key`` whether they ran or were fanned out,
+        and ``single`` / ``dedup`` keep meaning "between key frames"."""
+        frames = random_frames(2, (32, 48))
+        a, b, c, d = (self._client("v1") for _ in range(4))
+        lone = self._client(None)
+        predictor = BatchedPredictor()
+        items = [(a, frames[0]), (b, frames[0]), (c, frames[0]),
+                 (d, frames[1]), (lone, frames[1])]
+        preds, routes = predictor.predict(items, [True, True, False, False, True])
+        assert routes == ["key", "key", "dedup", "single", "key"]
+        assert predictor.counters == {
+            "predicts": 5, "key_frames": 3, "deduped_frames": 1, "single_frames": 1,
+        }
+        assert preds[1] is preds[0] and preds[2] is preds[0]
+        for (client, frame), pred in zip(items, preds):
+            np.testing.assert_array_equal(pred, client.student.predict(frame))
+
     def test_routes_are_bit_identical_to_self_predict(self):
         frames = random_frames(5, (32, 48))
         clients = [self._client("v1") for _ in range(5)]
@@ -91,18 +111,23 @@ class TestBatchedPredictor:
 
         def check(predictor):
             c = predictor.counters
-            assert c["predicts"] == c["deduped_frames"] + c["single_frames"]
+            assert c["predicts"] == (
+                c["deduped_frames"] + c["single_frames"] + c["key_frames"]
+            )
 
         frames = random_frames(2, (8, 12))
         # Duplicates whose representative's predict explodes: no frame
         # may be recorded served.
         student = ExplodingStudent(fuse=0)
         items = [(FakeClient(student, "v1"), frames[0]) for _ in range(3)]
-        predictor = BatchedPredictor()
-        with pytest.raises(RuntimeError, match="boom"):
-            predictor.predict(items)
-        check(predictor)
-        assert predictor.counters["deduped_frames"] == 0
+        for key_flags in ((), (True, True, False)):
+            student.fuse = 0
+            predictor = BatchedPredictor()
+            with pytest.raises(RuntimeError, match="boom"):
+                predictor.predict(items, key_flags)
+            check(predictor)
+            assert predictor.counters["deduped_frames"] == 0
+            assert predictor.counters["predicts"] == 0
 
         # A group whose predict explodes after some singles resolved.
         student = ExplodingStudent(fuse=1)

@@ -103,6 +103,47 @@ class TestPooledEqualsSingle:
         # Shared training really ran once per distinct key frame.
         assert counters["distill_misses"] == pooled.stats[0].num_key_frames
 
+    def test_key_frames_of_identical_sessions_share_one_predict(self, monkeypatch):
+        """Key frames ride the tick's predictor call: a weight-identical
+        cohort at a key frame predicts once, every session still
+        reports the single-session numbers, and the route counters
+        reconcile with the schedule and the stats."""
+        from repro.models.student import StudentNet
+
+        device_predicts = []
+        original = StudentNet.predict
+        monkeypatch.setattr(
+            StudentNet, "predict",
+            lambda self, frame: (device_predicts.append(1), original(self, frame))[1],
+        )
+        config = SessionConfig(student_width=0.25, pretrain_steps=PRETRAIN_STEPS)
+        specs = [
+            SessionSpec(video=make_video(5), num_frames=20, config=config)
+            for _ in range(4)
+        ]
+        pooled = SessionPool(specs).run()
+        pooled_predicts = len(device_predicts)
+        singles = [run_shadowtutor(make_video(5), 20, config) for _ in range(4)]
+
+        for stats, single in zip(pooled.stats, singles):
+            assert signature(stats, include_label=False) == signature(
+                single, include_label=False
+            )
+        c = pooled.counters
+        assert c["predicts"] == 80 == (
+            c["single_frames"] + c["deduped_frames"] + c["key_frames"]
+        )
+        assert c["key_frames"] == sum(s.num_key_frames for s in pooled.stats) > 0
+        routes = [route for *_, route in pooled.schedule]
+        assert {r: routes.count(r) for r in ("single", "dedup", "key")} == {
+            "single": c["single_frames"], "dedup": c["deduped_frames"],
+            "key": c["key_frames"],
+        }
+        # four viewers of one stream: one real predict per tick, key
+        # frames included (they used to cost four)
+        assert pooled_predicts == c["ticks"] == 20
+        assert len(device_predicts) - pooled_predicts == 80
+
     def test_run_shadowtutor_is_the_n1_pool_case(self):
         """N = 1 keeps the classic path: no digest bookkeeping, no
         shared caches, identical output object shape."""
