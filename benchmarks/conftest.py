@@ -6,10 +6,10 @@ stream at student width 0.5) so the full suite finishes on a CPU-only
 box; set ``REPRO_BENCH_FRAMES=5000 REPRO_WIDTH=1.0`` for the paper's
 full protocol.
 
-Each paper-table benchmark also appends its formatted measured-vs-paper
-table to ``benchmarks/results.txt``, which is what EXPERIMENTS.md is
-built from.  The wall-clock floors (``test_perf_*.py``) all go through
-the ``run_perf`` fixture below.
+Each paper-table benchmark also sinks its formatted measured-vs-paper
+table and its shape-criteria verdicts into ``benchmarks/results.txt``,
+the tracked record of the last whole run.  The wall-clock floors
+(``test_perf_*.py``) all go through the ``run_perf`` fixture below.
 """
 
 import os
@@ -24,6 +24,7 @@ from repro.experiments.perf import (
     floor_holds,
     format_record,
 )
+from repro.experiments.validate import render_report
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results.txt"
 
@@ -48,16 +49,34 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def results_sink():
-    """Append-mode sink for formatted result tables."""
-    RESULTS_PATH.unlink(missing_ok=True)
+def results_sink(request):
+    """Sink for formatted result tables.  ``results.txt`` is the
+    tracked record of one *whole* run: it is rewritten, at the end, only
+    by a session that collected every benchmark module and ran to its
+    end; any other run prints its tables and leaves the file alone."""
+    blocks = []
+    yield blocks.append
+    session = request.session
+    here = RESULTS_PATH.parent
+    collected = {item.path.name for item in session.items if item.path.parent == here}
+    whole = collected == {path.name for path in here.glob("test_*.py")}
+    if whole and not (session.shouldstop or session.shouldfail):
+        RESULTS_PATH.write_text("".join(f"{text}\n" for text in blocks))
 
-    def write(text: str) -> None:
-        with RESULTS_PATH.open("a") as fh:
-            fh.write(text)
-            fh.write("\n")
 
-    return write
+@pytest.fixture
+def check_shape(results_sink):
+    """Assert a paper table's shape criteria (the ``validate_*`` of
+    :mod:`repro.experiments.validate`, their one statement) and sink
+    the rendered verdicts under the table."""
+
+    def check(experiment, criteria):
+        report = render_report({experiment: criteria})
+        print(report)
+        results_sink(report + "\n")
+        assert all(c.passed for c in criteria), report
+
+    return check
 
 
 @pytest.fixture

@@ -2,22 +2,22 @@
 the five named videos plus naive offloading, with the analytic bound
 envelope (Eqs. 14/15).
 
-Shape criteria: ShadowTutor throughput is flat down to ~40 Mbps while
-naive degrades with every step; videos with fewer key frames retain
-throughput further; all measured values fall inside the bounds.
+Shape criteria (``validate_figure4``): ShadowTutor throughput is flat
+down to ~40 Mbps while naive degrades with every step; videos with
+fewer key frames retain throughput further; all measured values fall
+inside the bounds.
 """
-
-import os
 
 import pytest
 
 from repro.experiments.figures import figure4_bandwidth_sweep
+from repro.experiments.validate import validate_figure4
 
 pytestmark = pytest.mark.slow
 
 
 @pytest.mark.benchmark(group="figure4")
-def test_figure4_bandwidth_sweep(benchmark, scale, results_sink):
+def test_figure4_bandwidth_sweep(benchmark, scale, results_sink, check_shape):
     result = benchmark.pedantic(
         figure4_bandwidth_sweep, args=(scale,), rounds=1, iterations=1
     )
@@ -40,26 +40,4 @@ def test_figure4_bandwidth_sweep(benchmark, scale, results_sink):
     text = "\n".join(lines) + "\n"
     print(text)
     results_sink(text)
-
-    bw = result.bandwidths_mbps  # ascending [8 .. 90]
-    naive = result.series["naive"]
-    # Naive throughput strictly improves with bandwidth (no buffer).
-    assert all(b >= a for a, b in zip(naive, naive[1:]))
-
-    for name in result.paper["videos"]:
-        series = result.series[name]
-        at80 = series[bw.index(80.0)]
-        at40 = series[bw.index(40.0)]
-        # Flat down to 40 Mbps (paper: "remarkably stable until 40 Mbps").
-        assert at40 > 0.85 * at80, name
-        # Far above naive at the narrowest link.
-        assert series[0] > naive[0] * 1.5, name
-        # Inside the analytic envelope everywhere.
-        for value, (lo, hi) in zip(series, result.bounds):
-            assert lo * 0.9 <= value <= hi * 1.05, (name, value, lo, hi)
-
-    # Videos with fewer key frames hold throughput at low bandwidth better.
-    assert (
-        result.series["softball"][0]
-        >= result.series["southbeach"][0] - 0.3
-    )
+    check_shape("Figure 4", validate_figure4(result))

@@ -2,19 +2,21 @@
 number of distillation steps (partial vs full).
 
 Paper values: 13 ms / 3.83 steps (partial), 18 ms / 4.44 steps (full).
-Shape criterion: partial needs fewer and cheaper steps than full.
+Shape criterion (``validate_table2``): partial needs fewer and cheaper
+steps than full.
 """
 
 import pytest
 
 from repro.experiments.report import format_table
 from repro.experiments.tables import table2_distillation
+from repro.experiments.validate import validate_table2
 
 pytestmark = pytest.mark.slow
 
 
 @pytest.mark.benchmark(group="table2")
-def test_table2_distillation(benchmark, scale, results_sink):
+def test_table2_distillation(benchmark, scale, results_sink, check_shape):
     result = benchmark.pedantic(
         table2_distillation, args=(scale,), rounds=1, iterations=1
     )
@@ -28,8 +30,4 @@ def test_table2_distillation(benchmark, scale, results_sink):
     )
     print(text)
     results_sink(text)
-
-    partial, full = result.rows["partial"], result.rows["full"]
-    # Shape: partial distills in fewer steps at lower per-step latency.
-    assert partial["step_latency_ms"] < full["step_latency_ms"]
-    assert partial["mean_steps"] <= full["mean_steps"] + 0.25
+    check_shape("Table 2", validate_table2(result))

@@ -3,17 +3,18 @@
 Paper values: to-server 2.637 for all schemes; to-client 0.395
 (partial) / 1.846 (full) / 0.879 (naive); totals 3.032 / 4.483 / 3.516.
 These are configuration-level quantities, so measured values must match
-the paper exactly.
+the paper exactly (``validate_table4``).
 """
 
 import pytest
 
 from repro.experiments.report import format_table
 from repro.experiments.tables import table4_data_per_keyframe
+from repro.experiments.validate import validate_table4
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_data_per_keyframe(benchmark, scale, results_sink):
+def test_table4_data_per_keyframe(benchmark, scale, results_sink, check_shape):
     result = benchmark.pedantic(
         table4_data_per_keyframe, rounds=1, iterations=1
     )
@@ -22,13 +23,4 @@ def test_table4_data_per_keyframe(benchmark, scale, results_sink):
     text += "paper totals: partial 3.032, full 4.483, naive 3.516\n"
     print(text)
     results_sink(text)
-
-    rows = result.rows
-    assert rows["partial"]["total_mb"] == pytest.approx(3.032, abs=2e-3)
-    assert rows["full"]["total_mb"] == pytest.approx(4.483, abs=2e-3)
-    assert rows["naive"]["total_mb"] == pytest.approx(3.516, abs=2e-3)
-    # Ordering: partial < naive < full per round trip.
-    assert rows["partial"]["total_mb"] < rows["naive"]["total_mb"] < rows["full"]["total_mb"]
-    # Partial cuts naive's round trip by ~13.77% (section 6.2).
-    reduction = 1 - rows["partial"]["total_mb"] / rows["naive"]["total_mb"]
-    assert reduction == pytest.approx(0.1377, abs=0.01)
+    check_shape("Table 4", validate_table4(result))

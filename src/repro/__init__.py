@@ -18,8 +18,8 @@ Quick start::
     stats = run_shadowtutor(video, num_frames=400)
     print(stats.summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results.
+See docs/ARCHITECTURE.md for the system inventory and
+benchmarks/results.txt for the paper-vs-measured results.
 """
 
 from repro.autograd import Tensor, no_grad

@@ -21,7 +21,7 @@ from repro.engine import tracer as _tracer
 
 Arrayish = Union["Tensor", np.ndarray, float, int]
 
-_GRAD_ENABLED = True
+_GRAD_ON = True
 
 
 @contextlib.contextmanager
@@ -31,18 +31,18 @@ def no_grad():
     Used for plain inference (non-key frames in ShadowTutor) where
     building the autograd graph would waste time and memory.
     """
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    global _GRAD_ON
+    prev = _GRAD_ON
+    _GRAD_ON = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ON = prev
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _GRAD_ON
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -111,7 +111,7 @@ class Tensor:
             data = data.data
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ON
         self._backward = _backward
         self._parents: Tuple[Tensor, ...] = tuple(_parents) if self.requires_grad else ()
         self.name = name
@@ -162,7 +162,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a result tensor, wiring the graph only when needed."""
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_ON and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)

@@ -24,11 +24,16 @@ activations are step 1's forward, so a trained key frame costs one
 front pass and no forward it does not use.  A key frame the student
 already beats THRESHOLD on pays for that one forward and nothing else:
 the loss weights, the optimizer reset and the checkpoint slots all sit
-behind the gate.  There are two step
-runners, chosen in :func:`make_step_runner` for Algorithm 1 and for
-pre-training alike: compiled, or — for a freeze boundary that leaves
-the front trainable, a model that is not a ``StudentNet``, or the
-engine disabled — the original full-forward autograd loop.
+behind the gate.
+
+:func:`make_step_runner` asks the engine one question — is there a
+train plan for this geometry? — for Algorithm 1 and for pre-training
+alike.  Every freeze state of a ``StudentNet`` has one: ``train_back``
+on the cached front features when the front is fully frozen,
+``train_full`` otherwise (the step regenerates its adjoint from the
+live ``requires_grad`` flags, so the ablation's intermediate boundaries
+compile like the paper's).  The define-by-run loop is the branch for a
+geometry with no plan, and the reference the parity tests construct.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import engine
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
 from repro.nn.optim import Adam
@@ -60,7 +64,8 @@ class TrainResult:
 
 
 class _AutogradStepRunner:
-    """The original define-by-run loop (seed path / universal fallback).
+    """The define-by-run loop: what :func:`make_step_runner` returns
+    where no train plan exists, and nowhere else.
 
     The only reader of the modules' ``training`` flag (batch-norm
     commits running statistics in train mode only), so it alone sets
@@ -88,7 +93,8 @@ class _AutogradStepRunner:
 
 class _CompiledStepRunner:
     """Fully compiled train step (back-end with cached feats, or the
-    whole student in full mode — ``inputs`` is whatever the plan eats).
+    whole student wherever the front trains — ``inputs`` is whatever
+    the plan eats).
 
     Every metric predict is merged into the next step's forward: with
     fixed inputs, the eval prediction after update ``i`` (``i = 0``
@@ -138,37 +144,25 @@ def _front_fully_frozen(student: StudentNet) -> bool:
     )
 
 
-def _front_features(student: StudentNet, x4: np.ndarray) -> tuple:
-    """Key-frame activations at the freeze boundary, computed once.
-
-    Engine plan buffers are reused across runs, so the features are
-    copied out — they must stay valid across the whole optimisation
-    loop while other plans (metric predicts) execute.
-    """
-    plan = student.engine_plan("front", (tuple(x4.shape),))
-    if plan is not None:
-        return tuple(np.array(f, copy=True) for f in plan.run(x4))
-    with no_grad():
-        s1, s2, s4 = student.forward_front(Tensor(x4))
-    return (s1.data, s2.data, s4.data)
-
-
-def make_step_runner(student, x4: np.ndarray, target, weight_map, plan_for=None):
-    """The compiled step where the model and its freeze state allow it,
-    else the autograd loop: the same steps bit for bit.  ``plan_for(kind,
-    shapes)`` supplies the train plan — by default the student's handle
-    on the process-wide one; pre-training passes a plan of its own."""
-    if engine.is_enabled() and isinstance(student, StudentNet):
-        kind, inputs = None, (x4,)
-        if _front_fully_frozen(student):
-            kind, inputs = "train_back", _front_features(student, x4)
-        elif student.trainable_fraction() == 1.0:
-            kind = "train_full"
-        if kind is not None:
-            shapes = tuple(tuple(a.shape) for a in inputs)
-            train_plan = (plan_for or student.engine_plan)(kind, shapes)
-            if train_plan is not None:
-                return _CompiledStepRunner(train_plan, inputs, target, weight_map)
+def make_step_runner(student: StudentNet, x4: np.ndarray, target, weight_map,
+                     plan_for=None):
+    """The compiled step for ``student``'s freeze state — ``train_back``
+    on the key frame's front activations when the front is frozen
+    (computed once; copied out, because plan buffers are reused while
+    the loop runs), ``train_full`` on the frame otherwise — or, where
+    that plan does not exist, the autograd loop: the same steps bit for
+    bit.  ``plan_for(kind, shapes)`` supplies the train plan — by
+    default the student's handle on the process-wide one; pre-training
+    passes a plan of its own."""
+    kind, inputs = "train_full", (x4,)
+    if _front_fully_frozen(student):
+        kind = "train_back"
+        inputs = tuple(np.array(f, copy=True) for f in student.run_plan("front", x4))
+    train_plan = (plan_for or student.engine_plan)(
+        kind, tuple(a.shape for a in inputs)
+    )
+    if train_plan is not None:
+        return _CompiledStepRunner(train_plan, inputs, target, weight_map)
     return _AutogradStepRunner(student, Tensor(x4), target, weight_map)
 
 

@@ -30,46 +30,24 @@ without recompilation.
 trace as a second plan of vjp steps, scheduled in autograd's exact
 reversed depth-first postorder so multi-consumer gradient accumulation
 (the Figure-3b skip tensors under full distillation) sums bitwise
-identically to the define-by-run loop.  Both distillation modes ride
-the compiled step unconditionally.
+identically to the define-by-run loop.  The adjoint is regenerated from
+the live ``requires_grad`` flags, so every freeze boundary of a
+``StudentNet`` — both distillation modes and the ablation's points in
+between — rides the compiled step.
 
-The engine is always on in a deployment.  :func:`disabled` /
-:func:`set_enabled` fall back to the pure autograd path for the code
-that needs the reference: the bit-identity tests and the perf
-scenarios' ``autograd`` legs.
+The only question the rest of the tree asks the engine is "is there a
+plan for this geometry?" (:meth:`repro.nn.module.Module.engine_plan`
+answers ``None`` where a traced graph does not compile).  There is no
+switch that selects the interpreted path: a model with a plan runs it,
+one without runs the same callable define-by-run through
+:meth:`~repro.nn.module.Module.run_plan` (forward) or the trainer's
+no-plan branch (backward), and the bit-identity tests construct that
+reference themselves (``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.engine import tracer  # noqa: F401  (dependency-free submodule)
-
-_ENABLED = True
-
-
-def is_enabled() -> bool:
-    """Whether models should route hot paths through compiled plans."""
-    return _ENABLED
-
-
-def set_enabled(flag: bool) -> bool:
-    """Enable/disable the engine process-wide; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-@contextlib.contextmanager
-def disabled():
-    """Context manager that runs the block on the pure autograd path."""
-    previous = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
-
 
 # Heavier submodules are exposed lazily: they import the autograd/nn
 # stack, which itself imports ``repro.engine.tracer`` at load time.

@@ -43,9 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import engine, obs
-from repro.distill.config import DistillConfig, DistillMode
-from repro.distill.trainer import StudentTrainer
+from repro import obs
+from repro.distill.config import DistillConfig
 from repro.engine import plan_cache as plan_cache_module
 from repro.models.student import StudentNet, partial_freeze
 from repro.runtime.session import SessionConfig, build_session, pretrained_student
@@ -325,22 +324,6 @@ def _run_system(frames, config: SessionConfig) -> Tuple[float, object]:
     return time.perf_counter() - start, stats
 
 
-def _engine_legs(run: Leg, suffix: str = "") -> Dict[str, Leg]:
-    """``run`` on the interpreted define-by-run path (the bit-identity
-    oracle) and on the compiled engine."""
-    def on_engine(enabled: bool) -> Leg:
-        def leg():
-            # Restore the caller's flag even if the leg raises: a failed
-            # benchmark must not flip the engine for the rest of pytest.
-            previous = engine.set_enabled(enabled)
-            try:
-                return run()
-            finally:
-                engine.set_enabled(previous)
-        return leg
-    return {f"autograd{suffix}": on_engine(False), f"engine{suffix}": on_engine(True)}
-
-
 def _broadcast_config(width: float, pretrain_steps: int) -> SessionConfig:
     """N viewers of one stream on a tight key-frame cadence (min_stride
     2, max_stride 4, the paper's MAX_UPDATES = 8), labelled by the
@@ -397,99 +380,6 @@ def _multiplexed_leg(config, category, num_clients, num_frames, transport,
 # ----------------------------------------------------------------------
 # Scenarios: each builds its legs and its checks
 # ----------------------------------------------------------------------
-def engine_table3(num_frames: int = 250, width: float = 0.5,
-                  category: str = "fixed-animals",
-                  pretrain_steps: int = 80) -> Dict:
-    """The Table-3 partial-distillation protocol end to end on the real
-    clock, interpreted autograd vs the compiled engine, plus the two
-    operations it is made of in isolation: a ``predict`` and one
-    Algorithm-1 optimisation step (incl. the per-step metric, as in the
-    live system).  Engine predictions must be argmax-identical."""
-    protocol = dict(locals(), table=3, scheme="partial", frame_hw=_FRAME_HW)
-    frames = _frames(category, num_frames)
-    frame, label = frames[0]
-    config = SessionConfig(student_width=width, pretrain_steps=pretrain_steps)
-    fresh_student = functools.partial(
-        pretrained_student, width, config.student_seed, pretrain_steps, _FRAME_HW
-    )
-    fresh_student()  # the one-time pre-training is paid outside the timers
-
-    def system():
-        wall, stats = _run_system(frames, config)
-        return wall, _signatures([stats]), {
-            "frames": num_frames, "mean_miou": round(stats.mean_miou, 6),
-        }
-
-    def predict(count: int = 30):
-        student = fresh_student()
-        student.eval()
-        student.predict(frame)  # warm-up (plan compile on the engine path)
-        start = time.perf_counter()
-        for _ in range(count):
-            student.predict(frame)
-        return time.perf_counter() - start, None, {"ops": count}
-
-    def distill_step():
-        trainer = StudentTrainer(
-            fresh_student(), DistillConfig(max_updates=8, threshold=0.999)
-        )
-        trainer.train(frame, label)  # warm-up
-        start = time.perf_counter()
-        result = trainer.train(frame, label)
-        return time.perf_counter() - start, None, {"ops": result.steps}
-
-    record = compare("engine-table3", protocol, {
-        **_engine_legs(system), **_engine_legs(predict, "-predict"),
-        **_engine_legs(distill_step, "-step"),
-    })
-    student = fresh_student()
-    student.eval()
-    with engine.disabled():
-        references = [student.predict(probe) for probe, _ in frames[:50]]
-    record["checks"].update(
-        predict_ratio=ratio_of(record["legs"], "autograd-predict", "engine-predict"),
-        distill_step_ratio=ratio_of(record["legs"], "autograd-step", "engine-step"),
-        argmax_identical=all(
-            np.array_equal(student.predict(probe), reference)
-            for (probe, _), reference in zip(frames, references)
-        ),
-        argmax_frames_checked=len(references),
-    )
-    return record
-
-
-def train_step(num_frames: int = 4, width: float = 0.5,
-               category: str = "fixed-animals", pretrain_steps: int = 40,
-               max_updates: int = 8) -> Dict:
-    """The full-mode key-frame distillation loop, interpreted autograd
-    vs the compiled forward plus the *generated adjoint* plan
-    (:mod:`repro.engine.adjoint`), whose schedule replays autograd's
-    traversal bitwise.  Steps, losses and metrics are compared exactly:
-    the speedup is only admissible because the answer does not move."""
-    protocol = dict(locals(), scheme="full", frame_hw=_FRAME_HW)
-    frames = _frames(category, num_frames)
-    pretrained_student(width, 0, pretrain_steps, _FRAME_HW)
-    config = DistillConfig(
-        mode=DistillMode.FULL, max_updates=max_updates, threshold=0.999
-    )
-
-    def run():
-        # Fresh student per run from the shared checkpoint (each load
-        # deep-copies), so every leg trains identical weights.
-        student = pretrained_student(width, 0, pretrain_steps, _FRAME_HW)
-        trainer = StudentTrainer(student, config)
-        trainer.train(*frames[0])  # warm-up: plan compile, caches
-        start = time.perf_counter()
-        results = [trainer.train(frame, label) for frame, label in frames]
-        wall = time.perf_counter() - start
-        return (
-            wall, [(r.steps, r.losses, r.metric) for r in results],
-            {"ops": sum(r.steps for r in results)},
-        )
-
-    return compare("train-step", protocol, _engine_legs(run))
-
-
 def plan_cache(width: float = 0.5) -> Dict:
     """What a session open costs the engine, in absolute milliseconds:
     for each plan kind a partial-distillation session touches at the
@@ -821,8 +711,6 @@ def fleet(n_shards: int = 2, group_clients: Tuple[int, int] = (2, 6),
 
 #: Record name (on the shm transport) -> the function that measures it.
 SCENARIOS: Dict[str, Callable[..., Dict]] = {
-    "engine-table3": engine_table3,
-    "train-step": train_step,
     "plan-cache": plan_cache,
     "pool-fanout": pool_fanout,
     "serve-many": serve_many,

@@ -1,10 +1,11 @@
-"""Shape-criteria validation (DESIGN.md section 4, codified).
+"""Shape-criteria validation: the one statement of each criterion.
 
 The reproduction does not chase the paper's absolute numbers (the
 substrate differs); it must reproduce the *shape* of every result.
 This module turns those shape criteria into checkable predicates over
-the table/figure results, producing a structured report that the
-benchmark suite and EXPERIMENTS.md generation share.
+the table/figure results; the paper-table benchmarks
+(``benchmarks/test_table*.py``, ``test_figure4_bandwidth.py``) assert
+every one of them and sink the rendered report next to the table.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List
 
+from repro.analytic.bounds import traffic_lower_bound, traffic_upper_bound
+from repro.analytic.planner import paper_params
 from repro.experiments.figures import BandwidthSweepResult
 from repro.experiments.tables import TableResult
 
@@ -65,11 +68,19 @@ def validate_table3(result: TableResult) -> List[Criterion]:
     checks.append(
         _crit("every category > 2.5x naive", worst > 2.5, f"worst {worst:.2f}x")
     )
+    checks.append(
+        _crit(
+            "naive calibrated to the paper's 2.09 FPS",
+            abs(avg["naive_fps"] - 2.09) <= 0.2,
+            f"{avg['naive_fps']:.2f} FPS",
+        )
+    )
     return checks
 
 
 def validate_table4(result: TableResult) -> List[Criterion]:
     rows = result.rows
+    reduction = 1 - rows["partial"]["total_mb"] / rows["naive"]["total_mb"]
     return [
         _crit(
             "per-key-frame ordering partial < naive < full",
@@ -85,12 +96,19 @@ def validate_table4(result: TableResult) -> List[Criterion]:
             and abs(rows["full"]["total_mb"] - 4.483) < 0.002
             and abs(rows["naive"]["total_mb"] - 3.516) < 0.002,
         ),
+        _crit(
+            "partial cuts naive's round trip by ~13.77% (section 6.2)",
+            abs(reduction - 0.1377) <= 0.01,
+            f"{100 * reduction:.2f}%",
+        ),
     ]
 
 
 def validate_table5(result: TableResult, strict: bool = True) -> List[Criterion]:
     rows = result.rows
     avg = result.averages()
+    params = paper_params()
+    lo, hi = traffic_lower_bound(params), traffic_upper_bound(params)
     checks = [
         _crit(
             "people easier than animals (fixed camera)",
@@ -105,6 +123,14 @@ def validate_table5(result: TableResult, strict: bool = True) -> List[Criterion]
         _crit(
             "key frames sparse everywhere (< 20%)",
             all(r["partial_kf_pct"] < 20 for r in rows.values()),
+        ),
+        _crit(
+            "every category inside the analytic traffic band (Eqs. 8 / 12)",
+            all(
+                lo * 0.9 <= r["partial_traffic_mbps"] <= hi * 1.1
+                for r in rows.values()
+            ),
+            f"{lo:.2f} .. {hi:.2f} Mbps",
         ),
     ]
     if strict:
@@ -172,6 +198,24 @@ def validate_figure4(result: BandwidthSweepResult) -> List[Criterion]:
         for value, (lo, hi) in zip(result.series[name], result.bounds)
     )
     checks.append(_crit("all points inside analytic envelope", inside))
+    checks.append(
+        _crit(
+            "far above naive at the narrowest link (> 1.5x)",
+            all(
+                result.series[name][0] > 1.5 * naive[0]
+                for name in result.paper["videos"]
+                if name in result.series
+            ),
+        )
+    )
+    if "softball" in result.series and "southbeach" in result.series:
+        checks.append(
+            _crit(
+                "fewer key frames hold throughput better at low bandwidth",
+                result.series["softball"][0]
+                >= result.series["southbeach"][0] - 0.3,
+            )
+        )
     return checks
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.engine import plan_cache
-from repro.nn.module import Module
+from repro.models.student import StudentNet
 from repro.nn.optim import Adam
 from repro.segmentation.losses import lvs_weight_map
 from repro.segmentation.metrics import mean_iou
@@ -74,7 +74,7 @@ def generic_corpus(
 
 
 def pretrain_student(
-    student: Module,
+    student: StudentNet,
     steps: int = 60,
     lr: float = 3e-3,
     height: int = 64,
@@ -82,20 +82,20 @@ def pretrain_student(
     seed: int = 1234,
     eval_frames: int = 8,
 ) -> PretrainResult:
-    """Pre-train a student (or teacher) on the generic corpus.
+    """Pre-train a student on the generic corpus.
 
     The default budget is intentionally modest: enough for the network
     to learn generic texture/class priors, not enough to excel on any
     particular stream (the "Wild" condition).
     """
-    # The steps run on the trainer's compiled / interpreted choice;
-    # imported here because distill/ builds on models/, whose package
-    # imports this module.
+    # The steps run on the trainer's step runner; imported here because
+    # distill/ builds on models/, whose package imports this module.
     from repro.distill.trainer import make_step_runner
 
-    # The train plan is this call's own and dies with it: nothing asks
-    # for a full-mode step at this geometry again, and one left in the
-    # process-wide cache stays resident here and in every forked server.
+    # The train plan is this call's own and dies with it: no
+    # partial-mode session asks for a full-mode step at this geometry
+    # again, and one left in the process-wide cache stays resident here
+    # and in every forked server.
     own_plan = functools.cache(functools.partial(plan_cache.compile_transient, student))
     corpus = generic_corpus(height, width, seed)
     optimizer = Adam(student.trainable_parameters(), lr=lr)
@@ -113,8 +113,7 @@ def pretrain_student(
     mious = []
     for _ in range(eval_frames):
         frame, label = next(corpus)
-        pred = student.predict(frame) if hasattr(student, "predict") else student.infer(frame)
-        mious.append(mean_iou(pred, label))
+        mious.append(mean_iou(student.predict(frame), label))
     student.train()
     return PretrainResult(
         steps=steps,

@@ -183,20 +183,11 @@ class StudentNet(Module):
     def predict(self, frame: np.ndarray) -> np.ndarray:
         """Segment one ``(3, H, W)`` frame -> ``(H, W)`` class indices.
 
-        Non-key-frame inference is the client's hot loop, so it routes
-        through the compiled engine plan (zero Tensor allocation); the
-        autograd path remains as fallback and produces identical argmax.
+        Non-key-frame inference is the client's hot loop: the compiled
+        forward plan, zero Tensor allocation (:meth:`Module.run_plan`).
         """
-        x = frame[None] if frame.ndim == 3 else frame
-        plan = self.engine_plan("forward", (tuple(x.shape),))
-        if plan is not None:
-            (logits,) = plan.run(x)
-            return logits.argmax(axis=1)[0]
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            logits = self.forward(Tensor(x))
-        return logits.data.argmax(axis=1)[0]
+        (logits,) = self.run_plan("forward", frame[None] if frame.ndim == 3 else frame)
+        return logits.argmax(axis=1)[0]
 
 
 def partial_freeze(student: StudentNet) -> float:

@@ -23,7 +23,7 @@ from typing import Optional, Protocol
 import numpy as np
 from scipy import ndimage
 
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU, Sequential
 from repro.nn.module import Module
 
@@ -80,10 +80,9 @@ class TeacherNet(Module):
     """A larger fully-convolutional segmentation network.
 
     Encoder-decoder with twice the student's depth and ``width`` times
-    its channels; used for neural-teacher integration tests and the
-    pre-training recipes.  Runs under ``no_grad`` for inference — the
-    teacher is never trained at system runtime (only the student copy
-    is, Algorithm 3).
+    its channels; the ``teacher_arch="neural"`` sessions' label source.
+    Inference only — the teacher is never trained at system runtime
+    (only the student copy is, Algorithm 3).
     """
 
     def __init__(
@@ -131,21 +130,11 @@ class TeacherNet(Module):
         """Argmax segmentation of one frame (label ignored; Teacher protocol).
 
         Neural-teacher inference is the server's per-key-frame cost, so
-        it routes through a compiled engine plan like the student's
-        predict (the ROADMAP "engine coverage" item); the autograd path
-        remains as fallback and produces bit-identical logits.
+        it runs the compiled forward plan like the student's predict
+        (:meth:`Module.run_plan`).
         """
-        x = frame[None] if frame.ndim == 3 else frame
-        plan = self.engine_plan("forward", (tuple(x.shape),))
-        if plan is not None:
-            (logits,) = plan.run(x)
-            return logits.argmax(axis=1)[0]
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            logits = self.forward(Tensor(x))
-        self.train(was_training)
-        return logits.data.argmax(axis=1)[0]
+        (logits,) = self.run_plan("forward", frame[None] if frame.ndim == 3 else frame)
+        return logits.argmax(axis=1)[0]
 
     def _engine_fns(self):
         fns = super()._engine_fns()
@@ -160,22 +149,9 @@ class TeacherNet(Module):
     def soft_infer(self, frame: np.ndarray) -> np.ndarray:
         """Class-probability output for soft-target distillation (section 7).
 
-        Like :meth:`infer`, routes through a compiled engine plan — the
-        forward chain plus the softmax head kernel — bit-identical to
-        the autograd path, which remains as the fallback.
+        Like :meth:`infer`, a compiled plan — the forward chain plus
+        the softmax head kernel.  Plan buffers are reused on the next
+        run, so the result is handed back as owned memory.
         """
-        from repro.autograd import functional as F
-
-        x = frame[None] if frame.ndim == 3 else frame
-        plan = self.engine_plan("soft", (tuple(x.shape),))
-        if plan is not None:
-            (probs,) = plan.run(x)
-            # Plan buffers are reused on the next run; hand back owned
-            # memory like the autograd path does.
-            return probs[0].copy()
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            probs = F.softmax(self.forward(Tensor(x)), axis=1)
-        self.train(was_training)
-        return probs.data[0]
+        (probs,) = self.run_plan("soft", frame[None] if frame.ndim == 3 else frame)
+        return probs[0].copy()

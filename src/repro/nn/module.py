@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import tracer as _tracer
 
 
@@ -222,15 +222,11 @@ class Module:
         views a train step installs) are valid until *any* instance
         runs the same plan — copy or reduce at once.
 
-        Returns ``None`` when the engine is disabled or the traced
-        graph is not compilable — callers fall back to the autograd
-        path.  Failed compilations are cached process-wide too, so the
-        trace is retried neither per frame nor per session.
+        Returns ``None`` when the traced graph is not compilable — the
+        one question callers ask; :meth:`run_plan` is what they do with
+        the answer.  Failed compilations are cached process-wide too,
+        so the trace is retried neither per frame nor per session.
         """
-        from repro import engine
-
-        if not engine.is_enabled():
-            return None
         key = (kind, shapes)
         handles = self._engine_plans
         if key not in handles:
@@ -238,6 +234,25 @@ class Module:
 
             handles[key] = plan_cache.acquire(self, kind, shapes)
         return handles[key]
+
+    def run_plan(self, kind: str, *inputs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Outputs of the ``kind`` callable on ``inputs``, without a
+        graph: the compiled plan's buffers (valid until that plan runs
+        again — copy or reduce at once), or, where the geometry does
+        not compile, the same callable interpreted under ``no_grad`` in
+        eval mode, as plans are traced.  The one place outside training
+        where a forward is interpreted."""
+        plan = self.engine_plan(kind, tuple(a.shape for a in inputs))
+        if plan is not None:
+            return plan.run(*inputs)
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                out = self._engine_fns()[kind](*map(Tensor, inputs))
+        finally:
+            self.train(was_training)
+        return tuple(t.data for t in (out if isinstance(out, tuple) else (out,)))
 
     def invalidate_plans(self) -> None:
         """Drop this module tree's handles on shared engine plans.

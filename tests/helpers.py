@@ -1,6 +1,30 @@
-"""Shared numeric-gradient helpers for the test suite."""
+"""Shared helpers for the test suite: numeric gradients, and the
+interpreted reference the engine is judged against."""
+
+import contextlib
+from unittest import mock
 
 import numpy as np
+
+from repro.engine import plan_cache
+from repro.nn.module import Module
+
+
+@contextlib.contextmanager
+def interpreted(active=True):
+    """The reference of every engine == autograd test, constructed here
+    because production has no way to ask for it: inside the block no
+    model finds a plan (shared or transient), so forwards run through
+    ``Module.run_plan``'s define-by-run branch and training through
+    ``make_step_runner``'s no-plan branch.  Handles a model already
+    holds are untouched and come back with the block's end.
+    ``active=False`` is the compiled leg of a parametrised pair."""
+    if not active:
+        yield
+        return
+    with mock.patch.object(Module, "engine_plan", lambda self, kind, shapes: None), \
+            mock.patch.object(plan_cache, "compile_transient", lambda *args: None):
+        yield
 
 
 def numeric_gradient(tensor, scalar_fn, eps=1e-2):

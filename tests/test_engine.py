@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import plan_cache, tracer
 from repro.engine.compiler import CompiledPlan, compile_plan
@@ -16,10 +15,11 @@ from repro.models.student import StudentNet, partial_freeze
 from repro.models.teacher import TeacherNet
 from repro.nn.layers import BatchNorm2d
 from repro.nn.serialize import apply_state_dict, state_dict_diff
+from tests.helpers import interpreted
 
 
 def autograd_logits(student, x):
-    with engine.disabled(), no_grad():
+    with no_grad():
         return student.forward(Tensor(x)).data
 
 
@@ -69,7 +69,7 @@ class TestForwardEquivalence:
         student = StudentNet(width=0.5, seed=5)
         student.eval()
         frame = rng.normal(size=(3, 32, 48)).astype(np.float32)
-        with engine.disabled():
+        with interpreted():
             ref = student.predict(frame)
         got = student.predict(frame)
         np.testing.assert_array_equal(ref, got)
@@ -89,11 +89,6 @@ class TestForwardEquivalence:
 
 
 class TestPlanMechanics:
-    def test_disabled_engine_returns_no_plan(self, rng):
-        student = StudentNet(width=0.25, seed=0)
-        with engine.disabled():
-            assert student.engine_plan("forward", ((1, 3, 16, 16),)) is None
-
     def test_run_validates_shapes(self, rng):
         student = StudentNet(width=0.25, seed=0)
         student.eval()
@@ -382,7 +377,7 @@ class TestSharedPlans:
             fresh = StudentNet(width=0.25, seed=2 + attempt)
             if id(fresh) == address:
                 break
-        with engine.disabled():
+        with interpreted():
             want = fresh.predict(frame)
         np.testing.assert_array_equal(fresh.predict(frame), want)
         plan = fresh.engine_plan("forward", ((1, 3, *_HW),))

@@ -21,7 +21,6 @@ that the schedule genuinely differs from reversed lowering order.
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.autograd.tensor import Tensor
 from repro.engine.adjoint import (
     BatchNormVjpStep,
@@ -46,9 +45,8 @@ def _autograd_grads(student, x4, target, weight_map):
     # which substitutes the LVS map for None): the plan's None path means
     # genuinely unweighted, and the reference must mean the same thing.
     student.train()
-    with engine.disabled():
-        loss = cross_entropy(student(Tensor(x4)), target, weight_map)
-        loss.backward()
+    loss = cross_entropy(student(Tensor(x4)), target, weight_map)
+    loss.backward()
     return loss.item(), {n: p.grad for n, p in student.named_parameters()}
 
 

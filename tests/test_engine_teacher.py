@@ -12,13 +12,13 @@ distillation) is bit-identical too.
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine.compiler import compile_plan
 from repro.engine.kernels import AvgPool2dStep, SoftmaxStep, UntraceableError
 from repro.models.teacher import TeacherNet
 from repro.nn.layers import AvgPool2d, BatchNorm2d, Conv2d, ReLU, Sequential
 from repro.nn.module import Module
+from tests.helpers import interpreted
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestTeacherNetCompiles:
     def test_infer_argmax_identical_to_autograd(self, frame):
         teacher = TeacherNet(width=8, seed=1)
         got = teacher.infer(frame)
-        with engine.disabled():
+        with interpreted():
             ref = teacher.infer(frame)
         np.testing.assert_array_equal(got, ref)
 
@@ -55,11 +55,6 @@ class TestTeacherNetCompiles:
         teacher.infer(frame)
         key = ("forward", ((1, 3, 32, 48),))
         assert teacher._engine_plans.get(key) is not None
-
-    def test_engine_disabled_returns_no_plan(self, frame):
-        teacher = TeacherNet(width=8, seed=0)
-        with engine.disabled():
-            assert teacher.engine_plan("forward", ((1, 3, 32, 48),)) is None
 
     def test_infer_preserves_training_mode(self, frame):
         teacher = TeacherNet(width=8, seed=0)
@@ -146,7 +141,7 @@ class TestSoftmaxHead:
     def test_soft_infer_bitwise_identical_to_autograd(self, frame):
         teacher = TeacherNet(width=8, seed=0)
         got = teacher.soft_infer(frame)
-        with engine.disabled():
+        with interpreted():
             ref = teacher.soft_infer(frame)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()

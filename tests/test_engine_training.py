@@ -16,18 +16,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import (
     StudentTrainer,
     _AutogradStepRunner,
     _CompiledStepRunner,
-    _front_features,
     make_step_runner,
 )
 from repro.models.student import StudentNet
+from repro.nn.serialize import state_dict_digest
 from repro.segmentation.metrics import mean_iou
 from repro.video.generator import SyntheticVideo, VideoConfig
+from tests.helpers import interpreted
 
 
 @pytest.fixture
@@ -41,16 +41,13 @@ def frame_and_label():
 def run_training(mode, enabled, frame, label, seed=1, max_updates=6,
                  threshold=0.97, freeze_modules=None):
     student = StudentNet(width=0.5, seed=seed)
-    previous = engine.set_enabled(enabled)
-    try:
+    with interpreted(not enabled):
         trainer = StudentTrainer(
             student,
             DistillConfig(mode=mode, max_updates=max_updates, threshold=threshold),
             freeze_modules=freeze_modules,
         )
         result = trainer.train(frame, label)
-    finally:
-        engine.set_enabled(previous)
     return result, student
 
 
@@ -104,8 +101,8 @@ class TestPartialParity:
         assert type(runner) is _CompiledStepRunner
 
     def test_uncompilable_step_falls_back_to_autograd(self, frame_and_label):
-        """There are two tiers: if the train step is unavailable the
-        trainer runs the full autograd loop, with identical results."""
+        """The one way production reaches the autograd loop: the train
+        plan for this geometry does not exist.  Identical results."""
         frame, label = frame_and_label
         ref, _ = run_training(DistillMode.PARTIAL, False, frame, label)
 
@@ -113,11 +110,10 @@ class TestPartialParity:
         trainer = StudentTrainer(
             student, DistillConfig(max_updates=6, threshold=0.97)
         )
-        # Pre-poison the train-step cache so only the autograd tier is
-        # available.
+        # Pre-poison this student's train-step handle, as a geometry
+        # that failed to compile would leave it.
         x4 = frame[None]
-        feats = _front_features(student, x4)
-        shapes = tuple(tuple(f.shape) for f in feats)
+        shapes = tuple(f.shape for f in student.run_plan("front", x4))
         student._engine_plans[("train_back", shapes)] = None
         runner = make_step_runner(student, x4, label[None], None)
         assert type(runner) is _AutogradStepRunner
@@ -167,10 +163,11 @@ class TestFullModeParity:
 
 
 class TestCustomFreezeBoundaries:
-    def test_non_paper_boundary_falls_back_and_matches(self, frame_and_label):
+    def test_non_paper_boundary_compiles_and_matches(self, frame_and_label):
         # Freezing only through sb2 leaves part of the "front" trainable:
-        # the cached-front optimisation is invalid there and the trainer
-        # must fall back to the full autograd loop with equal results.
+        # the cached-front optimisation is invalid there, so the whole
+        # student steps through ``train_full``, whose adjoint stops at
+        # the frozen parameters — with equal results.
         frame, label = frame_and_label
         freeze = ("in1", "in2", "sb1", "sb2")
         ref, _ = run_training(
@@ -199,6 +196,57 @@ class TestCustomFreezeBoundaries:
         assert ref.metric == pytest.approx(got.metric, abs=1e-12)
 
 
+#: ``StudentNet``'s top-level modules in forward order: every proper
+#: prefix is a freeze boundary.  The ablation's four points are
+#: prefixes 0 (full), 4 (through sb2), 6 (the paper's) and 8 (sb6).
+MODULE_ORDER = StudentNet.FRONT_MODULES + StudentNet.BACK_MODULES
+
+
+def _train_key_frames(width, hw, frozen, reference):
+    """Three key frames of Algorithm 1 with the first ``frozen``
+    modules frozen, compiled or (``reference``) interpreted."""
+    frames = _frames(3, hw)
+    with interpreted(reference):
+        trainer = StudentTrainer(
+            StudentNet(width=width, seed=1),
+            DistillConfig(max_updates=2, threshold=0.99),
+            freeze_modules=MODULE_ORDER[:frozen],
+        )
+        first, first_label = frames[0]
+        runner = make_step_runner(trainer.student, first[None], first_label[None], None)
+        results = [trainer.train(frame, label) for frame, label in frames]
+    state = trainer.student.state_dict()
+    if frozen >= len(StudentNet.FRONT_MODULES):
+        # A fully frozen front is run once per key frame, in eval mode,
+        # on the compiled tier; only the interpreted loop replays it in
+        # train mode and moves its running statistics (dead state: the
+        # student normalises with batch statistics and frozen buffers
+        # are never shipped).  Everywhere else the whole student counts.
+        state = {
+            k: v for k, v in state.items()
+            if not (k.startswith(FROZEN_BUFFER_PREFIXES) and "running_" in k)
+        }
+    return type(runner), [
+        (r.steps, r.losses, r.metric, r.initial_metric) for r in results
+    ], state_dict_digest(state)
+
+
+@pytest.mark.parametrize("hw", [(64, 96), (28, 44)], ids=["64x96", "28x44"])
+@pytest.mark.parametrize("width", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("frozen", range(len(MODULE_ORDER)))
+def test_every_freeze_prefix_rides_the_compiled_step(frozen, width, hw):
+    """No freeze state of a ``StudentNet`` reaches the interpreted
+    loop, and the compiled step it takes instead is that loop bit for
+    bit: steps, losses, metrics, weights and buffers."""
+    want_runner, want, want_digest = _train_key_frames(width, hw, frozen, True)
+    got_runner, got, got_digest = _train_key_frames(width, hw, frozen, False)
+    assert want_runner is _AutogradStepRunner  # the reference is the reference
+    assert got_runner is _CompiledStepRunner
+    assert sum(steps for steps, *_ in got) > 0
+    assert got == want
+    assert got_digest == want_digest
+
+
 class TestCompiledGradients:
     def test_frozen_parameters_get_no_grad(self, frame_and_label):
         frame, label = frame_and_label
@@ -221,9 +269,8 @@ class TestCompiledGradients:
         ref_student = StudentNet(width=0.5, seed=1)
         StudentTrainer(ref_student, DistillConfig())
         ref_student.train()
-        with engine.disabled():
-            loss = weighted_cross_entropy(ref_student(Tensor(x4)), target, wm)
-            loss.backward()
+        loss = weighted_cross_entropy(ref_student(Tensor(x4)), target, wm)
+        loss.backward()
 
         got_student = StudentNet(width=0.5, seed=1)
         StudentTrainer(got_student, DistillConfig())
@@ -242,8 +289,8 @@ class TestCompiledGradients:
                 )
 
 
-def _frames(count):
-    video = SyntheticVideo(VideoConfig(seed=5, height=32, width=48,
+def _frames(count, hw=(32, 48)):
+    video = SyntheticVideo(VideoConfig(seed=5, height=hw[0], width=hw[1],
                                        num_objects=3, class_pool=(1, 2)))
     return list(video.frames(count))
 
@@ -263,8 +310,7 @@ def _key_frame_sequence(mode, enabled, interleave=False):
     """Trained, zero-step, trained-on-another-frame; optionally with a
     second session's trainer taking the shared plan after each."""
     (f0, l0), (f1, l1), (f2, l2) = _frames(3)
-    previous = engine.set_enabled(enabled)
-    try:
+    with interpreted(not enabled):
         trainer = StudentTrainer(
             StudentNet(width=0.5, seed=1),
             DistillConfig(mode=mode, max_updates=4, threshold=0.99,
@@ -282,8 +328,6 @@ def _key_frame_sequence(mode, enabled, interleave=False):
             if interleave:
                 other.train(f1, l1)
         states.append(_state_bytes(trainer))
-    finally:
-        engine.set_enabled(previous)
     return results, states
 
 

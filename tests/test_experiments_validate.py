@@ -1,11 +1,18 @@
 """Tests for the shape-criteria validator."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from repro.experiments.figures import BandwidthSweepResult
 from repro.experiments.tables import TableResult
 from repro.experiments.validate import (
     Criterion,
     render_report,
+    validate_figure4,
     validate_table2,
     validate_table3,
     validate_table4,
@@ -66,6 +73,12 @@ class TestTable3Criteria:
         names = {c.name: c.passed for c in checks}
         assert not names["partial >= full throughput"]
 
+    def test_uncalibrated_naive_fails(self):
+        checks = validate_table3(table3(partial=9.5, full=9.0, naive=2.5))
+        assert [c.name for c in checks if not c.passed] == [
+            "naive calibrated to the paper's 2.09 FPS"
+        ]
+
 
 class TestTable4Criteria:
     def test_paper_values_pass(self):
@@ -74,6 +87,13 @@ class TestTable4Criteria:
     def test_wrong_ordering_fails(self):
         checks = validate_table4(table4(p=5.0))
         assert not all(c.passed for c in checks)
+
+    def test_wrong_reduction_fails(self):
+        # Inside every per-row tolerance would be 3.032 / 3.516; a
+        # naive round trip of 3.3 MB keeps the ordering, not the 13.77 %.
+        names = {c.name: c.passed for c in validate_table4(table4(n=3.3))}
+        assert names["per-key-frame ordering partial < naive < full"]
+        assert not names["partial cuts naive's round trip by ~13.77% (section 6.2)"]
 
 
 class TestTable56Criteria:
@@ -95,6 +115,14 @@ class TestTable56Criteria:
     def test_table5_paper_shape_passes(self):
         assert all(c.passed for c in validate_table5(self._t5()))
 
+    def test_table5_traffic_outside_the_analytic_band_fails(self):
+        result = self._t5()
+        result.rows["moving-street"]["partial_traffic_mbps"] = 30.0
+        failed = [c.name for c in validate_table5(result) if not c.passed]
+        assert failed == [
+            "every category inside the analytic traffic band (Eqs. 8 / 12)"
+        ]
+
     def test_table5_relaxed_mode_drops_strict_checks(self):
         strict = validate_table5(self._t5(), strict=True)
         relaxed = validate_table5(self._t5(), strict=False)
@@ -115,6 +143,56 @@ class TestTable56Criteria:
     def test_table6_catches_useless_distillation(self):
         checks = validate_table6(self._t6(p1=30.0, p8=29.0))
         assert not all(c.passed for c in checks)
+
+
+class TestFigure4Criteria:
+    def _sweep(self, softball=(4.4, 7.0, 7.0), southbeach=(2.5, 7.0, 7.0)):
+        return BandwidthSweepResult(
+            bandwidths_mbps=[8.0, 40.0, 80.0],
+            series={
+                "softball": list(softball), "southbeach": list(southbeach),
+                "naive": [0.4, 1.5, 2.1],
+            },
+            bounds=[(2.0, 7.0), (5.0, 7.0), (5.0, 7.0)],
+            keyframe_pct={"softball": 2.0, "southbeach": 11.0},
+            paper={"videos": ["softball", "southbeach"]},
+        )
+
+    def test_paper_shape_passes(self):
+        checks = validate_figure4(self._sweep())
+        assert len(checks) == 5 and all(c.passed for c in checks)
+
+    def test_barely_above_naive_at_the_narrowest_link_fails(self):
+        checks = validate_figure4(self._sweep(southbeach=(0.5, 7.0, 7.0)))
+        failed = {c.name for c in checks if not c.passed}
+        assert "far above naive at the narrowest link (> 1.5x)" in failed
+
+    def test_key_frame_heavy_video_holding_up_better_fails(self):
+        checks = validate_figure4(self._sweep(softball=(2.1, 7.0, 7.0)))
+        assert [c.name for c in checks if not c.passed] == [
+            "fewer key frames hold throughput better at low bandwidth"
+        ]
+
+
+class TestBenchmarksStateNoCriterionOfTheirOwn:
+    """The paper-table benchmarks assert ``validate_*`` and sink the
+    report; a run of one of them prints it and leaves the tracked
+    ``benchmarks/results.txt`` (the record of a whole run) alone."""
+
+    def test_partial_run_reports_and_keeps_the_record(self):
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        record = repo / "benchmarks" / "results.txt"
+        before = record.read_bytes()
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+             "benchmarks/test_table4_data_per_keyframe.py"],
+            cwd=repo, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "[PASS] matches paper exactly (configuration-level)" in run.stdout
+        assert "shape criteria: 3/3 passed" in run.stdout
+        assert record.read_bytes() == before
 
 
 class TestReport:

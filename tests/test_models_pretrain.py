@@ -6,13 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from repro import engine
 from repro.engine import plan_cache, training
 from repro.models.pretrain import PretrainResult, generic_corpus, pretrain_student
 from repro.models.student import StudentNet
-from repro.models.teacher import TeacherNet
 from repro.nn.serialize import state_dict_digest
 from repro.runtime import session
+from tests.helpers import interpreted
 
 
 class TestGenericCorpus:
@@ -73,18 +72,6 @@ class TestPretrainStudent:
             if "running" not in k:  # eval of mIoU does not touch weights
                 np.testing.assert_array_equal(before[k], after[k])
 
-    def test_works_on_teacher_too(self, monkeypatch):
-        # A TeacherNet has no compiled train step: the interpreted
-        # runner is the fallback, exactly where the trainer falls back.
-        monkeypatch.setattr(
-            plan_cache, "compile_transient",
-            lambda *args: pytest.fail("compiled a train step for a TeacherNet"),
-        )
-        teacher = TeacherNet(width=8, seed=0)
-        result = pretrain_student(teacher, steps=5, height=32, width=48)
-        assert result.steps == 5
-        assert len(result.loss_history) == 5
-
 
 @pytest.fixture
 def train_steps(monkeypatch):
@@ -102,7 +89,7 @@ def train_steps(monkeypatch):
 
 class TestCompiledPretrainIsExact:
     """Pre-training rides the compiled full-mode train step; the
-    interpreted loop (engine disabled) is its reference to the last
+    interpreted loop (no plan to be had) is its reference to the last
     bit — weights, batch-norm running statistics, loss history."""
 
     @staticmethod
@@ -120,7 +107,7 @@ class TestCompiledPretrainIsExact:
     def test_matches_interpreted_loop(self, width, hw, train_steps):
         got_digest, got = self._pretrain(width, hw)
         assert len(train_steps) == 1, "pre-training did not take the compiled step"
-        with engine.disabled():
+        with interpreted():
             want_digest, want = self._pretrain(width, hw)
         assert len(train_steps) == 1
         assert got_digest == want_digest

@@ -202,9 +202,6 @@ class TestEveryModuleHasACaller:
     ROOTS = {
         # The entry point: ``python -m repro.cli`` / setup.py's console script.
         "repro.cli",
-        # The paper-shape criteria ROADMAP item 2 gates on; evaluating
-        # them over seed ensembles is that item's work.
-        "repro.experiments.validate",
     }
 
     @staticmethod
@@ -249,10 +246,10 @@ class TestEveryModuleHasACaller:
 
 class TestOneInterpretedTrainingLoop:
     """Outside ``repro.autograd`` a loss is back-propagated through the
-    define-by-run graph in exactly one place, the step runner both
-    Algorithm 1 and pre-training fall back to; everything else steps
-    through the compiled plan (whose kernels' ``backward(grad)`` take an
-    argument and are not this)."""
+    define-by-run graph in exactly one place, the step runner Algorithm
+    1 and pre-training get where no train plan exists; everything else
+    steps through the compiled plan (whose kernels' ``backward(grad)``
+    take an argument and are not this)."""
 
     def test_backward_is_called_in_one_function(self):
         callers = set()
@@ -274,3 +271,30 @@ class TestOneInterpretedTrainingLoop:
             if "autograd" not in path.relative_to(package).parts:
                 visit(ast.parse(path.read_text()), path.stem)
         assert callers == {"trainer._AutogradStepRunner.step"}
+
+    def test_the_loop_is_reached_only_through_the_no_plan_branch(self):
+        """``_AutogradStepRunner`` is constructed once in ``src/``: the
+        last statement of ``make_step_runner``, behind ``if train_plan
+        is not None: return <compiled>`` — no flag, no ``isinstance``,
+        no freeze-state test stands between a model and its plan."""
+        package = TestEveryModuleHasACaller.REPO / "src" / "repro"
+        uses = [
+            path.stem
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id == "_AutogradStepRunner"
+        ]
+        assert uses == ["trainer"]
+        trainer = ast.parse((package / "distill" / "trainer.py").read_text())
+        (factory,) = [
+            node for node in trainer.body
+            if isinstance(node, ast.FunctionDef) and node.name == "make_step_runner"
+        ]
+        *_, guard, fallback = factory.body
+        assert isinstance(guard, ast.If) and not guard.orelse
+        assert ast.unparse(guard.test) == "train_plan is not None"
+        (compiled,) = guard.body
+        assert ast.unparse(compiled.value.func) == "_CompiledStepRunner"
+        assert ast.unparse(fallback.value.func) == "_AutogradStepRunner"
+        returns = [n for n in ast.walk(factory) if isinstance(n, ast.Return)]
+        assert returns == [compiled, fallback] or returns == [fallback, compiled]

@@ -8,7 +8,6 @@ import dataclasses
 
 import pytest
 
-from repro import engine
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet
 from repro.models.teacher import OracleTeacher, TeacherNet
@@ -20,6 +19,7 @@ from repro.serving.runtime import MuxRemoteServer, start_server
 from repro.transport import wire
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 from repro.video.generator import SyntheticVideo, VideoConfig
+from tests.helpers import interpreted
 
 #: ``wire.encoded_nbytes`` of a reply whose update is empty: header only.
 REPLY_HEADER_BYTES = 38
@@ -60,11 +60,8 @@ class TestZeroStepServe:
         server = self._server(mode, threshold=1e-6)
         frame, label = key_frame()
         before = state_dict_digest(server.student.state_dict())
-        previous = engine.set_enabled(compiled)
-        try:
+        with interpreted(not compiled):
             reply, result = server.handle_key_frame(frame, label)
-        finally:
-            engine.set_enabled(previous)
         assert result.steps == reply.steps == 0 and result.losses == []
         assert reply.update == {}
         assert state_dict_digest(server.student.state_dict()) == before
@@ -77,11 +74,8 @@ class TestZeroStepServe:
         diffs = spy(monkeypatch, server_module, "state_dict_diff")
         server = self._server(mode, threshold=0.999)
         frame, label = key_frame()
-        previous = engine.set_enabled(compiled)
-        try:
+        with interpreted(not compiled):
             reply, result = server.handle_key_frame(frame, label)
-        finally:
-            engine.set_enabled(previous)
         assert result.steps > 0 and len(diffs) == 1
         assert reply.update and wire.encoded_nbytes(reply) > REPLY_HEADER_BYTES
         trainable_only = mode is DistillMode.PARTIAL
