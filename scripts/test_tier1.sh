@@ -51,6 +51,8 @@ timeout 300 python scripts/smoke_obs.py
 #            parks in one select until its own deadline
 #  ISSUE 24  no switch selects the interpreted path: a model with a
 #            plan runs it (BENCH_PERF.json keeps the old records' names)
+#  runtime   every runtime owns an overload controller, and whatever one
+#            connection does wrong ends that connection alone
 RETIRED='REPRO_ENGINE_FULL escape hatch|REPRO_ENGINE_FULL
 plan-cache escape hatch or weight_static|REPRO_[A-Z_]*PLAN|weight_static
 co-arrival serving path (gather window / cohort / stacked serve)|gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts
@@ -60,7 +62,8 @@ retired perf-measurement name or REPRO_ENGINE env switch|measure_serve_many_chur
 trainer cached-front middle tier|_CachedFrontStepRunner
 shm fleet director / link shaper / plug-in registry / repro.comm|_director_main|_HandoffListener|_ReplayTransport|_start_shm_fleet|ShapedEndpoint|shape_endpoint_pair|last_recv_nbytes|register_transport|TransportDef|repro\.comm|ledger_capacity|shm_options
 yield-spin / waiting-flag / back-off-nap / arm-disarm wait|_YIELD_SPINS|_YIELD_SWEEPS|_DOORBELL_NAP_MAX_S|_DOORBELL_WAIT_MAX_S|arm_doorbell|disarm_doorbell|_CONSUMER_WAITING|_PRODUCER_WAITING|_HAVE_EVENTFD
-process-wide engine switch|\bset_enabled\b|engine\.disabled|engine\.is_enabled'
+process-wide engine switch|\bset_enabled\b|engine\.disabled|engine\.is_enabled
+runtime without a controller / runtime-killing session check|_DEFAULT_CAPACITY_HINT|_require_session'
 while IFS='|' read -r label pattern; do
   if grep -rnIE -e "$pattern" . \
       --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \

@@ -39,7 +39,8 @@ K = 2 measures ~1.0x of one runtime (``scripts/bench_perf.py fleet``).
 Everything here composes with the existing machinery rather than
 duplicating it: shards run the ordinary ``_runtime_entry`` (fleet
 membership and pre-seeded teachers are constructor parameters), the
-drain rule is the runtime's own ``draining`` quiesce variant, clients
+drain rule is the runtime's own (a shard's listener is exhausted once
+the owner orders the drain), clients
 attach through :func:`~repro.serving.runtime.attach_session` with a
 :class:`FleetAddress`, and per-shard accounting rides the PR-8 metrics
 registry (``fleet.placed`` / ``fleet.redirects``) into the runtime

@@ -31,9 +31,9 @@ level → degradation maps (:func:`serve_budget`, :func:`metric_floor`)
     is bit-identical to no control at all, full level doubles strides
     per key frame until ``max_stride``.
 
-:class:`OverloadConfig` bundles the knobs; everything defaults to
-*off* so the existing bit-identity harness is untouched unless a storm
-bench opts in.
+:class:`OverloadConfig` bundles the knobs; every runtime owns a
+controller, and everything defaults to *off*, so the bit-identity
+harness is untouched unless a storm bench opts in.
 """
 
 from __future__ import annotations
@@ -185,9 +185,11 @@ def metric_floor(threshold: float, level: int, max_level: int) -> float:
 class OverloadConfig:
     """Knobs for the runtime's overload-control layer.
 
-    Everything defaults to *off* (``None`` / ``False``): a runtime
-    built without an explicit config has no overload layer at all,
-    which is what keeps the RunStats bit-identity harness
+    Every control defaults to *off* (``None`` / ``False``), and a
+    runtime built without an explicit config runs this default: its
+    controller keeps the tick clock and the load level but refuses no
+    admission, degrades no serve, sets no receive budget and reaps
+    nothing — which is what keeps the RunStats bit-identity harness
     green.  Storm benches construct one with the controls they are
     exercising.
     """
@@ -240,8 +242,7 @@ class OverloadController:
     state.
     """
 
-    #: Seconds-per-tick assumed before any measurement exists (and the
-    #: conversion used by runtimes with no controller at all): the
+    #: Seconds-per-tick assumed before any measurement exists: the
     #: nominal cost of one small-frame serve on the bench box.
     FALLBACK_TICK_S = 0.005
     #: EWMA smoothing for the measured seconds-per-tick.

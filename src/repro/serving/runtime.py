@@ -34,9 +34,14 @@ module is that shape:
 * capacity and drain — a configurable policy (``max_sessions``) bounds
   concurrently open sessions; admission past it is REJECTed with the
   ``capacity`` reason, loudly and cleanly.  The exit condition
-  tolerates churn: the runtime exits once no session remains open and
-  the listener's whole provisioned connection population has come and
-  gone — not when some fixed session roster is done.
+  tolerates churn: the runtime exits once no session remains open,
+  every accepted connection has closed and the listener says no other
+  connection can arrive — not when some fixed session roster is done.
+* failure scope — whatever one connection does wrong (a dead or stalled
+  peer, a corrupt frame, a message no server accepts, a key frame for a
+  session it does not carry) ends that connection with a typed reason
+  and nothing else; the idle deadline is the only exception
+  :meth:`ServerRuntime.run` raises.
 * the client side — :class:`MuxConnection` demultiplexes tagged
   replies into per-session queues; :class:`MuxRemoteServer` gives
   :class:`~repro.runtime.client.Client` the three calls it makes on
@@ -72,6 +77,21 @@ from repro.transport import wire
 #: runtime report carries (and, armed, mirrors as ``serve.memo.*``).
 _MEMO_COUNTERS = ("hits", "misses", "label_hits", "label_misses")
 
+#: What reading or writing a link can raise.  Each ends that link
+#: alone, typed by :func:`_link_failure`; a well-framed ADMIT with a
+#: bad blueprint (``wire.MalformedBlueprint``) is refused instead.
+_LINK_ERRORS = (ConnectionError, EOFError, TimeoutError, wire.WireError)
+
+
+def _link_failure(exc: BaseException, direction: str) -> str:
+    """Teardown reason for ``exc`` raised while ``direction`` ("recv" /
+    "send") crossed a link."""
+    if isinstance(exc, TimeoutError):
+        return f"{direction}-budget"
+    if isinstance(exc, wire.WireError):
+        return "corrupt-frame"
+    return "connection-error"
+
 
 # ----------------------------------------------------------------------
 # Server side: the multiplexing runtime
@@ -90,7 +110,7 @@ class SessionBlueprint:
         # The blueprint describes the *session*, not how to reach the
         # server — strip attachment/transport fields so the server
         # process cannot recursively try to attach anywhere.
-        if getattr(self.config, "attach", None) is not None:
+        if self.config.attach is not None:
             self.config = dataclasses.replace(self.config, attach=None)
 
     @classmethod
@@ -228,7 +248,6 @@ class _LiveSession:
     def __init__(self, server, connection) -> None:
         self.server = server
         self.connection = connection
-        self.frames_served = 0
         #: Wall-clock time of the last message for this session — what
         #: the idle-session reaper compares against its deadline.
         self.last_active = time.monotonic()
@@ -250,12 +269,14 @@ class ServerRuntime:
         unbounded (the wire header's u16 session id is the only
         ceiling).
     overload:
-        An :class:`~repro.serving.overload.OverloadConfig` enabling the
+        The :class:`~repro.serving.overload.OverloadConfig` of the
         graduated overload-control layer (token-bucket admission with
         ``retry_after`` hints, load-adaptive strides, per-connection
         receive budgets, idle-session reaping).  ``None`` — the default
-        — means no tracker, no budget, no reaper: bit-identical
-        RunStats.
+        — is ``OverloadConfig()``: the controller still keeps its tick
+        clock and load level, but every control is off (no bucket, no
+        degradation, the transport's own timeout, no reaper), so
+        RunStats stay bit-identical.
     """
 
     def __init__(
@@ -310,17 +331,18 @@ class ServerRuntime:
         #: never reused, so demux queues and ``frames_served`` records
         #: stay unambiguous for the whole runtime lifetime.
         self._next_session = 0
-        #: (served key frames per session id) — populated by :meth:`run`.
+        #: Key frames served per session id, counted as they are served
+        #: from 0 at ADMIT — sessions still open are in it too.
         self.frames_served: Dict[int, int] = {}
-        from repro.serving.overload import OverloadController
+        from repro.serving.overload import OverloadConfig, OverloadController
 
-        self._overload = (
-            OverloadController(overload, metrics=self.metrics)
-            if overload is not None else None
+        self._overload = OverloadController(
+            overload or OverloadConfig(), metrics=self.metrics
         )
         #: Typed teardown records: session id → reason for sessions the
         #: runtime ended unilaterally ("idle-reaped", "recv-budget",
-        #: "connection-error"); clean BYEs never appear here.
+        #: "send-budget", "connection-error", "corrupt-frame",
+        #: "protocol-error"); clean BYEs never appear here.
         self.teardowns: Dict[int, str] = {}
         #: Connection index → teardown reason for links the runtime
         #: closed unilaterally.
@@ -374,56 +396,29 @@ class ServerRuntime:
             and len(self._sessions) >= self.max_sessions
         )
 
-    #: ``retry_after`` (in ticks, pre-conversion) stamped on capacity
-    #: REJECTs when no overload controller is configured: the
-    #: bucket-free server still gives refused clients a typed hint
-    #: instead of silence.
-    _DEFAULT_CAPACITY_HINT = 64
-
-    def _hint_ms(self, ticks: int) -> int:
-        """Convert a tick-denominated hint to the wire's milliseconds.
-
-        Hints are *produced* on the virtual tick clock (deterministic
-        admission control) but *consumed* as wall-clock backoff by the
-        client retry loop, so the boundary owns the unit conversion:
-        the controller's measured seconds-per-tick EWMA when one is
-        configured, the nominal fallback otherwise.
-        """
-        if self._overload is not None:
-            return self._overload.ticks_to_ms(ticks)
-        from repro.serving.overload import OverloadController
-
-        return max(1, round(ticks * OverloadController.FALLBACK_TICK_S * 1000))
-
     def _capacity_hint(self) -> int:
-        if self._overload is not None:
-            return self._hint_ms(self._overload.capacity_hint())
-        return self._hint_ms(self._DEFAULT_CAPACITY_HINT)
+        """``retry_after`` of a capacity REJECT, in the wire's
+        milliseconds: hints are produced on the controller's virtual
+        tick clock and converted with its measured seconds-per-tick."""
+        ctl = self._overload
+        return ctl.ticks_to_ms(ctl.capacity_hint())
 
-    def _start_session(self, connection, blueprint: SessionBlueprint) -> int:
-        """Build the server half of one session, assign it the next id
-        and complete its handshake: ACCEPT tagged with the id, then the
-        initial STATE.  A blueprint that breaks model construction
-        raises ``ValueError`` before an id is spent."""
+    def _build_server(self, admit: wire.Admit):
+        """The server half of one session.  A blueprint that fails
+        validation or breaks model construction raises ``ValueError``."""
         from repro.runtime.server import Server
         from repro.runtime.session import pretrained_student
 
+        blueprint = SessionBlueprint.from_admit(admit)
         config = blueprint.config
         student = pretrained_student(
             config.student_width, config.student_seed,
             config.pretrain_steps, blueprint.frame_hw,
         )
-        server = Server(
+        return Server(
             student, self._teacher_for(config), config.distill, config.sizes,
             work_cache=self._work_cache,
         )
-        session_id = self._next_session
-        self._next_session += 1
-        self._sessions[session_id] = _LiveSession(server, connection)
-        connection.send_tagged(session_id, wire.Accept(session_id))
-        connection.send_tagged(session_id, dict(server.student.state_dict()))
-        self._note_admission()
-        return session_id
 
     def _refuse(self, connection, code: int, detail: str,
                 fleet_key: Optional[int] = None, **hint) -> None:
@@ -438,15 +433,14 @@ class ServerRuntime:
     def _admit_session(self, connection, admit: wire.Admit) -> None:
         """Open a session: validate the blueprint, assign the next id,
         answer ACCEPT + initial STATE — or refuse."""
-        if self._overload is not None:
-            hint = self._overload.admit()
-            if hint is not None:
-                self._refuse(
-                    connection, wire.REJECT_OVERLOADED,
-                    "admission token bucket is empty",
-                    retry_after=self._hint_ms(hint),
-                )
-                return
+        hint = self._overload.admit()
+        if hint is not None:
+            self._refuse(
+                connection, wire.REJECT_OVERLOADED,
+                "admission token bucket is empty",
+                retry_after=self._overload.ticks_to_ms(hint),
+            )
+            return
         # Fleet placement sits between overload shedding and local
         # capacity: an overloaded shard refuses before consulting the
         # ledger (nothing was claimed, nothing to undo); every refusal
@@ -489,9 +483,7 @@ class ServerRuntime:
             )
             return
         try:
-            session_id = self._start_session(
-                connection, SessionBlueprint.from_admit(admit)
-            )
+            server = self._build_server(admit)
         except ValueError as exc:
             # Semantic validation, or a blueprint that passed it and
             # still broke model construction (e.g. a width too small
@@ -500,42 +492,56 @@ class ServerRuntime:
             self._refuse(connection, wire.REJECT_MALFORMED, str(exc),
                          fleet_key)
             return
+        # The session is open before its handshake is written, so a
+        # link that fails mid-handshake ends it (and releases its
+        # ledger claim) through the teardown like any other.
+        session_id = self._next_session
+        self._next_session += 1
+        self._sessions[session_id] = _LiveSession(server, connection)
+        self.frames_served[session_id] = 0
         if fleet_key is not None:
             self._fleet_keys[session_id] = fleet_key
             self.metrics.counter("fleet.placed").inc()
+        connection.send_tagged(session_id, wire.Accept(session_id))
+        connection.send_tagged(session_id, dict(server.student.state_dict()))
+        self._note_admission()
 
     def _end_session(self, session_id: int) -> None:
-        live = self._sessions.pop(session_id, None)
-        if live is not None:
-            self.frames_served[session_id] = live.frames_served
+        del self._sessions[session_id]
         fleet_key = self._fleet_keys.pop(session_id, None)
-        if fleet_key is not None and self._fleet is not None:
+        if fleet_key is not None:
             self._fleet.release(fleet_key)
 
-    def _handle(self, connection, session_id: int, msg) -> None:
+    def _handle(self, connection, session_id: int, msg) -> Optional[str]:
+        """Handle one server-bound message from ``connection``.
+
+        Returns ``None``, or the teardown reason when the message is
+        one no server accepts: a kind other than ADMIT / BYE / FRAME,
+        or a FRAME for a session not open on this link.  A BYE for a
+        session not open on this link is ignored.
+        """
         if isinstance(msg, wire.Admit):
             self._admit_session(connection, msg)
+        elif isinstance(msg, wire.MalformedBlueprint):
+            self._refuse(connection, wire.REJECT_MALFORMED, str(msg))
         elif isinstance(msg, wire.Bye):
-            self._end_session(session_id)
+            if self._session_on(connection, session_id) is not None:
+                self._end_session(session_id)
         elif isinstance(msg, tuple):
-            live = self._require_session(session_id)
-            frame, label = msg
+            live = self._session_on(connection, session_id)
+            if live is None:
+                return "protocol-error"
             live.last_active = time.monotonic()
-            self._serve_key_frame(connection, session_id, live, frame, label)
+            self._serve_key_frame(connection, session_id, live, *msg)
         else:
-            raise RuntimeError(
-                f"multiplexed server cannot handle {type(msg).__name__}"
-            )
-        if self._overload is not None:
-            self._overload.served()
+            return "protocol-error"
+        self._overload.served()
+        return None
 
-    def _require_session(self, session_id: int) -> "_LiveSession":
+    def _session_on(self, connection, session_id: int) -> Optional[_LiveSession]:
+        """Session ``session_id`` if it is open on ``connection``."""
         live = self._sessions.get(session_id)
-        if live is None:
-            raise RuntimeError(
-                f"key frame for session {session_id}, which is not open"
-            )
-        return live
+        return live if live is not None and live.connection is connection else None
 
     def _serve_key_frame(self, connection, session_id: int, live, frame,
                          label) -> None:
@@ -544,15 +550,12 @@ class ServerRuntime:
         ctl = self._overload
         armed = obs.enabled()
         t0 = time.monotonic() if armed else 0.0
-        budget = (
-            None if ctl is None
-            else ctl.degraded_budget(live.server.config.max_updates)
-        )
+        budget = ctl.degraded_budget(live.server.config.max_updates)
         with obs.span("serve", session=session_id):
             if budget is None:
                 # The pristine path — bit-identical to an in-process
-                # run, taken always when overload control is off and
-                # whenever the load level is 0 with it on.
+                # run, taken whenever degradation is off or the load
+                # level is 0.
                 reply, _ = live.server.handle_key_frame(frame, label)
             else:
                 # Degraded serve: fewer distillation steps, and the
@@ -569,7 +572,7 @@ class ServerRuntime:
                     ),
                 )
             connection.send_tagged(session_id, reply)
-        live.frames_served += 1
+        self.frames_served[session_id] += 1
         self._c_key_frames.inc()
         if armed:
             # Per-session timeline — the metric each serve reported and
@@ -577,8 +580,7 @@ class ServerRuntime:
             # item 5 (quality-aware shedding) needs to exist.
             obs.histogram("serve.serve_s").observe(time.monotonic() - t0)
             obs.series("session.serve").append([
-                session_id, float(reply.metric),
-                0 if ctl is None else ctl.level,
+                session_id, float(reply.metric), ctl.level,
                 -1 if budget is None else budget,
             ])
 
@@ -595,8 +597,9 @@ class ServerRuntime:
         unilateral teardown (recorded per session and per connection);
         ``None`` is the clean close — the peer sent its sentinel — and
         records nothing.  Nothing is sent either way: the peer has
-        left, is unreachable (dead) or misbehaving (slow-loris), and a
-        farewell write could block on its unserviced ring.
+        left, is unreachable (dead) or misbehaving (slow-loris, corrupt
+        or out-of-protocol frames), and a farewell write could block on
+        its unserviced ring.
         """
         for sid, live in list(self._sessions.items()):
             if live.connection is connection:
@@ -606,12 +609,10 @@ class ServerRuntime:
         closed.add(index)
         if reason is not None:
             self.connection_teardowns[index] = reason
-        close = getattr(connection, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:
-                pass  # releasing a broken endpoint must not kill the loop
+        try:
+            connection.close()
+        except Exception:
+            pass  # releasing a broken endpoint must not kill the loop
 
     def _reap_idle(self, connections: List[Any], closed: set,
                    conn_active: Dict[int, float], now: float) -> bool:
@@ -647,39 +648,26 @@ class ServerRuntime:
 
     # ------------------------------------------------------------------
     def _quiesced(self, connections: List[Any], closed: set,
-                  expected: Optional[int],
-                  draining: Optional[bool] = None) -> bool:
-        """The churn-tolerant drain rule: the runtime may exit only once
-
-        * no session remains open,
-        * at least one connection was ever accepted, every accepted
-          connection has closed, **and** the listener's provisioned
-          population (``listener.expected``) has fully come and gone.
+                  listener) -> bool:
+        """The churn-tolerant drain rule: the runtime may exit once no
+        connection can arrive any more (``listener.exhausted()``), no
+        session is open, and every accepted connection has closed.
 
         A quiet moment between a departure and a late joiner is *not*
-        quiescence: the joiner's connection has not yet closed (shm
-        rings exist from spawn and close only when their client does;
-        a TCP population is drained only at ``expected`` accepts), so
-        churn gaps of any length are tolerated.  A population that
-        never materialises is caught by the idle timeout instead.
+        quiescence: the joiner has not yet arrived (a TCP population is
+        complete only at ``expected`` accepts, a fleet shard's only at
+        its drain order) or has not yet closed (shm rings exist from
+        spawn and close only when their client does), so churn gaps of
+        any length are tolerated.  A population that never materialises
+        is caught by the idle timeout instead.
         """
-        if draining is not None:
-            # Fleet shard: the listener is drain-capable, so the front
-            # door — not the population count — decides when the run is
-            # over.  Until the drain order arrives the shard must stay
-            # up through any quiet gap (a redirected client that came
-            # and went is not a population); once draining, a shard
-            # with zero connections may exit the moment nothing is
-            # open here.
-            return draining and (
-                not self._sessions
-                and len(closed) == len(connections)
-            )
+        # The listener is asked first, every sweep: a fleet shard's
+        # drain order is read (and its wake-up fd retired) by the
+        # asking, whatever else is still open.
         return (
-            not self._sessions
-            and bool(connections)
+            listener.exhausted()
+            and not self._sessions
             and len(closed) == len(connections)
-            and (expected is None or len(connections) >= expected)
         )
 
     def _park(self, connections, closed, listener, wake: float) -> None:
@@ -712,14 +700,21 @@ class ServerRuntime:
         Every message, key frames included, is handled before the next
         connection is polled: no clock decides *when* to serve.
         Returns key frames served per session id.
+
+        Whatever one connection does wrong ends that connection, never
+        the runtime: a peer that vanishes, stalls past the receive
+        budget (the transport's timeout when no budget is configured),
+        sends a corrupt frame or stops draining its replies, and one
+        that sends a message no server accepts, is torn down with a
+        typed reason (:meth:`_teardown_connection`).  The idle deadline
+        is the only exception ``run`` raises.
         """
         connections: List[Any] = []
         closed: set = set()
-        expected = getattr(listener, "expected", None)
         idle_deadline = time.monotonic() + self.idle_timeout_s
         ctl = self._overload
-        recv_budget_s = None if ctl is None else ctl.config.recv_budget_s
-        reap_idle_s = None if ctl is None else ctl.config.reap_idle_s
+        recv_budget_s = ctl.config.recv_budget_s
+        reap_idle_s = ctl.config.reap_idle_s
         #: Connection index → last wall-clock activity (reaper input).
         conn_active: Dict[int, float] = {}
         next_reap = (
@@ -729,14 +724,13 @@ class ServerRuntime:
         #: and a per-sweep module-global check would be the only
         #: disarmed cost of the whole sweep instrumentation.
         armed = obs.enabled()
-        while not self._quiesced(connections, closed, expected,
-                                 getattr(listener, "draining", None)):
+        while not self._quiesced(connections, closed, listener):
             sweep_t0 = time.monotonic() if armed else 0.0
             progressed = False
             served_this_sweep = 0
             accepted = listener.poll_accept()
             if accepted is not None:
-                if recv_budget_s is not None and hasattr(accepted, "timeout_s"):
+                if recv_budget_s is not None:
                     # The fairness budget: one misbehaving peer may
                     # stall the sweep for at most this long, transport
                     # blocking included.
@@ -746,54 +740,31 @@ class ServerRuntime:
             for index, connection in enumerate(connections):
                 if index in closed or not connection.poll():
                     continue
+                progressed = True
                 try:
                     session_id, msg = connection.recv_tagged()
                 except wire.MalformedBlueprint as exc:
                     # Well-framed, so the link is intact: refused below.
                     session_id, msg = 0, exc
-                except (ConnectionError, EOFError):
-                    # A vanished peer closes its connection; other corrupt
-                    # frames (WireError) propagate instead — the server
-                    # must die loudly on corruption, not report the
-                    # link's sessions as cleanly completed.
+                except _LINK_ERRORS as exc:
                     self._teardown_connection(index, connection, closed,
-                                              "connection-error")
-                    progressed = True
-                    continue
-                except TimeoutError:
-                    if recv_budget_s is None:
-                        raise  # legacy behaviour: transport timeout is fatal
-                    # Slow-loris: poll() saw bytes but a whole frame
-                    # never arrived inside the budget.  The link is
-                    # unframeable from here on — typed teardown.
-                    self._teardown_connection(index, connection, closed,
-                                              "recv-budget")
-                    progressed = True
+                                              _link_failure(exc, "recv"))
                     continue
                 if msg is None:
                     # Connection sentinel: the clean close (an abnormal
                     # death that still managed EOF lands here too).
                     self._teardown_connection(index, connection, closed)
-                    progressed = True
                     continue
                 conn_active[index] = time.monotonic()
-                try:
-                    if isinstance(msg, wire.MalformedBlueprint):
-                        self._refuse(connection, wire.REJECT_MALFORMED,
-                                     str(msg))
-                    else:
-                        self._handle(connection, session_id, msg)
-                except TimeoutError:
-                    if recv_budget_s is None:
-                        raise
-                    # The reply write blocked past the budget: the peer
-                    # stopped draining its ring — same teardown.
-                    self._teardown_connection(index, connection, closed,
-                                              "send-budget")
                 served_this_sweep += 1
-                progressed = True
-            if ctl is not None:
-                ctl.observe_sweep(served_this_sweep)
+                try:
+                    reason = self._handle(connection, session_id, msg)
+                except _LINK_ERRORS as exc:
+                    reason = _link_failure(exc, "send")
+                if reason is not None:
+                    self._teardown_connection(index, connection, closed,
+                                              reason)
+            ctl.observe_sweep(served_this_sweep)
             if armed and progressed:
                 # Idle sweeps are the park's business; timing them
                 # would drown the histogram in wake-up noise.
@@ -818,10 +789,8 @@ class ServerRuntime:
                     f"quiescing: {len(self._sessions)} session(s) open, "
                     f"{len(connections) - len(closed)} of {len(connections)} "
                     f"connection(s) still up"
-                    + (f" (listener expects {expected})" if expected else "")
                 )
-            if ctl is not None:
-                ctl.tracker.reset()
+            ctl.tracker.reset()
             self._park(
                 connections, closed, listener,
                 idle_deadline if next_reap is None
@@ -837,7 +806,8 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
 
     ``report_conn`` (a pipe back to the spawning process) receives one
     final report — frames served, serve/memo counters, typed
-    teardowns, a typed ``exit_reason``, and the runtime's metrics
+    teardowns per session and per connection, a typed ``exit_reason``,
+    and the runtime's metrics
     snapshot (plus Chrome trace events when tracing is armed) — so
     benches and tests can read the runtime's accounting without sharing
     memory with it.  The report is sent on *every* exit path: a
@@ -859,6 +829,7 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
         )
         runtime.run(listener)
     except TimeoutError:
+        # The idle deadline: the one exception ``run`` raises by design.
         exit_reason = "idle-timeout"
         raise
     except BaseException as exc:
@@ -880,6 +851,10 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
                     "serve_counters": counters,
                     "teardowns": (
                         dict(runtime.teardowns)
+                        if runtime is not None else {}
+                    ),
+                    "connection_teardowns": (
+                        dict(runtime.connection_teardowns)
                         if runtime is not None else {}
                     ),
                     "metrics": (
@@ -910,12 +885,6 @@ class MuxConnection:
     """
 
     def __init__(self, endpoint) -> None:
-        for required in ("send_tagged", "recv_tagged"):
-            if not hasattr(endpoint, required):
-                raise TypeError(
-                    f"{type(endpoint).__name__} cannot multiplex sessions "
-                    "(needs the tagged wire surface, e.g. shm or socket)"
-                )
         self.endpoint = endpoint
         self._queues: Dict[int, Deque[Any]] = {}
         self._closed = False
@@ -1137,6 +1106,7 @@ def collect_report(conn, timeout_s: float = REPORT_TIMEOUT_S) -> Dict[str, Any]:
         "frames_served": {},
         "serve_counters": {},
         "teardowns": {},
+        "connection_teardowns": {},
         "metrics": None,
     }
 
@@ -1433,12 +1403,8 @@ def attach_session(config, frame_hw, stride_policy):
 # ----------------------------------------------------------------------
 def _client_process_main(address, config, frame_hw, video_key, num_frames,
                          label, result_conn, delay_s: float = 0.0) -> None:
-    import dataclasses as _dc
-
     from repro.runtime.session import build_session
     from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
-
-    from repro.serving.runtime import AdmissionError
 
     # Inherited REPRO_OBS arms this client's telemetry; the artifact
     # it exports on the way out (obs-client-<pid>.json) is what
@@ -1449,7 +1415,7 @@ def _client_process_main(address, config, frame_hw, video_key, num_frames,
             # Churn: this client joins a server that is already serving
             # others — the dial-and-ADMIT handshake happens mid-run.
             time.sleep(delay_s)
-        config = _dc.replace(config, attach=address)
+        config = dataclasses.replace(config, attach=address)
         client = build_session(config, frame_hw)
         try:
             video = make_category_video(

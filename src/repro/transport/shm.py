@@ -478,19 +478,23 @@ class StaticListener:
 
     Listener contract (what the runtime's churn-tolerant drain rule
     consumes): ``poll_accept()`` returns a new connection or ``None``,
-    and ``expected`` is the provisioned connection population — the
-    runtime refuses to quiesce until that many connections have been
-    accepted *and* closed, so a late joiner (a client that dials a
-    pre-created slot long after spawn) always finds the server alive.
+    and ``exhausted()`` says whether another one can still arrive —
+    here, until the last slot is handed out.  The runtime refuses to
+    quiesce before every handed-out connection has closed, so a late
+    joiner (a client that dials a pre-created slot long after spawn)
+    always finds the server alive.
     """
 
     def __init__(self, endpoints) -> None:
         self._pending = list(endpoints)
-        self.expected = len(self._pending)
 
     def poll_accept(self):
         """Next pre-created connection, or None once all are handed out."""
         return self._pending.pop(0) if self._pending else None
+
+    def exhausted(self) -> bool:
+        """Whether no other connection can arrive: all handed out."""
+        return not self._pending
 
     def doorbell_fds(self):
         """Nothing to wake for: no connection arrives later."""

@@ -163,11 +163,10 @@ class SocketListener:
     None otherwise, so the server's event loop interleaves accepting
     late joiners with serving already-connected clients — a client may
     dial (and ADMIT a brand-new session) at any point mid-run.  Stops
-    accepting after ``expected`` connections; ``expected`` is also the
-    drain contract the runtime's quiesce rule reads: the server only
-    exits once that whole population has connected *and* closed, so a
-    churn gap between a departure and a not-yet-dialed joiner never
-    kills it.
+    accepting after ``expected`` connections, which is also when it is
+    :meth:`exhausted` — the runtime's drain rule: the server only exits
+    once that whole population has connected *and* closed, so a churn
+    gap between a departure and a not-yet-dialed joiner never kills it.
     """
 
     def __init__(self, sock: _socket.socket, expected: int, timeout_s: float) -> None:
@@ -178,17 +177,21 @@ class SocketListener:
         self._timeout_s = timeout_s
 
     def poll_accept(self) -> Optional[SocketTransport]:
-        if self._accepted >= self.expected or self._sock is None:
-            return None
+        if self._sock is None:
+            return None  # exhausted, or closed
         try:
             conn, _ = self._sock.accept()
         except (BlockingIOError, InterruptedError):
             return None  # nothing pending; real accept errors propagate
         self._accepted += 1
-        if self._accepted >= self.expected:
+        if self.exhausted():
             sock, self._sock = self._sock, None
             sock.close()
         return SocketTransport(conn, self._timeout_s)
+
+    def exhausted(self) -> bool:
+        """Whether no other connection can arrive: ``expected`` accepted."""
+        return self._accepted >= self.expected
 
     def doorbell_fds(self):
         """Pollable accept fd(s) while the listener still expects
@@ -210,13 +213,9 @@ class FleetSocketListener:
     balances incoming connections across the shard processes — plus a
     per-shard *direct* listener that redirected clients re-dial (the
     target of a ``REJECT(redirect, shard=k)``).  The fleet has no
-    provisioned population (``expected`` is None): shards accept until
-    the owner signals drain (:attr:`draining`, read off the fleet's
-    control pipe), which is the quiesce contract a fleet runtime uses
-    in place of the come-and-gone population rule.
+    provisioned population: a shard is :meth:`exhausted` once the owner
+    orders the drain down the fleet's control pipe, or dies.
     """
-
-    expected = None
 
     def __init__(self, front_sock: _socket.socket,
                  direct_sock: _socket.socket, timeout_s: float,
@@ -228,11 +227,11 @@ class FleetSocketListener:
         self._control = control_conn
         self._draining = False
 
-    @property
-    def draining(self) -> bool:
-        """Whether the owner has ordered the drain: the control pipe is
-        one of :meth:`doorbell_fds`, so the order wakes a parked shard
-        and the quiesce check that follows reads it here."""
+    def exhausted(self) -> bool:
+        """Whether no other connection can arrive: the owner has ordered
+        the drain.  The control pipe is one of :meth:`doorbell_fds`, so
+        the order wakes a parked shard and the quiesce check that
+        follows reads it here."""
         if self._control is not None and not self._draining:
             try:
                 if self._control.poll(0):

@@ -4,7 +4,9 @@ The acceptance property: one server process serves N concurrent client
 *processes* — over shm rings and over TCP sockets — with per-session
 ``RunStats`` bit-identical to the equivalent in-process ``SessionPool``
 run.  Also covers the pooled-attachment path (N sessions over one
-connection), the ADMIT/ACCEPT/BYE handshake's error branches, and the
+connection), the ADMIT/ACCEPT/BYE handshake's error branches, the
+failure rule (whatever one link does wrong ends that link alone), the
+question every listener answers for the drain rule, and the
 client-side demultiplexer's bookkeeping.
 """
 
@@ -257,13 +259,18 @@ class _ScriptedListener:
     def __init__(self, connections, expected=None):
         self.pending = list(connections)
         self.expected = len(connections) if expected is None else expected
+        self.accepted = 0
         self.door = os.eventfd(0, os.EFD_NONBLOCK)
 
     def poll_accept(self):
         if not self.pending:
             return None
         _drain_bell(self.door)
+        self.accepted += 1
         return self.pending.pop(0)
+
+    def exhausted(self):
+        return self.accepted >= self.expected
 
     def doorbell_fds(self):
         return [self.door]
@@ -271,6 +278,64 @@ class _ScriptedListener:
     def dial(self, connection):
         self.pending.append(connection)
         os.eventfd_write(self.door, 1)
+
+
+class _HostileConnection(_ScriptedConnection):
+    """A scripted link that fails: an exception in its inbox is raised
+    by ``recv_tagged``, and ``fail_reply`` by the write of a key-frame
+    reply."""
+
+    def __init__(self, name, log, fail_reply=None):
+        super().__init__(name, log)
+        self.fail_reply = fail_reply
+
+    def recv_tagged(self):
+        session, msg = super().recv_tagged()
+        if isinstance(msg, BaseException):
+            raise msg
+        return session, msg
+
+    def send_tagged(self, session, obj):
+        from repro.runtime.server import ServerReply
+
+        super().send_tagged(session, obj)
+        if self.fail_reply is not None and isinstance(obj, ServerReply):
+            raise self.fail_reply
+
+
+def _hostile_cases():
+    """``id -> (script(admit, frame), fail_reply, teardown reason)``.
+    The honest link is accepted first, so its session is 0 and a
+    hostile ADMIT opens session 1."""
+    import numpy as np
+
+    from repro.transport import wire
+
+    return {
+        "recv-wire-error": (lambda a, f: [(0, wire.WireError("bad magic"))],
+                            None, "corrupt-frame"),
+        "recv-timeout": (lambda a, f: [(0, TimeoutError("stalled"))],
+                         None, "recv-budget"),
+        "recv-connection-reset": (lambda a, f: [(0, ConnectionResetError())],
+                                  None, "connection-error"),
+        "reply-broken-pipe": (lambda a, f: [(0, a), (1, f)],
+                              BrokenPipeError(), "connection-error"),
+        "reply-timeout": (lambda a, f: [(0, a), (1, f)],
+                          TimeoutError("ring full"), "send-budget"),
+        "state": (lambda a, f: [(0, {"w": np.zeros(2, np.float32)})],
+                  None, "protocol-error"),
+        "ndarray": (lambda a, f: [(0, np.zeros((4, 4), np.uint8))],
+                    None, "protocol-error"),
+        "accept": (lambda a, f: [(0, wire.Accept(0))], None, "protocol-error"),
+        "reject": (lambda a, f: [(0, wire.Reject(0, wire.REJECT_CAPACITY))],
+                   None, "protocol-error"),
+        "frame-never-opened": (lambda a, f: [(7, f)], None, "protocol-error"),
+        "frame-after-bye": (lambda a, f: [(0, a), (1, wire.Bye(1)), (1, f)],
+                            None, "protocol-error"),
+        "frame-hijack": (lambda a, f: [(0, f), (0, None)], None,
+                         "protocol-error"),
+        "bye-hijack": (lambda a, f: [(0, wire.Bye(0)), (0, None)], None, None),
+    }
 
 
 class TestRunLoopScripted:
@@ -359,16 +424,17 @@ class TestRunLoopScripted:
         drained population: the link may still ADMIT again."""
         from repro.transport import wire
 
-        link = _ScriptedConnection("link", [])
+        listener = _ScriptedListener([_ScriptedConnection("link", [])])
+        link = listener.poll_accept()
         runtime = ServerRuntime()
         connections, closed = [link], set()
         runtime._handle(link, 0, admit_message(_config(), _HW))
-        assert not runtime._quiesced(connections, closed, 1)
+        assert not runtime._quiesced(connections, closed, listener)
         runtime._handle(link, 0, wire.Bye(0))
         assert not runtime._sessions
-        assert not runtime._quiesced(connections, closed, 1)
+        assert not runtime._quiesced(connections, closed, listener)
         runtime._teardown_connection(0, link, closed)
-        assert runtime._quiesced(connections, closed, 1)
+        assert runtime._quiesced(connections, closed, listener)
 
     def test_full_placement_ledger_refuses_instead_of_killing_the_shard(self):
         """Any client can mint a new placement key (vary ``threshold``),
@@ -409,6 +475,122 @@ class TestRunLoopScripted:
         assert [s for s, obj in replies if isinstance(obj, ServerReply)] == [0, 1]
         # ... and nothing was claimed for the refused one.
         assert ledger.snapshot() == {"loads": [0], "entries": {}}
+
+
+    @pytest.mark.parametrize("case", list(_hostile_cases()))
+    def test_a_failing_link_ends_alone(self, case):
+        """Whatever one link does wrong — fail a read or a reply write,
+        send a kind no server accepts, frame a session it never opened,
+        already closed or does not own, or BYE another link's session —
+        ends that link alone: ``run()`` returns, and the honest link's
+        replies are byte for byte those of the same script run without
+        the hostile link."""
+        from repro.transport import wire
+
+        script, fail_reply, reason = _hostile_cases()[case]
+        admit = admit_message(_config(), _HW)
+        frames = list(_video().frames(2))
+
+        def serve(hostile_script):
+            replies = []
+            honest = _ScriptedConnection(
+                "honest", [],
+                lambda session, obj: replies.append(
+                    wire.encode(obj, session=session)
+                ),
+            )
+            honest.inbox.extend(
+                [(0, admit), (0, frames[0]), (0, frames[1]),
+                 (0, wire.Bye(0)), (0, None)]
+            )
+            links = [honest]
+            if hostile_script is not None:
+                hostile = _HostileConnection("hostile", [], fail_reply)
+                hostile.inbox.extend(hostile_script)
+                links.append(hostile)
+            runtime = ServerRuntime()
+            served = runtime.run(_ScriptedListener(links))
+            assert all(link.closed for link in links)
+            return replies, served, runtime
+
+        reference, reference_served, _ = serve(None)
+        replies, served, runtime = serve(script(admit, frames[0]))
+
+        assert replies == reference
+        assert served[0] == reference_served[0] == 2
+        assert runtime.connection_teardowns == (
+            {1: reason} if reason is not None else {}
+        )
+        assert 0 not in runtime.teardowns
+        assert set(runtime.teardowns.values()) <= {reason}
+
+
+class TestListenersSayWhenNoneCanArrive:
+    """The one question the drain rule asks a listener: can another
+    connection still arrive?"""
+
+    def test_socket_listener_after_expected_accepts(self):
+        import select
+        import socket
+
+        from repro.transport.socket import SocketListener
+
+        sock = socket.create_server(("127.0.0.1", 0))
+        address = sock.getsockname()
+        listener = SocketListener(sock, expected=2, timeout_s=5.0)
+        opened = []
+        try:
+            for _ in range(2):
+                assert not listener.exhausted()
+                opened.append(socket.create_connection(address, timeout=5.0))
+                assert select.select(listener.doorbell_fds(), [], [], 5.0)[0]
+                opened.append(listener.poll_accept())
+            assert listener.exhausted()
+            assert listener.poll_accept() is None
+            assert listener.doorbell_fds() == []
+        finally:
+            listener.close()
+            for end in opened:
+                end.close()
+
+    def test_static_listener_after_its_last_hand_out(self):
+        from repro.transport.shm import StaticListener
+
+        listener = StaticListener(["first", "second"])
+        assert not listener.exhausted()
+        assert listener.poll_accept() == "first"
+        assert not listener.exhausted()
+        assert listener.poll_accept() == "second"
+        assert listener.exhausted()
+        assert listener.poll_accept() is None
+
+    @pytest.mark.parametrize("ending", ["drain-order", "owner-gone"])
+    def test_fleet_listener_after_the_drain_order_or_its_owner(self, ending):
+        import multiprocessing as mp
+        import socket
+
+        from repro.transport.socket import FleetSocketListener
+
+        control, owner = mp.Pipe(duplex=False)
+        listener = FleetSocketListener(
+            socket.create_server(("127.0.0.1", 0)),
+            socket.create_server(("127.0.0.1", 0)),
+            timeout_s=5.0, control_conn=control,
+        )
+        try:
+            assert not listener.exhausted()
+            assert control.fileno() in listener.doorbell_fds()
+            if ending == "drain-order":
+                owner.send("drain")
+            else:
+                owner.close()
+            assert listener.exhausted()
+            assert control.fileno() not in listener.doorbell_fds()
+            assert listener.exhausted()
+        finally:
+            listener.close()
+            owner.close()
+            control.close()
 
 
 class TestHandshakeAndErrors:

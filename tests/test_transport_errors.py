@@ -13,6 +13,8 @@ ISSUE 6 adds the overload-era paths: the REJECT ``retry_after``
 hint round-trips, and a client
 killed with ``SIGKILL`` mid-run is torn down by the receive budget /
 idle reaper without wedging the server or leaking its shm segments.
+A corrupt frame on one real TCP link ends that link alone, with or
+without overload control.
 """
 
 import dataclasses
@@ -220,6 +222,47 @@ class TestAdmissionErrors:
             handle.close()
         assert handle.process.exitcode == 0
         assert handle.runtime_report["exit_reason"] == "quiesced"
+        if before is not None:
+            assert not _shm_segments() - before
+
+    def test_corrupt_frame_ends_only_its_own_link(self):
+        """14 bytes of bad magic on one TCP link of a server started
+        with no OverloadConfig end that link (``corrupt-frame``) and
+        nothing else: an honest session on the other link runs to the
+        end as it would in process, and the server quiesces."""
+        import socket
+
+        from repro.runtime.session import SessionConfig, run_shadowtutor
+        from repro.serving.runtime import start_server
+        from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
+
+        def video():
+            return make_category_video(
+                CATEGORY_BY_KEY["fixed-people"], height=32, width=48
+            )
+
+        config = SessionConfig(student_width=0.25, pretrain_steps=5)
+        reference = run_shadowtutor(video(), 8, config, label="honest")
+        before = _shm_segments()
+        handle = start_server([], transport="socket", n_clients=2,
+                              idle_timeout_s=60)
+        try:
+            host, port, _ = handle.link.address(0)
+            with socket.create_connection((host, port), timeout=10) as raw:
+                raw.sendall(b"XX" + bytes(wire.HEADER_NBYTES - 2))
+                stats = run_shadowtutor(
+                    video(), 8,
+                    dataclasses.replace(config, attach=handle.ticket()),
+                    label="honest",
+                )
+        finally:
+            handle.close()
+        assert stats.signature() == reference.signature()
+        assert handle.process.exitcode == 0
+        report = handle.runtime_report
+        assert report["exit_reason"] == "quiesced"
+        assert list(report["connection_teardowns"].values()) == ["corrupt-frame"]
+        assert report["teardowns"] == {}
         if before is not None:
             assert not _shm_segments() - before
 
