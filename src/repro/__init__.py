@@ -41,7 +41,7 @@ from repro.runtime.session import run_wild, pretrained_student
 from repro.segmentation import mean_iou
 from repro.serving import PoolResult, SessionPool, SessionSpec
 from repro.striding import AdaptiveStride, ExponentialBackoffStride, FixedStride
-from repro.transport import LinkTrace, available_transports, bundled_trace
+from repro.transport import LinkTrace, available_transports
 from repro.video import (
     LVS_CATEGORIES,
     NAMED_VIDEOS,
@@ -87,7 +87,6 @@ __all__ = [
     "FixedStride",
     "LinkTrace",
     "available_transports",
-    "bundled_trace",
     "LVS_CATEGORIES",
     "NAMED_VIDEOS",
     "SyntheticVideo",

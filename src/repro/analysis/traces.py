@@ -16,21 +16,6 @@ def stride_timeline(stats: RunStats) -> Tuple[np.ndarray, np.ndarray]:
     return idx, strides
 
 
-def accuracy_timeline(
-    stats: RunStats, window: int = 25
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Rolling-mean per-frame mIoU (smoothed accuracy over time)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    idx = np.array([f.index for f in stats.frames])
-    miou = np.array([f.miou for f in stats.frames])
-    if len(miou) < window:
-        return idx, miou
-    kernel = np.ones(window) / window
-    smooth = np.convolve(miou, kernel, mode="valid")
-    return idx[window - 1:], smooth
-
-
 def keyframe_intervals(stats: RunStats) -> np.ndarray:
     """Gaps (in frames) between consecutive key frames."""
     indices = [k.index for k in stats.key_frames]
@@ -44,28 +29,6 @@ def delay_histogram(stats: RunStats) -> Dict[int, int]:
         if f.update_delay is not None:
             out[f.update_delay] = out.get(f.update_delay, 0) + 1
     return dict(sorted(out.items()))
-
-
-def traffic_timeline(
-    stats: RunStats, num_bins: int = 20
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Binned network traffic (Mbps) over simulated time."""
-    if not stats.key_frames or stats.total_time_s <= 0:
-        return np.array([]), np.array([])
-    # Key-frame transfers happen at the sim time of their frame.
-    times = {f.index: f.sim_time for f in stats.frames}
-    events = [
-        (times[k.index], k.up_bytes + k.down_bytes) for k in stats.key_frames
-    ]
-    edges = np.linspace(0.0, stats.total_time_s, num_bins + 1)
-    totals = np.zeros(num_bins)
-    for t, nbytes in events:
-        b = min(int(t / stats.total_time_s * num_bins), num_bins - 1)
-        totals[b] += nbytes
-    widths = np.diff(edges)
-    mbps = totals * 8 / 1e6 / widths
-    centers = (edges[:-1] + edges[1:]) / 2
-    return centers, mbps
 
 
 def summarize_run(stats: RunStats) -> str:

@@ -67,16 +67,12 @@ def total_time(p: SystemParams, n: int, k: int, d: int, tc: float) -> float:
 def traffic_lower_bound(p: SystemParams) -> float:
     """Eq. 8: minimum network traffic in Mbps.
 
-    Key frames least frequent (every MAX_STRIDE), maximal distillation
-    work, and a fully serial client.
+    Key frames least frequent (one per MAX_STRIDE frames), maximal
+    distillation work, and a fully serial client: Eq. 3 over one
+    MAX_STRIDE window at Eq. 2's upper t_c.
     """
-    denom = (
-        p.max_stride * p.t_si
-        + p.max_updates * p.t_sd
-        + p.t_ti
-        + p.t_net
-    )
-    return p.s_net_mbit / denom
+    _, tc_hi = tc_bounds(p)
+    return p.s_net_mbit / total_time(p, p.max_stride, 1, p.max_updates, tc_hi)
 
 
 def traffic_upper_bound(p: SystemParams) -> float:
@@ -84,26 +80,21 @@ def traffic_upper_bound(p: SystemParams) -> float:
 
     Key frames most frequent (every MIN_STRIDE), zero distillation steps
     (the student already beats THRESHOLD, Alg. 1 line 4), and a fully
-    concurrent client.
+    concurrent client: one key frame per Eq. 2's lower t_c.
     """
-    denom = max(p.min_stride * p.t_si, p.t_net + p.t_ti)
-    return p.s_net_mbit / denom
+    tc_lo, _ = tc_bounds(p)
+    return p.s_net_mbit / tc_lo
 
 
 def throughput_lower_bound(p: SystemParams) -> float:
-    """Eq. 14: minimum throughput in FPS (longest total time)."""
-    denom = (
-        p.min_stride * p.t_si
-        + p.max_updates * p.t_sd
-        + p.t_ti
-        + p.t_net
-    )
-    return p.min_stride / denom
+    """Eq. 14: minimum throughput in FPS — Eq. 3 over one MIN_STRIDE
+    window with maximal distillation work at Eq. 2's upper t_c."""
+    _, tc_hi = tc_bounds(p)
+    return p.min_stride / total_time(p, p.min_stride, 1, p.max_updates, tc_hi)
 
 
 def throughput_upper_bound(p: SystemParams) -> float:
-    """Eq. 15: maximum throughput in FPS (shortest total time)."""
-    denom = (p.max_stride - p.min_stride) * p.t_si + max(
-        p.min_stride * p.t_si, p.t_net + p.t_ti
-    )
-    return p.max_stride / denom
+    """Eq. 15: maximum throughput in FPS — Eq. 3 over one MAX_STRIDE
+    window with no distillation step at Eq. 2's lower t_c."""
+    tc_lo, _ = tc_bounds(p)
+    return p.max_stride / total_time(p, p.max_stride, 1, 0, tc_lo)

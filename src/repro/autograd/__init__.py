@@ -6,7 +6,7 @@ that records a computation graph during the forward pass and supports
 backpropagation through it, plus the operations needed by the student and
 teacher networks: convolution (via vectorized im2col), batch
 normalisation, elementwise math, concatenation, nearest-neighbour
-upsampling and (log-)softmax / cross-entropy.
+upsampling and log-softmax / cross-entropy.
 
 The engine supports *partial backward* (ShadowTutor section 4.2): when no
 tensor upstream of a node requires gradients, backpropagation stops there,

@@ -1,4 +1,4 @@
-"""Functional ops: softmax family and segmentation losses.
+"""Functional ops: log-softmax and the segmentation loss.
 
 These are the numerically sensitive pieces — log-softmax uses the usual
 max-shift trick, and the weighted cross-entropy mirrors the LVS loss
@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.engine import tracer as _tracer
 
 
 def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
@@ -29,20 +28,6 @@ def log_softmax(x: Tensor, axis: int = 1) -> Tensor:
         x._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = 1) -> Tensor:
-    """Softmax along ``axis`` (via exp of log-softmax for stability).
-
-    Traced as a single ``softmax`` op (the log-softmax/exp composition
-    is its definition, not two compilable primitives), which the engine
-    lowers to :class:`~repro.engine.kernels.SoftmaxStep` — how compiled
-    ``soft_infer`` heads route through the engine bit-identically.
-    """
-    out = log_softmax(x, axis=axis).exp()
-    if _tracer._ACTIVE is not None:
-        _tracer._ACTIVE.record("softmax", (x,), out, axis=axis)
-    return out
 
 
 def cross_entropy(
@@ -91,29 +76,3 @@ def cross_entropy(
 
     return Tensor._make(out_data, (flat,), backward)
 
-
-def distillation_loss(
-    student_logits: Tensor,
-    teacher_probs: np.ndarray,
-    weight_map: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Soft-target distillation loss (Hinton et al.): CE against soft labels.
-
-    ``teacher_probs`` is ``(N, C, H, W)`` of class probabilities.  When the
-    teacher emits hard labels (as when pseudo-labels come from an
-    argmaxed segmentation output, the ShadowTutor setting), use
-    :func:`cross_entropy` on the argmax instead; this soft variant is kept
-    for the ensemble/extension experiments (paper section 7).
-    """
-    n, c, h, w = student_logits.data.shape
-    teacher_probs = np.asarray(teacher_probs, dtype=np.float32)
-    if teacher_probs.shape != (n, c, h, w):
-        raise ValueError("teacher_probs shape mismatch")
-    logp = log_softmax(student_logits, axis=1)
-    if weight_map is None:
-        weights = np.ones((n, 1, h, w), dtype=np.float32)
-    else:
-        weights = np.asarray(weight_map, dtype=np.float32).reshape(n, 1, h, w)
-    norm = float(weights.sum()) * 1.0
-    prod = logp * Tensor(teacher_probs * weights)
-    return -prod.sum() * (1.0 / norm)

@@ -412,22 +412,6 @@ class Tensor:
             _tracer._ACTIVE.record("concat", tuple(tensors), out, axis=axis)
         return out
 
-    def pad2d(self, pad_h: int, pad_w: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions of an NCHW tensor."""
-        if pad_h == 0 and pad_w == 0:
-            return self
-        pads = [(0, 0)] * (self.data.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-        out_data = np.pad(self.data, pads)
-
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (grad.ndim - 2) + [
-                slice(pad_h, grad.shape[-2] - pad_h),
-                slice(pad_w, grad.shape[-1] - pad_w),
-            ]
-            self._accumulate(grad[tuple(sl)])
-
-        return Tensor._make(out_data, (self,), backward)
-
     def upsample2x(self) -> "Tensor":
         """Nearest-neighbour 2x upsampling of an NCHW tensor."""
         out_data = self.data.repeat(2, axis=-2).repeat(2, axis=-1)
@@ -438,24 +422,6 @@ class Tensor:
         out = Tensor._make(out_data, (self,), backward)
         if _tracer._ACTIVE is not None:
             _tracer._ACTIVE.record("upsample2x", (self,), out)
-        return out
-
-    def avg_pool2d(self, k: int = 2) -> "Tensor":
-        """Non-overlapping average pooling with square kernel ``k``."""
-        n, c, h, w = self.data.shape
-        if h % k or w % k:
-            raise ValueError(f"spatial dims ({h},{w}) not divisible by pool size {k}")
-        view = self.data.reshape(n, c, h // k, k, w // k, k)
-        out_data = view.mean(axis=(3, 5))
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad[:, :, :, None, :, None] / (k * k)
-            g = np.broadcast_to(g, (n, c, h // k, k, w // k, k))
-            self._accumulate(g.reshape(n, c, h, w).copy())
-
-        out = Tensor._make(out_data, (self,), backward)
-        if _tracer._ACTIVE is not None:
-            _tracer._ACTIVE.record("avg_pool2d", (self,), out, k=k)
         return out
 
 

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine.compiler import CompiledPlan
 from repro.engine.kernels import (
     AddStep,
-    AvgPool2dStep,
     BatchNormStep,
     ConcatStep,
     ConvStep,
@@ -109,10 +108,6 @@ class ConcatVjpStep(_VjpStep):
     """Adjoint of :class:`~repro.engine.kernels.ConcatStep`."""
 
 
-class AvgPool2dVjpStep(_VjpStep):
-    """Adjoint of :class:`~repro.engine.kernels.AvgPool2dStep`."""
-
-
 class Upsample2xVjpStep(_VjpStep):
     """Adjoint of :class:`~repro.engine.kernels.Upsample2xStep`."""
 
@@ -143,7 +138,6 @@ _VJP_OF = {
     ReluStep: ReluVjpStep,
     AddStep: AddVjpStep,
     ConcatStep: ConcatVjpStep,
-    AvgPool2dStep: AvgPool2dVjpStep,
     Upsample2xStep: Upsample2xVjpStep,
 }
 

@@ -42,12 +42,10 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import tracer
 from repro.engine.kernels import (
     AddStep,
-    AvgPool2dStep,
     BatchNormStep,
     ConcatStep,
     ConvStep,
     ReluStep,
-    SoftmaxStep,
     UntraceableError,
     Upsample2xStep,
 )
@@ -167,16 +165,6 @@ def build_steps(
             )
         elif rec.kind == "upsample2x":
             step = Upsample2xStep(in_slots[0], len(shapes), shapes[in_slots[0]], training)
-        elif rec.kind == "avg_pool2d":
-            step = AvgPool2dStep(
-                in_slots[0], len(shapes), shapes[in_slots[0]],
-                rec.meta.get("k", 2), training,
-            )
-        elif rec.kind == "softmax":
-            step = SoftmaxStep(
-                in_slots[0], len(shapes), shapes[in_slots[0]],
-                rec.meta.get("axis", 1), training,
-            )
         else:
             raise UntraceableError(f"no kernel for traced op {rec.kind!r}")
 

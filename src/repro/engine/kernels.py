@@ -475,42 +475,6 @@ class ConcatStep:
                 gin += g[:, lo:hi]
 
 
-class AvgPool2dStep:
-    """Non-overlapping k x k average pooling through a reshaped view.
-
-    Mirrors :meth:`repro.autograd.tensor.Tensor.avg_pool2d` exactly:
-    forward is one ``mean`` reduction over the pooled axes into the
-    preallocated output; backward divides the upstream gradient by
-    ``k*k`` and broadcasts it back over each pooling window.
-    """
-
-    def __init__(self, in_slot, out_slot, in_shape, k: int, training: bool) -> None:
-        n, c, h, w = in_shape
-        if h % k or w % k:
-            raise UntraceableError(
-                f"avg_pool2d traced on spatial dims ({h},{w}) not divisible by {k}"
-            )
-        self.in_slot, self.out_slot = in_slot, out_slot
-        self.k = k
-        self._grid = (n, c, h // k, k, w // k, k)
-        self.out_shape = (n, c, h // k, w // k)
-        self.out = np.empty(self.out_shape, np.float32)
-        self._gout = np.empty(self.out_shape, np.float32) if training else None
-        self._gin = np.empty(tuple(in_shape), np.float32) if training else None
-
-    def forward(self, env) -> None:
-        env[self.in_slot].reshape(self._grid).mean(axis=(3, 5), out=self.out)
-        env[self.out_slot] = self.out
-
-    def backward(self, env, gbufs) -> None:
-        gin = gbufs[self.in_slot]
-        if gin is None:
-            return
-        np.divide(gbufs[self.out_slot], self.k * self.k, out=self._gout)
-        self._gin.reshape(self._grid)[...] = self._gout[:, :, :, None, :, None]
-        gin += self._gin
-
-
 class Upsample2xStep:
     """Nearest-neighbour 2x upsampling as strided copies.
 
@@ -541,43 +505,3 @@ class Upsample2xStep:
         if gin is not None:
             gin += sum_2x2_windows(gbufs[self.out_slot], self._gsum, self._gtmp)
 
-
-class SoftmaxStep:
-    """Channel softmax for compiled inference heads (``soft_infer``).
-
-    Mirrors :func:`repro.autograd.functional.softmax` — which is
-    ``exp(log_softmax(x))`` with the max-shift trick — operation for
-    operation, so compiled class probabilities are bit-identical to the
-    autograd path.  Inference-only: the distillation losses differentiate
-    through ``log_softmax`` on the autograd side, so a traced softmax in
-    a training graph falls back rather than risking a silent gradient
-    mismatch.
-    """
-
-    def __init__(self, in_slot, out_slot, in_shape, axis: int, training: bool) -> None:
-        if training:
-            raise UntraceableError("softmax compiles for inference plans only")
-        if axis != 1:
-            raise UntraceableError(
-                f"only channel softmax (axis=1) is compilable, got axis={axis}"
-            )
-        self.in_slot, self.out_slot = in_slot, out_slot
-        self.out_shape = tuple(in_shape)
-        self.out = np.empty(self.out_shape, np.float32)
-        self._shifted = np.empty(self.out_shape, np.float32)
-        self._exp = np.empty(self.out_shape, np.float32)
-
-    def forward(self, env) -> None:
-        x = env[self.in_slot]
-        np.subtract(x, x.max(axis=1, keepdims=True), out=self._shifted)
-        np.exp(self._shifted, out=self._exp)
-        denom = self._exp.sum(axis=1, keepdims=True)
-        np.log(denom, out=denom)
-        # log-softmax, then its exp — the autograd composition, not
-        # exp/denom, which differs in the last bits.
-        np.subtract(self._shifted, denom, out=self._shifted)
-        np.exp(self._shifted, out=self.out)
-        env[self.out_slot] = self.out
-
-    def backward(self, env, gbufs) -> None:  # pragma: no cover - unreachable
-        raise UntraceableError("softmax has no compiled backward")

@@ -72,9 +72,9 @@ def structural_signature(root) -> tuple:
     aliased layers), parameter and buffer names with shapes (conv
     channels, kernel and bias presence), and every plain-valued
     attribute (stride, padding, eps, momentum,
-    ``use_batch_stats_in_eval``, a pooling window, a composite's own
-    switches).  Never weights, ``requires_grad`` or ``training``: those
-    are read live, per call, through the bound layers.
+    ``use_batch_stats_in_eval``, a composite's own switches).  Never
+    weights, ``requires_grad`` or ``training``: those are read live,
+    per call, through the bound layers.
     """
     first_path: Dict[int, str] = {}
     return tuple(

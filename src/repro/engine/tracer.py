@@ -24,8 +24,8 @@ class OpRecord:
     """One primitive operation observed during a trace.
 
     ``kind`` is either ``"module"`` (a leaf layer call — ``module`` holds
-    the layer instance) or a tensor-op name (``"relu"``, ``"add"``,
-    ``"concat"``, ``"upsample2x"``, ...).  Inputs and output are
+    the layer instance) or a tensor-op name: ``"relu"``, ``"add"``,
+    ``"concat"`` or ``"upsample2x"``.  Inputs and output are
     identified by ``id()`` of the traced Tensor objects; the session
     keeps references alive so ids cannot be recycled mid-trace.
     """
@@ -71,11 +71,6 @@ class TraceSession:
         self.records.append(
             OpRecord(kind, tuple(id(t) for t in inputs), id(output), module, meta)
         )
-
-
-def active() -> Optional[TraceSession]:
-    """Return the active session (hooks read ``_ACTIVE`` directly)."""
-    return _ACTIVE
 
 
 @contextlib.contextmanager

@@ -10,10 +10,9 @@ student).  Two stand-ins are provided:
   ground-truth label, optionally corrupted near object boundaries to
   model the teacher's own imperfection.
 
-* :class:`TeacherNet` — a real (larger) FCN for tests that must
-  exercise a neural teacher end-to-end, e.g. the soft-target
-  distillation extension.  It is ~10-100x the default student's size
-  depending on width.
+* :class:`TeacherNet` — a real (larger) FCN for runs that must
+  exercise a neural teacher end-to-end.  It is ~10-100x the default
+  student's size depending on width.
 """
 
 from __future__ import annotations
@@ -135,23 +134,3 @@ class TeacherNet(Module):
         """
         (logits,) = self.run_plan("forward", frame[None] if frame.ndim == 3 else frame)
         return logits.argmax(axis=1)[0]
-
-    def _engine_fns(self):
-        fns = super()._engine_fns()
-        fns["soft"] = self._soft_forward
-        return fns
-
-    def _soft_forward(self, x: Tensor) -> Tensor:
-        from repro.autograd import functional as F
-
-        return F.softmax(self.forward(x), axis=1)
-
-    def soft_infer(self, frame: np.ndarray) -> np.ndarray:
-        """Class-probability output for soft-target distillation (section 7).
-
-        Like :meth:`infer`, a compiled plan — the forward chain plus
-        the softmax head kernel.  Plan buffers are reused on the next
-        run, so the result is handed back as owned memory.
-        """
-        (probs,) = self.run_plan("soft", frame[None] if frame.ndim == 3 else frame)
-        return probs[0].copy()

@@ -1,11 +1,11 @@
-"""Network modelling: message sizes, bandwidth/latency, traffic accounting."""
+"""Network modelling: message sizes and the bandwidth/latency link model."""
 
 from repro.network.messages import (
     MessageSizes,
     hd_frame_bytes,
     student_payload_bytes,
 )
-from repro.network.model import NetworkModel, TrafficAccountant
+from repro.network.model import NetworkModel
 from repro.network.dynamic import DynamicNetworkModel, step_drop
 
 __all__ = [
@@ -15,5 +15,4 @@ __all__ = [
     "hd_frame_bytes",
     "student_payload_bytes",
     "NetworkModel",
-    "TrafficAccountant",
 ]

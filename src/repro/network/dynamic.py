@@ -14,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Sequence, Tuple
 
-from repro.network.model import NetworkModel
-
 
 @dataclasses.dataclass
 class DynamicNetworkModel:
@@ -23,9 +21,9 @@ class DynamicNetworkModel:
 
     ``schedule`` is a sorted list of ``(start_time_s, bandwidth_mbps)``
     segments; the first segment must start at 0.  The model exposes the
-    same ``transfer_time`` interface as :class:`NetworkModel` via
-    ``at(t)``, plus a convenience ``transfer_time(nbytes, now)`` that
-    integrates a transfer across segment boundaries.
+    same ``transfer_time(nbytes, now)`` interface as
+    :class:`~repro.network.model.NetworkModel`, and integrates a
+    transfer across segment boundaries.
     """
 
     schedule: Sequence[Tuple[float, float]]
@@ -51,13 +49,6 @@ class DynamicNetworkModel:
             else:
                 break
         return current
-
-    def at(self, t: float) -> NetworkModel:
-        """Static snapshot of the link at time ``t``."""
-        return NetworkModel(
-            bandwidth_mbps=self.bandwidth_at(t),
-            base_latency_s=self.base_latency_s,
-        )
 
     def transfer_time(self, nbytes: int, now: float = 0.0) -> float:
         """Duration of a transfer started at ``now``.

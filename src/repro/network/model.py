@@ -1,4 +1,4 @@
-"""Bandwidth/latency model and traffic accounting.
+"""Bandwidth/latency model of the client-server link.
 
 Transfer time of a payload is ``base_latency + bytes * 8 / bandwidth``,
 the standard first-order model of a rate-limited link.  The paper's
@@ -10,7 +10,6 @@ propagation — reproducing the paper's measured t_net = 0.303 s.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
 
 
 @dataclasses.dataclass
@@ -28,66 +27,17 @@ class NetworkModel:
         if self.base_latency_s < 0:
             raise ValueError("latency must be non-negative")
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` across the link one way."""
+    def transfer_time(self, nbytes: int, now: float = 0.0) -> float:
+        """Seconds to move ``nbytes`` across the link one way.
+
+        ``now`` is ignored: a static link takes the same time whenever
+        the transfer starts.  It is accepted so that this model and
+        :class:`~repro.network.dynamic.DynamicNetworkModel` share one
+        interface.
+        """
         return self.base_latency_s + (nbytes * 8) / (self.bandwidth_mbps * 1e6)
 
     def round_trip_time(self, up_bytes: int, down_bytes: int) -> float:
         """Seconds for an up transfer followed by a down transfer."""
         return self.transfer_time(up_bytes) + self.transfer_time(down_bytes)
 
-
-def directed_transfer_time(
-    network, nbytes: int, start: float = 0.0, direction: str = "up"
-) -> float:
-    """Transfer duration on any link model, in one place.
-
-    Handles the three shapes a ``network`` can take: a static
-    :class:`NetworkModel` (no ``start`` argument), a time-varying
-    :class:`~repro.network.dynamic.DynamicNetworkModel`
-    (``transfer_time(nbytes, now)``), and a per-direction
-    :class:`~repro.transport.link.AsymmetricNetworkModel`
-    (``for_direction`` selects the side carrying this transfer).  The
-    client's uplink/downlink timing and the naive-offloading baseline
-    all dispatch through here, so a new link-model shape is taught to
-    the system exactly once.
-    """
-    pick = getattr(network, "for_direction", None)
-    if pick is not None:
-        network = pick(direction)
-    try:
-        return network.transfer_time(nbytes, start)  # type: ignore[call-arg]
-    except TypeError:
-        return network.transfer_time(nbytes)
-
-
-class TrafficAccountant:
-    """Accumulates every transfer for post-run traffic statistics."""
-
-    def __init__(self) -> None:
-        self._events: List[Tuple[float, int, str]] = []
-
-    def record(self, sim_time: float, nbytes: int, direction: str) -> None:
-        """Log one transfer completed at ``sim_time``."""
-        if direction not in ("up", "down"):
-            raise ValueError("direction must be 'up' or 'down'")
-        self._events.append((sim_time, nbytes, direction))
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(b for _, b, _ in self._events)
-
-    def bytes_by_direction(self) -> Tuple[int, int]:
-        up = sum(b for _, b, d in self._events if d == "up")
-        down = sum(b for _, b, d in self._events if d == "down")
-        return up, down
-
-    def traffic_mbps(self, total_time_s: float) -> float:
-        """Average network traffic in Mbps over the run (Table 5 metric)."""
-        if total_time_s <= 0:
-            return 0.0
-        return self.total_bytes * 8 / 1e6 / total_time_s
-
-    @property
-    def num_transfers(self) -> int:
-        return len(self._events)

@@ -2,7 +2,7 @@
 
 Provides the module system (with per-parameter freezing, the mechanism
 behind ShadowTutor's partial distillation), common layers, weight
-initialisation, optimizers (SGD / Adam), and state-dict serialization
+initialisation, the Adam optimizer, and state-dict serialization
 with byte-size accounting used for the paper's network-traffic numbers.
 """
 
@@ -12,11 +12,8 @@ from repro.nn.layers import (
     BatchNorm2d,
     ReLU,
     Sequential,
-    Identity,
-    AvgPool2d,
-    Upsample2x,
 )
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.serialize import (
     state_dict_bytes,
     state_dict_diff,
@@ -32,10 +29,6 @@ __all__ = [
     "BatchNorm2d",
     "ReLU",
     "Sequential",
-    "Identity",
-    "AvgPool2d",
-    "Upsample2x",
-    "SGD",
     "Adam",
     "Optimizer",
     "state_dict_bytes",

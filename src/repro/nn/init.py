@@ -1,4 +1,4 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation: He (Kaiming) normal for the ReLU networks."""
 
 from __future__ import annotations
 
@@ -25,9 +25,3 @@ def kaiming_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarr
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
-
-def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Glorot uniform initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Common layers: Conv2d, BatchNorm2d, ReLU, pooling, containers."""
+"""Common layers: Conv2d, BatchNorm2d, ReLU and the Sequential container."""
 
 from __future__ import annotations
 
@@ -161,31 +161,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Identity(Module):
-    """Pass-through module (useful for ablation plumbing)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.avg_pool2d(self.kernel_size)
-
-
-class Upsample2x(Module):
-    """Nearest-neighbour 2x spatial upsampling."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.upsample2x()
 
 
 class Sequential(Module):

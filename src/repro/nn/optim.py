@@ -1,9 +1,9 @@
 """Optimizers operating on :class:`~repro.nn.module.Parameter` lists.
 
-ShadowTutor trains the student online with Adam at lr=0.01 (section 5.2);
-SGD is provided for the pre-training recipes and ablations.  Optimizers
-skip frozen parameters, so a single optimizer instance works for both
-partial and full distillation.
+ShadowTutor trains the student online with Adam at lr=0.01 (section 5.2),
+and pre-training uses the same optimizer.  Optimizers skip frozen
+parameters, so a single optimizer instance works for both partial and
+full distillation.
 """
 
 from __future__ import annotations
@@ -35,27 +35,6 @@ class Optimizer:
 def _updates(p: Parameter) -> bool:
     """Whether a step touches ``p``: unfrozen and holding a gradient."""
     return p.requires_grad and p.grad is not None
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.state: Dict[int, Dict[str, np.ndarray]] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if not _updates(p):
-                continue
-            grad = p.grad
-            if self.momentum > 0:
-                st = self.state.setdefault(id(p), {"velocity": np.zeros_like(p.data)})
-                st["velocity"] *= self.momentum
-                st["velocity"] += grad
-                grad = st["velocity"]
-            p.data -= self.lr * grad
 
 
 class Adam(Optimizer):

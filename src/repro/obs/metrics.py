@@ -51,7 +51,6 @@ __all__ = [
     "BUCKET_EXP_MAX",
     "NUM_BUCKETS",
     "bucket_index",
-    "bucket_bounds",
     "Counter",
     "Gauge",
     "Histogram",
@@ -85,13 +84,6 @@ def bucket_index(value: float) -> int:
     if m == 0.5:
         e -= 1
     return min(max(e - BUCKET_EXP_MIN, 0), NUM_BUCKETS - 1)
-
-
-def bucket_bounds() -> List[float]:
-    """Upper edge of every bucket (the last is ``inf``)."""
-    edges = [2.0 ** e for e in range(BUCKET_EXP_MIN, BUCKET_EXP_MAX)]
-    edges.append(float("inf"))
-    return edges
 
 
 class Counter:

@@ -35,7 +35,7 @@ from repro import obs
 from repro.distill.config import DistillConfig
 from repro.models.student import StudentNet
 from repro.network.messages import MessageSizes
-from repro.network.model import NetworkModel, directed_transfer_time
+from repro.network.model import NetworkModel
 from repro.nn.serialize import apply_state_dict, state_dict_digest
 from repro.runtime.clock import LatencyModel, SimClock
 from repro.runtime.server import Server, ServerReply
@@ -101,16 +101,6 @@ class Client:
         self._pending: Optional[_PendingUpdate] = None
         self._stats: Optional[RunStats] = None
 
-    def _transfer_time(self, nbytes: int, start: float, direction: str = "up") -> float:
-        """Transfer duration honouring dynamic bandwidth schedules.
-
-        ``direction`` selects the side of an asymmetric link
-        (:class:`~repro.transport.link.AsymmetricNetworkModel`): the
-        key-frame uplink and the update downlink differ on LTE.
-        Symmetric models ignore it.
-        """
-        return directed_transfer_time(self.network, nbytes, start, direction)
-
     # ------------------------------------------------------------------
     def _dispatch_key_frame(
         self, frame: np.ndarray, label: Optional[np.ndarray], index: int
@@ -118,7 +108,7 @@ class Client:
         """Send a key frame; returns the in-flight update handle."""
         up_bytes = self.sizes.frame_to_server
         send_start = max(self.clock.now, self._uplink_free_at)
-        up_done = send_start + self._transfer_time(up_bytes, send_start, "up")
+        up_done = send_start + self.network.transfer_time(up_bytes, send_start)
         self._uplink_free_at = up_done
 
         # Real server-side computation happens here (teacher inference +
@@ -130,7 +120,7 @@ class Client:
         server_time = self.server.service_time(result, self.latency)
         down_bytes = self.server.reply_bytes()
         down_start = up_done + server_time
-        ready_at = down_start + self._transfer_time(down_bytes, down_start, "down")
+        ready_at = down_start + self.network.transfer_time(down_bytes, down_start)
 
         record = KeyFrameRecord(
             index=index,

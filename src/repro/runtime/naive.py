@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.models.teacher import Teacher
 from repro.network.messages import MessageSizes
-from repro.network.model import NetworkModel, directed_transfer_time
+from repro.network.model import NetworkModel
 from repro.runtime.clock import LatencyModel, SimClock
 from repro.runtime.stats import FrameRecord, RunStats
 from repro.segmentation.metrics import mean_iou
@@ -47,11 +47,6 @@ class NaiveOffloadClient:
         self.t_prep = t_prep
         self.clock = SimClock()
 
-    def _transfer_time(self, nbytes: int, start: float, direction: str = "up") -> float:
-        """Transfer duration honouring dynamic bandwidth schedules and
-        per-direction asymmetric links."""
-        return directed_transfer_time(self.network, nbytes, start, direction)
-
     def run(
         self,
         frames: Iterable[Tuple[np.ndarray, np.ndarray]],
@@ -63,9 +58,9 @@ class NaiveOffloadClient:
         for index, (frame, gt_label) in enumerate(frames):
             pred = self.teacher.infer(frame, gt_label)
             t = self.clock.now + self.t_prep
-            t += self._transfer_time(up, t, "up")
+            t += self.network.transfer_time(up, t)
             t += self.latency.t_ti
-            t += self._transfer_time(down, t, "down")
+            t += self.network.transfer_time(down, t)
             self.clock.advance_to(t)
             stats.total_up_bytes += up
             stats.total_down_bytes += down

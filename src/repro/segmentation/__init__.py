@@ -7,22 +7,15 @@ and the LVS-style boundary-weighted cross-entropy loss.
 """
 
 from repro.segmentation.classes import LVS_CLASSES, NUM_CLASSES, BACKGROUND
-from repro.segmentation.metrics import (
-    iou_per_class,
-    mean_iou,
-    confusion_matrix,
-    pixel_accuracy,
-)
+from repro.segmentation.metrics import confusion_matrix, mean_iou
 from repro.segmentation.losses import lvs_weight_map, weighted_cross_entropy
 
 __all__ = [
     "LVS_CLASSES",
     "NUM_CLASSES",
     "BACKGROUND",
-    "iou_per_class",
     "mean_iou",
     "confusion_matrix",
-    "pixel_accuracy",
     "lvs_weight_map",
     "weighted_cross_entropy",
 ]

@@ -1,17 +1,16 @@
 """Boundary-quality metrics for segmentation.
 
 Mean IoU (the paper's metric) is region-based and insensitive to edge
-jitter on large objects.  Boundary F-score is the standard companion
-metric: precision/recall of predicted boundary pixels within a small
-tolerance band of the true boundary.  Used by the analysis tooling to
-show *where* the online-distilled student loses accuracy (almost
-entirely at object boundaries, consistent with the oracle-teacher
-setup).
+jitter on large objects.  Splitting the pixel errors into a band around
+the true class boundaries and the interior shows *where* the
+online-distilled student loses accuracy (almost entirely at object
+boundaries, consistent with the oracle-teacher setup); the run
+inspector example prints that split.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 from scipy import ndimage
@@ -35,33 +34,6 @@ def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
         return mask
     structure = ndimage.generate_binary_structure(2, 2)
     return ndimage.binary_dilation(mask, structure=structure, iterations=radius)
-
-
-def boundary_f_score(
-    pred: np.ndarray,
-    label: np.ndarray,
-    tolerance: int = 1,
-) -> float:
-    """Boundary F1: harmonic mean of boundary precision and recall.
-
-    A predicted boundary pixel counts as correct if a true boundary
-    pixel lies within ``tolerance`` (Chebyshev) pixels, and vice versa.
-    Returns 1.0 when both boundaries are empty (e.g. all-background
-    frames agree trivially).
-    """
-    pred_b = boundary_mask(pred)
-    true_b = boundary_mask(label)
-    if not pred_b.any() and not true_b.any():
-        return 1.0
-    if not pred_b.any() or not true_b.any():
-        return 0.0
-    true_zone = _dilate(true_b, tolerance)
-    pred_zone = _dilate(pred_b, tolerance)
-    precision = float((pred_b & true_zone).sum() / pred_b.sum())
-    recall = float((true_b & pred_zone).sum() / true_b.sum())
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
 
 
 def error_decomposition(

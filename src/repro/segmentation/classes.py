@@ -31,9 +31,3 @@ NUM_CLASSES: int = len(LVS_CLASSES)
 #: name -> index lookup.
 CLASS_INDEX: Dict[str, int] = {name: i for i, name in enumerate(LVS_CLASSES)}
 
-
-def class_name(index: int) -> str:
-    """Return the class name for an index, validating the range."""
-    if not 0 <= index < NUM_CLASSES:
-        raise ValueError(f"class index {index} out of range [0, {NUM_CLASSES})")
-    return LVS_CLASSES[index]

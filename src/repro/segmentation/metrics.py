@@ -1,4 +1,4 @@
-"""Segmentation metrics: IoU per class and mean IoU (paper Eq. 1).
+"""Segmentation metrics: mean IoU over the present classes (paper Eq. 1).
 
 Following the paper, the mean is taken over the classes *present in the
 ground-truth label* ("The IoU is computed for each class in the ground
@@ -8,7 +8,7 @@ background alone rather than being diluted by absent classes.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -47,16 +47,6 @@ def _present_ious(
     return present, inter[present] / union[present]
 
 
-def iou_per_class(
-    pred: np.ndarray,
-    label: np.ndarray,
-    num_classes: int = NUM_CLASSES,
-) -> Dict[int, float]:
-    """IoU for every class present in ``label`` (Eq. 1)."""
-    classes, ious = _present_ious(pred, label, num_classes)
-    return dict(zip(classes.tolist(), ious.tolist()))
-
-
 def mean_iou(
     pred: np.ndarray,
     label: np.ndarray,
@@ -68,30 +58,3 @@ def mean_iou(
         return 1.0
     return float(ious.mean())
 
-
-def pixel_accuracy(pred: np.ndarray, label: np.ndarray) -> float:
-    """Fraction of correctly classified pixels."""
-    pred = np.asarray(pred)
-    label = np.asarray(label)
-    return float((pred == label).mean())
-
-
-class RunningMeanIoU:
-    """Streaming mIoU averaged per frame, as the paper's Table 6 does
-    ("The mIoU of every frame ... is averaged")."""
-
-    def __init__(self, num_classes: int = NUM_CLASSES) -> None:
-        self.num_classes = num_classes
-        self.total = 0.0
-        self.count = 0
-
-    def update(self, pred: np.ndarray, label: np.ndarray) -> float:
-        """Add one frame; returns that frame's mIoU."""
-        value = mean_iou(pred, label, self.num_classes)
-        self.total += value
-        self.count += 1
-        return value
-
-    @property
-    def value(self) -> float:
-        return self.total / self.count if self.count else 0.0

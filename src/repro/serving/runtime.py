@@ -66,6 +66,8 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.distill.config import DistillMode
 from repro.network.messages import MessageSizes
@@ -245,12 +247,32 @@ class AdmissionError(RuntimeError):
 class _LiveSession:
     """One open session inside the runtime."""
 
-    def __init__(self, server, connection) -> None:
+    def __init__(self, server, connection, frame_hw: Tuple[int, int]) -> None:
         self.server = server
         self.connection = connection
+        #: The geometry the session was admitted at; its student's
+        #: plans are compiled for nothing else.
+        self.frame_hw = frame_hw
         #: Wall-clock time of the last message for this session — what
         #: the idle-session reaper compares against its deadline.
         self.last_active = time.monotonic()
+
+    def accepts(self, frame, label) -> bool:
+        """Whether a FRAME is one this session's server can serve: a
+        float32 ``(3, H, W)`` frame at the admitted geometry, and an
+        integer ``(H, W)`` map of the student's classes exactly when
+        the teacher reads the label (``None`` otherwise)."""
+        if not (isinstance(frame, np.ndarray) and frame.dtype == np.float32
+                and frame.shape == (3, *self.frame_hw)):
+            return False
+        if not self.server.teacher_reads_label:
+            return label is None
+        return (
+            isinstance(label, np.ndarray) and label.shape == self.frame_hw
+            and np.issubdtype(label.dtype, np.integer)
+            and 0 <= label.min()
+            and label.max() < self.server.student.num_classes
+        )
 
 
 class ServerRuntime:
@@ -497,7 +519,9 @@ class ServerRuntime:
         # ledger claim) through the teardown like any other.
         session_id = self._next_session
         self._next_session += 1
-        self._sessions[session_id] = _LiveSession(server, connection)
+        self._sessions[session_id] = _LiveSession(
+            server, connection, (admit.frame_h, admit.frame_w)
+        )
         self.frames_served[session_id] = 0
         if fleet_key is not None:
             self._fleet_keys[session_id] = fleet_key
@@ -517,8 +541,10 @@ class ServerRuntime:
 
         Returns ``None``, or the teardown reason when the message is
         one no server accepts: a kind other than ADMIT / BYE / FRAME,
-        or a FRAME for a session not open on this link.  A BYE for a
-        session not open on this link is ignored.
+        a FRAME for a session not open on this link, or a FRAME whose
+        frame or label the session cannot serve
+        (:meth:`_LiveSession.accepts`).  A BYE for a session not open
+        on this link is ignored.
         """
         if isinstance(msg, wire.Admit):
             self._admit_session(connection, msg)
@@ -529,7 +555,7 @@ class ServerRuntime:
                 self._end_session(session_id)
         elif isinstance(msg, tuple):
             live = self._session_on(connection, session_id)
-            if live is None:
+            if live is None or not live.accepts(*msg):
                 return "protocol-error"
             live.last_active = time.monotonic()
             self._serve_key_frame(connection, session_id, live, *msg)

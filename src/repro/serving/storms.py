@@ -306,9 +306,6 @@ class StormReport:
     #: marker instead.
     runtime_report: Optional[Dict] = None
 
-    def as_record(self) -> Dict:
-        return dataclasses.asdict(self)
-
 
 def start_attackers(plan: StormPlan, handle, hold_s: float,
                     slot_base: int = 0) -> List:

@@ -13,9 +13,9 @@ abstraction (blocking ``send`` / ``recv``):
 * :mod:`repro.transport.socket` — the same wire frames over TCP for
   cross-host serving;
 * :mod:`repro.transport.link` — trace-driven link scenarios: bundled
-  LTE/Wi-Fi-style bandwidth traces plus a generator (symmetric, or
-  per-direction asymmetric pairs), compiled into simulated
-  :class:`~repro.network.dynamic.DynamicNetworkModel` schedules.
+  LTE/Wi-Fi-style bandwidth traces plus a generator, compiled into
+  simulated :class:`~repro.network.dynamic.DynamicNetworkModel`
+  schedules.
 
 Wire frames carry a session tag and an ADMIT/ACCEPT/BYE handshake, so
 one link can serve many sessions — the multiplexed one-server/N-client
@@ -27,17 +27,7 @@ deployment lives in :mod:`repro.serving.runtime` on top of the
 """
 
 from repro.transport.endpoint import Endpoint
-from repro.transport.link import (
-    BUNDLED_TRACE_PAIRS,
-    BUNDLED_TRACES,
-    AsymmetricNetworkModel,
-    LinkTrace,
-    LinkTracePair,
-    bundled_trace,
-    bundled_trace_pair,
-    generate_trace,
-    lte_updown_pair,
-)
+from repro.transport.link import BUNDLED_TRACES, LinkTrace, generate_trace
 from repro.transport.registry import (
     available_transports,
     connect,
@@ -49,16 +39,10 @@ from repro.transport.shm import ShmManyLink, ShmRing, ShmTransport, StaticListen
 from repro.transport.socket import SocketManyLink, SocketTransport
 
 __all__ = [
-    "AsymmetricNetworkModel",
-    "BUNDLED_TRACE_PAIRS",
     "BUNDLED_TRACES",
     "Endpoint",
     "LinkTrace",
-    "LinkTracePair",
-    "bundled_trace",
-    "bundled_trace_pair",
     "generate_trace",
-    "lte_updown_pair",
     "StaticListener",
     "available_transports",
     "connect",

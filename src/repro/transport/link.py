@@ -12,9 +12,7 @@ DynamicNetworkModel`); this module makes *scenarios* first-class:
 * :meth:`LinkTrace.to_network_model` — compiles a trace into a
   ``DynamicNetworkModel`` schedule, so a *simulated* run consumes the
   scenario through the usual ``Client(network=...)`` path (the bundled
-  traces are rows of ``benchmarks/test_robustness_fluctuation.py``);
-* :class:`LinkTracePair` — separate uplink and downlink traces,
-  compiled into a direction-aware :class:`AsymmetricNetworkModel`.
+  traces are rows of ``benchmarks/test_robustness_fluctuation.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.network.dynamic import DynamicNetworkModel
-from repro.network.model import directed_transfer_time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,10 +54,6 @@ class LinkTrace:
     @property
     def mean_mbps(self) -> float:
         return float(np.mean([bw for _, bw in self.samples]))
-
-    @property
-    def min_mbps(self) -> float:
-        return float(min(bw for _, bw in self.samples))
 
     def bandwidth_at(self, t: float) -> float:
         """Bandwidth in effect at trace time ``t`` (clamped to the end)."""
@@ -126,107 +119,10 @@ def wifi_trace(seed: int = 3, duration_s: float = 120.0) -> LinkTrace:
     )
 
 
-#: Bundled scenarios: deterministic instances of the generator that the
-#: examples, experiments and tests share by name.
+#: Bundled scenarios: deterministic instances of the generator, one row
+#: each of the robustness benchmark's table.
 BUNDLED_TRACES: Dict[str, LinkTrace] = {
     "lte-drive": lte_trace(),
     "wifi-cafe": wifi_trace(),
 }
 
-
-def bundled_trace(name: str) -> LinkTrace:
-    """Fetch a bundled trace by name (helpful error on a typo)."""
-    try:
-        return BUNDLED_TRACES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown trace {name!r}; bundled: {sorted(BUNDLED_TRACES)}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Per-direction asymmetric links
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class AsymmetricNetworkModel:
-    """Direction-aware link: distinct up/down bandwidth models.
-
-    Wraps two ``transfer_time``-capable models (static
-    :class:`~repro.network.model.NetworkModel` or time-varying
-    :class:`~repro.network.dynamic.DynamicNetworkModel`).  Consumers
-    that know their direction (the client's key-frame uplink vs its
-    update downlink) select a side through :meth:`for_direction`;
-    direction-oblivious consumers get the uplink, the conservative
-    choice on cellular links (key frames are the big payload and the
-    slow direction).
-    """
-
-    up: object
-    down: object
-
-    def for_direction(self, direction: str):
-        """The model carrying transfers in ``direction`` (up/down)."""
-        if direction == "up":
-            return self.up
-        if direction == "down":
-            return self.down
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-
-    def transfer_time(self, nbytes: int, now: float = 0.0) -> float:
-        return directed_transfer_time(self.up, nbytes, now)
-
-    def round_trip_time(self, up_bytes: int, down_bytes: int, now: float = 0.0) -> float:
-        up = directed_transfer_time(self.up, up_bytes, now)
-        return up + directed_transfer_time(self.down, down_bytes, now + up)
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkTracePair:
-    """Asymmetric scenario: separate uplink and downlink traces.
-
-    Mobile links are asymmetric — LTE uplink (where the key frames go)
-    runs far below the downlink carrying the small weight updates.  The
-    pair compiles into an :class:`AsymmetricNetworkModel` for simulated
-    runs, exactly like the symmetric :class:`LinkTrace`.
-    """
-
-    name: str
-    up: LinkTrace
-    down: LinkTrace
-
-    def to_network_model(self) -> AsymmetricNetworkModel:
-        """Compile both directions into one direction-aware model."""
-        return AsymmetricNetworkModel(
-            up=self.up.to_network_model(), down=self.down.to_network_model()
-        )
-
-    def swapped(self) -> "LinkTracePair":
-        """The mirror scenario (diagnostics: which direction binds?)."""
-        return LinkTracePair(f"{self.name}-swapped", up=self.down, down=self.up)
-
-
-def lte_updown_pair(seed: int = 7, duration_s: float = 120.0) -> LinkTracePair:
-    """LTE-style asymmetric pair: ~12 Mbps volatile uplink (key frames)
-    against the ~40 Mbps downlink (weight updates)."""
-    up = generate_trace(
-        "lte-drive-up", duration_s=duration_s, step_s=2.0,
-        mean_mbps=12.0, sigma=0.35, floor_mbps=1.5, ceil_mbps=40.0,
-        dip_probability=0.08, dip_mbps=2.0, seed=seed + 1,
-    )
-    return LinkTracePair("lte-updown", up=up, down=lte_trace(seed, duration_s))
-
-
-#: Bundled asymmetric scenarios, by name like ``BUNDLED_TRACES``.
-BUNDLED_TRACE_PAIRS: Dict[str, "LinkTracePair"] = {
-    "lte-updown": lte_updown_pair(),
-}
-
-
-def bundled_trace_pair(name: str) -> "LinkTracePair":
-    """Fetch a bundled asymmetric pair by name (helpful error on typo)."""
-    try:
-        return BUNDLED_TRACE_PAIRS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown trace pair {name!r}; bundled: {sorted(BUNDLED_TRACE_PAIRS)}"
-        ) from None

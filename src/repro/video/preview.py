@@ -10,7 +10,7 @@ a new category spec.
 from __future__ import annotations
 
 import pathlib
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,16 +60,6 @@ def read_ppm(path: PathLike) -> np.ndarray:
     w, h = map(int, parts[1].split())
     pixels = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
     return pixels.reshape(h, w, 3).copy()
-
-
-def side_by_side(
-    frame: np.ndarray, label: np.ndarray, pred: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Compose frame | label (| prediction) into one RGB image."""
-    panels: List[np.ndarray] = [frame_to_rgb8(frame), label_to_rgb8(label)]
-    if pred is not None:
-        panels.append(label_to_rgb8(pred))
-    return np.concatenate(panels, axis=1)
 
 
 def contact_sheet(

@@ -5,12 +5,10 @@ import pytest
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.traces import (
-    accuracy_timeline,
     delay_histogram,
     keyframe_intervals,
     stride_timeline,
     summarize_run,
-    traffic_timeline,
 )
 from repro.runtime.stats import FrameRecord, KeyFrameRecord, RunStats
 
@@ -45,21 +43,6 @@ class TestTimelines:
         assert idx.shape == strides.shape == (40,)
         assert strides[0] == 8.0
 
-    def test_accuracy_timeline_smoothing(self):
-        idx, smooth = accuracy_timeline(demo_stats(), window=5)
-        assert len(smooth) == 40 - 4
-        # Smoothed series of a linear ramp is still increasing.
-        assert (np.diff(smooth) > 0).all()
-
-    def test_accuracy_timeline_short_run(self):
-        stats = demo_stats()
-        idx, smooth = accuracy_timeline(stats, window=100)
-        assert len(smooth) == 40  # unsmoothed fallback
-
-    def test_accuracy_window_validated(self):
-        with pytest.raises(ValueError):
-            accuracy_timeline(demo_stats(), window=0)
-
     def test_keyframe_intervals(self):
         gaps = keyframe_intervals(demo_stats())
         np.testing.assert_array_equal(gaps, [10, 10, 10])
@@ -75,18 +58,6 @@ class TestTimelines:
     def test_delay_histogram(self):
         histo = delay_histogram(demo_stats())
         assert histo == {3: 4}
-
-    def test_traffic_timeline_binning(self):
-        centers, mbps = traffic_timeline(demo_stats(), num_bins=4)
-        assert len(centers) == len(mbps) == 4
-        # All transfers accounted for: integral equals total bytes.
-        widths = np.diff(np.linspace(0, demo_stats().total_time_s, 5))
-        total_bits = (mbps * widths).sum() * 1e6
-        assert total_bits == pytest.approx(4 * 2_400_000 * 8, rel=1e-6)
-
-    def test_traffic_timeline_empty(self):
-        centers, mbps = traffic_timeline(RunStats())
-        assert centers.size == 0 and mbps.size == 0
 
 
 class TestSummary:

@@ -189,17 +189,6 @@ class TestStructuralOps:
         np.testing.assert_allclose(a.grad, np.full(a.shape, 3.0))
         np.testing.assert_allclose(b.grad, np.full(b.shape, 3.0))
 
-    def test_pad2d_shape_and_grad(self, rng):
-        a = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
-        out = a.pad2d(1, 2)
-        assert out.shape == (1, 2, 6, 9)
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones(a.shape))
-
-    def test_pad2d_zero_is_identity(self, rng):
-        a = Tensor(rng.normal(size=(1, 1, 2, 2)))
-        assert a.pad2d(0, 0) is a
-
     def test_upsample2x_forward(self):
         a = Tensor(np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2))
         out = a.upsample2x()
@@ -213,21 +202,6 @@ class TestStructuralOps:
         a = Tensor(rng.normal(size=(1, 1, 2, 2)), requires_grad=True)
         a.upsample2x().sum().backward()
         np.testing.assert_allclose(a.grad, np.full((1, 1, 2, 2), 4.0))
-
-    def test_avg_pool2d_forward(self):
-        a = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        out = a.avg_pool2d(2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool2d_backward(self, rng):
-        a = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        a.avg_pool2d(2).sum().backward()
-        np.testing.assert_allclose(a.grad, np.full((1, 2, 4, 4), 0.25))
-
-    def test_avg_pool_rejects_indivisible(self, rng):
-        a = Tensor(rng.normal(size=(1, 1, 5, 4)))
-        with pytest.raises(ValueError):
-            a.avg_pool2d(2)
 
     def test_stack(self, rng):
         parts = [Tensor(rng.normal(size=(2,)), requires_grad=True) for _ in range(3)]

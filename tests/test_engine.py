@@ -272,7 +272,7 @@ class TestSharedPlans:
             "forward": (x1,), "front": (x1,),
             "train_back": feat_shapes, "train_full": (x1,),
         }
-        teacher_kinds = {"forward": (x1,), "soft": (x1,)}
+        teacher_kinds = {"forward": (x1,)}
         models = [
             (*student(11, True, True), student_kinds),
             (*student(12, False, False), student_kinds),

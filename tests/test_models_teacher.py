@@ -77,11 +77,6 @@ class TestTeacherNet:
         teacher.infer(rng.normal(size=(3, 16, 16)).astype(np.float32))
         assert teacher.training
 
-    def test_soft_infer_is_distribution(self, teacher, rng):
-        probs = teacher.soft_infer(rng.normal(size=(3, 16, 16)).astype(np.float32))
-        assert probs.shape == (9, 16, 16)
-        np.testing.assert_allclose(probs.sum(axis=0), np.ones((16, 16)), rtol=1e-4)
-
     def test_teacher_larger_than_student(self):
         teacher = TeacherNet()  # default width
         student = StudentNet(width=0.5)

@@ -9,7 +9,7 @@ from repro.network.messages import (
     hd_frame_bytes,
     student_payload_bytes,
 )
-from repro.network.model import NetworkModel, TrafficAccountant
+from repro.network.model import NetworkModel
 
 
 class TestMessageSizes:
@@ -68,6 +68,12 @@ class TestNetworkModel:
         net = NetworkModel(bandwidth_mbps=80.0, base_latency_s=0.05)
         assert net.transfer_time(0) == pytest.approx(0.05)
 
+    def test_start_time_is_ignored(self):
+        """The static link takes the dynamic one's ``(nbytes, now)``
+        call and answers the same whenever the transfer starts."""
+        net = NetworkModel(bandwidth_mbps=8.0)
+        assert net.transfer_time(10**6, 37.5) == net.transfer_time(10**6)
+
     @pytest.mark.parametrize("kwargs", [
         {"bandwidth_mbps": 0.0},
         {"bandwidth_mbps": -1.0},
@@ -77,25 +83,3 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             NetworkModel(**kwargs)
 
-
-class TestTrafficAccountant:
-    def test_totals(self):
-        acc = TrafficAccountant()
-        acc.record(0.0, 1000, "up")
-        acc.record(1.0, 500, "down")
-        assert acc.total_bytes == 1500
-        assert acc.bytes_by_direction() == (1000, 500)
-        assert acc.num_transfers == 2
-
-    def test_traffic_mbps(self):
-        acc = TrafficAccountant()
-        acc.record(0.0, 10**6, "up")
-        assert acc.traffic_mbps(1.0) == pytest.approx(8.0)
-
-    def test_zero_time_safe(self):
-        acc = TrafficAccountant()
-        assert acc.traffic_mbps(0.0) == 0.0
-
-    def test_invalid_direction_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficAccountant().record(0.0, 1, "sideways")

@@ -38,12 +38,6 @@ class TestBandwidthLookup:
         assert net.bandwidth_at(10.0) == 8.0
         assert net.bandwidth_at(25.0) == 40.0
 
-    def test_at_snapshot(self):
-        net = step_drop(80, 8, drop_at_s=10.0)
-        snap = net.at(15.0)
-        assert isinstance(snap, NetworkModel)
-        assert snap.bandwidth_mbps == 8.0
-
 
 class TestTransferTime:
     def test_constant_segment_matches_static(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import _fan_in_out, kaiming_normal, xavier_uniform
+from repro.nn.init import _fan_in_out, kaiming_normal
 
 
 class TestFanComputation:
@@ -38,16 +38,3 @@ class TestKaiming:
         b = kaiming_normal(np.random.default_rng(3), (8, 8))
         np.testing.assert_array_equal(a, b)
 
-
-class TestXavier:
-    def test_bound_matches_glorot_formula(self, rng):
-        w = xavier_uniform(rng, (100, 50))
-        bound = np.sqrt(6.0 / (100 + 50))
-        assert w.min() >= -bound and w.max() <= bound
-        # Uniform over [-b, b]: std = b / sqrt(3).
-        assert w.std() == pytest.approx(bound / np.sqrt(3), rel=0.1)
-
-    def test_conv_shape_supported(self, rng):
-        w = xavier_uniform(rng, (8, 4, 3, 3))
-        assert w.shape == (8, 4, 3, 3)
-        assert w.dtype == np.float32

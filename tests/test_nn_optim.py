@@ -1,4 +1,4 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 def quadratic_step(opt, p, target=0.0):
@@ -19,50 +19,16 @@ def quadratic_step(opt, p, target=0.0):
     return loss.item()
 
 
-class TestSGD:
-    def test_plain_update_rule(self):
-        p = Parameter(np.array([2.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1)
-        quadratic_step(opt, p)
-        # grad of p^2 at 2 is 4; p <- 2 - 0.1*4 = 1.6
-        np.testing.assert_allclose(p.data, [1.6], rtol=1e-6)
-
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        quadratic_step(opt, p)  # v=2.0, p = 1 - 0.2 = 0.8
-        quadratic_step(opt, p)  # v=0.9*2 + 1.6 = 3.4, p = 0.8 - 0.34
-        np.testing.assert_allclose(p.data, [0.46], rtol=1e-5)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            quadratic_step(opt, p, target=3.0)
-        np.testing.assert_allclose(p.data, [3.0], atol=1e-3)
-
-    def test_skips_frozen_params(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        q = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p, q], lr=0.1)
-        q.freeze()
-        opt.zero_grad()
-        ((p * q) ** 2).sum().backward()
-        opt.step()
-        np.testing.assert_allclose(q.data, [1.0])
-        assert p.data[0] != 1.0
-
+class TestAdam:
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_step_without_backward_is_noop(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
-        SGD([p], lr=0.1).step()
+        Adam([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
 
-
-class TestAdam:
     def test_first_step_size_is_lr(self):
         # Adam's bias correction makes the first step ~lr * sign(grad).
         p = Parameter(np.array([1.0], dtype=np.float32))

@@ -20,7 +20,6 @@ from repro.obs.metrics import (
     BUCKET_EXP_MIN,
     NUM_BUCKETS,
     MetricsRegistry,
-    bucket_bounds,
     bucket_index,
     format_snapshot_table,
     merge_snapshots,
@@ -55,17 +54,11 @@ def test_bucket_index_is_deterministic_log2():
     # Every finite positive value maps inside the table.
     for exp in range(-30, 30):
         assert 0 <= bucket_index(2.0 ** exp) < NUM_BUCKETS
-
-
-def test_bucket_bounds_match_index():
-    edges = bucket_bounds()
-    assert len(edges) == NUM_BUCKETS
-    assert edges[-1] == float("inf")
-    # A value strictly below an edge (and above the previous) indexes
-    # that edge's bucket.
-    for i, edge in enumerate(edges[:-1]):
-        assert bucket_index(edge) == i
-        assert bucket_index(edge * 0.9) == i
+    # Bucket i's upper edge is 2**(BUCKET_EXP_MIN + i): the edge and a
+    # value just below it (above the previous edge) both index bucket i.
+    for i, exp in enumerate(range(BUCKET_EXP_MIN, BUCKET_EXP_MAX)):
+        assert bucket_index(2.0 ** exp) == i
+        assert bucket_index(2.0 ** exp * 0.9) == i
     assert BUCKET_EXP_MAX - BUCKET_EXP_MIN + 1 == NUM_BUCKETS
 
 

@@ -37,10 +37,10 @@ class TestAutogradProperties:
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
-    def test_softmax_is_distribution(self, seed):
+    def test_log_softmax_is_log_distribution(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(2, 7)).astype(np.float32) * 5)
-        s = F.softmax(x, axis=1).data
+        s = np.exp(F.log_softmax(x, axis=1).data)
         assert (s >= 0).all()
         np.testing.assert_allclose(s.sum(axis=1), np.ones(2), rtol=1e-4)
 

@@ -1,6 +1,6 @@
 """Public-API surface tests: documented entry points import, carry
-docstrings, the package's __all__ is honest, and every module under
-``src/repro`` has a caller."""
+docstrings, the package's __all__ is honest, and every module and
+public name under ``src/repro`` has a caller."""
 
 import ast
 import importlib
@@ -242,6 +242,95 @@ class TestEveryModuleHasACaller:
         assert not orphans, (
             f"imported by nothing but their own package __init__: {orphans}"
         )
+
+
+class TestEveryPublicNameHasACaller:
+    """A public name nothing runs is a name nobody measures: every
+    public top-level function or class of a non-``__init__`` module
+    under ``src/repro`` must be referenced — an ``ast.Name``, an
+    ``ast.Attribute`` or a ``from ... import`` — by a file in the
+    module rule's caller directories, anywhere but inside its own
+    definition.  Package ``__init__`` code counts as a caller; its
+    re-exports (``from ... import`` there) do not.
+
+    The rule matches by name, so it only catches direct orphans: a
+    cluster whose members only call each other (a link model and the
+    trace pair that builds it, say) or a method nothing calls passes
+    it, and is found by reading, not by this test."""
+
+    #: Names only tests call that stay anyway, each with its reason.
+    ALLOWED = {
+        # The reference implementation FleetLedger is property-tested against.
+        "PlacementPolicy",
+        # Test support: the runner's memo cache is reset and sized by
+        # the tests that need a cold cache.
+        "clear_cache",
+        "cache_size",
+        # Test support: the autograd tests assert the no_grad state.
+        "is_grad_enabled",
+        # Test support: an in-process endpoint pair for transport tests.
+        "make_pair",
+        # Test support: reads back what write_ppm wrote.
+        "read_ppm",
+    }
+
+    @staticmethod
+    def _definitions(package):
+        """``name -> set of defining paths`` of public top-level
+        functions and classes in non-``__init__`` modules."""
+        defined = {}
+        for path in sorted(package.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                ):
+                    defined.setdefault(node.name, set()).add(path)
+        return defined
+
+    @staticmethod
+    def _references(path):
+        """``(name, enclosing top-level definition or None)`` for every
+        name ``path`` references."""
+        found = set()
+        for top in ast.parse(path.read_text()).body:
+            owner = (
+                top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                else None
+            )
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    found.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    found.add((node.attr, owner))
+                elif (
+                    isinstance(node, ast.ImportFrom)
+                    and path.name != "__init__.py"
+                ):
+                    found.update((alias.name, owner) for alias in node.names)
+        return found
+
+    def test_no_public_name_without_a_caller(self):
+        repo = TestEveryModuleHasACaller.REPO
+        defined = self._definitions(repo / "src" / "repro")
+        callers = {}
+        for top in TestEveryModuleHasACaller.CALLER_DIRS:
+            for path in sorted((repo / top).rglob("*.py")):
+                for name, owner in self._references(path):
+                    callers.setdefault(name, set()).add((path, owner))
+        orphans = sorted(
+            name for name, paths in defined.items()
+            if not any(
+                path not in paths or owner != name
+                for path, owner in callers.get(name, ())
+            )
+        )
+        unlisted = sorted(set(orphans) - self.ALLOWED)
+        assert not unlisted, f"referenced by nothing but tests: {unlisted}"
+        stale = sorted(self.ALLOWED - set(orphans))
+        assert not stale, f"allowlisted but called, drop them: {stale}"
 
 
 class TestOneInterpretedTrainingLoop:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.segmentation.boundary import (
-    boundary_f_score,
-    boundary_mask,
-    error_decomposition,
-)
+from repro.segmentation.boundary import boundary_mask, error_decomposition
 
 
 def square_label(size=16, lo=5, hi=11, cls=2):
@@ -37,36 +33,6 @@ class TestBoundaryMask:
         # Any 4-neighbour pair with differing labels must both be marked.
         diff_h = label[:-1, :] != label[1:, :]
         assert mask[:-1, :][diff_h].all() and mask[1:, :][diff_h].all()
-
-
-class TestBoundaryFScore:
-    def test_perfect_prediction(self):
-        label = square_label()
-        assert boundary_f_score(label, label) == pytest.approx(1.0)
-
-    def test_both_empty_is_one(self):
-        empty = np.zeros((8, 8), dtype=np.int64)
-        assert boundary_f_score(empty, empty) == 1.0
-
-    def test_one_empty_is_zero(self):
-        assert boundary_f_score(np.zeros((16, 16), dtype=np.int64),
-                                square_label()) == 0.0
-
-    def test_one_pixel_shift_within_tolerance(self):
-        label = square_label()
-        shifted = np.roll(label, 1, axis=1)
-        assert boundary_f_score(shifted, label, tolerance=1) > 0.95
-        assert boundary_f_score(shifted, label, tolerance=0) < 0.9
-
-    def test_large_shift_scores_low(self):
-        label = square_label(size=24, lo=4, hi=10)
-        far = np.roll(label, 10, axis=0)
-        assert boundary_f_score(far, label, tolerance=1) < 0.3
-
-    def test_symmetric(self):
-        a = square_label(lo=5, hi=11)
-        b = square_label(lo=6, hi=12)
-        assert boundary_f_score(a, b) == pytest.approx(boundary_f_score(b, a))
 
 
 class TestErrorDecomposition:

@@ -1,13 +1,10 @@
 """Tests for the LVS class palette."""
 
-import pytest
-
 from repro.segmentation.classes import (
     BACKGROUND,
     CLASS_INDEX,
     LVS_CLASSES,
     NUM_CLASSES,
-    class_name,
 )
 
 
@@ -29,11 +26,3 @@ class TestPalette:
         for i, name in enumerate(LVS_CLASSES):
             assert CLASS_INDEX[name] == i
 
-    def test_class_name_roundtrip(self):
-        for i in range(NUM_CLASSES):
-            assert CLASS_INDEX[class_name(i)] == i
-
-    @pytest.mark.parametrize("bad", [-1, 9, 100])
-    def test_class_name_range_checked(self, bad):
-        with pytest.raises(ValueError):
-            class_name(bad)

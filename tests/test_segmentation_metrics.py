@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.segmentation.metrics import (
-    RunningMeanIoU,
-    confusion_matrix,
-    iou_per_class,
-    mean_iou,
-    pixel_accuracy,
-)
+from repro.segmentation.metrics import _present_ious, confusion_matrix, mean_iou
 
 
 class TestConfusionMatrix:
@@ -31,44 +25,6 @@ class TestConfusionMatrix:
             confusion_matrix(np.zeros(3), np.zeros(4))
 
 
-class TestIoU:
-    def test_perfect_iou_is_one(self, rng):
-        label = rng.integers(0, 3, size=(6, 6))
-        ious = iou_per_class(label, label, num_classes=3)
-        assert all(v == pytest.approx(1.0) for v in ious.values())
-
-    def test_only_present_classes_scored(self):
-        label = np.zeros((4, 4), dtype=np.int64)  # only background
-        pred = np.zeros((4, 4), dtype=np.int64)
-        pred[0, 0] = 3  # false positive for class 3
-        ious = iou_per_class(pred, label, num_classes=4)
-        assert set(ious) == {0}  # class 3 absent from label -> not scored
-
-    def test_known_overlap_value(self):
-        # pred covers 2x4, label covers 4x2, overlap 2x2 -> IoU = 4/12.
-        label = np.zeros((4, 4), dtype=np.int64)
-        label[:, :2] = 1
-        pred = np.zeros((4, 4), dtype=np.int64)
-        pred[:2, :] = 1
-        iou = iou_per_class(pred, label, num_classes=2)[1]
-        assert iou == pytest.approx(4 / 12)
-
-    def test_eq1_definition(self, rng):
-        # Cross-check against a direct set-based computation of Eq. 1.
-        label = rng.integers(0, 3, size=(10, 10))
-        pred = rng.integers(0, 3, size=(10, 10))
-        ious = iou_per_class(pred, label, num_classes=3)
-        for c, value in ious.items():
-            inter = np.sum((pred == c) & (label == c))
-            union = np.sum((pred == c) | (label == c))
-            assert value == pytest.approx(inter / union)
-
-    def test_missed_class_iou_zero(self):
-        label = np.ones((4, 4), dtype=np.int64)
-        pred = np.zeros((4, 4), dtype=np.int64)
-        assert iou_per_class(pred, label, num_classes=2)[1] == 0.0
-
-
 class TestMeanIoU:
     def test_range(self, rng):
         pred = rng.integers(0, 9, size=(8, 8))
@@ -78,6 +34,38 @@ class TestMeanIoU:
     def test_perfect_is_one(self, rng):
         label = rng.integers(0, 9, size=(8, 8))
         assert mean_iou(label, label) == pytest.approx(1.0)
+
+    def test_only_present_classes_scored(self):
+        label = np.zeros((4, 4), dtype=np.int64)  # only background
+        pred = np.zeros((4, 4), dtype=np.int64)
+        pred[0, 0] = 3  # false positive for class 3
+        # Class 3 is absent from the label, so it is not scored (Eq. 1):
+        # the mean is background's IoU alone, not diluted by a zero.
+        assert mean_iou(pred, label, num_classes=4) == pytest.approx(15 / 16)
+
+    def test_known_overlap_value(self):
+        # pred covers 2x4, label covers 4x2: each class overlaps 2x2 of
+        # a 12-pixel union -> IoU = 4/12 for both.
+        label = np.zeros((4, 4), dtype=np.int64)
+        label[:, :2] = 1
+        pred = np.zeros((4, 4), dtype=np.int64)
+        pred[:2, :] = 1
+        assert mean_iou(pred, label, num_classes=2) == pytest.approx(4 / 12)
+
+    def test_eq1_definition(self, rng):
+        # Cross-check against a direct set-based computation of Eq. 1.
+        label = rng.integers(0, 3, size=(10, 10))
+        pred = rng.integers(0, 3, size=(10, 10))
+        ious = [
+            np.sum((pred == c) & (label == c)) / np.sum((pred == c) | (label == c))
+            for c in np.unique(label)
+        ]
+        assert mean_iou(pred, label, num_classes=3) == pytest.approx(np.mean(ious))
+
+    def test_missed_class_iou_zero(self):
+        label = np.ones((4, 4), dtype=np.int64)
+        pred = np.zeros((4, 4), dtype=np.int64)
+        assert mean_iou(pred, label, num_classes=2) == 0.0
 
     def test_mean_over_present_classes(self):
         # Background perfect, class 1 half-covered: mean of {1.0, 1/3}.
@@ -115,31 +103,6 @@ class TestMeanIoU:
         assert a == pytest.approx(b)
 
 
-class TestRunningMeanIoU:
-    def test_averages_per_frame(self, rng):
-        tracker = RunningMeanIoU(num_classes=3)
-        values = []
-        for _ in range(5):
-            pred = rng.integers(0, 3, size=(6, 6))
-            label = rng.integers(0, 3, size=(6, 6))
-            values.append(tracker.update(pred, label))
-        assert tracker.value == pytest.approx(np.mean(values))
-
-    def test_empty_tracker_zero(self):
-        assert RunningMeanIoU().value == 0.0
-
-
-class TestPixelAccuracy:
-    def test_perfect(self, rng):
-        label = rng.integers(0, 5, size=(4, 4))
-        assert pixel_accuracy(label, label) == 1.0
-
-    def test_fraction(self):
-        pred = np.array([0, 0, 1, 1])
-        label = np.array([0, 1, 1, 0])
-        assert pixel_accuracy(pred, label) == 0.5
-
-
 # ----------------------------------------------------------------------
 # Vectorised IoU == the per-class loop, to the last bit
 # ----------------------------------------------------------------------
@@ -151,7 +114,7 @@ def _loop_confusion_matrix(pred, label, num_classes):
     return cm
 
 
-def _loop_iou_per_class(pred, label, num_classes):
+def _loop_class_ious(pred, label, num_classes):
     """Eq. 1 as the metric was first written: one class at a time."""
     cm = _loop_confusion_matrix(pred, label, num_classes)
     out = {}
@@ -163,7 +126,7 @@ def _loop_iou_per_class(pred, label, num_classes):
 
 
 def _loop_mean_iou(pred, label, num_classes):
-    ious = _loop_iou_per_class(pred, label, num_classes)
+    ious = _loop_class_ious(pred, label, num_classes)
     return float(np.mean(list(ious.values()))) if ious else 1.0
 
 
@@ -185,8 +148,9 @@ class TestVectorisedIoUIsTheLoop:
         rng = np.random.default_rng(seed)
         label = rng.integers(-stray, num_classes + stray, size=pixels).astype(label_dtype)
         pred = rng.integers(0, min(pred_classes, num_classes), size=pixels)
-        want = _loop_iou_per_class(pred, label, num_classes)
-        got = iou_per_class(pred, label, num_classes)
+        want = _loop_class_ious(pred, label, num_classes)
+        classes, ious = _present_ious(pred, label, num_classes)
+        got = dict(zip(classes.tolist(), ious.tolist()))
         assert got == want and list(got) == list(want)
         assert all(type(k) is int and type(v) is float for k, v in got.items())
         assert np.array_equal(
@@ -199,6 +163,7 @@ class TestVectorisedIoUIsTheLoop:
 
     def test_no_valid_label_scores_one(self):
         label = np.full((4, 4), 200)
-        assert iou_per_class(np.zeros((4, 4), np.int64), label) == {}
+        classes, _ = _present_ious(np.zeros((4, 4), np.int64), label, 9)
+        assert classes.size == 0
         assert mean_iou(np.zeros((4, 4), np.int64), label) == 1.0
         assert mean_iou(np.zeros(0, np.int64), np.zeros(0, np.int64)) == 1.0

@@ -306,12 +306,35 @@ class _HostileConnection(_ScriptedConnection):
 def _hostile_cases():
     """``id -> (script(admit, frame), fail_reply, teardown reason)``.
     The honest link is accepted first, so its session is 0 and a
-    hostile ADMIT opens session 1."""
+    hostile ADMIT opens session 1.  ``frame`` is an honest FRAME's
+    ``(frame, label)`` for the oracle-teacher ``admit``."""
     import numpy as np
 
+    from repro.segmentation.classes import NUM_CLASSES
     from repro.transport import wire
 
+    def framed(payload):
+        return lambda a, f: [(0, a), (1, payload(*f))]
+
+    neural = admit_message(_config(teacher_arch="neural"), _HW)
     return {
+        "frame-2d": (framed(lambda x, y: (x[0], y)), None, "protocol-error"),
+        "frame-float64": (framed(lambda x, y: (x.astype(np.float64), y)),
+                          None, "protocol-error"),
+        "frame-other-geometry": (
+            framed(lambda x, y: (x[:, :16, :24].copy(), y[:16, :24].copy())),
+            None, "protocol-error",
+        ),
+        "label-missing": (framed(lambda x, y: (x, None)), None,
+                          "protocol-error"),
+        "label-wrong-shape": (framed(lambda x, y: (x, np.zeros((5, 5), np.int64))),
+                              None, "protocol-error"),
+        "label-out-of-range": (
+            framed(lambda x, y: (x, np.where(y == y.flat[0], NUM_CLASSES, y))),
+            None, "protocol-error",
+        ),
+        "label-unexpected": (lambda a, f: [(0, neural), (1, f)], None,
+                             "protocol-error"),
         "recv-wire-error": (lambda a, f: [(0, wire.WireError("bad magic"))],
                             None, "corrupt-frame"),
         "recv-timeout": (lambda a, f: [(0, TimeoutError("stalled"))],
@@ -481,8 +504,9 @@ class TestRunLoopScripted:
     def test_a_failing_link_ends_alone(self, case):
         """Whatever one link does wrong — fail a read or a reply write,
         send a kind no server accepts, frame a session it never opened,
-        already closed or does not own, or BYE another link's session —
-        ends that link alone: ``run()`` returns, and the honest link's
+        already closed or does not own, send a frame or label its
+        session cannot serve, or BYE another link's session — ends that
+        link alone: ``run()`` returns, and the honest link's
         replies are byte for byte those of the same script run without
         the hostile link."""
         from repro.transport import wire

@@ -10,7 +10,6 @@ from repro.video.preview import (
     frame_to_rgb8,
     label_to_rgb8,
     read_ppm,
-    side_by_side,
     write_ppm,
 )
 
@@ -70,16 +69,6 @@ class TestComposites:
     def _pair(self):
         video = SyntheticVideo(VideoConfig(seed=1, height=16, width=24))
         return next(iter(video.frames(1)))
-
-    def test_side_by_side_two_panels(self):
-        frame, label = self._pair()
-        img = side_by_side(frame, label)
-        assert img.shape == (16, 48, 3)
-
-    def test_side_by_side_three_panels(self):
-        frame, label = self._pair()
-        img = side_by_side(frame, label, pred=label)
-        assert img.shape == (16, 72, 3)
 
     def test_contact_sheet_grid(self):
         pairs = [self._pair() for _ in range(5)]
