@@ -1,6 +1,6 @@
-"""Benchmark: overload control under seeded storms (ISSUE 6 floors).
+"""Benchmark: overload control under seeded storms.
 
-The acceptance floors for the graduated overload-control layer, run on
+The acceptance floors for the overload-control layer, run on
 the two adversarial storms whose load the server is expected to *shed*
 (``thundering-herd``: an admission flood against a token bucket;
 ``slow-loris``: partial-frame stallers plus a never-BYE ghost):
@@ -10,13 +10,15 @@ the two adversarial storms whose load the server is expected to *shed*
 * every refusal surfaces as a typed REJECT (``overloaded`` /
   ``capacity``) carrying a ``retry_after`` hint;
 * a fixed probe workload sustains >= 0.5x of its idle throughput while
-  the storm is in progress (graduated degradation, receive budgets and
-  the reaper keep the loop serving);
-* after the storm drains, the same probes recover to >= 0.9x idle.
+  the storm is in progress (admission control, receive budgets and the
+  reaper keep the loop serving);
+* after the storm drains, the same probes recover to >= 0.9x idle;
+* every probe, in every phase, computes exactly what the idle probes
+  did: the layer sheds at the door, never inside an admitted session.
 
-ISSUE 10 extends both floors to the socket transport: the fleet's
-front door is TCP, so the same graduated degradation must hold when
-the storm arrives over sockets instead of shm rings.
+Both floors hold on the socket transport too: the fleet's front door
+is TCP, so the same controls must hold when the storm arrives over
+sockets instead of shm rings.
 
 Regenerate manually with::
 
@@ -53,6 +55,9 @@ def _check(record):
         leg = record["legs"][phase]
         assert leg["ok"] == leg["of"], phase
         assert len(leg["samples_s"]) == samples, phase
+    # Shedding never reaches inside an admitted session: storm and
+    # recovery probes are bit-identical to the idle ones.
+    assert record["bit_identical"] is True
 
 
 def _check_herd(record):

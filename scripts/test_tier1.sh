@@ -58,6 +58,9 @@ timeout 300 python scripts/smoke_obs.py
 #  callers   nothing in src/repro that only its own tests call: the
 #            IR lowers only the ops the models emit, the simulated link
 #            has one interface, and the test-only helpers are gone
+#  overload  the overload layer sheds at the door and nowhere else (a
+#            key frame has one serve path at every load); the pool has
+#            one clock
 RETIRED='REPRO_ENGINE_FULL escape hatch|REPRO_ENGINE_FULL
 plan-cache escape hatch or weight_static|REPRO_[A-Z_]*PLAN|weight_static
 co-arrival serving path (gather window / cohort / stacked serve)|gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts
@@ -70,7 +73,8 @@ yield-spin / waiting-flag / back-off-nap / arm-disarm wait|_YIELD_SPINS|_YIELD_S
 process-wide engine switch|\bset_enabled\b|engine\.disabled|engine\.is_enabled
 runtime without a controller / runtime-killing session check|_DEFAULT_CAPACITY_HINT|_require_session
 second evaluation writer / per-script scale knobs|generate_experiments_md|render_experiments_md|REPRO_BENCH_FRAMES|REPRO_(POOL|SERVE_MANY|CHURN|OBS)_FRAMES
-IR ops no model emits / asymmetric link / test-only helpers|soft_infer|SoftmaxStep|distillation_loss|avg_pool2d|AvgPool2dStep|AsymmetricNetworkModel|LinkTracePair|lte_updown_pair|BUNDLED_TRACE_PAIRS|directed_transfer_time|TrafficAccountant|RunningMeanIoU|boundary_f_score|pixel_accuracy|iou_per_class|traffic_timeline|accuracy_timeline|xavier_uniform|bucket_bounds'
+IR ops no model emits / asymmetric link / test-only helpers|soft_infer|SoftmaxStep|distillation_loss|avg_pool2d|AvgPool2dStep|AsymmetricNetworkModel|LinkTracePair|lte_updown_pair|BUNDLED_TRACE_PAIRS|directed_transfer_time|TrafficAccountant|RunningMeanIoU|boundary_f_score|pixel_accuracy|iou_per_class|traffic_timeline|accuracy_timeline|xavier_uniform|bucket_bounds
+load-adaptive degradation / per-session pool clock|LoadTracker|serve_budget|metric_floor|degraded_budget|degraded_metric|observe_sweep|TickScheduler|start_tick|tick_interval|trace_capacity'
 while IFS='|' read -r label pattern; do
   if grep -rnIE -e "$pattern" . \
       --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \

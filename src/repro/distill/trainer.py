@@ -212,22 +212,9 @@ class StudentTrainer:
         return self._checkpoint
 
     # ------------------------------------------------------------------
-    def train(
-        self, frame: np.ndarray, label: np.ndarray,
-        max_updates: Optional[int] = None,
-    ) -> TrainResult:
-        """Distil the teacher's pseudo-label into the student (Alg. 1).
-
-        ``max_updates`` caps the step loop below ``config.max_updates``
-        for this one call — the overload layer's *cheaper serve*.  The
-        default of ``None`` runs the configured budget, which is the
-        bit-identity path every existing harness pins.
-        """
+    def train(self, frame: np.ndarray, label: np.ndarray) -> TrainResult:
+        """Distil the teacher's pseudo-label into the student (Alg. 1)."""
         cfg = self.config
-        budget = (
-            cfg.max_updates if max_updates is None
-            else max(1, min(max_updates, cfg.max_updates))
-        )
         student = self.student
 
         x4 = frame[None] if frame.ndim == 3 else frame
@@ -252,7 +239,7 @@ class StudentTrainer:
             if cfg.reset_optimizer_state:
                 self._optimizer.reset_state()
             checkpoint = self._checkpoint_slots()
-            for _ in range(budget):
+            for _ in range(cfg.max_updates):
                 self._optimizer.zero_grad()
                 losses.append(runner.step())
                 self._optimizer.step()

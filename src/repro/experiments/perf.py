@@ -554,15 +554,16 @@ def storm(name: str = "thundering-herd", seed: int = 0, probes: int = 2,
     ``probes`` honest client processes: **idle** x3 (the denominator of
     both floors, so one lucky or unlucky pass must not set it),
     **storm** x1 — the plan's honest churn jobs plus any slow-loris /
-    ghost attackers run concurrently, and graduated degradation must
-    keep the probes served — and **recovery** x3 after it has drained,
-    of which ``recovery_ratio`` reads the *best* as the steady state
-    (the first can still straddle the drain edge, and on a shared core
-    any one pass can eat a scheduling hiccup).  Every probe wave dials
-    fresh connection slots, so all phases share the server and its
-    load-tracker state: recovery genuinely measures the controller
-    backing off.  Degradation changes what a probe computes, so
-    signatures are not compared across phases."""
+    ghost attackers run concurrently, and the admission bucket, receive
+    budgets and reaper must keep the probes served — and **recovery**
+    x3 after it has drained, of which ``recovery_ratio`` reads the
+    *best* as the steady state (the first can still straddle the drain
+    edge, and on a shared core any one pass can eat a scheduling
+    hiccup).  Every probe wave dials fresh connection slots, so all
+    phases share the server and its bucket.  The overload layer sheds
+    by refusing or tearing down, never by changing what an admitted
+    session computes, so every probe's signature must equal the idle
+    probes' in every phase."""
     protocol = dict(locals())
     plan = storms.storm_plan(name, seed, frames=storm_frames)
     protocol.update(
@@ -598,7 +599,7 @@ def storm(name: str = "thundering-herd", seed: int = 0, probes: int = 2,
             )
             wall = time.perf_counter() - start
             ok = [payload for status, payload in results if status == "ok"]
-            return wall, None, {
+            return wall, _signatures(ok), {
                 "frames": sum(stats.num_frames for stats in ok),
                 "ok": len(ok), "of": probes,
             }

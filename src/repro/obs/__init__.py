@@ -80,18 +80,6 @@ class ObsConfig:
     metrics: bool = True
     trace: bool = False
     engine: bool = False
-    trace_capacity: int = 65536
-
-    def env_value(self) -> str:
-        """The ``REPRO_OBS`` string equivalent of this config."""
-        features = []
-        if self.metrics:
-            features.append("metrics")
-        if self.trace:
-            features.append("trace")
-        if self.engine:
-            features.append("engine")
-        return ",".join(features)
 
 
 # Module state: disarmed by default.  The hot-path guard is a single
@@ -119,7 +107,7 @@ def engine_timing() -> bool:
 
 
 def arm(metrics: bool = True, trace: bool = False, engine: bool = False,
-        trace_capacity: int = 65536, source: Optional[str] = None) -> None:
+        source: Optional[str] = None) -> None:
     """Arm telemetry for this process.
 
     ``source`` names this process in snapshots/artifacts (defaults to
@@ -129,7 +117,7 @@ def arm(metrics: bool = True, trace: bool = False, engine: bool = False,
     if source is None:
         source = f"proc-{os.getpid()}"
     _REGISTRY = MetricsRegistry(source=source) if metrics else None
-    _TRACER = SpanRecorder(capacity=trace_capacity) if trace else NullRecorder()
+    _TRACER = SpanRecorder() if trace else NullRecorder()
     _ENGINE = bool(engine)
     _ARMED = bool(metrics or trace or engine)
 
@@ -176,7 +164,7 @@ def arm_from_config(config: Optional["ObsConfig"],
     if not (config.metrics or config.trace or config.engine):
         return False
     arm(metrics=config.metrics, trace=config.trace, engine=config.engine,
-        trace_capacity=config.trace_capacity, source=source)
+        source=source)
     return True
 
 

@@ -22,8 +22,8 @@ one cross-process view after the fact:
     min/max combine.
 :class:`Series`
     A bounded append-only timeline of ``(t, value)`` pairs — the
-    per-session stride/metric/degradation histories ROADMAP item 5
-    (quality-aware shedding) needs recorded before it can be built.
+    per-session stride/metric histories quality-aware shedding would
+    need recorded before it could be built.
     Merge: concatenation, deterministically sorted.
 
 Everything here *observes*; nothing is read back into the computation.

@@ -17,6 +17,11 @@ weights, same frame, same pseudo-label — the broadcast/fan-out serving
 scenario), the training runs once and the resulting reply and
 post-training state are shared, which is observably identical to every
 session training on its own because Algorithm 1 is deterministic.
+
+There is one serve path: every key frame trains with the configured
+MAX_UPDATES and reports the metric it measured, whatever the load on
+the runtime holding the session — the device's stride (Alg. 2) only
+ever reads measurements.
 """
 
 from __future__ import annotations
@@ -86,17 +91,14 @@ class Server:
     # ------------------------------------------------------------------
     def handle_key_frame(
         self, frame: np.ndarray, label: Optional[np.ndarray] = None,
-        max_updates: Optional[int] = None,
     ) -> Tuple[ServerReply, TrainResult]:
         """Process one key frame: teacher inference + student training.
 
         ``label`` is the renderer ground truth forwarded to oracle
-        teachers; neural teachers ignore it.  ``max_updates`` caps this
-        serve's distillation steps (the overload layer's degraded
-        serve); capped serves bypass the work cache — its digest chain
-        assumes every serve ran the configured budget.
+        teachers; neural teachers ignore it.  With a work cache
+        attached, every serve goes through it.
         """
-        if self.work_cache is not None and max_updates is None:
+        if self.work_cache is not None:
             pseudo_label, frame_digest = self.work_cache.pseudo_label(
                 self.teacher, frame, label
             )
@@ -104,17 +106,10 @@ class Server:
                 self, frame, pseudo_label, frame_digest
             )
         pseudo_label = self.teacher.infer(frame, label)
-        out = self.distill(frame, pseudo_label, max_updates=max_updates)
-        if max_updates is not None and hasattr(self, "_shared_work_version"):
-            # The capped serve mutated the student outside the shared
-            # cache's digest chain; drop the chain so the next cached
-            # serve re-derives it from the actual weights.
-            del self._shared_work_version
-        return out
+        return self.distill(frame, pseudo_label)
 
     def distill(
         self, frame: np.ndarray, pseudo_label: np.ndarray,
-        max_updates: Optional[int] = None,
     ) -> Tuple[ServerReply, TrainResult]:
         """Run Algorithm 1 on ``frame`` and package the reply.
 
@@ -124,7 +119,7 @@ class Server:
         student's compiled predicts never go stale.  A key frame that
         took no step changed nothing, so nothing is diffed.
         """
-        result = self.trainer.train(frame, pseudo_label, max_updates=max_updates)
+        result = self.trainer.train(frame, pseudo_label)
         if result.steps == 0:
             update: Dict[str, np.ndarray] = {}
         else:

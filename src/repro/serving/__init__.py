@@ -46,10 +46,10 @@ churn-tolerant exit rule.
 :mod:`repro.serving.overload` hardens that front door for untrusted
 traffic: a deterministic token-bucket admission limiter over the
 runtime's tick clock (REJECTs carry typed ``retry_after``
-hints), a per-sweep load tracker whose graduated levels cap
-distillation budgets and stretch client strides under pressure, a
-per-connection receive budget against slow-loris peers, and an
-idle-session reaper — all off by default, bit-identical when disabled.
+hints), a per-connection receive budget against slow-loris peers, and
+an idle-session reaper — all off by default.  Each sheds load by
+refusing or tearing down, never by changing what an admitted session
+computes, so ``RunStats`` are bit-identical under every configuration.
 :mod:`repro.serving.storms` is the seeded adversarial harness that
 proves it: named storm scenarios, each a pure function of a seed.
 
@@ -77,7 +77,6 @@ from repro.serving.fleet import (
     start_fleet,
 )
 from repro.serving.overload import (
-    LoadTracker,
     OverloadConfig,
     OverloadController,
     TokenBucket,
@@ -95,7 +94,6 @@ from repro.serving.runtime import (
     run_churn_processes,
     start_server,
 )
-from repro.serving.scheduler import TickScheduler
 from repro.serving.shared import SharedDistillation
 from repro.serving.storms import STORM_NAMES, StormPlan, StormReport, run_storm, storm_plan
 
@@ -110,7 +108,6 @@ __all__ = [
     "SharedTeacherSegment",
     "placement_key",
     "start_fleet",
-    "LoadTracker",
     "OverloadConfig",
     "OverloadController",
     "PoolResult",
@@ -125,7 +122,6 @@ __all__ = [
     "SharedDistillation",
     "StormPlan",
     "StormReport",
-    "TickScheduler",
     "TokenBucket",
     "admit_message",
     "run_client_processes",

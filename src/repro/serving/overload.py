@@ -1,10 +1,14 @@
-"""Overload control for the multiplexing server runtime (ISSUE 6).
+"""Overload control for the multiplexing server runtime.
 
-PR 5 gave :class:`~repro.serving.runtime.ServerRuntime` a front door
-(ADMIT/REJECT) whose only defense against hostile or bursty
-traffic was the ``max_sessions`` cliff.  This module supplies the
-graduated alternative — three pure, deterministic pieces the runtime
-composes, each testable without a server process:
+:class:`~repro.serving.runtime.ServerRuntime`'s front door
+(ADMIT/REJECT) would otherwise defend itself against hostile or bursty
+traffic with nothing but the ``max_sessions`` cliff.  This module
+supplies the admission half of the alternative; the runtime composes
+it with two per-connection controls that :class:`OverloadConfig` also
+carries (a receive budget against slow-loris peers and an idle-session
+reaper).  Every control sheds load by refusing an admission or tearing
+a connection down — none changes what an admitted session computes, so
+``RunStats`` are bit-identical under every configuration.
 
 :class:`TokenBucket`
     A virtual-time admission limiter.  Time is the runtime's *tick
@@ -14,26 +18,13 @@ composes, each testable without a server process:
     ``retry_after`` hint (ticks until a token exists), which rides the
     REJECT body back to the client.
 
-:class:`LoadTracker`
-    A per-sweep queue-depth estimator.  Each poll sweep the runtime
-    reports how many connections had a message waiting; the tracker
-    keeps an exponential moving average and maps it to a graduated
-    *load level* ``0..max_level``.  The level is monotone in observed
-    load: a pointwise-heavier trace can never yield a lower level.
-
-level → degradation maps (:func:`serve_budget`, :func:`metric_floor`)
-    How a level becomes behavior.  Under load the runtime serves key
-    frames with a capped distillation budget (cheaper serves) and
-    floors the metric it reports, which the client's Algorithm-2 stride
-    policy converts into *longer strides* — fewer key frames, load
-    shed at the source.  At ``metric_floor`` the piecewise-linear
-    ``next_stride`` ratio is exactly ``1 + level/max_level``: level 0
-    is bit-identical to no control at all, full level doubles strides
-    per key frame until ``max_stride``.
+:class:`OverloadController`
+    The runtime's owner of the tick clock and the bucket: it converts
+    tick-denominated hints into the milliseconds clients sleep and
+    answers the ``capacity`` REJECT's hint.
 
 :class:`OverloadConfig` bundles the knobs; every runtime owns a
-controller, and everything defaults to *off*, so the bit-identity
-harness is untouched unless a storm bench opts in.
+controller, and everything defaults to *off*.
 """
 
 from __future__ import annotations
@@ -45,11 +36,8 @@ from typing import Callable, Optional
 
 __all__ = [
     "TokenBucket",
-    "LoadTracker",
     "OverloadConfig",
     "OverloadController",
-    "serve_budget",
-    "metric_floor",
 ]
 
 
@@ -102,96 +90,15 @@ class TokenBucket:
         return max(1, math.ceil((1.0 - self.tokens) / self.rate))
 
 
-class LoadTracker:
-    """Per-sweep queue-depth estimator with graduated load levels.
-
-    Feed :meth:`observe` the number of connections that had work
-    pending at the top of each poll sweep, and call :meth:`reset` when
-    a sweep found nothing anywhere and the loop goes to sleep (a
-    sleeping loop has no run of empty sweeps to decay with).  ``ewma``
-    smooths the trace; the level is ``floor(ewma / high_water)``
-    clamped to ``max_level`` — both are monotone non-decreasing in a
-    pointwise-heavier trace, which is the property the stride
-    escalation proof needs.
-    """
-
-    def __init__(self, high_water: float, alpha: float = 0.05,
-                 max_level: int = 4) -> None:
-        if high_water <= 0:
-            raise ValueError(f"high_water must be positive, got {high_water}")
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {max_level}")
-        self.high_water = float(high_water)
-        self.alpha = float(alpha)
-        self.max_level = int(max_level)
-        self.ewma = 0.0
-        self.sweeps = 0
-        self.peak_level = 0
-
-    def observe(self, pending: int) -> int:
-        """Record one sweep's pending-connection count; returns the
-        (possibly new) load level."""
-        if pending < 0:
-            raise ValueError(f"pending count cannot be negative: {pending}")
-        self.ewma += self.alpha * (pending - self.ewma)
-        self.sweeps += 1
-        level = self.level
-        if level > self.peak_level:
-            self.peak_level = level
-        return level
-
-    def reset(self) -> None:
-        """Nothing is pending anywhere: the load is gone, not decaying."""
-        self.ewma = 0.0
-
-    @property
-    def level(self) -> int:
-        """Current load level, ``0`` (idle) .. ``max_level`` (storm)."""
-        return min(self.max_level, int(self.ewma / self.high_water))
-
-
-def serve_budget(max_updates: int, level: int) -> int:
-    """Distillation-step cap for one key-frame serve at ``level``.
-
-    Halves per level, never below one step: the degraded serve is
-    cheaper but still *a* serve — clients keep making progress, just
-    with coarser updates.  Level 0 returns ``max_updates`` unchanged.
-    """
-    if level <= 0:
-        return max_updates
-    return max(1, max_updates >> level)
-
-
-def metric_floor(threshold: float, level: int, max_level: int) -> float:
-    """Reported-metric floor that stretches client strides at ``level``.
-
-    Algorithm 2's stride ratio at a metric ``m >= threshold`` is
-    ``(m - 2*threshold + 1) / (1 - threshold)``; flooring the reported
-    metric at ``threshold + (1 - threshold) * level / max_level`` makes
-    that ratio exactly ``1 + level/max_level`` — a graduated push
-    toward longer strides, monotone in load, saturating at "double the
-    stride every key frame" when the level is maxed.  Level 0 floors
-    at 0.0 (no effect on any real metric).
-    """
-    if level <= 0:
-        return 0.0
-    level = min(level, max_level)
-    return threshold + (1.0 - threshold) * (level / max_level)
-
-
 @dataclasses.dataclass(frozen=True)
 class OverloadConfig:
     """Knobs for the runtime's overload-control layer.
 
-    Every control defaults to *off* (``None`` / ``False``), and a
-    runtime built without an explicit config runs this default: its
-    controller keeps the tick clock and the load level but refuses no
-    admission, degrades no serve, sets no receive budget and reaps
-    nothing — which is what keeps the RunStats bit-identity harness
-    green.  Storm benches construct one with the controls they are
-    exercising.
+    Every control defaults to *off* (``None``), and a runtime built
+    without an explicit config runs this default: its controller keeps
+    the tick clock but refuses no admission, sets no receive budget and
+    reaps nothing.  Storm benches construct one with the controls they
+    are exercising.
     """
 
     #: Admission tokens accrued per served-message tick; ``None``
@@ -201,16 +108,6 @@ class OverloadConfig:
     #: Bucket capacity — the burst of admissions an idle server will
     #: accept before the rate limit bites.
     admission_burst: float = 4.0
-    #: EWMA pending-depth marking one load level; levels are
-    #: ``floor(ewma / high_water)``.
-    high_water: float = 2.0
-    #: EWMA smoothing factor for the load tracker.
-    ewma_alpha: float = 0.05
-    #: Number of graduated degradation levels.
-    max_level: int = 4
-    #: Load-adaptive striding + cheaper serves.  Breaks bit-identity
-    #: *only when the tracker leaves level 0*, and only while it is on.
-    degrade: bool = False
     #: Per-connection in-sweep receive budget (seconds).  A connection
     #: that cannot complete one frame inside the budget (slow-loris
     #: drip) is torn down instead of stalling the sweep.  ``None``
@@ -234,12 +131,10 @@ class OverloadConfig:
 
 
 class OverloadController:
-    """The runtime's composition of bucket + tracker + degradation maps.
+    """The runtime's admission bucket over its virtual tick clock.
 
-    Owns the virtual tick clock: the runtime calls :meth:`served` once
-    per message it handles and :meth:`observe_sweep` once per poll
-    sweep.  Decision methods are thin, deterministic reads of that
-    state.
+    The runtime calls :meth:`served` once per message it handles.
+    Decision methods are thin, deterministic reads of that state.
     """
 
     #: Seconds-per-tick assumed before any measurement exists: the
@@ -263,9 +158,6 @@ class OverloadController:
             None if config.admission_rate is None
             else TokenBucket(config.admission_rate, config.admission_burst)
         )
-        self.tracker = LoadTracker(
-            config.high_water, config.ewma_alpha, config.max_level
-        )
         self.refusals = {"overloaded": 0, "capacity": 0}
         self._clock = clock
         self._last_served_at: Optional[float] = None
@@ -273,12 +165,11 @@ class OverloadController:
         #: have been observed.
         self.tick_s: Optional[float] = None
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the
-        #: controller *writes* admission/level telemetry into — never
+        #: controller *writes* admission telemetry into — never
         #: reads: every decision stays a pure function of the tick
         #: trace, so recorded and unrecorded controllers are
         #: byte-identical in behaviour.
         self._metrics = metrics
-        self._last_level = 0
 
     # -- clock -----------------------------------------------------------
     def served(self) -> None:
@@ -314,19 +205,6 @@ class OverloadController:
         tick_s = self.tick_s if self.tick_s is not None else self.FALLBACK_TICK_S
         return max(1, round(ticks * tick_s * 1000))
 
-    def observe_sweep(self, pending: int) -> None:
-        level = self.tracker.observe(pending)
-        if level != self._last_level:
-            m = self._metrics
-            if m is not None:
-                m.counter(
-                    "overload.level_up" if level > self._last_level
-                    else "overload.level_down"
-                ).inc()
-                m.gauge("overload.level").set(float(level))
-                m.gauge("overload.peak_level").maximum(float(level))
-            self._last_level = level
-
     # -- admission -------------------------------------------------------
     def admit(self) -> Optional[int]:
         """Spend an admission token.  ``None`` admits; otherwise the
@@ -353,24 +231,3 @@ class OverloadController:
         if self._metrics is not None:
             self._metrics.counter("overload.reject.capacity").inc()
         return self.config.capacity_retry_after
-
-    # -- graduated degradation ------------------------------------------
-    @property
-    def level(self) -> int:
-        return self.tracker.level
-
-    def degraded_budget(self, max_updates: int) -> Optional[int]:
-        """Step cap for one serve, or ``None`` for a pristine serve."""
-        if not self.config.degrade:
-            return None
-        level = self.level
-        if level <= 0:
-            return None
-        return serve_budget(max_updates, level)
-
-    def degraded_metric(self, metric: float, threshold: float) -> float:
-        """Reported metric after the load-adaptive stride floor."""
-        if not self.config.degrade:
-            return metric
-        floor = metric_floor(threshold, self.level, self.config.max_level)
-        return max(metric, floor)

@@ -3,17 +3,18 @@
 ``SessionPool`` owns a set of :class:`SessionSpec` s, builds one full
 server+client pair per spec through the same factory as the
 single-session path (:func:`repro.runtime.session.build_session`), and
-advances them cooperatively on a shared virtual tick clock
-(:class:`~repro.serving.scheduler.TickScheduler`).  Each tick:
+advances them cooperatively on one clock: each tick, every unfinished
+session processes exactly one frame, in spec order, in three phases:
 
-1. every due session runs its key-frame phase (``Client.pre_predict``:
+1. every session runs its key-frame phase (``Client.pre_predict``:
    overdue-update application, key-frame dispatch, server training —
    memoised across sessions by
    :class:`~repro.serving.shared.SharedDistillation` when attached);
 2. the cohort's frames, key frames included, go through the
    :class:`~repro.serving.batched.BatchedPredictor` in one call;
-3. every due session runs its timing/update/stats phase
-   (``Client.post_predict``) and re-arms on the scheduler.
+3. every session runs its timing/update/stats phase
+   (``Client.post_predict``); a session that has played its frames
+   finishes.
 
 Per-session observables are bit-identical to N independent single
 runs: each session's three phases execute in order with no shared
@@ -34,7 +35,6 @@ from repro.models.teacher import Teacher
 from repro.nn.serialize import state_dict_digest
 from repro.runtime.stats import RunStats
 from repro.serving.batched import BatchedPredictor
-from repro.serving.scheduler import TickScheduler
 from repro.serving.shared import SharedDistillation
 from repro.striding.baselines import StridePolicy
 
@@ -56,10 +56,6 @@ class SessionSpec:
     teacher: Optional[Teacher] = None
     stride_policy: Optional[StridePolicy] = None
     label: str = ""
-    #: Virtual tick at which the session joins the pool.
-    start_tick: int = 0
-    #: Ticks between consecutive frames (> 1 models a slower feed).
-    tick_interval: int = 1
 
     def __post_init__(self) -> None:
         if (self.video is None) == (self.frames is None):
@@ -68,8 +64,6 @@ class SessionSpec:
             if self.frames is None:
                 raise ValueError("num_frames is required with video=")
             self.num_frames = len(self.frames)
-        if self.start_tick < 0 or self.tick_interval < 1:
-            raise ValueError("need start_tick >= 0 and tick_interval >= 1")
 
 
 class _PooledSession:
@@ -95,10 +89,11 @@ class PoolResult:
     #: Per-session statistics, in spec order — each bit-identical to the
     #: session running alone.
     stats: List[RunStats]
-    #: Deterministic interleaving trace: one ``(tick, session, frame,
-    #: route)`` row per processed frame, where route is ``"key"``,
-    #: ``"single"`` or ``"dedup"``.
-    schedule: List[Tuple[int, int, int, str]]
+    #: Deterministic interleaving trace: one ``(session, frame, route)``
+    #: row per processed frame, in processing order, where route is
+    #: ``"key"``, ``"single"`` or ``"dedup"`` (frame ``f`` of every
+    #: session is processed on tick ``f``).
+    schedule: List[Tuple[int, int, str]]
     #: BENCH-relevant counters: ticks, predictor routes, shared-
     #: distillation hits/misses.
     counters: Dict[str, int]
@@ -205,22 +200,22 @@ class SessionPool:
 
     def _run(self, sessions: List[_PooledSession]) -> PoolResult:
         predictor = BatchedPredictor()
-        scheduler = TickScheduler()
+        active: List[_PooledSession] = []
         for s in sessions:
             if s.spec.num_frames > 0:
-                scheduler.arm(s.spec.start_tick, s.index)
+                active.append(s)
             else:
                 s.stats = s.client.finish()
 
-        schedule: List[Tuple[int, int, int, str]] = []
-        while scheduler:
-            tick, due = scheduler.next_due()
+        schedule: List[Tuple[int, int, str]] = []
+        ticks = 0
+        while active:
+            ticks += 1
 
-            # Phase 1: pull frames, run every due session's key-frame
-            # phase (server dispatch + training happen here).
+            # Phase 1: pull frames, run every session's key-frame phase
+            # (server dispatch + training happen here).
             cohort = []
-            for index in due:
-                s = sessions[index]
+            for s in active:
                 item = next(s.frame_iter, None)
                 if item is None:
                     # Source ran dry before num_frames — stop the
@@ -239,18 +234,17 @@ class SessionPool:
                 [is_key for _, _, _, is_key in cohort],
             )
 
-            # Phase 3: timing/update/stats, then re-arm or finish.
+            # Phase 3: timing/update/stats, then finish whoever is done.
             for (s, _, gt_label, _), pred, route in zip(cohort, preds, routes):
                 s.client.post_predict(pred, gt_label, s.frames_done)
-                schedule.append((tick, s.index, s.frames_done, route))
+                schedule.append((s.index, s.frames_done, route))
                 s.frames_done += 1
-                if s.frames_done < s.spec.num_frames:
-                    scheduler.arm(tick + s.spec.tick_interval, s.index)
-                else:
+                if s.frames_done == s.spec.num_frames:
                     s.stats = s.client.finish()
+            active = [s for s in active if s.stats is None]
 
         counters = dict(predictor.counters)
-        counters["ticks"] = scheduler.ticks_served
+        counters["ticks"] = ticks
         counters["sessions"] = len(sessions)
         if self._shared is not None:
             counters.update(

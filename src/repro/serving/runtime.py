@@ -292,13 +292,15 @@ class ServerRuntime:
         ceiling).
     overload:
         The :class:`~repro.serving.overload.OverloadConfig` of the
-        graduated overload-control layer (token-bucket admission with
-        ``retry_after`` hints, load-adaptive strides, per-connection
-        receive budgets, idle-session reaping).  ``None`` — the default
-        — is ``OverloadConfig()``: the controller still keeps its tick
-        clock and load level, but every control is off (no bucket, no
-        degradation, the transport's own timeout, no reaper), so
-        RunStats stay bit-identical.
+        overload-control layer (token-bucket admission with
+        ``retry_after`` hints, per-connection receive budgets,
+        idle-session reaping).  Every control sheds load by refusing an
+        admission or tearing a connection down, never by changing what
+        an admitted session computes, so RunStats are bit-identical
+        under any configuration.  ``None`` — the default — is
+        ``OverloadConfig()``: the controller still keeps its tick
+        clock, but every control is off (no bucket, the transport's own
+        timeout, no reaper).
     """
 
     def __init__(
@@ -342,7 +344,7 @@ class ServerRuntime:
         #: other armed layer; disarmed, a local always-on registry
         #: still carries the handful of integers the runtime report
         #: exposes (key frames served, fleet placements, overload
-        #: levels).
+        #: refusals).
         self.metrics = (
             obs.registry() if obs.enabled()
             else MetricsRegistry(source="server")
@@ -571,44 +573,23 @@ class ServerRuntime:
 
     def _serve_key_frame(self, connection, session_id: int, live, frame,
                          label) -> None:
-        """One key-frame serve, inline: teacher inference, distillation
-        (degraded under load), reply."""
-        ctl = self._overload
+        """One key-frame serve, inline: teacher inference, distillation,
+        reply."""
         armed = obs.enabled()
         t0 = time.monotonic() if armed else 0.0
-        budget = ctl.degraded_budget(live.server.config.max_updates)
         with obs.span("serve", session=session_id):
-            if budget is None:
-                # The pristine path — bit-identical to an in-process
-                # run, taken whenever degradation is off or the load
-                # level is 0.
-                reply, _ = live.server.handle_key_frame(frame, label)
-            else:
-                # Degraded serve: fewer distillation steps, and the
-                # reported metric floored so the client's Algorithm-2
-                # stride policy stretches its stride — load shed at the
-                # source, recovering when the tracker's level drops.
-                reply, _ = live.server.handle_key_frame(
-                    frame, label, max_updates=budget
-                )
-                reply = dataclasses.replace(
-                    reply,
-                    metric=ctl.degraded_metric(
-                        reply.metric, live.server.config.threshold
-                    ),
-                )
+            reply, _ = live.server.handle_key_frame(frame, label)
             connection.send_tagged(session_id, reply)
         self.frames_served[session_id] += 1
         self._c_key_frames.inc()
         if armed:
-            # Per-session timeline — the metric each serve reported and
-            # the degradation it ran under — is the record ROADMAP
-            # item 5 (quality-aware shedding) needs to exist.
+            # Per-session timeline of the metric each serve reported:
+            # the record quality-aware shedding (ROADMAP, Parked) would
+            # need to exist.
             obs.histogram("serve.serve_s").observe(time.monotonic() - t0)
-            obs.series("session.serve").append([
-                session_id, float(reply.metric), ctl.level,
-                -1 if budget is None else budget,
-            ])
+            obs.series("session.serve").append(
+                [session_id, float(reply.metric)]
+            )
 
     # ------------------------------------------------------------------
     def _teardown_connection(self, index: int, connection, closed: set,
@@ -790,7 +771,6 @@ class ServerRuntime:
                 if reason is not None:
                     self._teardown_connection(index, connection, closed,
                                               reason)
-            ctl.observe_sweep(served_this_sweep)
             if armed and progressed:
                 # Idle sweeps are the park's business; timing them
                 # would drown the histogram in wake-up noise.
@@ -816,7 +796,6 @@ class ServerRuntime:
                     f"{len(connections) - len(closed)} of {len(connections)} "
                     f"connection(s) still up"
                 )
-            ctl.tracker.reset()
             self._park(
                 connections, closed, listener,
                 idle_deadline if next_reap is None
@@ -1530,7 +1509,7 @@ def _run_processes(handle: ServerHandle, jobs, timeout_s: float,
     results = []
     deadline = time.monotonic() + timeout_s
     try:
-        for session, (proc, conn) in enumerate(workers):
+        for slot, (proc, conn) in enumerate(workers, start=slot_offset):
             budget = max(0.0, deadline - time.monotonic())
             if not conn.poll(budget):
                 if outcomes:
@@ -1538,13 +1517,24 @@ def _run_processes(handle: ServerHandle, jobs, timeout_s: float,
                     # harness crash — the report shows the wedge.
                     results.append(("error", "no result before deadline"))
                     continue
-                raise TimeoutError(f"client process {session} produced no result")
-            status, payload = conn.recv()
+                raise TimeoutError(f"client process {slot} produced no result")
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                # The child closed its end without sending: it died
+                # before it could report (killed, or exited hard).
+                proc.join(timeout=5.0)
+                status, payload = "error", (
+                    f"client process {slot} exited {proc.exitcode} "
+                    f"without a result"
+                )
+                if not outcomes:
+                    raise RuntimeError(payload) from None
             if outcomes:
                 results.append((status, payload))
                 continue
             if status != "ok":
-                raise RuntimeError(f"client process {session} failed: {payload}")
+                raise RuntimeError(f"client process {slot} failed: {payload}")
             results.append(payload)
     finally:
         for proc, conn in workers:

@@ -1,6 +1,6 @@
-"""Seeded adversarial workload generator — the storm harness (ISSUE 6).
+"""Seeded adversarial workload generator — the storm harness.
 
-ROADMAP item 4(c)'s storm scenarios, made executable: each named
+The overload layer's storm scenarios, made executable: each named
 scenario is a *pure function of a seed* — ``storm_plan(name, seed)``
 twice gives byte-identical plans (jobs, delays, widths, frame counts,
 overload knobs), so every storm run is reproducible and the property
@@ -11,7 +11,7 @@ Scenarios
 ``churn-storm``
     Staggered joins and departures at random offsets — the hostile
     version of the churn e2e test: more clients, tighter arrivals,
-    degradation armed.
+    receive budget and reaper armed.
 ``thundering-herd``
     Everyone dials at once into a small ``max_sessions`` with the
     admission token bucket armed: most of the herd is REJECTed with
@@ -24,14 +24,14 @@ Scenarios
     and the idle-session reaper must keep the honest majority served.
 ``scene-cut-burst``
     Fast-changing content with short stride bounds — a key-frame flood
-    from *compliant* clients.  Load-adaptive striding is the only
-    relief valve: the tracker's level floors reported metrics, clients
-    stretch strides, and the flood recedes.
+    from *compliant* clients, which no refusal or teardown may touch:
+    the budgets alone must let every client finish, and every serve is
+    the one an idle server would have computed.
 
 :func:`run_storm` executes a plan against a spawned server and returns
 a :class:`StormReport` of typed outcomes; it never raises on refusals
-or client failures — a wedged no-control baseline is a *result* to
-record, not a harness crash.
+or client failures — a wedged server is a *result* to record, not a
+harness crash.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _churn_storm(rng: random.Random, seed: int, frames: int) -> StormPlan:
         name="churn-storm", seed=seed, jobs=jobs,
         loris_slots=(), ghost_slots=(), max_sessions=None,
         overload=OverloadConfig(
-            degrade=True, recv_budget_s=5.0, reap_idle_s=20.0,
+            recv_budget_s=5.0, reap_idle_s=20.0,
         ),
         admit_retries=3, timeout_s=240.0,
     )
@@ -138,7 +138,7 @@ def _thundering_herd(rng: random.Random, seed: int, frames: int) -> StormPlan:
         loris_slots=(), ghost_slots=(), max_sessions=3,
         overload=OverloadConfig(
             admission_rate=0.25, admission_burst=3.0,
-            degrade=True, recv_budget_s=5.0, reap_idle_s=20.0,
+            recv_budget_s=5.0, reap_idle_s=20.0,
             capacity_retry_after=32,
         ),
         admit_retries=3, timeout_s=240.0,
@@ -166,7 +166,7 @@ def _slow_loris(rng: random.Random, seed: int, frames: int) -> StormPlan:
         name="slow-loris", seed=seed, jobs=jobs,
         loris_slots=(n, n + 1), ghost_slots=(n + 2,), max_sessions=None,
         overload=OverloadConfig(
-            degrade=True, recv_budget_s=0.25, reap_idle_s=1.0,
+            recv_budget_s=0.25, reap_idle_s=1.0,
         ),
         admit_retries=2, timeout_s=240.0,
     )
@@ -193,7 +193,6 @@ def _scene_cut_burst(rng: random.Random, seed: int, frames: int) -> StormPlan:
         name="scene-cut-burst", seed=seed, jobs=jobs,
         loris_slots=(), ghost_slots=(), max_sessions=None,
         overload=OverloadConfig(
-            degrade=True, high_water=1.5, ewma_alpha=0.1,
             recv_budget_s=5.0, reap_idle_s=20.0,
         ),
         admit_retries=2, timeout_s=240.0,
@@ -287,7 +286,6 @@ class StormReport:
     name: str
     seed: int
     transport: str
-    control: bool               #: overload layer armed?
     ok: int                     #: honest jobs that completed
     rejected: int               #: typed REJECT outcomes
     errors: int                 #: crashed/hung honest jobs
@@ -350,7 +348,6 @@ def tally_outcomes(outcomes) -> Dict:
 def run_storm(
     plan: StormPlan,
     transport: str = "shm",
-    control: bool = True,
     idle_timeout_s: float = 60.0,
     loris_hold_s: float = 30.0,
     job_timeout_s: Optional[float] = None,
@@ -358,12 +355,9 @@ def run_storm(
 ) -> StormReport:
     """Execute ``plan`` against a freshly spawned server.
 
-    ``control=False`` is the no-control baseline: the same traffic
-    against a server without the overload layer (for the adversarial
-    storms the baseline *wedges*).
     Refusals and client failures are collected, never raised.
-    ``job_timeout_s`` overrides the plan's honest-client deadline —
-    baselines use a short one so a wedge is recorded, not waited out.
+    ``job_timeout_s`` overrides the plan's honest-client deadline, so a
+    wedge is recorded rather than waited out.
     Extra keyword arguments pass through to ``start_server`` (transport
     ``timeout_s``, ring geometry, ...).
     """
@@ -372,7 +366,7 @@ def run_storm(
     handle = start_server(
         [], transport=transport, n_clients=plan.n_clients,
         max_sessions=plan.max_sessions,
-        overload=plan.overload if control else None,
+        overload=plan.overload,
         idle_timeout_s=idle_timeout_s,
         **server_options,
     )
@@ -402,7 +396,6 @@ def run_storm(
         name=plan.name,
         seed=plan.seed,
         transport=transport,
-        control=control,
         **tally,
         frames_ok=sum(
             payload.num_key_frames for status, payload in outcomes

@@ -1,18 +1,12 @@
-"""Unit tests for the overload-control primitives (ISSUE 6).
+"""Unit tests for the overload-control primitives.
 
-:class:`TokenBucket` and :class:`LoadTracker` are pure deterministic
-functions of the tick / sweep traces they are fed, so everything here
-runs without a server process.  The load-bearing properties:
+:class:`TokenBucket` is a pure deterministic function of the tick trace
+it is fed, so everything here runs without a server process.  The
+load-bearing properties:
 
 * determinism — identical traces give identical decisions;
 * tokens never go negative, refusals spend nothing;
 * retry hints are always >= 1 and honest (waiting them out admits);
-* the load level and both degradation maps are *monotone* in a
-  pointwise-heavier trace — more load can shrink serve budgets and
-  stretch strides, never the reverse;
-* at ``metric_floor`` the Algorithm-2 stride ratio is exactly
-  ``1 + level/max_level`` (the stride-escalation identity the server's
-  graduated degradation is built on);
 * seeded storm plans are reproducible across calls and distinct
   across seeds.
 """
@@ -22,15 +16,11 @@ import random
 import pytest
 
 from repro.serving.overload import (
-    LoadTracker,
     OverloadConfig,
     OverloadController,
     TokenBucket,
-    metric_floor,
-    serve_budget,
 )
 from repro.serving.storms import STORM_NAMES, storm_plan
-from repro.striding.adaptive import next_stride
 
 
 class TestTokenBucket:
@@ -115,117 +105,10 @@ class TestTokenBucket:
             TokenBucket(**kwargs)
 
 
-class TestLoadTracker:
-    def test_idle_stays_level_zero(self):
-        tracker = LoadTracker(high_water=2.0)
-        for _ in range(100):
-            assert tracker.observe(0) == 0
-        assert tracker.level == 0 and tracker.peak_level == 0
-
-    def test_sustained_load_escalates_and_decays(self):
-        tracker = LoadTracker(high_water=2.0, alpha=0.2, max_level=4)
-        for _ in range(200):
-            tracker.observe(20)
-        assert tracker.level == 4
-        assert tracker.peak_level == 4
-        for _ in range(200):
-            tracker.observe(0)
-        assert tracker.level == 0
-        assert tracker.peak_level == 4  # peak is a high-water mark
-
-    def test_level_clamped_to_max(self):
-        tracker = LoadTracker(high_water=0.5, alpha=1.0, max_level=3)
-        tracker.observe(10_000)
-        assert tracker.level == 3
-
-    def test_deterministic_on_identical_traces(self):
-        rng = random.Random(11)
-        trace = [rng.randrange(0, 12) for _ in range(400)]
-        ewmas = []
-        for _ in range(2):
-            tracker = LoadTracker(high_water=2.0, alpha=0.1)
-            levels = [tracker.observe(n) for n in trace]
-            ewmas.append((levels, tracker.ewma))
-        assert ewmas[0] == ewmas[1]
-
-    def test_level_monotone_in_pointwise_heavier_trace(self):
-        # A trace that is >= another trace at every sweep can never
-        # produce a lower level at any sweep — the guarantee that makes
-        # "more load => longer strides" an actual escalation.
-        rng = random.Random(42)
-        light = [rng.randrange(0, 8) for _ in range(300)]
-        heavy = [n + rng.randrange(0, 5) for n in light]
-        a = LoadTracker(high_water=1.5, alpha=0.1)
-        b = LoadTracker(high_water=1.5, alpha=0.1)
-        for lo, hi in zip(light, heavy):
-            assert b.observe(hi) >= a.observe(lo)
-
-    def test_negative_pending_raises(self):
-        with pytest.raises(ValueError):
-            LoadTracker(high_water=1.0).observe(-1)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"high_water": 0.0},
-        {"high_water": -1.0},
-        {"high_water": 1.0, "alpha": 0.0},
-        {"high_water": 1.0, "alpha": 1.5},
-        {"high_water": 1.0, "max_level": 0},
-    ])
-    def test_invalid_construction(self, kwargs):
-        with pytest.raises(ValueError):
-            LoadTracker(**kwargs)
-
-
-class TestDegradationMaps:
-    def test_serve_budget_monotone_and_bounded(self):
-        for max_updates in (1, 4, 16, 100):
-            budgets = [serve_budget(max_updates, lvl) for lvl in range(8)]
-            assert budgets[0] == max_updates
-            assert all(b >= 1 for b in budgets)
-            assert budgets == sorted(budgets, reverse=True)
-
-    def test_metric_floor_monotone_in_level(self):
-        floors = [metric_floor(0.7, lvl, 4) for lvl in range(5)]
-        assert floors[0] == 0.0
-        assert floors == sorted(floors)
-        assert floors[-1] == pytest.approx(1.0)
-
-    def test_metric_floor_stride_ratio_identity(self):
-        # At the floored metric, Algorithm 2's ratio is exactly
-        # 1 + level/max_level: level 0 leaves strides alone, full level
-        # doubles them every key frame.
-        threshold, max_level = 0.7, 4
-        for level in range(1, max_level + 1):
-            floor = metric_floor(threshold, level, max_level)
-            stride = next_stride(4.0, floor, threshold,
-                                 min_stride=1, max_stride=1000)
-            assert stride / 4.0 == pytest.approx(1.0 + level / max_level)
-
-    def test_stride_escalation_monotone_in_load(self):
-        # End-to-end monotonicity: heavier load -> higher level ->
-        # higher floored metric -> longer next stride (until clamp).
-        threshold = 0.7
-        strides = [
-            next_stride(4.0, metric_floor(threshold, lvl, 4), threshold,
-                        min_stride=1, max_stride=1000)
-            for lvl in range(1, 5)
-        ]
-        assert strides == sorted(strides)
-        assert len(set(strides)) == len(strides)
-
-
 class TestOverloadController:
     def test_defaults_are_inert(self):
         ctl = OverloadController(OverloadConfig())
         assert ctl.admit() is None  # no bucket configured
-        assert ctl.degraded_budget(4) is None
-        assert ctl.degraded_metric(0.31, 0.7) == 0.31
-        for _ in range(50):
-            ctl.observe_sweep(100)
-        # Load tracking runs, but without degrade=True it changes nothing.
-        assert ctl.level > 0
-        assert ctl.degraded_budget(4) is None
-        assert ctl.degraded_metric(0.31, 0.7) == 0.31
 
     def test_admission_bucket_refuses_and_counts(self):
         ctl = OverloadController(
@@ -245,36 +128,6 @@ class TestOverloadController:
         ctl = OverloadController(OverloadConfig(capacity_retry_after=17))
         assert ctl.capacity_hint() == 17
         assert ctl.refusals["capacity"] == 1
-
-    def test_degrade_floors_metric_and_caps_budget(self):
-        ctl = OverloadController(
-            OverloadConfig(degrade=True, high_water=1.0,
-                           ewma_alpha=1.0, max_level=4)
-        )
-        assert ctl.degraded_budget(8) is None  # level 0: pristine
-        ctl.observe_sweep(2)  # alpha=1.0 -> ewma jumps straight to 2
-        assert ctl.level == 2
-        assert ctl.degraded_budget(8) == serve_budget(8, 2)
-        floored = ctl.degraded_metric(0.2, 0.7)
-        assert floored == pytest.approx(metric_floor(0.7, 2, 4))
-        # A metric already above the floor passes through untouched.
-        assert ctl.degraded_metric(0.999, 0.7) == 0.999
-
-    def test_a_runtime_going_to_sleep_has_no_load(self):
-        """A loop that sleeps when idle runs no empty sweeps for the
-        EWMA to decay over: going idle zeroes it, and the next burst
-        starts from level 0."""
-        ctl = OverloadController(
-            OverloadConfig(degrade=True, high_water=1.0, ewma_alpha=0.05)
-        )
-        for _ in range(200):
-            ctl.observe_sweep(8)
-        assert ctl.level == 4
-        ctl.observe_sweep(0)  # one empty sweep barely moves it ...
-        assert ctl.level == 4
-        ctl.tracker.reset()   # ... nothing left anywhere does
-        assert ctl.level == 0 and ctl.tracker.ewma == 0.0
-        assert ctl.degraded_budget(8) is None
 
     def test_config_validation(self):
         for kwargs in (

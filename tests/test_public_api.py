@@ -63,7 +63,6 @@ PUBLIC_MODULES = [
     "repro.runtime.trace",
     "repro.serving",
     "repro.serving.pool",
-    "repro.serving.scheduler",
     "repro.serving.batched",
     "repro.serving.shared",
     "repro.serving.runtime",
@@ -150,7 +149,7 @@ class TestServingSignatures:
         "repro.serving.pool:SessionPool": ("specs",),
         "repro.serving.batched:BatchedPredictor": (),
         "repro.runtime.server:Server.handle_key_frame": (
-            "self", "frame", "label", "max_updates",
+            "self", "frame", "label",
         ),
         "repro.runtime.session:build_session": (
             "config", "frame_hw", "teacher", "stride_policy",
@@ -180,6 +179,31 @@ class TestServingSignatures:
             "student_seed", "pretrain_steps", "forced_delay_frames",
             "teacher_boundary_noise", "teacher_arch", "teacher_width",
             "teacher_seed", "attach",
+        )
+
+    def test_overload_config_fields(self):
+        """The overload layer sheds at the door — admission bucket,
+        capacity hint, receive budget, idle reaper — and has no knob
+        that changes what an admitted session computes."""
+        import dataclasses
+
+        from repro.serving.overload import OverloadConfig
+
+        assert tuple(f.name for f in dataclasses.fields(OverloadConfig)) == (
+            "admission_rate", "admission_burst", "recv_budget_s",
+            "reap_idle_s", "capacity_retry_after",
+        )
+
+    def test_session_spec_fields(self):
+        """The pool has one clock: a spec says what a session plays,
+        never when or how fast."""
+        import dataclasses
+
+        from repro.serving.pool import SessionSpec
+
+        assert tuple(f.name for f in dataclasses.fields(SessionSpec)) == (
+            "video", "frames", "num_frames", "config", "teacher",
+            "stride_policy", "label",
         )
 
     def test_endpoint_abstract_methods(self):

@@ -243,6 +243,39 @@ class TestAdmissionRetry:
             handle.close()
         assert handle.process.exitcode == 0
 
+    def test_a_client_that_dies_without_reporting_is_counted(self,
+                                                             monkeypatch):
+        """A client process that exits before sending anything is one
+        ``error`` outcome; every other client's tally survives."""
+        import os
+
+        from repro.serving import runtime
+
+        real_main = runtime._client_process_main
+
+        def dies_silently(address, config, frame_hw, video_key, num_frames,
+                          label, result_conn, delay_s=0.0):
+            if label == "dead":
+                os._exit(9)
+            real_main(address, config, frame_hw, video_key, num_frames,
+                      label, result_conn, delay_s)
+
+        # Forked children inherit the patched module global.
+        monkeypatch.setattr(runtime, "_client_process_main", dies_silently)
+        handle = start_server([], transport="socket", n_clients=3,
+                              idle_timeout_s=3.0)
+        try:
+            jobs = [(0.0, _config(), _HW, "fixed-people", 2, label)
+                    for label in ("live-0", "dead", "live-2")]
+            results = run_churn_processes(handle, jobs, timeout_s=60.0,
+                                          outcomes=True)
+        finally:
+            handle.close()
+        assert [status for status, _ in results] == ["ok", "error", "ok"]
+        assert results[1][1] == (
+            "client process 1 exited 9 without a result"
+        )
+
     def test_capacity_refusal_is_retryable_malformed_is_not(self):
         handle = start_server([], transport="shm", n_clients=1,
                               max_sessions=1, idle_timeout_s=60)

@@ -40,7 +40,7 @@ def test_storm_never_wedges_server(name, transport):
     report = run_storm(plan, loris_hold_s=10.0, job_timeout_s=120.0,
                        obs_config=obs.ObsConfig(metrics=True),
                        transport=transport)
-    assert report.name == name and report.control
+    assert report.name == name
     # No wedge: the server drained the storm and exited cleanly, and
     # every honest job resolved one way or the other.
     assert not report.wedged
