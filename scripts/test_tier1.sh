@@ -61,6 +61,8 @@ timeout 300 python scripts/smoke_obs.py
 #  overload  the overload layer sheds at the door and nowhere else (a
 #            key frame has one serve path at every load); the pool has
 #            one clock
+#  conv      the interpreted conv gathers by slicing, with no per-geometry
+#            index arrays kept for the life of the process
 RETIRED='REPRO_ENGINE_FULL escape hatch|REPRO_ENGINE_FULL
 plan-cache escape hatch or weight_static|REPRO_[A-Z_]*PLAN|weight_static
 co-arrival serving path (gather window / cohort / stacked serve)|gather_window_s|BatchedTeacher|infer_batch|predict_batch|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks|_serve_cohort|batch_predicts
@@ -74,7 +76,8 @@ process-wide engine switch|\bset_enabled\b|engine\.disabled|engine\.is_enabled
 runtime without a controller / runtime-killing session check|_DEFAULT_CAPACITY_HINT|_require_session
 second evaluation writer / per-script scale knobs|generate_experiments_md|render_experiments_md|REPRO_BENCH_FRAMES|REPRO_(POOL|SERVE_MANY|CHURN|OBS)_FRAMES
 IR ops no model emits / asymmetric link / test-only helpers|soft_infer|SoftmaxStep|distillation_loss|avg_pool2d|AvgPool2dStep|AsymmetricNetworkModel|LinkTracePair|lte_updown_pair|BUNDLED_TRACE_PAIRS|directed_transfer_time|TrafficAccountant|RunningMeanIoU|boundary_f_score|pixel_accuracy|iou_per_class|traffic_timeline|accuracy_timeline|xavier_uniform|bucket_bounds
-load-adaptive degradation / per-session pool clock|LoadTracker|serve_budget|metric_floor|degraded_budget|degraded_metric|observe_sweep|TickScheduler|start_tick|tick_interval|trace_capacity'
+load-adaptive degradation / per-session pool clock|LoadTracker|serve_budget|metric_floor|degraded_budget|degraded_metric|observe_sweep|TickScheduler|start_tick|tick_interval|trace_capacity
+interpreted-conv gather-index cache|_im2col_indices'
 while IFS='|' read -r label pattern; do
   if grep -rnIE -e "$pattern" . \
       --exclude-dir=.git --exclude-dir=.hypothesis --exclude-dir=.pytest_cache \
@@ -89,6 +92,15 @@ done <<< "$RETIRED"
 # server loop may yield-spin.
 if grep -nE "time\.sleep\(0\)" -r src/repro/transport src/repro/serving/runtime.py; then
   echo "FAIL: yield-spin wait reintroduced" >&2
+  exit 1
+fi
+# NumPy is the one runtime dependency: nothing under src/ imports SciPy
+# and setup.py does not require it.  (`scipy_openblas`, numpy's bundled
+# BLAS, is a different name and may appear.)
+if grep -rnE "^\s*(from|import)\s+scipy\b" src \
+    || tr -d '\n' < setup.py | grep -oE "install_requires=\[[^]]*]" \
+       | grep -E "[\"']scipy\s*([<>=!~;[\"']|$)"; then
+  echo "FAIL: SciPy is back in the runtime" >&2
   exit 1
 fi
 # CLI smoke (ISSUE 16): no test imports scripts/bench_perf.py, so run

@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""Packaging metadata.
 
-Kept so ``pip install -e .`` works on offline machines without the
-``wheel`` package (pip falls back to ``setup.py develop`` when no
-``[build-system]`` table is present). All metadata lives in
-``pyproject.toml``.
+The project's only packaging file: there is no ``pyproject.toml``, so
+all metadata lives here, and ``pip install -e .`` falls back to
+``setup.py develop`` (no ``wheel`` package needed offline). NumPy is
+the one runtime dependency.
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22", "scipy>=1.8"],
+    install_requires=["numpy>=1.22"],
 )

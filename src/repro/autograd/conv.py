@@ -4,10 +4,11 @@ The student and teacher networks are fully convolutional, so convolution
 is the single hottest kernel in the whole reproduction.  Following the
 scientific-Python optimization guidance, the implementation lowers each
 convolution to one large GEMM: patches are gathered by ``im2col`` with
-one fancy-index read through cached index arrays (no Python loops over
-pixels) and the kernel is applied with a single ``matmul``.  The
+one strided copy per kernel tap (no Python loops over pixels, no index
+arrays) and the kernel is applied with a single ``matmul``.  The
 backward pass scatters through the same column geometry: ``col2im`` is
-one strided float64 ``+=`` per kernel tap and a single downcast.
+one strided float64 ``+=`` per kernel tap and a single downcast.  No
+state outlives a call, so a plan compile's trace leaves nothing resident.
 
 This module is the *reference*: :mod:`repro.engine.kernels` reproduces
 ``im2col`` / ``col2im`` byte for byte on preallocated scratch, and the
@@ -17,7 +18,6 @@ functions here.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -29,55 +29,31 @@ def _out_dim(size: int, k: int, pad: int, stride: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-@lru_cache(maxsize=512)
-def _im2col_indices(
-    chw: Tuple[int, int, int],
-    kh: int,
-    kw: int,
-    pad_h: int,
-    pad_w: int,
-    stride: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compute (channel, row, col) gather indices for im2col.
-
-    Returns index arrays of shape ``(C*kh*kw, out_h*out_w)`` suitable for
-    fancy-indexing a padded input of shape ``(N, C, H+2p, W+2p)``.
-    Cached per geometry: the same convolutions run thousands of times
-    over a video stream, and index construction dominated the profile
-    before memoization.
-    """
-    c, h, w = chw
-    out_h = _out_dim(h, kh, pad_h, stride)
-    out_w = _out_dim(w, kw, pad_w, stride)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    chans = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    return chans, rows, cols
-
-
 def im2col(
     x: np.ndarray, kh: int, kw: int, pad_h: int, pad_w: int, stride: int
 ) -> np.ndarray:
     """Gather sliding-window patches into columns.
 
-    Input ``(N, C, H, W)`` -> output ``(C*kh*kw, N*out_h*out_w)``.
+    Input ``(N, C, H, W)`` -> output ``(C*kh*kw, N*out_h*out_w)``:
+    rows channel-major, then kh, then kw; columns sample-major.  One
+    strided copy per kernel tap into a ``(C, kh, kw, N, out_h, out_w)``
+    grid — the mirror image of :func:`col2im`'s per-tap ``+=``.
     """
-    n = x.shape[0]
+    n, c, h, w = x.shape
+    out_h = _out_dim(h, kh, pad_h, stride)
+    out_w = _out_dim(w, kw, pad_w, stride)
     x_padded = (
         np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
         if (pad_h or pad_w)
         else x
     )
-    chans, rows, cols = _im2col_indices(x.shape[1:], kh, kw, pad_h, pad_w, stride)
-    patches = x_padded[:, chans, rows, cols]  # (N, C*kh*kw, L)
-    return patches.transpose(1, 0, 2).reshape(patches.shape[1], n * patches.shape[2])
+    grid = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            grid[:, i, j] = x_padded[
+                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+            ].transpose(1, 0, 2, 3)
+    return grid.reshape(c * kh * kw, n * out_h * out_w)
 
 
 def col2im(
@@ -108,8 +84,8 @@ def col2im(
     out_h = _out_dim(h, kh, pad_h, stride)
     out_w = _out_dim(w, kw, pad_w, stride)
     x_padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=np.float64)
-    # (C*kh*kw, N*L) -> one (c, n, out_h, out_w) view per tap, matching
-    # the _im2col_indices ordering (channel-major, then kh, then kw).
+    # (C*kh*kw, N*L) -> one (c, n, out_h, out_w) view per tap, the
+    # layout im2col gathers into (channel-major, then kh, then kw).
     grid = cols.reshape(c, kh, kw, n, out_h, out_w)
     for i in range(kh):
         for j in range(kw):

@@ -25,7 +25,6 @@ from repro.engine import plan_cache
 from repro.models.student import StudentNet
 from repro.nn.optim import Adam
 from repro.segmentation.losses import lvs_weight_map
-from repro.segmentation.metrics import mean_iou
 from repro.video.dataset import SCENERY_CLASSES
 from repro.video.generator import SyntheticVideo, VideoConfig
 from repro.video.scene import CameraModel
@@ -37,7 +36,6 @@ class PretrainResult:
 
     steps: int
     final_loss: float
-    final_miou: float
     loss_history: List[float]
 
 
@@ -80,7 +78,6 @@ def pretrain_student(
     height: int = 64,
     width: int = 96,
     seed: int = 1234,
-    eval_frames: int = 8,
 ) -> PretrainResult:
     """Pre-train a student on the generic corpus.
 
@@ -109,15 +106,8 @@ def pretrain_student(
         losses.append(runner.step())
         optimizer.step()
 
-    student.eval()
-    mious = []
-    for _ in range(eval_frames):
-        frame, label = next(corpus)
-        mious.append(mean_iou(student.predict(frame), label))
-    student.train()
     return PretrainResult(
         steps=steps,
         final_loss=losses[-1] if losses else float("nan"),
-        final_miou=float(np.mean(mious)),
         loss_history=losses,
     )

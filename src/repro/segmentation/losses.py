@@ -4,8 +4,9 @@ The LVS videos are mostly background, so vanilla cross-entropy biases a
 small student toward all-background predictions.  ShadowTutor adopts the
 LVS remedy directly (section 5.2): scale the loss of pixels *near and
 within* non-background objects by a factor of 5.  "Near" is realised as
-a small dilation of the non-background mask, done with SciPy's binary
-dilation (vectorized, no Python pixel loops).
+a square dilation of the non-background mask by ``NEAR_RADIUS`` pixels
+(:func:`~repro.segmentation.boundary.dilate_square`: a few shifted
+boolean ORs, no Python pixel loops).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
+from repro.segmentation.boundary import dilate_square
 
 #: Loss up-weighting factor for object pixels (LVS / paper section 5.2).
 OBJECT_WEIGHT: float = 5.0
@@ -39,11 +40,10 @@ def lvs_weight_map(
     if squeeze:
         label = label[None]
     weights = np.ones(label.shape, dtype=np.float32)
-    structure = ndimage.generate_binary_structure(2, 2)
     for i in range(label.shape[0]):
         mask = label[i] > 0
         if near_radius > 0 and mask.any():
-            mask = ndimage.binary_dilation(mask, structure=structure, iterations=near_radius)
+            mask = dilate_square(mask, near_radius)
         weights[i][mask] = object_weight
     return weights[0] if squeeze else weights
 

@@ -1,7 +1,10 @@
 """Gradient and shape tests for the im2col convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
 from repro.autograd.conv import col2im, conv2d, im2col, _out_dim
@@ -113,3 +116,54 @@ class TestIm2Col:
         x = rng.normal(size=(3, 2, 5, 5)).astype(np.float32)
         cols = im2col(x, 3, 3, 1, 1, 1)
         assert cols.shape == (2 * 9, 3 * 25)
+
+
+def _fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride):
+    """The original gather: one fancy-index read through (channel, row,
+    col) index arrays.  Kept here as the reference the sliced gather
+    must reproduce byte for byte."""
+    n, c, h, w = x.shape
+    out_h = _out_dim(h, kh, pad_h, stride)
+    out_w = _out_dim(w, kw, pad_w, stride)
+    i0 = np.tile(np.repeat(np.arange(kh), kw), c)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * c)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    chans = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
+    x_padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    patches = x_padded[:, chans, rows, cols]
+    return patches.transpose(1, 0, 2).reshape(patches.shape[1], n * patches.shape[2])
+
+
+class TestIm2ColIsTheFancyIndexGather:
+    @given(
+        n=st.integers(1, 3), c=st.integers(1, 4),
+        h=st.integers(3, 9), w=st.integers(3, 9),
+        kh=st.integers(1, 3), kw=st.integers(1, 3),
+        pad_h=st.integers(0, 2), pad_w=st.integers(0, 2),
+        stride=st.integers(1, 2), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal(self, n, c, h, w, kh, kw, pad_h, pad_w, stride, seed):
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w)).astype(np.float32)
+        got = im2col(x, kh, kw, pad_h, pad_w, stride)
+        want = _fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_fresh_geometry_retains_nothing(self, rng):
+        # A geometry no other test uses, so nothing could be cached yet.
+        x = rng.normal(size=(2, 5, 37, 41)).astype(np.float32)
+        im2col(x[:, :, :9, :9], 3, 3, 1, 1, 1)  # warm np.pad and friends
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols = im2col(x, 3, 3, 1, 1, 1)
+            assert cols.nbytes > 500_000
+            del cols
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096, f"im2col kept {retained} bytes after its result died"

@@ -57,20 +57,15 @@ class TestPretrainStudent:
         last = np.mean(result.loss_history[-5:])
         assert last < first
 
-    def test_reports_final_miou(self):
-        student = StudentNet(width=0.25, seed=0)
-        result = pretrain_student(student, steps=10, height=32, width=48)
-        assert 0.0 <= result.final_miou <= 1.0
-
     def test_zero_steps_no_training(self):
         student = StudentNet(width=0.25, seed=0)
         before = {k: v.copy() for k, v in student.state_dict().items()}
         result = pretrain_student(student, steps=0, height=32, width=48)
         assert np.isnan(result.final_loss)
         after = student.state_dict()
-        for k in before:
-            if "running" not in k:  # eval of mIoU does not touch weights
-                np.testing.assert_array_equal(before[k], after[k])
+        assert before.keys() == after.keys()
+        for k in before:  # running statistics included: nothing runs
+            np.testing.assert_array_equal(before[k], after[k])
 
 
 @pytest.fixture
@@ -112,26 +107,27 @@ class TestCompiledPretrainIsExact:
         assert len(train_steps) == 1
         assert got_digest == want_digest
         assert got.loss_history == want.loss_history
-        assert got.final_miou == want.final_miou
 
 
 class TestPretrainLeavesNothingResident:
-    """The pre-training plan is transient.  Left in the process-wide
-    cache it kept ~130 MB of scratch at 96x144 in the process and in
-    every server forked from it (``peak_rss_mb`` 626 vs 497 MB on
-    ``busy-street``, bound 10 %)."""
+    """Pre-training leaves no plan behind.  Its train plan is transient:
+    left in the process-wide cache it kept ~130 MB of scratch at 96x144
+    in the process and in every server forked from it (``peak_rss_mb``
+    626 vs 497 MB on ``busy-street``, bound 10 %).  Nor does it run a
+    forward: nothing scores the checkpoint, so the device compiles its
+    ``forward`` plan at its first predict, and a server forked before
+    that inherits no plan it never runs."""
 
     def test_no_train_plan_in_the_cache_or_alive(self, train_steps, monkeypatch):
         monkeypatch.setattr(session, "_PRETRAINED_CACHE", {})
         plan_cache.clear()
         session.pretrained_student(width=0.25, steps=3, frame_hw=(32, 48))
         assert len(train_steps) == 1
-        kinds = [kind for _, kind, _ in plan_cache._PLANS]
-        assert kinds == ["forward"]  # the closing eval's; the device reuses it
+        assert not plan_cache._PLANS
         gc.collect()
         assert train_steps[0]() is None
 
     def test_no_train_handle_on_the_student(self):
         student = StudentNet(width=0.25, seed=0)
         pretrain_student(student, steps=2, height=32, width=48)
-        assert [kind for kind, _ in student._engine_plans] == ["forward"]
+        assert not student._engine_plans
