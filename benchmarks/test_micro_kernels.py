@@ -17,7 +17,7 @@ from repro.autograd import Tensor
 from repro.autograd.conv import conv2d
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import StudentTrainer
-from repro.engine.kernels import ConvStep, Upsample2xStep
+from repro.engine.kernels import ConvStep, Layout, Upsample2xStep
 from repro.models.student import StudentNet, partial_freeze
 from repro.nn.layers import Conv2d
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
@@ -91,9 +91,13 @@ def test_conv_forward_backward(benchmark):
     benchmark(step)
 
 
-def _kernel_case(step, in_shape):
-    """One engine kernel with random activations and out-gradient:
-    ``(forward, backward)`` thunks over its own env / gradient table."""
+def _kernel_case(make, in_shape):
+    """One engine kernel, ``make(layout)``, laid out on its own, with
+    random activations and out-gradient: ``(forward, backward)`` thunks
+    over its own env / gradient table."""
+    layout = Layout()
+    step = make(layout)
+    layout.allocate()
     rng = np.random.default_rng(0)
     env = [rng.normal(size=in_shape).astype(np.float32), None]
     gbufs = [np.zeros(in_shape, np.float32),
@@ -106,7 +110,7 @@ def _kernel_case(step, in_shape):
 def upsample_case():
     """The student's last upsample at 96x144: 12 x 48 x 72 -> 12 x 96 x 144."""
     shape = (1, 12, 48, 72)
-    return _kernel_case(Upsample2xStep(0, 1, shape, training=True), shape)
+    return _kernel_case(lambda layout: Upsample2xStep(0, 1, shape, True, layout), shape)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +119,7 @@ def out2_case():
     shape = (1, 12, 96, 144)
     module = Conv2d(12, 8, 3, rng=np.random.default_rng(0))
     return _kernel_case(
-        ConvStep(module, 0, 1, shape, fuse_relu=True, training=True), shape
+        lambda layout: ConvStep(module, 0, 1, shape, True, True, layout), shape
     )
 
 

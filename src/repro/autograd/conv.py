@@ -137,8 +137,11 @@ def conv2d(
         # grad: (N, oc, out_h, out_w)
         grad_mat = grad.transpose(1, 0, 2, 3).reshape(oc, -1)  # (oc, N*L)
         if weight.requires_grad:
-            gw = (grad_mat @ cols.T).reshape(weight.data.shape)
-            weight._accumulate(gw)
+            # cols . grad^T, then one transposed copy: BLAS runs this
+            # orientation faster, and every entry is the same dot
+            # product in the same order as grad . cols^T.
+            gw = np.ascontiguousarray((cols @ grad_mat.T).T)
+            weight._accumulate(gw.reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:

@@ -11,13 +11,18 @@ and geometry, per process** (:mod:`repro.engine.plan_cache` — every
 instance of that architecture rebinds the one plan to its own layers)
 into a flat list of fused NumPy kernels:
 
-* ``Conv2d`` lowers to a cached flat-index gather + one GEMM into a
-  preallocated scratch buffer, with bias add and ReLU fused in place;
+* ``Conv2d`` lowers to a per-tap gather + one GEMM into a buffer of
+  the plan's memory, with bias add and ReLU fused in place;
   1x1/stride-1 convolutions skip the gather entirely.
 * ``BatchNorm2d`` becomes a per-channel scale/shift kernel (batch
   statistics recomputed when the layer is configured for them,
   running statistics folded otherwise).
 * concat/upsample write into preallocated buffers through views.
+
+Each plan's buffers are laid out once, at build time, in one
+allocation (:class:`~repro.engine.kernels.Layout`): scratch is one
+buffer per role, and an eval plan's activations share bytes wherever
+their live intervals do not meet.
 
 Executing a plan allocates **zero** ``Tensor`` objects.  Kernels read
 parameters and buffers from the live modules at execution time, so

@@ -17,16 +17,33 @@ instance.  That is what lets :mod:`repro.engine.plan_cache` keep *one*
 plan per (architecture, kind, geometry) for the whole process and hand
 it from instance to instance with :meth:`CompiledPlan.bind`.
 
+Memory layout: ``build_steps`` lays out each plan's memory once, from
+the plan's own step order (:class:`~repro.engine.kernels.Layout`), in
+one allocation.  Scratch that is dead between kernel calls — im2col
+columns and batch-norm ``x̂`` in eval plans; the column gradient, the
+col2im image, relu masks and the other backward temporaries in train
+plans — is one buffer per role per plan, sized to the largest request.
+In an eval plan (``forward``, ``front``, ``back``, the teacher) each
+step's output is placed by its live interval, from the step that
+produces it to its last consumer, so activations whose intervals do
+not meet share bytes; plan outputs live for the whole plan and alias
+nothing.  A train plan keeps every activation, because its adjoint
+reads them.
+
 Buffer lifetime: a plan validates input shapes and returns output
 buffers that remain valid **until any plan of the same cache key runs
 in this process** — the same instance's next call, or any other
-same-architecture instance's.  The same holds for the gradient views a
-train step installs on ``Parameter.grad``.  Callers that need
+same-architecture instance's.  Only a plan's *outputs* survive a run:
+an eval plan's internal activations are overwritten within the run that
+made them, so nothing may keep a reference into a plan's environment.
+The gradient views a train step installs on ``Parameter.grad`` live
+as long as the outputs.  Callers that need
 persistence copy or reduce at once (``predict`` takes an argmax, the
 distillation trainer copies its cached front-end features once per key
 frame, the optimizer consumes gradients before the next step).  The
 runtime is non-threaded — no two sessions ever execute a plan at once —
-so "at once" is all a caller has to do.
+so "at once" is all a caller has to do, and one plan's scratch can
+serve all its kernels.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from repro.engine.kernels import (
     BatchNormStep,
     ConcatStep,
     ConvStep,
+    Layout,
     ReluStep,
     UntraceableError,
     Upsample2xStep,
@@ -72,9 +90,15 @@ def build_steps(
     inputs: Tuple[Tensor, ...],
     outputs: Tuple[Tensor, ...],
     training: bool,
+    layout: Layout,
     with_lowering: bool = False,
 ) -> tuple:
-    """Lower trace records to kernel steps.
+    """Lower trace records to kernel steps, their buffers requested from
+    ``layout`` (the caller allocates it once it has added its own).
+    For an eval plan it also sets :attr:`Layout.live`: each step's
+    output holds its value from the step that produces it to its last
+    consumer, a plan output for the whole plan; a train plan keeps every
+    activation, because the adjoint reads them.
 
     Returns ``(steps, slot_shapes, input_slots, output_slots)``; with
     ``with_lowering`` a fifth element is appended: the record-to-step
@@ -108,6 +132,8 @@ def build_steps(
         return None
 
     steps = []
+    #: Last step reading each slot (the liveness of an eval plan).
+    last_read: dict = {}
     skip: set = set()
     step_of_record: List[int] = [-1] * len(records)
     for idx, rec in enumerate(records):
@@ -120,6 +146,7 @@ def build_steps(
                     f"op {rec.kind!r} consumes a tensor produced by an untraced op"
                 )
             in_slots.append(slot_of[tid])
+            last_read[slot_of[tid]] = len(steps)
 
         fuse_relu = False
         out_id = rec.output_id
@@ -138,33 +165,39 @@ def build_steps(
             if isinstance(module, Conv2d):
                 step = ConvStep(
                     module, in_slots[0], len(shapes), shapes[in_slots[0]],
-                    fuse_relu, training,
+                    fuse_relu, training, layout,
                 )
             elif isinstance(module, BatchNorm2d):
                 step = BatchNormStep(
                     module, in_slots[0], len(shapes), shapes[in_slots[0]], training,
+                    layout,
                 )
             else:
                 raise UntraceableError(
                     f"no kernel for module type {type(module).__name__}"
                 )
         elif rec.kind == "relu":
-            step = ReluStep(in_slots[0], len(shapes), shapes[in_slots[0]], training)
+            step = ReluStep(
+                in_slots[0], len(shapes), shapes[in_slots[0]], training, layout
+            )
         elif rec.kind == "add":
             if shapes[in_slots[0]] != shapes[in_slots[1]]:
                 raise UntraceableError("broadcasting add is not compilable")
             step = AddStep(
                 in_slots[0], in_slots[1], len(shapes), shapes[in_slots[0]],
-                fuse_relu, training,
+                fuse_relu, training, layout,
             )
         elif rec.kind == "concat":
             if rec.meta.get("axis", 1) != 1:
                 raise UntraceableError("only channel concat is compilable")
             step = ConcatStep(
-                in_slots, len(shapes), [shapes[s] for s in in_slots], training
+                in_slots, len(shapes), [shapes[s] for s in in_slots], training,
+                layout,
             )
         elif rec.kind == "upsample2x":
-            step = Upsample2xStep(in_slots[0], len(shapes), shapes[in_slots[0]], training)
+            step = Upsample2xStep(
+                in_slots[0], len(shapes), shapes[in_slots[0]], training, layout
+            )
         else:
             raise UntraceableError(f"no kernel for traced op {rec.kind!r}")
 
@@ -179,6 +212,13 @@ def build_steps(
             raise UntraceableError("a plan output was produced by an untraced op")
         output_slots.append(slot_of[id(t)])
     input_slots = list(range(len(inputs)))
+    if not training:
+        end = len(steps)
+        layout.live = {
+            step: (0, end) if step.out_slot in output_slots
+            else (i, last_read.get(step.out_slot, i))
+            for i, step in enumerate(steps)
+        }
     if with_lowering:
         return steps, shapes, input_slots, output_slots, step_of_record
     return steps, shapes, input_slots, output_slots
@@ -198,8 +238,12 @@ class CompiledPlan:
         slot_shapes: List[Tuple[int, ...]],
         input_slots: List[int],
         output_slots: List[int],
+        layout: Optional[Layout] = None,
     ) -> None:
         self._steps = steps
+        #: Where the steps' buffers live (``None`` for a plan whose
+        #: steps own none, like the generated adjoint).
+        self.layout = layout
         self._env: List[Optional[np.ndarray]] = [None] * len(slot_shapes)
         self._input_slots = input_slots
         self._input_shapes = [slot_shapes[s] for s in input_slots]
@@ -267,7 +311,9 @@ def compile_plan(
     plan stays bound to the layers ``fn`` ran through.
     """
     records, inputs, outputs = trace_forward(fn, example_inputs)
+    layout = Layout()
     steps, shapes, input_slots, output_slots = build_steps(
-        records, inputs, outputs, training=False
+        records, inputs, outputs, training=False, layout=layout
     )
-    return CompiledPlan(steps, shapes, input_slots, output_slots)
+    layout.allocate()
+    return CompiledPlan(steps, shapes, input_slots, output_slots, layout)

@@ -1,11 +1,16 @@
 """Fused NumPy kernels executed by compiled plans.
 
 Each kernel is a *step*: it reads input activations from the shared
-``env`` slot table, writes its output into a buffer it owns, and (when
-built for training) can push gradients backwards through the same
-geometry.  All geometry work — per-tap views, padded buffers, GEMM
-scratch — happens once at build time; executing a step is pure array
-math with no per-call allocation on the main path.
+``env`` slot table, writes its output into a buffer of its plan's
+memory, and (when built for training) can push gradients backwards
+through the same geometry.  All geometry work — per-tap views, padded
+buffers, GEMM scratch — happens once at build time; executing a step is
+pure array math with no per-call allocation on the main path.
+
+Memory: a step allocates nothing itself.  Its constructor lists the
+buffers it needs (``_buffers``) on the plan's :class:`Layout`, which
+places every buffer of the plan in one allocation once the plan is
+built and hands each step views of it (``_bind``).
 
 Numeric contract: every kernel mirrors the exact operation order of its
 autograd twin (:mod:`repro.autograd.conv`, :mod:`repro.nn.layers`,
@@ -43,6 +48,128 @@ class UntraceableError(RuntimeError):
     """A traced graph contains an op or geometry the engine cannot compile."""
 
 
+#: The role of a step's output activation (see :class:`Layout`).
+OUT = "out"
+#: Every buffer starts on a cache line.
+_ALIGN = 64
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class Layout:
+    """One plan's memory, laid out once from the plan's own step order.
+
+    Buffers are requested with :meth:`take` (a step lists its own with
+    ``_buffers``, see :meth:`add`); :meth:`allocate` then places all of
+    them in **one** zero-filled allocation, installs each view on its
+    owner and calls the owner's ``_bind`` to derive the views built on
+    them.  A dropped plan returns that allocation as a whole.
+
+    A request's *role* says how long its bytes must keep their values:
+
+    * ``None`` — private for the life of the plan: a padded image whose
+      zero border is written once, a gradient installed on a
+      ``Parameter``, and in train plans everything the adjoint reads.
+    * :data:`OUT` — a step's output activation.  Private, unless
+      :attr:`live` gives the step an interval ``(first, last)`` of step
+      indexes over which it must hold its value (eval plans: from its
+      producer to its last consumer, the whole plan for a plan output);
+      then it shares bytes only with outputs whose intervals do not
+      meet its own.  Closed intervals, so no step's output shares bytes
+      with the inputs it reads.
+    * any other name — scratch, dead between kernel calls: one buffer
+      per role, sized to the largest request, every request a view of
+      its start.  A kernel never uses one role twice in one call.
+    """
+
+    def __init__(self) -> None:
+        #: ``(owner, key, shape, dtype, role)`` in request order.
+        self.requests: list = []
+        #: Step -> ``(first, last)`` for :data:`OUT` requests to pack;
+        #: ``None`` keeps every output private.
+        self.live: Optional[dict] = None
+        #: The one allocation every buffer is a view of.
+        self.memory: Optional[np.ndarray] = None
+
+    def take(self, owner, key, shape, dtype=np.float32, role=None) -> None:
+        """Request a C-contiguous ``shape`` buffer, to be installed as
+        ``owner.<key>`` (or ``owner[key]`` for an integer key)."""
+        self.requests.append((owner, key, tuple(shape), np.dtype(dtype), role))
+
+    def add(self, step) -> None:
+        """Request every buffer ``step._buffers()`` lists."""
+        for key, shape, dtype, role in step._buffers():
+            self.take(step, key, shape, dtype, role)
+
+    def allocate(self) -> None:
+        """Place every request, allocate once, install the views."""
+        sizes = [
+            _aligned(int(np.prod(shape)) * dtype.itemsize)
+            for _, _, shape, dtype, _ in self.requests
+        ]
+        offsets = [0] * len(sizes)
+        top = 0
+        scratch: dict = {}
+        packed = []
+        for i, (*_, role) in enumerate(self.requests):
+            if role == OUT and self.live is not None:
+                packed.append(i)
+            elif role is None or role == OUT:
+                offsets[i], top = top, top + sizes[i]
+            else:
+                scratch.setdefault(role, []).append(i)
+        for members in scratch.values():
+            for i in members:
+                offsets[i] = top
+            top += max(sizes[i] for i in members)
+        spans = [self.live[self.requests[i][0]] for i in packed]
+        packed_at, packed_bytes = _pack([sizes[i] for i in packed], spans)
+        for i, at in zip(packed, packed_at):
+            offsets[i] = top + at
+        top += packed_bytes
+        memory = np.zeros(top + _ALIGN, np.uint8)
+        start = -memory.ctypes.data % _ALIGN
+        self.memory = memory
+        for (owner, key, shape, dtype, _), off in zip(self.requests, offsets):
+            lo = start + off
+            view = memory[lo : lo + int(np.prod(shape)) * dtype.itemsize]
+            view = view.view(dtype).reshape(shape)
+            if isinstance(key, int):
+                owner[key] = view
+            else:
+                setattr(owner, key, view)
+        owners = {id(owner): owner for owner, *_ in self.requests}
+        for owner in owners.values():
+            bind = getattr(owner, "_bind", None)
+            if bind is not None:
+                bind()
+
+
+def _pack(sizes: List[int], spans: List[tuple]) -> tuple:
+    """Offsets for buffers live over closed ``spans`` such that two
+    whose spans meet never share bytes, and the total extent: largest
+    first, each at the lowest offset clear of the buffers already
+    placed whose spans meet its own."""
+    offsets = [0] * len(sizes)
+    placed: list = []
+    top = 0
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], spans[i])):
+        first, last = spans[i]
+        at = 0
+        for lo, hi in sorted(
+            (lo, hi) for lo, hi, lo_t, hi_t in placed if lo_t <= last and first <= hi_t
+        ):
+            if at + sizes[i] <= lo:
+                break
+            at = max(at, hi)
+        placed.append((at, at + sizes[i], first, last))
+        offsets[i] = at
+        top = max(top, at + sizes[i])
+    return offsets, top
+
+
 def _set_grad(param, value: np.ndarray) -> None:
     """Install ``value`` as ``param.grad`` (accumulating if one exists).
 
@@ -72,6 +199,7 @@ class ConvStep:
         in_shape: Sequence[int],
         fuse_relu: bool,
         training: bool,
+        layout: Layout,
     ) -> None:
         n, c, h, w = in_shape
         kh, kw = module.kernel_size
@@ -102,18 +230,48 @@ class ConvStep:
         self.flat = (
             not self.is_1x1 and n == 1 and stride == 1 and kw == 2 * pw + 1
         )
-        # Column scratch in im2col layout: axis order (c, kh, kw, n, L)
-        # flattens to the same (C*kh*kw, N*L) matrix autograd builds.
-        grid = (c, kh, kw, n, self.L)
-        if self.is_1x1:
-            self._cols = None if n == 1 else np.empty((self.K, n * self.L), np.float32)
-        else:
-            cols_grid = np.empty(grid, np.float32)
-            self._cols = cols_grid.reshape(self.K, n * self.L)
-            self._xp, self._xp_interior, self._taps = self._tap_views(
-                cols_grid, np.float32
-            )
-        self._out_mat = np.empty((self.oc, n * self.L), np.float32)
+        self._training = training
+        # A flat-tap image is padded vertically only (see _tap_views);
+        # any other is channel-major like the conv/add/concat buffers on
+        # either side, so for n > 1 the interior fill and the tap copies
+        # are layout-aligned rather than full transposes.
+        self._pad_shape = (
+            (c, (h + 2 * ph) * w + 2 * pw) if self.flat
+            else (c, n, h + 2 * ph, w + 2 * pw)
+        )
+        self._cols: Optional[np.ndarray] = None
+        self._saved_cols: Optional[np.ndarray] = None
+        layout.add(self)
+
+    def _buffers(self):
+        n, nl, training = self.n, self.n * self.L, self._training
+        yield "_out_mat", (self.oc, nl), np.float32, OUT
+        if not (self.is_1x1 and n == 1):
+            # Column scratch in im2col layout: axis order (c, kh, kw, n,
+            # L) flattens to the same (C*kh*kw, N*L) matrix autograd
+            # builds.  An eval plan reads it inside forward only; a
+            # train plan keeps it for the weight gradient.
+            yield "_cols", (self.K, nl), np.float32, None if training else "cols"
+        if not self.is_1x1:
+            yield "_xp", self._pad_shape, np.float32, None
+        if not training:
+            return
+        if self.fuse_relu:
+            yield "_mask", self.out_shape, bool, "mask"
+            yield "_gpre", self.out_shape, np.float32, "gpre"
+        yield "_gw", (self.oc, self.K), np.float32, None
+        yield "_gw_t", (self.K, self.oc), np.float32, "gw_t"
+        yield "_gcols", (self.K, nl), np.float32, "gcols"
+        if n > 1:
+            yield "_gmat", (self.oc, nl), np.float32, "gmat"
+        if not self.is_1x1:
+            # col2im accumulates in float64 and downcasts once, as
+            # autograd's does (see :meth:`_scatter`).
+            yield "_gxp", self._pad_shape, np.float64, "col2im"
+            yield "_gx32", self.x_shape, np.float32, "gx32"
+
+    def _bind(self) -> None:
+        n = self.n
         # The NCHW output is a free view of the GEMM result; for n > 1 it
         # is the same transposed view autograd produces, so downstream
         # reductions (batch-norm statistics) iterate memory in the same
@@ -123,31 +281,26 @@ class ConvStep:
             if n == 1
             else self._out_mat.reshape(self.oc, n, self.oh, self.ow).transpose(1, 0, 2, 3)
         )
-        self._saved_cols: Optional[np.ndarray] = None
-        if training:
-            self._mask = np.empty(self.out_shape, bool) if fuse_relu else None
-            self._gpre = np.empty(self.out_shape, np.float32) if fuse_relu else None
-            self._gw = np.empty((self.oc, self.K), np.float32)
-            self._gcols = np.empty((self.K, n * self.L), np.float32)
-            self._gmat = (
-                np.empty((self.oc, n * self.L), np.float32) if n > 1 else None
+        if self.is_1x1:
+            return
+        grid = (self.c, self.kh, self.kw, n, self.L)
+        self._xp_interior, self._taps = self._tap_views(
+            self._xp, self._cols.reshape(grid)
+        )
+        if self._training:
+            self._gxp_interior, self._gtaps = self._tap_views(
+                self._gxp, self._gcols.reshape(grid)
             )
-            if not self.is_1x1:
-                # col2im accumulates in float64 and downcasts once, as
-                # autograd's does (see :meth:`_scatter`).
-                self._gxp, self._gxp_interior, self._gtaps = self._tap_views(
-                    self._gcols.reshape(grid), np.float64
-                )
-                self._gx32 = np.empty((n, c, h, w), np.float32)
 
-    def _tap_views(self, cols_grid: np.ndarray, dtype) -> tuple:
-        """``(scratch, interior, taps)`` for one direction of the conv.
+    def _tap_views(self, scratch: np.ndarray, cols_grid: np.ndarray) -> tuple:
+        """``(interior, taps)`` for one direction of the conv.
 
-        ``scratch`` is a zeroed padded image of ``dtype``, ``interior``
-        its ``(n, c, h, w)`` unpadded view, and ``taps`` lists, in
-        im2col order (kh, then kw), ``(window, col, wrapped)``: the
-        cells of ``scratch`` tap ``(i, j)`` touches, the rows of the
-        column matrix they map to, and the cells of ``col`` to zero.
+        ``scratch`` is a zeroed padded image (its zero border is never
+        written), ``interior`` its ``(n, c, h, w)`` unpadded view, and
+        ``taps`` lists, in im2col order (kh, then kw), ``(window, col,
+        wrapped)``: the cells of ``scratch`` tap ``(i, j)`` touches, the
+        rows of the column matrix they map to, and the cells of ``col``
+        to zero.
 
         *Slice taps* (any geometry): the image is padded on all four
         sides and a window is its strided ``(n, c, oh, ow)`` slice;
@@ -173,7 +326,6 @@ class ConvStep:
         oh, ow, L = self.oh, self.ow, self.L
         taps = []
         if self.flat:
-            scratch = np.zeros((c, (h + 2 * ph) * w + 2 * pw), dtype)
             lo = pw + ph * w
             interior = scratch[:, lo : lo + h * w].reshape(1, c, h, w)
             for i in range(kh):
@@ -187,19 +339,14 @@ class ConvStep:
                     off = i * w + j
                     taps.append((scratch[:, off : off + L], col, wrapped))
         else:
-            # Channel-major like the conv/add/concat buffers on either
-            # side, so for n > 1 the interior fill and the tap copies
-            # are layout-aligned rather than full transposes.
-            scratch = np.zeros(
-                (c, n, h + 2 * ph, w + 2 * pw), dtype
-            ).transpose(1, 0, 2, 3)
+            scratch = scratch.transpose(1, 0, 2, 3)
             interior = scratch[:, :, ph : ph + h, pw : pw + w]
             for i in range(kh):
                 for j in range(kw):
                     window = scratch[:, :, i : i + s * oh : s, j : j + s * ow : s]
                     col = cols_grid[:, i, j].reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
                     taps.append((window, col, None))
-        return scratch, interior, taps
+        return interior, taps
 
     # ------------------------------------------------------------------
     def _gather(self, x: np.ndarray) -> np.ndarray:
@@ -262,7 +409,12 @@ class ConvStep:
             grad_mat = self._gmat
         weight = self.module.weight
         if weight.requires_grad:
-            np.dot(grad_mat, self._saved_cols.T, out=self._gw)
+            # cols . grad^T, then one transposed copy: BLAS runs this
+            # orientation faster, and every entry is the same dot
+            # product in the same order as grad . cols^T (pinned by
+            # tests/test_engine.py::TestWeightGradientOrientation).
+            np.dot(self._saved_cols, grad_mat.T, out=self._gw_t)
+            np.copyto(self._gw, self._gw_t.T)
             _set_grad(weight, self._gw.reshape(weight.data.shape))
         bias = self.module.bias
         if bias is not None and bias.requires_grad:
@@ -295,7 +447,10 @@ class BatchNormStep:
     state-dict load needs no recompile.
     """
 
-    def __init__(self, module, in_slot, out_slot, in_shape, training: bool) -> None:
+    def __init__(
+        self, module, in_slot, out_slot, in_shape, training: bool,
+        layout: Layout,
+    ) -> None:
         n, c, h, w = in_shape
         if c != module.num_features:
             raise UntraceableError(
@@ -307,17 +462,23 @@ class BatchNormStep:
         self.n_elem = n * h * w
         self.out_shape = tuple(in_shape)
         self._training = training
-        self._xhat = np.empty(self.out_shape, np.float32)
-        self.out = np.empty(self.out_shape, np.float32)
         self._inv_std: Optional[np.ndarray] = None
         #: Batch statistics awaiting a running-stat commit (train plans
         #: defer the momentum update so a forward used only for the
         #: post-update metric leaves no trace, exactly like the seed
         #: loop's separate eval predict).
         self._pending_stats: Optional[tuple] = None
+        layout.add(self)
+
+    def _buffers(self):
+        shape, training = self.out_shape, self._training
+        yield "out", shape, np.float32, OUT
+        # x-hat: read by a train plan's backward, by an eval plan's
+        # forward only.
+        yield "_xhat", shape, np.float32, None if training else "xhat"
         if training:
-            self._tmp = np.empty(self.out_shape, np.float32)
-            self._tmp2 = np.empty(self.out_shape, np.float32)
+            yield "_tmp", shape, np.float32, "bn_tmp"
+            yield "_tmp2", shape, np.float32, "bn_tmp2"
 
     def forward(self, env: List[np.ndarray]) -> None:
         m = self.module
@@ -388,12 +549,20 @@ class BatchNormStep:
 class ReluStep:
     """Standalone ReLU (the fusable ones are folded into conv/add)."""
 
-    def __init__(self, in_slot, out_slot, in_shape, training: bool) -> None:
+    def __init__(
+        self, in_slot, out_slot, in_shape, training: bool,
+        layout: Layout,
+    ) -> None:
         self.in_slot, self.out_slot = in_slot, out_slot
         self.out_shape = tuple(in_shape)
-        self.out = np.empty(self.out_shape, np.float32)
-        self._mask = np.empty(self.out_shape, bool) if training else None
-        self._tmp = np.empty(self.out_shape, np.float32) if training else None
+        self._training = training
+        layout.add(self)
+
+    def _buffers(self):
+        yield "out", self.out_shape, np.float32, OUT
+        if self._training:
+            yield "_mask", self.out_shape, bool, "mask"
+            yield "_tmp", self.out_shape, np.float32, "gpre"
 
     def forward(self, env) -> None:
         np.maximum(env[self.in_slot], 0.0, out=self.out)
@@ -411,18 +580,29 @@ class ReluStep:
 class AddStep:
     """Elementwise add (residual join), with optional fused ReLU."""
 
-    def __init__(self, a_slot, b_slot, out_slot, in_shape, fuse_relu, training) -> None:
+    def __init__(
+        self, a_slot, b_slot, out_slot, in_shape, fuse_relu, training,
+        layout: Layout,
+    ) -> None:
         self.a_slot, self.b_slot, self.out_slot = a_slot, b_slot, out_slot
         self.fuse_relu = fuse_relu
         self.out_shape = tuple(in_shape)
-        n, c, h, w = in_shape
+        self._training = training
+        layout.add(self)
+
+    def _buffers(self):
+        n, c, h, w = self.out_shape
         # Residual adds sit between conv outputs (channel-major memory)
-        # and the next block's batch-norm reduction; allocating the
-        # buffer in the same memory order autograd's ufunc picks keeps
+        # and the next block's batch-norm reduction; laying the buffer
+        # out in the same memory order autograd's ufunc picks keeps
         # batched statistics bit-identical (trivial for n == 1).
-        self.out = np.empty((c, n, h, w), np.float32).transpose(1, 0, 2, 3)
-        self._mask = np.empty(self.out_shape, bool) if (training and fuse_relu) else None
-        self._gpre = np.empty(self.out_shape, np.float32) if (training and fuse_relu) else None
+        yield "_out_cnhw", (c, n, h, w), np.float32, OUT
+        if self._training and self.fuse_relu:
+            yield "_mask", self.out_shape, bool, "mask"
+            yield "_gpre", self.out_shape, np.float32, "gpre"
+
+    def _bind(self) -> None:
+        self.out = self._out_cnhw.transpose(1, 0, 2, 3)
 
     def forward(self, env) -> None:
         np.add(env[self.a_slot], env[self.b_slot], out=self.out)
@@ -445,7 +625,10 @@ class AddStep:
 class ConcatStep:
     """Channel concatenation into a preallocated buffer."""
 
-    def __init__(self, in_slots, out_slot, in_shapes, training) -> None:
+    def __init__(
+        self, in_slots, out_slot, in_shapes, training,
+        layout: Layout,
+    ) -> None:
         axis_sizes = [s[1] for s in in_shapes]
         n, _, h, w = in_shapes[0]
         for s in in_shapes:
@@ -453,14 +636,20 @@ class ConcatStep:
                 raise UntraceableError("concat inputs disagree on non-channel dims")
         self.in_slots = tuple(in_slots)
         self.out_slot = out_slot
-        self.offsets = np.cumsum([0] + axis_sizes)
+        self.offsets = np.cumsum([0] + axis_sizes).tolist()
         self.out_shape = (n, int(sum(axis_sizes)), h, w)
+        layout.add(self)
+
+    def _buffers(self):
+        n, c, h, w = self.out_shape
         # Match np.concatenate's layout choice for channel-major inputs
         # (the conv/add outputs feeding the Figure-3b skips), so the
         # consuming batch-norm reduces memory in autograd's order and
         # batched outputs stay bit-identical (trivial for n == 1).
-        ctot = int(sum(axis_sizes))
-        self.out = np.empty((ctot, n, h, w), np.float32).transpose(1, 0, 2, 3)
+        yield "_out_cnhw", (c, n, h, w), np.float32, OUT
+
+    def _bind(self) -> None:
+        self.out = self._out_cnhw.transpose(1, 0, 2, 3)
 
     def forward(self, env) -> None:
         for slot, lo, hi in zip(self.in_slots, self.offsets[:-1], self.offsets[1:]):
@@ -484,14 +673,25 @@ class Upsample2xStep:
     of the window sum's float32 order that autograd uses too.
     """
 
-    def __init__(self, in_slot, out_slot, in_shape, training) -> None:
+    def __init__(
+        self, in_slot, out_slot, in_shape, training,
+        layout: Layout,
+    ) -> None:
         n, c, h, w = in_shape
         self.in_slot, self.out_slot = in_slot, out_slot
+        self.in_shape = tuple(in_shape)
         self.out_shape = (n, c, 2 * h, 2 * w)
-        self.out = np.empty(self.out_shape, np.float32)
+        self._training = training
+        layout.add(self)
+
+    def _buffers(self):
+        yield "out", self.out_shape, np.float32, OUT
+        if self._training:
+            yield "_gsum", self.in_shape, np.float32, "gsum"
+            yield "_gtmp", self.in_shape, np.float32, "gtmp"
+
+    def _bind(self) -> None:
         self._even, self._odd = self.out[:, :, 0::2], self.out[:, :, 1::2]
-        self._gsum = np.empty(in_shape, np.float32) if training else None
-        self._gtmp = np.empty(in_shape, np.float32) if training else None
 
     def forward(self, env) -> None:
         x = env[self.in_slot]

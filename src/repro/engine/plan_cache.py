@@ -15,7 +15,7 @@ binding sites.  A handle's ``run`` / ``forward_only`` / ``finish_step``
 check one identity — is the plan still pointed at me? — and, when it
 last ran for someone else, re-point its sites first (a few dozen
 attribute writes).  The compile, with its trace and its megabytes of
-scratch buffers, happens once per key.
+plan memory, happens once per key.
 
 Why this is safe: the runtime is non-threaded and event-driven — no two
 sessions ever execute a plan at once, so a plan can simply change
@@ -175,8 +175,10 @@ class PlanHandle:
 
 def compile_transient(root, kind: str, shapes):
     """A ``(kind, shapes)`` plan of ``root``'s own, outside the shared
-    table: its scratch (~130 MB for a full-mode step at 96x144) goes when
-    the caller drops it.  ``None`` when it does not compile."""
+    table.  Its buffers are one allocation (44 MB for a width-0.5
+    full-mode step at 96x144), returned to the OS as a whole when the
+    last reference goes — the caller's, and any gradient view left on
+    ``root``'s parameters.  ``None`` when it does not compile."""
     entry = _compile(root, root._engine_fns()[kind], kind, shapes)
     return entry and entry[0]
 

@@ -37,28 +37,34 @@ import numpy as np
 
 from repro.engine.adjoint import generate_adjoint, leaf_parameters
 from repro.engine.compiler import CompiledPlan, build_steps, trace_forward
-from repro.engine.kernels import UntraceableError
+from repro.engine.kernels import Layout, UntraceableError
 
 
 class CrossEntropyHead:
     """LVS-weighted softmax cross-entropy, mirrored from
     :func:`repro.autograd.functional.cross_entropy` op for op."""
 
-    def __init__(self, logits_shape: Tuple[int, ...]) -> None:
+    def __init__(self, logits_shape: Tuple[int, ...], layout: Layout) -> None:
         n, c, h, w = logits_shape
         self.shape = logits_shape
         self.hw = h * w
-        self._shifted = np.empty(logits_shape, np.float32)
-        self._exp = np.empty(logits_shape, np.float32)
-        self._softmax = np.empty(logits_shape, np.float32)
-        self._gflat = np.zeros((n, c, self.hw), np.float32)
-        # The unweighted case uses the same unit map every step; build
-        # it (and its sum) once instead of allocating per forward.
-        self._unit_weights = np.ones((n, self.hw), dtype=np.float32)
-        self._unit_norm = float(self._unit_weights.sum())
         self._idx: Optional[np.ndarray] = None
         self._weights: Optional[np.ndarray] = None
         self._norm = 1.0
+        layout.add(self)
+
+    def _buffers(self):
+        n, c, _, _ = self.shape
+        for key in ("_shifted", "_exp", "_softmax"):
+            yield key, self.shape, np.float32, None
+        yield "_gflat", (n, c, self.hw), np.float32, None
+        yield "_unit_weights", (n, self.hw), np.float32, None
+
+    def _bind(self) -> None:
+        # The unweighted case uses the same unit map every step; build
+        # it (and its sum) once instead of allocating per forward.
+        self._unit_weights.fill(1.0)
+        self._unit_norm = float(self._unit_weights.sum())
 
     def forward(
         self, logits: np.ndarray, target: np.ndarray, weight_map: Optional[np.ndarray]
@@ -118,8 +124,12 @@ class CompiledTrainStep:
         records, inputs, outputs = trace_forward(fn, example_inputs)
         if len(outputs) != 1:
             raise UntraceableError("train step expects a single logits output")
+        #: The step's memory: forward activations and kernel scratch,
+        #: gradient buffers and the loss head, in one allocation.
+        self.layout = layout = Layout()
         steps, shapes, input_slots, output_slots, step_of_record = build_steps(
-            records, inputs, outputs, training=True, with_lowering=True
+            records, inputs, outputs, training=True, layout=layout,
+            with_lowering=True,
         )
         self._logits_slot = output_slots[0]
         if self._logits_slot in input_slots:
@@ -127,17 +137,16 @@ class CompiledTrainStep:
         # Compose the forward executor instead of re-implementing it:
         # the train step is a CompiledPlan plus gradient buffers, the
         # loss head, and deferred batch-norm commits.
-        self._plan = CompiledPlan(steps, shapes, input_slots, output_slots)
+        self._plan = CompiledPlan(steps, shapes, input_slots, output_slots, layout)
         self._steps = steps
         # Gradient buffers exist only for produced slots; roots (cached
         # front-end features or the raw frame) never need gradients —
         # the freeze boundary in array form.
-        produced = {step.out_slot for step in steps}
-        self._gbufs: List[Optional[np.ndarray]] = [
-            np.zeros(shapes[i], np.float32) if i in produced else None
-            for i in range(len(shapes))
-        ]
-        self._loss = CrossEntropyHead(shapes[self._logits_slot])
+        self._gbufs: List[Optional[np.ndarray]] = [None] * len(shapes)
+        for step in steps:
+            layout.take(self._gbufs, step.out_slot, shapes[step.out_slot])
+        self._loss = CrossEntropyHead(shapes[self._logits_slot], layout)
+        layout.allocate()
         self.num_kernels = len(steps)
         self._bn_steps = [s for s in steps if hasattr(s, "commit_running_stats")]
         # Everything the adjoint generator needs to (re)build a schedule

@@ -105,6 +105,9 @@ def pretrain_student(
         optimizer.zero_grad()
         losses.append(runner.step())
         optimizer.step()
+    # The last step's weight gradients are views of the plan's memory:
+    # dropped here, the whole plan goes when this call returns.
+    optimizer.zero_grad()
 
     return PretrainResult(
         steps=steps,

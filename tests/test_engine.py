@@ -9,7 +9,7 @@ import pytest
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import plan_cache, tracer
 from repro.engine.compiler import CompiledPlan, compile_plan
-from repro.engine.kernels import UntraceableError
+from repro.engine.kernels import ConvStep, Layout, UntraceableError
 from repro.engine.training import CompiledTrainStep
 from repro.models.student import StudentNet, partial_freeze
 from repro.models.teacher import TeacherNet
@@ -493,12 +493,22 @@ def _adversarial(rng, shape):
     return x
 
 
+def _laid_out(make):
+    """A step built on its own: ``make(layout)``, then the one
+    allocation its plan's build would make."""
+    layout = Layout()
+    step = make(layout)
+    layout.allocate()
+    return step
+
+
 def _conv_step(rng, n, c, h, w, kernel, padding, stride, training=True):
-    from repro.engine.kernels import ConvStep
     from repro.nn.layers import Conv2d
 
     module = Conv2d(c, 2, kernel, stride=stride, padding=padding, rng=rng)
-    return ConvStep(module, 0, 1, (n, c, h, w), fuse_relu=False, training=training)
+    return _laid_out(lambda layout: ConvStep(
+        module, 0, 1, (n, c, h, w), fuse_relu=False, training=training, layout=layout
+    ))
 
 
 class TestConvTapsAreExact:
@@ -565,13 +575,62 @@ class TestConvTapsAreExact:
         assert sum(s.flat for s in convs) == 6 * 3 + 2
 
 
+class TestWeightGradientOrientation:
+    """``ConvStep.backward`` and ``autograd.conv`` compute the weight
+    gradient as ``cols . grad^T`` and copy it transposed, where the
+    reference is ``grad . cols^T``: the faster orientation on this
+    BLAS, and the same bits only if BLAS sums every entry's dot
+    product in the same order both ways.  Checked for every conv GEMM
+    shape the train plans run at the two bench geometries; a BLAS on
+    which it does not hold fails here, before any digest drifts."""
+
+    @staticmethod
+    def _spread(rng, shape):
+        """Values over 2^-60 .. 2^60 with both zeros and subnormals."""
+        x = rng.standard_normal(shape).astype(np.float32)
+        x *= np.float32(2.0) ** rng.integers(-60, 61, shape).astype(np.float32)
+        kind = rng.random(shape)
+        x[kind < 0.05] = 0.0
+        x[(kind >= 0.05) & (kind < 0.10)] = -0.0
+        x[(kind >= 0.10) & (kind < 0.13)] = np.float32(1e-42)
+        x[(kind >= 0.13) & (kind < 0.16)] = np.float32(-3e-45)
+        return x
+
+    @pytest.mark.parametrize("hw", [(64, 96), (96, 144)])
+    def test_both_orientations_agree_bitwise(self, rng, hw):
+        student = StudentNet(width=0.5, seed=0)
+        partial_freeze(student)
+        x = np.zeros((1, 3, *hw), np.float32)
+        feats = tuple(np.array(f) for f in student.run_plan("front", x))
+        gemms = set()
+        for kind, inputs in (("train_back", feats), ("train_full", (x,))):
+            plan = plan_cache.compile_transient(
+                student, kind, tuple(a.shape for a in inputs)
+            )
+            gemms |= {
+                (s.oc, s.K, s.n * s.L) for s in plan._steps if isinstance(s, ConvStep)
+            }
+        assert len(gemms) > 10
+        for oc, k, nl in sorted(gemms):
+            cols, grad = self._spread(rng, (k, nl)), self._spread(rng, (oc, nl))
+            want = np.dot(grad, cols.T)
+            got_t = np.empty((k, oc), np.float32)
+            np.dot(cols, grad.T, out=got_t)
+            got = np.empty((oc, k), np.float32)
+            np.copyto(got, got_t.T)
+            assert got.tobytes() == want.tobytes(), (
+                f"this BLAS sums the {oc}x{k} (over {nl}) weight gradient "
+                "differently in the two orientations"
+            )
+
+
 class TestUpsampleIsExact:
     @pytest.mark.parametrize("n", [1, 3])
     def test_step_matches_autograd(self, rng, n):
         from repro.engine.kernels import Upsample2xStep
 
         shape = (n, 5, 6, 7)
-        step = Upsample2xStep(0, 1, shape, training=True)
+        step = _laid_out(lambda layout: Upsample2xStep(0, 1, shape, True, layout))
         for _ in range(2):
             x = _adversarial(rng, shape)
             g = _adversarial(rng, step.out_shape)

@@ -127,6 +127,29 @@ class TestPretrainLeavesNothingResident:
         gc.collect()
         assert train_steps[0]() is None
 
+    def test_the_train_plans_memory_goes_with_the_call(self, monkeypatch):
+        """The plan's buffers are one allocation, and nothing outside
+        the call holds a view of it — not even the gradients the last
+        step installed — so it is freed when ``pretrain_student``
+        returns, by reference counting alone, not at a later GC."""
+        memories = []
+        init = training.CompiledTrainStep.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            memories.append(weakref.ref(self.layout.memory))
+
+        monkeypatch.setattr(training.CompiledTrainStep, "__init__", spy)
+        student = StudentNet(width=0.25, seed=0)
+        gc.disable()
+        try:
+            pretrain_student(student, steps=2, height=32, width=48)
+            assert len(memories) == 1
+            assert memories[0]() is None
+        finally:
+            gc.enable()
+        assert all(p.grad is None for p in student.parameters())
+
     def test_no_train_handle_on_the_student(self):
         student = StudentNet(width=0.25, seed=0)
         pretrain_student(student, steps=2, height=32, width=48)

@@ -411,3 +411,55 @@ class TestOneInterpretedTrainingLoop:
         assert ast.unparse(fallback.value.func) == "_AutogradStepRunner"
         returns = [n for n in ast.walk(factory) if isinstance(n, ast.Return)]
         assert returns == [compiled, fallback] or returns == [fallback, compiled]
+
+
+class TestPlanMemoryComesFromTheLayout:
+    """A compiled plan's buffers are placed once, from the plan's own
+    step order, by :class:`repro.engine.kernels.Layout`: in
+    ``engine/kernels.py`` only the layout code calls a NumPy allocator,
+    and no constructor anywhere in ``engine/`` does — so a kernel cannot
+    bring private scratch back unnoticed."""
+
+    ENGINE = TestEveryModuleHasACaller.REPO / "src" / "repro" / "engine"
+    ALLOCATORS = {
+        "empty", "zeros", "ones", "full",
+        "empty_like", "zeros_like", "ones_like", "full_like",
+    }
+
+    @classmethod
+    def _allocations(cls, node):
+        return [
+            call.lineno
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "np"
+            and call.func.attr in cls.ALLOCATORS
+        ]
+
+    def test_kernels_allocate_only_in_the_layout(self):
+        tree = ast.parse((self.ENGINE / "kernels.py").read_text())
+        layout = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "Layout"
+        ]
+        assert len(layout) == 1 and self._allocations(layout[0])
+        outside = [
+            line for node in tree.body if node not in layout
+            for line in self._allocations(node)
+        ]
+        assert not outside, f"kernels.py allocates outside Layout at lines {outside}"
+
+    def test_no_engine_constructor_allocates(self):
+        found = []
+        for path in sorted(self.ENGINE.glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        found += [
+                            f"{path.name}:{line}" for line in self._allocations(fn)
+                        ]
+        assert not found, f"constructors allocate: {found}"
