@@ -2,7 +2,7 @@
 
 The trainer owns the server's student copy and an optimizer over its
 *trainable* parameters.  For partial distillation the student's
-front-end is frozen (``partial_freeze``), so ``loss.backward()``
+front-end is frozen (``partial_freeze``), so the backward pass
 genuinely stops at the freeze boundary — the ``PartialBackward`` of the
 paper — and the optimizer only touches the back-end.
 
@@ -26,14 +26,12 @@ already beats THRESHOLD on pays for that one forward and nothing else:
 the loss weights, the optimizer reset and the checkpoint slots all sit
 behind the gate.
 
-:func:`make_step_runner` asks the engine one question — is there a
-train plan for this geometry? — for Algorithm 1 and for pre-training
-alike.  Every freeze state of a ``StudentNet`` has one: ``train_back``
-on the cached front features when the front is fully frozen,
-``train_full`` otherwise (the step regenerates its adjoint from the
-live ``requires_grad`` flags, so the ablation's intermediate boundaries
-compile like the paper's).  The define-by-run loop is the branch for a
-geometry with no plan, and the reference the parity tests construct.
+:func:`make_step_runner` builds the one step runner, for Algorithm 1
+and for pre-training alike.  Every freeze state of a ``StudentNet``
+compiles: ``train_back`` on the cached front features when the front
+is fully frozen, ``train_full`` otherwise (the step regenerates its
+adjoint from the live ``requires_grad`` flags, so the ablation's
+intermediate boundaries compile like the paper's).
 """
 
 from __future__ import annotations
@@ -43,12 +41,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
 from repro.nn.optim import Adam
 from repro.nn.serialize import StateSlots
-from repro.segmentation.losses import lvs_weight_map, weighted_cross_entropy
+from repro.segmentation.losses import lvs_weight_map
 from repro.segmentation.metrics import mean_iou
 
 
@@ -61,34 +58,6 @@ class TrainResult:
     steps: int               #: optimisation steps actually taken (<= MAX_UPDATES)
     losses: List[float]      #: loss after each step
     improved: bool           #: whether training beat the initial metric
-
-
-class _AutogradStepRunner:
-    """The define-by-run loop: what :func:`make_step_runner` returns
-    where no train plan exists, and nowhere else.
-
-    The only reader of the modules' ``training`` flag (batch-norm
-    commits running statistics in train mode only), so it alone sets
-    it: train mode for a step, the caller's mode back afterwards.
-    """
-
-    def __init__(self, student, x, target, weight_map) -> None:
-        self.student = student
-        self.x = x
-        self.target = target
-        self.weight_map = weight_map
-
-    def step(self) -> float:
-        was_training = self.student.training
-        self.student.train()
-        logits = self.student(self.x)
-        loss = weighted_cross_entropy(logits, self.target, self.weight_map)
-        loss.backward()
-        self.student.train(was_training)
-        return loss.item()
-
-    def predict(self) -> np.ndarray:
-        return self.student.predict(self.x.data)
 
 
 class _CompiledStepRunner:
@@ -149,11 +118,10 @@ def make_step_runner(student: StudentNet, x4: np.ndarray, target, weight_map,
     """The compiled step for ``student``'s freeze state — ``train_back``
     on the key frame's front activations when the front is frozen
     (computed once; copied out, because plan buffers are reused while
-    the loop runs), ``train_full`` on the frame otherwise — or, where
-    that plan does not exist, the autograd loop: the same steps bit for
-    bit.  ``plan_for(kind, shapes)`` supplies the train plan — by
-    default the student's handle on the process-wide one; pre-training
-    passes a plan of its own."""
+    the loop runs), ``train_full`` on the frame otherwise.
+    ``plan_for(kind, shapes)`` supplies the train plan — by default the
+    student's handle on the process-wide one; pre-training passes a
+    plan of its own."""
     kind, inputs = "train_full", (x4,)
     if _front_fully_frozen(student):
         kind = "train_back"
@@ -161,9 +129,7 @@ def make_step_runner(student: StudentNet, x4: np.ndarray, target, weight_map,
     train_plan = (plan_for or student.engine_plan)(
         kind, tuple(a.shape for a in inputs)
     )
-    if train_plan is not None:
-        return _CompiledStepRunner(train_plan, inputs, target, weight_map)
-    return _AutogradStepRunner(student, Tensor(x4), target, weight_map)
+    return _CompiledStepRunner(train_plan, inputs, target, weight_map)
 
 
 class StudentTrainer:
@@ -220,13 +186,12 @@ class StudentTrainer:
         x4 = frame[None] if frame.ndim == 3 else frame
         target = label[None] if label.ndim == 2 else label
 
-        student.eval()
-        # The runner's first predict is the pre-update metric; on the
-        # compiled tier it is also step 1's forward.  When the student
-        # already beats THRESHOLD it stays an unprimed pending forward
-        # on the plan, which the next key frame's runner ignores — and
-        # nothing else was prepared: no loss weights, no optimizer
-        # reset, no checkpoint slots.
+        # The runner's first predict is the pre-update metric and also
+        # step 1's forward.  When the student already beats THRESHOLD
+        # it stays an unprimed pending forward on the plan, which the
+        # next key frame's runner ignores — and nothing else was
+        # prepared: no loss weights, no optimizer reset, no checkpoint
+        # slots.
         runner = make_step_runner(student, x4, target, None)
         best_metric = mean_iou(runner.predict(), label)
         initial_metric = best_metric

@@ -40,14 +40,12 @@ the live ``requires_grad`` flags, so every freeze boundary of a
 ``StudentNet`` — both distillation modes and the ablation's points in
 between — rides the compiled step.
 
-The only question the rest of the tree asks the engine is "is there a
-plan for this geometry?" (:meth:`repro.nn.module.Module.engine_plan`
-answers ``None`` where a traced graph does not compile).  There is no
-switch that selects the interpreted path: a model with a plan runs it,
-one without runs the same callable define-by-run through
-:meth:`~repro.nn.module.Module.run_plan` (forward) or the trainer's
-no-plan branch (backward), and the bit-identity tests construct that
-reference themselves (``tests/helpers.py``).
+The engine is the only executor: every forward outside a trace runs a
+plan (:meth:`repro.nn.module.Module.run_plan`), and every training step
+runs the trainer's compiled step.  A geometry whose traced graph does
+not compile raises :class:`~repro.engine.kernels.UntraceableError`.
+The define-by-run reference the bit-identity tests compare against is
+something the tests construct (``tests/helpers.py``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@
 * every traced tensor gets a *slot* in a flat environment table;
 * ``Conv2d``/``add`` followed by a single-consumer ``relu`` are fused;
 * unknown ops, untraced producers, or unsupported geometries raise
-  :class:`~repro.engine.kernels.UntraceableError` — callers fall back
-  to the autograd path, so compilation failures are never fatal.
+  :class:`~repro.engine.kernels.UntraceableError`.
 
 A :class:`CompiledPlan` is geometry-specific and weight-free: kernels
 read parameters and buffers through a ``step.module`` reference at

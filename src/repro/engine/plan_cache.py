@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -46,10 +46,9 @@ from repro import obs
 from repro.engine import compiler, training
 from repro.engine.kernels import UntraceableError
 
-#: structural key -> (shared plan, path of each binding site's layer),
-#: or None for a geometry that failed to compile (cached, so N sessions
-#: of an uncompilable geometry trace once, not N times).
-_PLANS: Dict[tuple, Optional[Tuple[object, Tuple[str, ...]]]] = {}
+#: structural key -> (shared plan, path of each binding site's layer).
+#: Only compiled plans: a compile that fails raises and stores nothing.
+_PLANS: Dict[tuple, Tuple[object, Tuple[str, ...]]] = {}
 
 
 def clear() -> None:
@@ -93,7 +92,7 @@ def structural_signature(root) -> tuple:
     )
 
 
-def _compile(root, fn, kind: str, shapes) -> Optional[Tuple[object, Tuple[str, ...]]]:
+def _compile(root, fn, kind: str, shapes) -> Tuple[object, Tuple[str, ...]]:
     examples = tuple(np.zeros(shape, dtype=np.float32) for shape in shapes)
     # Trace in eval mode: tracing runs one real forward, and doing it
     # in train mode would perturb batch-norm running statistics.
@@ -108,14 +107,14 @@ def _compile(root, fn, kind: str, shapes) -> Optional[Tuple[object, Tuple[str, .
             plan = compiler.compile_plan(fn, examples)
         path_of = {id(module): path for path, module in root.named_modules()}
         paths = tuple(path_of.get(id(site.module)) for site in plan.sites)
-    except UntraceableError:
-        return None
     finally:
         root.train(was_training)
     if None in paths:
         # A traced layer that named_modules() does not reach: the plan
         # could not be re-pointed at another instance's copy of it.
-        return None
+        raise UntraceableError(
+            f"{type(root).__name__} {kind!r} traces a layer outside its module tree"
+        )
     return plan, paths
 
 
@@ -178,15 +177,15 @@ def compile_transient(root, kind: str, shapes):
     table.  Its buffers are one allocation (44 MB for a width-0.5
     full-mode step at 96x144), returned to the OS as a whole when the
     last reference goes — the caller's, and any gradient view left on
-    ``root``'s parameters.  ``None`` when it does not compile."""
-    entry = _compile(root, root._engine_fns()[kind], kind, shapes)
-    return entry and entry[0]
+    ``root``'s parameters."""
+    plan, _ = _compile(root, root._engine_fns()[kind], kind, shapes)
+    return plan
 
 
-def acquire(root, kind: str, shapes) -> Optional[PlanHandle]:
+def acquire(root, kind: str, shapes) -> PlanHandle:
     """``root``'s handle on the shared ``(kind, shapes)`` plan of its
-    architecture, compiling it if this process has not yet; ``None``
-    when that geometry does not compile."""
+    architecture, compiling it if this process has not yet.  A geometry
+    that does not compile raises and leaves the table as it was."""
     fns = root._engine_fns()
     if kind not in fns:
         raise KeyError(f"{type(root).__name__} has no {kind!r} engine plan")
@@ -196,9 +195,6 @@ def acquire(root, kind: str, shapes) -> Optional[PlanHandle]:
         _PLANS[key] = _compile(root, fns[kind], kind, shapes)
     if obs.enabled():
         obs.counter(f"engine.plan_cache.{'hit' if hit else 'miss'}").inc()
-    entry = _PLANS[key]
-    if entry is None:
-        return None
-    plan, paths = entry
+    plan, paths = _PLANS[key]
     layers = dict(root.named_modules())
     return PlanHandle(plan, [layers[path] for path in paths])

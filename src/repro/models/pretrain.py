@@ -96,7 +96,6 @@ def pretrain_student(
     own_plan = functools.cache(functools.partial(plan_cache.compile_transient, student))
     corpus = generic_corpus(height, width, seed)
     optimizer = Adam(student.trainable_parameters(), lr=lr)
-    student.train()
     losses: List[float] = []
     for _ in range(steps):
         frame, label = next(corpus)

@@ -132,12 +132,20 @@ class StudentNet(Module):
     #: Module names belonging to the trainable back-end.
     BACK_MODULES: Tuple[str, ...] = ("sb5", "sb6", "out1", "out2", "out3")
 
+    @staticmethod
+    def check_frame_hw(height: int, width: int) -> None:
+        """Raise ``ValueError`` unless the student runs at ``height x
+        width``: two stride-2 convs go down and two 2x upsamples come
+        back, so both must be positive multiples of 4."""
+        if height < 1 or width < 1 or height % 4 or width % 4:
+            raise ValueError(
+                f"frame geometry {height}x{width}: the student runs only "
+                "at positive multiples of 4"
+            )
+
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim == 3:
             x = x.reshape(1, *x.shape)
-        n, _, h, w = x.shape
-        if h % 4 or w % 4:
-            raise ValueError(f"input spatial dims ({h},{w}) must be divisible by 4")
         return self.forward_back(*self.forward_front(x))
 
     def forward_front(self, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
@@ -148,6 +156,7 @@ class StudentNet(Module):
         a key frame's optimisation steps, so the trainer computes them
         once and reuses them (freeze-boundary activation caching).
         """
+        self.check_frame_hw(*x.shape[-2:])
         f1 = self.in1(x).relu()          # 1/2 res
         f2 = self.in2(f1).relu()         # 1/4 res
         s1 = self.sb1(f2)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.engine import tracer as _tracer
 
 
@@ -54,8 +54,8 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
-        #: (kind, shapes) -> this instance's handle on a shared plan |
-        #: None; see :meth:`engine_plan` and :meth:`invalidate_plans`.
+        #: (kind, shapes) -> this instance's handle on a shared plan;
+        #: see :meth:`engine_plan` and :meth:`invalidate_plans`.
         object.__setattr__(self, "_engine_plans", {})
 
     # ------------------------------------------------------------------
@@ -222,10 +222,10 @@ class Module:
         views a train step installs) are valid until *any* instance
         runs the same plan — copy or reduce at once.
 
-        Returns ``None`` when the traced graph is not compilable — the
-        one question callers ask; :meth:`run_plan` is what they do with
-        the answer.  Failed compilations are cached process-wide too,
-        so the trace is retried neither per frame nor per session.
+        Always a handle: a geometry whose traced graph does not compile
+        raises :class:`~repro.engine.kernels.UntraceableError` (a
+        forward that rejects the geometry outright raises its own
+        error) and caches nothing, here or process-wide.
         """
         key = (kind, shapes)
         handles = self._engine_plans
@@ -236,23 +236,10 @@ class Module:
         return handles[key]
 
     def run_plan(self, kind: str, *inputs: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Outputs of the ``kind`` callable on ``inputs``, without a
-        graph: the compiled plan's buffers (valid until that plan runs
-        again — copy or reduce at once), or, where the geometry does
-        not compile, the same callable interpreted under ``no_grad`` in
-        eval mode, as plans are traced.  The one place outside training
-        where a forward is interpreted."""
-        plan = self.engine_plan(kind, tuple(a.shape for a in inputs))
-        if plan is not None:
-            return plan.run(*inputs)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                out = self._engine_fns()[kind](*map(Tensor, inputs))
-        finally:
-            self.train(was_training)
-        return tuple(t.data for t in (out if isinstance(out, tuple) else (out,)))
+        """Outputs of the ``kind`` callable on ``inputs``: the compiled
+        plan's buffers, valid until that plan runs again — copy or
+        reduce at once."""
+        return self.engine_plan(kind, tuple(a.shape for a in inputs)).run(*inputs)
 
     def invalidate_plans(self) -> None:
         """Drop this module tree's handles on shared engine plans.

@@ -232,7 +232,6 @@ def run_wild(
     student = pretrained_student(
         config.student_width, config.student_seed, config.pretrain_steps, hw
     )
-    student.eval()
     stats = RunStats(label=label)
     t = 0.0
     video.reset()

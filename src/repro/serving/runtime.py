@@ -123,9 +123,13 @@ class SessionBlueprint:
         the frame is structurally well-formed): a nonsensical geometry
         or stride policy raises ``ValueError``, which the runtime turns
         into a REJECT with the ``malformed-blueprint`` reason instead
-        of crashing the server every other client depends on.
+        of crashing the server every other client depends on.  The
+        geometry must be one the student runs at, checked by the same
+        rule its forward applies, so a session that could never serve
+        a frame is refused before it opens.
         """
         from repro.distill.config import DistillConfig, DistillMode
+        from repro.models.student import StudentNet
         from repro.runtime.session import SessionConfig
 
         if admit.student_width <= 0:
@@ -134,11 +138,7 @@ class SessionBlueprint:
             raise ValueError(f"student seed {admit.student_seed} must be >= 0")
         if admit.pretrain_steps < 0:
             raise ValueError("pretrain_steps must be >= 0")
-        if admit.frame_h < 1 or admit.frame_w < 1:
-            raise ValueError(
-                f"frame geometry {admit.frame_h}x{admit.frame_w} must be "
-                "at least 1x1"
-            )
+        StudentNet.check_frame_hw(admit.frame_h, admit.frame_w)
         if admit.teacher_arch not in ("oracle", "neural"):
             raise ValueError(f"unknown teacher_arch {admit.teacher_arch!r}")
         if admit.teacher_width < 1:

@@ -6,24 +6,68 @@ from unittest import mock
 
 import numpy as np
 
-from repro.engine import plan_cache
+from repro.autograd.tensor import Tensor, no_grad
+from repro.distill import trainer
 from repro.nn.module import Module
+from repro.segmentation.losses import weighted_cross_entropy
+
+
+class AutogradStepRunner:
+    """The define-by-run training step: the reference every compiled
+    step is judged against.  Batch-norm commits running statistics in
+    train mode only, so a step runs in train mode and hands the
+    caller's mode back afterwards."""
+
+    def __init__(self, student, x, target, weight_map) -> None:
+        self.student = student
+        self.x = x
+        self.target = target
+        self.weight_map = weight_map
+
+    def step(self) -> float:
+        was_training = self.student.training
+        self.student.train()
+        logits = self.student(self.x)
+        loss = weighted_cross_entropy(logits, self.target, self.weight_map)
+        loss.backward()
+        self.student.train(was_training)
+        return loss.item()
+
+    def predict(self) -> np.ndarray:
+        return self.student.predict(self.x.data)
+
+
+def _autograd_step_runner(student, x4, target, weight_map, plan_for=None):
+    return AutogradStepRunner(student, Tensor(x4), target, weight_map)
+
+
+def _interpreted_run_plan(self, kind, *inputs):
+    """The ``kind`` callable interpreted under ``no_grad`` in eval
+    mode, as plans are traced."""
+    was_training = self.training
+    self.eval()
+    try:
+        with no_grad():
+            out = self._engine_fns()[kind](*map(Tensor, inputs))
+    finally:
+        self.train(was_training)
+    return tuple(t.data for t in (out if isinstance(out, tuple) else (out,)))
 
 
 @contextlib.contextmanager
 def interpreted(active=True):
     """The reference of every engine == autograd test, constructed here
-    because production has no way to ask for it: inside the block no
-    model finds a plan (shared or transient), so forwards run through
-    ``Module.run_plan``'s define-by-run branch and training through
-    ``make_step_runner``'s no-plan branch.  Handles a model already
-    holds are untouched and come back with the block's end.
+    because production has no way to ask for it: inside the block every
+    forward through ``Module.run_plan`` is interpreted and every
+    training step (Algorithm 1's and pre-training's, both built by
+    ``repro.distill.trainer.make_step_runner``) is an
+    :class:`AutogradStepRunner`.  Plans and handles are untouched.
     ``active=False`` is the compiled leg of a parametrised pair."""
     if not active:
         yield
         return
-    with mock.patch.object(Module, "engine_plan", lambda self, kind, shapes: None), \
-            mock.patch.object(plan_cache, "compile_transient", lambda *args: None):
+    with mock.patch.object(Module, "run_plan", _interpreted_run_plan), \
+            mock.patch.object(trainer, "make_step_runner", _autograd_step_runner):
         yield
 
 

@@ -105,31 +105,25 @@ class TestPlanMechanics:
         with pytest.raises(UntraceableError):
             compile_plan(fn, (np.zeros((1, 2, 4, 4), np.float32),))
 
-    def test_failed_compiles_are_cached_as_none(
+    def test_failed_compile_raises_and_caches_nothing(
         self, monkeypatch, fresh_plan_cache
     ):
         student = StudentNet(width=0.25, seed=0)
-        student.eval()
-
-        calls = []
+        # A geometry the student rejects, whichever plan kind asks ...
+        for kind in ("forward", "front", "train_full"):
+            with pytest.raises(ValueError, match="multiples of 4"):
+                student.engine_plan(kind, ((1, 3, 30, 46),))
+        # ... and a graph that does not lower.
         import repro.engine.compiler as compiler_mod
 
-        original = compiler_mod.compile_plan
-
-        def counting(fn, examples):
-            calls.append(1)
+        def failing(fn, examples):
             raise UntraceableError("forced")
 
-        monkeypatch.setattr(compiler_mod, "compile_plan", counting)
-        assert student.engine_plan("forward", ((1, 3, 16, 16),)) is None
-        assert student.engine_plan("forward", ((1, 3, 16, 16),)) is None
-        assert len(calls) == 1  # the trace is not retried per frame
-        # ... nor per session: the failure is cached under the
-        # structural key, so another instance does not trace either.
-        other = StudentNet(width=0.25, seed=5)
-        assert other.engine_plan("forward", ((1, 3, 16, 16),)) is None
-        assert len(calls) == 1
-        monkeypatch.setattr(compiler_mod, "compile_plan", original)
+        monkeypatch.setattr(compiler_mod, "compile_plan", failing)
+        with pytest.raises(UntraceableError, match="forced"):
+            student.engine_plan("forward", ((1, 3, 16, 16),))
+        assert not plan_cache._PLANS
+        assert not student._engine_plans
 
     def test_plan_buffers_reused_between_runs(self, rng):
         student = StudentNet(width=0.25, seed=0)

@@ -16,10 +16,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.distill import trainer as trainer_module
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import (
     StudentTrainer,
-    _AutogradStepRunner,
     _CompiledStepRunner,
     make_step_runner,
 )
@@ -27,7 +27,7 @@ from repro.models.student import StudentNet
 from repro.nn.serialize import state_dict_digest
 from repro.segmentation.metrics import mean_iou
 from repro.video.generator import SyntheticVideo, VideoConfig
-from tests.helpers import interpreted
+from tests.helpers import AutogradStepRunner, interpreted
 
 
 @pytest.fixture
@@ -100,28 +100,6 @@ class TestPartialParity:
         # The paper boundary compiles: exactly the compiled tier.
         assert type(runner) is _CompiledStepRunner
 
-    def test_uncompilable_step_falls_back_to_autograd(self, frame_and_label):
-        """The one way production reaches the autograd loop: the train
-        plan for this geometry does not exist.  Identical results."""
-        frame, label = frame_and_label
-        ref, _ = run_training(DistillMode.PARTIAL, False, frame, label)
-
-        student = StudentNet(width=0.5, seed=1)
-        trainer = StudentTrainer(
-            student, DistillConfig(max_updates=6, threshold=0.97)
-        )
-        # Pre-poison this student's train-step handle, as a geometry
-        # that failed to compile would leave it.
-        x4 = frame[None]
-        shapes = tuple(f.shape for f in student.run_plan("front", x4))
-        student._engine_plans[("train_back", shapes)] = None
-        runner = make_step_runner(student, x4, label[None], None)
-        assert type(runner) is _AutogradStepRunner
-        got = trainer.train(frame, label)
-        assert ref.steps == got.steps
-        np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
-        assert ref.metric == pytest.approx(got.metric, abs=1e-12)
-
 
 class TestFullModeParity:
     def test_full_mode_default_is_seed_exact(self, frame_and_label):
@@ -141,8 +119,8 @@ class TestFullModeParity:
             np.testing.assert_array_equal(ref_state[key], got_state[key], err_msg=key)
 
     def test_full_mode_compiled_runner_selected(self, frame_and_label):
-        # The bit-exactness above must not come from silently falling
-        # back to autograd: the trainer has to pick the compiled tier.
+        # The bit-exactness above is the compiled step's: the trainer
+        # picks it in full mode too.
         frame, label = frame_and_label
         student = StudentNet(width=0.5, seed=1)
         StudentTrainer(student, DistillConfig(mode=DistillMode.FULL))  # unfreezes
@@ -213,7 +191,10 @@ def _train_key_frames(width, hw, frozen, reference):
             freeze_modules=MODULE_ORDER[:frozen],
         )
         first, first_label = frames[0]
-        runner = make_step_runner(trainer.student, first[None], first_label[None], None)
+        # Through the module, so the reference leg gets the reference runner.
+        runner = trainer_module.make_step_runner(
+            trainer.student, first[None], first_label[None], None
+        )
         results = [trainer.train(frame, label) for frame, label in frames]
     state = trainer.student.state_dict()
     if frozen >= len(StudentNet.FRONT_MODULES):
@@ -240,7 +221,7 @@ def test_every_freeze_prefix_rides_the_compiled_step(frozen, width, hw):
     bit: steps, losses, metrics, weights and buffers."""
     want_runner, want, want_digest = _train_key_frames(width, hw, frozen, True)
     got_runner, got, got_digest = _train_key_frames(width, hw, frozen, False)
-    assert want_runner is _AutogradStepRunner  # the reference is the reference
+    assert want_runner is AutogradStepRunner  # the reference is the reference
     assert got_runner is _CompiledStepRunner
     assert sum(steps for steps, *_ in got) > 0
     assert got == want

@@ -84,8 +84,8 @@ def train_steps(monkeypatch):
 
 class TestCompiledPretrainIsExact:
     """Pre-training rides the compiled full-mode train step; the
-    interpreted loop (no plan to be had) is its reference to the last
-    bit — weights, batch-norm running statistics, loss history."""
+    define-by-run loop of ``tests.helpers.interpreted`` is its reference
+    to the last bit — weights, batch-norm running statistics, loss history."""
 
     @staticmethod
     def _pretrain(width, hw):

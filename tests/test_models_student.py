@@ -58,8 +58,14 @@ class TestStudentNet:
         assert out.shape == (1, 9, 16, 16)
 
     def test_rejects_indivisible_dims(self, student, rng):
-        with pytest.raises(ValueError):
-            student(Tensor(rng.normal(size=(1, 3, 14, 16))))
+        # forward_front too: the partial-mode front plan is traced on it
+        # alone, and must not run where the back end cannot return to.
+        for hw in ((14, 16), (30, 46), (0, 16)):
+            with pytest.raises(ValueError, match="multiples of 4"):
+                StudentNet.check_frame_hw(*hw)
+            for run in (student, student.forward_front):
+                with pytest.raises(ValueError, match="multiples of 4"):
+                    run(Tensor(rng.normal(size=(1, 3, *hw))))
 
     def test_width_scales_parameters(self):
         small = StudentNet(width=0.25).num_parameters()

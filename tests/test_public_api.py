@@ -296,6 +296,9 @@ class TestEveryPublicNameHasACaller:
         "make_pair",
         # Test support: reads back what write_ppm wrote.
         "read_ppm",
+        # The reference loss: the define-by-run step every compiled
+        # train step is judged against (tests/helpers.py) computes it.
+        "weighted_cross_entropy",
     }
 
     @staticmethod
@@ -357,14 +360,134 @@ class TestEveryPublicNameHasACaller:
         assert not stale, f"allowlisted but called, drop them: {stale}"
 
 
-class TestOneInterpretedTrainingLoop:
-    """Outside ``repro.autograd`` a loss is back-propagated through the
-    define-by-run graph in exactly one place, the step runner Algorithm
-    1 and pre-training get where no train plan exists; everything else
-    steps through the compiled plan (whose kernels' ``backward(grad)``
-    take an argument and are not this)."""
+class TestRetiredNamesStayRetired:
+    """A replaced path is removed, not hidden behind a flag or an env
+    var, and its names may not come back anywhere in the tree outside
+    the Markdown notes at the root of the tree other than README.md
+    (the change log, the roadmap and the planning texts record what was
+    removed), this file, and ``bench/``, which is frozen (its README
+    and probes describe the tree it was written against).  One
+    ``(label, pattern)`` per deletion; the patterns are regular
+    expressions over every text file.  What each deletion left:
 
-    def test_backward_is_called_in_one_function(self):
+    - full-mode training rides the generated adjoint plan;
+    - plans are compiled once per architecture per process;
+    - key frames are served inline and deduplicated by digest;
+    - ADMIT is the only way in, VERSION the only wire dialect;
+    - every out-of-process session is an ADMIT on a ServerRuntime;
+    - a perf scenario is legs + data on the one ``compare`` core;
+    - one fleet front door, two transports in a table;
+    - one way to wait: the publisher always rings, the waiter parks in
+      one select until its own deadline;
+    - no switch selects the interpreted path (BENCH_PERF.json keeps the
+      old records' names);
+    - every runtime owns an overload controller, and whatever one
+      connection does wrong ends that connection alone;
+    - benchmarks/results.txt is the one record of the evaluation, at
+      the one scale default_scale() reads;
+    - nothing in src/repro that only its own tests call;
+    - the overload layer sheds at the door and nowhere else, and the
+      pool has one clock;
+    - the interpreted conv gathers by slicing, with no per-geometry
+      index arrays kept for the life of the process;
+    - one step runner, the compiled one: the define-by-run step is the
+      tests' reference (``tests/helpers.py``).
+    """
+
+    RETIRED = (
+        ("REPRO_ENGINE_FULL escape hatch", r"REPRO_ENGINE_FULL"),
+        ("plan-cache escape hatch or weight_static",
+         r"REPRO_[A-Z_]*PLAN|weight_static"),
+        ("co-arrival serving path (gather window / cohort / stacked serve)",
+         r"gather_window_s|BatchedTeacher|infer_batch|predict_batch"
+         r"|\bper_sample(_stats)?\b|wide_gemm_column_stable|iter_pow2_chunks"
+         r"|_serve_cohort|batch_predicts"),
+        ("HELLO / blueprint-table / legacy wire-version path",
+         r"_REJECT_HEAD_V[0-9]|_V2_KINDS|\bKIND_HELLO\b|wire\.Hello"
+         r"|\bopen_session\b|_open_session|admit_ticket|admit_address"
+         r"|_pending_blueprints|REJECT_(DISABLED|UNKNOWN_SESSION|SESSION_IN_USE)"
+         r"|share_work"),
+        ("dedicated-server / pipe-transport / isend-irecv path",
+         r"serve_endpoint|\bRemoteServer\b|RemoteTrainResult|_SessionChannel"
+         r"|PipeTransport|spawn_pipe_pair|comm\.mp|SimulatedChannel|\bisend\b"
+         r"|\birecv\b|_build_remote_session"),
+        ("retired perf-measurement name or REPRO_ENGINE env switch",
+         r"measure_serve_many_churn|serve-many-churn|migrate_records"
+         r"|_headline_speedup"
+         r"|format_(train|plan_cache|storm|fleet|serve_many|obs|pool)_record"
+         r"|--migrate|\bREPRO_ENGINE\b"),
+        ("trainer cached-front middle tier", r"_CachedFrontStepRunner"),
+        ("shm fleet director / link shaper / plug-in registry / repro.comm",
+         r"_director_main|_HandoffListener|_ReplayTransport|_start_shm_fleet"
+         r"|ShapedEndpoint|shape_endpoint_pair|last_recv_nbytes"
+         r"|register_transport|TransportDef|repro\.comm|ledger_capacity"
+         r"|shm_options"),
+        ("yield-spin / waiting-flag / back-off-nap / arm-disarm wait",
+         r"_YIELD_SPINS|_YIELD_SWEEPS|_DOORBELL_NAP_MAX_S|_DOORBELL_WAIT_MAX_S"
+         r"|arm_doorbell|disarm_doorbell|_CONSUMER_WAITING|_PRODUCER_WAITING"
+         r"|_HAVE_EVENTFD"),
+        ("process-wide engine switch",
+         r"\bset_enabled\b|engine\.disabled|engine\.is_enabled"),
+        ("runtime without a controller / runtime-killing session check",
+         r"_DEFAULT_CAPACITY_HINT|_require_session"),
+        ("second evaluation writer / per-script scale knobs",
+         r"generate_experiments_md|render_experiments_md|REPRO_BENCH_FRAMES"
+         r"|REPRO_(POOL|SERVE_MANY|CHURN|OBS)_FRAMES"),
+        ("IR ops no model emits / asymmetric link / test-only helpers",
+         r"soft_infer|SoftmaxStep|distillation_loss|avg_pool2d|AvgPool2dStep"
+         r"|AsymmetricNetworkModel|LinkTracePair|lte_updown_pair"
+         r"|BUNDLED_TRACE_PAIRS|directed_transfer_time|TrafficAccountant"
+         r"|RunningMeanIoU|boundary_f_score|pixel_accuracy|iou_per_class"
+         r"|traffic_timeline|accuracy_timeline|xavier_uniform|bucket_bounds"),
+        ("load-adaptive degradation / per-session pool clock",
+         r"LoadTracker|serve_budget|metric_floor|degraded_budget"
+         r"|degraded_metric|observe_sweep|TickScheduler|start_tick"
+         r"|tick_interval|trace_capacity"),
+        ("interpreted-conv gather-index cache", r"_im2col_indices"),
+        ("interpreted fallback step runner", r"_AutogradStepRunner"),
+    )
+    #: Directories skipped wherever they sit.
+    SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}
+
+    @classmethod
+    def _text_files(cls, root):
+        """Every file under ``root`` the lint reads: not in a skipped
+        directory, not a root note, not this file, not binary."""
+        for path in sorted(root.rglob("*")):
+            rel = path.relative_to(root)
+            if (
+                not path.is_file()
+                or cls.SKIP_DIRS.intersection(rel.parts[:-1])
+                or (len(rel.parts) == 1 and path.suffix == ".md"
+                    and path.name != "README.md")
+                or path.resolve() == pathlib.Path(__file__).resolve()
+            ):
+                continue
+            data = path.read_bytes()
+            if b"\0" not in data:
+                yield rel, data.decode("utf-8", errors="replace")
+
+    def test_no_retired_name_is_reintroduced(self):
+        import re
+
+        files = list(self._text_files(TestEveryModuleHasACaller.REPO))
+        found = [
+            f"{label}: {rel}:{text.count(chr(10), 0, hit.start()) + 1}: {hit.group()}"
+            for label, pattern in self.RETIRED
+            for rel, text in files
+            for hit in [re.search(pattern, text)] if hit
+        ]
+        assert not found, "retired names reintroduced:\n" + "\n".join(found)
+
+
+class TestOneExecutor:
+    """``src/`` has one executor, the compiled engine: outside
+    ``repro.autograd`` nothing back-propagates a loss through the
+    define-by-run graph (a compiled kernel's ``backward(grad)`` takes an
+    argument and is not this), and the one step runner is the compiled
+    one.  The define-by-run reference lives in ``tests/helpers.py``."""
+
+    def test_no_backward_call_outside_autograd(self):
         callers = set()
 
         def visit(node, scope):
@@ -383,34 +506,20 @@ class TestOneInterpretedTrainingLoop:
         for path in sorted(package.rglob("*.py")):
             if "autograd" not in path.relative_to(package).parts:
                 visit(ast.parse(path.read_text()), path.stem)
-        assert callers == {"trainer._AutogradStepRunner.step"}
+        assert callers == set()
 
-    def test_the_loop_is_reached_only_through_the_no_plan_branch(self):
-        """``_AutogradStepRunner`` is constructed once in ``src/``: the
-        last statement of ``make_step_runner``, behind ``if train_plan
-        is not None: return <compiled>`` — no flag, no ``isinstance``,
-        no freeze-state test stands between a model and its plan."""
+    def test_make_step_runner_returns_the_compiled_runner(self):
+        """No flag, no ``isinstance``, no freeze-state test and no
+        missing plan stands between a model and its compiled step."""
         package = TestEveryModuleHasACaller.REPO / "src" / "repro"
-        uses = [
-            path.stem
-            for path in sorted(package.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Name) and node.id == "_AutogradStepRunner"
-        ]
-        assert uses == ["trainer"]
         trainer = ast.parse((package / "distill" / "trainer.py").read_text())
         (factory,) = [
             node for node in trainer.body
             if isinstance(node, ast.FunctionDef) and node.name == "make_step_runner"
         ]
-        *_, guard, fallback = factory.body
-        assert isinstance(guard, ast.If) and not guard.orelse
-        assert ast.unparse(guard.test) == "train_plan is not None"
-        (compiled,) = guard.body
-        assert ast.unparse(compiled.value.func) == "_CompiledStepRunner"
-        assert ast.unparse(fallback.value.func) == "_AutogradStepRunner"
-        returns = [n for n in ast.walk(factory) if isinstance(n, ast.Return)]
-        assert returns == [compiled, fallback] or returns == [fallback, compiled]
+        (only,) = [n for n in ast.walk(factory) if isinstance(n, ast.Return)]
+        assert only is factory.body[-1]
+        assert ast.unparse(only.value.func) == "_CompiledStepRunner"
 
 
 class TestPlanMemoryComesFromTheLayout:

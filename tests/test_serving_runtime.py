@@ -317,6 +317,9 @@ def _hostile_cases():
         return lambda a, f: [(0, a), (1, payload(*f))]
 
     neural = admit_message(_config(teacher_arch="neural"), _HW)
+    unrunnable = dataclasses.replace(
+        admit_message(_config(), _HW), frame_h=30, frame_w=46, pretrain_steps=0
+    )
     return {
         "frame-2d": (framed(lambda x, y: (x[0], y)), None, "protocol-error"),
         "frame-float64": (framed(lambda x, y: (x.astype(np.float64), y)),
@@ -358,7 +361,18 @@ def _hostile_cases():
         "frame-hijack": (lambda a, f: [(0, f), (0, None)], None,
                          "protocol-error"),
         "bye-hijack": (lambda a, f: [(0, wire.Bye(0)), (0, None)], None, None),
+        # A geometry the student cannot run is refused at ADMIT, so the
+        # FRAME that follows names a session that was never opened.
+        "admit-unrunnable-geometry": (
+            lambda a, f: [(0, unrunnable),
+                          (1, (f[0][:, :30, :46].copy(), f[1][:30, :46].copy()))],
+            None, "protocol-error",
+        ),
     }
+
+
+#: What a hostile link is sent, for the cases where that is the point.
+_HOSTILE_SENDS = {"admit-unrunnable-geometry": ["Reject"]}
 
 
 class TestRunLoopScripted:
@@ -515,6 +529,8 @@ class TestRunLoopScripted:
         admit = admit_message(_config(), _HW)
         frames = list(_video().frames(2))
 
+        hostile_log = []
+
         def serve(hostile_script):
             replies = []
             honest = _ScriptedConnection(
@@ -529,7 +545,7 @@ class TestRunLoopScripted:
             )
             links = [honest]
             if hostile_script is not None:
-                hostile = _HostileConnection("hostile", [], fail_reply)
+                hostile = _HostileConnection("hostile", hostile_log, fail_reply)
                 hostile.inbox.extend(hostile_script)
                 links.append(hostile)
             runtime = ServerRuntime()
@@ -547,6 +563,9 @@ class TestRunLoopScripted:
         )
         assert 0 not in runtime.teardowns
         assert set(runtime.teardowns.values()) <= {reason}
+        if case in _HOSTILE_SENDS:
+            sent = [e[3] for e in hostile_log if e[0] == "send"]
+            assert sent == _HOSTILE_SENDS[case]
 
 
 class TestListenersSayWhenNoneCanArrive:

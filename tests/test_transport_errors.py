@@ -206,10 +206,15 @@ class TestAdmissionErrors:
             with pytest.raises(AdmissionError, match="malformed-blueprint"):
                 connection.admit_session(_admit(student_seed=-1))
             with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                # Passes the per-field checks (1x1 >= 1) but breaks
-                # server-side model construction (spatial dims must
-                # divide by 4): construction failures REJECT too.
+                # A geometry the student does not run at (its spatial
+                # dims must divide by 4).
                 connection.admit_session(_admit(frame_h=1, frame_w=1))
+            with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                # The same with nothing to pre-train: refused at ADMIT,
+                # not by the first FRAME ending the server.
+                connection.admit_session(
+                    _admit(frame_h=30, frame_w=46, pretrain_steps=0)
+                )
             # The server survived them all: a good admission still
             # works, on the same connection.
             config = dataclasses.replace(
