@@ -8,7 +8,8 @@ snippet naming a module, class or function that no longer exists fails
 the gate.  Bodies are *not* executed (examples may spawn servers or
 run long workloads); imports are the part that rots silently when an
 API moves, which is exactly what this check pins down.
-``scripts/test_tier1.sh`` runs this after the pytest suite (ISSUE 5).
+``tests/test_doc_snippets.py`` runs this check in the pytest suite;
+``python scripts/check_doc_snippets.py`` runs it alone.
 """
 
 import ast

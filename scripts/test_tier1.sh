@@ -33,28 +33,12 @@ timeout 300 python scripts/smoke_fleet.py
 # parseable Chrome trace plus a merged cross-process metrics table.
 # Hard timeout: a telemetry-wedged server fails the gate, not hangs it.
 timeout 300 python scripts/smoke_obs.py
-# The escape-hatch lint (a retired name may not come back) is
-# tests/test_public_api.py::TestRetiredNamesStayRetired, in the pytest
-# run above.
-# No wait under the transports or in the server loop may yield-spin.
-if grep -nE "time\.sleep\(0\)" -r src/repro/transport src/repro/serving/runtime.py; then
-  echo "FAIL: yield-spin wait reintroduced" >&2
-  exit 1
-fi
-# NumPy is the one runtime dependency: nothing under src/ imports SciPy
-# and setup.py does not require it.  (`scipy_openblas`, numpy's bundled
-# BLAS, is a different name and may appear.)
-if grep -rnE "^\s*(from|import)\s+scipy\b" src \
-    || tr -d '\n' < setup.py | grep -oE "install_requires=\[[^]]*]" \
-       | grep -E "[\"']scipy\s*([<>=!~;[\"']|$)"; then
-  echo "FAIL: SciPy is back in the runtime" >&2
-  exit 1
-fi
+# The lints run in the pytest suite above: retired names
+# (tests/test_public_api.py::TestRetiredNamesStayRetired), yield-spin
+# waits (TestNoWaitYieldSpins, same file), SciPy in the runtime
+# (tests/test_dependencies.py) and the docs' python snippets
+# (tests/test_doc_snippets.py).
 # CLI smoke (ISSUE 16): no test imports scripts/bench_perf.py, so run
 # its cheapest scenario (a few seconds) into a throwaway file (in a
 # fresh directory: an existing empty file is not a trajectory).
 timeout 120 python scripts/bench_perf.py plan-cache --output "$(mktemp -d)/perf.json"
-# Docs smoke (ISSUE 5): every fenced python snippet in README/docs must
-# compile with resolvable imports.  (That the protocol spec cannot
-# drift from wire.py is tests/test_protocol_doc.py, in the suite above.)
-timeout 120 python scripts/check_doc_snippets.py

@@ -45,6 +45,7 @@ from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
 from repro.nn.optim import Adam
 from repro.nn.serialize import StateSlots
+from repro.segmentation.classes import class_map
 from repro.segmentation.losses import lvs_weight_map
 from repro.segmentation.metrics import mean_iou
 
@@ -99,7 +100,7 @@ class _CompiledStepRunner:
     def predict(self) -> np.ndarray:
         logits = self.train_plan.forward_only(self.inputs)
         self._primed = True
-        return logits.argmax(axis=1)[0]
+        return class_map(logits)
 
 
 def _front_fully_frozen(student: StudentNet) -> bool:

@@ -31,6 +31,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.nn.module import Module
+from repro.segmentation.classes import class_map
 
 #: Channel plan loosely following Figure 3b's annotations
 #: (8, 64, 64, 128, ..., 128, 96, 32, 32, 9), scaled by ``width``.
@@ -196,7 +197,7 @@ class StudentNet(Module):
         forward plan, zero Tensor allocation (:meth:`Module.run_plan`).
         """
         (logits,) = self.run_plan("forward", frame[None] if frame.ndim == 3 else frame)
-        return logits.argmax(axis=1)[0]
+        return class_map(logits)
 
 
 def partial_freeze(student: StudentNet) -> float:

@@ -25,6 +25,7 @@ from repro.autograd.tensor import Tensor
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU, Sequential
 from repro.nn.module import Module
 from repro.segmentation.boundary import erode_cross
+from repro.segmentation.classes import class_map
 
 
 class Teacher(Protocol):
@@ -134,4 +135,4 @@ class TeacherNet(Module):
         (:meth:`Module.run_plan`).
         """
         (logits,) = self.run_plan("forward", frame[None] if frame.ndim == 3 else frame)
-        return logits.argmax(axis=1)[0]
+        return class_map(logits)

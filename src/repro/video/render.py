@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.segmentation.classes import CLASS_MAP_DTYPE
 from repro.video.scene import Scene
 
 #: Base colour per class id (RGB in [0,1]); background handled separately.
@@ -67,13 +68,14 @@ def render_scene(scene: Scene, h: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
     """Render the current scene state.
 
     Returns ``(frame, label)`` where ``frame`` is ``(3, H, W)`` float32 in
-    roughly [0, 1] and ``label`` is ``(H, W)`` int64 class indices.
+    roughly [0, 1] and ``label`` is ``(H, W)`` uint8 class indices (one byte
+    per pixel, :data:`~repro.segmentation.classes.CLASS_MAP_DTYPE`).
     Objects are painted in list order, so later objects occlude earlier
     ones — mirroring real-scene depth ordering.
     """
     oy, ox = scene.camera.offset
     frame = render_background(h, w, (oy, ox), scene.background_phase)
-    label = np.zeros((h, w), dtype=np.int64)
+    label = np.zeros((h, w), dtype=CLASS_MAP_DTYPE)
     ys, xs = _grids(h, w)
 
     for obj in scene.objects:

@@ -87,7 +87,7 @@ class TestStudentNet:
         frame = rng.normal(size=(3, 16, 16)).astype(np.float32)
         pred = student.predict(frame)
         assert pred.shape == (16, 16)
-        assert pred.dtype in (np.int64, np.intp)
+        assert pred.dtype == np.uint8
         assert (pred >= 0).all() and (pred < 9).all()
 
     def test_deterministic_given_seed(self, rng):

@@ -480,6 +480,28 @@ class TestRetiredNamesStayRetired:
         assert not found, "retired names reintroduced:\n" + "\n".join(found)
 
 
+class TestNoWaitYieldSpins:
+    """No wait under the transports or in the server loop may
+    yield-spin: a blocked side parks in one ``select`` until its own
+    deadline, so an idle server or client reads ~0 % CPU."""
+
+    SPIN = r"time\.sleep\(\s*0(\.0*)?\s*\)"
+
+    def test_no_sleep_zero_in_the_transports_or_the_server_loop(self):
+        import re
+
+        package = TestEveryModuleHasACaller.REPO / "src" / "repro"
+        paths = [*sorted((package / "transport").rglob("*.py")),
+                 package / "serving" / "runtime.py"]
+        found = [
+            f"{path.relative_to(package)}:{number}: {line.strip()}"
+            for path in paths
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(self.SPIN, line)
+        ]
+        assert not found, "yield-spin wait reintroduced:\n" + "\n".join(found)
+
+
 class TestOneExecutor:
     """``src/`` has one executor, the compiled engine: outside
     ``repro.autograd`` nothing back-propagates a loss through the

@@ -316,6 +316,9 @@ def _hostile_cases():
     def framed(payload):
         return lambda a, f: [(0, a), (1, payload(*f))]
 
+    def holding_class(label, dtype):
+        return np.where(label == label.flat[0], NUM_CLASSES, label).astype(dtype)
+
     neural = admit_message(_config(teacher_arch="neural"), _HW)
     unrunnable = dataclasses.replace(
         admit_message(_config(), _HW), frame_h=30, frame_w=46, pretrain_steps=0
@@ -333,7 +336,11 @@ def _hostile_cases():
         "label-wrong-shape": (framed(lambda x, y: (x, np.zeros((5, 5), np.int64))),
                               None, "protocol-error"),
         "label-out-of-range": (
-            framed(lambda x, y: (x, np.where(y == y.flat[0], NUM_CLASSES, y))),
+            framed(lambda x, y: (x, holding_class(y, np.int64))),
+            None, "protocol-error",
+        ),
+        "label-uint8-out-of-range": (
+            framed(lambda x, y: (x, holding_class(y, np.uint8))),
             None, "protocol-error",
         ),
         "label-unexpected": (lambda a, f: [(0, neural), (1, f)], None,
@@ -566,6 +573,37 @@ class TestRunLoopScripted:
         if case in _HOSTILE_SENDS:
             sent = [e[3] for e in hostile_log if e[0] == "send"]
             assert sent == _HOSTILE_SENDS[case]
+
+    def test_an_int64_label_is_served_like_its_uint8_twin(self):
+        """Clients send one-byte class maps, but any integer map whose
+        classes are in range is served — with the same replies, byte
+        for byte."""
+        import numpy as np
+
+        from repro.transport import wire
+
+        frames = list(_video().frames(2))
+        assert all(label.dtype == np.uint8 for _, label in frames)
+
+        def serve(label_dtype):
+            replies = []
+            link = _ScriptedConnection(
+                "link", [],
+                lambda session, obj: replies.append(wire.encode(obj, session=session)),
+            )
+            link.inbox.extend(
+                [(0, admit_message(_config(), _HW))]
+                + [(0, (x, y.astype(label_dtype))) for x, y in frames]
+                + [(0, wire.Bye(0)), (0, None)]
+            )
+            runtime = ServerRuntime()
+            served = runtime.run(_ScriptedListener([link]))
+            assert runtime.connection_teardowns == {} and runtime.teardowns == {}
+            return served, replies
+
+        narrow = serve(np.uint8)
+        assert narrow[0] == {0: 2}
+        assert serve(np.int64) == narrow
 
 
 class TestListenersSayWhenNoneCanArrive:

@@ -29,7 +29,7 @@ class TestRenderScene:
         assert frame.shape == (3, 64, 96)
         assert frame.dtype == np.float32
         assert label.shape == (64, 96)
-        assert label.dtype == np.int64
+        assert label.dtype == np.uint8
 
     def test_label_matches_object_footprint(self):
         scene = single_object_scene(class_id=3)
