@@ -73,6 +73,7 @@ from repro.distill.config import DistillMode
 from repro.network.messages import MessageSizes
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.server import ServerReply
+from repro.segmentation.classes import CLASS_MAP_DTYPE
 from repro.transport import wire
 
 #: The :class:`~repro.serving.shared.SharedDistillation` counters the
@@ -575,6 +576,10 @@ class ServerRuntime:
                          label) -> None:
         """One key-frame serve, inline: teacher inference, distillation,
         reply."""
+        if label is not None:
+            # ``accepts`` range-checked it, so any integer map is served
+            # as the one class-map dtype: twins share their memo entries.
+            label = label.astype(CLASS_MAP_DTYPE, copy=False)
         armed = obs.enabled()
         t0 = time.monotonic() if armed else 0.0
         with obs.span("serve", session=session_id):

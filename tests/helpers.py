@@ -1,7 +1,9 @@
-"""Shared helpers for the test suite: numeric gradients, and the
-interpreted reference the engine is judged against."""
+"""Shared helpers for the test suite: numeric gradients, the
+interpreted reference the engine is judged against, and the
+shared-memory leak check of the multi-process tests."""
 
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -69,6 +71,25 @@ def interpreted(active=True):
     with mock.patch.object(Module, "run_plan", _interpreted_run_plan), \
             mock.patch.object(trainer, "make_step_runner", _autograd_step_runner):
         yield
+
+
+@contextlib.contextmanager
+def no_shm_leak():
+    """Fail if a ``multiprocessing.shared_memory`` segment made inside
+    the block outlives it.  Only ``psm_`` names count: unrelated
+    ``/dev/shm`` entries appearing mid-test must not fail it, and a
+    system without ``/dev/shm`` has nothing to check."""
+
+    def segments():
+        try:
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        except OSError:
+            return set()
+
+    before = segments()
+    yield
+    leaked = segments() - before
+    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
 
 def numeric_gradient(tensor, scalar_fn, eps=1e-2):

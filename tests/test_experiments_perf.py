@@ -4,18 +4,21 @@ Fake legs and an injected CPU clock — no process is spawned — pin what
 every record relies on: alternation order, every sample kept, the
 median / IQR / per-pair arithmetic, the bit-identity verdict, the floor
 decision, the atomic trajectory append and the one generic formatter.
-The last section does spawn processes: a storm scenario that fails
-mid-run must not leak its server.
+Two tests do spawn processes: the CLI run end to end, and a storm
+scenario that fails mid-run, which must not leak its server.
 """
 
 import itertools
 import json
 import multiprocessing
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments import perf
+from tests.helpers import no_shm_leak
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -245,19 +248,25 @@ def test_committed_trajectory_is_uniform_and_renderable():
         assert fingerprint["fingerprint_hash"] == perf.fingerprint_hash(fingerprint)
 
 
+def test_cli_writes_one_record_where_it_is_told(tmp_path):
+    """``scripts/bench_perf.py`` end to end on its cheapest scenario (a
+    few seconds), into a fresh file: exit 0 and one record, named for
+    the scenario."""
+    output = tmp_path / "perf.json"
+    run = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench_perf.py"),
+         "plan-cache", "--output", str(output)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert [r["name"] for r in json.loads(output.read_text())] == ["plan-cache"]
+
+
 # ----------------------------------------------------------------------
 # A failed storm bench must not leak its server (spawns processes)
 # ----------------------------------------------------------------------
-def _shm_segments():
-    shm_dir = pathlib.Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
-
 @pytest.mark.storm
 def test_storm_whose_probe_raises_leaves_no_server_behind(monkeypatch):
-    before = _shm_segments()
     real_run, real_start = perf.run_churn_processes, perf.start_server
     probe_waves = itertools.count()
 
@@ -276,7 +285,6 @@ def test_storm_whose_probe_raises_leaves_no_server_behind(monkeypatch):
 
     monkeypatch.setattr(perf, "run_churn_processes", failing)
     monkeypatch.setattr(perf, "start_server", start_impatient)
-    with pytest.raises(RuntimeError, match="probe failed"):
+    with no_shm_leak(), pytest.raises(RuntimeError, match="probe failed"):
         perf.storm("slow-loris", probe_frames=8)
     assert multiprocessing.active_children() == []
-    assert _shm_segments() == before

@@ -7,6 +7,11 @@ real multi-process deployment, and the metrics snapshot riding the
 report pipe over the socket transport.
 """
 
+import json
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import obs
@@ -108,6 +113,42 @@ class TestArmedServing:
             assert got.signature(include_label=False) == reference.signature(
                 include_label=False
             )
+
+    def test_artifacts_fold_into_merged_metrics_and_one_trace(
+        self, monkeypatch, tmp_path
+    ):
+        """``REPRO_OBS`` arms the whole process tree: sessions still
+        replay bit for bit, the server and every client drop an
+        ``obs-*.json`` artifact, and ``scripts/obs_report.py`` folds
+        them into a merged metrics table and a Chrome trace whose
+        ``serve`` spans come from more than one process."""
+        reference = run_shadowtutor(
+            _video(), self.FRAMES, _config(), label="ref"
+        )
+        monkeypatch.setenv(obs.ENV_FEATURES, "metrics,trace,engine")
+        monkeypatch.setenv(obs.ENV_DIR, str(tmp_path))
+        stats, _ = self._serve(
+            "shm", obs.ObsConfig(metrics=True, trace=True, engine=True)
+        )
+        for got in stats:
+            assert got.signature(include_label=False) == reference.signature(
+                include_label=False
+            )
+        assert len(list(tmp_path.glob("obs-*.json"))) >= 1 + self.N
+
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "obs_report.py"
+        run = subprocess.run(
+            [sys.executable, str(script), "--dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "merged metrics" in run.stdout
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        assert events
+        for event in events:
+            assert {"ph", "name", "ts", "pid"} <= set(event), event
+        assert "serve" in {event["name"] for event in events}
+        assert len({event["pid"] for event in events}) >= 2
 
     def test_disarmed_report_still_carries_serve_accounting(self):
         _, report = self._serve("shm", None)

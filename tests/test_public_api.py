@@ -296,6 +296,10 @@ class TestEveryPublicNameHasACaller:
         "make_pair",
         # Test support: reads back what write_ppm wrote.
         "read_ppm",
+        # The public storm harness: README's overload snippet runs it
+        # (tests/test_doc_snippets.py), and every seeded storm of
+        # tests/test_serving_storms.py goes through it.
+        "run_storm",
         # The reference loss: the define-by-run step every compiled
         # train step is judged against (tests/helpers.py) computes it.
         "weighted_cross_entropy",
@@ -391,7 +395,10 @@ class TestRetiredNamesStayRetired:
     - the interpreted conv gathers by slicing, with no per-geometry
       index arrays kept for the life of the process;
     - one step runner, the compiled one: the define-by-run step is the
-      tests' reference (``tests/helpers.py``).
+      tests' reference (``tests/helpers.py``);
+    - one gate, ``pytest -x -q``: every smoke assertion is a test, and
+      ``pytest.ini``'s exiting ``faulthandler_timeout`` fails a wedged
+      test.
     """
 
     RETIRED = (
@@ -445,6 +452,8 @@ class TestRetiredNamesStayRetired:
          r"|tick_interval|trace_capacity"),
         ("interpreted-conv gather-index cache", r"_im2col_indices"),
         ("interpreted fallback step runner", r"_AutogradStepRunner"),
+        ("second gate: tier-1 shell script and smoke scripts",
+         r"test_tier1\.sh|smoke_(transport|serve_many|storm|fleet|obs)\b"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}

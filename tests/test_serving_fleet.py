@@ -30,6 +30,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.runtime import admit_message, run_churn_processes
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
+from tests.helpers import no_shm_leak
 
 _HW = (24, 32)
 
@@ -290,13 +291,30 @@ class TestFleetEndToEnd:
                 include_label=False
             )
 
-    def test_churned_fleet_bit_identical_to_references(self):
-        jobs = self._jobs()
-        handle = start_fleet(2, idle_timeout_s=60)
-        try:
-            stats = run_churn_processes(handle, jobs, timeout_s=300)
-        finally:
-            handle.close()
+    @pytest.mark.parametrize(
+        "teacher, shared_teacher",
+        [
+            ({}, None),
+            # Every shard aliases one read-only neural teacher segment;
+            # each in-process twin builds its teacher from scratch.
+            (dict(teacher_arch="neural", teacher_width=8, teacher_seed=0),
+             (8, 0)),
+        ],
+        ids=["own_teacher", "shared_teacher"],
+    )
+    def test_churned_fleet_bit_identical_to_references(self, teacher,
+                                                       shared_teacher):
+        jobs = [
+            (t, dataclasses.replace(config, **teacher), *rest)
+            for t, config, *rest in self._jobs()
+        ]
+        with no_shm_leak():
+            handle = start_fleet(2, shared_teacher=shared_teacher,
+                                 idle_timeout_s=60)
+            try:
+                stats = run_churn_processes(handle, jobs, timeout_s=300)
+            finally:
+                handle.close()
         self._check_stats(stats, jobs)
         report = handle.fleet_report
         assert report["exit_reasons"] == ["quiesced", "quiesced"]

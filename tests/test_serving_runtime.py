@@ -577,33 +577,31 @@ class TestRunLoopScripted:
     def test_an_int64_label_is_served_like_its_uint8_twin(self):
         """Clients send one-byte class maps, but any integer map whose
         classes are in range is served — with the same replies, byte
-        for byte."""
+        for byte.  Where a FRAME is admitted its label becomes the one
+        class-map dtype, so an int64 session and its uint8 twin on one
+        runtime hit each other's memo entries."""
         import numpy as np
 
+        from repro.runtime.server import ServerReply
         from repro.transport import wire
 
         frames = list(_video().frames(2))
         assert all(label.dtype == np.uint8 for _, label in frames)
-
-        def serve(label_dtype):
-            replies = []
-            link = _ScriptedConnection(
-                "link", [],
-                lambda session, obj: replies.append(wire.encode(obj, session=session)),
-            )
-            link.inbox.extend(
-                [(0, admit_message(_config(), _HW))]
-                + [(0, (x, y.astype(label_dtype))) for x, y in frames]
-                + [(0, wire.Bye(0)), (0, None)]
-            )
-            runtime = ServerRuntime()
-            served = runtime.run(_ScriptedListener([link]))
-            assert runtime.connection_teardowns == {} and runtime.teardowns == {}
-            return served, replies
-
-        narrow = serve(np.uint8)
-        assert narrow[0] == {0: 2}
-        assert serve(np.int64) == narrow
+        replies = {0: [], 1: []}
+        link = _ScriptedConnection(
+            "link", [],
+            lambda session, obj: isinstance(obj, ServerReply)
+            and replies[session].append(wire.encode(obj)),
+        )
+        link.inbox.extend([(0, admit_message(_config(), _HW))] * 2)
+        for x, y in frames:
+            link.inbox.extend([(0, (x, y)), (1, (x, y.astype(np.int64)))])
+        link.inbox.extend([(0, wire.Bye(0)), (1, wire.Bye(1)), (0, None)])
+        runtime = ServerRuntime()
+        assert runtime.run(_ScriptedListener([link])) == {0: 2, 1: 2}
+        assert runtime.connection_teardowns == {} and runtime.teardowns == {}
+        assert len(replies[0]) == 2 and replies[1] == replies[0]
+        assert runtime.serve_counters["hits"] == 2
 
 
 class TestListenersSayWhenNoneCanArrive:

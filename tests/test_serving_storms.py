@@ -10,36 +10,28 @@ leaks.  The full-scale throughput floors live in
 unit-tested in ``tests/test_overload.py``.
 """
 
-import pathlib
-
 import pytest
 
 from repro import obs
 from repro.serving.storms import STORM_NAMES, run_storm, storm_plan
+from tests.helpers import no_shm_leak
 
 pytestmark = pytest.mark.storm
-
-
-def _shm_segments():
-    shm_dir = pathlib.Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
 
 
 @pytest.mark.parametrize("transport", ["shm", "socket"])
 @pytest.mark.parametrize("name", STORM_NAMES)
 def test_storm_never_wedges_server(name, transport):
-    before = _shm_segments()
     plan = storm_plan(name, seed=0, frames=2)
     # Metrics armed in the server process (ISSUE 8): the storm must
     # still resolve identically, and its report must carry the
     # admission/overload accounting.  Both wire transports face the
     # same storms — the receive budget tears down a half-header staller
     # whether it wedged a ring slot or a TCP stream (ISSUE 10).
-    report = run_storm(plan, loris_hold_s=10.0, job_timeout_s=120.0,
-                       obs_config=obs.ObsConfig(metrics=True),
-                       transport=transport)
+    with no_shm_leak():
+        report = run_storm(plan, loris_hold_s=10.0, job_timeout_s=120.0,
+                           obs_config=obs.ObsConfig(metrics=True),
+                           transport=transport)
     assert report.name == name
     # No wedge: the server drained the storm and exited cleanly, and
     # every honest job resolved one way or the other.
@@ -63,9 +55,6 @@ def test_storm_never_wedges_server(name, transport):
         v for k, v in counters.items() if k.startswith("admission.rejected.")
     )
     assert rejects >= report.rejected
-    if before is not None:
-        leaked = _shm_segments() - before
-        assert not leaked, f"leaked shm segments: {leaked}"
 
 
 @pytest.mark.parametrize("transport", ["shm", "socket"])

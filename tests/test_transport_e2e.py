@@ -10,7 +10,6 @@ and that nothing (process, ``/dev/shm`` segment) outlives the handle.
 
 import contextlib
 import dataclasses
-import os
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.runtime.session import SessionConfig, build_session, run_shadowtutor
 from repro.serving.pool import SessionPool, SessionSpec
 from repro.serving.runtime import start_server
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
+from tests.helpers import no_shm_leak
 
 _HW = (32, 48)
 _TRANSPORTS = ["shm", "socket"]
@@ -37,28 +37,18 @@ def _video(key="fixed-people"):
     return make_category_video(CATEGORY_BY_KEY[key], height=_HW[0], width=_HW[1])
 
 
-def _shm_segments():
-    # Only multiprocessing.shared_memory segments (psm_ prefix):
-    # unrelated /dev/shm entries appearing mid-test must not fail it.
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except OSError:
-        return set()
-
-
 @contextlib.contextmanager
 def _one_session_server(transport):
     """A server process provisioned for one connection; on the way out
     it must have exited cleanly and left no shared-memory segment."""
-    before = _shm_segments()
-    handle = start_server(transport=transport, n_clients=1, idle_timeout_s=60)
-    try:
-        yield handle
-    finally:
-        handle.close()
+    with no_shm_leak():
+        handle = start_server(transport=transport, n_clients=1, idle_timeout_s=60)
+        try:
+            yield handle
+        finally:
+            handle.close()
     assert not handle.process.is_alive()
     assert handle.process.exitcode == 0
-    assert _shm_segments() - before == set()
 
 
 def _run(transport=None, num_frames=20, **kw):

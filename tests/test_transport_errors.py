@@ -18,13 +18,13 @@ without overload control.
 """
 
 import dataclasses
-import pathlib
 
 import numpy as np
 import pytest
 
 from repro.transport import registry, wire
 from repro.transport.shm import ShmRing, make_pair
+from tests.helpers import no_shm_leak
 
 
 class TestRegistryErrors:
@@ -96,16 +96,6 @@ class TestWireDecodeErrors:
             session, out = wire.decode_tagged(wire.encode(ctl))
             assert out == ctl
             assert session == ctl.session
-
-
-def _shm_segments():
-    # Only multiprocessing.shared_memory segments (psm_ prefix):
-    # unrelated processes creating other /dev/shm entries while a test
-    # runs must not fail it.
-    shm_dir = pathlib.Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p for p in shm_dir.iterdir() if p.name.startswith("psm_")}
 
 
 def _admit(**overrides):
@@ -185,50 +175,48 @@ class TestAdmissionErrors:
         from repro.runtime.session import SessionConfig, build_session
         from repro.serving.runtime import AdmissionError, start_server
 
-        before = _shm_segments()
-        handle = start_server([], transport=transport, n_clients=1,
-                              idle_timeout_s=60)
-        try:
-            connection = handle.parent_connection()
-            for damage, detail in (
-                (lambda state: state.pop("lr"), "missing fields"),
-                (lambda state: state.update(surprise=np.int64(1)),
-                 "unknown fields"),
-                (lambda state: state.update(mode=np.uint8(200)), "mode code"),
-            ):
-                with pytest.raises(AdmissionError, match=detail) as excinfo:
-                    connection.admit_session(_damaged_admit(damage))
-                assert excinfo.value.reason == "malformed-blueprint"
-            with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                connection.admit_session(_admit(student_width=-1.0))
-            with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                connection.admit_session(_admit(min_stride=32, max_stride=4))
-            with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                connection.admit_session(_admit(student_seed=-1))
-            with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                # A geometry the student does not run at (its spatial
-                # dims must divide by 4).
-                connection.admit_session(_admit(frame_h=1, frame_w=1))
-            with pytest.raises(AdmissionError, match="malformed-blueprint"):
-                # The same with nothing to pre-train: refused at ADMIT,
-                # not by the first FRAME ending the server.
-                connection.admit_session(
-                    _admit(frame_h=30, frame_w=46, pretrain_steps=0)
+        with no_shm_leak():
+            handle = start_server([], transport=transport, n_clients=1,
+                                  idle_timeout_s=60)
+            try:
+                connection = handle.parent_connection()
+                for damage, detail in (
+                    (lambda state: state.pop("lr"), "missing fields"),
+                    (lambda state: state.update(surprise=np.int64(1)),
+                     "unknown fields"),
+                    (lambda state: state.update(mode=np.uint8(200)), "mode code"),
+                ):
+                    with pytest.raises(AdmissionError, match=detail) as excinfo:
+                        connection.admit_session(_damaged_admit(damage))
+                    assert excinfo.value.reason == "malformed-blueprint"
+                with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                    connection.admit_session(_admit(student_width=-1.0))
+                with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                    connection.admit_session(_admit(min_stride=32, max_stride=4))
+                with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                    connection.admit_session(_admit(student_seed=-1))
+                with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                    # A geometry the student does not run at (its spatial
+                    # dims must divide by 4).
+                    connection.admit_session(_admit(frame_h=1, frame_w=1))
+                with pytest.raises(AdmissionError, match="malformed-blueprint"):
+                    # The same with nothing to pre-train: refused at ADMIT,
+                    # not by the first FRAME ending the server.
+                    connection.admit_session(
+                        _admit(frame_h=30, frame_w=46, pretrain_steps=0)
+                    )
+                # The server survived them all: a good admission still
+                # works, on the same connection.
+                config = dataclasses.replace(
+                    SessionConfig(student_width=0.25, pretrain_steps=5),
+                    attach=handle.ticket(),
                 )
-            # The server survived them all: a good admission still
-            # works, on the same connection.
-            config = dataclasses.replace(
-                SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.ticket(),
-            )
-            client = build_session(config, (32, 48))
-            client.server.close()
-        finally:
-            handle.close()
+                client = build_session(config, (32, 48))
+                client.server.close()
+            finally:
+                handle.close()
         assert handle.process.exitcode == 0
         assert handle.runtime_report["exit_reason"] == "quiesced"
-        if before is not None:
-            assert not _shm_segments() - before
 
     def test_corrupt_frame_ends_only_its_own_link(self):
         """14 bytes of bad magic on one TCP link of a server started
@@ -248,28 +236,26 @@ class TestAdmissionErrors:
 
         config = SessionConfig(student_width=0.25, pretrain_steps=5)
         reference = run_shadowtutor(video(), 8, config, label="honest")
-        before = _shm_segments()
-        handle = start_server([], transport="socket", n_clients=2,
-                              idle_timeout_s=60)
-        try:
-            host, port, _ = handle.link.address(0)
-            with socket.create_connection((host, port), timeout=10) as raw:
-                raw.sendall(b"XX" + bytes(wire.HEADER_NBYTES - 2))
-                stats = run_shadowtutor(
-                    video(), 8,
-                    dataclasses.replace(config, attach=handle.ticket()),
-                    label="honest",
-                )
-        finally:
-            handle.close()
+        with no_shm_leak():
+            handle = start_server([], transport="socket", n_clients=2,
+                                  idle_timeout_s=60)
+            try:
+                host, port, _ = handle.link.address(0)
+                with socket.create_connection((host, port), timeout=10) as raw:
+                    raw.sendall(b"XX" + bytes(wire.HEADER_NBYTES - 2))
+                    stats = run_shadowtutor(
+                        video(), 8,
+                        dataclasses.replace(config, attach=handle.ticket()),
+                        label="honest",
+                    )
+            finally:
+                handle.close()
         assert stats.signature() == reference.signature()
         assert handle.process.exitcode == 0
         report = handle.runtime_report
         assert report["exit_reason"] == "quiesced"
         assert list(report["connection_teardowns"].values()) == ["corrupt-frame"]
         assert report["teardowns"] == {}
-        if before is not None:
-            assert not _shm_segments() - before
 
     def test_capacity_exhausted_dial_is_clean(self):
         """A standalone client process dialing a full server gets a
@@ -294,33 +280,30 @@ class TestAdmissionErrors:
             finally:
                 result_conn.close()
 
-        before = _shm_segments()
-        handle = start_server([], transport="shm", n_clients=2,
-                              max_sessions=1, idle_timeout_s=60)
-        try:
-            config = dataclasses.replace(
-                SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.ticket(),
-            )
-            occupant = build_session(config, (32, 48))
-            parent_conn, child_conn = mp.Pipe(duplex=False)
-            proc = mp.Process(
-                target=_dial_full_server,
-                args=(handle.address(1), child_conn), daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            assert parent_conn.poll(60), "dialing client never reported"
-            assert parent_conn.recv() == "capacity"
-            proc.join(timeout=30)
-            assert proc.exitcode == 0
-            occupant.server.close()
-        finally:
-            handle.close()
+        with no_shm_leak():
+            handle = start_server([], transport="shm", n_clients=2,
+                                  max_sessions=1, idle_timeout_s=60)
+            try:
+                config = dataclasses.replace(
+                    SessionConfig(student_width=0.25, pretrain_steps=5),
+                    attach=handle.ticket(),
+                )
+                occupant = build_session(config, (32, 48))
+                parent_conn, child_conn = mp.Pipe(duplex=False)
+                proc = mp.Process(
+                    target=_dial_full_server,
+                    args=(handle.address(1), child_conn), daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                assert parent_conn.poll(60), "dialing client never reported"
+                assert parent_conn.recv() == "capacity"
+                proc.join(timeout=30)
+                assert proc.exitcode == 0
+                occupant.server.close()
+            finally:
+                handle.close()
         assert handle.process.exitcode == 0
-        if before is not None:
-            leaked = _shm_segments() - before
-            assert not leaked, f"leaked shm segments: {leaked}"
 
 
 class TestOverloadWire:
@@ -369,40 +352,37 @@ class TestClientDeath:
             started.close()
             client.run(_make_video().frames(10_000), label="victim")
 
-        before = _shm_segments()
-        handle = start_server(
-            [], transport="shm", n_clients=2, idle_timeout_s=60,
-            overload=OverloadConfig(recv_budget_s=0.5, reap_idle_s=1.0),
-        )
-        try:
-            recv_end, send_end = mp.Pipe(duplex=False)
-            victim = mp.Process(
-                target=_victim_main,
-                args=(handle.address(0), send_end), daemon=True,
+        with no_shm_leak():
+            handle = start_server(
+                [], transport="shm", n_clients=2, idle_timeout_s=60,
+                overload=OverloadConfig(recv_budget_s=0.5, reap_idle_s=1.0),
             )
-            victim.start()
-            send_end.close()
-            assert recv_end.poll(60), "victim never started its run"
-            assert recv_end.recv() == "running"
-            victim.kill()  # SIGKILL: no goodbye, possibly mid-frame
-            victim.join(timeout=30)
+            try:
+                recv_end, send_end = mp.Pipe(duplex=False)
+                victim = mp.Process(
+                    target=_victim_main,
+                    args=(handle.address(0), send_end), daemon=True,
+                )
+                victim.start()
+                send_end.close()
+                assert recv_end.poll(60), "victim never started its run"
+                assert recv_end.recv() == "running"
+                victim.kill()  # SIGKILL: no goodbye, possibly mid-frame
+                victim.join(timeout=30)
 
-            # The server must still admit and serve a fresh client to
-            # completion while the dead slot is budget/reaper-collected.
-            config = dataclasses.replace(
-                SessionConfig(student_width=0.25, pretrain_steps=5),
-                attach=handle.address(1),
-            )
-            survivor = build_session(config, (32, 48))
-            stats = survivor.run(_make_video().frames(6), label="survivor")
-            assert stats.num_frames == 6
-            survivor.server.close()
-        finally:
-            handle.close()
+                # The server must still admit and serve a fresh client to
+                # completion while the dead slot is budget/reaper-collected.
+                config = dataclasses.replace(
+                    SessionConfig(student_width=0.25, pretrain_steps=5),
+                    attach=handle.address(1),
+                )
+                survivor = build_session(config, (32, 48))
+                stats = survivor.run(_make_video().frames(6), label="survivor")
+                assert stats.num_frames == 6
+                survivor.server.close()
+            finally:
+                handle.close()
         assert handle.process.exitcode == 0
-        if before is not None:
-            leaked = _shm_segments() - before
-            assert not leaked, f"leaked shm segments: {leaked}"
 
 
 class TestShardDeath:
@@ -429,41 +409,38 @@ class TestShardDeath:
             student_width=0.25, pretrain_steps=5, teacher_arch="neural",
             teacher_width=8, teacher_seed=0,
         )
-        before = _shm_segments()
-        handle = start_fleet(2, idle_timeout_s=60, shared_teacher=(8, 0))
-        try:
-            # The first tenant lands on shard 0 (least-loaded, lowest
-            # index) — deterministically on the shard that survives.
-            occupant = build_session(
-                dataclasses.replace(config, attach=handle.address(0)),
-                (32, 48),
-            )
-            handle.processes[1].kill()  # SIGKILL: no goodbye
-            handle.processes[1].join(timeout=30)
+        with no_shm_leak():
+            handle = start_fleet(2, idle_timeout_s=60, shared_teacher=(8, 0))
+            try:
+                # The first tenant lands on shard 0 (least-loaded, lowest
+                # index) — deterministically on the shard that survives.
+                occupant = build_session(
+                    dataclasses.replace(config, attach=handle.address(0)),
+                    (32, 48),
+                )
+                handle.processes[1].kill()  # SIGKILL: no goodbye
+                handle.processes[1].join(timeout=30)
 
-            # The survivor keeps serving the open session...
-            stats = occupant.run(_make_video().frames(6), label="occupant")
-            assert stats.num_frames == 6
-            # ...and still admits new sessions of the surviving tenant
-            # (the dead shard's reuseport socket died with it, so the
-            # front door routes every dial to the survivor).
-            joiner = build_session(
-                dataclasses.replace(config, attach=handle.address(0)),
-                (32, 48),
-            )
-            joiner_stats = joiner.run(_make_video().frames(4), label="joiner")
-            assert joiner_stats.num_frames == 4
-            joiner.server.close()
-            occupant.server.close()
-        finally:
-            handle.close()
+                # The survivor keeps serving the open session...
+                stats = occupant.run(_make_video().frames(6), label="occupant")
+                assert stats.num_frames == 6
+                # ...and still admits new sessions of the surviving tenant
+                # (the dead shard's reuseport socket died with it, so the
+                # front door routes every dial to the survivor).
+                joiner = build_session(
+                    dataclasses.replace(config, attach=handle.address(0)),
+                    (32, 48),
+                )
+                joiner_stats = joiner.run(_make_video().frames(4), label="joiner")
+                assert joiner_stats.num_frames == 4
+                joiner.server.close()
+                occupant.server.close()
+            finally:
+                handle.close()
         reasons = handle.fleet_report["exit_reasons"]
         assert reasons[0] == "quiesced"
         assert reasons[1] == REPORT_LOST
         assert handle.fleet_report["frames_served"][0] > 0
-        if before is not None:
-            leaked = _shm_segments() - before
-            assert not leaked, f"leaked shm segments: {leaked}"
 
 
 class TestShmTimeouts:

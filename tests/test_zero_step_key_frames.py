@@ -9,11 +9,11 @@ import dataclasses
 import pytest
 
 from repro.distill.config import DistillConfig, DistillMode
-from repro.models.student import StudentNet
+from repro.models.student import StudentNet, partial_freeze
 from repro.models.teacher import OracleTeacher, TeacherNet
-from repro.nn.serialize import state_dict_digest
+from repro.nn.serialize import state_dict_diff, state_dict_digest
 from repro.runtime.client import Client
-from repro.runtime.server import Server
+from repro.runtime.server import Server, ServerReply
 from repro.runtime.session import SessionConfig, build_session, run_shadowtutor
 from repro.serving.runtime import MuxRemoteServer, start_server
 from repro.transport import wire
@@ -150,26 +150,32 @@ class TestOverARealSocket:
         steps = [k.steps for k in inproc.key_frames]
         assert 0 in steps[1:-1] and steps[-2] > 0, steps  # interleaved
 
-        replies = []
-        original = MuxRemoteServer.handle_key_frame
+        student = StudentNet(width=config.student_width)
+        partial_freeze(student)
+        full_diff = wire.encoded_nbytes(
+            ServerReply(state_dict_diff(student), 0.0, 1, 0.0)
+        )
 
-        def recording(self, frame, label=None):
-            out = original(self, frame, label)
-            replies.append(out[0])
-            return out
+        replies = []  # (reply, the bytes it took off the socket)
+        decode = wire.decode_tagged
 
-        monkeypatch.setattr(MuxRemoteServer, "handle_key_frame", recording)
+        def measuring(buf):
+            session, msg = decode(buf)
+            if isinstance(msg, ServerReply):
+                replies.append((msg, len(buf)))
+            return session, msg
+
         handle = start_server(transport="socket", n_clients=1, idle_timeout_s=60)
+        monkeypatch.setattr(wire, "decode_tagged", measuring)
         try:
             remote = _run_mixed(dataclasses.replace(config, attach=handle.ticket()))
         finally:
             handle.close()
         assert handle.process.exitcode == 0
         assert remote.signature() == inproc.signature()
-        assert [r.steps for r in replies] == steps
-        for reply in replies:
-            nbytes = wire.encoded_nbytes(reply)
-            assert (nbytes == REPLY_HEADER_BYTES) == (reply.steps == 0)
+        assert [r.steps for r, _ in replies] == steps
+        for reply, nbytes in replies:
+            assert nbytes == (full_diff if reply.steps else REPLY_HEADER_BYTES)
             assert bool(reply.update) == (reply.steps > 0)
 
     def test_a_neural_teacher_session_sends_no_label(self, monkeypatch):
