@@ -35,7 +35,6 @@ def frame_label():
 def test_student_inference_latency(benchmark, frame_label):
     frame, _ = frame_label
     student = StudentNet(width=0.5, seed=0)
-    student.eval()
     benchmark(student.predict, frame)
 
 

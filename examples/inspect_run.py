@@ -84,7 +84,6 @@ def main() -> None:
 
     # 5. Where does the student still err?  Boundary vs interior.
     video.reset()
-    client.student.eval()
     decomps = []
     for i, (frame, label) in enumerate(video.frames(args.frames)):
         if i % max(1, args.frames // 10) == 0:

@@ -67,17 +67,14 @@ class _CompiledStepRunner:
     the plan eats).
 
     Every metric predict is merged into the next step's forward: with
-    fixed inputs, the eval prediction after update ``i`` (``i = 0``
-    being the pre-update metric that gates the loop) and the training
-    forward of update ``i + 1`` are the same computation (identical
-    inputs and weights; batch-norm always normalises with batch
-    statistics here).  ``predict()`` therefore runs the train plan's
-    forward with running-stat commits deferred, and the following
-    ``step()`` reuses those activations — halving the loop's forward
-    count while leaving every observable (losses, metrics, committed
-    buffers) bit-identical to the seed loop.  A predict no step
-    follows (the student already beats THRESHOLD, or the loop ended)
-    commits nothing.
+    fixed inputs, the prediction after update ``i`` (``i = 0`` being
+    the pre-update metric that gates the loop) and the training forward
+    of update ``i + 1`` are the same computation (identical inputs and
+    weights; batch-norm always normalises with batch statistics).
+    ``predict()`` therefore runs the train plan's forward, and the
+    following ``step()`` reuses those activations — halving the loop's
+    forward count while leaving every loss and metric bit-identical to
+    a loop that runs them separately.
     """
 
     def __init__(self, train_plan, inputs, target, weight_map) -> None:
@@ -169,8 +166,7 @@ class StudentTrainer:
         self._checkpoint_sig: Optional[tuple] = None
 
     def _checkpoint_slots(self) -> StateSlots:
-        """What training can change: trainable parameters plus the
-        buffers of unfrozen modules (batch-norm running stats).  The
+        """What training can change: the trainable parameters.  The
         frozen front-end never moves, so it is never snapshotted."""
         sig = tuple(p.requires_grad for p in self._params)
         if sig != self._checkpoint_sig:

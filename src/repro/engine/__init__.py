@@ -14,9 +14,9 @@ into a flat list of fused NumPy kernels:
 * ``Conv2d`` lowers to a per-tap gather + one GEMM into a buffer of
   the plan's memory, with bias add and ReLU fused in place;
   1x1/stride-1 convolutions skip the gather entirely.
-* ``BatchNorm2d`` becomes a per-channel scale/shift kernel (batch
-  statistics recomputed when the layer is configured for them,
-  running statistics folded otherwise).
+* ``BatchNorm2d`` becomes a per-channel scale/shift kernel over the
+  batch statistics, recomputed per call; the teacher's
+  ``FrozenBatchNorm2d`` becomes one eval-only multiply-add.
 * concat/upsample write into preallocated buffers through views.
 
 Each plan's buffers are laid out once, at build time, in one
@@ -25,7 +25,7 @@ buffer per role, and an eval plan's activations share bytes wherever
 their live intervals do not meet.
 
 Executing a plan allocates **zero** ``Tensor`` objects.  Kernels read
-parameters and buffers from the live modules at execution time, so
+parameters from the live modules at execution time, so
 weight updates (optimizer steps, ``apply_state_dict``) are picked up
 without recompilation.
 

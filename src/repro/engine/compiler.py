@@ -10,7 +10,7 @@
   :class:`~repro.engine.kernels.UntraceableError`.
 
 A :class:`CompiledPlan` is geometry-specific and weight-free: kernels
-read parameters and buffers through a ``step.module`` reference at
+read parameters through a ``step.module`` reference at
 execution time and capture nothing else that belongs to one model
 instance.  That is what lets :mod:`repro.engine.plan_cache` keep *one*
 plan per (architecture, kind, geometry) for the whole process and hand
@@ -61,12 +61,13 @@ from repro.engine.kernels import (
     BatchNormStep,
     ConcatStep,
     ConvStep,
+    FrozenBatchNormStep,
     Layout,
     ReluStep,
     UntraceableError,
     Upsample2xStep,
 )
-from repro.nn.layers import BatchNorm2d, Conv2d
+from repro.nn.layers import BatchNorm2d, Conv2d, FrozenBatchNorm2d
 
 
 def trace_forward(
@@ -170,6 +171,10 @@ def build_steps(
                 step = BatchNormStep(
                     module, in_slots[0], len(shapes), shapes[in_slots[0]], training,
                     layout,
+                )
+            elif isinstance(module, FrozenBatchNorm2d):
+                step = FrozenBatchNormStep(
+                    module, in_slots[0], len(shapes), shapes[in_slots[0]], layout,
                 )
             else:
                 raise UntraceableError(

@@ -26,9 +26,9 @@ distillation) sum their float32 contributions — is scheduled by
 not by reversed lowering order.
 
 Weight handling: kernels hold *module references* and read
-``weight.data`` / buffers at execution time.  In-place optimizer
-updates and rebinding loads (``load_state_dict`` / ``apply_state_dict``)
-are therefore picked up automatically; no kernel caches packed weights.
+``weight.data`` at execution time.  In-place optimizer updates and
+rebinding loads (``load_state_dict`` / ``apply_state_dict``) are
+therefore picked up automatically; no kernel caches packed weights.
 The reference (``step.module``) is the only thing a kernel knows about
 one model instance, which is what lets a plan be handed to another
 instance of the same architecture (:mod:`repro.engine.plan_cache`).
@@ -437,15 +437,8 @@ class ConvStep:
 
 
 class BatchNormStep:
-    """BatchNorm2d as per-channel scale/shift.
-
-    ``training`` selects train semantics (batch statistics + running-stat
-    momentum updates, exactly as :class:`repro.nn.layers.BatchNorm2d`);
-    eval plans use batch statistics only when the layer is configured
-    with ``use_batch_stats_in_eval`` (the ShadowTutor student always is)
-    and otherwise fold the running statistics — re-read per call, so a
-    state-dict load needs no recompile.
-    """
+    """BatchNorm2d as per-channel scale/shift over the batch statistics,
+    in train and eval plans alike (the layer has no other mode)."""
 
     def __init__(
         self, module, in_slot, out_slot, in_shape, training: bool,
@@ -463,11 +456,6 @@ class BatchNormStep:
         self.out_shape = tuple(in_shape)
         self._training = training
         self._inv_std: Optional[np.ndarray] = None
-        #: Batch statistics awaiting a running-stat commit (train plans
-        #: defer the momentum update so a forward used only for the
-        #: post-update metric leaves no trace, exactly like the seed
-        #: loop's separate eval predict).
-        self._pending_stats: Optional[tuple] = None
         layout.add(self)
 
     def _buffers(self):
@@ -484,16 +472,8 @@ class BatchNormStep:
         m = self.module
         x = env[self.in_slot]
         c = self.c
-        if self._training or m.use_batch_stats_in_eval:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            if self._training:
-                self._pending_stats = (mean, var)
-        else:
-            mean = m.running_mean
-            var = m.running_var
-        mean_b = mean.reshape(1, c, 1, 1)
-        var_b = var.reshape(1, c, 1, 1)
+        mean_b = x.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+        var_b = x.var(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         inv_std = 1.0 / np.sqrt(var_b + m.eps)
         np.subtract(x, mean_b, out=self._xhat)
         self._xhat *= inv_std
@@ -501,21 +481,6 @@ class BatchNormStep:
         self.out += m.bias.data.reshape(1, c, 1, 1)
         self._inv_std = inv_std
         env[self.out_slot] = self.out
-
-    def commit_running_stats(self) -> None:
-        """Apply the deferred momentum update (train plans call this once
-        the step is confirmed; mirrors BatchNorm2d's train forward)."""
-        if self._pending_stats is None:
-            return
-        m = self.module
-        mean, var = self._pending_stats
-        m.set_buffer(
-            "running_mean", (1 - m.momentum) * m.running_mean + m.momentum * mean
-        )
-        m.set_buffer(
-            "running_var", (1 - m.momentum) * m.running_var + m.momentum * var
-        )
-        self._pending_stats = None
 
     def backward(self, env, gbufs) -> None:
         # Into preallocated scratch throughout, mirroring the exact
@@ -533,8 +498,6 @@ class BatchNormStep:
         gin = gbufs[self.in_slot]
         if gin is not None:
             np.multiply(g, m.weight.data.reshape(1, c, 1, 1), out=tmp)  # g_xhat
-            # Full backward through the batch statistics (train plans
-            # always use batch stats — mirrors BatchNorm2d.forward).
             sum_g = tmp.sum(axis=(0, 2, 3), keepdims=True)
             np.multiply(tmp, self._xhat, out=tmp2)
             sum_gx = tmp2.sum(axis=(0, 2, 3), keepdims=True)
@@ -544,6 +507,31 @@ class BatchNormStep:
             tmp -= tmp2
             tmp *= self._inv_std.reshape(1, c, 1, 1)
             gin += tmp
+
+
+class FrozenBatchNormStep:
+    """FrozenBatchNorm2d as one multiply-add per element, in
+    ``FrozenBatchNorm2d.forward``'s order: ``(x * s) * weight + bias``.
+    Eval plans only — the layer has no backward."""
+
+    def __init__(self, module, in_slot, out_slot, in_shape, layout: Layout) -> None:
+        self.module = module
+        self.in_slot, self.out_slot = in_slot, out_slot
+        self.c = in_shape[1]
+        self.out_shape = tuple(in_shape)
+        self._scale = module.scale
+        layout.add(self)
+
+    def _buffers(self):
+        yield "out", self.out_shape, np.float32, OUT
+
+    def forward(self, env: List[np.ndarray]) -> None:
+        m = self.module
+        c = self.c
+        np.multiply(env[self.in_slot], self._scale, out=self.out)
+        self.out *= m.weight.data.reshape(1, c, 1, 1)
+        self.out += m.bias.data.reshape(1, c, 1, 1)
+        env[self.out_slot] = self.out
 
 
 class ReluStep:

@@ -22,9 +22,9 @@ sessions ever execute a plan at once, so a plan can simply change
 hands between calls.  What a hand-over must not do is let anything of
 the previous owner leak through; :meth:`CompiledTrainStep.bind
 <repro.engine.training.CompiledTrainStep.bind>` drops a pending
-forward, deferred batch-norm statistics and an adjoint scheduled for
-another freeze state.  What callers must not do is hold a plan's output
-buffers across someone else's call: see the buffer-lifetime contract in
+forward and an adjoint scheduled for another freeze state.  What
+callers must not do is hold a plan's output buffers across someone
+else's call: see the buffer-lifetime contract in
 :mod:`repro.engine.compiler`.
 
 Ownership is decided by comparing *objects* (each handle's weak
@@ -68,12 +68,11 @@ def structural_signature(root) -> tuple:
 
     Per module in ``named_modules()`` order: path, class, the first
     path the same object appeared under (so aliased layers only match
-    aliased layers), parameter and buffer names with shapes (conv
-    channels, kernel and bias presence), and every plain-valued
-    attribute (stride, padding, eps, momentum,
-    ``use_batch_stats_in_eval``, a composite's own switches).  Never
-    weights, ``requires_grad`` or ``training``: those are read live,
-    per call, through the bound layers.
+    aliased layers), parameter names with shapes (conv channels, kernel
+    and bias presence), and every plain-valued attribute (stride,
+    padding, eps, a composite's own switches).  Never weights or
+    ``requires_grad``: those are read live, per call, through the bound
+    layers.
     """
     first_path: Dict[int, str] = {}
     return tuple(
@@ -82,10 +81,9 @@ def structural_signature(root) -> tuple:
             type(module),
             first_path.setdefault(id(module), path),
             tuple((name, p.data.shape) for name, p in module._parameters.items()),
-            tuple((name, b.shape) for name, b in module._buffers.items()),
             tuple(sorted(
                 (name, value) for name, value in vars(module).items()
-                if name != "training" and _plain(value)
+                if _plain(value)
             )),
         )
         for path, module in root.named_modules()
@@ -94,21 +92,14 @@ def structural_signature(root) -> tuple:
 
 def _compile(root, fn, kind: str, shapes) -> Tuple[object, Tuple[str, ...]]:
     examples = tuple(np.zeros(shape, dtype=np.float32) for shape in shapes)
-    # Trace in eval mode: tracing runs one real forward, and doing it
-    # in train mode would perturb batch-norm running statistics.
-    was_training = root.training
-    root.eval()
-    try:
-        # Looked up through their modules at call time, so a probe or a
-        # test that wraps them counts every real compile.
-        if kind.startswith("train"):
-            plan = training.CompiledTrainStep(fn, examples)
-        else:
-            plan = compiler.compile_plan(fn, examples)
-        path_of = {id(module): path for path, module in root.named_modules()}
-        paths = tuple(path_of.get(id(site.module)) for site in plan.sites)
-    finally:
-        root.train(was_training)
+    # Looked up through their modules at call time, so a probe or a
+    # test that wraps them counts every real compile.
+    if kind.startswith("train"):
+        plan = training.CompiledTrainStep(fn, examples)
+    else:
+        plan = compiler.compile_plan(fn, examples)
+    path_of = {id(module): path for path, module in root.named_modules()}
+    paths = tuple(path_of.get(id(site.module)) for site in plan.sites)
     if None in paths:
         # A traced layer that named_modules() does not reach: the plan
         # could not be re-pointed at another instance's copy of it.

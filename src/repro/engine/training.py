@@ -135,8 +135,8 @@ class CompiledTrainStep:
         if self._logits_slot in input_slots:
             raise UntraceableError("train step traced an identity forward")
         # Compose the forward executor instead of re-implementing it:
-        # the train step is a CompiledPlan plus gradient buffers, the
-        # loss head, and deferred batch-norm commits.
+        # the train step is a CompiledPlan plus gradient buffers and
+        # the loss head.
         self._plan = CompiledPlan(steps, shapes, input_slots, output_slots, layout)
         self._steps = steps
         # Gradient buffers exist only for produced slots; roots (cached
@@ -148,7 +148,6 @@ class CompiledTrainStep:
         self._loss = CrossEntropyHead(shapes[self._logits_slot], layout)
         layout.allocate()
         self.num_kernels = len(steps)
-        self._bn_steps = [s for s in steps if hasattr(s, "commit_running_stats")]
         # Everything the adjoint generator needs to (re)build a schedule
         # when the freeze boundary moves.  Record/tensor ids are only
         # ever compared against each other in these structures, so they
@@ -171,8 +170,8 @@ class CompiledTrainStep:
         #: (kind "adjoint") sharing the forward plan's environment.
         self.adjoint: Optional[CompiledPlan] = None
         self._build_adjoint()
-        #: True when forward state (activations, saved columns, pending
-        #: BN statistics) is valid and awaiting finish_step().
+        #: True when forward state (activations, saved columns) is
+        #: valid and awaiting finish_step().
         self.has_pending_forward = False
 
     def bind(self, modules: Sequence) -> None:
@@ -180,18 +179,16 @@ class CompiledTrainStep:
         :attr:`sites` order).
 
         Nothing of the previous owner may survive: a forward it left
-        pending and the batch-norm statistics deferred with it are
-        dropped, and the adjoint is brought in line with the new
-        owner's freeze state *here*, not lazily in :meth:`finish_step`
-        — a partial-mode student and a full-mode one share this step,
-        and callers may inspect :attr:`adjoint` before stepping.
+        pending is dropped, and the adjoint is brought in line with the
+        new owner's freeze state *here*, not lazily in
+        :meth:`finish_step` — a partial-mode student and a full-mode one
+        share this step, and callers may inspect :attr:`adjoint` before
+        stepping.
         """
         for site, module in zip(self.sites, modules):
             site.module = module
         self._leaf_params = leaf_parameters(self._records)
         self.has_pending_forward = False
-        for bn in self._bn_steps:
-            bn._pending_stats = None
         if self._adjoint_sig != self._requires_sig():
             self._build_adjoint()
 
@@ -230,12 +227,9 @@ class CompiledTrainStep:
     def forward_only(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
         """Run the compiled forward; returns the logits buffer.
 
-        Running-stat commits are deferred: a forward used only to score
-        the post-update metric leaves no trace on the module (exactly
-        like the seed loop's separate eval predict), while a forward
-        that proceeds to :meth:`finish_step` commits — so the merged
-        metric/train forward halves the loop's forward count without
-        perturbing state.
+        A forward changes nothing on the module, so the same one can
+        score the post-update metric and, if :meth:`finish_step`
+        follows, serve as the next step's forward.
         """
         (logits,) = self._plan.run(*inputs)
         self.has_pending_forward = True
@@ -244,12 +238,10 @@ class CompiledTrainStep:
     def finish_step(
         self, target: np.ndarray, weight_map: Optional[np.ndarray]
     ) -> float:
-        """Commit the pending forward as a training step: running stats,
-        loss, and gradients (installed on the trainable parameters)."""
+        """Finish the pending forward as a training step: loss, and
+        gradients (installed on the trainable parameters)."""
         if not self.has_pending_forward:
             raise RuntimeError("finish_step() without a pending forward")
-        for bn in self._bn_steps:
-            bn.commit_running_stats()
         env = self._plan._env
         loss = self._loss.forward(env[self._logits_slot], target, weight_map)
         if self._adjoint_sig != self._requires_sig():

@@ -64,9 +64,8 @@ class StudentBlock(Module):
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        # Per-frame statistics at inference: keeps deployment behaviour
-        # consistent with the just-distilled weights (see BatchNorm2d).
-        self.bn = BatchNorm2d(in_channels, use_batch_stats_in_eval=True)
+        # Per-frame statistics at inference too (see BatchNorm2d).
+        self.bn = BatchNorm2d(in_channels)
         self.conv3x3 = Conv2d(in_channels, out_channels, 3, rng=rng)
         self.conv3x1 = Conv2d(out_channels, out_channels, (3, 1), rng=rng)
         self.conv1x3 = Conv2d(out_channels, out_channels, (1, 3), rng=rng)

@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.nn.layers import BatchNorm2d, Conv2d, ReLU, Sequential
+from repro.nn.layers import Conv2d, FrozenBatchNorm2d, ReLU, Sequential
 from repro.nn.module import Module
 from repro.segmentation.boundary import erode_cross
 from repro.segmentation.classes import class_map
@@ -83,7 +83,9 @@ class TeacherNet(Module):
     Encoder-decoder with twice the student's depth and ``width`` times
     its channels; the ``teacher_arch="neural"`` sessions' label source.
     Inference only — the teacher is never trained at system runtime
-    (only the student copy is, Algorithm 3).
+    (only the student copy is, Algorithm 3), so its normalisation is
+    :class:`~repro.nn.layers.FrozenBatchNorm2d`, a fixed per-channel
+    affine.
     """
 
     def __init__(
@@ -98,22 +100,22 @@ class TeacherNet(Module):
         w = width
         self.num_classes = num_classes
         self.enc1 = Sequential(
-            Conv2d(in_channels, w, 3, stride=2, rng=rng), BatchNorm2d(w), ReLU(),
-            Conv2d(w, w, 3, rng=rng), BatchNorm2d(w), ReLU(),
+            Conv2d(in_channels, w, 3, stride=2, rng=rng), FrozenBatchNorm2d(w), ReLU(),
+            Conv2d(w, w, 3, rng=rng), FrozenBatchNorm2d(w), ReLU(),
         )
         self.enc2 = Sequential(
-            Conv2d(w, 2 * w, 3, stride=2, rng=rng), BatchNorm2d(2 * w), ReLU(),
-            Conv2d(2 * w, 2 * w, 3, rng=rng), BatchNorm2d(2 * w), ReLU(),
+            Conv2d(w, 2 * w, 3, stride=2, rng=rng), FrozenBatchNorm2d(2 * w), ReLU(),
+            Conv2d(2 * w, 2 * w, 3, rng=rng), FrozenBatchNorm2d(2 * w), ReLU(),
         )
         self.mid = Sequential(
-            Conv2d(2 * w, 4 * w, 3, rng=rng), BatchNorm2d(4 * w), ReLU(),
-            Conv2d(4 * w, 2 * w, 3, rng=rng), BatchNorm2d(2 * w), ReLU(),
+            Conv2d(2 * w, 4 * w, 3, rng=rng), FrozenBatchNorm2d(4 * w), ReLU(),
+            Conv2d(4 * w, 2 * w, 3, rng=rng), FrozenBatchNorm2d(2 * w), ReLU(),
         )
         self.dec1 = Sequential(
-            Conv2d(2 * w, w, 3, rng=rng), BatchNorm2d(w), ReLU(),
+            Conv2d(2 * w, w, 3, rng=rng), FrozenBatchNorm2d(w), ReLU(),
         )
         self.dec2 = Sequential(
-            Conv2d(w, w, 3, rng=rng), BatchNorm2d(w), ReLU(),
+            Conv2d(w, w, 3, rng=rng), FrozenBatchNorm2d(w), ReLU(),
         )
         self.head = Conv2d(w, num_classes, 1, rng=rng)
 

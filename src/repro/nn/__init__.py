@@ -10,6 +10,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Conv2d,
     BatchNorm2d,
+    FrozenBatchNorm2d,
     ReLU,
     Sequential,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "Parameter",
     "Conv2d",
     "BatchNorm2d",
+    "FrozenBatchNorm2d",
     "ReLU",
     "Sequential",
     "Adam",

@@ -66,70 +66,40 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation over NCHW tensors.
+    """Batch normalisation over NCHW tensors, always with the statistics
+    of the batch it is given.
 
-    In training mode the batch statistics are used and running stats
-    updated; in eval mode the running statistics are used by default.
-
-    ``use_batch_stats_in_eval`` switches eval mode to *current-frame*
-    statistics instead (running stats are still tracked but unused).
-    The ShadowTutor student enables this: with online per-scene
-    distillation, stale running statistics from pre-training lag the
-    adapted feature distribution through the stacked BN layers, so
-    inference-time batch statistics (one frame = thousands of pixels,
-    so the estimates are stable) keep deployment behaviour consistent
-    with the just-distilled weights — the standard practice in
-    test-time-adaptation systems.
+    There are no running statistics and no eval mode.  The ShadowTutor
+    student normalises each frame with its own statistics at inference
+    too: with online per-scene distillation, running statistics from
+    pre-training would lag the adapted feature distribution through the
+    stacked BN layers, while one frame (thousands of pixels) gives
+    stable estimates that match the just-distilled weights — the
+    standard practice in test-time-adaptation systems.
     """
 
     #: Recorded as a primitive by the engine's plan capture (the whole
     #: layer lowers to one per-channel scale/shift kernel).
     _engine_leaf = True
 
-    def __init__(
-        self,
-        num_features: int,
-        eps: float = 1e-5,
-        momentum: float = 0.1,
-        use_batch_stats_in_eval: bool = False,
-    ) -> None:
+    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
         super().__init__()
         self.num_features = num_features
         self.eps = eps
-        self.momentum = momentum
-        self.use_batch_stats_in_eval = use_batch_stats_in_eval
         self.weight = Parameter(np.ones(num_features, dtype=np.float32))
         self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
         c = self.num_features
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
-        use_batch = self.training or self.use_batch_stats_in_eval
-        if use_batch:
-            mean = x.data.mean(axis=(0, 2, 3))
-            var = x.data.var(axis=(0, 2, 3))
-            if self.training:
-                self.set_buffer(
-                    "running_mean",
-                    (1 - self.momentum) * self.running_mean + self.momentum * mean,
-                )
-                self.set_buffer(
-                    "running_var",
-                    (1 - self.momentum) * self.running_var + self.momentum * var,
-                )
-        else:
-            mean = self.running_mean
-            var = self.running_var
-
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat_data = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
         out_data = x_hat_data * self.weight.data.reshape(1, c, 1, 1) + self.bias.data.reshape(1, c, 1, 1)
 
         weight, bias = self.weight, self.bias
-        through_stats = use_batch  # backprop through batch statistics
         n_elem = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
         def backward(grad: np.ndarray) -> None:
@@ -139,21 +109,57 @@ class BatchNorm2d(Module):
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
                 g_xhat = grad * weight.data.reshape(1, c, 1, 1)
-                if through_stats:
-                    # Full BN backward through batch statistics.
-                    sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
-                    sum_gx = (g_xhat * x_hat_data).sum(axis=(0, 2, 3), keepdims=True)
-                    gx = (
-                        g_xhat - sum_g / n_elem - x_hat_data * sum_gx / n_elem
-                    ) * inv_std.reshape(1, c, 1, 1)
-                else:
-                    gx = g_xhat * inv_std.reshape(1, c, 1, 1)
+                sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
+                sum_gx = (g_xhat * x_hat_data).sum(axis=(0, 2, 3), keepdims=True)
+                gx = (
+                    g_xhat - sum_g / n_elem - x_hat_data * sum_gx / n_elem
+                ) * inv_std.reshape(1, c, 1, 1)
                 x._accumulate(gx)
 
         return Tensor._make(out_data, (x, weight, bias), backward)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BatchNorm2d({self.num_features})"
+
+
+class FrozenBatchNorm2d(Module):
+    """Batch normalisation frozen at its initial statistics (mean 0,
+    variance 1): the fixed per-channel affine ``(x * s) * weight + bias``
+    with ``s = float32(1 / sqrt(1 + eps))``.
+
+    The neural teacher's normalisation.  The teacher is never trained,
+    so its statistics never leave their initial values and the layer
+    needs neither statistics nor a backward; ``s`` is computed in the
+    order a batch norm evaluates ``1 / sqrt(var + eps)`` at ``var = 1``,
+    so outputs are bitwise those of such a batch norm.
+    """
+
+    #: Recorded as a primitive by the engine's plan capture (the whole
+    #: layer lowers to one eval-only multiply-add kernel).
+    _engine_leaf = True
+
+    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
+        super().__init__()
+        self.num_features = num_features
+        self.eps = eps
+        self.weight = Parameter(np.ones(num_features, dtype=np.float32))
+        self.bias = Parameter(np.zeros(num_features, dtype=np.float32))
+
+    @property
+    def scale(self) -> np.float32:
+        """``s``: the reciprocal standard deviation at variance 1."""
+        return np.float32(1.0) / np.sqrt(np.float32(1.0) + np.float32(self.eps))
+
+    def forward(self, x: Tensor) -> Tensor:
+        c = self.num_features
+        if x.data.shape[1] != c:
+            raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
+        w = self.weight.data.reshape(1, c, 1, 1)
+        b = self.bias.data.reshape(1, c, 1, 1)
+        return Tensor(x.data * self.scale * w + b)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"FrozenBatchNorm2d({self.num_features})"
 
 
 class ReLU(Module):

@@ -44,16 +44,15 @@ class Parameter(Tensor):
 class Module:
     """Base class for network components.
 
-    Subclasses assign :class:`Parameter`, buffers (plain ndarrays via
-    :meth:`register_buffer`) and child :class:`Module` instances as
-    attributes; registration is automatic through ``__setattr__``.
+    Subclasses assign :class:`Parameter` and child :class:`Module`
+    instances as attributes; registration is automatic through
+    ``__setattr__``.  Parameters are a module's whole state: no layer
+    keeps statistics beside them, and there is no train/eval mode.
     """
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
         #: (kind, shapes) -> this instance's handle on a shared plan;
         #: see :meth:`engine_plan` and :meth:`invalidate_plans`.
         object.__setattr__(self, "_engine_plans", {})
@@ -68,26 +67,6 @@ class Module:
         elif isinstance(value, Module):
             self._modules[name] = value
         object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register non-trainable state (e.g. batch-norm running stats)."""
-        self._buffers[name] = np.asarray(value, dtype=np.float32)
-        object.__setattr__(self, name, self._buffers[name])
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Update a registered buffer (keeps dict and attr in sync).
-
-        The value is always copied: ``np.asarray`` on an already-float32
-        array is a no-copy view, which used to leave every module loaded
-        from a shared checkpoint (the pre-trained-student cache, a
-        server reply fanned out to several pooled sessions) *aliasing*
-        the source arrays — one session mutating its running statistics
-        in place would silently corrupt every other.
-        """
-        if name not in self._buffers:
-            raise KeyError(name)
-        self._buffers[name] = np.array(value, dtype=np.float32, copy=True)
-        object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------
     # Traversal
@@ -109,12 +88,6 @@ class Module:
 
     def trainable_parameters(self) -> List[Parameter]:
         return [p for p in self.parameters() if p.requires_grad]
-
-    def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for mod_name, module in self.named_modules(prefix):
-            for b_name, buf in module._buffers.items():
-                full = f"{mod_name}.{b_name}" if mod_name else b_name
-                yield full, buf
 
     def num_parameters(self, trainable_only: bool = False) -> int:
         params = self.trainable_parameters() if trainable_only else self.parameters()
@@ -149,17 +122,8 @@ class Module:
         return self.num_parameters(trainable_only=True) / total if total else 0.0
 
     # ------------------------------------------------------------------
-    # Train/eval mode and gradient management
+    # Gradient management
     # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for child in self._modules.values():
-            child.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -168,23 +132,13 @@ class Module:
     # State dict
     # ------------------------------------------------------------------
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        """Flat name -> ndarray mapping of parameters and buffers."""
-        out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for name, p in self.named_parameters():
-            out[name] = p.data
-        for name, b in self.named_buffers():
-            out[name] = b
-        return out
+        """Flat name -> ndarray mapping of the parameters."""
+        return OrderedDict((name, p.data) for name, p in self.named_parameters())
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
         params = dict(self.named_parameters())
-        buffer_owners: Dict[str, Tuple[Module, str]] = {}
-        for mod_name, module in self.named_modules():
-            for b_name in module._buffers:
-                full = f"{mod_name}.{b_name}" if mod_name else b_name
-                buffer_owners[full] = (module, b_name)
-        missing = (set(params) | set(buffer_owners)) - set(state)
-        unexpected = set(state) - (set(params) | set(buffer_owners))
+        missing = set(params) - set(state)
+        unexpected = set(state) - set(params)
         if strict and (missing or unexpected):
             raise KeyError(f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
         for name, value in state.items():
@@ -192,9 +146,6 @@ class Module:
                 if params[name].data.shape != value.shape:
                     raise ValueError(f"shape mismatch for {name}")
                 params[name].data = np.asarray(value, dtype=np.float32).copy()
-            elif name in buffer_owners:
-                module, b_name = buffer_owners[name]
-                module.set_buffer(b_name, value)
 
     # ------------------------------------------------------------------
     # Compiled-engine plan cache
@@ -246,7 +197,7 @@ class Module:
 
         Never needed for weight updates (optimizer steps,
         ``load_state_dict``, ``apply_state_dict``): kernels read
-        parameters and buffers from the live layers at execution time.
+        parameters from the live layers at execution time.
         It is for structural edits — swapping a layer, changing a
         stride: the next :meth:`engine_plan` re-derives the structural
         signature and lands on the plan of the edited architecture.

@@ -143,14 +143,12 @@ def state_dict_bytes(state: Dict[str, np.ndarray]) -> int:
 
 class StateSlots:
     """The part of a module's state that must cross the network, resolved
-    once: the parameters and buffers :func:`state_dict_diff` copies.
+    once: the parameters :func:`state_dict_diff` copies.
 
     With ``trainable_only`` (partial distillation), only unfrozen
     parameters are included — "it suffices to communicate only the
-    weights that changed" (section 4.2).  Batch-norm running statistics
-    of *unfrozen* BN layers also change during distillation, so they are
-    included when ``include_buffers`` is set; frozen-layer buffers never
-    change and are skipped.
+    weights that changed" (section 4.2).  Parameters are all the state a
+    module has, so an update is the trained parameters and nothing else.
 
     Resolving walks the module tree, which costs more than copying the
     back-end's few dozen small tensors; whoever copies the same slots
@@ -158,49 +156,30 @@ class StateSlots:
     object for as long as the freeze state stands.
     """
 
-    def __init__(
-        self, module: Module, trainable_only: bool = True, include_buffers: bool = True
-    ) -> None:
+    def __init__(self, module: Module, trainable_only: bool = True) -> None:
         self.params = [
             (name, p) for name, p in module.named_parameters()
             if p.requires_grad or not trainable_only
         ]
-        # module path, e.g. "sb5.conv1.weight" -> "sb5.conv1"
-        owners = {name.rpartition(".")[0] for name, _ in self.params}
-        #: ``(qualified name, owning module, buffer name)``
-        self.buffers = [
-            (f"{mod_name}.{b_name}" if mod_name else b_name, mod, b_name)
-            for mod_name, mod in module.named_modules()
-            if include_buffers and (mod_name in owners or not trainable_only)
-            for b_name in mod._buffers
-        ]
-        self.names = [name for name, _ in self.params] + [
-            name for name, _, _ in self.buffers
-        ]
+        self.names = [name for name, _ in self.params]
 
     def copy(self) -> List[np.ndarray]:
         """Fresh copies of every slot, in :attr:`names` order."""
-        return [np.array(p.data, copy=True) for _, p in self.params] + [
-            np.array(mod._buffers[b_name], copy=True) for _, mod, b_name in self.buffers
-        ]
+        return [np.array(p.data, copy=True) for _, p in self.params]
 
     def restore(self, arrays: List[np.ndarray]) -> None:
-        """Put a :meth:`copy` back.  The parameter arrays are handed
-        over, not copied again: the caller gives the snapshot up."""
+        """Put a :meth:`copy` back.  The arrays are handed over, not
+        copied again: the caller gives the snapshot up."""
         for (_, p), value in zip(self.params, arrays):
             p.data = value
-        for (_, mod, b_name), value in zip(self.buffers, arrays[len(self.params):]):
-            mod.set_buffer(b_name, value)
 
 
 def state_dict_diff(
-    module: Module,
-    trainable_only: bool = True,
-    include_buffers: bool = True,
+    module: Module, trainable_only: bool = True,
 ) -> "OrderedDict[str, np.ndarray]":
     """Extract (copy) the part of a module's state that must cross the
     network — see :class:`StateSlots` for what that is."""
-    slots = StateSlots(module, trainable_only, include_buffers)
+    slots = StateSlots(module, trainable_only)
     return OrderedDict(zip(slots.names, slots.copy()))
 
 
@@ -211,18 +190,9 @@ def apply_state_dict(module: Module, update: Dict[str, np.ndarray]) -> None:
     received from the server into its local student.
     """
     params = dict(module.named_parameters())
-    buffer_owners = {}
-    for mod_name, mod in module.named_modules():
-        for b_name in mod._buffers:
-            full = f"{mod_name}.{b_name}" if mod_name else b_name
-            buffer_owners[full] = (mod, b_name)
     for name, value in update.items():
-        if name in params:
-            if params[name].data.shape != value.shape:
-                raise ValueError(f"shape mismatch applying update for {name}")
-            params[name].data = np.asarray(value, dtype=np.float32).copy()
-        elif name in buffer_owners:
-            mod, b_name = buffer_owners[name]
-            mod.set_buffer(b_name, value)
-        else:
+        if name not in params:
             raise KeyError(f"update contains unknown entry {name!r}")
+        if params[name].data.shape != value.shape:
+            raise ValueError(f"shape mismatch applying update for {name}")
+        params[name].data = np.asarray(value, dtype=np.float32).copy()

@@ -102,10 +102,9 @@ def pretrained_student(
 
     A miss pre-trains inline (the compiled full-mode step; seconds at
     96x144, and whoever calls waits).  Every load deep-copies the
-    checkpoint (``load_state_dict`` and ``set_buffer`` both copy): many
-    pooled sessions start from the same cache entry, and one mutating
-    its weights or running statistics in place must not corrupt the
-    checkpoint every later session starts from.
+    checkpoint (``load_state_dict`` copies): many pooled sessions start
+    from the same cache entry, and one mutating its weights in place
+    must not corrupt the checkpoint every later session starts from.
     """
     key = (width, seed, steps, frame_hw)
     if key not in _PRETRAINED_CACHE:

@@ -404,15 +404,6 @@ class SharedTeacherSegment:
         teacher = TeacherNet(width=self.width, seed=self.seed)
         for name, param in teacher.named_parameters():
             param.data = self._view(name)
-        for mod_name, module in teacher.named_modules():
-            for b_name in list(module._buffers):
-                full = f"{mod_name}.{b_name}" if mod_name else b_name
-                view = self._view(full)
-                # ``set_buffer`` always copies (that is its contract);
-                # aliasing must bypass it and keep both the registry
-                # and the attribute pointing at the shared view.
-                module._buffers[b_name] = view
-                object.__setattr__(module, b_name, view)
         found = state_dict_digest(teacher.state_dict())
         if found != self.digest:
             raise ValueError(

@@ -809,6 +809,44 @@ class ServerRuntime:
         return dict(self.frames_served)
 
 
+#: ``prctl`` option naming the signal a process receives when the
+#: thread that forked it dies (``<linux/prctl.h>``).
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> None:
+    """Have the kernel SIGKILL this process when its parent dies.
+
+    A process wedged inside a handler never returns to the loop that
+    checks its idle deadline, and a parent ended by ``os._exit`` (the
+    test watchdog) reaps nothing, so without this a wedged server
+    outlives its run and keeps its rings.  The signal follows the
+    forking *thread*: every caller starts these processes from a thread
+    that outlives them.  A parent that died before the ``prctl`` is
+    caught by comparing ``getppid()`` with the pid multiprocessing
+    recorded before the fork.  Where ``prctl`` does not exist this
+    warns and does nothing else.
+    """
+    import ctypes
+    import multiprocessing as mp
+    import signal
+    import warnings
+
+    prctl = getattr(ctypes.CDLL(None, use_errno=True), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+    if prctl is None or prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        warnings.warn(
+            "prctl(PR_SET_PDEATHSIG) is unavailable: this process "
+            "outlives a killed parent"
+        )
+        return
+    parent = mp.parent_process()
+    if parent is not None and os.getppid() != parent.pid:
+        os._exit(1)
+
+
 def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
                    report_conn=None, obs_config=None, fleet=None,
                    teachers=None, obs_source="server") -> None:
@@ -828,7 +866,10 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
     ``obs_config`` (an :class:`~repro.obs.ObsConfig`) arms telemetry in
     this process explicitly; ``None`` defers to the inherited
     ``REPRO_OBS`` environment, so one env var arms a whole process tree.
+
+    The process dies with its parent (:func:`_die_with_parent`).
     """
+    _die_with_parent()
     obs.arm_from_config(obs_config, source=obs_source)
     runtime = None
     exit_reason = "quiesced"
@@ -1411,16 +1452,27 @@ def attach_session(config, frame_hw, stride_policy):
 # ----------------------------------------------------------------------
 # Standalone client processes (the N-process deployment)
 # ----------------------------------------------------------------------
+#: Longest a client process waits for its siblings to be started: a
+#: parent killed before it released them must not leave them waiting.
+_START_WAIT_S = 60.0
+
+
 def _client_process_main(address, config, frame_hw, video_key, num_frames,
-                         label, result_conn, delay_s: float = 0.0) -> None:
+                         label, result_conn, delay_s, released) -> None:
     from repro.runtime.session import build_session
     from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
+    _die_with_parent()
     # Inherited REPRO_OBS arms this client's telemetry; the artifact
     # it exports on the way out (obs-client-<pid>.json) is what
     # scripts/obs_report.py merges with the server's snapshot.
     obs.arm_from_env(source=f"client-{os.getpid()}")
     try:
+        # Every delay counts from the moment the last sibling started,
+        # so a herd whose delays span 20 ms dials within 20 ms however
+        # long the box takes to start it.
+        if not released.wait(_START_WAIT_S):
+            raise TimeoutError("client processes were never released")
         if delay_s > 0.0:
             # Churn: this client joins a server that is already serving
             # others — the dial-and-ADMIT handshake happens mid-run.
@@ -1474,8 +1526,9 @@ def run_churn_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0,
 
     ``jobs`` is a list of ``(delay_s, config, frame_hw, video_key,
     num_frames, label)`` tuples, one per connection slot in order: each
-    client process sleeps ``delay_s``, *then* dials the running server
-    and admits its session mid-run.  Different delays and frame counts
+    client process sleeps ``delay_s`` — counted from the moment the
+    last of them has started — *then* dials the running server and
+    admits its session mid-run.  Different delays and frame counts
     interleave joins and departures; returns the per-job ``RunStats``
     list.
 
@@ -1497,19 +1550,24 @@ def _run_processes(handle: ServerHandle, jobs, timeout_s: float,
                    slot_offset: int = 0):
     import multiprocessing as mp
 
+    released = mp.Event()
     workers = []
-    for slot, (delay_s, config, frame_hw, video_key, num_frames,
-               label) in enumerate(jobs, start=slot_offset):
-        parent_conn, child_conn = mp.Pipe(duplex=False)
-        proc = mp.Process(
-            target=_client_process_main,
-            args=(handle.address(slot, admit_retries), config, frame_hw,
-                  video_key, num_frames, label, child_conn, delay_s),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        workers.append((proc, parent_conn))
+    try:
+        for slot, (delay_s, config, frame_hw, video_key, num_frames,
+                   label) in enumerate(jobs, start=slot_offset):
+            parent_conn, child_conn = mp.Pipe(duplex=False)
+            proc = mp.Process(
+                target=_client_process_main,
+                args=(handle.address(slot, admit_retries), config, frame_hw,
+                      video_key, num_frames, label, child_conn, delay_s,
+                      released),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            workers.append((proc, parent_conn))
+    finally:
+        released.set()
 
     results = []
     deadline = time.monotonic() + timeout_s

@@ -16,9 +16,7 @@ from repro.segmentation.losses import weighted_cross_entropy
 
 class AutogradStepRunner:
     """The define-by-run training step: the reference every compiled
-    step is judged against.  Batch-norm commits running statistics in
-    train mode only, so a step runs in train mode and hands the
-    caller's mode back afterwards."""
+    step is judged against."""
 
     def __init__(self, student, x, target, weight_map) -> None:
         self.student = student
@@ -27,12 +25,9 @@ class AutogradStepRunner:
         self.weight_map = weight_map
 
     def step(self) -> float:
-        was_training = self.student.training
-        self.student.train()
         logits = self.student(self.x)
         loss = weighted_cross_entropy(logits, self.target, self.weight_map)
         loss.backward()
-        self.student.train(was_training)
         return loss.item()
 
     def predict(self) -> np.ndarray:
@@ -44,15 +39,9 @@ def _autograd_step_runner(student, x4, target, weight_map, plan_for=None):
 
 
 def _interpreted_run_plan(self, kind, *inputs):
-    """The ``kind`` callable interpreted under ``no_grad`` in eval
-    mode, as plans are traced."""
-    was_training = self.training
-    self.eval()
-    try:
-        with no_grad():
-            out = self._engine_fns()[kind](*map(Tensor, inputs))
-    finally:
-        self.train(was_training)
+    """The ``kind`` callable interpreted under ``no_grad``."""
+    with no_grad():
+        out = self._engine_fns()[kind](*map(Tensor, inputs))
     return tuple(t.data for t in (out if isinstance(out, tuple) else (out,)))
 
 

@@ -111,7 +111,6 @@ class TestStudentTrainer:
             student, DistillConfig(max_updates=12, threshold=0.9)
         )
         result = trainer.train(frame, label)
-        student.eval()
         final = mean_iou(student.predict(frame), label)
         assert final == pytest.approx(result.metric, abs=1e-6)
 

@@ -13,7 +13,6 @@ from repro.engine.kernels import ConvStep, Layout, UntraceableError
 from repro.engine.training import CompiledTrainStep
 from repro.models.student import StudentNet, partial_freeze
 from repro.models.teacher import TeacherNet
-from repro.nn.layers import BatchNorm2d
 from repro.nn.serialize import apply_state_dict, state_dict_diff
 from tests.helpers import interpreted
 
@@ -37,7 +36,6 @@ class TestForwardEquivalence:
     @pytest.mark.parametrize("batch", [None, 2])
     def test_matches_autograd(self, rng, width, batch):
         student = StudentNet(width=width, seed=3)
-        student.eval()
         n = 1 if batch is None else batch
         x = rng.normal(size=(n, 3, 32, 48)).astype(np.float32)
         ref = autograd_logits(student, x)
@@ -49,7 +47,6 @@ class TestForwardEquivalence:
     @pytest.mark.parametrize("hw", [(20, 28), (64, 96), (16, 16), (32, 44)])
     def test_odd_geometries(self, rng, hw):
         student = StudentNet(width=0.5, seed=7)
-        student.eval()
         x = rng.normal(size=(1, 3) + hw).astype(np.float32)
         ref = autograd_logits(student, x)
         (got,) = student.engine_plan("forward", (x.shape,)).run(x)
@@ -59,7 +56,6 @@ class TestForwardEquivalence:
         # The hot path (one frame) must not drift at all: the benchmark
         # asserts argmax equality against the autograd path per frame.
         student = StudentNet(width=0.5, seed=11)
-        student.eval()
         x = rng.normal(size=(1, 3, 64, 96)).astype(np.float32)
         ref = autograd_logits(student, x)
         (got,) = student.engine_plan("forward", (x.shape,)).run(x)
@@ -67,7 +63,6 @@ class TestForwardEquivalence:
 
     def test_predict_routes_through_engine_and_matches(self, rng):
         student = StudentNet(width=0.5, seed=5)
-        student.eval()
         frame = rng.normal(size=(3, 32, 48)).astype(np.float32)
         with interpreted():
             ref = student.predict(frame)
@@ -78,7 +73,6 @@ class TestForwardEquivalence:
 
     def test_front_back_split_composes_to_forward(self, rng):
         student = StudentNet(width=0.5, seed=5)
-        student.eval()
         x = rng.normal(size=(1, 3, 32, 48)).astype(np.float32)
         front = student.engine_plan("front", (x.shape,))
         feats = front.run(x)
@@ -91,7 +85,6 @@ class TestForwardEquivalence:
 class TestPlanMechanics:
     def test_run_validates_shapes(self, rng):
         student = StudentNet(width=0.25, seed=0)
-        student.eval()
         plan = student.engine_plan("forward", ((1, 3, 16, 16),))
         with pytest.raises(ValueError):
             plan.run(np.zeros((1, 3, 32, 32), np.float32))
@@ -127,7 +120,6 @@ class TestPlanMechanics:
 
     def test_plan_buffers_reused_between_runs(self, rng):
         student = StudentNet(width=0.25, seed=0)
-        student.eval()
         plan = student.engine_plan("forward", ((1, 3, 16, 16),))
         a = plan.run(rng.normal(size=(1, 3, 16, 16)).astype(np.float32))[0]
         first = a.copy()
@@ -142,8 +134,6 @@ class TestInvalidation:
     def test_engine_fresh_after_apply_state_dict(self, rng):
         student = StudentNet(width=0.5, seed=1)
         donor = StudentNet(width=0.5, seed=99)
-        student.eval()
-        donor.eval()
         x = rng.normal(size=(1, 3, 32, 48)).astype(np.float32)
         plan = student.engine_plan("forward", (x.shape,))
         before = plan.run(x)[0].copy()
@@ -160,7 +150,6 @@ class TestInvalidation:
     def test_engine_fresh_after_load_state_dict(self, rng):
         student = StudentNet(width=0.5, seed=1)
         donor = StudentNet(width=0.5, seed=42)
-        student.eval()
         x = rng.normal(size=(1, 3, 32, 48)).astype(np.float32)
         student.engine_plan("forward", (x.shape,)).run(x)
         student.load_state_dict(donor.state_dict())
@@ -170,7 +159,6 @@ class TestInvalidation:
     def test_engine_fresh_after_inplace_optimizer_update(self, rng):
         # Adam mutates parameter arrays in place between metric predicts.
         student = StudentNet(width=0.5, seed=1)
-        student.eval()
         x = rng.normal(size=(1, 3, 32, 48)).astype(np.float32)
         plan = student.engine_plan("forward", (x.shape,))
         plan.run(x)
@@ -180,7 +168,6 @@ class TestInvalidation:
 
     def test_full_invalidation_clears_cache(self):
         student = StudentNet(width=0.25, seed=0)
-        student.eval()
         student.engine_plan("forward", ((1, 3, 16, 16),))
         assert student._engine_plans
         student.invalidate_plans()
@@ -190,7 +177,6 @@ class TestInvalidation:
 class TestCompiledPlanDirect:
     def test_compile_plan_on_plain_callable(self, rng):
         student = StudentNet(width=0.25, seed=0)
-        student.eval()
         x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
         plan = compile_plan(student.forward, (x,))
         assert isinstance(plan, CompiledPlan)
@@ -208,14 +194,9 @@ def _private_plan(model, kind, shapes):
     traced on, and for ever bound to, this one instance."""
     fn = model._engine_fns()[kind]
     examples = tuple(np.zeros(shape, np.float32) for shape in shapes)
-    was_training = model.training
-    model.eval()
-    try:
-        if kind.startswith("train"):
-            return CompiledTrainStep(fn, examples)
-        return compile_plan(fn, examples)
-    finally:
-        model.train(was_training)
+    if kind.startswith("train"):
+        return CompiledTrainStep(fn, examples)
+    return compile_plan(fn, examples)
 
 
 def _assert_same_state(got, want, grads):
@@ -227,35 +208,29 @@ def _assert_same_state(got, want, grads):
             assert (a.grad is None) == (b.grad is None), name
             if a.grad is not None:
                 assert a.grad.tobytes() == b.grad.tobytes(), name
-    for (name, a), (_, b) in zip(got.named_buffers(), want.named_buffers()):
-        assert a.tobytes() == b.tobytes(), name
 
 
 class TestSharedPlans:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleaved_instances_match_private_plans(self, seed):
-        # Same-structure models with different weights, freeze states
-        # and training flags share every plan; whatever order their
-        # calls interleave in, each must compute exactly what a plan
-        # compiled for it alone computes — outputs, losses, gradients,
-        # committed batch-norm buffers, bit for bit.
+        # Same-structure models with different weights and freeze
+        # states share every plan; whatever order their calls
+        # interleave in, each must compute exactly what a plan compiled
+        # for it alone computes — outputs, losses, gradients, bit for
+        # bit.
         rng = np.random.default_rng(seed)
 
-        def student(s, freeze, training):
+        def student(s, freeze):
             pair = []
             for _ in range(2):
                 net = StudentNet(width=0.25, seed=s)
                 if freeze:
                     partial_freeze(net)
-                net.train(training)
                 pair.append(net)
             return pair
 
-        def teacher(s, training):
-            pair = [TeacherNet(width=8, seed=s) for _ in range(2)]
-            for net in pair:
-                net.train(training)
-            return pair
+        def teacher(s):
+            return [TeacherNet(width=8, seed=s) for _ in range(2)]
 
         x1 = (1, 3, *_HW)
         probe = StudentNet(width=0.25, seed=0)
@@ -268,12 +243,12 @@ class TestSharedPlans:
         }
         teacher_kinds = {"forward": (x1,)}
         models = [
-            (*student(11, True, True), student_kinds),
-            (*student(12, False, False), student_kinds),
-            (*student(13, True, False), student_kinds),
-            (*student(14, False, True), student_kinds),
-            (*teacher(21, False), teacher_kinds),
-            (*teacher(22, True), teacher_kinds),
+            (*student(11, True), student_kinds),
+            (*student(12, False), student_kinds),
+            (*student(13, True), student_kinds),
+            (*student(14, False), student_kinds),
+            (*teacher(21), teacher_kinds),
+            (*teacher(22), teacher_kinds),
         ]
         private = {
             (i, kind): _private_plan(twin, kind, shapes)
@@ -318,11 +293,8 @@ class TestSharedPlans:
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes(), kind
-        for (model, twin, _), training in zip(
-            models, (True, False, False, True, False, True)
-        ):
+        for model, twin, _ in models:
             _assert_same_state(model, twin, grads=False)
-            assert model.training is training  # never part of a plan
 
     def test_stale_forward_does_not_survive_a_hand_over(self, rng):
         a, b = StudentNet(width=0.25, seed=1), StudentNet(width=0.25, seed=2)
@@ -337,12 +309,6 @@ class TestSharedPlans:
         plan_b.run((x,), target, None)
         with pytest.raises(RuntimeError):
             plan_a.finish_step(target, None)  # b ran in between
-        before = {n: buf.copy() for n, buf in a.named_buffers()}
-        plan_a.forward_only((x,))
-        plan_b.forward_only((x,))  # takes the plan; a's deferred stats go
-        plan_b.finish_step(target, None)
-        for name, buf in a.named_buffers():
-            assert buf.tobytes() == before[name].tobytes(), name
 
     def test_adjoint_follows_the_owner_at_hand_over(self):
         # A partial-mode and a full-mode student share "train_full";
@@ -381,22 +347,19 @@ class TestSharedPlans:
         x = rng.normal(size=(1, 3, *_HW)).astype(np.float32)
         base = StudentNet(width=0.25, seed=1)
         wider = StudentNet(width=0.5, seed=1)
-        running = StudentNet(width=0.25, seed=1)
-        for _, module in running.named_modules():
-            if isinstance(module, BatchNorm2d):
-                module.use_batch_stats_in_eval = False
+        other_eps = StudentNet(width=0.25, seed=1)
+        other_eps.sb3.bn.eps = 1e-3
         unpadded = StudentNet(width=0.25, seed=1)
         unpadded.out1.padding = (0, 0)
         shapes = (x.shape,)
-        plans = [m.engine_plan("forward", shapes) for m in (base, wider, running)]
+        plans = [m.engine_plan("forward", shapes) for m in (base, wider, other_eps)]
         plans.append(base.engine_plan("forward", ((1, 3, 32, 24),)))
         plans.append(base.engine_plan("front", shapes))
         plans.append(unpadded.engine_plan("forward", shapes))
         assert len({id(p._plan) for p in plans}) == len(plans)
         twin = StudentNet(width=0.25, seed=9)
         assert twin.engine_plan("forward", shapes)._plan is plans[0]._plan
-        for model in (base, wider, running, unpadded, twin):
-            model.eval()
+        for model in (base, wider, other_eps, unpadded, twin):
             (got,) = model.engine_plan("forward", shapes).run(x)
             assert got.tobytes() == autograd_logits(model, x).tobytes()
 

@@ -44,7 +44,6 @@ def _autograd_grads(student, x4, target, weight_map):
     # Call functional.cross_entropy directly (not weighted_cross_entropy,
     # which substitutes the LVS map for None): the plan's None path means
     # genuinely unweighted, and the reference must mean the same thing.
-    student.train()
     loss = cross_entropy(student(Tensor(x4)), target, weight_map)
     loss.backward()
     return loss.item(), {n: p.grad for n, p in student.named_parameters()}
@@ -53,7 +52,6 @@ def _autograd_grads(student, x4, target, weight_map):
 def _adjoint_grads(student, x4, target, weight_map):
     plan = student.engine_plan("train_full", (tuple(x4.shape),))
     assert plan is not None, "full train step must compile"
-    student.train()
     loss = plan.run((x4,), target, weight_map)
     return loss, {n: p.grad for n, p in student.named_parameters()}
 
@@ -102,7 +100,6 @@ class TestAdjointBitwiseProperty:
         got_student.unfreeze()
         plan = got_student.engine_plan("train_full", (tuple(x4.shape),))
         full_schedule_len = len(plan.adjoint._steps)
-        got_student.train()
         plan.run((x4,), target, weight_map)
 
         partial_freeze(got_student)

@@ -147,7 +147,6 @@ class TestNothingLiveIsShared:
         activation private."""
         model = _model("student")
         plan, inputs = _plan(model, kind, 2, (32, 48))
-        model.eval()
         records, ins, outs = trace_forward(model._engine_fns()[kind], inputs)
         layout = Layout()
         private = CompiledPlan(

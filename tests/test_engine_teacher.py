@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.engine.compiler import trace_forward
+from repro.engine.compiler import compile_plan, trace_forward
+from repro.engine.kernels import UntraceableError
+from repro.engine.training import CompiledTrainStep
 from repro.models.student import StudentNet
 from repro.models.teacher import TeacherNet
+from repro.nn import Conv2d, FrozenBatchNorm2d, ReLU, Sequential
 from tests.helpers import interpreted
 
 
@@ -33,7 +36,6 @@ class TestTeacherNetCompiles:
         teacher = TeacherNet(width=8, seed=0)
         plan = teacher.engine_plan("forward", ((1, 3, 32, 48),))
         (logits,) = plan.run(frame[None])
-        teacher.eval()
         with no_grad():
             ref = teacher.forward(Tensor(frame[None])).data
         assert ref.shape == logits.shape
@@ -52,16 +54,39 @@ class TestTeacherNetCompiles:
         key = ("forward", ((1, 3, 32, 48),))
         assert teacher._engine_plans.get(key) is not None
 
-    def test_infer_preserves_training_mode(self, frame):
-        teacher = TeacherNet(width=8, seed=0)
-        teacher.train(True)
-        teacher.infer(frame)
-        assert teacher.training
-
     def test_unknown_plan_kind_raises(self):
         teacher = TeacherNet(width=8, seed=0)
         with pytest.raises(KeyError):
             teacher.engine_plan("train_back", ((1, 3, 32, 48),))
+
+
+class TestFrozenBatchNormKernel:
+    """``FrozenBatchNormStep`` is ``FrozenBatchNorm2d.forward`` compiled:
+    the same bits at any ``eps`` and affine, and no adjoint."""
+
+    @staticmethod
+    def _net():
+        rng = np.random.default_rng(3)
+        net = Sequential(
+            Conv2d(3, 4, 3, rng=rng), FrozenBatchNorm2d(4, eps=1e-3), ReLU(),
+            Conv2d(4, 5, 1, rng=rng),
+        )
+        net[1].weight.data = rng.normal(size=4).astype(np.float32)
+        net[1].bias.data = rng.normal(size=4).astype(np.float32)
+        x = rng.normal(size=(1, 3, 8, 10)).astype(np.float32)
+        return net, x
+
+    def test_compiled_kernel_is_the_layer_bit_for_bit(self):
+        net, x = self._net()
+        (got,) = compile_plan(net.forward, (x,)).run(x)
+        with no_grad():
+            ref = net.forward(Tensor(x)).data
+        assert got.tobytes() == ref.tobytes()
+
+    def test_a_train_step_through_it_is_refused(self):
+        net, x = self._net()
+        with pytest.raises(UntraceableError, match="FrozenBatchNorm2d"):
+            CompiledTrainStep(net.forward, (x,))
 
 
 class TestTracedOpVocabulary:
@@ -78,7 +103,6 @@ class TestTracedOpVocabulary:
         models += [TeacherNet(width=w, seed=0) for w in (8, 48)]
         seen = set()
         for model in models:
-            model.eval()
             fns = model._engine_fns()
             if isinstance(model, TeacherNet):
                 assert set(fns) == {"forward"}

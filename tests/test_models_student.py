@@ -39,7 +39,6 @@ class TestStudentBlock:
             conv.weight.data[:] = 0.0
             conv.bias.data[:] = 0.0
         x = Tensor(np.abs(rng.normal(size=(1, 4, 4, 4))).astype(np.float32))
-        block.eval()
         out = block(x)
         np.testing.assert_allclose(out.data, x.data, rtol=1e-5)
 
@@ -94,7 +93,6 @@ class TestStudentNet:
         a = StudentNet(width=0.25, seed=11)
         b = StudentNet(width=0.25, seed=11)
         frame = rng.normal(size=(3, 16, 16)).astype(np.float32)
-        a.eval(), b.eval()
         np.testing.assert_array_equal(a.predict(frame), b.predict(frame))
 
 
@@ -126,7 +124,6 @@ class TestPartialFreeze:
         # every trainable one must.
         student = StudentNet(width=0.25)
         partial_freeze(student)
-        student.train()
         out = student(Tensor(rng.normal(size=(1, 3, 16, 16))))
         (out**2).sum().backward()
         for name, p in student.named_parameters():
@@ -143,7 +140,6 @@ class TestPartialFreeze:
         x = rng.normal(size=(1, 3, 32, 48))
 
         def time_backward(student):
-            student.train()
             t0 = time.perf_counter()
             for _ in range(3):
                 student.zero_grad()

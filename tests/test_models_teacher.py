@@ -72,11 +72,6 @@ class TestTeacherNet:
         b = teacher.infer(frame, label=np.ones((16, 16), dtype=np.int64))
         np.testing.assert_array_equal(a, b)
 
-    def test_infer_preserves_training_mode(self, teacher, rng):
-        teacher.train()
-        teacher.infer(rng.normal(size=(3, 16, 16)).astype(np.float32))
-        assert teacher.training
-
     def test_teacher_larger_than_student(self):
         teacher = TeacherNet()  # default width
         student = StudentNet(width=0.5)

@@ -1,10 +1,10 @@
-"""Tests for Conv2d, BatchNorm2d and container layers."""
+"""Tests for Conv2d, the batch norms and container layers."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import BatchNorm2d, Conv2d, ReLU, Sequential
+from repro.nn import BatchNorm2d, Conv2d, FrozenBatchNorm2d, ReLU, Sequential
 
 from tests.helpers import assert_grad_close, numeric_gradient
 
@@ -49,27 +49,15 @@ class TestBatchNorm:
         np.testing.assert_allclose(mean, np.zeros(4), atol=1e-4)
         np.testing.assert_allclose(std, np.ones(4), atol=1e-3)
 
-    def test_running_stats_update(self, rng):
-        bn = BatchNorm2d(2, momentum=0.5)
-        x = Tensor(np.full((2, 2, 3, 3), 4.0, dtype=np.float32))
-        bn(x)
-        np.testing.assert_allclose(bn.running_mean, [2.0, 2.0])
-
-    def test_eval_uses_running_stats(self, rng):
+    def test_every_call_uses_its_own_batch_statistics(self, rng):
+        """No state survives a call: a batch normalises the same way
+        whatever batches came before it."""
         bn = BatchNorm2d(2)
-        bn.set_buffer("running_mean", np.array([1.0, 1.0]))
-        bn.set_buffer("running_var", np.array([4.0, 4.0]))
-        bn.eval()
-        x = Tensor(np.full((1, 2, 2, 2), 3.0, dtype=np.float32))
-        out = bn(x)
-        np.testing.assert_allclose(out.data, (3.0 - 1.0) / 2.0, rtol=1e-4)
-
-    def test_eval_does_not_update_running_stats(self, rng):
-        bn = BatchNorm2d(2)
-        bn.eval()
-        before = bn.running_mean.copy()
-        bn(Tensor(rng.normal(size=(1, 2, 3, 3))))
-        np.testing.assert_allclose(bn.running_mean, before)
+        x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)
+        first = bn(Tensor(x)).data
+        bn(Tensor(np.full((2, 2, 3, 3), 4.0, dtype=np.float32)))
+        assert bn(Tensor(x)).data.tobytes() == first.tobytes()
+        assert bn.state_dict().keys() == {"weight", "bias"}
 
     def test_channel_mismatch_raises(self, rng):
         bn = BatchNorm2d(3)
@@ -105,6 +93,34 @@ class TestBatchNorm:
         bn(x).sum().backward()
         assert x.grad is not None
         assert bn.weight.grad is None
+
+
+class TestFrozenBatchNorm:
+    def test_is_batch_norm_at_mean_0_variance_1_bit_for_bit(self, rng):
+        """``(x * s) * weight + bias`` equals normalising with the
+        statistics a fresh batch norm starts from, in its own order."""
+        bn = FrozenBatchNorm2d(3)
+        bn.weight.data = rng.normal(size=3).astype(np.float32)
+        bn.bias.data = rng.normal(size=3).astype(np.float32)
+        x = rng.normal(size=(1, 3, 4, 5)).astype(np.float32)
+        c = (1, 3, 1, 1)
+        inv_std = 1.0 / np.sqrt(np.ones(3, np.float32) + bn.eps)
+        x_hat = (x - np.zeros(3, np.float32).reshape(c)) * inv_std.reshape(c)
+        want = x_hat * bn.weight.data.reshape(c) + bn.bias.data.reshape(c)
+        assert bn(Tensor(x)).data.tobytes() == want.tobytes()
+
+    def test_channel_mismatch_raises(self, rng):
+        with pytest.raises(ValueError):
+            FrozenBatchNorm2d(3)(Tensor(rng.normal(size=(1, 2, 3, 3))))
+
+    def test_has_no_backward(self, rng):
+        """The teacher is never trained: the output is a root even when
+        the input and the layer's own parameters require gradients."""
+        bn = FrozenBatchNorm2d(2)
+        assert bn.weight.requires_grad and bn.bias.requires_grad
+        x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        assert not bn(x).requires_grad
+        assert bn.state_dict().keys() == {"weight", "bias"}
 
 
 class TestContainers:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import Conv2d, BatchNorm2d, Sequential, ReLU
 from repro.nn.module import Module, Parameter
 
 
@@ -12,7 +11,6 @@ class Leaf(Module):
     def __init__(self):
         super().__init__()
         self.w = Parameter(np.ones((2, 2), dtype=np.float32))
-        self.register_buffer("stat", np.zeros(2, dtype=np.float32))
 
     def forward(self, x):
         return x @ self.w
@@ -35,11 +33,6 @@ class TestRegistration:
         names = [n for n, _ in tree.named_parameters()]
         assert set(names) == {"left.w", "right.w", "bias"}
 
-    def test_buffers_discovered(self):
-        tree = Tree()
-        names = [n for n, _ in tree.named_buffers()]
-        assert set(names) == {"left.stat", "right.stat"}
-
     def test_named_modules_includes_root(self):
         tree = Tree()
         names = [n for n, _ in tree.named_modules()]
@@ -48,17 +41,6 @@ class TestRegistration:
     def test_num_parameters(self):
         tree = Tree()
         assert tree.num_parameters() == 4 + 4 + 2
-
-    def test_set_buffer_updates_attribute(self):
-        leaf = Leaf()
-        leaf.set_buffer("stat", np.array([1.0, 2.0]))
-        np.testing.assert_allclose(leaf.stat, [1.0, 2.0])
-        np.testing.assert_allclose(dict(leaf.named_buffers())["stat"], [1.0, 2.0])
-
-    def test_set_unknown_buffer_raises(self):
-        leaf = Leaf()
-        with pytest.raises(KeyError):
-            leaf.set_buffer("nope", np.zeros(1))
 
 
 class TestFreezing:
@@ -102,15 +84,7 @@ class TestFreezing:
         assert not out.requires_grad
 
 
-class TestTrainEval:
-    def test_mode_propagates(self):
-        net = Sequential(Conv2d(2, 2, 3), BatchNorm2d(2), ReLU())
-        net.eval()
-        assert not net.training
-        assert not net[1].training
-        net.train()
-        assert net[1].training
-
+class TestZeroGrad:
     def test_zero_grad_clears_all(self):
         tree = Tree()
         x = Tensor(np.ones((1, 2), dtype=np.float32))
@@ -128,9 +102,9 @@ class TestStateDict:
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_allclose(pa.data, pb.data)
 
-    def test_state_dict_contains_buffers(self):
+    def test_state_dict_is_the_parameters(self):
         tree = Tree()
-        assert "left.stat" in tree.state_dict()
+        assert list(tree.state_dict()) == [n for n, _ in tree.named_parameters()]
 
     def test_loaded_arrays_are_copies(self):
         a, b = Tree(), Tree()
@@ -166,9 +140,3 @@ class TestStateDict:
         state["bias"] = np.zeros(5)
         with pytest.raises(ValueError):
             tree.load_state_dict(state)
-
-    def test_buffer_loading(self):
-        a, b = Tree(), Tree()
-        a.left.set_buffer("stat", np.array([9.0, 9.0]))
-        b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(b.left.stat, [9.0, 9.0])

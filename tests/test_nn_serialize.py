@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet, partial_freeze
+from repro.models.teacher import OracleTeacher
 from repro.nn.serialize import (
     apply_state_dict,
     clone_state_dict,
@@ -11,6 +13,9 @@ from repro.nn.serialize import (
     state_dict_bytes,
     state_dict_diff,
 )
+from repro.runtime.server import Server
+from repro.transport import wire
+from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 
 @pytest.fixture(scope="module")
@@ -59,19 +64,42 @@ class TestDiff:
         full = state_dict_bytes(state_dict_diff(student, trainable_only=False))
         assert partial < 0.5 * full
 
-    def test_partial_diff_includes_trainable_bn_buffers(self):
-        student = StudentNet(width=0.25, seed=7)
-        partial_freeze(student)
-        diff = state_dict_diff(student, trainable_only=True, include_buffers=True)
-        assert any("sb5.bn.running_mean" in n for n in diff)
-        assert not any("sb1.bn.running_mean" in n for n in diff)
-
     def test_diff_arrays_are_copies(self):
         student = StudentNet(width=0.25, seed=7)
         diff = state_dict_diff(student, trainable_only=False)
         name = next(iter(diff))
         diff[name] += 99.0
         assert not np.allclose(diff[name], dict(student.named_parameters())[name].data)
+
+
+def _trained_reply(width, mode):
+    """A served key frame that took one optimisation step."""
+    video = make_category_video(CATEGORY_BY_KEY["moving-people"], height=32, width=48)
+    video.reset()
+    frame, label = next(iter(video.frames(1)))
+    server = Server(StudentNet(width=width, seed=0), OracleTeacher(),
+                    DistillConfig(mode=mode, threshold=0.999, max_updates=1))
+    reply, _ = server.handle_key_frame(frame, label)
+    assert reply.steps == 1
+    return server, reply
+
+
+class TestWhatAnUpdateCarries:
+    @pytest.mark.parametrize("mode", [DistillMode.PARTIAL, DistillMode.FULL])
+    def test_exactly_the_trained_parameters(self, mode):
+        server, reply = _trained_reply(0.25, mode)
+        trained = [n for n, p in server.student.named_parameters() if p.requires_grad]
+        assert list(reply.update) == trained
+        assert list(state_dict_diff(
+            server.student, trainable_only=mode is DistillMode.PARTIAL
+        )) == trained
+
+    def test_width_half_partial_reply_is_115_978_bytes(self):
+        """28 parameter arrays of SB5 onwards: 114 836 payload bytes, plus
+        header, metrics and per-array framing."""
+        _, reply = _trained_reply(0.5, DistillMode.PARTIAL)
+        assert len(reply.update) == 28
+        assert wire.encoded_nbytes(reply) == 115_978
 
 
 class TestApply:
@@ -108,5 +136,4 @@ class TestApply:
             p.data += rng.normal(0, 0.05, size=p.data.shape).astype(np.float32)
         apply_state_dict(client, state_dict_diff(server, trainable_only=True))
         frame = rng.normal(size=(3, 16, 16)).astype(np.float32)
-        server.eval(), client.eval()
         np.testing.assert_array_equal(server.predict(frame), client.predict(frame))

@@ -398,7 +398,9 @@ class TestRetiredNamesStayRetired:
       tests' reference (``tests/helpers.py``);
     - one gate, ``pytest -x -q``: every smoke assertion is a test, and
       ``pytest.ini``'s exiting ``faulthandler_timeout`` fails a wedged
-      test.
+      test;
+    - a module's state is its parameters: batch norm keeps no running
+      statistics, and modules have no buffers and no train/eval mode.
     """
 
     RETIRED = (
@@ -454,6 +456,10 @@ class TestRetiredNamesStayRetired:
         ("interpreted fallback step runner", r"_AutogradStepRunner"),
         ("second gate: tier-1 shell script and smoke scripts",
          r"test_tier1\.sh|smoke_(transport|serve_many|storm|fleet|obs)\b"),
+        ("batch-norm running statistics / module buffer registry",
+         r"use_batch_stats_in_eval|commit_running_stats|_pending_stats"
+         r"|running_(mean|var)|register_buffer|\bset_buffer\b|named_buffers"
+         r"|include_buffers|_bn_steps"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}

@@ -60,7 +60,6 @@ class TestHandleKeyFrame:
         frame, label = key_frame()
         reply, _ = server.handle_key_frame(frame, label)
         apply_state_dict(client_student, reply.update)
-        server.student.eval(), client_student.eval()
         np.testing.assert_array_equal(
             client_student.predict(frame), server.student.predict(frame)
         )

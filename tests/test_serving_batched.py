@@ -22,7 +22,6 @@ class TestBatchedPredictor:
                 self.weight_version = weight_version
 
         student = StudentNet(width=width, seed=0)
-        student.eval()
         return FakeClient(student, version)
 
     def test_groups_by_weight_version(self):

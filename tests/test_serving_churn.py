@@ -254,11 +254,11 @@ class TestAdmissionRetry:
         real_main = runtime._client_process_main
 
         def dies_silently(address, config, frame_hw, video_key, num_frames,
-                          label, result_conn, delay_s=0.0):
+                          label, *rest):
             if label == "dead":
                 os._exit(9)
             real_main(address, config, frame_hw, video_key, num_frames,
-                      label, result_conn, delay_s)
+                      label, *rest)
 
         # Forked children inherit the patched module global.
         monkeypatch.setattr(runtime, "_client_process_main", dies_silently)

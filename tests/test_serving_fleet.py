@@ -392,12 +392,15 @@ class TestFleetEndToEnd:
                  8, "forced"),
             ]
             workers = []
+            released = mp.Event()
+            released.set()
             for address, frames, label in jobs:
                 parent, child = mp.Pipe(duplex=False)
                 proc = mp.Process(
                     target=_client_process_main,
                     args=(address, config, _HW, "fixed-people", frames,
-                          label, child, 0.4 if label == "forced" else 0.0),
+                          label, child, 0.4 if label == "forced" else 0.0,
+                          released),
                     daemon=True,
                 )
                 proc.start()

@@ -603,6 +603,63 @@ class TestRunLoopScripted:
         assert len(replies[0]) == 2 and replies[1] == replies[0]
         assert runtime.serve_counters["hits"] == 2
 
+    def test_a_herd_in_one_sweep_meets_the_token_bucket(self):
+        """The thundering-herd storm's fourteen ADMITs, all pending in
+        one sweep.  Its bucket starts with 3 tokens and accrues 0.25 per
+        served message, and the k-th ADMIT (from 0) is served at tick k:
+        the first three leave 2, 1.25 and 0.5 tokens, so only ADMITs 4,
+        8 and 12 find a whole token again and the other eight are
+        refused ``overloaded``.  Those three meet three open sessions
+        (``max_sessions=3``) and are refused ``capacity``: eleven
+        refusals, three sessions."""
+        from repro.serving.storms import storm_plan
+        from repro.transport import wire
+
+        plan = storm_plan("thundering-herd")
+        assert (plan.overload.admission_rate, plan.overload.admission_burst,
+                plan.max_sessions, len(plan.jobs)) == (0.25, 3.0, 3, 14)
+        log = []
+
+        def hang_up(link):
+            def on_send(session, obj):
+                if isinstance(obj, wire.Reject):
+                    link.publish(0, None)
+                elif isinstance(obj, dict):  # the accepted session's STATE
+                    link.publish(session, wire.Bye(session))
+                    link.publish(0, None)
+            return on_send
+
+        links = []
+        for i in range(len(plan.jobs)):
+            link = _ScriptedConnection(f"h{i}", log, rung=False)
+            link.on_send = hang_up(link)
+            links.append(link)
+
+        class HerdListener(_ScriptedListener):
+            """Hands out every link first; the last hand-out releases
+            the herd, so each link's ADMIT waits for one sweep."""
+
+            def poll_accept(self):
+                link = super().poll_accept()
+                if link is not None and not self.pending:
+                    for herd_link, (_, config, hw, *_) in zip(links, plan.jobs):
+                        herd_link.publish(0, admit_message(config, hw))
+                return link
+
+        runtime = ServerRuntime(max_sessions=plan.max_sessions,
+                                overload=plan.overload)
+        runtime.run(HerdListener(links))
+
+        admits = [i for i, e in enumerate(log) if e[0] == "recv" and e[3] == "Admit"]
+        assert len(admits) == 14
+        assert sum(e[0] == "poll" for e in log[admits[0]:admits[-1]]) == 13
+        answers = [e[3] for e in log if e[0] == "send" and e[3] in ("Accept", "Reject")]
+        assert answers.count("Accept") == 3 and answers.count("Reject") == 11
+        counters = runtime.metrics.snapshot()["counters"]
+        assert counters["overload.reject.overloaded"] == 8
+        assert counters["overload.reject.capacity"] == 3
+        assert all(link.closed for link in links)
+
 
 class TestListenersSayWhenNoneCanArrive:
     """The one question the drain rule asks a listener: can another
@@ -759,3 +816,117 @@ class TestMuxConnectionQueues:
         assert handle.runtime_report["frames_served"] == {
             sid: 1 for sid in range(cycles + 1)
         }
+
+
+class TestServerDiesWithItsParent:
+    def test_server_dies_with_a_parent_ended_by_os_exit(self):
+        """A parent ended by ``os._exit`` (as the test watchdog ends
+        pytest) reaps nothing; its server must still be gone within
+        10 s — long before the server's own 60 s idle deadline — and
+        its ring segments with it."""
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        import time
+
+        import repro
+        from tests.helpers import no_shm_leak
+
+        def gone(pid):
+            # An orphan nobody reaps stays a zombie: dead all the same.
+            try:
+                stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return True
+            return stat.rpartition(")")[2].split()[0] == "Z"
+
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        code = textwrap.dedent("""
+            import os
+            from repro.serving.runtime import start_server
+            handle = start_server(transport="shm", n_clients=1, idle_timeout_s=60)
+            print(handle.process.pid, flush=True)
+            os._exit(0)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        with no_shm_leak():
+            before = segments()
+            # The server inherits the pipe, so read its pid, not to EOF.
+            with subprocess.Popen([sys.executable, "-c", code], env=env,
+                                  stdout=subprocess.PIPE, text=True) as parent:
+                pid = int(parent.stdout.readline())
+                assert parent.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not (
+                gone(pid) and segments() <= before
+            ):
+                time.sleep(0.1)
+            if not gone(pid):
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail(f"server {pid} outlived its parent")
+
+    # ``_die_with_parent`` in this process, with libc's ``prctl``, the
+    # multiprocessing parent and ``os._exit`` stood in for: a real
+    # ``prctl`` would arm the signal on the test process itself.
+
+    class _Exited(Exception):
+        pass
+
+    @pytest.fixture
+    def stand_ins(self, monkeypatch):
+        import ctypes
+        import multiprocessing
+        import types
+
+        calls = []
+
+        def stand_in(prctl_result=0, parent_pid=None):
+            def prctl(*args):
+                calls.append(args)
+                return prctl_result
+
+            libc = (types.SimpleNamespace() if prctl_result is None
+                    else types.SimpleNamespace(prctl=prctl))
+            monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: libc)
+            parent = (None if parent_pid is None
+                      else types.SimpleNamespace(pid=parent_pid))
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
+
+            def exit_(code):
+                raise self._Exited(code)
+
+            monkeypatch.setattr(os, "_exit", exit_)
+            return calls
+
+        return stand_in
+
+    def test_it_asks_for_sigkill_on_the_parents_death(self, stand_ins):
+        import signal
+
+        from repro.serving.runtime import _die_with_parent
+
+        calls = stand_ins(parent_pid=os.getppid())
+        _die_with_parent()
+        assert calls == [(1, signal.SIGKILL, 0, 0, 0)]
+
+    def test_a_child_whose_parent_is_already_gone_exits(self, stand_ins):
+        from repro.serving.runtime import _die_with_parent
+
+        stand_ins(parent_pid=os.getppid() + 1)
+        with pytest.raises(self._Exited) as exited:
+            _die_with_parent()
+        assert exited.value.args == (1,)
+
+    @pytest.mark.parametrize("prctl_result", [None, -1])
+    def test_without_prctl_it_warns_and_returns(self, stand_ins, prctl_result):
+        """No ``prctl`` symbol, or a ``prctl`` that fails: a warning,
+        and the process runs on even if its parent looks gone."""
+        from repro.serving.runtime import _die_with_parent
+
+        stand_ins(prctl_result=prctl_result, parent_pid=os.getppid() + 1)
+        with pytest.warns(UserWarning, match="PR_SET_PDEATHSIG"):
+            _die_with_parent()
