@@ -17,9 +17,9 @@ from repro.autograd import Tensor
 from repro.autograd.conv import conv2d
 from repro.distill.config import DistillConfig, DistillMode
 from repro.distill.trainer import StudentTrainer
-from repro.engine.kernels import ConvStep, Layout, Upsample2xStep
+from repro.engine.kernels import BatchNormStep, ConvStep, Layout, Upsample2xStep
 from repro.models.student import StudentNet, partial_freeze
-from repro.nn.layers import Conv2d
+from repro.nn.layers import BatchNorm2d, Conv2d
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 H, W = 64, 96
@@ -120,6 +120,41 @@ def out2_case():
     return _kernel_case(
         lambda layout: ConvStep(module, 0, 1, shape, True, True, layout), shape
     )
+
+
+@pytest.fixture(scope="module", params=[(1, 56, 24, 36), (1, 12, 16, 24)],
+                ids=["56x24x36", "12x16x24"])
+def batchnorm_case(request):
+    """An eval-plan batch norm: the statistics and scale/shift a
+    predict runs per block (56 channels at 96x144 / 4, 12 at 64x96 / 4)."""
+    shape = request.param
+    module = BatchNorm2d(shape[1])
+    return _kernel_case(
+        lambda layout: BatchNormStep(module, 0, 1, shape, False, layout), shape
+    )
+
+
+@pytest.fixture(scope="module")
+def gather_case():
+    """A flat 3x3 conv's im2col alone: 32 channels at 16x24."""
+    shape = (1, 32, 16, 24)
+    layout = Layout()
+    step = ConvStep(Conv2d(32, 32, 3, rng=np.random.default_rng(0)), 0, 1,
+                    shape, False, False, layout)
+    layout.allocate()
+    assert step.flat
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    return lambda: step._gather(x)
+
+
+@pytest.mark.benchmark(group="micro-engine")
+def test_batchnorm_step_forward(benchmark, batchnorm_case):
+    benchmark(batchnorm_case[0])
+
+
+@pytest.mark.benchmark(group="micro-engine")
+def test_conv_step_gather_3x3(benchmark, gather_case):
+    benchmark(gather_case)
 
 
 @pytest.mark.benchmark(group="micro-engine")

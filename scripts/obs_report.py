@@ -190,7 +190,7 @@ def format_engine_step_table(snapshot) -> str:
         name[len(prefix):]: h
         for name, h in histograms.items() if name.startswith(prefix)
     }
-    if not any(name.endswith("VjpStep") for name in steps):
+    if not steps:
         return ""
 
     def stats(h):

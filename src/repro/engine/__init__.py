@@ -11,9 +11,9 @@ and geometry, per process** (:mod:`repro.engine.plan_cache` — every
 instance of that architecture rebinds the one plan to its own layers)
 into a flat list of fused NumPy kernels:
 
-* ``Conv2d`` lowers to a per-tap gather + one GEMM into a buffer of
-  the plan's memory, with bias add and ReLU fused in place;
-  1x1/stride-1 convolutions skip the gather entirely.
+* ``Conv2d`` lowers to a gather (one copy of every kernel tap) + one
+  GEMM into a buffer of the plan's memory, with bias add and ReLU
+  fused in place; 1x1/stride-1 convolutions skip the gather entirely.
 * ``BatchNorm2d`` becomes a per-channel scale/shift kernel over the
   batch statistics, recomputed per call; the teacher's
   ``FrozenBatchNorm2d`` becomes one eval-only multiply-add.

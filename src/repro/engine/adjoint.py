@@ -196,8 +196,9 @@ def adjoint_schedule(
     input_ids: Sequence[int],
     logits_id: int,
     step_of_record: Sequence[int],
-) -> List[int]:
-    """Step indices in autograd's exact backward execution order.
+) -> Tuple[List[int], List[bool]]:
+    """Step indices in autograd's exact backward execution order, and
+    each record's ``requires_grad``.
 
     Simulates :meth:`Tensor.backward`'s explicit-stack DFS on the
     record mirror, rooted at the logits producer (the loss chain above
@@ -237,7 +238,7 @@ def adjoint_schedule(
     if not requires[root_idx]:
         # Nothing trainable reaches the loss: autograd would have no
         # closures to run, so the adjoint is empty.
-        return []
+        return [], requires
 
     # Verbatim Tensor.backward() traversal on the mirror keys.
     topo: List[_Key] = []
@@ -284,7 +285,7 @@ def adjoint_schedule(
                 raise UntraceableError(
                     "fused records are not adjacent in the adjoint schedule"
                 )
-    return order
+    return order, requires
 
 
 def generate_adjoint(
@@ -298,19 +299,35 @@ def generate_adjoint(
     gbufs: List,
     loss_head,
     logits_slot: int,
-) -> CompiledPlan:
+) -> Tuple[CompiledPlan, List]:
     """Compile the backward pass of a traced train step.
 
-    Returns a :class:`CompiledPlan` (kind "adjoint") whose steps are the
-    loss head's vjp followed by one vjp step per reached forward kernel,
-    in autograd's exact execution order.  ``run()`` takes no inputs and
-    produces no outputs: it reads saved activations from ``env`` (the
-    forward plan's environment) and accumulates into ``gbufs`` and the
-    trainable parameters' ``.grad``.  The caller zero-fills ``gbufs``
-    and runs the loss head's forward before each execution.
+    Returns ``(plan, table)``.  ``plan`` is a :class:`CompiledPlan`
+    (kind "adjoint") whose steps are the loss head's vjp followed by
+    one vjp step per reached forward kernel, in autograd's exact
+    execution order.  ``run()`` takes no inputs and produces no
+    outputs: it reads saved activations from ``env`` (the forward
+    plan's environment) and accumulates into ``table`` and the
+    trainable parameters' ``.grad``.
+
+    ``table`` is the gradient-buffer table the vjp steps see: ``gbufs``
+    with ``None`` for every slot whose record requires no gradient (as
+    for the roots), so no kernel computes an input gradient nothing
+    reads — under partial distillation, SB5's batch norm and
+    ``project`` skip the gradient of ``concat(s4, s2)``, whose inputs
+    are both frozen roots.  The loss head writes the logits slot's
+    either way.  The caller zero-fills ``table`` and runs the loss
+    head's forward before each execution.
     """
-    schedule = adjoint_schedule(records, input_ids, logits_id, step_of_record)
-    vjp_steps: List[object] = [CrossEntropyVjpStep(loss_head, gbufs, logits_slot)]
+    schedule, requires = adjoint_schedule(
+        records, input_ids, logits_id, step_of_record
+    )
+    live = {logits_slot}
+    live.update(
+        steps[step_of_record[i]].out_slot for i, req in enumerate(requires) if req
+    )
+    table = [g if slot in live else None for slot, g in enumerate(gbufs)]
+    vjp_steps: List[object] = [CrossEntropyVjpStep(loss_head, table, logits_slot)]
     for step_idx in schedule:
         step = steps[step_idx]
         try:
@@ -319,5 +336,5 @@ def generate_adjoint(
             raise UntraceableError(
                 f"no adjoint for kernel {type(step).__name__}"
             ) from None
-        vjp_steps.append(vjp_cls(step, env, gbufs))
-    return CompiledPlan(vjp_steps, list(slot_shapes), [], [])
+        vjp_steps.append(vjp_cls(step, env, table))
+    return CompiledPlan(vjp_steps, list(slot_shapes), [], []), table

@@ -3,9 +3,12 @@
 Each kernel is a *step*: it reads input activations from the shared
 ``env`` slot table, writes its output into a buffer of its plan's
 memory, and (when built for training) can push gradients backwards
-through the same geometry.  All geometry work — per-tap views, padded
-buffers, GEMM scratch — happens once at build time; executing a step is
-pure array math with no per-call allocation on the main path.
+through the same geometry.  All geometry work — strided tap views,
+padded buffers, GEMM scratch — happens once at build time; executing a
+step is pure array math with no per-call allocation on the main path,
+in as few NumPy calls as its op allows: a conv's im2col is one copy of
+every tap, a batch norm takes ``x - mean`` once for both its
+statistics and its output.
 
 Memory: a step allocates nothing itself.  Its constructor lists the
 buffers it needs (``_buffers``) on the plan's :class:`Layout`, which
@@ -42,6 +45,7 @@ import numpy as np
 
 from repro.autograd.conv import _out_dim
 from repro.autograd.tensor import sum_2x2_windows
+from repro.nn.layers import batch_statistics
 
 
 class UntraceableError(RuntimeError):
@@ -184,11 +188,13 @@ def _set_grad(param, value: np.ndarray) -> None:
 
 
 class ConvStep:
-    """conv2d [+ bias] [+ fused ReLU] via per-tap gather and GEMM.
+    """conv2d [+ bias] [+ fused ReLU] via im2col and GEMM.
 
-    im2col and col2im run over a list of kernel *taps* built once from
-    the geometry (:meth:`_tap_views`); a tap is one copy into — or one
-    float64 ``+=`` out of — the column matrix.
+    im2col and col2im run over one strided view of every kernel *tap*
+    of the padded scratch, built once from the geometry
+    (:meth:`_tap_views`): im2col is one copy of it into the column
+    matrix, col2im one float64 ``+=`` per tap out of it, because the
+    taps' windows overlap.
     """
 
     def __init__(
@@ -283,87 +289,107 @@ class ConvStep:
         )
         if self.is_1x1:
             return
-        grid = (self.c, self.kh, self.kw, n, self.L)
-        self._xp_interior, self._taps = self._tap_views(
-            self._xp, self._cols.reshape(grid)
-        )
+        self._xp_interior, self._windows = self._tap_views(self._xp)
+        self._cols_grid = self._cols.reshape(self._windows.shape)
+        self._wrapped = self._wrapped_cells(self._cols)
         if self._training:
-            self._gxp_interior, self._gtaps = self._tap_views(
-                self._gxp, self._gcols.reshape(grid)
-            )
+            self._gxp_interior, windows = self._tap_views(self._gxp)
+            grid = self._gcols.reshape(windows.shape)
+            self._gtaps = [
+                (windows[:, i, j], grid[:, i, j])
+                for i in range(self.kh) for j in range(self.kw)
+            ]
+            self._gwrapped = self._wrapped_cells(self._gcols)
 
-    def _tap_views(self, scratch: np.ndarray, cols_grid: np.ndarray) -> tuple:
-        """``(interior, taps)`` for one direction of the conv.
+    def _tap_views(self, scratch: np.ndarray) -> tuple:
+        """``(interior, windows)`` for one direction of the conv.
 
         ``scratch`` is a zeroed padded image (its zero border is never
         written), ``interior`` its ``(n, c, h, w)`` unpadded view, and
-        ``taps`` lists, in im2col order (kh, then kw), ``(window, col,
-        wrapped)``: the cells of ``scratch`` tap ``(i, j)`` touches, the
-        rows of the column matrix they map to, and the cells of ``col``
-        to zero.
+        ``windows`` one strided view of every kernel tap at once, laid
+        out like the column matrix reshaped to ``windows.shape``: entry
+        ``[:, i, j]`` is the cells of ``scratch`` tap ``(i, j)``
+        touches, and im2col is one copy of ``windows`` into that grid.
+        The taps overlap in ``scratch``, so col2im cannot be one add:
+        it adds the grid into ``windows[:, i, j]`` one tap at a time,
+        in autograd's col2im order (kh, then kw).
 
         *Slice taps* (any geometry): the image is padded on all four
-        sides and a window is its strided ``(n, c, oh, ow)`` slice;
-        ``wrapped`` is ``None``.
+        sides and ``windows`` is ``(c, kh, kw, n, oh, ow)``, tap
+        ``(i, j)`` the strided slice starting at row ``i``, column
+        ``j``.
 
         *Flat taps* (``self.flat``): the image is padded vertically
         only, so its row pitch is ``w`` — the column matrix's — and
         output cell ``y*w + x`` of tap ``(i, j)`` sits at flat offset
-        ``(y*w + x) + i*w + j``.  A window is then one contiguous
-        ``(c, L)`` run of the scratch (``pw`` cells of slack at either
-        end keep the corner taps in bounds), several times cheaper to
-        move than ``oh`` short rows.  It runs over the row ends where
-        the padded image has its zero columns, so the ``|j - pw|``
-        cells per row that *wrapped* into a neighbouring row are zeroed
-        in ``col``: after the copy when gathering (they are padding),
-        before the add when scattering (autograd's col2im crops them).
-        Adding that ``+0.0`` is the identity — a float64 sum that
-        starts at ``+0.0`` can never hold ``-0.0`` — and no other value,
-        tap order or rounding step differs from the slice taps.
+        ``(y*w + x) + i*w + j``.  ``windows`` is then ``(c, kh, kw,
+        L)``, each tap one contiguous ``(c, L)`` run of the scratch
+        (``pw`` cells of slack at either end keep the corner taps in
+        bounds), several times cheaper to move than ``oh`` short rows.
+        A run crosses the row ends where the padded image has its zero
+        columns; the cells that wrapped into a neighbouring row are
+        zeroed in the column matrix (:meth:`_wrapped_cells`).
         """
         n, c, h, w = self.x_shape
         kh, kw, ph, pw, s = self.kh, self.kw, self.ph, self.pw, self.stride
-        oh, ow, L = self.oh, self.ow, self.L
-        taps = []
+        item = scratch.itemsize
         if self.flat:
             lo = pw + ph * w
             interior = scratch[:, lo : lo + h * w].reshape(1, c, h, w)
-            for i in range(kh):
-                for j in range(kw):
-                    col = cols_grid[:, i, j, 0]
-                    rows, dx = col.reshape(c, oh, w), j - pw
-                    wrapped = (
-                        rows[:, :, :-dx] if dx < 0
-                        else rows[:, :, max(w - dx, 0) :] if dx else None
-                    )
-                    off = i * w + j
-                    taps.append((scratch[:, off : off + L], col, wrapped))
+            shape = (c, kh, kw, self.L)
+            strides = (scratch.strides[0], w * item, item, item)
         else:
-            scratch = scratch.transpose(1, 0, 2, 3)
-            interior = scratch[:, :, ph : ph + h, pw : pw + w]
-            for i in range(kh):
-                for j in range(kw):
-                    window = scratch[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                    col = cols_grid[:, i, j].reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
-                    taps.append((window, col, None))
-        return interior, taps
+            sc, sn, sh, sw = scratch.strides
+            interior = scratch.transpose(1, 0, 2, 3)[:, :, ph : ph + h, pw : pw + w]
+            shape = (c, kh, kw, n, self.oh, self.ow)
+            strides = (sc, sh, sw, sn, s * sh, s * sw)
+        # A strided view of the scratch itself (NumPy checks it stays in
+        # bounds), so like every other view its base is the plan's memory.
+        windows = np.ndarray(shape, scratch.dtype, buffer=scratch, strides=strides)
+        return interior, windows
+
+    def _wrapped_cells(self, cols: np.ndarray) -> list:
+        """Views of ``cols`` (a column matrix) holding the flat taps'
+        wrapped cells: the ``|j - pw|`` cells per row of tap ``(i, j)``
+        that ran into a neighbouring row, one view per column offset
+        ``j != pw`` covering every ``i`` and channel — two for a 3-wide
+        kernel.  They are padding, so they are zeroed after the copy
+        when gathering, and before the adds when scattering (autograd's
+        col2im crops them).  Adding that ``+0.0`` is the identity — a
+        float64 sum that starts at ``+0.0`` can never hold ``-0.0`` —
+        and no other value, tap order or rounding step differs from the
+        slice taps.  Slice taps wrap nothing."""
+        if not self.flat:
+            return []
+        w, pw = self.w, self.pw
+        rows = cols.reshape(self.c, self.kh, self.kw, self.oh, w)
+        cells = []
+        for j in range(self.kw):
+            dx = j - pw
+            if dx:
+                cells.append(
+                    rows[:, :, j, :, :-dx] if dx < 0
+                    else rows[:, :, j, :, max(w - dx, 0) :]
+                )
+        return cells
 
     # ------------------------------------------------------------------
     def _gather(self, x: np.ndarray) -> np.ndarray:
-        """Fill the column matrix (layout identical to autograd im2col)."""
-        n, L = self.n, self.L
+        """Fill the column matrix (layout identical to autograd im2col):
+        one copy into the padded image, one of every tap, and one
+        zeroing per wrapping column offset."""
         if self.is_1x1:
-            if n == 1:
-                return x.reshape(self.c, L)
+            if self.n == 1:
+                return x.reshape(self.c, self.L)
             np.copyto(
-                self._cols, x.transpose(1, 0, 2, 3).reshape(self.c, n * L)
+                self._cols.reshape(self.c, self.n, self.h, self.w),
+                x.transpose(1, 0, 2, 3),
             )
             return self._cols
         self._xp_interior[...] = x
-        for window, col, wrapped in self._taps:
-            np.copyto(col, window)
-            if wrapped is not None:
-                wrapped[...] = 0.0
+        np.copyto(self._cols_grid, self._windows)
+        for cells in self._wrapped:
+            cells.fill(0.0)
         return self._cols
 
     def _scatter(self) -> np.ndarray:
@@ -372,9 +398,9 @@ class ConvStep:
         downcast — bit-identical to the define-by-run input gradient
         (and to the seed's bincount)."""
         self._gxp.fill(0.0)
-        for window, col, wrapped in self._gtaps:
-            if wrapped is not None:
-                wrapped[...] = 0.0
+        for cells in self._gwrapped:
+            cells.fill(0.0)
+        for window, col in self._gtaps:
             window += col
         np.copyto(self._gx32, self._gxp_interior)
         return self._gx32
@@ -468,14 +494,26 @@ class BatchNormStep:
             yield "_tmp", shape, np.float32, "bn_tmp"
             yield "_tmp2", shape, np.float32, "bn_tmp2"
 
+    def _bind(self) -> None:
+        # The square of batch_statistics goes into the output buffer,
+        # which is written only after the statistics are taken, in the
+        # memory order of x: C order (a plan input, a batch-norm, relu
+        # or upsample output; any x at n == 1) or the channel-major
+        # order of a conv (n > 1), add or concat output.  Indexed by
+        # x.flags.c_contiguous.
+        n, c, h, w = self.out_shape
+        self._squares = (
+            self.out.reshape(c, n, h, w).transpose(1, 0, 2, 3), self.out
+        )
+
     def forward(self, env: List[np.ndarray]) -> None:
         m = self.module
         x = env[self.in_slot]
         c = self.c
-        mean_b = x.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        var_b = x.var(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        inv_std = 1.0 / np.sqrt(var_b + m.eps)
-        np.subtract(x, mean_b, out=self._xhat)
+        _, var = batch_statistics(
+            x, self._xhat, self._squares[x.flags.c_contiguous]
+        )
+        inv_std = 1.0 / np.sqrt(var + m.eps)
         self._xhat *= inv_std
         np.multiply(self._xhat, m.weight.data.reshape(1, c, 1, 1), out=self.out)
         self.out += m.bias.data.reshape(1, c, 1, 1)

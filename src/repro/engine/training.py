@@ -141,7 +141,9 @@ class CompiledTrainStep:
         self._steps = steps
         # Gradient buffers exist only for produced slots; roots (cached
         # front-end features or the raw frame) never need gradients —
-        # the freeze boundary in array form.
+        # the freeze boundary in array form.  The adjoint sees, and
+        # finish_step zero-fills, only those whose record requires a
+        # gradient under the current freeze state (``_live_gbufs``).
         self._gbufs: List[Optional[np.ndarray]] = [None] * len(shapes)
         for step in steps:
             layout.take(self._gbufs, step.out_slot, shapes[step.out_slot])
@@ -208,9 +210,11 @@ class CompiledTrainStep:
         Autograd's traversal prunes frozen subtrees via live
         ``requires_grad`` flags, so the schedule is a function of the
         freeze state: cache it under that signature and regenerate only
-        when a parameter is frozen or unfrozen between steps.
+        when a parameter is frozen or unfrozen between steps.  Which
+        gradient buffers are live depends on the same flags, so that
+        table is rebuilt with it.
         """
-        self.adjoint = generate_adjoint(
+        self.adjoint, self._live_gbufs = generate_adjoint(
             self._records,
             self._input_ids,
             self._logits_id,
@@ -246,7 +250,7 @@ class CompiledTrainStep:
         loss = self._loss.forward(env[self._logits_slot], target, weight_map)
         if self._adjoint_sig != self._requires_sig():
             self._build_adjoint()
-        for g in self._gbufs:
+        for g in self._live_gbufs:
             if g is not None:
                 g.fill(0.0)
         self.adjoint.run()

@@ -65,6 +65,32 @@ class Conv2d(Module):
         )
 
 
+def batch_statistics(
+    x: np.ndarray, diff: np.ndarray, square: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(mean, var)`` of an NCHW ``x`` over ``(N, H, W)``,
+    each ``(1, C, 1, 1)``, with ``diff`` left holding ``x - mean``.
+
+    The reductions and divides are those of ``x.mean(axis=(0, 2, 3))``
+    and ``x.var(axis=(0, 2, 3))`` (NumPy's ``_mean`` / ``_var``): one
+    float32 ``add.reduce`` of ``x``, a true divide by the ``intp``
+    count, the square of ``x - mean``, a second reduce and divide —
+    but the sum is taken once, not twice, and ``x - mean`` is computed
+    once and kept.  ``diff`` may have any layout.  ``square`` is
+    scratch and must have *x's* memory order: the pairwise sum follows
+    the memory order of the array it reduces, and ``x.var`` squares
+    into a temporary laid out like ``x``.
+    """
+    count = np.intp(x.shape[0] * x.shape[2] * x.shape[3])
+    mean = np.add.reduce(x, axis=(0, 2, 3), keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    np.subtract(x, mean, out=diff)
+    np.square(diff, out=square)
+    var = np.add.reduce(square, axis=(0, 2, 3), keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return mean, var
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over NCHW tensors, always with the statistics
     of the batch it is given.
@@ -93,10 +119,12 @@ class BatchNorm2d(Module):
         c = self.num_features
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        # Laid out like x, as ``x.data - mean`` would be: the backward's
+        # reductions over x-hat products follow that memory order.
+        x_hat_data = np.empty_like(x.data)
+        _, var = batch_statistics(x.data, x_hat_data, np.empty_like(x.data))
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat_data = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+        x_hat_data *= inv_std
         out_data = x_hat_data * self.weight.data.reshape(1, c, 1, 1) + self.bias.data.reshape(1, c, 1, 1)
 
         weight, bias = self.weight, self.bias

@@ -532,6 +532,147 @@ class TestConvTapsAreExact:
         assert sum(s.flat for s in convs) == 6 * 3 + 2
 
 
+def _plan_conv_geometries():
+    """``(n, c, h, w, kernel, padding, stride)`` of every gathering conv
+    the student (widths 0.25 / 0.5 / 1.0) and teacher forward plans run
+    at the two bench geometries."""
+    models = [StudentNet(width=width, seed=0) for width in (0.25, 0.5, 1.0)]
+    models.append(TeacherNet(seed=0))
+    geometries = set()
+    for hw in ((64, 96), (96, 144)):
+        for model in models:
+            plan = compile_plan(model.forward, (np.zeros((1, 3, *hw), np.float32),))
+            geometries |= {
+                (s.n, s.c, s.h, s.w, (s.kh, s.kw), (s.ph, s.pw), s.stride)
+                for s in plan._steps
+                if isinstance(s, ConvStep) and not s.is_1x1
+            }
+    return sorted(geometries)
+
+
+class TestOneCallGather:
+    """The gather copies every tap in one call from a strided view of
+    the padded scratch and zeroes the wrapped cells once per column
+    offset; the scatter zeroes them before its per-tap adds.  Both are
+    byte-equal to doing each tap on its own, with slices of the scratch
+    taken here, on every conv geometry the plans run."""
+
+    @staticmethod
+    def _interior(step, scratch):
+        """The unpadded ``(n, c, h, w)`` cells of a padded scratch."""
+        n, c, h, w = step.x_shape
+        ph, pw = step.ph, step.pw
+        if step.flat:
+            lo = pw + ph * w
+            return scratch[:, lo: lo + h * w].reshape(1, c, h, w)
+        return scratch.transpose(1, 0, 2, 3)[:, :, ph: ph + h, pw: pw + w]
+
+    @staticmethod
+    def _per_tap(step, scratch, cols):
+        """``(window, col, wrapped)`` per tap, in im2col order."""
+        n, c, h, w = step.x_shape
+        oh, ow, s, pw = step.oh, step.ow, step.stride, step.pw
+        grid = cols.reshape(c, step.kh, step.kw, n * step.L)
+        taps = []
+        for i in range(step.kh):
+            for j in range(step.kw):
+                col = grid[:, i, j]
+                if step.flat:
+                    rows, dx = col.reshape(c, oh, w), j - pw
+                    wrapped = (
+                        rows[:, :, :-dx] if dx < 0
+                        else rows[:, :, max(w - dx, 0):] if dx else None
+                    )
+                    off = i * w + j
+                    taps.append((scratch[:, off: off + step.L], col, wrapped))
+                else:
+                    window = scratch.transpose(1, 0, 2, 3)[
+                        :, :, i: i + s * oh: s, j: j + s * ow: s
+                    ]
+                    col = col.reshape(c, n, oh, ow).transpose(1, 0, 2, 3)
+                    taps.append((window, col, None))
+        return taps
+
+    def test_plan_geometries_match_the_per_tap_loop(self, rng):
+        geometries = _plan_conv_geometries()
+        assert {g[-1] for g in geometries} == {1, 2}
+        assert any(g[4] == (3, 3) and g[-1] == 1 for g in geometries)
+        for n, c, h, w, kernel, padding, stride in geometries:
+            step = _conv_step(rng, n, c, h, w, kernel, padding, stride)
+            x = _adversarial(rng, (n, c, h, w))
+            xp = np.zeros(step._xp.shape, np.float32)
+            self._interior(step, xp)[...] = x
+            want = np.empty_like(step._cols)
+            for window, col, wrapped in self._per_tap(step, xp, want):
+                np.copyto(col, window)
+                if wrapped is not None:
+                    wrapped[...] = 0.0
+            got = step._gather(x)
+            assert got.tobytes() == want.tobytes(), (n, c, h, w, kernel, stride)
+
+            gcols = _adversarial(rng, want.shape)
+            gxp = np.zeros(step._gxp.shape, np.float64)
+            for window, col, wrapped in self._per_tap(step, gxp, gcols.copy()):
+                if wrapped is not None:
+                    wrapped[...] = 0.0
+                window += col
+            want = np.ascontiguousarray(self._interior(step, gxp), np.float32)
+            step._gcols[...] = gcols
+            got = step._scatter()
+            assert got.tobytes() == want.tobytes(), (n, c, h, w, kernel, stride)
+
+
+class TestBatchStatistics:
+    """``batch_statistics`` — the one formulation ``BatchNorm2d`` and
+    ``BatchNormStep`` share — is ``x.mean`` / ``x.var`` bit for bit,
+    with its square laid out like ``x`` whichever layout ``x`` has."""
+
+    @staticmethod
+    def _input(rng, n, layout):
+        x = _adversarial(rng, (n, 5, 6, 7))
+        if layout == "cnhw":  # a conv (n > 1), add or concat output
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        return x
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
+    def test_matches_numpy_mean_and_var(self, rng, n, layout):
+        from repro.nn.layers import batch_statistics
+
+        for _ in range(20):
+            x = self._input(rng, n, layout)
+            diff = np.empty(x.shape, np.float32)
+            mean, var = batch_statistics(x, diff, np.empty_like(x))
+            want_mean = x.mean(axis=(0, 2, 3)).reshape(1, 5, 1, 1)
+            want_var = x.var(axis=(0, 2, 3)).reshape(1, 5, 1, 1)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert var.tobytes() == want_var.tobytes()
+            inv_std = 1.0 / np.sqrt(var + 1e-5)
+            diff *= inv_std
+            want = (x - want_mean) * (1.0 / np.sqrt(want_var + 1e-5))
+            assert diff.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
+    def test_step_matches_the_layer(self, rng, n, layout):
+        from repro.engine.kernels import BatchNormStep
+        from repro.nn.layers import BatchNorm2d
+
+        module = BatchNorm2d(5)
+        module.weight.data[...] = rng.standard_normal(5)
+        module.bias.data[...] = rng.standard_normal(5)
+        step = _laid_out(lambda layout: BatchNormStep(
+            module, 0, 1, (n, 5, 6, 7), training=False, layout=layout
+        ))
+        for _ in range(5):
+            x = self._input(rng, n, layout)
+            env = [x, None]
+            step.forward(env)
+            with no_grad():
+                want = module(Tensor(x)).data
+            assert env[1].tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestWeightGradientOrientation:
     """``ConvStep.backward`` and ``autograd.conv`` compute the weight
     gradient as ``cols . grad^T`` and copy it transposed, where the

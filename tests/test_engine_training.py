@@ -227,6 +227,46 @@ class TestCompiledGradients:
             if top in StudentNet.FRONT_MODULES:
                 assert p.grad is None, name
 
+    @pytest.mark.parametrize("mode", [DistillMode.PARTIAL, DistillMode.FULL])
+    def test_no_gradient_into_a_slot_nothing_reads(self, mode):
+        """Under partial distillation both inputs of ``concat(s4, s2)``
+        are frozen roots, so nothing reads that slot's gradient: the
+        table the vjp steps share has no buffer there, and SB5's batch
+        norm and ``project`` compute no input gradient.  In full mode
+        the front end trains and both still do."""
+        from repro.engine import plan_cache
+        from repro.engine.kernels import BatchNormStep, ConvStep
+        from repro.models.student import partial_freeze
+
+        student = StudentNet(width=0.25, seed=0)
+        x = np.zeros((1, 3, 32, 48), np.float32)
+        if mode is DistillMode.PARTIAL:
+            partial_freeze(student)
+            kind = "train_back"
+            inputs = tuple(np.array(f) for f in student.run_plan("front", x))
+        else:
+            kind = "train_full"
+            inputs = (x,)
+        step = plan_cache.compile_transient(
+            student, kind, tuple(a.shape for a in inputs)
+        )
+        table = step._live_gbufs
+        assert all(vjp._gbufs is table for vjp in step.adjoint._steps)
+        (bn,) = [s for s in step._steps
+                 if isinstance(s, BatchNormStep) and s.module is student.sb5.bn]
+        (project,) = [s for s in step._steps
+                      if isinstance(s, ConvStep) and s.module is student.sb5.project]
+        assert bn.in_slot == project.in_slot
+        if mode is DistillMode.PARTIAL:
+            assert table[bn.in_slot] is None
+            # Only that slot is dropped: every other produced slot
+            # leads to a trainable parameter.
+            produced = [s.out_slot for s in step._steps]
+            assert [slot for slot in produced if table[slot] is None] == [bn.in_slot]
+        else:
+            assert table[bn.in_slot] is not None
+            assert all(table[s.out_slot] is not None for s in step._steps)
+
     def test_compiled_gradients_match_autograd(self, frame_and_label):
         from repro.autograd.tensor import Tensor
         from repro.segmentation.losses import lvs_weight_map, weighted_cross_entropy

@@ -400,7 +400,8 @@ class TestRetiredNamesStayRetired:
       ``pytest.ini``'s exiting ``faulthandler_timeout`` fails a wedged
       test;
     - a module's state is its parameters: batch norm keeps no running
-      statistics, and modules have no buffers and no train/eval mode.
+      statistics, and modules have no buffers and no train/eval mode;
+    - the engine's im2col is one copy of a strided view of every tap.
     """
 
     RETIRED = (
@@ -460,6 +461,7 @@ class TestRetiredNamesStayRetired:
          r"use_batch_stats_in_eval|commit_running_stats|_pending_stats"
          r"|running_(mean|var)|register_buffer|\bset_buffer\b|named_buffers"
          r"|include_buffers|_bn_steps"),
+        ("per-tap im2col copy loop in the engine gather", r"self\._taps\b"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}
