@@ -144,7 +144,7 @@ def gather_case():
     layout.allocate()
     assert step.flat
     x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-    return lambda: step._gather(x)
+    return lambda: step._xtaps.gather(x)
 
 
 @pytest.mark.benchmark(group="micro-engine")

@@ -4,7 +4,7 @@ This package is the substrate that replaces PyTorch in the ShadowTutor
 reproduction.  It provides a :class:`~repro.autograd.tensor.Tensor` type
 that records a computation graph during the forward pass and supports
 backpropagation through it, plus the operations needed by the student and
-teacher networks: convolution (via vectorized im2col), batch
+teacher networks: convolution (one GEMM over gathered kernel taps), batch
 normalisation, elementwise math, concatenation, nearest-neighbour
 upsampling and log-softmax / cross-entropy.
 

@@ -348,7 +348,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = self.data * mask
+        out_data = np.maximum(self.data, 0.0)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)

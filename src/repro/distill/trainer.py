@@ -54,7 +54,7 @@ from repro.segmentation.metrics import mean_iou
 class TrainResult:
     """Outcome of one key-frame distillation (Algorithm 1's return)."""
 
-    metric: float            #: best post-training mIoU on the key frame
+    metric: float            #: best mIoU seen on the key frame, the pre-update one included
     initial_metric: float    #: mIoU before any update (gates the loop)
     steps: int               #: optimisation steps actually taken (<= MAX_UPDATES)
     losses: List[float]      #: loss after each step
@@ -213,8 +213,10 @@ class StudentTrainer:
                     best_state = checkpoint.copy()
                 if metric > cfg.threshold:
                     break
-            # Roll back to the best checkpoint (Algorithm 1 returns
-            # best_student, not the last iterate).
+            # Roll back to the best post-update checkpoint.  When no
+            # step beat the pre-update metric there is none, and the
+            # student keeps the last iterate's weights although
+            # ``metric`` reports the pre-update value.
             if best_state is not None:
                 checkpoint.restore(best_state)
 

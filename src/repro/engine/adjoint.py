@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.autograd.functional import cross_entropy_vjp
 from repro.engine.compiler import CompiledPlan
 from repro.engine.kernels import (
     AddStep,
@@ -113,23 +114,23 @@ class Upsample2xVjpStep(_VjpStep):
 
 
 class CrossEntropyVjpStep:
-    """Seed gradient: the LVS-weighted loss head's backward.
+    """Seed gradient: the LVS-weighted loss's vjp
+    (:func:`repro.autograd.functional.cross_entropy_vjp`) into the
+    logits' gradient buffer ``gout``, reading the softmax and ``saved``
+    state its train step's last loss forward left.
 
-    Covers the three autograd nodes above the logits (the cross-entropy
-    gather, the reshape, and log-softmax) whose closures the head
-    composes op for op; it is always the first step of an adjoint plan,
-    exactly as those nodes lead autograd's reversed postorder.
+    It is always the first step of an adjoint plan, exactly as the loss
+    node leads autograd's reversed postorder.
     """
 
-    __slots__ = ("_head", "_gbufs", "_logits_slot")
+    __slots__ = ("softmax", "seed", "gout", "saved")
 
-    def __init__(self, head, gbufs, logits_slot: int) -> None:
-        self._head = head
-        self._gbufs = gbufs
-        self._logits_slot = logits_slot
+    def __init__(self, softmax, seed, gout) -> None:
+        self.softmax, self.seed, self.gout = softmax, seed, gout
+        self.saved: Optional[tuple] = None
 
     def forward(self, env) -> None:
-        self._head.backward(self._gbufs[self._logits_slot])
+        cross_entropy_vjp(1.0, self.softmax, self.saved, self.seed, self.gout)
 
 
 _VJP_OF = {
@@ -201,8 +202,8 @@ def adjoint_schedule(
     each record's ``requires_grad``.
 
     Simulates :meth:`Tensor.backward`'s explicit-stack DFS on the
-    record mirror, rooted at the logits producer (the loss chain above
-    it is a linear prefix handled by :class:`CrossEntropyVjpStep`), and
+    record mirror, rooted at the logits producer (the loss node above
+    it is :class:`CrossEntropyVjpStep`), and
     maps the reversed postorder onto lowered steps.  A fused step is
     scheduled once, at its relu record's position.
     """
@@ -297,13 +298,14 @@ def generate_adjoint(
     slot_shapes: Sequence[Tuple[int, ...]],
     env: List,
     gbufs: List,
-    loss_head,
+    loss_vjp: CrossEntropyVjpStep,
     logits_slot: int,
 ) -> Tuple[CompiledPlan, List]:
     """Compile the backward pass of a traced train step.
 
     Returns ``(plan, table)``.  ``plan`` is a :class:`CompiledPlan`
-    (kind "adjoint") whose steps are the loss head's vjp followed by
+    (kind "adjoint") whose steps are the loss's vjp ``loss_vjp``
+    followed by
     one vjp step per reached forward kernel, in autograd's exact
     execution order.  ``run()`` takes no inputs and produces no
     outputs: it reads saved activations from ``env`` (the forward
@@ -315,9 +317,9 @@ def generate_adjoint(
     for the roots), so no kernel computes an input gradient nothing
     reads — under partial distillation, SB5's batch norm and
     ``project`` skip the gradient of ``concat(s4, s2)``, whose inputs
-    are both frozen roots.  The loss head writes the logits slot's
-    either way.  The caller zero-fills ``table`` and runs the loss
-    head's forward before each execution.
+    are both frozen roots.  The loss's vjp writes the logits slot's
+    either way.  The caller zero-fills ``table`` and runs the loss's
+    forward before each execution.
     """
     schedule, requires = adjoint_schedule(
         records, input_ids, logits_id, step_of_record
@@ -327,7 +329,7 @@ def generate_adjoint(
         steps[step_of_record[i]].out_slot for i, req in enumerate(requires) if req
     )
     table = [g if slot in live else None for slot, g in enumerate(gbufs)]
-    vjp_steps: List[object] = [CrossEntropyVjpStep(loss_head, table, logits_slot)]
+    vjp_steps: List[object] = [loss_vjp]
     for step_idx in schedule:
         step = steps[step_idx]
         try:

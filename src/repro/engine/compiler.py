@@ -18,9 +18,9 @@ it from instance to instance with :meth:`CompiledPlan.bind`.
 
 Memory layout: ``build_steps`` lays out each plan's memory once, from
 the plan's own step order (:class:`~repro.engine.kernels.Layout`), in
-one allocation.  Scratch that is dead between kernel calls — im2col
+one allocation.  Scratch that is dead between kernel calls — conv
 columns and batch-norm ``x̂`` in eval plans; the column gradient, the
-col2im image, relu masks and the other backward temporaries in train
+scattered image, relu masks and the other backward temporaries in train
 plans — is one buffer per role per plan, sized to the largest request.
 In an eval plan (``forward``, ``front``, ``back``, the teacher) each
 step's output is placed by its live interval, from the step that

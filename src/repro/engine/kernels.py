@@ -6,8 +6,8 @@ memory, and (when built for training) can push gradients backwards
 through the same geometry.  All geometry work — strided tap views,
 padded buffers, GEMM scratch — happens once at build time; executing a
 step is pure array math with no per-call allocation on the main path,
-in as few NumPy calls as its op allows: a conv's im2col is one copy of
-every tap, a batch norm takes ``x - mean`` once for both its
+in as few NumPy calls as its op allows: a conv's column gather is one
+copy of every tap, a batch norm takes ``x - mean`` once for both its
 statistics and its output.
 
 Memory: a step allocates nothing itself.  Its constructor lists the
@@ -15,18 +15,24 @@ buffers it needs (``_buffers``) on the plan's :class:`Layout`, which
 places every buffer of the plan in one allocation once the plan is
 built and hands each step views of it (``_bind``).
 
-Numeric contract: every kernel mirrors the exact operation order of its
-autograd twin (:mod:`repro.autograd.conv`, :mod:`repro.nn.layers`,
-:mod:`repro.autograd.tensor`), so plan *forward* outputs are
-bit-identical to the define-by-run forward — the engine-vs-autograd
-equivalence tests rely on this, and argmax predictions cannot drift
-between the two paths.  Backward is bit-identical too: each ``backward``
-accumulates into its gradient buffers in its closure's own operation
-order, and the *cross*-kernel order — which decides how tensors with
-three or more gradient consumers (the Figure-3b skips under full
-distillation) sum their float32 contributions — is scheduled by
-:mod:`repro.engine.adjoint` from a simulation of autograd's traversal,
-not by reversed lowering order.
+Numeric contract: an op with substantive arithmetic is written once,
+over plain arrays with caller-supplied buffers, and autograd's closure
+and the step both call it — conv (:mod:`repro.autograd.conv`), batch
+norm (:mod:`repro.nn.layers`), the upsample's window sum
+(:mod:`repro.autograd.tensor`) and the loss
+(:mod:`repro.autograd.functional`).  ReLU, add, concat and the
+upsample's forward are one NumPy call each on either side.  A step
+keeps only what is its own: slots, its :class:`Layout` requests, the
+fused ReLU and the layouts of its buffers, which are autograd's (a
+reduction follows the memory order of the array it reduces).  So plan
+*forward* outputs are byte-identical to the define-by-run forward, and
+argmax predictions cannot drift between the two paths.  Backward is
+bit-identical too: each ``backward`` accumulates into its gradient
+buffers in its closure's order, and the *cross*-kernel order — which
+decides how tensors with three or more gradient consumers (the
+Figure-3b skips under full distillation) sum their float32
+contributions — is scheduled by :mod:`repro.engine.adjoint` from a
+simulation of autograd's traversal, not by reversed lowering order.
 
 Weight handling: kernels hold *module references* and read
 ``weight.data`` at execution time.  In-place optimizer updates and
@@ -43,9 +49,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd.conv import _out_dim
+from repro.autograd.conv import ConvGeometry, ConvTaps, conv_forward, conv_vjp
 from repro.autograd.tensor import sum_2x2_windows
-from repro.nn.layers import batch_statistics
+from repro.nn.layers import batch_norm_forward, batch_norm_vjp
 
 
 class UntraceableError(RuntimeError):
@@ -187,15 +193,11 @@ def _set_grad(param, value: np.ndarray) -> None:
         param.grad += value
 
 
-class ConvStep:
-    """conv2d [+ bias] [+ fused ReLU] via im2col and GEMM.
-
-    im2col and col2im run over one strided view of every kernel *tap*
-    of the padded scratch, built once from the geometry
-    (:meth:`_tap_views`): im2col is one copy of it into the column
-    matrix, col2im one float64 ``+=`` per tap out of it, because the
-    taps' windows overlap.
-    """
+class ConvStep(ConvGeometry):
+    """conv2d [+ bias] [+ fused ReLU]: :func:`repro.autograd.conv.conv_forward`
+    and :func:`~repro.autograd.conv.conv_vjp` on views of the plan's
+    memory, with the tap views (:class:`~repro.autograd.conv.ConvTaps`)
+    built once from the geometry."""
 
     def __init__(
         self,
@@ -207,59 +209,31 @@ class ConvStep:
         training: bool,
         layout: Layout,
     ) -> None:
-        n, c, h, w = in_shape
-        kh, kw = module.kernel_size
-        ph, pw = module.padding
-        stride = module.stride
-        if module.in_channels != c:
+        if module.in_channels != in_shape[1]:
             raise UntraceableError(
-                f"conv expects {module.in_channels} channels, traced input has {c}"
+                f"conv expects {module.in_channels} channels, traced input has {in_shape[1]}"
             )
+        super().__init__(tuple(in_shape), module.kernel_size, module.padding, module.stride)
         self.module = module
         self.in_slot, self.out_slot = in_slot, out_slot
         self.fuse_relu = fuse_relu
-        self.n, self.c, self.h, self.w = n, c, h, w
-        self.kh, self.kw, self.ph, self.pw, self.stride = kh, kw, ph, pw, stride
         self.oc = module.out_channels
-        self.oh = _out_dim(h, kh, ph, stride)
-        self.ow = _out_dim(w, kw, pw, stride)
-        self.L = self.oh * self.ow
-        self.K = c * kh * kw
-        self.x_shape = (n, c, h, w)
-        self.out_shape = (n, self.oc, self.oh, self.ow)
-        #: 1x1 stride-1 unpadded convs are pure channel mixes: the GEMM
-        #: reads the input through a reshape view, no gather at all.
-        self.is_1x1 = kh == 1 and kw == 1 and stride == 1 and ph == 0 and pw == 0
-        #: Stride-1 convs at n == 1 whose output is as wide as their
-        #: input (every 3x3 / 3x1 / 1x3 of the student and teacher but
-        #: the stride-2 stems) take the flat taps of :meth:`_tap_views`.
-        self.flat = (
-            not self.is_1x1 and n == 1 and stride == 1 and kw == 2 * pw + 1
-        )
+        self.out_shape = (self.n, self.oc, self.oh, self.ow)
         self._training = training
-        # A flat-tap image is padded vertically only (see _tap_views);
-        # any other is channel-major like the conv/add/concat buffers on
-        # either side, so for n > 1 the interior fill and the tap copies
-        # are layout-aligned rather than full transposes.
-        self._pad_shape = (
-            (c, (h + 2 * ph) * w + 2 * pw) if self.flat
-            else (c, n, h + 2 * ph, w + 2 * pw)
-        )
         self._cols: Optional[np.ndarray] = None
-        self._saved_cols: Optional[np.ndarray] = None
+        self._xtaps = self._gtaps = None
+        self._gx32: Optional[np.ndarray] = None
         layout.add(self)
 
     def _buffers(self):
         n, nl, training = self.n, self.n * self.L, self._training
         yield "_out_mat", (self.oc, nl), np.float32, OUT
         if not (self.is_1x1 and n == 1):
-            # Column scratch in im2col layout: axis order (c, kh, kw, n,
-            # L) flattens to the same (C*kh*kw, N*L) matrix autograd
-            # builds.  An eval plan reads it inside forward only; a
-            # train plan keeps it for the weight gradient.
+            # An eval plan reads the columns inside forward only; a
+            # train plan keeps them for the weight gradient.
             yield "_cols", (self.K, nl), np.float32, None if training else "cols"
         if not self.is_1x1:
-            yield "_xp", self._pad_shape, np.float32, None
+            yield "_xp", self.pad_shape, np.float32, None
         if not training:
             return
         if self.fuse_relu:
@@ -271,148 +245,26 @@ class ConvStep:
         if n > 1:
             yield "_gmat", (self.oc, nl), np.float32, "gmat"
         if not self.is_1x1:
-            # col2im accumulates in float64 and downcasts once, as
-            # autograd's does (see :meth:`_scatter`).
-            yield "_gxp", self._pad_shape, np.float64, "col2im"
+            yield "_gxp", self.pad_shape, np.float64, "scatter"
+        if not (self.is_1x1 and n == 1):
             yield "_gx32", self.x_shape, np.float32, "gx32"
 
     def _bind(self) -> None:
-        n = self.n
-        # The NCHW output is a free view of the GEMM result; for n > 1 it
-        # is the same transposed view autograd produces, so downstream
-        # reductions (batch-norm statistics) iterate memory in the same
-        # order and stay bit-identical to the define-by-run path.
-        self.out = (
-            self._out_mat.reshape(1, self.oc, self.oh, self.ow)
-            if n == 1
-            else self._out_mat.reshape(self.oc, n, self.oh, self.ow).transpose(1, 0, 2, 3)
-        )
-        if self.is_1x1:
-            return
-        self._xp_interior, self._windows = self._tap_views(self._xp)
-        self._cols_grid = self._cols.reshape(self._windows.shape)
-        self._wrapped = self._wrapped_cells(self._cols)
-        if self._training:
-            self._gxp_interior, windows = self._tap_views(self._gxp)
-            grid = self._gcols.reshape(windows.shape)
-            self._gtaps = [
-                (windows[:, i, j], grid[:, i, j])
-                for i in range(self.kh) for j in range(self.kw)
-            ]
-            self._gwrapped = self._wrapped_cells(self._gcols)
-
-    def _tap_views(self, scratch: np.ndarray) -> tuple:
-        """``(interior, windows)`` for one direction of the conv.
-
-        ``scratch`` is a zeroed padded image (its zero border is never
-        written), ``interior`` its ``(n, c, h, w)`` unpadded view, and
-        ``windows`` one strided view of every kernel tap at once, laid
-        out like the column matrix reshaped to ``windows.shape``: entry
-        ``[:, i, j]`` is the cells of ``scratch`` tap ``(i, j)``
-        touches, and im2col is one copy of ``windows`` into that grid.
-        The taps overlap in ``scratch``, so col2im cannot be one add:
-        it adds the grid into ``windows[:, i, j]`` one tap at a time,
-        in autograd's col2im order (kh, then kw).
-
-        *Slice taps* (any geometry): the image is padded on all four
-        sides and ``windows`` is ``(c, kh, kw, n, oh, ow)``, tap
-        ``(i, j)`` the strided slice starting at row ``i``, column
-        ``j``.
-
-        *Flat taps* (``self.flat``): the image is padded vertically
-        only, so its row pitch is ``w`` — the column matrix's — and
-        output cell ``y*w + x`` of tap ``(i, j)`` sits at flat offset
-        ``(y*w + x) + i*w + j``.  ``windows`` is then ``(c, kh, kw,
-        L)``, each tap one contiguous ``(c, L)`` run of the scratch
-        (``pw`` cells of slack at either end keep the corner taps in
-        bounds), several times cheaper to move than ``oh`` short rows.
-        A run crosses the row ends where the padded image has its zero
-        columns; the cells that wrapped into a neighbouring row are
-        zeroed in the column matrix (:meth:`_wrapped_cells`).
-        """
-        n, c, h, w = self.x_shape
-        kh, kw, ph, pw, s = self.kh, self.kw, self.ph, self.pw, self.stride
-        item = scratch.itemsize
-        if self.flat:
-            lo = pw + ph * w
-            interior = scratch[:, lo : lo + h * w].reshape(1, c, h, w)
-            shape = (c, kh, kw, self.L)
-            strides = (scratch.strides[0], w * item, item, item)
-        else:
-            sc, sn, sh, sw = scratch.strides
-            interior = scratch.transpose(1, 0, 2, 3)[:, :, ph : ph + h, pw : pw + w]
-            shape = (c, kh, kw, n, self.oh, self.ow)
-            strides = (sc, sh, sw, sn, s * sh, s * sw)
-        # A strided view of the scratch itself (NumPy checks it stays in
-        # bounds), so like every other view its base is the plan's memory.
-        windows = np.ndarray(shape, scratch.dtype, buffer=scratch, strides=strides)
-        return interior, windows
-
-    def _wrapped_cells(self, cols: np.ndarray) -> list:
-        """Views of ``cols`` (a column matrix) holding the flat taps'
-        wrapped cells: the ``|j - pw|`` cells per row of tap ``(i, j)``
-        that ran into a neighbouring row, one view per column offset
-        ``j != pw`` covering every ``i`` and channel — two for a 3-wide
-        kernel.  They are padding, so they are zeroed after the copy
-        when gathering, and before the adds when scattering (autograd's
-        col2im crops them).  Adding that ``+0.0`` is the identity — a
-        float64 sum that starts at ``+0.0`` can never hold ``-0.0`` —
-        and no other value, tap order or rounding step differs from the
-        slice taps.  Slice taps wrap nothing."""
-        if not self.flat:
-            return []
-        w, pw = self.w, self.pw
-        rows = cols.reshape(self.c, self.kh, self.kw, self.oh, w)
-        cells = []
-        for j in range(self.kw):
-            dx = j - pw
-            if dx:
-                cells.append(
-                    rows[:, :, j, :, :-dx] if dx < 0
-                    else rows[:, :, j, :, max(w - dx, 0) :]
-                )
-        return cells
-
-    # ------------------------------------------------------------------
-    def _gather(self, x: np.ndarray) -> np.ndarray:
-        """Fill the column matrix (layout identical to autograd im2col):
-        one copy into the padded image, one of every tap, and one
-        zeroing per wrapping column offset."""
-        if self.is_1x1:
-            if self.n == 1:
-                return x.reshape(self.c, self.L)
-            np.copyto(
-                self._cols.reshape(self.c, self.n, self.h, self.w),
-                x.transpose(1, 0, 2, 3),
-            )
-            return self._cols
-        self._xp_interior[...] = x
-        np.copyto(self._cols_grid, self._windows)
-        for cells in self._wrapped:
-            cells.fill(0.0)
-        return self._cols
-
-    def _scatter(self) -> np.ndarray:
-        """col2im of ``_gcols``: one float64 ``+=`` per tap into the
-        zeroed scratch, in autograd's col2im tap order, then one
-        downcast — bit-identical to the define-by-run input gradient
-        (and to the seed's bincount)."""
-        self._gxp.fill(0.0)
-        for cells in self._gwrapped:
-            cells.fill(0.0)
-        for window, col in self._gtaps:
-            window += col
-        np.copyto(self._gx32, self._gxp_interior)
-        return self._gx32
+        # The output is the same NCHW view of the GEMM result autograd's
+        # is, so downstream reductions (batch-norm statistics) iterate
+        # memory in the same order and stay bit-identical to it.
+        self.out = self.nchw(self._out_mat)
+        if not self.is_1x1:
+            self._xtaps = ConvTaps(self, self._xp, self._cols)
+            if self._training:
+                self._gtaps = ConvTaps(self, self._gxp, self._gcols)
 
     def forward(self, env: List[np.ndarray]) -> None:
-        cols = self._gather(env[self.in_slot])
-        self._saved_cols = cols
-        w_mat = self.module.weight.data.reshape(self.oc, self.K)
-        np.dot(w_mat, cols, out=self._out_mat)
         bias = self.module.bias
-        if bias is not None:
-            self._out_mat += bias.data[:, None]
+        self._saved_cols = conv_forward(
+            self, env[self.in_slot], self.module.weight.data.reshape(self.oc, self.K),
+            None if bias is None else bias.data, self._cols, self._xtaps, self._out_mat,
+        )
         if self.fuse_relu:
             np.maximum(self._out_mat, 0.0, out=self._out_mat)
         env[self.out_slot] = self.out
@@ -422,49 +274,35 @@ class ConvStep:
         if self.fuse_relu:
             np.greater(self.out, 0.0, out=self._mask)
             np.multiply(g, self._mask, out=self._gpre)
-            gpre = self._gpre
-        else:
-            gpre = g
+            g = self._gpre
         if self.n == 1:
-            grad_mat = gpre.reshape(self.oc, self.L)
+            grad_mat = g.reshape(self.oc, self.L)
         else:
-            np.copyto(
-                self._gmat.reshape(self.oc, self.n, self.oh, self.ow),
-                gpre.swapaxes(0, 1),
-            )
             grad_mat = self._gmat
-        weight = self.module.weight
-        if weight.requires_grad:
-            # cols . grad^T, then one transposed copy: BLAS runs this
-            # orientation faster, and every entry is the same dot
-            # product in the same order as grad . cols^T (pinned by
-            # tests/test_engine.py::TestWeightGradientOrientation).
-            np.dot(self._saved_cols, grad_mat.T, out=self._gw_t)
-            np.copyto(self._gw, self._gw_t.T)
-            _set_grad(weight, self._gw.reshape(weight.data.shape))
-        bias = self.module.bias
-        if bias is not None and bias.requires_grad:
-            _set_grad(bias, gpre.sum(axis=(0, 2, 3)))
+            np.copyto(self.nchw(grad_mat), g)
+        weight, bias = self.module.weight, self.module.bias
         gin = gbufs[self.in_slot]
-        if gin is not None:
-            w_mat = weight.data.reshape(self.oc, self.K)
-            np.dot(w_mat.T, grad_mat, out=self._gcols)
-            if self.is_1x1:
-                # col2im is an identity scatter for 1x1/stride-1.
-                if self.n == 1:
-                    gx = self._gcols.reshape(1, self.c, self.h, self.w)
-                else:
-                    gx = self._gcols.reshape(self.c, self.n, self.h, self.w).swapaxes(0, 1)
-                gin += gx
-            else:
-                # Downcast before accumulating, matching autograd's
-                # col2im (f32(sum64) then a float32 add).
-                gin += self._scatter()
+        g_w, g_b, g_x = conv_vjp(
+            self, g, grad_mat, self._saved_cols, weight.data.reshape(self.oc, self.K),
+            (weight.requires_grad, bias is not None and bias.requires_grad,
+             gin is not None),
+            self._gw_t, self._gw, self._gcols, self._gtaps, self._gx32,
+        )
+        if g_w is not None:
+            _set_grad(weight, g_w.reshape(weight.data.shape))
+        if g_b is not None:
+            _set_grad(bias, g_b)
+        if g_x is not None:
+            # The scatter's downcast comes before this float32 add, as
+            # in autograd's accumulation.
+            gin += g_x
 
 
 class BatchNormStep:
-    """BatchNorm2d as per-channel scale/shift over the batch statistics,
-    in train and eval plans alike (the layer has no other mode)."""
+    """BatchNorm2d as :func:`repro.nn.layers.batch_norm_forward` and
+    :func:`~repro.nn.layers.batch_norm_vjp` on views of the plan's
+    memory, in train and eval plans alike (the layer has no other
+    mode)."""
 
     def __init__(
         self, module, in_slot, out_slot, in_shape, training: bool,
@@ -477,8 +315,6 @@ class BatchNormStep:
             )
         self.module = module
         self.in_slot, self.out_slot = in_slot, out_slot
-        self.c = c
-        self.n_elem = n * h * w
         self.out_shape = tuple(in_shape)
         self._training = training
         self._inv_std: Optional[np.ndarray] = None
@@ -509,42 +345,26 @@ class BatchNormStep:
     def forward(self, env: List[np.ndarray]) -> None:
         m = self.module
         x = env[self.in_slot]
-        c = self.c
-        _, var = batch_statistics(
-            x, self._xhat, self._squares[x.flags.c_contiguous]
+        self._inv_std = batch_norm_forward(
+            x, m.weight.data, m.bias.data, m.eps, self._xhat,
+            self._squares[x.flags.c_contiguous], self.out,
         )
-        inv_std = 1.0 / np.sqrt(var + m.eps)
-        self._xhat *= inv_std
-        np.multiply(self._xhat, m.weight.data.reshape(1, c, 1, 1), out=self.out)
-        self.out += m.bias.data.reshape(1, c, 1, 1)
-        self._inv_std = inv_std
         env[self.out_slot] = self.out
 
     def backward(self, env, gbufs) -> None:
-        # Into preallocated scratch throughout, mirroring the exact
-        # evaluation order of BatchNorm2d.forward's closure:
-        # gx = ((g_xhat - sum_g/n) - (x_hat*sum_gx)/n) * inv_std.
         m = self.module
-        c = self.c
-        g = gbufs[self.out_slot]
-        tmp, tmp2 = self._tmp, self._tmp2
-        if m.weight.requires_grad:
-            np.multiply(g, self._xhat, out=tmp)
-            _set_grad(m.weight, tmp.sum(axis=(0, 2, 3)))
-        if m.bias.requires_grad:
-            _set_grad(m.bias, g.sum(axis=(0, 2, 3)))
         gin = gbufs[self.in_slot]
-        if gin is not None:
-            np.multiply(g, m.weight.data.reshape(1, c, 1, 1), out=tmp)  # g_xhat
-            sum_g = tmp.sum(axis=(0, 2, 3), keepdims=True)
-            np.multiply(tmp, self._xhat, out=tmp2)
-            sum_gx = tmp2.sum(axis=(0, 2, 3), keepdims=True)
-            tmp -= sum_g / self.n_elem
-            np.multiply(self._xhat, sum_gx, out=tmp2)
-            tmp2 /= self.n_elem
-            tmp -= tmp2
-            tmp *= self._inv_std.reshape(1, c, 1, 1)
-            gin += tmp
+        g_w, g_b, g_x = batch_norm_vjp(
+            gbufs[self.out_slot], self._xhat, self._inv_std, m.weight.data,
+            (m.weight.requires_grad, m.bias.requires_grad, gin is not None),
+            self._tmp, self._tmp2,
+        )
+        if g_w is not None:
+            _set_grad(m.weight, g_w)
+        if g_b is not None:
+            _set_grad(m.bias, g_b)
+        if g_x is not None:
+            gin += g_x
 
 
 class FrozenBatchNormStep:

@@ -14,15 +14,17 @@ reversed walk over the forward steps: :mod:`repro.engine.adjoint`
 *generates* it from the recorded trace as a second plan — explicit vjp
 steps scheduled in autograd's exact reversed depth-first postorder.
 That schedule is what makes the step **bitwise** equal to the
-define-by-run loop in both modes: each vjp accumulates into its
-gradient buffers in its closure's own operation order, and the
-cross-closure order (which decides how three-consumer skip tensors sum
-their float32 contributions) is simulated from
+define-by-run loop in both modes: each vjp step and its autograd
+closure call the op's one vjp, and the cross-closure order (which
+decides how three-consumer skip tensors sum their float32
+contributions) is simulated from
 :meth:`repro.autograd.tensor.Tensor.backward` rather than approximated.
 The parity tests in ``tests/test_engine_training.py`` and the property
 tests in ``tests/test_engine_adjoint.py`` assert this end to end, so the
 trainer steps through it in both modes and pre-training in full mode.
 
+The loss is :func:`repro.autograd.functional.cross_entropy_forward`
+and its vjp seeds the adjoint, on scratch in the step's allocation.
 The step writes gradients straight into ``Parameter.grad`` (scratch
 views — no per-step gradient allocation), so the existing optimizers
 work unchanged.  The caller owns ``optimizer.zero_grad()`` /
@@ -31,80 +33,14 @@ work unchanged.  The caller owns ``optimizer.zero_grad()`` /
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.adjoint import generate_adjoint, leaf_parameters
+from repro.autograd.functional import cross_entropy_forward
+from repro.engine.adjoint import CrossEntropyVjpStep, generate_adjoint, leaf_parameters
 from repro.engine.compiler import CompiledPlan, build_steps, trace_forward
 from repro.engine.kernels import Layout, UntraceableError
-
-
-class CrossEntropyHead:
-    """LVS-weighted softmax cross-entropy, mirrored from
-    :func:`repro.autograd.functional.cross_entropy` op for op."""
-
-    def __init__(self, logits_shape: Tuple[int, ...], layout: Layout) -> None:
-        n, c, h, w = logits_shape
-        self.shape = logits_shape
-        self.hw = h * w
-        self._idx: Optional[np.ndarray] = None
-        self._weights: Optional[np.ndarray] = None
-        self._norm = 1.0
-        layout.add(self)
-
-    def _buffers(self):
-        n, c, _, _ = self.shape
-        for key in ("_shifted", "_exp", "_softmax"):
-            yield key, self.shape, np.float32, None
-        yield "_gflat", (n, c, self.hw), np.float32, None
-        yield "_unit_weights", (n, self.hw), np.float32, None
-
-    def _bind(self) -> None:
-        # The unweighted case uses the same unit map every step; build
-        # it (and its sum) once instead of allocating per forward.
-        self._unit_weights.fill(1.0)
-        self._unit_norm = float(self._unit_weights.sum())
-
-    def forward(
-        self, logits: np.ndarray, target: np.ndarray, weight_map: Optional[np.ndarray]
-    ) -> float:
-        n, c, h, w = self.shape
-        target = np.asarray(target)
-        if target.shape != (n, h, w):
-            raise ValueError(f"target shape {target.shape} != {(n, h, w)}")
-        m = logits.max(axis=1, keepdims=True)
-        np.subtract(logits, m, out=self._shifted)
-        np.exp(self._shifted, out=self._exp)
-        denom = self._exp.sum(axis=1, keepdims=True)
-        np.divide(self._exp, denom, out=self._softmax)
-        logp = self._shifted
-        logp -= np.log(denom)
-        flat = logp.reshape(n, c, self.hw)
-        idx = target.reshape(n, self.hw)
-        gathered = np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
-        if weight_map is None:
-            weights = self._unit_weights
-            norm = self._unit_norm
-        else:
-            weights = np.asarray(weight_map, dtype=np.float32).reshape(n, self.hw)
-            norm = float(weights.sum())
-        loss = np.asarray(-(gathered * weights).sum() / norm, dtype=np.float32)
-        self._idx, self._weights, self._norm = idx, weights, norm
-        return float(loss)
-
-    def backward(self, gout: np.ndarray) -> None:
-        """Write dloss/dlogits into ``gout`` (the logits grad buffer)."""
-        n, c, h, w = self.shape
-        gflat = self._gflat
-        gflat.fill(0.0)
-        np.put_along_axis(
-            gflat, self._idx[:, None, :], (-self._weights / self._norm)[:, None, :], axis=1
-        )
-        g4 = gflat.reshape(n, c, h, w)
-        s = g4.sum(axis=1, keepdims=True)
-        np.multiply(self._softmax, s, out=gout)
-        np.subtract(g4, gout, out=gout)
 
 
 class CompiledTrainStep:
@@ -125,7 +61,7 @@ class CompiledTrainStep:
         if len(outputs) != 1:
             raise UntraceableError("train step expects a single logits output")
         #: The step's memory: forward activations and kernel scratch,
-        #: gradient buffers and the loss head, in one allocation.
+        #: gradient buffers and the loss's scratch, in one allocation.
         self.layout = layout = Layout()
         steps, shapes, input_slots, output_slots, step_of_record = build_steps(
             records, inputs, outputs, training=True, layout=layout,
@@ -136,7 +72,7 @@ class CompiledTrainStep:
             raise UntraceableError("train step traced an identity forward")
         # Compose the forward executor instead of re-implementing it:
         # the train step is a CompiledPlan plus gradient buffers and
-        # the loss head.
+        # the loss.
         self._plan = CompiledPlan(steps, shapes, input_slots, output_slots, layout)
         self._steps = steps
         # Gradient buffers exist only for produced slots; roots (cached
@@ -147,8 +83,16 @@ class CompiledTrainStep:
         self._gbufs: List[Optional[np.ndarray]] = [None] * len(shapes)
         for step in steps:
             layout.take(self._gbufs, step.out_slot, shapes[step.out_slot])
-        self._loss = CrossEntropyHead(shapes[self._logits_slot], layout)
+        # The loss's scratch: shifted, exp, softmax (which its vjp
+        # reads) and the vjp's seed.  A list owns them, as it does the
+        # gradient buffers: a layout that held the step would be a cycle.
+        self._loss_bufs: list = [None] * 4
+        for i in range(4):
+            layout.take(self._loss_bufs, i, shapes[self._logits_slot])
         layout.allocate()
+        self._loss_vjp = CrossEntropyVjpStep(
+            *self._loss_bufs[2:], self._gbufs[self._logits_slot]
+        )
         self.num_kernels = len(steps)
         # Everything the adjoint generator needs to (re)build a schedule
         # when the freeze boundary moves.  Record/tensor ids are only
@@ -223,7 +167,7 @@ class CompiledTrainStep:
             self._slot_shapes,
             self._plan._env,
             self._gbufs,
-            self._loss,
+            self._loss_vjp,
             self._logits_slot,
         )
         self._adjoint_sig = self._requires_sig()
@@ -247,7 +191,9 @@ class CompiledTrainStep:
         if not self.has_pending_forward:
             raise RuntimeError("finish_step() without a pending forward")
         env = self._plan._env
-        loss = self._loss.forward(env[self._logits_slot], target, weight_map)
+        loss, self._loss_vjp.saved = cross_entropy_forward(
+            env[self._logits_slot], target, weight_map, *self._loss_bufs[:3]
+        )
         if self._adjoint_sig != self._requires_sig():
             self._build_adjoint()
         for g in self._live_gbufs:
@@ -255,7 +201,7 @@ class CompiledTrainStep:
                 g.fill(0.0)
         self.adjoint.run()
         self.has_pending_forward = False
-        return loss
+        return float(loss)
 
     def run(
         self,

@@ -91,6 +91,50 @@ def batch_statistics(
     return mean, var
 
 
+def batch_norm_forward(x, weight, bias, eps: float, xhat, square, out) -> np.ndarray:
+    """Batch-normalise an NCHW ``x`` into ``out`` (``x_hat * weight +
+    bias``, ``x_hat = (x - mean) * inv_std`` over the
+    :func:`batch_statistics` of ``x``), leaving ``x_hat`` in ``xhat``.
+    Returns ``inv_std``, ``(1, C, 1, 1)``.  ``square`` is the statistics'
+    scratch, in x's memory order; it may be ``out``."""
+    c = x.shape[1]
+    _, var = batch_statistics(x, xhat, square)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    np.multiply(xhat, weight.reshape(1, c, 1, 1), out=out)
+    out += bias.reshape(1, c, 1, 1)
+    return inv_std
+
+
+def batch_norm_vjp(grad, xhat, inv_std, weight, wants, tmp, tmp2) -> tuple:
+    """``(g_weight, g_bias, g_x)`` of :func:`batch_norm_forward` at the
+    out gradient ``grad``, ``None`` where ``wants`` (weight, bias, input)
+    is false.  ``g_x`` is ``tmp``, evaluated as ``((g_xhat - sum_g/n) -
+    (x_hat*sum_gx)/n) * inv_std`` with ``g_xhat = grad * weight``.  The
+    channel sums over products follow the memory order of the scratch
+    ``tmp`` / ``tmp2``, the bias sum that of ``grad``."""
+    want_w, want_b, want_x = wants
+    g_w = g_b = g_x = None
+    if want_w:
+        np.multiply(grad, xhat, out=tmp)
+        g_w = tmp.sum(axis=(0, 2, 3))
+    if want_b:
+        g_b = grad.sum(axis=(0, 2, 3))
+    if want_x:
+        n, c, h, w = grad.shape
+        np.multiply(grad, weight.reshape(1, c, 1, 1), out=tmp)  # g_xhat
+        sum_g = tmp.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(tmp, xhat, out=tmp2)
+        sum_gx = tmp2.sum(axis=(0, 2, 3), keepdims=True)
+        tmp -= sum_g / (n * h * w)
+        np.multiply(xhat, sum_gx, out=tmp2)
+        tmp2 /= n * h * w
+        tmp -= tmp2
+        tmp *= inv_std
+        g_x = tmp
+    return g_w, g_b, g_x
+
+
 class BatchNorm2d(Module):
     """Batch normalisation over NCHW tensors, always with the statistics
     of the batch it is given.
@@ -119,32 +163,29 @@ class BatchNorm2d(Module):
         c = self.num_features
         if x.data.shape[1] != c:
             raise ValueError(f"expected {c} channels, got {x.data.shape[1]}")
-        # Laid out like x, as ``x.data - mean`` would be: the backward's
-        # reductions over x-hat products follow that memory order.
-        x_hat_data = np.empty_like(x.data)
-        _, var = batch_statistics(x.data, x_hat_data, np.empty_like(x.data))
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat_data *= inv_std
-        out_data = x_hat_data * self.weight.data.reshape(1, c, 1, 1) + self.bias.data.reshape(1, c, 1, 1)
-
+        # x-hat and the output are laid out like x, as ``x.data - mean``
+        # and ``x_hat * weight + bias`` would be; the output is also
+        # the statistics' square scratch.
+        x_hat, out = np.empty_like(x.data), np.empty_like(x.data)
+        inv_std = batch_norm_forward(
+            x.data, self.weight.data, self.bias.data, self.eps, x_hat, out, out
+        )
         weight, bias = self.weight, self.bias
-        n_elem = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
         def backward(grad: np.ndarray) -> None:
-            if weight.requires_grad:
-                weight._accumulate((grad * x_hat_data).sum(axis=(0, 2, 3)))
-            if bias.requires_grad:
-                bias._accumulate(grad.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                g_xhat = grad * weight.data.reshape(1, c, 1, 1)
-                sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
-                sum_gx = (g_xhat * x_hat_data).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (
-                    g_xhat - sum_g / n_elem - x_hat_data * sum_gx / n_elem
-                ) * inv_std.reshape(1, c, 1, 1)
-                x._accumulate(gx)
+            g_w, g_b, g_x = batch_norm_vjp(
+                grad, x_hat, inv_std, weight.data,
+                (weight.requires_grad, bias.requires_grad, x.requires_grad),
+                np.empty(grad.shape, np.float32), np.empty(grad.shape, np.float32),
+            )
+            if g_w is not None:
+                weight._accumulate(g_w)
+            if g_b is not None:
+                bias._accumulate(g_b)
+            if g_x is not None:
+                x._accumulate(g_x)
 
-        return Tensor._make(out_data, (x, weight, bias), backward)
+        return Tensor._make(out, (x, weight, bias), backward)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BatchNorm2d({self.num_features})"

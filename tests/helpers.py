@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: numeric gradients, the
-interpreted reference the engine is judged against, and the
-shared-memory leak check of the multi-process tests."""
+interpreted reference the engine is judged against, the reference
+column gather and scatter the convolution taps are judged against, and
+the shared-memory leak check of the multi-process tests."""
 
 import contextlib
 import os
@@ -105,3 +106,45 @@ def assert_grad_close(analytic, numeric, rtol=2e-2, atol=1e-3):
     """Compare analytic and numeric gradients with float32 tolerances."""
     scale = max(np.abs(numeric).max(), 1e-6)
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol * scale + atol)
+
+
+def _conv_out_dims(h, w, kh, kw, pad_h, pad_w, stride):
+    return (h + 2 * pad_h - kh) // stride + 1, (w + 2 * pad_w - kw) // stride + 1
+
+
+def fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride):
+    """The original gather: one fancy-index read through (channel, row,
+    col) index arrays into the ``(C*kh*kw, N*out_h*out_w)`` column
+    matrix (rows channel-major, then kh, then kw; columns
+    sample-major).  The reference the tap gather must reproduce byte
+    for byte."""
+    n, c, h, w = x.shape
+    out_h, out_w = _conv_out_dims(h, w, kh, kw, pad_h, pad_w, stride)
+    i0 = np.tile(np.repeat(np.arange(kh), kw), c)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * c)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    chans = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
+    x_padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    patches = x_padded[:, chans, rows, cols]
+    return patches.transpose(1, 0, 2).reshape(patches.shape[1], n * patches.shape[2])
+
+
+def slice_loop_col2im(cols, x_shape, kh, kw, pad_h, pad_w, stride):
+    """The reference scatter: one float64 ``+=`` per kernel tap, in kh
+    then kw order, into a zeroed image padded on all four sides, then
+    one downcast and the crop — what the seed's bincount scatter
+    computed.  Returns a C-contiguous ``(n, c, h, w)`` array."""
+    n, c, h, w = x_shape
+    out_h, out_w = _conv_out_dims(h, w, kh, kw, pad_h, pad_w, stride)
+    x_padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=np.float64)
+    grid = cols.reshape(c, kh, kw, n, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            x_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
+                grid[:, i, j].transpose(1, 0, 2, 3)
+            )
+    x_padded = x_padded.astype(cols.dtype)
+    return np.ascontiguousarray(x_padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w])

@@ -1,4 +1,4 @@
-"""Gradient and shape tests for the im2col convolution."""
+"""Gradient and shape tests for the tap-gather convolution."""
 
 import tracemalloc
 
@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
-from repro.autograd.conv import col2im, conv2d, im2col, _out_dim
+from repro.autograd.conv import ConvGeometry, ConvTaps, _out_dim, conv2d, conv_forward
 
-from tests.helpers import assert_grad_close, numeric_gradient
+from tests.helpers import (
+    assert_grad_close, fancy_index_im2col, numeric_gradient, slice_loop_col2im,
+)
 
 
 class TestShapes:
@@ -95,49 +97,48 @@ class TestGradients:
         assert w.grad is not None
 
 
-class TestIm2Col:
+def _columns(x, kh, kw, pad_h, pad_w, stride):
+    """The column matrix ``conv_forward`` multiplies, gathered on fresh
+    zeroed scratch as ``conv2d`` does, and the geometry."""
+    g = ConvGeometry(x.shape, (kh, kw), (pad_h, pad_w), stride)
+    nl = x.shape[0] * g.L
+    cols = np.empty((g.K, nl), np.float32)
+    taps = None if g.is_1x1 else ConvTaps(g, np.zeros(g.pad_shape, np.float32), cols)
+    w_mat = np.zeros((1, g.K), np.float32)
+    return conv_forward(g, x, w_mat, None, cols, taps, np.empty((1, nl), np.float32)), g
+
+
+def _scattered(g, gcols):
+    """The taps' scatter of ``gcols`` on fresh zeroed float64 scratch."""
+    taps = ConvTaps(g, np.zeros(g.pad_shape, np.float64), gcols.copy())
+    return taps.scatter(np.empty(g.x_shape, np.float32))
+
+
+class TestTaps:
     def test_roundtrip_counts_overlaps(self, rng):
-        # col2im(im2col(x)) multiplies each pixel by its patch multiplicity.
+        # The scatter of the gather multiplies each pixel by its patch
+        # multiplicity.
         x = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)
-        cols = im2col(x, 3, 3, 1, 1, 1)
-        back = col2im(cols, (1, 1, 4, 4), 3, 3, 1, 1, 1)
+        cols, g = _columns(x, 3, 3, 1, 1, 1)
+        back = _scattered(g, cols)
         # Interior pixels appear in 9 patches, corners in 4.
         assert back[0, 0, 1, 1] == pytest.approx(9 * x[0, 0, 1, 1], rel=1e-4)
         assert back[0, 0, 0, 0] == pytest.approx(4 * x[0, 0, 0, 0], rel=1e-4)
 
-    def test_im2col_column_layout(self, rng):
+    def test_column_layout(self, rng):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        cols = im2col(x, 2, 2, 0, 0, 1)
+        cols, _ = _columns(x, 2, 2, 0, 0, 1)
         assert cols.shape == (4, 9)
         # First column is the top-left 2x2 patch, flattened row-major.
         np.testing.assert_allclose(cols[:, 0], [0, 1, 4, 5])
 
-    def test_im2col_batched(self, rng):
+    def test_batched(self, rng):
         x = rng.normal(size=(3, 2, 5, 5)).astype(np.float32)
-        cols = im2col(x, 3, 3, 1, 1, 1)
+        cols, _ = _columns(x, 3, 3, 1, 1, 1)
         assert cols.shape == (2 * 9, 3 * 25)
 
 
-def _fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride):
-    """The original gather: one fancy-index read through (channel, row,
-    col) index arrays.  Kept here as the reference the sliced gather
-    must reproduce byte for byte."""
-    n, c, h, w = x.shape
-    out_h = _out_dim(h, kh, pad_h, stride)
-    out_w = _out_dim(w, kw, pad_w, stride)
-    i0 = np.tile(np.repeat(np.arange(kh), kw), c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    rows = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    cols = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    chans = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    x_padded = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    patches = x_padded[:, chans, rows, cols]
-    return patches.transpose(1, 0, 2).reshape(patches.shape[1], n * patches.shape[2])
-
-
-class TestIm2ColIsTheFancyIndexGather:
+class TestTapsAreTheReferenceGatherAndScatter:
     @given(
         n=st.integers(1, 3), c=st.integers(1, 4),
         h=st.integers(3, 9), w=st.integers(3, 9),
@@ -147,23 +148,29 @@ class TestIm2ColIsTheFancyIndexGather:
     )
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal(self, n, c, h, w, kh, kw, pad_h, pad_w, stride, seed):
-        x = np.random.default_rng(seed).normal(size=(n, c, h, w)).astype(np.float32)
-        got = im2col(x, kh, kw, pad_h, pad_w, stride)
-        want = _fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        got, g = _columns(x, kh, kw, pad_h, pad_w, stride)
+        want = fancy_index_im2col(x, kh, kw, pad_h, pad_w, stride)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        if not g.is_1x1:
+            gcols = rng.normal(size=want.shape).astype(np.float32)
+            want = slice_loop_col2im(gcols, x.shape, kh, kw, pad_h, pad_w, stride)
+            assert _scattered(g, gcols).tobytes() == want.tobytes()
 
     def test_fresh_geometry_retains_nothing(self, rng):
         # A geometry no other test uses, so nothing could be cached yet.
-        x = rng.normal(size=(2, 5, 37, 41)).astype(np.float32)
-        im2col(x[:, :, :9, :9], 3, 3, 1, 1, 1)  # warm np.pad and friends
+        x = Tensor(rng.normal(size=(2, 5, 37, 41)).astype(np.float32))
+        w = Tensor(rng.normal(size=(4, 5, 3, 3)).astype(np.float32))
+        conv2d(Tensor(x.data[:, :, :9, :9]), w, None, padding=1)  # warm up
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cols = im2col(x, 3, 3, 1, 1, 1)
-            assert cols.nbytes > 500_000
-            del cols
+            out = conv2d(x, w, None, padding=1)
+            assert out.data.nbytes > 40_000
+            del out
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained < 4096, f"im2col kept {retained} bytes after its result died"
+        assert retained < 4096, f"conv2d kept {retained} bytes after its result died"

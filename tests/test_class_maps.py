@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
+from repro.autograd.functional import cross_entropy_forward, cross_entropy_vjp
 from repro.distill import trainer as trainer_module
 from repro.distill.config import DistillConfig
 from repro.distill.trainer import StudentTrainer
-from repro.engine.kernels import Layout
-from repro.engine.training import CrossEntropyHead
 from repro.models.student import StudentNet
 from repro.models.teacher import OracleTeacher, TeacherNet
 from repro.nn.serialize import array_wire_nbytes, state_dict_digest
@@ -72,16 +71,15 @@ class TestLabelDtypeChangesNoBit:
         assert mean_iou(pred, wide) == mean_iou(pred, narrow)
         assert mean_iou(wide, pred) == mean_iou(narrow, pred)
 
-        def head(label):
-            layout = Layout()
-            ce = CrossEntropyHead(logits.shape, layout)
-            layout.allocate()
-            loss = ce.forward(logits, label[None], weights)
+        def shared(label):
+            """The loss and its vjp as the compiled step calls them."""
+            shifted, exp, softmax = (np.empty_like(logits) for _ in range(3))
+            loss, saved = cross_entropy_forward(
+                logits, label[None], weights, shifted, exp, softmax
+            )
             grad = np.empty_like(logits)
-            ce.backward(grad)
-            return loss, grad.tobytes()
-
-        assert head(wide) == head(narrow)
+            cross_entropy_vjp(1.0, softmax, saved, np.empty_like(logits), grad)
+            return loss.tobytes(), grad.tobytes()
 
         def reference(label):
             x = Tensor(logits.copy(), requires_grad=True)
@@ -89,7 +87,26 @@ class TestLabelDtypeChangesNoBit:
             loss.backward()
             return loss.data.tobytes(), x.grad.tobytes()
 
-        assert reference(wide) == reference(narrow)
+        def oracle(label):
+            """The same loss in fancy indexing: no take / put along axis."""
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            exp = np.exp(shifted)
+            denom = exp.sum(axis=1, keepdims=True)
+            logp = shifted - np.log(denom)
+            rows, cols = np.indices((h, w))
+            norm = float(weights.sum())
+            loss = np.asarray(
+                -(logp[0, label, rows, cols] * weights).sum() / norm, dtype=np.float32
+            )
+            g = np.zeros_like(logits)
+            g[0, label, rows, cols] = -weights / norm
+            grad = g - (exp / denom) * g.sum(axis=1, keepdims=True)
+            return loss.tobytes(), grad.tobytes()
+
+        want = oracle(wide)
+        assert oracle(narrow) == want
+        assert shared(wide) == shared(narrow) == want
+        assert reference(wide) == reference(narrow) == want
 
     @given(**_maps)
     @settings(max_examples=6, deadline=None)

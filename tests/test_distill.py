@@ -140,3 +140,30 @@ class TestStudentTrainer:
         )
         result = trainer.train(frame, label)
         assert result.metric > result.initial_metric
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="Algorithm 1 restores no checkpoint when no step improves: "
+        "the student keeps the last iterate's weights",
+    )
+    def test_unimproved_call_leaves_the_weights(self):
+        """A call that reports ``improved=False`` after taking steps
+        should hand back the student it was given — the metric it
+        reports is the pre-update one.  Today the last iterate stays."""
+        from repro.nn.serialize import state_dict_digest
+        from repro.runtime.session import pretrained_student
+        from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
+
+        student = pretrained_student(0.5, 0, 80, (64, 96))
+        trainer = StudentTrainer(student, DistillConfig(threshold=0.999))
+        video = make_category_video(CATEGORY_BY_KEY["fixed-animals"], height=64, width=96)
+        for i, (frame, label) in enumerate(video.frames(20)):
+            if i % 2:
+                continue  # every second frame is a key frame
+            before = state_dict_digest(student.state_dict())
+            result = trainer.train(frame, label)
+            if result.steps and not result.improved:
+                assert result.metric == result.initial_metric
+                assert state_dict_digest(student.state_dict()) == before
+                return
+        pytest.fail("no key frame trained without improving")

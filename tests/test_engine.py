@@ -14,7 +14,7 @@ from repro.engine.training import CompiledTrainStep
 from repro.models.student import StudentNet, partial_freeze
 from repro.models.teacher import TeacherNet
 from repro.nn.serialize import apply_state_dict, state_dict_diff
-from tests.helpers import interpreted
+from tests.helpers import fancy_index_im2col, interpreted, slice_loop_col2im
 
 
 def autograd_logits(student, x):
@@ -31,7 +31,15 @@ def fresh_plan_cache():
     plan_cache.clear()
 
 
+def _same_bytes(got, ref):
+    """Byte equality (``-0.0`` is not ``+0.0``), whatever the layouts."""
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
 class TestForwardEquivalence:
+    """Compiled forwards are the define-by-run forward byte for byte."""
+
     @pytest.mark.parametrize("width", [0.5, 1.0])
     @pytest.mark.parametrize("batch", [None, 2])
     def test_matches_autograd(self, rng, width, batch):
@@ -42,7 +50,7 @@ class TestForwardEquivalence:
         plan = student.engine_plan("forward", (x.shape,))
         assert plan is not None
         (got,) = plan.run(x)
-        np.testing.assert_allclose(got, ref, atol=1e-5)
+        _same_bytes(got, ref)
 
     @pytest.mark.parametrize("hw", [(20, 28), (64, 96), (16, 16), (32, 44)])
     def test_odd_geometries(self, rng, hw):
@@ -50,7 +58,7 @@ class TestForwardEquivalence:
         x = rng.normal(size=(1, 3) + hw).astype(np.float32)
         ref = autograd_logits(student, x)
         (got,) = student.engine_plan("forward", (x.shape,)).run(x)
-        np.testing.assert_allclose(got, ref, atol=1e-5)
+        _same_bytes(got, ref)
 
     def test_single_frame_is_bit_identical(self, rng):
         # The hot path (one frame) must not drift at all: the benchmark
@@ -59,7 +67,27 @@ class TestForwardEquivalence:
         x = rng.normal(size=(1, 3, 64, 96)).astype(np.float32)
         ref = autograd_logits(student, x)
         (got,) = student.engine_plan("forward", (x.shape,)).run(x)
-        np.testing.assert_array_equal(got, ref)
+        _same_bytes(got, ref)
+
+    @pytest.mark.parametrize("width", [0.25, 0.5])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_every_plan_output_is_byte_identical(self, width, n):
+        """Every output of the ``front`` and ``forward`` plans, signed
+        zeros included: a ReLU that yields ``-0.0`` on one path and
+        ``+0.0`` on the other passes ``assert_array_equal`` but not
+        this."""
+        student = StudentNet(width=width, seed=0)
+        x = np.random.default_rng(0).standard_normal((n, 3, 64, 96)).astype(np.float32)
+        with no_grad():
+            want = {
+                "front": [t.data for t in student.forward_front(Tensor(x))],
+                "forward": [student.forward(Tensor(x)).data],
+            }
+        for kind, refs in want.items():
+            outs = student.engine_plan(kind, (x.shape,)).run(x)
+            assert len(outs) == len(refs)
+            for got, ref in zip(outs, refs):
+                _same_bytes(got, ref)
 
     def test_predict_routes_through_engine_and_matches(self, rng):
         student = StudentNet(width=0.5, seed=5)
@@ -79,7 +107,7 @@ class TestForwardEquivalence:
         feats = tuple(np.array(f, copy=True) for f in feats)
         back = student.engine_plan("back", tuple(f.shape for f in feats))
         (got,) = back.run(*feats)
-        np.testing.assert_allclose(got, autograd_logits(student, x), atol=1e-5)
+        _same_bytes(got, autograd_logits(student, x))
 
 
 class TestPlanMechanics:
@@ -469,9 +497,10 @@ def _conv_step(rng, n, c, h, w, kernel, padding, stride, training=True):
 
 
 class TestConvTapsAreExact:
-    """ConvStep's gather / scatter equal ``autograd.conv.im2col`` /
-    ``col2im`` byte for byte — the flat taps on adversarial values, and
-    the geometries that must stay on slice taps."""
+    """ConvStep's tap gather equals the fancy-index gather, and its tap
+    scatter the per-tap float64 slice loop, byte for byte — the flat
+    taps on adversarial values, and the geometries that must stay on
+    slice taps."""
 
     # (kernel, padding) pairs whose output is as wide as the input.
     FLAT = [
@@ -479,11 +508,18 @@ class TestConvTapsAreExact:
         ((1, 5), (0, 2)), ((1, 7), (0, 3)), ((3, 3), (0, 1)), ((3, 3), (2, 1)),
     ]
 
+    @staticmethod
+    def _check(step, rng, x, kernel, padding, stride):
+        want = fancy_index_im2col(x, *kernel, *padding, stride)
+        assert step._xtaps.gather(x).tobytes() == want.tobytes()
+        gcols = _adversarial(rng, want.shape)
+        want = slice_loop_col2im(gcols, x.shape, *kernel, *padding, stride)
+        step._gcols[...] = gcols
+        assert step._gtaps.scatter(step._gx32).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kernel,padding", FLAT)
     @pytest.mark.parametrize("seed", range(4))
-    def test_flat_taps_match_autograd(self, kernel, padding, seed):
-        from repro.autograd.conv import col2im, im2col
-
+    def test_flat_taps_match_the_references(self, kernel, padding, seed):
         rng = np.random.default_rng(1000 * seed + 10 * kernel[0] + kernel[1])
         c = int(rng.choice([1, 3, 12, 64]))
         h = int(rng.integers(max(1, kernel[0] - 2 * padding[0]), 14))
@@ -491,13 +527,7 @@ class TestConvTapsAreExact:
         step = _conv_step(rng, 1, c, h, w, kernel, padding, 1)
         assert step.flat
         for _ in range(2):  # twice: the scratch must not remember a run
-            x = _adversarial(rng, (1, c, h, w))
-            want = im2col(x, *kernel, *padding, 1)
-            assert step._gather(x).tobytes() == want.tobytes()
-            gcols = _adversarial(rng, want.shape)
-            want = np.ascontiguousarray(col2im(gcols, x.shape, *kernel, *padding, 1))
-            step._gcols[...] = gcols
-            assert step._scatter().tobytes() == want.tobytes()
+            self._check(step, rng, _adversarial(rng, (1, c, h, w)), kernel, padding, 1)
 
     @pytest.mark.parametrize(
         "n,kernel,padding,stride",
@@ -512,17 +542,9 @@ class TestConvTapsAreExact:
     def test_other_geometries_keep_slice_taps_and_still_match(
         self, rng, n, kernel, padding, stride
     ):
-        from repro.autograd.conv import col2im, im2col
-
         step = _conv_step(rng, n, 5, 9, 10, kernel, padding, stride)
         assert not step.flat
-        x = _adversarial(rng, (n, 5, 9, 10))
-        want = im2col(x, *kernel, *padding, stride)
-        assert step._gather(x).tobytes() == want.tobytes()
-        gcols = _adversarial(rng, want.shape)
-        want = np.ascontiguousarray(col2im(gcols, x.shape, *kernel, *padding, stride))
-        step._gcols[...] = gcols
-        assert step._scatter().tobytes() == want.tobytes()
+        self._check(step, rng, _adversarial(rng, (n, 5, 9, 10)), kernel, padding, stride)
 
     def test_every_student_conv_but_the_stems_is_flat(self, rng):
         student = StudentNet(width=0.25, seed=0)
@@ -607,7 +629,7 @@ class TestOneCallGather:
                 np.copyto(col, window)
                 if wrapped is not None:
                     wrapped[...] = 0.0
-            got = step._gather(x)
+            got = step._xtaps.gather(x)
             assert got.tobytes() == want.tobytes(), (n, c, h, w, kernel, stride)
 
             gcols = _adversarial(rng, want.shape)
@@ -618,7 +640,7 @@ class TestOneCallGather:
                 window += col
             want = np.ascontiguousarray(self._interior(step, gxp), np.float32)
             step._gcols[...] = gcols
-            got = step._scatter()
+            got = step._gtaps.scatter(step._gx32)
             assert got.tobytes() == want.tobytes(), (n, c, h, w, kernel, stride)
 
 
@@ -652,9 +674,18 @@ class TestBatchStatistics:
             want = (x - want_mean) * (1.0 / np.sqrt(want_var + 1e-5))
             assert diff.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    @staticmethod
+    def _numpy_reference(x, weight, bias, eps):
+        """``(x_hat, inv_std, out)`` of a batch norm in NumPy's own
+        ``mean`` / ``var``, ``x_hat`` C-contiguous."""
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3), keepdims=True) + eps)
+        x_hat = np.ascontiguousarray((x - mean) * inv_std)
+        return x_hat, inv_std, x_hat * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
-    def test_step_matches_the_layer(self, rng, n, layout):
+    def test_step_and_layer_match_numpy(self, rng, n, layout):
         from repro.engine.kernels import BatchNormStep
         from repro.nn.layers import BatchNorm2d
 
@@ -666,11 +697,44 @@ class TestBatchStatistics:
         ))
         for _ in range(5):
             x = self._input(rng, n, layout)
+            *_, want = self._numpy_reference(x, module.weight.data, module.bias.data, module.eps)
             env = [x, None]
             step.forward(env)
+            assert env[1].tobytes() == want.tobytes()
             with no_grad():
-                want = module(Tensor(x)).data
-            assert env[1].tobytes() == np.ascontiguousarray(want).tobytes()
+                assert module(Tensor(x)).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("layout", ["nchw", "cnhw"])
+    def test_step_vjp_matches_numpy(self, rng, n, layout):
+        """The vjp in NumPy temporaries, in the order the define-by-run
+        closure wrote it: ``((g_xhat - sum_g/n) - (x_hat*sum_gx)/n) *
+        inv_std``."""
+        from repro.engine.kernels import BatchNormStep
+        from repro.nn.layers import BatchNorm2d
+
+        module = BatchNorm2d(5)
+        module.weight.data[...] = rng.standard_normal(5)
+        shape = (n, 5, 6, 7)
+        step = _laid_out(lambda layout: BatchNormStep(
+            module, 0, 1, shape, training=True, layout=layout
+        ))
+        x = self._input(rng, n, layout)
+        g = rng.standard_normal(shape).astype(np.float32)
+        x_hat, inv_std, _ = self._numpy_reference(x, module.weight.data, module.bias.data, module.eps)
+        g_xhat = g * module.weight.data.reshape(1, 5, 1, 1)
+        n_elem = n * 6 * 7
+        sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_gx = (g_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
+        want_gx = (g_xhat - sum_g / n_elem - x_hat * sum_gx / n_elem) * inv_std
+
+        env, gbufs = [x, None], [np.zeros(shape, np.float32), g]
+        step.forward(env)
+        step.backward(env, gbufs)
+        assert module.weight.grad.tobytes() == (g * x_hat).sum(axis=(0, 2, 3)).tobytes()
+        assert module.bias.grad.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+        # The engine adds into a +0.0 buffer.
+        assert gbufs[0].tobytes() == (np.float32(0.0) + want_gx).tobytes()
 
 
 class TestWeightGradientOrientation:

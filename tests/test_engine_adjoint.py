@@ -33,10 +33,10 @@ from repro.models.student import StudentNet, partial_freeze
 from repro.segmentation.losses import lvs_weight_map
 
 
-def _frame_and_target(seed: int, h: int, w: int):
+def _frame_and_target(seed: int, h: int, w: int, n: int = 1):
     rng = np.random.default_rng(seed)
-    x4 = rng.uniform(0.0, 1.0, (1, 3, h, w)).astype(np.float32)
-    target = rng.integers(0, 9, size=(1, h, w))
+    x4 = rng.uniform(0.0, 1.0, (n, 3, h, w)).astype(np.float32)
+    target = rng.integers(0, 9, size=(n, h, w))
     return x4, target
 
 
@@ -86,6 +86,24 @@ class TestAdjointBitwiseProperty:
                 assert got_grads[name] is None, name
             else:
                 np.testing.assert_array_equal(got_grads[name], ref, err_msg=name)
+
+    @pytest.mark.parametrize("use_wm", [True, False])
+    def test_batched_full_mode_grads_are_the_same_bytes(self, use_wm):
+        """At n = 3 the conv outputs are channel-major, so every
+        reduction's grouping follows which layout each side's buffers
+        have: the loss, every gradient and the signed zeros in them
+        match autograd byte for byte."""
+        x4, target = _frame_and_target(5, 32, 48, n=3)
+        weight_map = lvs_weight_map(target) if use_wm else None
+        ref_loss, ref_grads = _autograd_grads(
+            StudentNet(width=0.5, seed=5), x4, target, weight_map
+        )
+        got_loss, got_grads = _adjoint_grads(
+            StudentNet(width=0.5, seed=5), x4, target, weight_map
+        )
+        assert got_loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert got_grads[name].tobytes() == ref.tobytes(), name
 
     def test_freeze_boundary_change_rebuilds_schedule(self):
         # The schedule is a function of live requires_grad flags (a

@@ -83,10 +83,10 @@ def _buffers(plan):
 
 def _owned_bytes(plan):
     """Bytes of the distinct base arrays every step, gradient buffer and
-    loss head of ``plan`` holds — whatever allocated them."""
+    loss scratch of ``plan`` holds — whatever allocated them."""
     holders = list(_forward(plan)._steps)
     if hasattr(plan, "_gbufs"):
-        holders += [plan._loss, {"gbufs": plan._gbufs}]
+        holders.append({"gbufs": plan._gbufs, "loss": plan._loss_bufs})
     bases = {}
 
     def visit(value):

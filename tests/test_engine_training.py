@@ -251,7 +251,9 @@ class TestCompiledGradients:
             student, kind, tuple(a.shape for a in inputs)
         )
         table = step._live_gbufs
-        assert all(vjp._gbufs is table for vjp in step.adjoint._steps)
+        loss_vjp, *vjps = step.adjoint._steps
+        assert all(vjp._gbufs is table for vjp in vjps)
+        assert loss_vjp.gout is table[step._logits_slot]
         (bn,) = [s for s in step._steps
                  if isinstance(s, BatchNormStep) and s.module is student.sb5.bn]
         (project,) = [s for s in step._steps

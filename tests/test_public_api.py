@@ -401,7 +401,10 @@ class TestRetiredNamesStayRetired:
       test;
     - a module's state is its parameters: batch norm keeps no running
       statistics, and modules have no buffers and no train/eval mode;
-    - the engine's im2col is one copy of a strided view of every tap.
+    - the engine's im2col is one copy of a strided view of every tap;
+    - each op with an autograd closure and an engine step has one
+      forward and one vjp, which both call (``autograd.conv``,
+      ``nn.layers``, ``autograd.functional``).
     """
 
     RETIRED = (
@@ -462,6 +465,10 @@ class TestRetiredNamesStayRetired:
          r"|running_(mean|var)|register_buffer|\bset_buffer\b|named_buffers"
          r"|include_buffers|_bn_steps"),
         ("per-tap im2col copy loop in the engine gather", r"self\._taps\b"),
+        ("second definition of an op: autograd's im2col / col2im, the "
+         "engine's tap geometry and cross-entropy head",
+         r"\b(im2col|col2im)\(|import (im2col|col2im)\b|CrossEntropyHead"
+         r"|\b_tap_views\b|_wrapped_cells\b"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}
