@@ -5,9 +5,9 @@ boundary-error decomposition, and visual artifacts.
 This example exercises the analysis tooling on one run:
 
 * exports a contact sheet of the stream (PPM, no image libs needed);
-* runs ShadowTutor with event tracing enabled;
+* runs ShadowTutor once;
 * prints the run summary, the stride timeline as an ASCII plot, and the
-  update-delay histogram;
+  update-delay histogram (all read from the returned ``RunStats``);
 * decomposes the student's residual error into boundary-band vs
   interior error — showing the online-distilled student's mistakes
   concentrate at object edges.
@@ -28,7 +28,6 @@ from repro.nn.serialize import clone_state_dict
 from repro.runtime.client import Client
 from repro.runtime.server import Server
 from repro.runtime.session import pretrained_student
-from repro.runtime.trace import Trace
 from repro.segmentation.boundary import error_decomposition
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 from repro.video.preview import export_stream_sample
@@ -51,21 +50,16 @@ def main() -> None:
                                  num_frames=8, stride=args.frames // 8 or 1)
     print(f"wrote stream contact sheet -> {sheet}")
 
-    # 2. Traced system run.
+    # 2. System run.
     config = DistillConfig()
-    trace = Trace()
     hw = (video.config.height, video.config.width)
     server = Server(pretrained_student(0.5, 0, 80, hw), OracleTeacher(), config)
-    client = Client(pretrained_student(0.5, 0, 80, hw), server, config,
-                    trace=trace)
+    client = Client(pretrained_student(0.5, 0, 80, hw), server, config)
     video.reset()
     stats = client.run(video.frames(args.frames), label=spec.key)
 
     print()
     print(summarize_run(stats))
-    trace_path = out_dir / f"{spec.key}-trace.json"
-    trace.to_json(trace_path)
-    print(f"wrote event trace ({len(trace)} events) -> {trace_path}")
 
     # 3. Stride timeline.
     idx, strides = stride_timeline(stats)

@@ -30,9 +30,6 @@ class DistillConfig:
     max_stride: int = 64
     mode: DistillMode = DistillMode.PARTIAL
     lr: float = 0.01
-    #: Reset Adam moments at each key frame; each key frame is a fresh
-    #: single-image optimisation problem.
-    reset_optimizer_state: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:

@@ -198,8 +198,9 @@ class StudentTrainer:
 
         if best_metric < cfg.threshold:
             runner.weight_map = lvs_weight_map(target)
-            if cfg.reset_optimizer_state:
-                self._optimizer.reset_state()
+            # Each key frame is a fresh single-image problem: Adam
+            # starts it with no moments.
+            self._optimizer.reset_state()
             checkpoint = self._checkpoint_slots()
             for _ in range(cfg.max_updates):
                 self._optimizer.zero_grad()

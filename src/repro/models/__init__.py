@@ -5,8 +5,8 @@
 * :class:`TeacherNet` — a genuinely larger FCN, the label source of
   ``teacher_arch="neural"`` sessions.
 * :class:`OracleTeacher` — the default evaluation teacher: returns the
-  scene's rendered label (plus optional boundary noise), standing in for
-  Mask R-CNN exactly as the LVS labels do in the paper.
+  scene's rendered label, standing in for Mask R-CNN exactly as the
+  LVS labels do in the paper.
 """
 
 from repro.models.student import StudentBlock, StudentNet, partial_freeze

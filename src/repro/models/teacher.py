@@ -7,8 +7,7 @@ student).  Two stand-ins are provided:
   LVS dataset was labelled *by* Mask R-CNN and the paper measures
   accuracy against the teacher's output, so the teacher is, in effect,
   the label function of the stream.  The oracle returns the renderer's
-  ground-truth label, optionally corrupted near object boundaries to
-  model the teacher's own imperfection.
+  ground-truth label.
 
 * :class:`TeacherNet` — a real (larger) FCN for runs that must
   exercise a neural teacher end-to-end.  It is ~10-100x the default
@@ -24,7 +23,6 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Conv2d, FrozenBatchNorm2d, ReLU, Sequential
 from repro.nn.module import Module
-from repro.segmentation.boundary import erode_cross
 from repro.segmentation.classes import class_map
 
 
@@ -44,10 +42,7 @@ class Teacher(Protocol):
 class OracleTeacher:
     """Teacher that knows the renderer's ground truth.
 
-    ``boundary_noise`` flips a fraction of the band pixels to background,
-    modelling Mask R-CNN's edge errors: the band is every foreground
-    pixel with a background 4-neighbour or on the image border.  With
-    the default of 0 the oracle is exact, which matches the paper's
+    Exact: it returns the renderer's label, which matches the paper's
     effective protocol (accuracy is measured against the teacher output
     itself).
     """
@@ -55,26 +50,13 @@ class OracleTeacher:
     #: Modelled inference latency (seconds) — paper Table 1: t_ti = 0.044.
     latency: float = 0.044
 
-    def __init__(self, boundary_noise: float = 0.0, seed: int = 0) -> None:
-        if not 0.0 <= boundary_noise <= 1.0:
-            raise ValueError("boundary_noise must be in [0, 1]")
-        self.boundary_noise = boundary_noise
-        self._rng = np.random.default_rng(seed)
-
     def infer(self, frame: np.ndarray, label: Optional[np.ndarray] = None) -> np.ndarray:
         if label is None:
             raise ValueError(
                 "OracleTeacher needs the renderer label; use TeacherNet for "
                 "label-free inference"
             )
-        if self.boundary_noise == 0.0:
-            return label.copy()
-        out = label.copy()
-        fg = label > 0
-        boundary = fg ^ erode_cross(fg)
-        flip = boundary & (self._rng.random(label.shape) < self.boundary_noise)
-        out[flip] = 0
-        return out
+        return label.copy()
 
 
 class TeacherNet(Module):

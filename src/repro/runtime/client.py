@@ -40,7 +40,6 @@ from repro.nn.serialize import apply_state_dict, state_dict_digest
 from repro.runtime.clock import LatencyModel, SimClock
 from repro.runtime.server import Server, ServerReply
 from repro.runtime.stats import FrameRecord, KeyFrameRecord, RunStats
-from repro.runtime.trace import EventType, NullTrace, Trace
 from repro.segmentation.metrics import mean_iou
 from repro.striding.adaptive import AdaptiveStride
 from repro.striding.baselines import StridePolicy
@@ -78,7 +77,6 @@ class Client:
         sizes: Optional[MessageSizes] = None,
         stride_policy: Optional[StridePolicy] = None,
         forced_delay_frames: Optional[int] = None,
-        trace: Optional[Trace] = None,
     ) -> None:
         self.student = student
         self.server = server
@@ -88,7 +86,6 @@ class Client:
         self.sizes = sizes or MessageSizes.paper()
         self.stride_policy = stride_policy or AdaptiveStride(config)
         self.forced_delay_frames = forced_delay_frames
-        self.trace = trace if trace is not None else NullTrace()
         self.clock = SimClock()
         #: Serialisation point of the uplink: a second key frame cannot
         #: start transferring before the previous transfer finished.
@@ -144,28 +141,14 @@ class Client:
                 self.weight_version = state_dict_digest(
                     pending.reply.update, prev=self.weight_version
                 )
-        old_stride = self.stride_policy.stride
         self.stride_policy.update(pending.reply.metric)
         if obs.enabled():
-            # Real-telemetry twin of the simulated Trace events below:
-            # the stride decision each server-reported metric produced,
+            # The stride decision each server-reported metric produced,
             # on the wall clock, mergeable across client processes.
             obs.series("client.update").append([
                 pending.sent_frame_index, float(pending.reply.metric),
                 self.stride_policy.stride,
             ])
-        self.trace.emit(
-            EventType.UPDATE_APPLY, self.clock.now, pending.sent_frame_index,
-            key_index=pending.sent_frame_index,
-            metric=pending.reply.metric,
-            delay_frames=pending.frames_since_send,
-        )
-        if self.stride_policy.stride != old_stride:
-            self.trace.emit(
-                EventType.STRIDE_CHANGE, self.clock.now,
-                pending.sent_frame_index,
-                old=old_stride, new=self.stride_policy.stride,
-            )
 
     # ------------------------------------------------------------------
     # Stepwise run protocol (the pool drives these; run() chains them)
@@ -195,10 +178,6 @@ class Client:
                 self.clock.advance_to(self._pending.ready_at)
                 self._apply_update(self._pending)
             self._pending, kf_record = self._dispatch_key_frame(frame, gt_label, index)
-            self.trace.emit(
-                EventType.KEY_DISPATCH, self.clock.now, index,
-                steps=kf_record.steps, metric=kf_record.metric,
-            )
             self._stats.key_frames.append(kf_record)
             self._stats.total_up_bytes += kf_record.up_bytes
             self._stats.total_down_bytes += kf_record.down_bytes
@@ -225,12 +204,7 @@ class Client:
                 if self._step == cfg.min_stride and self.clock.now < pending.ready_at:
                     # Alg. 4 line 15-16: wait — the next key frame
                     # stride may be MIN_STRIDE.
-                    duration = pending.ready_at - self.clock.now
-                    self._stats.wait_time_s += duration
-                    self.trace.emit(
-                        EventType.WAIT, self.clock.now, index,
-                        duration=duration,
-                    )
+                    self._stats.wait_time_s += pending.ready_at - self.clock.now
                     self.clock.advance_to(pending.ready_at)
                 if self.clock.now >= pending.ready_at:
                     self._update_delay = pending.frames_since_send

@@ -41,7 +41,6 @@ class SessionConfig:
     student_seed: int = 0
     pretrain_steps: int = 80
     forced_delay_frames: Optional[int] = None
-    teacher_boundary_noise: float = 0.0
     #: Which teacher the server half runs: ``"oracle"`` (default — the
     #: label function of the stream, see
     #: :class:`~repro.models.teacher.OracleTeacher`) or ``"neural"``
@@ -79,7 +78,7 @@ def build_teacher(config: SessionConfig) -> Teacher:
     same three numbers.
     """
     if config.teacher_arch == "oracle":
-        return OracleTeacher(config.teacher_boundary_noise)
+        return OracleTeacher()
     if config.teacher_arch == "neural":
         return TeacherNet(width=config.teacher_width, seed=config.teacher_seed)
     raise ValueError(f"unknown teacher_arch: {config.teacher_arch!r}")

@@ -45,22 +45,6 @@ def dilate_square(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def erode_cross(mask: np.ndarray) -> np.ndarray:
-    """Erode a 2-D boolean mask by the 4-neighbour cross, zero border.
-
-    A pixel survives iff it and its four neighbours are set; pixels on
-    the image border never survive (outside counts as unset).
-    """
-    out = mask.copy()
-    out[1:, :] &= mask[:-1, :]
-    out[:-1, :] &= mask[1:, :]
-    out[:, 1:] &= mask[:, :-1]
-    out[:, :-1] &= mask[:, 1:]
-    out[0] = out[-1] = False
-    out[:, 0] = out[:, -1] = False
-    return out
-
-
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius <= 0 or not mask.any():
         return mask

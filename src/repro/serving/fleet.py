@@ -512,13 +512,11 @@ class FleetHandle:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def address(self, slot: int, admit_retries: int = 0,
-                retry_seed: Optional[int] = None) -> FleetAddress:
+    def address(self, slot: int, admit_retries: int = 0) -> FleetAddress:
         """Picklable attachment point for one standalone client: dial
         the front door, ADMIT, follow redirects.  Every slot dials the
         same address; ``slot`` only seeds the retry jitter."""
-        seed = slot if retry_seed is None else retry_seed
-        return FleetAddress("socket", self._front_info, admit_retries, seed,
+        return FleetAddress("socket", self._front_info, admit_retries, slot,
                             shards=self._shard_infos)
 
     def ledger_snapshot(self) -> Dict[str, Any]:

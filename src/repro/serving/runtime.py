@@ -155,14 +155,12 @@ class SessionBlueprint:
             max_stride=admit.max_stride,
             mode=DistillMode(admit.mode),
             lr=admit.lr,
-            reset_optimizer_state=admit.reset_optimizer_state,
         )
         config = SessionConfig(
             distill=distill,
             student_width=admit.student_width,
             student_seed=admit.student_seed,
             pretrain_steps=admit.pretrain_steps,
-            teacher_boundary_noise=admit.teacher_boundary_noise,
             teacher_arch=admit.teacher_arch,
             teacher_width=int(admit.teacher_width),
             teacher_seed=int(admit.teacher_seed),
@@ -193,8 +191,6 @@ def admit_message(config, frame_hw: Tuple[int, int]) -> wire.Admit:
         min_stride=distill.min_stride,
         max_stride=distill.max_stride,
         lr=distill.lr,
-        reset_optimizer_state=distill.reset_optimizer_state,
-        teacher_boundary_noise=config.teacher_boundary_noise,
         teacher_arch=config.teacher_arch,
         teacher_width=int(config.teacher_width),
         teacher_seed=int(config.teacher_seed),
@@ -393,22 +389,17 @@ class ServerRuntime:
                 obs.counter(f"admission.rejected.{reason}").inc()
 
     def _teacher_for(self, config):
-        """One teacher per *spec* for the whole runtime where that is
-        provably identical to per-session teachers: the zero-noise
-        oracle is stateless, and a neural teacher is deterministic from
-        ``(width, seed)`` and never trained at serve time — so every
-        session describing the same spec shares one instance (which is
-        also what lets the shared memo label a key frame once for every
-        session that submits it).  Noisy oracles hold RNG state and stay
-        per-session, matching the independent teachers of an
-        in-process pool.
+        """One teacher per *spec* for the whole runtime, provably
+        identical to per-session teachers: the oracle is stateless, and
+        a neural teacher is deterministic from ``(width, seed)`` and
+        never trained at serve time — so every session describing the
+        same spec shares one instance (which is also what lets the
+        shared memo label a key frame once for every session that
+        submits it).
         """
         from repro.runtime.session import build_teacher
 
-        arch = config.teacher_arch
-        if arch == "oracle" and config.teacher_boundary_noise != 0.0:
-            return build_teacher(config)
-        key = (arch, config.teacher_width, config.teacher_seed)
+        key = (config.teacher_arch, config.teacher_width, config.teacher_seed)
         teacher = self._shared_teachers.get(key)
         if teacher is None:
             teacher = build_teacher(config)
@@ -1097,14 +1088,15 @@ class SessionAddress:
     ``admit_retries`` bounds a seeded retry loop around the ADMIT
     handshake: a *retryable* refusal (capacity/overloaded) is retried
     up to that many times, sleeping the server's ``retry_after`` hint
-    (jittered by ``retry_seed``) between attempts — no hot spinning, no
+    (jittered by an RNG seeded with ``slot``, the connection slot the
+    address was made for) between attempts — no hot spinning, no
     unbounded waits.  Structural refusals raise immediately regardless.
     """
 
     transport: str
     info: Any
     admit_retries: int = 0
-    retry_seed: int = 0
+    slot: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1116,13 +1108,12 @@ class SessionTicket:
     send: a blueprint the handle was started with
     (:meth:`ServerHandle.ticket` with an index), or ``None`` to admit
     the attaching client's own configuration.
-    ``admit_retries``/``retry_seed`` bound the same seeded retry loop
-    :class:`SessionAddress` documents."""
+    ``admit_retries`` bounds the same seeded retry loop
+    :class:`SessionAddress` documents (seed 0)."""
 
     handle: "ServerHandle"
     admit: Optional[wire.Admit] = None
     admit_retries: int = 0
-    retry_seed: int = 0
 
 
 #: ``exit_reason`` of the typed marker report a handle's ``close``
@@ -1186,8 +1177,8 @@ class ServerHandle:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def ticket(self, session: Optional[int] = None, admit_retries: int = 0,
-               retry_seed: int = 0) -> SessionTicket:
+    def ticket(self, session: Optional[int] = None,
+               admit_retries: int = 0) -> SessionTicket:
         """Attachment point for a session run in *this* process, over
         the handle's shared parent connection.  ``ticket(i)`` admits
         the session blueprint ``i`` describes; ``ticket()`` admits the
@@ -1201,21 +1192,20 @@ class ServerHandle:
                 )
             blueprint = self.blueprints[session]
             admit = admit_message(blueprint.config, blueprint.frame_hw)
-        return SessionTicket(self, admit, admit_retries, retry_seed)
+        return SessionTicket(self, admit, admit_retries)
 
-    def address(self, slot: int, admit_retries: int = 0,
-                retry_seed: Optional[int] = None) -> SessionAddress:
+    def address(self, slot: int, admit_retries: int = 0) -> SessionAddress:
         """Picklable attachment point for a standalone client process:
         the client dials connection ``slot`` and admits its own
         configuration, so it can join a server that is already
         mid-run.  ``admit_retries`` opts the client into the bounded
-        retry loop on retryable refusals; the jitter seed defaults to
-        the slot, so every client in a herd backs off on its own
-        deterministic schedule.
+        retry loop on retryable refusals; the jitter seed is the slot,
+        so every client in a herd backs off on its own deterministic
+        schedule.
         """
-        info = self.link.address(slot)
-        seed = slot if retry_seed is None else retry_seed
-        return SessionAddress(self.transport, info, admit_retries, seed)
+        return SessionAddress(
+            self.transport, self.link.address(slot), admit_retries, slot
+        )
 
     def parent_connection(self) -> MuxConnection:
         """The single in-process connection every ticket shares (claims
@@ -1336,7 +1326,7 @@ _RETRY_SLEEP_MAX_S = 1.0
 _MAX_REDIRECTS = 4
 
 
-def _admit_with_retry(connection, admit, attach):
+def _admit_with_retry(connection, admit, admit_retries: int, seed: int):
     """ADMIT with the bounded, seeded retry loop of the attach points.
 
     Each retryable refusal (``AdmissionError.retryable``) sleeps the
@@ -1350,13 +1340,13 @@ def _admit_with_retry(connection, admit, attach):
     """
     import random
 
-    rng = random.Random(attach.retry_seed)
+    rng = random.Random(seed)
     attempt = 0
     while True:
         try:
             return connection.admit_session(admit)
         except AdmissionError as exc:
-            if attempt >= attach.admit_retries or not exc.retryable:
+            if attempt >= admit_retries or not exc.retryable:
                 raise
             attempt += 1
             hint_ms = exc.retry_after if exc.retry_after is not None else 1
@@ -1391,10 +1381,12 @@ def attach_session(config, frame_hw, stride_policy):
         connection = attach.handle.parent_connection()
         admit = attach.admit or admit_message(config, frame_hw)
         owns = False
+        seed = 0
     elif isinstance(attach, SessionAddress):
         connection = MuxConnection(registry.connect(attach.transport, attach.info))
         admit = admit_message(config, frame_hw)
         owns = True
+        seed = attach.slot
     else:
         raise TypeError(
             f"config.attach must be a SessionTicket or SessionAddress, "
@@ -1405,7 +1397,7 @@ def attach_session(config, frame_hw, stride_policy):
         while True:
             try:
                 session, initial_state = _admit_with_retry(
-                    connection, admit, attach
+                    connection, admit, attach.admit_retries, seed
                 )
                 break
             except AdmissionError as exc:

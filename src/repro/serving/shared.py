@@ -3,9 +3,9 @@
 In the fan-out serving scenario (many clients watching one stream) the
 pooled sessions submit bitwise-identical key-frame work: same student
 weights, same frame, same pseudo-label.  Algorithm 1 is deterministic —
-it is a pure function of (student state, optimizer state, frame,
-pseudo-label, config) — so training once and replaying the outcome for
-every identical submission is *observably indistinguishable* from each
+it is a pure function of (student state, frame, pseudo-label, config),
+since Adam's moments reset on every trained key frame — so training
+once and replaying the outcome for every identical submission is *observably indistinguishable* from each
 server training on its own.  The pooled-vs-single property tests hold
 with sharing on, which is the proof that matters.
 
@@ -18,10 +18,6 @@ Identity is established by content digests, never by assumption:
 * a hit loads the recorded post-training state into the server's
   student (deep-copied) and returns a deep-copied reply, leaving the
   server in exactly the state it would have reached by training.
-
-Sharing is refused when ``config.reset_optimizer_state`` is off: with
-carried-over Adam moments the trainer's outcome depends on state the
-digest chain does not cover.
 """
 
 from __future__ import annotations
@@ -97,8 +93,7 @@ class SharedDistillation:
 
         Returns the label and the frame digest when one was taken (for
         :meth:`distill` to reuse).  Only neural teachers are memoised,
-        decided by type (an oracle is the identity on its label, a noisy
-        one holds RNG state), and their weights must not change after
+        decided by type (an oracle is the identity on its label), and their weights must not change after
         the first call.  The shared array is read-only.
         """
         if not isinstance(teacher, TeacherNet):
@@ -118,11 +113,6 @@ class SharedDistillation:
                 frame_digest: Optional[str] = None):
         """Serve one key frame's training, memoised across servers."""
         self.counters["calls"] += 1
-        if not server.config.reset_optimizer_state:
-            # Carried-over optimizer moments are outside the digest
-            # chain; sharing would not be provably identical.
-            return server.distill(frame, pseudo_label)
-
         version = self._version(server)
         if frame_digest is None:
             frame_digest = array_digest(frame)

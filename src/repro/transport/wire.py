@@ -74,7 +74,7 @@ from repro.nn.serialize import array_wire_nbytes, read_array, write_array
 from repro.runtime.server import ServerReply
 
 MAGIC = b"ST"
-VERSION = 6
+VERSION = 7
 
 KIND_SHUTDOWN = 0
 KIND_STATE = 1
@@ -163,14 +163,11 @@ class Admit:
     min_stride: int
     max_stride: int
     lr: float
-    reset_optimizer_state: bool
-    teacher_boundary_noise: float = 0.0
     teacher_arch: str = "oracle"       #: "oracle" | "neural"
     teacher_width: int = 48            #: neural teacher width
     teacher_seed: int = 0              #: neural teacher init seed
 
-    _FLOAT_FIELDS = ("student_width", "threshold", "lr",
-                     "teacher_boundary_noise")
+    _FLOAT_FIELDS = ("student_width", "threshold", "lr")
     _INT_FIELDS = ("student_seed", "pretrain_steps", "frame_h", "frame_w",
                    "max_updates", "min_stride", "max_stride",
                    "teacher_width", "teacher_seed")
@@ -186,7 +183,6 @@ class Admit:
         for name in self._INT_FIELDS:
             state[name] = np.int64(getattr(self, name))
         state["mode"] = np.uint8(self._MODES.index(self.mode))
-        state["reset_optimizer_state"] = np.uint8(self.reset_optimizer_state)
         state["teacher_arch"] = np.uint8(
             self._TEACHER_ARCHS.index(self.teacher_arch)
         )
@@ -199,7 +195,7 @@ class Admit:
         mode / teacher-arch code."""
         got = set(state)
         expected = set(cls._FLOAT_FIELDS) | set(cls._INT_FIELDS) | {
-            "mode", "reset_optimizer_state", "teacher_arch",
+            "mode", "teacher_arch",
         }
         if got != expected:
             missing = sorted(expected - got)
@@ -221,9 +217,6 @@ class Admit:
             kwargs[name] = float(np.asarray(state[name]).reshape(()))
         for name in cls._INT_FIELDS:
             kwargs[name] = int(np.asarray(state[name]).reshape(()))
-        kwargs["reset_optimizer_state"] = bool(
-            int(np.asarray(state["reset_optimizer_state"]).reshape(()))
-        )
         return cls(**kwargs)
 
 

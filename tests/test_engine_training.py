@@ -4,11 +4,8 @@ Algorithm 1's observable behaviour (losses, steps, metrics, the weights
 the server ships) must not change when the trainer routes through the
 compiled engine.  Partial distillation is required to be *exactly*
 reproduced — the cached front-end is a constant and every compiled
-kernel mirrors its autograd twin's operation order.  The only tolerated
-divergence is the running statistics of **frozen** batch-norm layers:
-the cached path no longer replays the frozen front-end per step, and
-those buffers are dead state (the student normalises with batch
-statistics and frozen-module buffers are never communicated).
+kernel mirrors its autograd twin's operation order — so every parity
+check compares the student's whole state.
 """
 
 import dataclasses
@@ -51,11 +48,6 @@ def run_training(mode, enabled, frame, label, seed=1, max_updates=6,
     return result, student
 
 
-FROZEN_BUFFER_PREFIXES = tuple(
-    f"{m}." for m in StudentNet.FRONT_MODULES
-)
-
-
 class TestPartialParity:
     def test_identical_train_result(self, frame_and_label):
         frame, label = frame_and_label
@@ -68,16 +60,14 @@ class TestPartialParity:
         np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
 
     def test_identical_shipped_state(self, frame_and_label):
-        """Everything the server would communicate must match bit-exactly;
-        only frozen-module BN running stats (dead state) may differ."""
+        """Everything the server would communicate must match bit-exactly."""
         frame, label = frame_and_label
         _, student_ref = run_training(DistillMode.PARTIAL, False, frame, label)
         _, student_got = run_training(DistillMode.PARTIAL, True, frame, label)
         ref_state = student_ref.state_dict()
         got_state = student_got.state_dict()
+        assert ref_state.keys() == got_state.keys()
         for key in ref_state:
-            if key.startswith(FROZEN_BUFFER_PREFIXES) and "running_" in key:
-                continue
             np.testing.assert_array_equal(
                 ref_state[key], got_state[key], err_msg=key
             )
@@ -184,20 +174,9 @@ def _train_key_frames(width, hw, frozen, reference):
             trainer.student, first[None], first_label[None], None
         )
         results = [trainer.train(frame, label) for frame, label in frames]
-    state = trainer.student.state_dict()
-    if frozen >= len(StudentNet.FRONT_MODULES):
-        # A fully frozen front is run once per key frame, in eval mode,
-        # on the compiled tier; only the interpreted loop replays it in
-        # train mode and moves its running statistics (dead state: the
-        # student normalises with batch statistics and frozen buffers
-        # are never shipped).  Everywhere else the whole student counts.
-        state = {
-            k: v for k, v in state.items()
-            if not (k.startswith(FROZEN_BUFFER_PREFIXES) and "running_" in k)
-        }
     return type(runner), [
         (r.steps, r.losses, r.metric, r.initial_metric) for r in results
-    ], state_dict_digest(state)
+    ], state_dict_digest(trainer.student.state_dict())
 
 
 @pytest.mark.parametrize("hw", [(64, 96), (28, 44)], ids=["64x96", "28x44"])
@@ -305,7 +284,7 @@ def _frames(count, hw=(32, 48)):
 
 
 def _state_bytes(trainer):
-    """Everything a key frame may change: weights, buffers, Adam state."""
+    """Everything a key frame may change: weights and Adam state."""
     student, adam = trainer.student, trainer._optimizer
     state = {k: v.tobytes() for k, v in student.state_dict().items()}
     for name, p in student.named_parameters():
@@ -322,8 +301,7 @@ def _key_frame_sequence(mode, enabled, interleave=False):
     with interpreted(not enabled):
         trainer = StudentTrainer(
             StudentNet(width=0.5, seed=1),
-            DistillConfig(mode=mode, max_updates=4, threshold=0.99,
-                          reset_optimizer_state=False),
+            DistillConfig(mode=mode, max_updates=4, threshold=0.99),
         )
         other = StudentTrainer(
             StudentNet(width=0.5, seed=2),
@@ -338,17 +316,6 @@ def _key_frame_sequence(mode, enabled, interleave=False):
                 other.train(f1, l1)
         states.append(_state_bytes(trainer))
     return results, states
-
-
-def _comparable(state, mode):
-    """Partial mode never replays the frozen front-end per step, so its
-    running stats are dead state the two paths may disagree on."""
-    if mode is DistillMode.FULL:
-        return state
-    return {
-        k: v for k, v in state.items()
-        if not (k.startswith(FROZEN_BUFFER_PREFIXES) and "running_" in k)
-    }
 
 
 @pytest.mark.parametrize("mode", [DistillMode.PARTIAL, DistillMode.FULL])
@@ -366,15 +333,14 @@ class TestOneForwardPerKeyFrame:
                 got.steps, got.metric, got.initial_metric, got.improved
             )
             np.testing.assert_allclose(ref.losses, got.losses, rtol=1e-6)
-        for ref, got in zip(ref_states, got_states):
-            assert _comparable(ref, mode) == _comparable(got, mode)
+        assert ref_states == got_states
 
     def test_zero_step_key_frame_changes_nothing(self, mode):
         results, states = _key_frame_sequence(mode, enabled=True)
         assert results[1].steps == 0 and results[1].losses == []
         assert results[1].metric == results[1].initial_metric
         assert any(k.startswith("adam.") for k in states[1])
-        assert states[1] == states[2]  # weights, running stats, Adam
+        assert states[1] == states[2]  # weights and Adam
 
     def test_pending_forward_is_not_reused(self, mode):
         """The zero-step key frame leaves its forward pending on the

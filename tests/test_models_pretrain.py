@@ -64,7 +64,7 @@ class TestPretrainStudent:
         assert np.isnan(result.final_loss)
         after = student.state_dict()
         assert before.keys() == after.keys()
-        for k in before:  # running statistics included: nothing runs
+        for k in before:  # nothing runs
             np.testing.assert_array_equal(before[k], after[k])
 
 

@@ -25,24 +25,8 @@ class TestOracleTeacher:
         with pytest.raises(ValueError):
             OracleTeacher().infer(np.zeros((3, 4, 4)))
 
-    def test_boundary_noise_flips_edges_only(self):
-        label = np.zeros((16, 16), dtype=np.int64)
-        label[4:12, 4:12] = 2
-        teacher = OracleTeacher(boundary_noise=1.0, seed=0)
-        out = teacher.infer(np.zeros((3, 16, 16)), label)
-        # Interior survives; only the 1-pixel boundary band may flip.
-        np.testing.assert_array_equal(out[6:10, 6:10], label[6:10, 6:10])
-        assert (out != label).sum() > 0
-        flipped = out != label
-        # Flipped pixels must have been foreground boundary.
-        assert (label[flipped] == 2).all()
-
-    def test_noise_bounds_validated(self):
-        with pytest.raises(ValueError):
-            OracleTeacher(boundary_noise=1.5)
-
-    def test_zero_noise_idempotent(self, rng):
-        teacher = OracleTeacher(boundary_noise=0.0)
+    def test_idempotent(self, rng):
+        teacher = OracleTeacher()
         label = rng.integers(0, 3, size=(8, 8))
         a = teacher.infer(np.zeros((3, 8, 8)), label)
         b = teacher.infer(np.zeros((3, 8, 8)), label)

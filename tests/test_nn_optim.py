@@ -117,7 +117,7 @@ _shapes = st.lists(
 def _adam_scripts(draw):
     """Shapes plus 1-12 steps; each step says which parameters are
     frozen, which hold no gradient, and whether the moments are reset
-    first (a new key frame with ``reset_optimizer_state``)."""
+    first (a new trained key frame)."""
     shapes = draw(_shapes)
     steps = []
     for _ in range(draw(st.integers(1, 12))):

@@ -141,7 +141,6 @@ class TestAdmitBlueprintFields:
             student_width=0.5, student_seed=0, pretrain_steps=1,
             frame_h=2, frame_w=3, mode="partial", threshold=0.5,
             max_updates=1, min_stride=1, max_stride=2, lr=0.1,
-            reset_optimizer_state=True,
         )
         state = admit.to_state()
         assert set(documented) == set(state)
@@ -175,7 +174,6 @@ class TestDocExamplesAreHonest:
             student_width=0.5, student_seed=0, pretrain_steps=1,
             frame_h=2, frame_w=3, mode="full", threshold=0.5,
             max_updates=1, min_stride=1, max_stride=2, lr=0.1,
-            reset_optimizer_state=False,
         )
         as_admit = wire.encode(admit)
         as_state = wire.encode(dict(admit.to_state()))

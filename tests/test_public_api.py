@@ -60,7 +60,6 @@ PUBLIC_MODULES = [
     "repro.runtime.client",
     "repro.runtime.naive",
     "repro.runtime.session",
-    "repro.runtime.trace",
     "repro.serving",
     "repro.serving.pool",
     "repro.serving.batched",
@@ -157,6 +156,15 @@ class TestServingSignatures:
         "repro.serving.runtime:MuxRemoteServer.handle_key_frame": (
             "self", "frame", "label",
         ),
+        "repro.serving.runtime:ServerHandle.ticket": (
+            "self", "session", "admit_retries",
+        ),
+        "repro.serving.runtime:ServerHandle.address": (
+            "self", "slot", "admit_retries",
+        ),
+        "repro.serving.fleet:FleetHandle.address": (
+            "self", "slot", "admit_retries",
+        ),
     }
 
     @pytest.mark.parametrize("target", sorted(PINNED))
@@ -177,8 +185,19 @@ class TestServingSignatures:
         assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
             "distill", "latency", "network", "sizes", "student_width",
             "student_seed", "pretrain_steps", "forced_delay_frames",
-            "teacher_boundary_noise", "teacher_arch", "teacher_width",
-            "teacher_seed", "attach",
+            "teacher_arch", "teacher_width", "teacher_seed", "attach",
+        )
+
+    def test_distill_config_fields(self):
+        """Algorithms 1 and 2's parameters and nothing else: Adam's
+        moments reset on every trained key frame, with no switch."""
+        import dataclasses
+
+        from repro.distill.config import DistillConfig
+
+        assert tuple(f.name for f in dataclasses.fields(DistillConfig)) == (
+            "threshold", "max_updates", "min_stride", "max_stride", "mode",
+            "lr",
         )
 
     def test_overload_config_fields(self):
@@ -404,7 +423,13 @@ class TestRetiredNamesStayRetired:
     - the engine's im2col is one copy of a strided view of every tap;
     - each op with an autograd closure and an engine step has one
       forward and one vjp, which both call (``autograd.conv``,
-      ``nn.layers``, ``autograd.functional``).
+      ``nn.layers``, ``autograd.functional``);
+    - one training rule and one label source: Adam's moments reset on
+      every trained key frame, the oracle teacher is exact, a run's
+      record is its ``RunStats``, and a client's admission retry jitter
+      is seeded by its slot.  The two retired ADMIT fields may still be
+      named as quoted wire strings, which is how the refusal tests and
+      ``docs/PROTOCOL.md``'s version history name them.
     """
 
     RETIRED = (
@@ -462,13 +487,17 @@ class TestRetiredNamesStayRetired:
          r"test_tier1\.sh|smoke_(transport|serve_many|storm|fleet|obs)\b"),
         ("batch-norm running statistics / module buffer registry",
          r"use_batch_stats_in_eval|commit_running_stats|_pending_stats"
-         r"|running_(mean|var)|register_buffer|\bset_buffer\b|named_buffers"
+         r"|running_|register_buffer|\bset_buffer\b|named_buffers"
          r"|include_buffers|_bn_steps"),
         ("per-tap im2col copy loop in the engine gather", r"self\._taps\b"),
         ("second definition of an op: autograd's im2col / col2im, the "
          "engine's tap geometry and cross-entropy head",
          r"\b(im2col|col2im)\(|import (im2col|col2im)\b|CrossEntropyHead"
          r"|\b_tap_views\b|_wrapped_cells\b"),
+        ("Adam-reset flag / oracle noise / simulated event log / retry seed",
+         r"(?<![\"`])\b(reset_optimizer_state|teacher_boundary_noise)\b(?![\"`])"
+         r"|\bboundary_noise\b|erode_cross|repro\.runtime\.trace|NullTrace"
+         r"|EventType|retry_seed"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}

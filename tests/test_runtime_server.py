@@ -186,12 +186,11 @@ class TestLabelMemo:
         assert state_dict_digest(got.update) == wanted[0]
         assert len(shared._entries) == shared_mod._MEMO_SIZE
 
-    @pytest.mark.parametrize("noise", [0.0, 0.2])
-    def test_oracles_are_never_memoised(self, noise):
+    def test_oracles_are_never_memoised(self):
         from repro.serving.shared import SharedDistillation
 
         frame, label = key_frame()
-        teacher = OracleTeacher(noise)
+        teacher = OracleTeacher()
         calls = self._counting(teacher)
         shared = SharedDistillation()
         for server in self._servers(teacher, shared):

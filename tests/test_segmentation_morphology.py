@@ -1,16 +1,14 @@
-"""The NumPy morphology pair equals the SciPy calls it replaced.
+"""The NumPy morphology equals the SciPy calls it replaced.
 
 ``dilate_square`` is ``binary_dilation`` with the 8-connected 3x3
-structure iterated ``radius`` times; ``erode_cross`` is
-``binary_erosion``'s default (4-neighbour cross, zero border).  SciPy is
-not a dependency, so this module runs only where it is installed.
+structure iterated ``radius`` times.  SciPy is not a dependency, so
+this module runs only where it is installed.
 """
 
 import numpy as np
 import pytest
 
-from repro.models.teacher import OracleTeacher
-from repro.segmentation.boundary import dilate_square, erode_cross
+from repro.segmentation.boundary import dilate_square
 from repro.segmentation.losses import lvs_weight_map
 
 ndimage = pytest.importorskip("scipy.ndimage")
@@ -36,11 +34,6 @@ def test_dilation_matches_scipy(rng, radius):
         np.testing.assert_array_equal(dilate_square(mask, radius), want)
 
 
-def test_erosion_matches_scipy(rng):
-    for mask in _masks(rng):
-        np.testing.assert_array_equal(erode_cross(mask), ndimage.binary_erosion(mask))
-
-
 def _scipy_weight_map(label, object_weight, near_radius):
     weights = np.ones(label.shape, dtype=np.float32)
     for i in range(label.shape[0]):
@@ -58,17 +51,3 @@ def test_lvs_weight_map_matches_scipy(rng, near_radius):
         label = rng.integers(0, 3, size=(n, h, w)) * (rng.random((n, h, w)) < 0.2)
         got = lvs_weight_map(label, 5.0, near_radius)
         assert got.tobytes() == _scipy_weight_map(label, 5.0, near_radius).tobytes()
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_noisy_oracle_matches_scipy(rng, seed):
-    teacher = OracleTeacher(boundary_noise=0.4, seed=seed)
-    ref_rng = np.random.default_rng(seed)
-    for _ in range(10):
-        h, w = rng.integers(1, 24, size=2)
-        label = rng.integers(1, 4, size=(h, w)) * (rng.random((h, w)) < 0.6)
-        fg = label > 0
-        boundary = fg ^ ndimage.binary_erosion(fg)
-        want = label.copy()
-        want[boundary & (ref_rng.random(label.shape) < 0.4)] = 0
-        np.testing.assert_array_equal(teacher.infer(np.zeros((3, h, w)), label), want)

@@ -332,8 +332,7 @@ class TestAdmissionRetry:
                 retry = build_session(
                     dataclasses.replace(
                         _config(),
-                        attach=handle.ticket(admit_retries=20,
-                                                   retry_seed=3),
+                        attach=handle.ticket(admit_retries=20),
                     ),
                     _HW,
                 )

@@ -4,8 +4,7 @@ The contract under test: a pooled run of N sessions produces
 **bit-identical** ``RunStats`` — per-frame records, metrics, key-frame
 decisions, timing, traffic — to N independent single-session runs,
 across randomized configurations (widths, strides, forced delays,
-distill modes, noisy teachers) and across every amortisation switch of
-the pool.  This pins the batching/sharing layer to exactly the
+distill modes) and across every amortisation switch of the pool.  This pins the batching/sharing layer to exactly the
 semantics the paper's tables are computed from.
 """
 
@@ -54,7 +53,6 @@ def random_session(rng, index):
         student_width=float(rng.choice([0.25, 0.4])),
         pretrain_steps=PRETRAIN_STEPS,
         forced_delay_frames=None if forced is None else int(forced),
-        teacher_boundary_noise=float(rng.choice([0.0, 0.2])),
     )
     video_seed = int(rng.integers(0, 10))
     return video_seed, config, f"rand{index}"
@@ -187,7 +185,7 @@ class TestPoolSpecValidation:
                     SessionSpec(video=make_video(2), num_frames=4, stride_policy=policy),
                 ]
             )
-        teacher = OracleTeacher(0.1)
+        teacher = OracleTeacher()
         with pytest.raises(ValueError, match="share one teacher"):
             SessionPool(
                 [

@@ -72,7 +72,7 @@ class TestWireDecodeErrors:
         with pytest.raises(wire.WireError, match="smaller than a header"):
             wire.decode(bad)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8])
     def test_any_version_but_ours_is_refused(self, version):
         assert version != wire.VERSION
         bad = bytearray(self._frame())
@@ -103,7 +103,6 @@ def _admit(**overrides):
         student_width=0.25, student_seed=0, pretrain_steps=10,
         frame_h=32, frame_w=48, mode="partial", threshold=0.7,
         max_updates=4, min_stride=4, max_stride=16, lr=0.01,
-        reset_optimizer_state=True, teacher_boundary_noise=0.0,
     )
     fields.update(overrides)
     return wire.Admit(**fields)
@@ -124,8 +123,7 @@ class TestAdmissionErrors:
     """ISSUE 5 satellite: the admission-era error paths."""
 
     def test_admit_blueprint_roundtrips(self):
-        for admit in (_admit(), _admit(mode="full", student_seed=7,
-                                       reset_optimizer_state=False)):
+        for admit in (_admit(), _admit(mode="full", student_seed=7)):
             session, out = wire.decode_tagged(wire.encode(admit))
             assert out == admit
             assert session == 0
@@ -136,9 +134,15 @@ class TestAdmissionErrors:
         with pytest.raises(wire.WireError, match="malformed ADMIT"):
             wire.Admit.from_state(state)
 
-    def test_malformed_admit_unknown_field_is_loud(self):
+    @pytest.mark.parametrize("extra", [
+        {"surprise": np.int64(1)},
+        # The version-6 blueprint's two retired fields.
+        {"reset_optimizer_state": np.uint8(1)},
+        {"teacher_boundary_noise": np.float64(0.0)},
+    ], ids=["surprise", "reset_optimizer_state", "teacher_boundary_noise"])
+    def test_malformed_admit_unknown_field_is_loud(self, extra):
         state = _admit().to_state()
-        state["surprise"] = np.int64(1)
+        state.update(extra)
         with pytest.raises(wire.WireError, match="malformed ADMIT"):
             wire.Admit.from_state(state)
 
@@ -183,6 +187,11 @@ class TestAdmissionErrors:
                 for damage, detail in (
                     (lambda state: state.pop("lr"), "missing fields"),
                     (lambda state: state.update(surprise=np.int64(1)),
+                     "unknown fields"),
+                    # A version-6 blueprint: both retired fields.
+                    (lambda state: state.update({
+                        "reset_optimizer_state": np.uint8(1),
+                        "teacher_boundary_noise": np.float64(0.0)}),
                      "unknown fields"),
                     (lambda state: state.update(mode=np.uint8(200)), "mode code"),
                 ):
