@@ -8,15 +8,15 @@ broadcast frame workload — five alternating legs each, per-session
 
 What the server process buys here is the shared memo (48 of 64
 distillations spared); what it costs is five processes to spawn and
-schedule on this box's 2 cores, each with its own BLAS threads.  The
-two roughly cancel: the ratio of median walls measured 0.82 / 0.85 /
-0.91x (13.7–15.3 f/s multiplexed against 16.1–18.0 f/s in-process) over
-three standalone PR-15 records, a leg's own samples spreading about
-±15 %.  So the floor is "serving out of process costs little", pinned
-below that spread — multiplexed >= 0.6x of in-process — not a speedup.
-(With ``OPENBLAS_NUM_THREADS=1`` the same multiplexed leg runs ~3x
-faster than in-process: the memo's saving is real, the thread
-oversubscription is what spends it.)  Regenerate manually with::
+schedule on this box's 2 cores.  Each process runs OpenBLAS on one
+thread (``repro._one_blas_thread``); on the default one thread per core
+the five processes' idle BLAS workers spun on the shared cores and the
+multiplexed leg ran 4.7x slower (9.1 s against 1.9 s), below this floor.
+On one thread the ratio of median walls read 2.54x and 2.52x in two
+runs (65.8–66.6 f/s multiplexed against 22.6–25.2 f/s in-process, 2-core
+Xeon), the slowest multiplexed sample 42 % above its leg's median.  The floor is still
+"serving out of process costs little" — multiplexed >= 0.6x of
+in-process — not the speedup.  Regenerate manually with::
 
     PYTHONPATH=src python scripts/bench_perf.py serve-many
 """
@@ -47,5 +47,5 @@ def _check(record):
 
 @pytest.mark.benchmark(group="perf_serve_many")
 def test_multiplexed_keeps_pace_with_in_process(run_perf):
-    # Below the 0.82–0.91x the standalone records measured (see above).
+    # Far below the ~2.5x measured on one BLAS thread (see above).
     run_perf("serve-many", {"ratio": 0.6}, _check, num_clients=4)

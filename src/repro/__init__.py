@@ -20,7 +20,61 @@ Quick start::
 
 See docs/ARCHITECTURE.md for the system inventory and
 benchmarks/results.txt for the paper-vs-measured results.
+
+Importing the package sizes OpenBLAS's thread pool to one thread,
+unless ``OPENBLAS_NUM_THREADS`` is set (see :func:`_one_blas_thread`).
 """
+
+import os
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on one thread in this process and every process it
+    forks, unless ``OPENBLAS_NUM_THREADS`` chooses a size.
+
+    A GEMM's bits depend on the pool size, so a session served by a
+    server process equals its in-process twin only when both processes
+    run pools of the same size; one thread makes that size the same on
+    every machine, too.  It also keeps a server and its client
+    processes from running one BLAS worker per core each on cores they
+    share, where idle workers spin: on a 2-core box the broadcast
+    serve-many workload (one server process, four client processes) ran
+    4.7x faster on one thread per process than on the default two,
+    while a lone in-process session ran no faster on two.  The library
+    is found among this process's mappings (``/proc/self/maps``); where
+    there is none, or no OpenBLAS, this does nothing.
+    """
+    import ctypes
+
+    import numpy  # noqa: F401  (maps the BLAS library NumPy links)
+
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    # The setter's name by build: the reference one, its 64-bit-integer
+    # suffix, and the prefixed names of NumPy's bundled scipy-openblas.
+    names = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+             "scipy_openblas_set_num_threads",
+             "scipy_openblas_set_num_threads64_")
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+_one_blas_thread()
 
 from repro.autograd import Tensor, no_grad
 from repro.distill import DistillConfig, DistillMode, StudentTrainer, TrainResult

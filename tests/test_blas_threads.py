@@ -1,0 +1,77 @@
+"""Importing ``repro`` sizes OpenBLAS's thread pool to one thread.
+
+A GEMM's bits depend on the pool size, so a served session equals its
+in-process twin only when the server, client and caller processes run
+pools of the same size.  Each case runs in a fresh interpreter, so the
+pool size it reads is the one the import left.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Prints the pool size of the importing process, then of a forked child.
+_PROBE = textwrap.dedent("""
+    import ctypes, os
+    import repro
+
+    def pool_size():
+        paths = {line.split()[-1] for line in open("/proc/self/maps")
+                 if "openblas" in line}
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for name in ("openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "scipy_openblas_get_num_threads64_"):
+                getter = getattr(library, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    return getter()
+        raise SystemExit("no OpenBLAS mapped")
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.write(write, str(pool_size()).encode())
+        os._exit(0)
+    os.waitpid(pid, 0)
+    print(pool_size(), os.read(read, 16).decode())
+""")
+
+
+def _pool_sizes(openblas_num_threads):
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    if openblas_num_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_num_threads
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    ).stdout.split()
+    return int(out[0]), int(out[1])
+
+
+def test_import_pins_one_thread():
+    own, _ = _pool_sizes(None)
+    assert own == 1
+
+
+@pytest.mark.parametrize("size", ["1", "2"])
+def test_explicit_pool_size_is_kept(size):
+    own, _ = _pool_sizes(size)
+    assert own == int(size)
+
+
+@pytest.mark.parametrize("size", [None, "2"], ids=["unset", "2"])
+def test_forked_child_keeps_pool_size(size):
+    """Server and client processes are forked: they run the pool size
+    of the process that started them, whichever it is."""
+    own, child = _pool_sizes(size)
+    assert child == own

@@ -165,6 +165,11 @@ class TestServingSignatures:
         "repro.serving.fleet:FleetHandle.address": (
             "self", "slot", "admit_retries",
         ),
+        "repro.runtime.client:Client": (
+            "student", "server", "config", "latency", "network", "sizes",
+            "stride_policy", "forced_delay_frames",
+        ),
+        "repro.models.teacher:OracleTeacher": (),
     }
 
     @pytest.mark.parametrize("target", sorted(PINNED))

@@ -97,6 +97,19 @@ class TestTiming:
         times = [f.sim_time for f in stats.frames]
         assert all(b >= a for a, b in zip(times, times[1:]))
 
+    def test_fast_link_never_waits(self):
+        stats = make_system(bandwidth=10_000.0).run(video_frames(24))
+        assert stats.wait_time_s == 0.0
+
+    def test_total_time_is_frames_plus_waits(self):
+        # The clock moves by t_si per frame and by every wait, nothing
+        # else: the wait account is the whole of the blocking.
+        stats = make_system(bandwidth=2.0).run(video_frames(24))
+        assert stats.wait_time_s > 0
+        assert stats.total_time_s == pytest.approx(
+            24 * LatencyModel().t_si + stats.wait_time_s, rel=1e-9
+        )
+
 
 class TestUpdateApplication:
     def test_update_applied_within_min_stride(self):
@@ -105,6 +118,12 @@ class TestUpdateApplication:
         delays = [f.update_delay for f in stats.frames if f.update_delay]
         assert delays, "no updates were applied"
         assert max(delays) <= 4
+
+    def test_update_delays_positive(self):
+        stats = make_system(bandwidth=8.0).run(video_frames(30))
+        delays = [f.update_delay for f in stats.frames
+                  if f.update_delay is not None]
+        assert delays and min(delays) >= 1
 
     def test_forced_delay_pins_application(self):
         client = make_system(forced_delay=2, min_stride=4)
@@ -129,6 +148,56 @@ class TestUpdateApplication:
                              threshold=0.3, max_updates=8)
         stats = client.run(video_frames(60))
         assert max(f.stride for f in stats.frames) > 4
+
+
+class TestUpdateSeries:
+    """Armed telemetry records every applied update in the
+    ``client.update`` series: the key frame it answered, the metric the
+    server reported and the stride that metric produced."""
+
+    @pytest.fixture
+    def armed(self):
+        from repro import obs
+
+        obs.arm(source="client-test")
+        yield obs
+        obs.disarm()
+
+    @staticmethod
+    def _entries(obs):
+        series = obs.registry().series("client.update")
+        return [value for _, value in series.entries]
+
+    def test_one_entry_per_applied_update(self, armed):
+        stats = make_system().run(video_frames(40))
+        entries = self._entries(armed)
+        sent = [index for index, _, _ in entries]
+        applied = [f for f in stats.frames if f.update_delay is not None]
+        # Every update but possibly the last one in flight is applied,
+        # in dispatch order, each once.
+        assert len(applied) <= len(entries) <= stats.num_key_frames
+        assert sent == [k.index for k in stats.key_frames][:len(sent)]
+
+    def test_entry_metric_is_the_key_frames_metric(self, armed):
+        stats = make_system().run(video_frames(40))
+        metrics = {k.index: k.metric for k in stats.key_frames}
+        entries = self._entries(armed)
+        assert entries
+        for index, metric, _ in entries:
+            assert metric == metrics[index]
+
+    def test_entry_stride_within_bounds(self, armed):
+        make_system(min_stride=4, max_stride=16).run(video_frames(40))
+        entries = self._entries(armed)
+        assert entries
+        assert all(4 <= stride <= 16 for _, _, stride in entries)
+
+    def test_disarmed_client_records_nothing(self):
+        from repro import obs
+
+        assert not obs.enabled()
+        make_system().run(video_frames(12))
+        assert obs.snapshot() is None
 
 
 class TestTrafficAccounting:
