@@ -35,16 +35,21 @@ scale = pytest.fixture(scope="session", name="scale")(default_scale)
 @pytest.fixture(scope="session")
 def results_sink(request):
     """Sink for formatted result tables.  ``results.txt`` is the
-    tracked record of one *whole* run: it is rewritten, at the end, only
-    by a session that collected every benchmark module and ran to its
-    end; any other run prints its tables and leaves the file alone."""
+    tracked record of one *whole*, passing run: it is rewritten, at the
+    end, only by a session that collected every benchmark module, ran to
+    its end and failed no test; any other run prints its tables and
+    leaves the file alone.  (pytest sets ``shouldfail`` only once
+    ``--maxfail`` is reached, so a run without ``-x`` that misses a
+    floor needs the failure count.)"""
     blocks = []
     yield blocks.append
     session = request.session
     here = RESULTS_PATH.parent
     collected = {item.path.name for item in session.items if item.path.parent == here}
     whole = collected == {path.name for path in here.glob("test_*.py")}
-    if whole and not (session.shouldstop or session.shouldfail):
+    passed = not (session.shouldstop or session.shouldfail
+                  or session.testsfailed)
+    if whole and passed:
         RESULTS_PATH.write_text("".join(f"{text}\n" for text in blocks))
 
 

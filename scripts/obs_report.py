@@ -48,7 +48,7 @@ def run_armed_serve_many(directory: pathlib.Path, n_clients: int = 2,
     from repro import obs
     from repro.distill.config import DistillConfig
     from repro.runtime.session import SessionConfig
-    from repro.serving.runtime import run_client_processes, start_server
+    from repro.serving.runtime import run_churn_processes, start_server
 
     config = SessionConfig(
         distill=DistillConfig(max_updates=4, threshold=0.7,
@@ -67,10 +67,10 @@ def run_armed_serve_many(directory: pathlib.Path, n_clients: int = 2,
                               idle_timeout_s=120)
         try:
             jobs = [
-                (config, hw, "fixed-people", num_frames, f"obs{i}")
+                (0.0, config, hw, "fixed-people", num_frames, f"obs{i}")
                 for i in range(n_clients)
             ]
-            run_client_processes(handle, jobs, timeout_s=180)
+            run_churn_processes(handle, jobs, timeout_s=180)
         finally:
             handle.close()
         report = handle.runtime_report or {}

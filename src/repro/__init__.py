@@ -28,6 +28,42 @@ unless ``OPENBLAS_NUM_THREADS`` is set (see :func:`_one_blas_thread`).
 import os
 
 
+def _openblas(verb: str) -> list:
+    """OpenBLAS's ``openblas_<verb>_num_threads`` (``verb`` is ``set``
+    or ``get``) of every OpenBLAS library this process maps; empty
+    where there is none.
+
+    The libraries are found among this process's mappings
+    (``/proc/self/maps``), each function under the name its build gives
+    it: the reference one, its 64-bit-integer suffix, or the prefixed
+    names of NumPy's bundled scipy-openblas.
+    """
+    import ctypes
+
+    import numpy  # noqa: F401  (maps the BLAS library NumPy links)
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    names = (f"openblas_{verb}_num_threads", f"openblas_{verb}_num_threads64_",
+             f"scipy_openblas_{verb}_num_threads",
+             f"scipy_openblas_{verb}_num_threads64_")
+    functions = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            function = getattr(library, name, None)
+            if function is not None:
+                functions.append(function)
+                break
+    return functions
+
+
 def _one_blas_thread() -> None:
     """Run OpenBLAS on one thread in this process and every process it
     forks, unless ``OPENBLAS_NUM_THREADS`` chooses a size.
@@ -40,38 +76,30 @@ def _one_blas_thread() -> None:
     share, where idle workers spin: on a 2-core box the broadcast
     serve-many workload (one server process, four client processes) ran
     4.7x faster on one thread per process than on the default two,
-    while a lone in-process session ran no faster on two.  The library
-    is found among this process's mappings (``/proc/self/maps``); where
-    there is none, or no OpenBLAS, this does nothing.
+    while a lone in-process session ran no faster on two.  Without
+    OpenBLAS this does nothing.
     """
     import ctypes
 
-    import numpy  # noqa: F401  (maps the BLAS library NumPy links)
-
     if "OPENBLAS_NUM_THREADS" in os.environ:
         return
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return
-    # The setter's name by build: the reference one, its 64-bit-integer
-    # suffix, and the prefixed names of NumPy's bundled scipy-openblas.
-    names = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-             "scipy_openblas_set_num_threads",
-             "scipy_openblas_set_num_threads64_")
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in names:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
+    for setter in _openblas("set"):
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
+def _blas_pool_size() -> str:
+    """OpenBLAS's thread-pool size in this process as a string, one
+    comma-separated size per mapped library (``""`` without OpenBLAS):
+    what a perf record's fingerprint carries."""
+    import ctypes
+
+    sizes = []
+    for getter in _openblas("get"):
+        getter.restype = ctypes.c_int
+        sizes.append(str(getter()))
+    return ",".join(sizes)
 
 
 _one_blas_thread()

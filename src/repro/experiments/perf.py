@@ -22,7 +22,7 @@ the one place a floor is decided and :func:`append_record` the one
 writer of ``BENCH_PERF.json``.  ``SCENARIOS`` maps a record name to the
 function that builds its legs (``scripts/bench_perf.py <name>`` runs
 one; ``benchmarks/test_perf_*.py`` pin the floors).  Folding this onto
-``bench/``'s core is ROADMAP item 6.
+``bench/``'s core is ROADMAP item 2(b).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro
 from repro import obs
 from repro.distill.config import DistillConfig
 from repro.engine import plan_cache as plan_cache_module
@@ -51,11 +52,7 @@ from repro.runtime.session import SessionConfig, build_session, pretrained_stude
 from repro.serving import storms
 from repro.serving.fleet import start_fleet
 from repro.serving.pool import SessionPool, SessionSpec
-from repro.serving.runtime import (
-    run_churn_processes,
-    run_client_processes,
-    start_server,
-)
+from repro.serving.runtime import run_churn_processes, start_server
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -113,7 +110,8 @@ def fingerprint_hash(fields: Dict[str, object]) -> str:
 
 def machine_fingerprint() -> Dict[str, object]:
     """What a timing in absolute units depends on besides the code:
-    cores, CPU model, python, numpy, its BLAS build and thread pin."""
+    cores, CPU model, python, numpy, its BLAS build and the size of its
+    thread pool, read from the library (``repro`` pins it at import)."""
     try:
         cpuinfo = pathlib.Path("/proc/cpuinfo").read_text()
         cpu = re.search(r"^model name\s*:(.*)$", cpuinfo, re.M).group(1).strip()
@@ -128,7 +126,7 @@ def machine_fingerprint() -> Dict[str, object]:
         "nproc": os.cpu_count(), "cpu_model": cpu,
         "python": platform.python_version(), "numpy": np.__version__,
         "blas": blas,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", ""),
+        "openblas_num_threads": repro._blas_pool_size(),
     }
     return {**fields, "fingerprint_hash": fingerprint_hash(fields)}
 
@@ -265,8 +263,8 @@ def format_record(record: Dict) -> str:
     fp = record["fingerprint"]
     lines.append(
         f"  on {fp['nproc']} x {fp['cpu_model']}, python {fp['python']}, "
-        f"numpy {fp['numpy']}, {fp['blas']}, OPENBLAS_NUM_THREADS="
-        f"{fp['openblas_num_threads'] or 'unset'} [{fp['fingerprint_hash']}]\n"
+        f"numpy {fp['numpy']}, {fp['blas']}, BLAS pool "
+        f"{fp['openblas_num_threads'] or 'unknown'} [{fp['fingerprint_hash']}]\n"
     )
     return "\n".join(lines)
 
@@ -344,7 +342,7 @@ def _multiplexed_leg(config, category, num_clients, num_frames, transport,
     and reaping all of them.  ``telemetry`` is the ``REPRO_OBS`` value
     the server and clients inherit (``None``: disarmed)."""
     jobs = [
-        (config, _FRAME_HW, category, num_frames, f"m{index}")
+        (0.0, config, _FRAME_HW, category, num_frames, f"m{index}")
         for index in range(num_clients)
     ]
 
@@ -357,7 +355,7 @@ def _multiplexed_leg(config, category, num_clients, num_frames, transport,
             with start_server(
                 transport=transport, n_clients=num_clients, idle_timeout_s=120.0
             ) as handle:
-                stats = run_client_processes(handle, jobs, timeout_s=600.0)
+                stats = run_churn_processes(handle, jobs, timeout_s=600.0)
             wall = time.perf_counter() - start
         finally:
             os.environ.pop(obs.ENV_FEATURES, None)

@@ -10,9 +10,10 @@ telemetry is disarmed (the default):
 
 Arming is per process.  :func:`arm` flips it programmatically;
 :func:`arm_from_env` reads the ``REPRO_OBS`` environment variable so
-child processes (server, standalone clients) inherit the decision —
-``multiprocessing`` children inherit ``os.environ`` under both fork and
-spawn.  ``REPRO_OBS`` is a comma-separated feature list:
+child processes (server, fleet shards, standalone clients) inherit the
+decision — ``multiprocessing`` children inherit ``os.environ`` under
+both fork and spawn, and it is the one way to arm them.  ``REPRO_OBS``
+is a comma-separated feature list:
 
 ``REPRO_OBS=metrics``          counters/gauges/histograms/series only
 ``REPRO_OBS=metrics,trace``    plus the span ring buffer
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import (
@@ -47,7 +47,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import NULL_SPAN, NullRecorder, SpanRecorder
 
 __all__ = [
-    "ObsConfig",
     "arm",
     "disarm",
     "arm_from_env",
@@ -71,15 +70,6 @@ __all__ = [
 #: Environment variables driving cross-process arming (see module doc).
 ENV_FEATURES = "REPRO_OBS"
 ENV_DIR = "REPRO_OBS_DIR"
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Picklable arming decision, for handing to child-process entrypoints."""
-
-    metrics: bool = True
-    trace: bool = False
-    engine: bool = False
 
 
 # Module state: disarmed by default.  The hot-path guard is a single
@@ -150,21 +140,6 @@ def arm_from_env(source: Optional[str] = None) -> bool:
     if not (metrics or trace or engine):
         return False
     arm(metrics=metrics, trace=trace, engine=engine, source=source)
-    return True
-
-
-def arm_from_config(config: Optional["ObsConfig"],
-                    source: Optional[str] = None) -> bool:
-    """Arm from an explicit :class:`ObsConfig` (child-process handoff).
-
-    Falls back to :func:`arm_from_env` when ``config`` is ``None``.
-    """
-    if config is None:
-        return arm_from_env(source=source)
-    if not (config.metrics or config.trace or config.engine):
-        return False
-    arm(metrics=config.metrics, trace=config.trace, engine=config.engine,
-        source=source)
     return True
 
 

@@ -90,7 +90,6 @@ from repro.serving.runtime import (
     SessionBlueprint,
     SessionTicket,
     admit_message,
-    run_client_processes,
     run_churn_processes,
     start_server,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "StormReport",
     "TokenBucket",
     "admit_message",
-    "run_client_processes",
     "run_churn_processes",
     "run_storm",
     "start_server",

@@ -436,7 +436,8 @@ class SharedTeacherSegment:
 # Fleet owner surface
 # ----------------------------------------------------------------------
 from repro.serving.runtime import (  # noqa: E402  (cycle-free: runtime
-    SessionAddress,                   # never imports fleet at module level)
+    JOIN_TIMEOUT_S,                   # never imports fleet at module level)
+    SessionAddress,
     _runtime_entry,
     collect_report,
 )
@@ -535,13 +536,13 @@ class FleetHandle:
             process.terminate()
             process.join(timeout=5.0)
 
-    def close(self, join_timeout_s: float = 30.0) -> None:
+    def close(self) -> None:
         """Drain the fleet, join every process, collect the reports,
         release the shared segments.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        deadline = time.monotonic() + join_timeout_s
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
         for conn in self._control_conns:
             self._drain(conn)
         for process in self.processes:
@@ -582,8 +583,6 @@ def start_fleet(
     idle_timeout_s: float = 120.0,
     max_sessions: Optional[int] = None,
     overload=None,
-    obs_config=None,
-    timeout_s: float = 120.0,
 ) -> FleetHandle:
     """Spawn ``n_shards`` runtime processes behind one front door.
 
@@ -591,9 +590,11 @@ def start_fleet(
     its own direct port; the kernel sprays dials, misplaced ADMITs are
     redirected.  ``shared_teacher=(width, seed)`` materialises that
     neural teacher once in a read-only, digest-checked shm segment
-    every shard aliases.  ``timeout_s`` bounds every link's blocking
-    I/O; the remaining knobs pass through to each shard's
-    :class:`~repro.serving.runtime.ServerRuntime` unchanged.
+    every shard aliases.  Every link's blocking I/O is bounded by
+    :data:`~repro.transport.endpoint.LINK_TIMEOUT_S`; the remaining
+    knobs pass through to each shard's
+    :class:`~repro.serving.runtime.ServerRuntime` unchanged, and each
+    shard arms telemetry from the inherited ``REPRO_OBS``.
     """
     if n_shards < 1:
         raise ValueError("a fleet needs at least one shard")
@@ -606,22 +607,19 @@ def start_fleet(
         idle_timeout_s=idle_timeout_s,
         max_sessions=max_sessions,
         overload=overload,
-        obs_config=obs_config,
     )
     try:
-        return _spawn_shards(
-            n_shards, ledger, teacher_seg, runtime_kwargs, timeout_s
-        )
+        return _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs)
     except BaseException:
         if teacher_seg is not None:
             teacher_seg.close()
         raise
 
 
-def _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs,
-                  timeout_s) -> FleetHandle:
+def _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs) -> FleetHandle:
     import multiprocessing as mp
 
+    from repro.transport.endpoint import LINK_TIMEOUT_S
     from repro.transport.socket import FleetSocketListener, bind_reuseport
 
     fronts = [bind_reuseport()]
@@ -636,13 +634,13 @@ def _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs,
         raise
     processes, report_conns, control_conns = [], [], []
     shard_infos = tuple(
-        (host, sock.getsockname()[1], timeout_s) for sock in directs
+        (host, sock.getsockname()[1], LINK_TIMEOUT_S) for sock in directs
     )
     for shard in range(n_shards):
         control_recv, control_send = mp.Pipe(duplex=False)
         report_recv, report_send = mp.Pipe(duplex=False)
         listener = FleetSocketListener(
-            fronts[shard], directs[shard], timeout_s,
+            fronts[shard], directs[shard], LINK_TIMEOUT_S,
             control_conn=control_recv,
         )
         close_first = [
@@ -670,5 +668,5 @@ def _spawn_shards(n_shards, ledger, teacher_seg, runtime_kwargs,
         control_conns.append(control_send)
     return FleetHandle(
         n_shards, processes, report_conns, control_conns,
-        ledger, teacher_seg, (host, port, timeout_s), shard_infos,
+        ledger, teacher_seg, (host, port, LINK_TIMEOUT_S), shard_infos,
     )

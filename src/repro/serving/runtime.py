@@ -214,7 +214,7 @@ class AdmissionError(RuntimeError):
     instead.
     """
 
-    def __init__(self, reject: wire.Reject, context: str = "admission") -> None:
+    def __init__(self, reject: wire.Reject) -> None:
         detail = f": {reject.detail}" if reject.detail else ""
         after = (
             f", retry after {reject.retry_after} ms"
@@ -224,7 +224,7 @@ class AdmissionError(RuntimeError):
             f" -> shard {reject.shard}" if reject.shard is not None else ""
         )
         super().__init__(
-            f"server refused {context} ({reject.reason}{detail}{after}{target})"
+            f"server refused admission ({reject.reason}{detail}{after}{target})"
         )
         self.reject = reject
         self.code = reject.code
@@ -838,9 +838,9 @@ def _die_with_parent() -> None:
         os._exit(1)
 
 
-def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
-                   report_conn=None, obs_config=None, fleet=None,
-                   teachers=None, obs_source="server") -> None:
+def _runtime_entry(listener, idle_timeout_s, max_sessions, overload,
+                   report_conn, fleet=None, teachers=None,
+                   obs_source="server") -> None:
     """Server-process entry point for :func:`start_server`.
 
     ``report_conn`` (a pipe back to the spawning process) receives one
@@ -854,14 +854,12 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
     the owner as ``exit_reason = "error:<type>"`` / ``"idle-timeout"``
     instead of a silently absent report.
 
-    ``obs_config`` (an :class:`~repro.obs.ObsConfig`) arms telemetry in
-    this process explicitly; ``None`` defers to the inherited
-    ``REPRO_OBS`` environment, so one env var arms a whole process tree.
-
-    The process dies with its parent (:func:`_die_with_parent`).
+    The inherited ``REPRO_OBS`` environment arms telemetry here, so one
+    variable arms a whole process tree.  The process dies with its
+    parent (:func:`_die_with_parent`).
     """
     _die_with_parent()
-    obs.arm_from_config(obs_config, source=obs_source)
+    obs.arm_from_env(source=obs_source)
     runtime = None
     exit_reason = "quiesced"
     try:
@@ -882,35 +880,32 @@ def _runtime_entry(listener, idle_timeout_s, max_sessions, overload=None,
         if counters and obs.enabled():
             for name in _MEMO_COUNTERS:
                 obs.counter(f"serve.memo.{name}").inc(counters[name])
-        if report_conn is not None:
-            try:
-                report = {
-                    "exit_reason": exit_reason,
-                    "frames_served": (
-                        dict(runtime.frames_served)
-                        if runtime is not None else {}
-                    ),
-                    "serve_counters": counters,
-                    "teardowns": (
-                        dict(runtime.teardowns)
-                        if runtime is not None else {}
-                    ),
-                    "connection_teardowns": (
-                        dict(runtime.connection_teardowns)
-                        if runtime is not None else {}
-                    ),
-                    "metrics": (
-                        runtime.metrics.snapshot()
-                        if runtime is not None else obs.snapshot()
-                    ),
-                }
-                if obs.enabled():
-                    report["trace"] = obs.trace_events()
-                report_conn.send(report)
-            except (BrokenPipeError, OSError):
-                pass  # the owner died first; accounting dies with it
-            finally:
-                report_conn.close()
+        try:
+            report = {
+                "exit_reason": exit_reason,
+                "frames_served": (
+                    dict(runtime.frames_served) if runtime is not None else {}
+                ),
+                "serve_counters": counters,
+                "teardowns": (
+                    dict(runtime.teardowns) if runtime is not None else {}
+                ),
+                "connection_teardowns": (
+                    dict(runtime.connection_teardowns)
+                    if runtime is not None else {}
+                ),
+                "metrics": (
+                    runtime.metrics.snapshot()
+                    if runtime is not None else obs.snapshot()
+                ),
+            }
+            if obs.enabled():
+                report["trace"] = obs.trace_events()
+            report_conn.send(report)
+        except (BrokenPipeError, OSError):
+            pass  # the owner died first; accounting dies with it
+        finally:
+            report_conn.close()
         obs.export_artifacts()
 
 
@@ -1107,19 +1102,21 @@ class SessionTicket:
     one link to one server process.  ``admit`` is the ADMIT frame to
     send: a blueprint the handle was started with
     (:meth:`ServerHandle.ticket` with an index), or ``None`` to admit
-    the attaching client's own configuration.
-    ``admit_retries`` bounds the same seeded retry loop
-    :class:`SessionAddress` documents (seed 0)."""
+    the attaching client's own configuration.  A ticket admits once:
+    the bounded retry loop belongs to :class:`SessionAddress`."""
 
     handle: "ServerHandle"
     admit: Optional[wire.Admit] = None
-    admit_retries: int = 0
 
 
 #: ``exit_reason`` of the typed marker report a handle's ``close``
 #: synthesises when a server process never delivered its own report
 #: (killed before the runtime's finally, or the poll deadline passed).
 REPORT_LOST = "report-lost"
+
+#: How long a handle's ``close`` waits for its server process to exit
+#: on its own before terminating it.
+JOIN_TIMEOUT_S = 30.0
 
 #: How long ``close`` waits on a report pipe.  The process has already
 #: been joined by then, so this is a drain allowance for a large
@@ -1128,7 +1125,7 @@ REPORT_LOST = "report-lost"
 REPORT_TIMEOUT_S = 5.0
 
 
-def collect_report(conn, timeout_s: float = REPORT_TIMEOUT_S) -> Dict[str, Any]:
+def collect_report(conn) -> Dict[str, Any]:
     """Drain one joined server process's report pipe and close it.
 
     A report that never arrives is surfaced as the typed
@@ -1136,7 +1133,7 @@ def collect_report(conn, timeout_s: float = REPORT_TIMEOUT_S) -> Dict[str, Any]:
     ``report["exit_reason"]`` instead of guessing what a ``None`` meant.
     """
     try:
-        if conn.poll(timeout_s):
+        if conn.poll(REPORT_TIMEOUT_S):
             return conn.recv()
     except (EOFError, OSError):
         pass  # died without reporting — marked lost below
@@ -1157,8 +1154,7 @@ class ServerHandle:
     """Owner's view of a spawned :class:`ServerRuntime` process."""
 
     def __init__(self, transport: str, link, process,
-                 blueprints: List[SessionBlueprint] = (),
-                 report_conn=None) -> None:
+                 blueprints: List[SessionBlueprint], report_conn) -> None:
         self.transport = transport
         self.link = link
         self.process = process
@@ -1177,8 +1173,7 @@ class ServerHandle:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def ticket(self, session: Optional[int] = None,
-               admit_retries: int = 0) -> SessionTicket:
+    def ticket(self, session: Optional[int] = None) -> SessionTicket:
         """Attachment point for a session run in *this* process, over
         the handle's shared parent connection.  ``ticket(i)`` admits
         the session blueprint ``i`` describes; ``ticket()`` admits the
@@ -1192,7 +1187,7 @@ class ServerHandle:
                 )
             blueprint = self.blueprints[session]
             admit = admit_message(blueprint.config, blueprint.frame_hw)
-        return SessionTicket(self, admit, admit_retries)
+        return SessionTicket(self, admit)
 
     def address(self, slot: int, admit_retries: int = 0) -> SessionAddress:
         """Picklable attachment point for a standalone client process:
@@ -1215,8 +1210,7 @@ class ServerHandle:
         return self._parent_connection
 
     # ------------------------------------------------------------------
-    def close(self, join_timeout_s: float = 30.0,
-              report_timeout_s: float = REPORT_TIMEOUT_S) -> None:
+    def close(self) -> None:
         """Close the parent connection, join the server, release the
         transport.  Idempotent.
 
@@ -1224,28 +1218,21 @@ class ServerHandle:
         crashed before its BYE) will not exit on its own until its
         idle timeout; rather than block this caller and then unlink
         shared segments under a still-running process, the join is
-        bounded and a straggler is terminated before the transport is
-        released.
-
-        ``report_timeout_s`` bounds the report-pipe drain
-        (:func:`collect_report`); a report that never arrives becomes
-        the typed :data:`REPORT_LOST` marker dict.
+        bounded (:data:`JOIN_TIMEOUT_S`) and a straggler is terminated
+        before the transport is released.  A report that never arrives
+        becomes the typed :data:`REPORT_LOST` marker dict
+        (:func:`collect_report`).
         """
         if self._closed:
             return
         self._closed = True
         if self._parent_connection is not None:
             self._parent_connection.close()
-        if self.process is not None:
-            self.process.join(timeout=join_timeout_s)
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(timeout=5.0)
-        if self._report_conn is not None:
-            self.runtime_report = collect_report(
-                self._report_conn, report_timeout_s
-            )
-            self._report_conn = None
+        self.process.join(timeout=JOIN_TIMEOUT_S)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+        self.runtime_report = collect_report(self._report_conn)
         self.link.close()
 
     def __enter__(self) -> "ServerHandle":
@@ -1262,8 +1249,6 @@ def start_server(
     idle_timeout_s: float = 120.0,
     max_sessions: Optional[int] = None,
     overload=None,
-    obs_config=None,
-    **options,
 ) -> ServerHandle:
     """Spawn one multiplexing server process.
 
@@ -1273,16 +1258,13 @@ def start_server(
     number of them.  ``blueprints`` never leaves this process: it is
     what ``handle.ticket(i)`` names by index (may be empty — clients
     then admit their own configurations).  ``max_sessions`` caps the
-    concurrently open sessions (REJECT past it).  ``options`` pass
-    through to the transport's ``serve_many`` (ring geometry,
-    timeouts).
+    concurrently open sessions (REJECT past it).
 
     The returned handle's :attr:`~ServerHandle.runtime_report` (read at
     :meth:`~ServerHandle.close`) carries the runtime's final accounting
     — frames served, serve/memo counters, typed teardowns, a
-    typed exit reason, and the runtime's metrics snapshot.
-    ``obs_config`` arms telemetry in the server process explicitly
-    (``None`` defers to the inherited ``REPRO_OBS`` environment).
+    typed exit reason, and the runtime's metrics snapshot.  The server
+    process arms telemetry from the inherited ``REPRO_OBS`` environment.
     """
     import functools
     import multiprocessing as mp
@@ -1296,20 +1278,15 @@ def start_server(
         max_sessions=max_sessions,
         overload=overload,
         report_conn=report_send,
-        obs_config=obs_config,
     )
     try:
-        link, process = registry.serve_many(
-            transport, target, n_clients, **options
-        )
+        link, process = registry.serve_many(transport, target, n_clients)
     except BaseException:
         report_recv.close()
         report_send.close()
         raise
     report_send.close()
-    return ServerHandle(
-        transport, link, process, blueprints, report_conn=report_recv,
-    )
+    return ServerHandle(transport, link, process, blueprints, report_recv)
 
 
 # ----------------------------------------------------------------------
@@ -1327,7 +1304,8 @@ _MAX_REDIRECTS = 4
 
 
 def _admit_with_retry(connection, admit, admit_retries: int, seed: int):
-    """ADMIT with the bounded, seeded retry loop of the attach points.
+    """ADMIT with the bounded, seeded retry loop of a
+    :class:`SessionAddress` (a ticket passes a budget of 0).
 
     Each retryable refusal (``AdmissionError.retryable``) sleeps the
     server's ``retry_after`` hint — wall-clock milliseconds, already
@@ -1381,12 +1359,12 @@ def attach_session(config, frame_hw, stride_policy):
         connection = attach.handle.parent_connection()
         admit = attach.admit or admit_message(config, frame_hw)
         owns = False
-        seed = 0
+        retries, seed = 0, 0
     elif isinstance(attach, SessionAddress):
         connection = MuxConnection(registry.connect(attach.transport, attach.info))
         admit = admit_message(config, frame_hw)
         owns = True
-        seed = attach.slot
+        retries, seed = attach.admit_retries, attach.slot
     else:
         raise TypeError(
             f"config.attach must be a SessionTicket or SessionAddress, "
@@ -1397,7 +1375,7 @@ def attach_session(config, frame_hw, stride_policy):
         while True:
             try:
                 session, initial_state = _admit_with_retry(
-                    connection, admit, attach.admit_retries, seed
+                    connection, admit, retries, seed
                 )
                 break
             except AdmissionError as exc:
@@ -1499,30 +1477,19 @@ def _client_process_main(address, config, frame_hw, video_key, num_frames,
         result_conn.close()
 
 
-def run_client_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0):
-    """Run one standalone client *process* per job against ``handle``.
-
-    ``jobs`` is a list of ``(config, frame_hw, video_key, num_frames,
-    label)`` tuples, one per connection slot in order; every client
-    starts at once.  Returns the per-job ``RunStats`` list.  This is
-    the deployment the ISSUE's acceptance names: one server process, N
-    client processes.
-    """
-    return _run_processes(handle, [(0.0, *job) for job in jobs], timeout_s)
-
-
 def run_churn_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0,
                         admit_retries: int = 0, outcomes: bool = False,
                         slot_offset: int = 0):
-    """Run staggered client processes.
+    """Run one standalone client *process* per job against ``handle``:
+    one server process, N client processes.
 
     ``jobs`` is a list of ``(delay_s, config, frame_hw, video_key,
     num_frames, label)`` tuples, one per connection slot in order: each
     client process sleeps ``delay_s`` — counted from the moment the
     last of them has started — *then* dials the running server and
-    admits its session mid-run.  Different delays and frame counts
-    interleave joins and departures; returns the per-job ``RunStats``
-    list.
+    admits its session, mid-run when the delay is positive.  Different
+    delays and frame counts interleave joins and departures; returns
+    the per-job ``RunStats`` list.
 
     ``admit_retries`` arms every client's bounded seeded retry loop
     (jitter seed = its slot).  ``outcomes=True`` is the storm harness's
@@ -1533,13 +1500,6 @@ def run_churn_processes(handle: ServerHandle, jobs, timeout_s: float = 300.0,
     clients (the storm bench's idle/storm/recovery phases) can share
     one server without claiming the same slot twice.
     """
-    return _run_processes(handle, jobs, timeout_s, admit_retries, outcomes,
-                          slot_offset)
-
-
-def _run_processes(handle: ServerHandle, jobs, timeout_s: float,
-                   admit_retries: int = 0, outcomes: bool = False,
-                   slot_offset: int = 0):
     import multiprocessing as mp
 
     released = mp.Event()

@@ -351,15 +351,12 @@ def run_storm(
     idle_timeout_s: float = 60.0,
     loris_hold_s: float = 30.0,
     job_timeout_s: Optional[float] = None,
-    **server_options,
 ) -> StormReport:
     """Execute ``plan`` against a freshly spawned server.
 
     Refusals and client failures are collected, never raised.
     ``job_timeout_s`` overrides the plan's honest-client deadline, so a
     wedge is recorded rather than waited out.
-    Extra keyword arguments pass through to ``start_server`` (transport
-    ``timeout_s``, ring geometry, ...).
     """
     from repro.serving.runtime import run_churn_processes, start_server
 
@@ -368,7 +365,6 @@ def run_storm(
         max_sessions=plan.max_sessions,
         overload=plan.overload,
         idle_timeout_s=idle_timeout_s,
-        **server_options,
     )
     attackers: List = []
     started = time.monotonic()

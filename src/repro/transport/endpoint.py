@@ -11,6 +11,11 @@ from __future__ import annotations
 import abc
 from typing import Any
 
+#: How long a blocking ``send`` / ``recv`` waits before it raises
+#: ``TimeoutError``: the only value of every served link (a server's or
+#: a fleet's), and the default of a pair made in one process.
+LINK_TIMEOUT_S = 120.0
+
 
 class Endpoint(abc.ABC):
     """One side of a bidirectional channel."""

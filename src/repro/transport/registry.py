@@ -59,7 +59,7 @@ def spawn_server(name: str, target: Callable, **options):
     return _module(name).run_in_subprocess(target, **options)
 
 
-def serve_many(name: str, target: Callable, n_clients: int, **options):
+def serve_many(name: str, target: Callable, n_clients: int):
     """Start ``target(listener)`` in one server process multiplexing
     ``n_clients`` connections over transport ``name``.
 
@@ -67,7 +67,7 @@ def serve_many(name: str, target: Callable, n_clients: int, **options):
     client endpoint in this process) and ``address(slot)`` (a picklable
     token for a client process).
     """
-    return _module(name).serve_many(target, n_clients, **options)
+    return _module(name).serve_many(target, n_clients)
 
 
 def connect(name: str, info):

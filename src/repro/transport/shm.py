@@ -67,7 +67,7 @@ import numpy as np
 
 from repro import obs
 from repro.transport import wire
-from repro.transport.endpoint import Endpoint
+from repro.transport.endpoint import LINK_TIMEOUT_S, Endpoint
 
 #: Default ring geometry: 4 slots of 1 MiB holds a reduced-resolution
 #: frame in one slot and fragments HD-scale payloads across a few.
@@ -367,7 +367,8 @@ class ShmTransport(Endpoint):
     (``poll`` / ``send_tagged`` / ``recv_tagged``).
     """
 
-    def __init__(self, tx: ShmRing, rx: ShmRing, timeout_s: float = 120.0) -> None:
+    def __init__(self, tx: ShmRing, rx: ShmRing,
+                 timeout_s: float = LINK_TIMEOUT_S) -> None:
         self._tx = tx
         self._rx = rx
         self.timeout_s = timeout_s
@@ -406,7 +407,7 @@ class ShmTransport(Endpoint):
 def make_pair(
     slots: int = DEFAULT_SLOTS,
     slot_nbytes: int = DEFAULT_SLOT_NBYTES,
-    timeout_s: float = 120.0,
+    timeout_s: float = LINK_TIMEOUT_S,
 ) -> Tuple[ShmTransport, ShmTransport]:
     """Create a connected (client_endpoint, server_endpoint) pair.
 
@@ -446,7 +447,7 @@ def run_in_subprocess(
     target: Callable[[ShmTransport], None],
     slots: int = DEFAULT_SLOTS,
     slot_nbytes: int = DEFAULT_SLOT_NBYTES,
-    timeout_s: float = 120.0,
+    timeout_s: float = LINK_TIMEOUT_S,
 ) -> Tuple[ShmTransport, mp.Process]:
     """Start ``target(endpoint)`` in a child process over shm rings.
 
@@ -582,15 +583,10 @@ def _serve_many_entry(target, pair_descs, timeout_s: float) -> None:
             endpoint.close()
 
 
-def serve_many(
-    target: Callable,
-    n_clients: int,
-    slots: int = DEFAULT_SLOTS,
-    slot_nbytes: int = DEFAULT_SLOT_NBYTES,
-    timeout_s: float = 120.0,
-) -> Tuple[ShmManyLink, mp.Process]:
+def serve_many(target: Callable,
+               n_clients: int) -> Tuple[ShmManyLink, mp.Process]:
     """Start ``target(listener)`` in a server process multiplexing
-    ``n_clients`` ring pairs.
+    ``n_clients`` ring pairs of the default geometry.
 
     The listener yields one server-side endpoint per client slot (a
     :class:`StaticListener` — all rings are pre-created, so "accepting"
@@ -599,13 +595,11 @@ def serve_many(
     """
     if n_clients < 1:
         raise ValueError("serve_many needs at least one client slot")
-    pairs = [
-        (ShmRing(slots, slot_nbytes), ShmRing(slots, slot_nbytes))
-        for _ in range(n_clients)
-    ]
+    pairs = [(ShmRing(), ShmRing()) for _ in range(n_clients)]
     descs = [(up.describe(), down.describe()) for up, down in pairs]
     proc = mp.Process(
-        target=_serve_many_entry, args=(target, descs, timeout_s), daemon=True
+        target=_serve_many_entry, args=(target, descs, LINK_TIMEOUT_S),
+        daemon=True,
     )
     proc.start()
-    return ShmManyLink(pairs, timeout_s), proc
+    return ShmManyLink(pairs, LINK_TIMEOUT_S), proc

@@ -32,7 +32,7 @@ import time
 from typing import Any, Callable, Optional, Tuple
 
 from repro.transport import wire
-from repro.transport.endpoint import Endpoint
+from repro.transport.endpoint import LINK_TIMEOUT_S, Endpoint
 
 
 class SocketTransport(Endpoint):
@@ -42,7 +42,8 @@ class SocketTransport(Endpoint):
     ``send_tagged`` / ``recv_tagged``).
     """
 
-    def __init__(self, sock: _socket.socket, timeout_s: float = 120.0) -> None:
+    def __init__(self, sock: _socket.socket,
+                 timeout_s: float = LINK_TIMEOUT_S) -> None:
         try:
             sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
         except OSError:
@@ -115,7 +116,9 @@ class SocketTransport(Endpoint):
             pass
 
 
-def make_pair(timeout_s: float = 120.0) -> Tuple[SocketTransport, SocketTransport]:
+def make_pair(
+    timeout_s: float = LINK_TIMEOUT_S,
+) -> Tuple[SocketTransport, SocketTransport]:
     """A connected (client_endpoint, server_endpoint) pair in-process."""
     a, b = _socket.socketpair()
     return SocketTransport(a, timeout_s), SocketTransport(b, timeout_s)
@@ -135,7 +138,7 @@ def _child_dial_entry(target: Callable, host: str, port: int, timeout_s: float) 
 
 def run_in_subprocess(
     target: Callable[[SocketTransport], None],
-    timeout_s: float = 120.0,
+    timeout_s: float = LINK_TIMEOUT_S,
 ) -> Tuple[SocketTransport, mp.Process]:
     """Start ``target(endpoint)`` in a child that dials back over TCP.
 
@@ -333,11 +336,8 @@ def bind_reuseport(host: str = "127.0.0.1", port: int = 0,
     return sock
 
 
-def serve_many(
-    target: Callable,
-    n_clients: int,
-    timeout_s: float = 120.0,
-) -> Tuple[SocketManyLink, mp.Process]:
+def serve_many(target: Callable,
+               n_clients: int) -> Tuple[SocketManyLink, mp.Process]:
     """Start ``target(listener)`` in a server process accepting
     ``n_clients`` TCP connections on a loopback port.
 
@@ -352,9 +352,9 @@ def serve_many(
     host, port = listener.getsockname()
     proc = mp.Process(
         target=_serve_many_entry,
-        args=(target, listener, n_clients, timeout_s),
+        args=(target, listener, n_clients, LINK_TIMEOUT_S),
         daemon=True,
     )
     proc.start()
     listener.close()  # the server process holds its own copy
-    return SocketManyLink(host, port, n_clients, timeout_s), proc
+    return SocketManyLink(host, port, n_clients, LINK_TIMEOUT_S), proc

@@ -2,10 +2,12 @@
 
 A GEMM's bits depend on the pool size, so a served session equals its
 in-process twin only when the server, client and caller processes run
-pools of the same size.  Each case runs in a fresh interpreter, so the
-pool size it reads is the one the import left.
+pools of the same size, and a perf record's fingerprint carries the
+size read from the library.  Each case runs in a fresh interpreter, so
+the pool size it reads is the one the import left.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -75,3 +77,59 @@ def test_forked_child_keeps_pool_size(size):
     of the process that started them, whichever it is."""
     own, child = _pool_sizes(size)
     assert child == own
+
+
+#: Prints the perf fingerprint's pool size in this process and in a
+#: forked child, then the perf and ``bench/fingerprint.py`` hashes.
+_FINGERPRINT_PROBE = textwrap.dedent("""
+    import json, os, sys
+    from repro.experiments import perf
+
+    sys.path.insert(0, sys.argv[1])
+    import fingerprint as bench_fingerprint
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        size = perf.machine_fingerprint()["openblas_num_threads"]
+        os.write(write, size.encode())
+        os._exit(0)
+    os.waitpid(pid, 0)
+    own = perf.machine_fingerprint()
+    print(json.dumps({
+        "own": own["openblas_num_threads"],
+        "child": os.read(read, 16).decode(),
+        "hash": own["fingerprint_hash"],
+        "bench_hash": bench_fingerprint.fingerprint(0)["fingerprint_hash"],
+    }))
+""")
+
+
+def _fingerprint(openblas_num_threads):
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    if openblas_num_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_num_threads
+    bench = os.path.join(os.path.dirname(SRC), "bench")
+    out = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINT_PROBE, bench], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("size, expected", [(None, "1"), ("2", "2")],
+                         ids=["unset", "2"])
+def test_perf_fingerprint_records_the_pool_size(size, expected):
+    """A perf record carries the pool the process ran, not the
+    variable: ``"1"`` under the import's pin, in a forked child too."""
+    fingerprint = _fingerprint(size)
+    assert fingerprint["own"] == fingerprint["child"] == expected
+
+
+def test_fingerprint_hash_equals_the_bench_one_under_its_pin():
+    """``bench/run.py`` sets ``OPENBLAS_NUM_THREADS=1``; there a perf
+    record and a bench result block name the same machine."""
+    fingerprint = _fingerprint("1")
+    assert fingerprint["hash"] == fingerprint["bench_hash"]

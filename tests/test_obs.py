@@ -240,20 +240,3 @@ def test_arm_from_env_parsing(monkeypatch, raw, expect):
             pass
         assert obs.trace_events() == []
 
-
-def test_obs_config_env_roundtrip():
-    config = obs.ObsConfig(metrics=True, trace=True, engine=True)
-    assert obs.arm_from_config(config, source="t")
-    assert obs.engine_timing()
-    assert not obs.arm_from_config(
-        obs.ObsConfig(metrics=False, trace=False, engine=False)
-    )
-
-
-def test_arm_from_config_none_delegates_to_env(monkeypatch):
-    monkeypatch.setenv(obs.ENV_FEATURES, "metrics")
-    assert obs.arm_from_config(None, source="t")
-    assert obs.enabled() and obs.snapshot() is not None
-    monkeypatch.delenv(obs.ENV_FEATURES)
-    obs.disarm()
-    assert not obs.arm_from_config(None)

@@ -11,6 +11,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.distill.config import DistillConfig
 from repro.runtime.session import SessionConfig, run_shadowtutor
 from repro.serving.runtime import (
     REPORT_LOST,
-    run_client_processes,
+    REPORT_TIMEOUT_S,
+    run_churn_processes,
     start_server,
 )
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
@@ -56,27 +58,29 @@ class TestArmedServing:
     N = 2
     FRAMES = 8
 
-    def _serve(self, transport, obs_config):
+    def _serve(self, transport):
+        """One server and ``N`` client processes, armed by whatever
+        ``REPRO_OBS`` the test set: the one way to arm them."""
         handle = start_server(
             transport=transport, n_clients=self.N, idle_timeout_s=60,
-            obs_config=obs_config,
         )
         try:
             jobs = [
-                (_config(), _HW, "fixed-people", self.FRAMES, f"s{i}")
+                (0.0, _config(), _HW, "fixed-people", self.FRAMES, f"s{i}")
                 for i in range(self.N)
             ]
-            stats = run_client_processes(handle, jobs, timeout_s=180)
+            stats = run_churn_processes(handle, jobs, timeout_s=180)
         finally:
             handle.close()
         assert handle.process.exitcode == 0
         return stats, handle.runtime_report
 
     @pytest.mark.parametrize("transport", ["shm", "socket"])
-    def test_report_metrics_populated_over_both_transports(self, transport):
-        _, report = self._serve(
-            transport, obs.ObsConfig(metrics=True, trace=True)
-        )
+    def test_report_metrics_populated_over_both_transports(
+        self, transport, monkeypatch
+    ):
+        monkeypatch.setenv(obs.ENV_FEATURES, "metrics,trace")
+        _, report = self._serve(transport)
         assert report is not None
         assert report["exit_reason"] == "quiesced"
         snapshot = report["metrics"]
@@ -99,16 +103,16 @@ class TestArmedServing:
         # Tracing was armed: the report carries server spans.
         assert any(e["name"] == "serve" for e in report["trace"])
 
-    def test_armed_run_bit_identical_to_disarmed(self):
+    def test_armed_run_bit_identical_to_disarmed(self, monkeypatch):
         reference = run_shadowtutor(
             _video(), self.FRAMES, _config(), label="ref"
         )
-        armed_stats, report = self._serve(
-            "shm", obs.ObsConfig(metrics=True, trace=True, engine=True)
-        )
+        monkeypatch.setenv(obs.ENV_FEATURES, "metrics,trace,engine")
+        armed_stats, report = self._serve("shm")
         assert report["exit_reason"] == "quiesced"
         # The invariant: telemetry records wall-clock but never feeds
-        # computation, so fully-armed sessions replay bit for bit.
+        # computation, so fully-armed sessions — server and clients
+        # alike — replay bit for bit.
         for got in armed_stats:
             assert got.signature(include_label=False) == reference.signature(
                 include_label=False
@@ -127,9 +131,7 @@ class TestArmedServing:
         )
         monkeypatch.setenv(obs.ENV_FEATURES, "metrics,trace,engine")
         monkeypatch.setenv(obs.ENV_DIR, str(tmp_path))
-        stats, _ = self._serve(
-            "shm", obs.ObsConfig(metrics=True, trace=True, engine=True)
-        )
+        stats, _ = self._serve("shm")
         for got in stats:
             assert got.signature(include_label=False) == reference.signature(
                 include_label=False
@@ -151,7 +153,7 @@ class TestArmedServing:
         assert len({event["pid"] for event in events}) >= 2
 
     def test_disarmed_report_still_carries_serve_accounting(self):
-        _, report = self._serve("shm", None)
+        _, report = self._serve("shm")
         # Disarmed, the runtime's local always-on registry still counts
         # key frames — the report shape is arming-independent.
         snapshot = report["metrics"]
@@ -192,10 +194,14 @@ class TestAbnormalExitReports:
             transport="shm", n_clients=1, idle_timeout_s=60,
         )
         # SIGKILL: no finally runs in the child, so no report can ever
-        # arrive — close() must synthesise the typed marker, fast.
+        # arrive — close() must synthesise the typed marker, fast: the
+        # pipe's last writer died, so the drain reads EOF at once rather
+        # than wait out its allowance.
         handle.process.kill()
         handle.process.join(timeout=30)
-        handle.close(report_timeout_s=0.2)
+        started = time.monotonic()
+        handle.close()
+        assert time.monotonic() - started < REPORT_TIMEOUT_S
         report = handle.runtime_report
         assert report is not None, "close() left runtime_report = None"
         assert report["exit_reason"] == REPORT_LOST

@@ -139,11 +139,11 @@ class TestServingSignatures:
         ),
         "repro.serving.runtime:start_server": (
             "blueprints", "transport", "n_clients", "idle_timeout_s",
-            "max_sessions", "overload", "obs_config", "options",
+            "max_sessions", "overload",
         ),
         "repro.serving.fleet:start_fleet": (
             "n_shards", "shared_teacher", "idle_timeout_s", "max_sessions",
-            "overload", "obs_config", "timeout_s",
+            "overload",
         ),
         "repro.serving.pool:SessionPool": ("specs",),
         "repro.serving.batched:BatchedPredictor": (),
@@ -156,15 +156,15 @@ class TestServingSignatures:
         "repro.serving.runtime:MuxRemoteServer.handle_key_frame": (
             "self", "frame", "label",
         ),
-        "repro.serving.runtime:ServerHandle.ticket": (
-            "self", "session", "admit_retries",
-        ),
+        "repro.serving.runtime:ServerHandle.ticket": ("self", "session"),
         "repro.serving.runtime:ServerHandle.address": (
             "self", "slot", "admit_retries",
         ),
         "repro.serving.fleet:FleetHandle.address": (
             "self", "slot", "admit_retries",
         ),
+        "repro.serving.runtime:ServerHandle.close": ("self",),
+        "repro.serving.fleet:FleetHandle.close": ("self",),
         "repro.runtime.client:Client": (
             "student", "server", "config", "latency", "network", "sizes",
             "stride_policy", "forced_delay_frames",
@@ -503,6 +503,9 @@ class TestRetiredNamesStayRetired:
          r"(?<![\"`])\b(reset_optimizer_state|teacher_boundary_noise)\b(?![\"`])"
          r"|\bboundary_noise\b|erode_cross|repro\.runtime\.trace|NullTrace"
          r"|EventType|retry_seed"),
+        ("second arming path / test-only server-process knobs",
+         r"ObsConfig|arm_from_config|obs_config|run_client_processes"
+         r"|server_options|report_timeout_s|join_timeout_s"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}

@@ -301,7 +301,7 @@ class TestAdmissionRetry:
                 build_session(
                     dataclasses.replace(
                         _config(width=-1.0),
-                        attach=handle.ticket(admit_retries=5),
+                        attach=handle.address(0, admit_retries=5),
                     ),
                     _HW,
                 )
@@ -316,7 +316,9 @@ class TestAdmissionRetry:
     def test_bounded_retry_admits_once_occupant_departs(self):
         import threading
 
-        handle = start_server([], transport="shm", n_clients=1,
+        # The occupant holds the parent connection (slot 0); the waiting
+        # client dials slot 1, the attach point that retries.
+        handle = start_server([], transport="shm", n_clients=2,
                               max_sessions=1, idle_timeout_s=60)
         try:
             occupant = build_session(
@@ -332,7 +334,7 @@ class TestAdmissionRetry:
                 retry = build_session(
                     dataclasses.replace(
                         _config(),
-                        attach=handle.ticket(admit_retries=20),
+                        attach=handle.address(1, admit_retries=20),
                     ),
                     _HW,
                 )
@@ -345,7 +347,7 @@ class TestAdmissionRetry:
         assert handle.process.exitcode == 0
 
     def test_exhausted_retry_budget_raises_the_last_refusal(self):
-        handle = start_server([], transport="shm", n_clients=1,
+        handle = start_server([], transport="shm", n_clients=2,
                               max_sessions=1, idle_timeout_s=60)
         try:
             occupant = build_session(
@@ -358,7 +360,7 @@ class TestAdmissionRetry:
                 build_session(
                     dataclasses.replace(
                         _config(),
-                        attach=handle.ticket(admit_retries=2),
+                        attach=handle.address(1, admit_retries=2),
                     ),
                     _HW,
                 )

@@ -22,7 +22,7 @@ from repro.serving.runtime import (
     ServerRuntime,
     SessionBlueprint,
     admit_message,
-    run_client_processes,
+    run_churn_processes,
     start_server,
 )
 from repro.transport.shm import _drain_bell
@@ -65,10 +65,10 @@ class TestNClientProcesses:
         )
         try:
             jobs = [
-                (_config(), _HW, "fixed-people", self.FRAMES, f"s{i}")
+                (0.0, _config(), _HW, "fixed-people", self.FRAMES, f"s{i}")
                 for i in range(self.N)
             ]
-            stats = run_client_processes(handle, jobs, timeout_s=180)
+            stats = run_churn_processes(handle, jobs, timeout_s=180)
         finally:
             handle.close()
         assert handle.process.exitcode == 0
@@ -181,10 +181,10 @@ class TestInlineServe:
         )
         try:
             jobs = [
-                (config, hw, "fixed-people", self.FRAMES, f"s{i}")
+                (0.0, config, hw, "fixed-people", self.FRAMES, f"s{i}")
                 for i, (config, hw) in enumerate(population)
             ]
-            stats = run_client_processes(handle, jobs, timeout_s=300)
+            stats = run_churn_processes(handle, jobs, timeout_s=300)
         finally:
             handle.close()
         assert handle.process.exitcode == 0

@@ -21,16 +21,16 @@ pytestmark = pytest.mark.storm
 
 @pytest.mark.parametrize("transport", ["shm", "socket"])
 @pytest.mark.parametrize("name", STORM_NAMES)
-def test_storm_never_wedges_server(name, transport):
+def test_storm_never_wedges_server(name, transport, monkeypatch):
     plan = storm_plan(name, seed=0, frames=2)
-    # Metrics armed in the server process (ISSUE 8): the storm must
-    # still resolve identically, and its report must carry the
-    # admission/overload accounting.  Both wire transports face the
+    # Metrics armed in the server and client processes (ISSUE 8): the
+    # storm must still resolve identically, and its report must carry
+    # the admission/overload accounting.  Both wire transports face the
     # same storms — the receive budget tears down a half-header staller
     # whether it wedged a ring slot or a TCP stream (ISSUE 10).
+    monkeypatch.setenv(obs.ENV_FEATURES, "metrics")
     with no_shm_leak():
         report = run_storm(plan, loris_hold_s=10.0, job_timeout_s=120.0,
-                           obs_config=obs.ObsConfig(metrics=True),
                            transport=transport)
     assert report.name == name
     # No wedge: the server drained the storm and exited cleanly, and
