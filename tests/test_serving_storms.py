@@ -23,7 +23,7 @@ pytestmark = pytest.mark.storm
 @pytest.mark.parametrize("name", STORM_NAMES)
 def test_storm_never_wedges_server(name, transport, monkeypatch):
     plan = storm_plan(name, seed=0, frames=2)
-    # Metrics armed in the server and client processes (ISSUE 8): the
+    # Metrics armed in the server and client processes: the
     # storm must still resolve identically, and its report must carry
     # the admission/overload accounting.  Both wire transports face the
     # same storms — the receive budget tears down a half-header staller
