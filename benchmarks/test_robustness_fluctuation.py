@@ -5,7 +5,7 @@ A congestion event drops the link from 80 Mbps mid-run.  Asynchronous
 inference should hide dips that keep the key-frame round trip inside
 the MIN_STRIDE inference budget, degrade gracefully below that, and in
 all cases lose less relative throughput than naive offloading.  The
-bundled LTE- and Wi-Fi-style link traces (``repro.transport.link``) are
+bundled LTE- and Wi-Fi-style link traces (``repro.network.model``) are
 two more rows: over either, ShadowTutor outruns naive offloading on the
 paper's steady 80 Mbps testbed link.
 """
@@ -14,11 +14,9 @@ import pytest
 
 from repro.distill.config import DistillConfig
 from repro.models.teacher import OracleTeacher
-from repro.network.dynamic import step_drop
-from repro.network.model import NetworkModel
+from repro.network.model import BUNDLED_TRACES, constant_link, step_drop
 from repro.runtime.naive import NaiveOffloadClient
 from repro.runtime.session import SessionConfig, run_shadowtutor
-from repro.transport.link import BUNDLED_TRACES
 from repro.video.dataset import CATEGORY_BY_KEY, make_category_video
 
 pytestmark = pytest.mark.slow
@@ -50,8 +48,8 @@ def _naive(network, scale):
 def test_bandwidth_fluctuation(benchmark, scale, results_sink):
     def sweep():
         out = {}
-        out["steady 80"] = (_shadow(NetworkModel(80.0), scale),
-                            _naive(NetworkModel(80.0), scale))
+        out["steady 80"] = (_shadow(constant_link(80.0), scale),
+                            _naive(constant_link(80.0), scale))
         out["dip to 30"] = (
             _shadow(step_drop(80, 30, drop_at_s=3.0, recover_at_s=10.0), scale),
             _naive(step_drop(80, 30, drop_at_s=3.0, recover_at_s=10.0), scale),
@@ -60,9 +58,8 @@ def test_bandwidth_fluctuation(benchmark, scale, results_sink):
             _shadow(step_drop(80, 8, drop_at_s=1.0), scale),
             _naive(step_drop(80, 8, drop_at_s=1.0), scale),
         )
-        for name, trace in BUNDLED_TRACES.items():
-            out[name] = (_shadow(trace.to_network_model(), scale),
-                         _naive(trace.to_network_model(), scale))
+        for name, link in BUNDLED_TRACES.items():
+            out[name] = (_shadow(link, scale), _naive(link, scale))
         return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

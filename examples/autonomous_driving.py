@@ -19,18 +19,18 @@ import dataclasses
 
 from repro import (
     DistillConfig,
-    NetworkModel,
     SessionConfig,
     make_category_video,
     run_naive,
     run_shadowtutor,
 )
+from repro.network import constant_link
 from repro.video.dataset import CATEGORY_BY_KEY
 
 
 def run_at_bandwidth(video, frames, bandwidth_mbps):
     config = SessionConfig(student_width=0.5)
-    config.network = NetworkModel(bandwidth_mbps=bandwidth_mbps)
+    config.network = constant_link(bandwidth_mbps)
     shadow = run_shadowtutor(video, frames, config,
                              label=f"street@{bandwidth_mbps}Mbps")
     naive = run_naive(video, frames, config)

@@ -90,16 +90,18 @@ def _one_blas_thread() -> None:
 
 
 def _blas_pool_size() -> str:
-    """OpenBLAS's thread-pool size in this process as a string, one
-    comma-separated size per mapped library (``""`` without OpenBLAS):
-    what a perf record's fingerprint carries."""
+    """OpenBLAS's thread-pool sizes in this process as a string: the
+    distinct sizes of the mapped libraries, ascending and
+    comma-separated (``""`` without OpenBLAS).  What a perf record's
+    fingerprint carries, so a process that also maps SciPy's OpenBLAS
+    and pins it reads ``"1"``, as one that maps only NumPy's does."""
     import ctypes
 
-    sizes = []
+    sizes = set()
     for getter in _openblas("get"):
         getter.restype = ctypes.c_int
-        sizes.append(str(getter()))
-    return ",".join(sizes)
+        sizes.add(getter())
+    return ",".join(str(size) for size in sorted(sizes))
 
 
 _one_blas_thread()
@@ -110,7 +112,6 @@ from repro.models import OracleTeacher, StudentNet, TeacherNet, partial_freeze
 from repro.network import MessageSizes, NetworkModel
 from repro.runtime import (
     Client,
-    LatencyModel,
     NaiveOffloadClient,
     RunStats,
     Server,
@@ -123,7 +124,7 @@ from repro.runtime.session import run_wild, pretrained_student
 from repro.segmentation import mean_iou
 from repro.serving import PoolResult, SessionPool, SessionSpec
 from repro.striding import AdaptiveStride, ExponentialBackoffStride, FixedStride
-from repro.transport import LinkTrace, available_transports
+from repro.transport import available_transports
 from repro.video import (
     LVS_CATEGORIES,
     NAMED_VIDEOS,
@@ -150,7 +151,6 @@ __all__ = [
     "MessageSizes",
     "NetworkModel",
     "Client",
-    "LatencyModel",
     "NaiveOffloadClient",
     "RunStats",
     "Server",
@@ -167,7 +167,6 @@ __all__ = [
     "AdaptiveStride",
     "ExponentialBackoffStride",
     "FixedStride",
-    "LinkTrace",
     "available_transports",
     "LVS_CATEGORIES",
     "NAMED_VIDEOS",

@@ -18,15 +18,13 @@ from repro.analytic.bounds import (
 )
 from repro.network.messages import MessageSizes
 from repro.network.model import NetworkModel
-from repro.runtime.clock import LatencyModel
+from repro.runtime.clock import T_SI, T_TI, t_sd
 
 
 def paper_params(
     max_updates: int = 8,
     partial: bool = True,
-    latency: Optional[LatencyModel] = None,
     network: Optional[NetworkModel] = None,
-    sizes: Optional[MessageSizes] = None,
     min_stride: int = 8,
     max_stride: int = 64,
 ) -> SystemParams:
@@ -36,18 +34,17 @@ def paper_params(
     t_sd=0.013, t_ti=0.044, t_net≈0.303 (3.032 MB at 80 Mbps) and hence
     a 6.99 FPS throughput upper bound.
     """
-    latency = latency or LatencyModel()
     network = network or NetworkModel()
-    sizes = sizes or MessageSizes.paper()
+    sizes = MessageSizes.paper()
     s_net = sizes.keyframe_total(partial)
     t_net = network.round_trip_time(
         sizes.frame_to_server,
         sizes.student_diff_partial if partial else sizes.student_full,
     )
     return SystemParams(
-        t_si=latency.t_si,
-        t_sd=latency.t_sd(partial),
-        t_ti=latency.t_ti,
+        t_si=T_SI,
+        t_sd=t_sd(partial),
+        t_ti=T_TI,
         t_net=t_net,
         s_net_bytes=s_net,
         min_stride=min_stride,

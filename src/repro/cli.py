@@ -31,7 +31,7 @@ from repro.analytic.bounds import (
 from repro.analytic.planner import choose_max_updates, paper_params
 from repro.experiments.configs import ExperimentScale
 from repro.experiments.report import format_table
-from repro.network.model import NetworkModel
+from repro.network.model import constant_link
 from repro.runtime.session import SessionConfig, run_naive, run_shadowtutor, run_wild
 from repro.video.dataset import (
     CATEGORY_BY_KEY,
@@ -53,7 +53,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = SessionConfig(student_width=args.width,
                            pretrain_steps=args.pretrain)
     if args.bandwidth:
-        config.network = NetworkModel(bandwidth_mbps=args.bandwidth)
+        config.network = constant_link(args.bandwidth)
     video = make_category_video(spec)
     shadow = run_shadowtutor(video, args.frames, config)
     print(summarize_run(shadow))
@@ -72,14 +72,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config_proto = SessionConfig(student_width=args.width,
-                                 pretrain_steps=args.pretrain)
     series = {args.video: [], "naive": []}
     for bw in args.bandwidths:
         video = make_named_video(args.video)
         config = SessionConfig(student_width=args.width,
                                pretrain_steps=args.pretrain)
-        config.network = NetworkModel(bandwidth_mbps=bw)
+        config.network = constant_link(bw)
         shadow = run_shadowtutor(video, args.frames, config)
         naive = run_naive(video, args.frames, config)
         series[args.video].append(shadow.throughput_fps)
@@ -93,7 +91,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    network = NetworkModel(bandwidth_mbps=args.bandwidth)
+    network = constant_link(args.bandwidth)
     try:
         chosen = choose_max_updates(max_fps_gap=args.max_fps_gap, network=network)
         note = f"(largest with FPS gap <= {args.max_fps_gap})"

@@ -15,7 +15,7 @@ from repro.analytic.bounds import throughput_lower_bound, throughput_upper_bound
 from repro.analytic.planner import paper_params
 from repro.distill.config import DistillConfig, DistillMode
 from repro.experiments.configs import ExperimentScale, PAPER_REFERENCE, default_scale
-from repro.network.model import NetworkModel
+from repro.network.model import constant_link
 from repro.runtime.session import SessionConfig, run_naive, run_shadowtutor
 from repro.video.dataset import make_named_video
 
@@ -52,7 +52,7 @@ def figure4_bandwidth_sweep(
     bounds = []
 
     for bw in bandwidths:
-        network = NetworkModel(bandwidth_mbps=bw)
+        network = constant_link(bw)
         for name in videos:
             video = make_named_video(
                 name, height=scale.frame_height, width=scale.frame_width

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.distill.config import DistillConfig, DistillMode
 from repro.experiments.configs import ExperimentScale
-from repro.network.model import NetworkModel
+from repro.network.model import constant_link
 from repro.runtime.session import (
     SessionConfig,
     run_naive,
@@ -71,7 +71,7 @@ def category_run(
     if scheme == "full":
         config.distill = DistillConfig(mode=DistillMode.FULL)
     if bandwidth_mbps is not None:
-        config.network = NetworkModel(bandwidth_mbps=bandwidth_mbps)
+        config.network = constant_link(bandwidth_mbps)
 
     if scheme == "naive":
         stats = run_naive(video, scale.num_frames, config)

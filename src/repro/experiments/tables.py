@@ -18,7 +18,7 @@ from repro.distill.config import DistillMode
 from repro.experiments.configs import ExperimentScale, PAPER_REFERENCE, default_scale
 from repro.experiments.runner import category_run
 from repro.network.messages import MessageSizes
-from repro.runtime.session import SessionConfig
+from repro.runtime.clock import t_sd
 from repro.video.dataset import LVS_CATEGORIES
 
 
@@ -46,7 +46,6 @@ def table2_distillation(scale: Optional[ExperimentScale] = None) -> TableResult:
     """Table 2: per-step latency (modelled, ms) and measured mean #steps."""
     scale = scale or default_scale()
     rows: Dict[str, Dict[str, float]] = {}
-    latency = SessionConfig().latency
     for scheme in ("partial", "full"):
         steps_all: List[float] = []
         for spec in LVS_CATEGORIES:
@@ -54,7 +53,7 @@ def table2_distillation(scale: Optional[ExperimentScale] = None) -> TableResult:
             if stats.mean_distill_steps > 0:
                 steps_all.append(stats.mean_distill_steps)
         rows[scheme] = {
-            "step_latency_ms": 1000 * latency.t_sd(scheme == "partial"),
+            "step_latency_ms": 1000 * t_sd(scheme == "partial"),
             "mean_steps": float(np.mean(steps_all)) if steps_all else 0.0,
         }
     return TableResult(

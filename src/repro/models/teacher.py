@@ -47,9 +47,6 @@ class OracleTeacher:
     itself).
     """
 
-    #: Modelled inference latency (seconds) — paper Table 1: t_ti = 0.044.
-    latency: float = 0.044
-
     def infer(self, frame: np.ndarray, label: Optional[np.ndarray] = None) -> np.ndarray:
         if label is None:
             raise ValueError(

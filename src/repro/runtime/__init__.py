@@ -12,7 +12,7 @@
   :class:`~repro.runtime.stats.RunStats`.
 """
 
-from repro.runtime.clock import SimClock, LatencyModel
+from repro.runtime.clock import SimClock
 from repro.runtime.stats import RunStats, FrameRecord
 from repro.runtime.server import Server
 from repro.runtime.client import Client
@@ -21,7 +21,6 @@ from repro.runtime.session import SessionConfig, run_shadowtutor, run_naive
 
 __all__ = [
     "SimClock",
-    "LatencyModel",
     "RunStats",
     "FrameRecord",
     "Server",

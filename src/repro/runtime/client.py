@@ -37,7 +37,7 @@ from repro.models.student import StudentNet
 from repro.network.messages import MessageSizes
 from repro.network.model import NetworkModel
 from repro.nn.serialize import apply_state_dict, state_dict_digest
-from repro.runtime.clock import LatencyModel, SimClock
+from repro.runtime.clock import T_SI, SimClock, serve_time
 from repro.runtime.server import Server, ServerReply
 from repro.runtime.stats import FrameRecord, KeyFrameRecord, RunStats
 from repro.segmentation.metrics import mean_iou
@@ -72,7 +72,6 @@ class Client:
         student: StudentNet,
         server: Server,
         config: DistillConfig,
-        latency: Optional[LatencyModel] = None,
         network: Optional[NetworkModel] = None,
         sizes: Optional[MessageSizes] = None,
         stride_policy: Optional[StridePolicy] = None,
@@ -81,7 +80,6 @@ class Client:
         self.student = student
         self.server = server
         self.config = config
-        self.latency = latency or LatencyModel()
         self.network = network or NetworkModel()
         self.sizes = sizes or MessageSizes.paper()
         self.stride_policy = stride_policy or AdaptiveStride(config)
@@ -111,10 +109,10 @@ class Client:
         # Real server-side computation happens here (teacher inference +
         # Algorithm 1); only its *timing* is modelled.  The renderer's
         # label goes along only for a teacher that reads it.
-        reply, result = self.server.handle_key_frame(
+        reply, _ = self.server.handle_key_frame(
             frame, label if self.server.teacher_reads_label else None
         )
-        server_time = self.server.service_time(result, self.latency)
+        server_time = serve_time(reply.steps, self.server.is_partial)
         down_bytes = self.server.reply_bytes()
         down_start = up_done + server_time
         ready_at = down_start + self.network.transfer_time(down_bytes, down_start)
@@ -189,7 +187,7 @@ class Client:
     ) -> None:
         """Timing/update/stats phase after the on-device predict."""
         cfg = self.config
-        self.clock.advance(self.latency.t_si)
+        self.clock.advance(T_SI)
         self._step += 1
 
         if self._pending is not None:

@@ -1,48 +1,41 @@
-"""Simulated time and the component-latency model.
+"""Simulated time and the paper's component latencies.
 
 The reproduction separates *what* the system computes (real NumPy
 training and inference, which determine metrics, stride dynamics and
-distill step counts) from *how long* each component takes (the paper's
-measured latencies, Table 1 / section 5.3).  ``SimClock`` is advanced
-by the client loop using ``LatencyModel`` costs; message delivery times
-come from :class:`~repro.network.model.NetworkModel` via the simulated
-channel.
+distill step counts) from *how long* each component takes: the paper's
+measured latencies (Table 1 / section 5.3), which are constants here.
+``SimClock`` is advanced by the client loop using them; message
+delivery times come from the simulated link,
+:class:`~repro.network.model.NetworkModel`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+#: Student inference on the mobile device (Jetson Nano at 720p), seconds.
+T_SI = 0.143
+#: One partial / full distillation step on the server (Table 2), seconds.
+T_SD_PARTIAL = 0.013
+T_SD_FULL = 0.018
+#: Teacher inference on the server, seconds.
+T_TI = 0.044
 
 
-@dataclasses.dataclass
-class LatencyModel:
-    """Component latencies in seconds (paper section 5.3 defaults).
+def t_sd(partial: bool) -> float:
+    """One distillation step's latency in the given mode."""
+    return T_SD_PARTIAL if partial else T_SD_FULL
 
-    ``t_si``: student inference on the mobile device (0.143 s on Jetson
-    Nano at 720p).  ``t_sd_partial`` / ``t_sd_full``: one distillation
-    step on the server (13 ms / 18 ms, Table 2).  ``t_ti``: teacher
-    inference on the server (0.044 s).
-    """
 
-    t_si: float = 0.143
-    t_sd_partial: float = 0.013
-    t_sd_full: float = 0.018
-    t_ti: float = 0.044
-
-    def t_sd(self, partial: bool) -> float:
-        return self.t_sd_partial if partial else self.t_sd_full
-
-    def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            if getattr(self, field.name) < 0:
-                raise ValueError(f"{field.name} must be non-negative")
+def serve_time(steps: int, partial: bool) -> float:
+    """Simulated server-side time of one key frame: teacher inference
+    plus the distillation steps actually taken."""
+    return T_TI + steps * t_sd(partial)
 
 
 class SimClock:
-    """A monotonically advancing simulated clock."""
+    """A monotonically advancing simulated clock, starting at 0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -6,9 +6,9 @@ pipelining; the paper's naive baseline "has no mechanism to mitigate
 the increase in network latency", section 6.4).  Accuracy against the
 teacher is perfect by construction (Table 6's 100%).
 
-``t_prep`` models the client-side per-frame capture/encode overhead the
-paper's measured naive throughput implies (2.09 FPS at 80 Mbps vs
-~0.396 s of pure transfer+inference per frame).
+Each frame also pays :data:`T_PREP`, the client-side capture/encode
+overhead the paper's measured naive throughput implies (2.09 FPS at
+80 Mbps vs ~0.396 s of pure transfer+inference per frame).
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import numpy as np
 from repro.models.teacher import Teacher
 from repro.network.messages import MessageSizes
 from repro.network.model import NetworkModel
-from repro.runtime.clock import LatencyModel, SimClock
+from repro.runtime.clock import T_TI, SimClock
 from repro.runtime.stats import FrameRecord, RunStats
 from repro.segmentation.metrics import mean_iou
 
 #: Client-side per-frame preprocessing overhead (seconds), calibrated so
 #: naive offloading reproduces the paper's measured 2.09 FPS at 80 Mbps.
-DEFAULT_T_PREP = 0.082
+T_PREP = 0.082
 
 
 class NaiveOffloadClient:
@@ -35,16 +35,12 @@ class NaiveOffloadClient:
     def __init__(
         self,
         teacher: Teacher,
-        latency: Optional[LatencyModel] = None,
         network: Optional[NetworkModel] = None,
         sizes: Optional[MessageSizes] = None,
-        t_prep: float = DEFAULT_T_PREP,
     ) -> None:
         self.teacher = teacher
-        self.latency = latency or LatencyModel()
         self.network = network or NetworkModel()
         self.sizes = sizes or MessageSizes.paper()
-        self.t_prep = t_prep
         self.clock = SimClock()
 
     def run(
@@ -57,9 +53,9 @@ class NaiveOffloadClient:
         down = self.sizes.teacher_prediction
         for index, (frame, gt_label) in enumerate(frames):
             pred = self.teacher.infer(frame, gt_label)
-            t = self.clock.now + self.t_prep
+            t = self.clock.now + T_PREP
             t += self.network.transfer_time(up, t)
-            t += self.latency.t_ti
+            t += T_TI
             t += self.network.transfer_time(down, t)
             self.clock.advance_to(t)
             stats.total_up_bytes += up

@@ -37,7 +37,6 @@ from repro.models.student import StudentNet
 from repro.models.teacher import Teacher, TeacherNet
 from repro.network.messages import MessageSizes
 from repro.nn.serialize import state_dict_diff
-from repro.runtime.clock import LatencyModel
 
 
 @dataclasses.dataclass
@@ -144,10 +143,3 @@ class Server:
         if self.config.mode is DistillMode.PARTIAL:
             return self.sizes.student_diff_partial
         return self.sizes.student_full
-
-    def service_time(self, result: TrainResult, latency: LatencyModel) -> float:
-        """Simulated server-side pipeline time for one key frame:
-        teacher inference plus the distillation steps actually taken.
-        (Previously computed inside the client, which duplicated the
-        server's knowledge of its own distillation mode.)"""
-        return latency.t_ti + result.steps * latency.t_sd(self.is_partial)

@@ -20,7 +20,7 @@ from repro.network.messages import MessageSizes
 from repro.network.model import NetworkModel
 from repro.nn.serialize import clone_state_dict
 from repro.runtime.client import Client
-from repro.runtime.clock import LatencyModel
+from repro.runtime.clock import T_SI
 from repro.runtime.naive import NaiveOffloadClient
 from repro.runtime.stats import FrameRecord, RunStats
 from repro.runtime.server import Server
@@ -34,7 +34,6 @@ class SessionConfig:
     """Everything needed to run one ShadowTutor session."""
 
     distill: DistillConfig = dataclasses.field(default_factory=DistillConfig)
-    latency: LatencyModel = dataclasses.field(default_factory=LatencyModel)
     network: NetworkModel = dataclasses.field(default_factory=NetworkModel)
     sizes: MessageSizes = dataclasses.field(default_factory=MessageSizes.paper)
     student_width: float = 0.5
@@ -158,7 +157,6 @@ def build_session(
         client_student,
         server,
         config.distill,
-        latency=config.latency,
         network=config.network,
         sizes=config.sizes,
         stride_policy=stride_policy,
@@ -206,7 +204,6 @@ def run_naive(
     teacher = teacher or build_teacher(config)
     client = NaiveOffloadClient(
         teacher,
-        latency=config.latency,
         network=config.network,
         sizes=config.sizes,
     )
@@ -235,7 +232,7 @@ def run_wild(
     video.reset()
     for index, (frame, gt_label) in enumerate(video.frames(num_frames)):
         pred = student.predict(frame)
-        t += config.latency.t_si
+        t += T_SI
         stats.frames.append(
             FrameRecord(
                 index=index,

@@ -44,12 +44,11 @@ module is that shape:
   :meth:`ServerRuntime.run` raises.
 * the client side — :class:`MuxConnection` demultiplexes tagged
   replies into per-session queues; :class:`MuxRemoteServer` gives
-  :class:`~repro.runtime.client.Client` the three calls it makes on
-  its server (``handle_key_frame`` / ``service_time`` /
-  ``reply_bytes``) over the tagged wire protocol, so a session served
-  by the runtime produces *identical* ``RunStats`` to the in-process
-  run — the property the e2e tests and the tier-1 smoke script pin
-  down.
+  :class:`~repro.runtime.client.Client` what it reads of its server
+  (``handle_key_frame`` / ``is_partial`` / ``reply_bytes``) over the
+  tagged wire protocol, so a session served by the runtime produces
+  *identical* ``RunStats`` to the in-process run — the property the
+  e2e tests and the tier-1 smoke script pin down.
 * :func:`start_server` / :class:`ServerHandle` — spawn the runtime over
   any transport with the ``serve_many`` capability (``shm`` rings, TCP
   ``socket``) and hand out attachment points: tickets for sessions in
@@ -997,9 +996,9 @@ class MuxConnection:
 class MuxRemoteServer:
     """Per-session server proxy on a multiplexed connection.
 
-    The three calls :class:`~repro.runtime.client.Client` makes on its
-    server — ``handle_key_frame`` / ``service_time`` / ``reply_bytes``
-    — with the key frame crossing the link as a tagged wire frame.
+    What :class:`~repro.runtime.client.Client` reads of its server —
+    ``handle_key_frame`` / ``is_partial`` / ``reply_bytes`` — with the
+    key frame crossing the link as a tagged wire frame.
     ``close`` ends *this session* (BYE), never the server process: any
     number of sessions share one server.  A proxy that owns its
     connection (a standalone client process) also closes the
@@ -1035,9 +1034,9 @@ class MuxRemoteServer:
     def handle_key_frame(self, frame, label=None):
         """Ship one key frame to the server; blocks for its reply.
 
-        Returns ``(reply, reply)``: the second slot is what
-        :meth:`service_time` reads ``steps`` from, and the reply
-        carries it.
+        Returns ``(reply, reply)``: the pair that the in-process
+        :meth:`~repro.runtime.server.Server.handle_key_frame` returns,
+        with the reply in both slots.
         """
         self.connection.send_tagged(self.session, (frame, label))
         reply = self.connection.recv_for(self.session)
@@ -1046,10 +1045,6 @@ class MuxRemoteServer:
                 f"server sent {type(reply).__name__}, expected ServerReply"
             )
         return reply, reply
-
-    def service_time(self, result, latency) -> float:
-        """Same simulated pipeline cost as the in-process server."""
-        return latency.t_ti + result.steps * latency.t_sd(self.is_partial)
 
     def reply_bytes(self) -> int:
         """Paper-scale wire size of the student update (Table 4)."""
@@ -1404,7 +1399,6 @@ def attach_session(config, frame_hw, stride_policy):
             student,
             remote,
             config.distill,
-            latency=config.latency,
             network=config.network,
             sizes=config.sizes,
             stride_policy=stride_policy,

@@ -1,6 +1,6 @@
 """Transport subsystem for the real client/server split.
 
-Four modules behind the :class:`~repro.transport.endpoint.Endpoint`
+Three modules behind the :class:`~repro.transport.endpoint.Endpoint`
 abstraction (blocking ``send`` / ``recv``):
 
 * :mod:`repro.transport.wire` — a versioned, pickle-free binary wire
@@ -11,11 +11,10 @@ abstraction (blocking ``send`` / ``recv``):
   and update payloads between processes with one producer-side copy
   into shared memory and one consumer-side copy out of it;
 * :mod:`repro.transport.socket` — the same wire frames over TCP for
-  cross-host serving;
-* :mod:`repro.transport.link` — trace-driven link scenarios: bundled
-  LTE/Wi-Fi-style bandwidth traces plus a generator, compiled into
-  simulated :class:`~repro.network.dynamic.DynamicNetworkModel`
-  schedules.
+  cross-host serving.
+
+The simulated link a session's clock is priced by is not here: it moves
+no byte, and lives in :mod:`repro.network.model`.
 
 Wire frames carry a session tag and an ADMIT/ACCEPT/BYE handshake, so
 one link can serve many sessions — the multiplexed one-server/N-client
@@ -27,7 +26,6 @@ deployment lives in :mod:`repro.serving.runtime` on top of the
 """
 
 from repro.transport.endpoint import Endpoint
-from repro.transport.link import BUNDLED_TRACES, LinkTrace, generate_trace
 from repro.transport.registry import (
     available_transports,
     connect,
@@ -39,10 +37,7 @@ from repro.transport.shm import ShmManyLink, ShmRing, ShmTransport, StaticListen
 from repro.transport.socket import SocketManyLink, SocketTransport
 
 __all__ = [
-    "BUNDLED_TRACES",
     "Endpoint",
-    "LinkTrace",
-    "generate_trace",
     "StaticListener",
     "available_transports",
     "connect",

@@ -71,10 +71,10 @@ class TestBoundsFormulae:
         assert throughput_lower_bound(paper) < throughput_upper_bound(paper)
 
     def test_lower_bandwidth_lowers_throughput_lower_bound(self):
-        from repro.network.model import NetworkModel
+        from repro.network.model import constant_link
 
-        fast = paper_params(network=NetworkModel(bandwidth_mbps=80))
-        slow = paper_params(network=NetworkModel(bandwidth_mbps=8))
+        fast = paper_params(network=constant_link(80))
+        slow = paper_params(network=constant_link(8))
         assert throughput_lower_bound(slow) < throughput_lower_bound(fast)
 
     def test_more_updates_lower_throughput_floor(self):

@@ -133,3 +133,36 @@ def test_fingerprint_hash_equals_the_bench_one_under_its_pin():
     record and a bench result block name the same machine."""
     fingerprint = _fingerprint("1")
     assert fingerprint["hash"] == fingerprint["bench_hash"]
+
+
+#: Prints every pool size after a forked child maps SciPy's OpenBLAS
+#: and re-applies the pin, as the SciPy-comparing tests do.
+_LATE_LIBRARY_PROBE = textwrap.dedent("""
+    import os
+    import repro
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        import scipy.ndimage  # noqa: F401
+        repro._one_blas_thread()
+        os.write(write, repro._blas_pool_size().encode())
+        os._exit(0)
+    os.waitpid(pid, 0)
+    print(os.read(read, 64).decode())
+""")
+
+
+def test_pin_reaches_a_library_mapped_after_import():
+    """A library mapped after ``import repro`` (SciPy's bundled
+    OpenBLAS) is sized once the pin is applied again, and the
+    fingerprint then reads what a NumPy-only process reads."""
+    pytest.importorskip("scipy.ndimage")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    sizes = subprocess.run(
+        [sys.executable, "-c", _LATE_LIBRARY_PROBE], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split()
+    assert sizes == ["1"]

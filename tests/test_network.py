@@ -1,4 +1,4 @@
-"""Tests for the message catalogue and the bandwidth/latency model."""
+"""Tests for the message catalogue and the steady link."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.network.messages import (
     hd_frame_bytes,
     student_payload_bytes,
 )
-from repro.network.model import NetworkModel
+from repro.network.model import NetworkModel, constant_link
 
 
 class TestMessageSizes:
@@ -47,39 +47,37 @@ class TestMessageSizes:
 
 
 class TestNetworkModel:
+    def test_default_is_the_testbed_link(self):
+        assert NetworkModel() == constant_link(80.0)
+        assert NetworkModel().base_latency_s == 0.002
+
     def test_transfer_time_formula(self):
-        net = NetworkModel(bandwidth_mbps=80.0, base_latency_s=0.0)
-        one_mb = 10**6 / 8  # bytes whose transfer takes 1/80 s at 80 Mbps...
+        net = constant_link(80.0, base_latency_s=0.0)
         assert net.transfer_time(10**6) == pytest.approx(8 / 80.0)
 
     def test_paper_keyframe_rtt(self):
         # 3.032 MB at 80 Mbps ~ 0.303 s + small propagation (section 5.3).
-        net = NetworkModel(bandwidth_mbps=80.0)
+        net = constant_link(80.0)
         sizes = MessageSizes.paper()
         t = net.round_trip_time(sizes.frame_to_server, sizes.student_diff_partial)
         assert t == pytest.approx(0.303, abs=0.02)
 
     def test_lower_bandwidth_slower(self):
-        fast = NetworkModel(bandwidth_mbps=80.0)
-        slow = NetworkModel(bandwidth_mbps=8.0)
+        fast = constant_link(80.0)
+        slow = constant_link(8.0)
         assert slow.transfer_time(10**6) > 9 * fast.transfer_time(10**6) * 0.9
 
     def test_base_latency_added(self):
-        net = NetworkModel(bandwidth_mbps=80.0, base_latency_s=0.05)
+        net = constant_link(80.0, base_latency_s=0.05)
         assert net.transfer_time(0) == pytest.approx(0.05)
 
     def test_start_time_is_ignored(self):
-        """The static link takes the dynamic one's ``(nbytes, now)``
-        call and answers the same whenever the transfer starts."""
-        net = NetworkModel(bandwidth_mbps=8.0)
+        """A one-segment link answers the same whenever the transfer
+        starts."""
+        net = constant_link(8.0)
         assert net.transfer_time(10**6, 37.5) == net.transfer_time(10**6)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"bandwidth_mbps": 0.0},
-        {"bandwidth_mbps": -1.0},
-        {"base_latency_s": -0.1},
-    ])
-    def test_invalid_params_rejected(self, kwargs):
+    @pytest.mark.parametrize("args", [(0.0,), (-1.0,), (80.0, -0.1)])
+    def test_invalid_params_rejected(self, args):
         with pytest.raises(ValueError):
-            NetworkModel(**kwargs)
-
+            constant_link(*args)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd import Tensor, functional as F
 from repro.autograd.conv import conv2d
 from repro.distill.config import DistillConfig
-from repro.network.model import NetworkModel
+from repro.network.model import constant_link
 from repro.nn.serialize import apply_state_dict, clone_state_dict, state_dict_diff
 from repro.models.student import StudentNet, partial_freeze
 from repro.segmentation.metrics import mean_iou
@@ -125,12 +125,12 @@ class TestNetworkProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_transfer_time_monotone_in_size(self, nbytes, bw):
-        net = NetworkModel(bandwidth_mbps=bw)
+        net = constant_link(bw)
         assert net.transfer_time(nbytes + 1000) >= net.transfer_time(nbytes)
 
     @given(nbytes=st.integers(1, 10**8))
     @settings(max_examples=50, deadline=None)
     def test_transfer_time_monotone_in_bandwidth(self, nbytes):
-        slow = NetworkModel(bandwidth_mbps=8.0)
-        fast = NetworkModel(bandwidth_mbps=80.0)
+        slow = constant_link(8.0)
+        fast = constant_link(80.0)
         assert fast.transfer_time(nbytes) <= slow.transfer_time(nbytes)

@@ -1,11 +1,10 @@
-"""Hypothesis property tests for the dynamic-bandwidth link model."""
+"""Hypothesis property tests for the time-varying link model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.dynamic import DynamicNetworkModel
-from repro.network.model import NetworkModel
+from repro.network.model import NetworkModel, constant_link
 
 
 def schedule_strategy():
@@ -31,7 +30,7 @@ class TestDynamicProperties:
            now=st.floats(0, 200))
     @settings(max_examples=60, deadline=None)
     def test_transfer_time_positive_and_finite(self, schedule, nbytes, now):
-        net = DynamicNetworkModel(schedule, base_latency_s=0.0)
+        net = NetworkModel(schedule, base_latency_s=0.0)
         t = net.transfer_time(nbytes, now)
         assert np.isfinite(t)
         assert t > 0
@@ -42,10 +41,10 @@ class TestDynamicProperties:
     def test_bounded_by_extreme_bandwidths(self, schedule, nbytes, now):
         # A transfer can never beat the fastest segment or lose to the
         # slowest one.
-        net = DynamicNetworkModel(schedule, base_latency_s=0.0)
+        net = NetworkModel(schedule, base_latency_s=0.0)
         bandwidths = [bw for _, bw in schedule]
-        fastest = NetworkModel(max(bandwidths), base_latency_s=0.0)
-        slowest = NetworkModel(min(bandwidths), base_latency_s=0.0)
+        fastest = constant_link(max(bandwidths), base_latency_s=0.0)
+        slowest = constant_link(min(bandwidths), base_latency_s=0.0)
         t = net.transfer_time(nbytes, now)
         assert fastest.transfer_time(nbytes) - 1e-9 <= t
         assert t <= slowest.transfer_time(nbytes) + 1e-9
@@ -55,7 +54,7 @@ class TestDynamicProperties:
            now=st.floats(0, 100))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_payload(self, schedule, small, extra, now):
-        net = DynamicNetworkModel(schedule, base_latency_s=0.0)
+        net = NetworkModel(schedule, base_latency_s=0.0)
         assert net.transfer_time(small + extra, now) >= net.transfer_time(
             small, now
         ) - 1e-9
@@ -63,17 +62,17 @@ class TestDynamicProperties:
     @given(nbytes=st.integers(1, 10**7), now=st.floats(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_constant_schedule_matches_static(self, nbytes, now):
-        dyn = DynamicNetworkModel([(0.0, 42.0)], base_latency_s=0.0)
-        static = NetworkModel(42.0, base_latency_s=0.0)
-        assert dyn.transfer_time(nbytes, now) == pytest.approx(
-            static.transfer_time(nbytes), rel=1e-9
-        )
+        """A one-segment link is the first-order model, to the bit,
+        whenever the transfer starts."""
+        base, bw = 0.002, 42.0
+        link = constant_link(bw, base_latency_s=base)
+        assert link.transfer_time(nbytes, now) == base + nbytes * 8 / (bw * 1e6)
 
     @given(schedule=schedule_strategy(), up=st.integers(1, 10**6),
            down=st.integers(1, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_is_sum_of_sequenced_legs(self, schedule, up, down):
-        net = DynamicNetworkModel(schedule, base_latency_s=0.0)
+        net = NetworkModel(schedule, base_latency_s=0.0)
         t_up = net.transfer_time(up, 0.0)
         t_down = net.transfer_time(down, t_up)
         assert net.round_trip_time(up, down, 0.0) == pytest.approx(

@@ -46,12 +46,10 @@ PUBLIC_MODULES = [
     "repro.network",
     "repro.network.messages",
     "repro.network.model",
-    "repro.network.dynamic",
     "repro.transport",
     "repro.transport.wire",
     "repro.transport.shm",
     "repro.transport.socket",
-    "repro.transport.link",
     "repro.transport.registry",
     "repro.runtime",
     "repro.runtime.clock",
@@ -166,8 +164,15 @@ class TestServingSignatures:
         "repro.serving.runtime:ServerHandle.close": ("self",),
         "repro.serving.fleet:FleetHandle.close": ("self",),
         "repro.runtime.client:Client": (
-            "student", "server", "config", "latency", "network", "sizes",
+            "student", "server", "config", "network", "sizes",
             "stride_policy", "forced_delay_frames",
+        ),
+        "repro.runtime.naive:NaiveOffloadClient": (
+            "teacher", "network", "sizes",
+        ),
+        "repro.runtime.clock:SimClock": (),
+        "repro.analytic.planner:paper_params": (
+            "max_updates", "partial", "network", "min_stride", "max_stride",
         ),
         "repro.models.teacher:OracleTeacher": (),
     }
@@ -188,7 +193,7 @@ class TestServingSignatures:
         from repro.runtime.session import SessionConfig
 
         assert tuple(f.name for f in dataclasses.fields(SessionConfig)) == (
-            "distill", "latency", "network", "sizes", "student_width",
+            "distill", "network", "sizes", "student_width",
             "student_seed", "pretrain_steps", "forced_delay_frames",
             "teacher_arch", "teacher_width", "teacher_seed", "attach",
         )
@@ -434,7 +439,10 @@ class TestRetiredNamesStayRetired:
       record is its ``RunStats``, and a client's admission retry jitter
       is seeded by its slot.  The two retired ADMIT fields may still be
       named as quoted wire strings, which is how the refusal tests and
-      ``docs/PROTOCOL.md``'s version history name them.
+      ``docs/PROTOCOL.md``'s version history name them;
+    - one simulated link, ``network.model.NetworkModel``, whose steady,
+      stepped and traced forms are schedules, and the paper's latencies
+      are ``runtime.clock`` constants.
     """
 
     RETIRED = (
@@ -506,6 +514,9 @@ class TestRetiredNamesStayRetired:
         ("second arming path / test-only server-process knobs",
          r"ObsConfig|arm_from_config|obs_config|run_client_processes"
          r"|server_options|report_timeout_s|join_timeout_s"),
+        ("second and third link model / settable paper latencies",
+         r"DynamicNetworkModel|LinkTrace|to_network_model|LatencyModel"
+         r"|\bt_prep\b"),
     )
     #: Directories skipped wherever they sit.
     SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "raw", "bench"}

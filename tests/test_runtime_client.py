@@ -7,9 +7,9 @@ import pytest
 from repro.distill.config import DistillConfig, DistillMode
 from repro.models.student import StudentNet
 from repro.models.teacher import OracleTeacher
-from repro.network.model import NetworkModel
+from repro.network.model import constant_link
 from repro.runtime.client import Client
-from repro.runtime.clock import LatencyModel
+from repro.runtime.clock import T_SI
 from repro.runtime.server import Server
 from repro.video.generator import SyntheticVideo, VideoConfig
 
@@ -32,8 +32,7 @@ def make_system(
         StudentNet(width=width, seed=0),
         server,
         cfg,
-        latency=LatencyModel(),
-        network=NetworkModel(bandwidth_mbps=bandwidth),
+        network=constant_link(bandwidth),
         forced_delay_frames=forced_delay,
     )
     return client
@@ -107,7 +106,7 @@ class TestTiming:
         stats = make_system(bandwidth=2.0).run(video_frames(24))
         assert stats.wait_time_s > 0
         assert stats.total_time_s == pytest.approx(
-            24 * LatencyModel().t_si + stats.wait_time_s, rel=1e-9
+            24 * T_SI + stats.wait_time_s, rel=1e-9
         )
 
 

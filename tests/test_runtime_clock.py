@@ -1,16 +1,21 @@
-"""Tests for the simulated clock and the component latency model."""
+"""Tests for the simulated clock and the paper's component latencies."""
 
 import pytest
 
-from repro.runtime.clock import LatencyModel, SimClock
+from repro.runtime.clock import (
+    T_SD_FULL,
+    T_SD_PARTIAL,
+    T_SI,
+    T_TI,
+    SimClock,
+    serve_time,
+    t_sd,
+)
 
 
 class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().now == 0.0
-
-    def test_custom_start(self):
-        assert SimClock(5.0).now == 5.0
 
     def test_advance(self):
         clock = SimClock()
@@ -28,24 +33,24 @@ class TestSimClock:
         assert clock.now == 3.0
 
     def test_advance_to_past_is_noop(self):
-        clock = SimClock(10.0)
+        clock = SimClock()
+        clock.advance(10.0)
         clock.advance_to(3.0)
         assert clock.now == 10.0
 
 
-class TestLatencyModel:
+class TestPaperLatencies:
     def test_paper_defaults(self):
-        lat = LatencyModel()
-        assert lat.t_si == pytest.approx(0.143)
-        assert lat.t_sd_partial == pytest.approx(0.013)
-        assert lat.t_sd_full == pytest.approx(0.018)
-        assert lat.t_ti == pytest.approx(0.044)
+        assert T_SI == pytest.approx(0.143)
+        assert T_SD_PARTIAL == pytest.approx(0.013)
+        assert T_SD_FULL == pytest.approx(0.018)
+        assert T_TI == pytest.approx(0.044)
 
     def test_t_sd_selector(self):
-        lat = LatencyModel()
-        assert lat.t_sd(True) == lat.t_sd_partial
-        assert lat.t_sd(False) == lat.t_sd_full
+        assert t_sd(True) == T_SD_PARTIAL
+        assert t_sd(False) == T_SD_FULL
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(t_si=-0.1)
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_serve_time_is_teacher_plus_steps(self, partial):
+        assert serve_time(0, partial) == T_TI
+        assert serve_time(8, partial) == T_TI + 8 * t_sd(partial)

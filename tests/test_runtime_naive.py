@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.models.teacher import OracleTeacher
-from repro.network.model import NetworkModel
-from repro.runtime.naive import DEFAULT_T_PREP, NaiveOffloadClient
+from repro.network.model import constant_link
+from repro.runtime.clock import T_TI
+from repro.runtime.naive import T_PREP, NaiveOffloadClient
 from repro.video.generator import SyntheticVideo, VideoConfig
 
 
@@ -35,21 +36,22 @@ class TestNaiveOffload:
 
     def test_throughput_scales_with_bandwidth(self):
         fast = NaiveOffloadClient(
-            OracleTeacher(), network=NetworkModel(bandwidth_mbps=80)
+            OracleTeacher(), network=constant_link(80)
         ).run(frames(8))
         slow = NaiveOffloadClient(
-            OracleTeacher(), network=NetworkModel(bandwidth_mbps=8)
+            OracleTeacher(), network=constant_link(8)
         ).run(frames(8))
         # 10x narrower link: naive throughput collapses (no async buffer).
         assert slow.throughput_fps < fast.throughput_fps / 3
 
     def test_per_frame_time_breakdown(self):
-        net = NetworkModel(bandwidth_mbps=80.0)
-        client = NaiveOffloadClient(OracleTeacher(), network=net, t_prep=0.0)
+        net = constant_link(80.0)
+        client = NaiveOffloadClient(OracleTeacher(), network=net)
         stats = client.run(frames(4))
         expected = 4 * (
-            net.transfer_time(client.sizes.frame_to_server)
-            + 0.044
+            T_PREP
+            + net.transfer_time(client.sizes.frame_to_server)
+            + T_TI
             + net.transfer_time(client.sizes.teacher_prediction)
         )
         assert stats.total_time_s == pytest.approx(expected, rel=1e-6)

@@ -8,10 +8,15 @@ this module runs only where it is installed.
 import numpy as np
 import pytest
 
+import repro
 from repro.segmentation.boundary import dilate_square
 from repro.segmentation.losses import lvs_weight_map
 
 ndimage = pytest.importorskip("scipy.ndimage")
+# SciPy maps an OpenBLAS of its own, after the import of ``repro`` sized
+# the pools it found: size this one too, so the rest of the process
+# (and the perf records the suite writes) runs one-thread pools.
+repro._one_blas_thread()
 
 SQUARE = ndimage.generate_binary_structure(2, 2)
 
