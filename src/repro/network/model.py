@@ -30,7 +30,7 @@ import numpy as np
 BASE_LATENCY_S = 0.002
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class NetworkModel:
     """A symmetric rate-limited link with a piecewise-constant rate.
 
@@ -38,14 +38,17 @@ class NetworkModel:
     bandwidth_mbps)`` segments, stored as a tuple; the first segment
     must start at 0 and the last one lasts forever.  A transfer is
     integrated across segment boundaries.  The default is the paper's
-    testbed: a steady 80 Mbps.
+    testbed: a steady 80 Mbps.  Frozen, so a link shared between runs
+    (a bundled trace) cannot be changed under one of them.
     """
 
     schedule: Sequence[Tuple[float, float]] = ((0.0, 80.0),)
     base_latency_s: float = BASE_LATENCY_S
 
     def __post_init__(self) -> None:
-        self.schedule = tuple((t, bw) for t, bw in self.schedule)
+        object.__setattr__(
+            self, "schedule", tuple((t, bw) for t, bw in self.schedule)
+        )
         if not self.schedule:
             raise ValueError("schedule must not be empty")
         times = [t for t, _ in self.schedule]
@@ -105,11 +108,9 @@ class NetworkModel:
         return up + down
 
 
-def constant_link(
-    bandwidth_mbps: float, base_latency_s: float = BASE_LATENCY_S
-) -> NetworkModel:
+def constant_link(bandwidth_mbps: float) -> NetworkModel:
     """A link whose rate never changes: the static sweep of Figure 4."""
-    return NetworkModel([(0.0, bandwidth_mbps)], base_latency_s)
+    return NetworkModel([(0.0, bandwidth_mbps)])
 
 
 def step_drop(
@@ -117,7 +118,6 @@ def step_drop(
     after_mbps: float,
     drop_at_s: float,
     recover_at_s: float | None = None,
-    base_latency_s: float = BASE_LATENCY_S,
 ) -> NetworkModel:
     """Bandwidth drops at ``drop_at_s`` (and optionally recovers), the
     canonical congestion event."""
@@ -126,7 +126,7 @@ def step_drop(
         if recover_at_s <= drop_at_s:
             raise ValueError("recovery must come after the drop")
         schedule.append((recover_at_s, before_mbps))
-    return NetworkModel(schedule, base_latency_s)
+    return NetworkModel(schedule)
 
 
 def generate_trace(
@@ -165,22 +165,22 @@ def generate_trace(
     return NetworkModel(samples)
 
 
-def lte_trace(seed: int = 7, duration_s: float = 120.0) -> NetworkModel:
+def lte_trace() -> NetworkModel:
     """LTE-style link: volatile, dips under 10 Mbps, mean ~40 Mbps."""
     return generate_trace(
-        duration_s=duration_s, step_s=2.0,
+        duration_s=120.0, step_s=2.0,
         mean_mbps=40.0, sigma=0.35, floor_mbps=3.0, ceil_mbps=120.0,
-        dip_probability=0.08, dip_mbps=6.0, seed=seed,
+        dip_probability=0.08, dip_mbps=6.0, seed=7,
     )
 
 
-def wifi_trace(seed: int = 3, duration_s: float = 120.0) -> NetworkModel:
+def wifi_trace() -> NetworkModel:
     """Wi-Fi-style link: steady near the testbed's 80 Mbps cap with
     occasional contention dips."""
     return generate_trace(
-        duration_s=duration_s, step_s=4.0,
+        duration_s=120.0, step_s=4.0,
         mean_mbps=80.0, sigma=0.10, floor_mbps=20.0, ceil_mbps=90.0,
-        dip_probability=0.05, dip_mbps=25.0, seed=seed,
+        dip_probability=0.05, dip_mbps=25.0, seed=3,
     )
 
 

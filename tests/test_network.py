@@ -52,7 +52,7 @@ class TestNetworkModel:
         assert NetworkModel().base_latency_s == 0.002
 
     def test_transfer_time_formula(self):
-        net = constant_link(80.0, base_latency_s=0.0)
+        net = NetworkModel(((0.0, 80.0),), base_latency_s=0.0)
         assert net.transfer_time(10**6) == pytest.approx(8 / 80.0)
 
     def test_paper_keyframe_rtt(self):
@@ -68,7 +68,7 @@ class TestNetworkModel:
         assert slow.transfer_time(10**6) > 9 * fast.transfer_time(10**6) * 0.9
 
     def test_base_latency_added(self):
-        net = constant_link(80.0, base_latency_s=0.05)
+        net = NetworkModel(((0.0, 80.0),), base_latency_s=0.05)
         assert net.transfer_time(0) == pytest.approx(0.05)
 
     def test_start_time_is_ignored(self):
@@ -77,7 +77,11 @@ class TestNetworkModel:
         net = constant_link(8.0)
         assert net.transfer_time(10**6, 37.5) == net.transfer_time(10**6)
 
-    @pytest.mark.parametrize("args", [(0.0,), (-1.0,), (80.0, -0.1)])
-    def test_invalid_params_rejected(self, args):
+    @pytest.mark.parametrize("kwargs", [
+        {"schedule": ((0.0, 0.0),)},
+        {"schedule": ((0.0, -1.0),)},
+        {"base_latency_s": -0.1},
+    ])
+    def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            constant_link(*args)
+            NetworkModel(**kwargs)

@@ -31,7 +31,7 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             NetworkModel([(0.0, 80.0), (5.0, 8.0)], base_latency_s=-0.001)
         with pytest.raises(ValueError):
-            step_drop(80, 8, drop_at_s=1.0, base_latency_s=-0.001)
+            NetworkModel(((0.0, 80.0),), base_latency_s=-0.001)
 
     def test_step_drop_recovery_order(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestTransferTime:
         net = NetworkModel([(0.0, 80.0)], base_latency_s=0.0)
         nbytes = 3_000_000
         assert net.transfer_time(nbytes, 0.0) == nbytes * 8 / (80.0 * 1e6)
-        assert net == constant_link(80.0, base_latency_s=0.0)
+        assert net.schedule == constant_link(80.0).schedule
 
     def test_transfer_spanning_a_drop_takes_longer(self):
         # 10 Mbit payload; 1 s at 80 Mbps sends 80 Mbit... use a drop
@@ -72,14 +72,13 @@ class TestTransferTime:
         assert 8.0 < duration < 40.0 + net.base_latency_s
 
     def test_transfer_after_recovery_fast_again(self):
-        net = step_drop(80, 8, drop_at_s=1.0, recover_at_s=2.0,
-                        base_latency_s=0.0)
+        net = step_drop(80, 8, drop_at_s=1.0, recover_at_s=2.0)
         before = net.transfer_time(1_000_000, 0.0)
         after = net.transfer_time(1_000_000, 3.0)
         assert after == pytest.approx(before)
 
     def test_round_trip_sequencing(self):
-        net = constant_link(80.0, base_latency_s=0.0)
+        net = NetworkModel(((0.0, 80.0),), base_latency_s=0.0)
         rt = net.round_trip_time(1_000_000, 500_000, now=0.0)
         assert rt == pytest.approx((8 + 4) / 80.0)
 

@@ -4,6 +4,10 @@ The generator is deterministic per seed and keeps to its bounds; the
 bundled scenarios are instances of it.
 """
 
+import dataclasses
+
+import pytest
+
 from repro.network.model import (
     BUNDLED_TRACES,
     NetworkModel,
@@ -42,3 +46,11 @@ class TestTraces:
             for name in ("lte-drive", "wifi-cafe")
         )
         assert lte < wifi
+
+    def test_bundled_traces_cannot_be_changed(self):
+        # Every run of a scenario shares one link object.
+        link = BUNDLED_TRACES["lte-drive"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.base_latency_s = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.schedule = ((0.0, 1.0),)

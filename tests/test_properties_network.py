@@ -43,8 +43,8 @@ class TestDynamicProperties:
         # slowest one.
         net = NetworkModel(schedule, base_latency_s=0.0)
         bandwidths = [bw for _, bw in schedule]
-        fastest = constant_link(max(bandwidths), base_latency_s=0.0)
-        slowest = constant_link(min(bandwidths), base_latency_s=0.0)
+        fastest = NetworkModel(((0.0, max(bandwidths)),), base_latency_s=0.0)
+        slowest = NetworkModel(((0.0, min(bandwidths)),), base_latency_s=0.0)
         t = net.transfer_time(nbytes, now)
         assert fastest.transfer_time(nbytes) - 1e-9 <= t
         assert t <= slowest.transfer_time(nbytes) + 1e-9
@@ -65,7 +65,8 @@ class TestDynamicProperties:
         """A one-segment link is the first-order model, to the bit,
         whenever the transfer starts."""
         base, bw = 0.002, 42.0
-        link = constant_link(bw, base_latency_s=base)
+        link = constant_link(bw)
+        assert link.base_latency_s == base
         assert link.transfer_time(nbytes, now) == base + nbytes * 8 / (bw * 1e6)
 
     @given(schedule=schedule_strategy(), up=st.integers(1, 10**6),
